@@ -117,13 +117,6 @@ def cdf_from_digits(digits, p):
     return total
 
 
-def holder_exponent_for(p: float) -> float:
-    """alpha with p = 2**(-alpha)."""
-    if not 0.5 < p < 1:
-        raise ValueError("p must lie in (1/2, 1)")
-    return -math.log2(p)
-
-
 def p_for_holder_exponent(alpha: float) -> float:
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")

@@ -2,19 +2,17 @@
 
 Every CSV artifact starts with a '#'-prefixed JSON line holding the
 fully resolved run configuration, so outputs are self-describing and a
-rerun with the same flags is byte-identical.  Exit status is zero only
-when every embedded invariant check passed.  HL_THREADS caps the worker
-pool used for independent trials.
+rerun with the same flags is byte-identical.  Exit status is 0 when
+every embedded invariant check passed, 1 when one failed, and 2 on bad
+input, which is reported in one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import bounds as bd
@@ -25,21 +23,13 @@ from .paf import holder_certificate, random_standard_paf
 from .triangles import line_crossing_count, line_crossing_count_geometric
 
 
-def worker_count() -> int:
-    """Worker cap from HL_THREADS (default 1)."""
-    try:
-        n = int(os.environ.get("HL_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, min(n, os.cpu_count() or 1))
+class UsageError(Exception):
+    """Bad command-line input; ``main`` reports it and returns 2."""
 
 
-def _map_jobs(fn, jobs):
-    workers = worker_count()
-    if workers <= 1:
-        return [fn(j) for j in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise UsageError(message)
 
 
 def _fmt(x) -> str:
@@ -63,7 +53,7 @@ def write_csv(path: str | None, config: dict, header: list[str], rows) -> None:
             with open(path, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise SystemExit(f"cannot write {path}: {exc}")
+            raise UsageError(f"cannot write {path}: {exc}")
 
 
 def write_json(path: str | None, payload: dict) -> None:
@@ -75,23 +65,42 @@ def write_json(path: str | None, payload: dict) -> None:
             with open(path, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise SystemExit(f"cannot write {path}: {exc}")
+            raise UsageError(f"cannot write {path}: {exc}")
 
 
 def _parse_grid(text: str) -> list[float]:
     """Grid syntax: 'a,b,c' literal values or 'start:stop:count'."""
-    if ":" in text:
-        start_s, stop_s, count_s = text.split(":")
-        start, stop, count = float(start_s), float(stop_s), int(count_s)
-        if count <= 0:
+    try:
+        if ":" in text:
+            start_s, stop_s, count_s = text.split(":")
+            start, stop, count = float(start_s), float(stop_s), int(count_s)
+            if count <= 0:
+                return []
+            if count == 1:
+                return [start]
+            step = (stop - start) / (count - 1)
+            return [start + i * step for i in range(count)]
+        if not text.strip():
             return []
-        if count == 1:
-            return [start]
-        step = (stop - start) / (count - 1)
-        return [start + i * step for i in range(count)]
-    if not text.strip():
-        return []
-    return [float(v) for v in text.split(",")]
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise UsageError(f"bad grid {text!r}: use 'a,b,c' or 'start:stop:count'")
+
+
+def _alpha_grid(text: str) -> list[float]:
+    grid = _parse_grid(text)
+    for alpha in grid:
+        _require(0 < alpha <= 1, f"alpha {alpha:g} in the grid must lie in (0, 1]")
+    return grid
+
+
+def _check_function_args(args) -> None:
+    """The seeded standard function and tree options shared by two commands."""
+    _require(args.level >= 1, "--level must be at least 1")
+    _require(args.l >= 1, "--l must be at least 1")
+    _require(args.depth >= 0, "--depth must be non-negative")
+    _require(0 < args.alpha <= 1, "--alpha must lie in (0, 1]")
+    _require(args.c > 0, "--c must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +108,7 @@ def _parse_grid(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def cmd_bounds(args) -> int:
-    grid = _parse_grid(args.grid)
+    grid = _alpha_grid(args.grid)
     config = {"command": "bounds", "grid": grid, "precision": args.precision}
     rows = []
     for alpha in grid:
@@ -112,6 +121,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_levelset(args) -> int:
+    _check_function_args(args)
     config = {
         "command": "levelset", "seed": args.seed, "depth": args.depth,
         "l": args.l, "level": args.level, "r_count": args.r_count,
@@ -159,7 +169,14 @@ def cmd_levelset(args) -> int:
 
 
 def cmd_conductivity_hist(args) -> int:
-    d1 = Fraction(args.d1) if args.d1 else None
+    _check_function_args(args)
+    d1 = None
+    if args.d1:
+        try:
+            d1 = Fraction(args.d1)
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"bad --d1 {args.d1!r}: use a rational such as 1/2")
+        _require(0 < d1 <= 1, "--d1 must lie in (0, 1]")
     config = {
         "command": "conductivity-hist", "seed": args.seed, "depth": args.depth,
         "l": args.l, "level": args.level, "alpha": args.alpha, "c": args.c,
@@ -203,8 +220,8 @@ def cmd_conductivity_hist(args) -> int:
 
 def cmd_witness(args) -> int:
     alpha = args.alpha
-    if not 0 < alpha < 1:
-        raise SystemExit("witness runs need alpha in (0, 1): p must exceed 1/2")
+    _require(0 < alpha < 1, "witness runs need alpha in (0, 1): p must exceed 1/2")
+    _require(args.digits >= 1, "--digits must be at least 1")
     p = 2.0 ** (-alpha)
     config = {"command": "witness", "alpha": alpha, "digits": args.digits,
               "trials": args.trials, "seed": args.seed}
@@ -215,7 +232,7 @@ def cmd_witness(args) -> int:
         est = bd.box_count_dimension(digs)
         return (args.digits, 1 << int(est.log2_counts[-1]), est.slope)
 
-    rows = _map_jobs(one, range(args.trials))
+    rows = [one(trial) for trial in range(args.trials)]
     write_csv(args.out, config, ["n", "count", "slope"], rows)
     if args.trace_out and args.trials:
         rng = random.Random(args.seed * 7919)
@@ -246,7 +263,7 @@ def cmd_cantor(args) -> int:
     if args.capacity_alphas:
         cap_rows = []
         ok = True
-        for alpha in _parse_grid(args.capacity_alphas):
+        for alpha in _alpha_grid(args.capacity_alphas):
             for k in range(1, args.depth + 1):
                 cg = ct.capacity_gap(k, alpha)
                 bound = cg.closed_form_bound
@@ -264,6 +281,7 @@ def cmd_cantor(args) -> int:
 
 
 def cmd_phase(args) -> int:
+    _require(0 < args.alpha <= 1, "--alpha must lie in (0, 1]")
     config = {"command": "phase", "alpha": args.alpha, "c": args.c,
               "M": args.M, "k_cap": args.k_cap}
     structure = ct.product_separated_structure(max(2, min(args.k_cap, 10)))
@@ -445,7 +463,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"holderlevels {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

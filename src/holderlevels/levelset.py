@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .paf import PiecewiseAffineFn
-from .triangles import boundary_family, subdivision_addresses, triangle_vertices
+from .triangles import boundary_family, subdivision_addresses
 
 _BOUNDARY_CACHE: dict[int, tuple[str, ...]] = {}
 
@@ -63,6 +63,11 @@ class LevelValue:
         return cls(r)
 
 
+def _level_fraction(r) -> Fraction:
+    """The exact level of a LevelValue or of anything Fraction accepts."""
+    return r.r if isinstance(r, LevelValue) else Fraction(r)
+
+
 @dataclass(frozen=True)
 class ExtremeLabeling:
     """Designated extreme corners of a triangle.
@@ -82,24 +87,33 @@ class ExtremeLabeling:
         return self.vmin is None
 
 
+def extreme_pair(values) -> tuple:
+    """(vmin, vmax) corner indices, ties to the smallest; () if constant."""
+    a, b, c = values
+    if a == b == c:
+        return ()
+    lo = 0 if a <= b and a <= c else (1 if b <= c else 2)
+    hi = 0 if a >= b and a >= c else (1 if b >= c else 2)
+    return (lo, hi)
+
+
 def extreme_labeling(values) -> ExtremeLabeling:
     q = tuple(values)
-    if q[0] == q[1] == q[2]:
+    pair = extreme_pair(q)
+    if not pair:
         return ExtremeLabeling(None, None, False, False)
-    lo = min(q)
-    hi = max(q)
-    low_idx = [i for i in range(3) if q[i] == lo]
-    high_idx = [i for i in range(3) if q[i] == hi]
+    lo, hi = pair
     return ExtremeLabeling(
-        vmin=low_idx[0],
-        vmax=high_idx[0],
-        low_tie_collapsed=len(low_idx) > 1,
-        high_tie_collapsed=len(high_idx) > 1,
+        vmin=lo,
+        vmax=hi,
+        low_tie_collapsed=q.count(q[lo]) > 1,
+        high_tie_collapsed=q.count(q[hi]) > 1,
     )
 
 
-def _corner_word(sym: int, l: int) -> str:
-    return str(sym) * l
+def _extreme_words(values, l: int) -> tuple[str, ...]:
+    """Boundary words of the two extreme corner children, () if constant."""
+    return tuple(str(s) * l for s in extreme_pair(values))
 
 
 class LevelSetNode:
@@ -122,31 +136,12 @@ class LevelSetNode:
         return f"LevelSetNode({self.word!r}, kappa=2^-{self.kappa_exp})"
 
 
-def _descend_values(fn: PiecewiseAffineFn, word: str, vals, suffix: str):
-    """Corner values of word+suffix given the values at word.
-
-    Affine averaging is only valid below the function's level; above it
-    the exact table is consulted (those vertices are all stored).
-    """
-    depth = len(word)
-    out = list(vals)
-    for i, ch in enumerate(suffix):
-        s = int(ch)
-        if depth + i + 1 <= fn.level:
-            pts = triangle_vertices(word + suffix[: i + 1])
-            out = [fn.values[p] for p in pts]
-        else:
-            anchor = out[s]
-            out = [(v + anchor) / 2 for v in out]
-    return tuple(out)
-
-
 class LevelSetTree:
     """Descendant tree of the root for a fixed function, level and l."""
 
     def __init__(self, fn: PiecewiseAffineFn, r, l: int = 1, depth: int = 0):
         self.fn = fn
-        self.r = Fraction(r) if not isinstance(r, LevelValue) else r.r
+        self.r = _level_fraction(r)
         self.l = l
         self.depth = 0
         root_vals = fn.corner_values("")
@@ -170,13 +165,9 @@ class LevelSetTree:
             nxt: list[LevelSetNode] = []
             words = _boundary_words(self.l)
             for node in frontier:
-                lab = extreme_labeling(node.values)
-                extreme_words = ()
-                if not lab.is_constant:
-                    extreme_words = (_corner_word(lab.vmin, self.l),
-                                     _corner_word(lab.vmax, self.l))
+                extreme_words = _extreme_words(node.values, self.l)
                 for w in words:
-                    vals = _descend_values(self.fn, node.word, node.values, w)
+                    vals = self.fn.descend(node.word, node.values, w)
                     self._check_collision(node.word + w, vals)
                     if not (min(vals) < self.r < max(vals)):
                         continue
@@ -304,7 +295,7 @@ def approx_level_set(fn: PiecewiseAffineFn, r, n: int, l: int = 1,
     triangle, which also finds members whose parents are not members;
     feasible only while the family is small.
     """
-    r = Fraction(r) if not isinstance(r, LevelValue) else r.r
+    r = _level_fraction(r)
     if method == "descendants":
         t = tree if tree is not None else LevelSetTree(fn, r, l)
         t.extend(n)
@@ -349,20 +340,16 @@ def kappa_exponent(fn: PiecewiseAffineFn, word: str, l: int = 1) -> int:
         step = word[i: i + l]
         if step not in _boundary_words(l):
             raise ValueError(f"{step!r} is not a boundary word at l={l}")
-        lab = extreme_labeling(vals)
-        extreme_words = ()
-        if not lab.is_constant:
-            extreme_words = (_corner_word(lab.vmin, l), _corner_word(lab.vmax, l))
-        if step not in extreme_words:
+        if step not in _extreme_words(vals, l):
             exp += 1
-        vals = _descend_values(fn, prefix, vals, step)
+        vals = fn.descend(prefix, vals, step)
         prefix += step
     return exp
 
 
 def conductivity(fn: PiecewiseAffineFn, r, word: str, l: int = 1) -> Fraction:
     """Conductivity of a member descendant; rejects non-descendants."""
-    r = Fraction(r) if not isinstance(r, LevelValue) else r.r
+    r = _level_fraction(r)
     tree = LevelSetTree(fn, r, l, depth=len(word) // l if word else 0)
     if word == "":
         if tree.root is None:
@@ -379,7 +366,7 @@ def conservation_check(fn: PiecewiseAffineFn, r, word: str, k: int,
     """Weak conservation below one member triangle, exact arithmetic."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    r = Fraction(r) if not isinstance(r, LevelValue) else r.r
+    r = _level_fraction(r)
     tree = LevelSetTree(fn, r, l, depth=len(word) // l)
     return tree.conservation(word, k)
 
@@ -392,7 +379,7 @@ def conductivity_measure(fn: PiecewiseAffineFn, r, n: int, l: int = 1,
     at each level sum to one; conservation makes each value at most the
     triangle's conductivity.
     """
-    r = Fraction(r) if not isinstance(r, LevelValue) else r.r
+    r = _level_fraction(r)
     t = tree if tree is not None else LevelSetTree(fn, r, l)
     t.extend(n)
     if t.root is None:
@@ -412,28 +399,6 @@ class CensusResult:
     image_measure: float
     threshold_exp: int
     passed: bool
-
-
-def _scaled_root(fn: PiecewiseAffineFn, depth_max: int):
-    """Integer-scaled corner values: value * denom * 2**depth_max.
-
-    Midpoint averaging then stays integral, which keeps the census walk
-    fast; the common denominator covers every stored vertex value.
-    """
-    denom = 1
-    for v in fn.values.values():
-        d = v.denominator
-        g = _gcd(denom, d)
-        denom = denom // g * d
-    scale = denom << depth_max
-    root = tuple(int(v * scale) for v in fn.corner_values(""))
-    return scale, root
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def well_conducting_census(fn: PiecewiseAffineFn, r, n: int, l: int, d1,
@@ -461,43 +426,39 @@ def well_conducting_census(fn: PiecewiseAffineFn, r, n: int, l: int, d1,
             raise ValueError("alpha is needed for the image-measure column")
         alpha = fn.holder.alpha
 
-    depth_max = n * l
-    scale, root_vals = _scaled_root(fn, depth_max)
+    # the word table times (common denominator) * 2**(n l): every descent
+    # below it stays integral, so a step is three adds and shifts
+    words_table = fn.word_table()
+    scale = math.lcm(*(v.denominator for vals in words_table.values() for v in vals))
+    scale <<= n * l
+    table = {word: tuple(v.numerator * (scale // v.denominator) for v in vals)
+             for word, vals in words_table.items()}
     words = _boundary_words(l)
     word_syms = [tuple(int(c) for c in w) for w in words]
-    corner_words = {s: _corner_word(s, l) for s in range(3)}
+    corner_words = tuple(str(s) * l for s in range(3))
 
-    # frontier entries: (word-or-None, tau depth, values, kappa exponent);
-    # the word is kept only while table lookups are still needed
-    fn_level = fn.level
-    frontier = [("" if fn_level > 0 else None, 0, root_vals, 0)]
-    for _ in range(n):
+    # frontier entries: (word, scaled corner values, kappa exponent); the
+    # word is kept only while table lookups are still needed
+    frontier = [("", table[""], 0)]
+    for step in range(n):
+        k = fn.level - step * l      # symbols still covered by the table
         nxt = []
-        for word, depth, vals, exp in frontier:
-            lab = extreme_labeling(vals)
-            ext = ()
-            if not lab.is_constant:
-                ext = (corner_words[lab.vmin], corner_words[lab.vmax])
+        for word, vals, exp in frontier:
+            pair = extreme_pair(vals)
+            ext = (corner_words[pair[0]], corner_words[pair[1]]) if pair else ()
             for w, syms in zip(words, word_syms):
                 new_exp = exp + (0 if w in ext else 1)
                 if new_exp > t:
                     continue
                 cur = vals
-                cw = word
-                d = depth
+                if k > 0:
+                    cur = table[word + w[:k]]
+                    syms = syms[k:]
                 for s in syms:
-                    d += 1
-                    if cw is not None and d <= fn_level:
-                        cw = cw + str(s)
-                        pts = triangle_vertices(cw)
-                        cur = tuple(int(fn.values[p] * scale) for p in pts)
-                    else:
-                        anchor = cur[s]
-                        cur = ((cur[0] + anchor) >> 1, (cur[1] + anchor) >> 1,
-                               (cur[2] + anchor) >> 1)
-                if cw is not None and d >= fn_level:
-                    cw = None
-                nxt.append((cw, d, cur, new_exp))
+                    anchor = cur[s]
+                    cur = ((cur[0] + anchor) >> 1, (cur[1] + anchor) >> 1,
+                           (cur[2] + anchor) >> 1)
+                nxt.append((word + w if k > l else None, cur, new_exp))
         frontier = nxt
     count = len(frontier)
 

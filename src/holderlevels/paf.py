@@ -44,8 +44,19 @@ class HolderParams:
             raise ValueError("the Lipschitz constant must be positive")
 
 
+def _average(vals, sym: int) -> tuple:
+    """Corner values of child ``sym`` of an affine piece: midpoint averages."""
+    anchor = vals[sym]
+    return tuple((v + anchor) / 2 for v in vals)
+
+
 class PiecewiseAffineFn:
-    """Exact rational vertex table plus affine extension per triangle."""
+    """Exact rational vertex table plus affine extension per triangle.
+
+    ``values`` maps each vertex of V_level to its value; it is read-only
+    after construction, because the word table below is derived from it
+    on first use and never rebuilt.
+    """
 
     def __init__(self, level: int, values: dict[PointQ3, Fraction],
                  standard: bool = False, holder: HolderParams | None = None):
@@ -53,25 +64,72 @@ class PiecewiseAffineFn:
         self.values = values
         self.standard = standard
         self.holder = holder
+        self._words: dict[str, tuple] | None = None
 
-    # -- vertex access -------------------------------------------------
+    # -- the corner-value kernel -----------------------------------------
+
+    def _walk(self, depth: int):
+        """Pre-order walk over the words of length <= ``depth``.
+
+        Yields (word, vertices, corner values); children are pushed in
+        symbol order and popped in reverse, so leaves come out in
+        decreasing word order.  At or above the level the values are read
+        from ``values``, below it they are midpoint averages.  This is
+        the only place that walks the exact geometry to read values.
+        """
+        stack = [("", ROOT_VERTICES, tuple(self.values[p] for p in ROOT_VERTICES))]
+        while stack:
+            word, pts, vals = stack.pop()
+            yield word, pts, vals
+            if len(word) == depth:
+                continue
+            above = len(word) < self.level
+            for sym in range(3):
+                cpts = child_vertices(pts, sym)
+                if above:
+                    cvals = tuple(self.values[p] for p in cpts)
+                else:
+                    cvals = _average(vals, sym)
+                stack.append((word + "012"[sym], cpts, cvals))
+
+    def _leaves(self, depth: int):
+        """(word, vertices, corner values) of the depth-``depth`` triangles."""
+        for word, pts, vals in self._walk(depth):
+            if len(word) == depth:
+                yield word, pts, vals
+
+    def word_table(self) -> dict[str, tuple]:
+        """Corner values of every word of length <= level, built once.
+
+        (3**(level+1) - 1) / 2 entries, in the walk's pre-order.
+        """
+        if self._words is None:
+            self._words = {word: vals for word, _, vals in self._walk(self.level)}
+        return self._words
+
+    def descend(self, word: str, vals, suffix: str) -> tuple:
+        """Corner values of ``word + suffix`` given those of ``word``.
+
+        Steps at or above the level are one table hit; each step below it
+        is a midpoint average.
+        """
+        k = self.level - len(word)
+        if k > 0:
+            vals = self.word_table()[word + suffix[:k]]
+            suffix = suffix[k:]
+        for ch in suffix:
+            vals = _average(vals, int(ch))
+        return vals
 
     def corner_values(self, word: str) -> tuple[Fraction, Fraction, Fraction]:
         """Values at the three corners of the addressed triangle.
 
-        Below the function's own level this is a table lookup; deeper
-        corners are affine combinations, produced by midpoint averaging
-        along the address.
+        Down to the function's own level this is a word-table lookup;
+        deeper corners are affine combinations, produced by midpoint
+        averaging along the address.
         """
         check_address(word)
-        head, tail = word[: self.level], word[self.level:]
-        pts = triangle_vertices(head)
-        vals = [self.values[p] for p in pts]
-        for ch in tail:
-            s = int(ch)
-            anchor = vals[s]
-            vals = [(v + anchor) / 2 for v in vals]
-        return tuple(vals)
+        return self.descend("", self.word_table()[""], word)
 
     def vertex_value(self, point: PointQ3) -> Fraction:
         try:
@@ -107,21 +165,9 @@ class PiecewiseAffineFn:
             return PiecewiseAffineFn(self.level, dict(self.values),
                                      self.standard, self.holder)
         values: dict[PointQ3, Fraction] = {}
-        stack = [(ROOT_VERTICES, tuple(self.values[p] for p in ROOT_VERTICES), 0)]
-        while stack:
-            pts, vals, depth = stack.pop()
-            if depth == level:
-                for p, v in zip(pts, vals):
-                    values[p] = v
-                continue
-            for sym in range(3):
-                cpts = child_vertices(pts, sym)
-                if depth + 1 <= self.level:
-                    cvals = tuple(self.values[p] for p in cpts)
-                else:
-                    anchor = vals[sym]
-                    cvals = tuple((v + anchor) / 2 for v in vals)
-                stack.append((cpts, cvals, depth + 1))
+        for _, pts, vals in self._leaves(level):
+            for p, v in zip(pts, vals):
+                values[p] = v
         return PiecewiseAffineFn(level, values, standard=False, holder=self.holder)
 
     def standardize(self) -> "PiecewiseAffineFn":
@@ -134,17 +180,7 @@ class PiecewiseAffineFn:
         is at most half the largest per-triangle oscillation.
         """
         values: dict[PointQ3, Fraction] = {}
-        stack = [(ROOT_VERTICES, tuple(self.values[p] for p in ROOT_VERTICES), 0)]
-        while stack:
-            pts, vals, depth = stack.pop()
-            if depth < self.level:
-                for sym in range(3):
-                    cpts = child_vertices(pts, sym)
-                    cvals = tuple(self.values[p] for p in cpts)
-                    stack.append((cpts, cvals, depth + 1))
-                continue
-            v1, v2, v3 = pts
-            q1, q2, q3 = vals
+        for _, (v1, v2, v3), (q1, q2, q3) in self._leaves(self.level):
             values[v1] = q1
             values[v2] = q2
             values[v3] = q3
@@ -158,16 +194,9 @@ class PiecewiseAffineFn:
 
     def iter_triangles(self):
         """Yields (word, corner values) over all level-n triangles."""
-        stack = [("", tuple(self.values[p] for p in ROOT_VERTICES))]
-        while stack:
-            word, vals = stack.pop()
+        for word, vals in self.word_table().items():
             if len(word) == self.level:
                 yield word, vals
-                continue
-            pts = triangle_vertices(word)
-            for sym in range(3):
-                cpts = child_vertices(pts, sym)
-                stack.append((word + str(sym), tuple(self.values[p] for p in cpts)))
 
     def is_standard(self) -> bool:
         return all(
@@ -207,17 +236,11 @@ class PiecewiseAffineFn:
 
     def to_json(self) -> dict:
         ids: dict[PointQ3, str] = {}
-        stack = [("", ROOT_VERTICES)]
-        while stack:
-            word, pts = stack.pop()
-            if len(word) == self.level:
-                for corner, p in enumerate(pts):
-                    key = f"{word}:{corner}"
-                    if p not in ids or key < ids[p]:
-                        ids[p] = key
-                continue
-            for sym in range(3):
-                stack.append((word + str(sym), child_vertices(pts, sym)))
+        for word, pts, _ in self._leaves(self.level):
+            for corner, p in enumerate(pts):
+                key = f"{word}:{corner}"
+                if p not in ids or key < ids[p]:
+                    ids[p] = key
         entries = sorted(
             (ids[p], f"{v.numerator}/{v.denominator}") for p, v in self.values.items()
         )
@@ -279,21 +302,9 @@ class HolderCertificate:
 
 def _vertex_arrays(fn: PiecewiseAffineFn, depth: int):
     table: dict[PointQ3, Fraction] = {}
-    stack = [(ROOT_VERTICES, tuple(fn.values[p] for p in ROOT_VERTICES), 0)]
-    while stack:
-        pts, vals, d = stack.pop()
+    for _, pts, vals in fn._walk(depth):
         for p, v in zip(pts, vals):
             table[p] = v
-        if d == depth:
-            continue
-        for sym in range(3):
-            cpts = child_vertices(pts, sym)
-            if d + 1 <= fn.level:
-                cvals = tuple(fn.values[p] for p in cpts)
-            else:
-                anchor = vals[sym]
-                cvals = tuple((v + anchor) / 2 for v in vals)
-            stack.append((cpts, cvals, d + 1))
     points = list(table)
     xs = np.array([float(p.x) for p in points])
     ys = np.array([float(p.y) for p in points])
@@ -392,11 +403,10 @@ def random_standard_paf(seed: int, level: int, alpha: float, c: float,
                            * _DISP_DENOM)),
                 _DISP_DENOM)
             new_vals: dict[PointQ3, Fraction] = {}
-            for word, (q1, q2, q3) in fn.iter_triangles():
-                pts = triangle_vertices(word)
+            for _, pts, q in fn._leaves(fn.level):
                 for (i, j) in ((0, 1), (1, 2), (0, 2)):
                     m = midpoint(pts[i], pts[j])
-                    base_val = ((q1, q2, q3)[i] + (q1, q2, q3)[j]) / 2
+                    base_val = (q[i] + q[j]) / 2
                     new_vals[m] = base_val + _dyadic_uniform(rng, -amp, amp)
             merged = dict(fn.values)
             merged.update(new_vals)

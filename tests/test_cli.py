@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from holderlevels.cli import main, worker_count
+from holderlevels.cli import main
 
 
 def run_cli(args, tmp_path=None):
@@ -135,15 +135,41 @@ def test_selftest_passes():
     assert "FAIL" not in res.stdout
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("HL_THREADS", "2")
-    assert worker_count() in (1, 2)
-    monkeypatch.setenv("HL_THREADS", "bogus")
-    assert worker_count() == 1
-    monkeypatch.delenv("HL_THREADS")
-    assert worker_count() == 1
-
-
 def test_witness_rejects_alpha_one():
     res = run_cli(["witness", "--alpha", "1.0", "--digits", "10", "--trials", "1"])
     assert res.returncode != 0
+
+
+def _assert_usage_error(res, command: str):
+    """Exit 2 and a one-line message on stderr, no traceback."""
+    assert res.returncode == 2
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"holderlevels {command}: error: ")
+    assert "Traceback" not in res.stderr
+
+
+def test_witness_rejects_zero_digits():
+    res = run_cli(["witness", "--alpha", "0.5", "--digits", "0"])
+    _assert_usage_error(res, "witness")
+    assert "--digits" in res.stderr
+
+
+def test_bounds_rejects_alpha_outside_unit_interval():
+    res = run_cli(["bounds", "--grid", "0,0.5"])
+    _assert_usage_error(res, "bounds")
+    assert "(0, 1]" in res.stderr
+    _assert_usage_error(run_cli(["bounds", "--grid", "0.1:x:3"]), "bounds")
+
+
+def test_levelset_rejects_level_zero(tmp_path):
+    out = tmp_path / "ls.csv"
+    res = run_cli(["levelset", "--level", "0", "--out", str(out)])
+    _assert_usage_error(res, "levelset")
+    assert "--level" in res.stderr
+    assert not out.exists()
+
+
+def test_phase_rejects_alpha_above_one():
+    _assert_usage_error(run_cli(["phase", "--alpha", "1.5"]), "phase")
