@@ -16,7 +16,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .levelset import LevelSetTree
+from .levelset import LevelSetTree, census_constant
 from .triangles import delta_lattice_index, touching_up_cells
 
 BIG_DIGITS = 50
@@ -69,18 +69,6 @@ def lcondition_lhs(alpha: float, d1) -> float:
     if not 0 < d1 < alpha:
         raise ValueError("need 0 < d1 < alpha")
     return (d1 * (1 + math.log(3 / (2 * d1))) + math.log(2)) / ((alpha - d1) * math.log(2))
-
-
-def census_constant(alpha: float, d1, l: int, relaxed: bool = False) -> float:
-    """c = (e/d1)**d1 (3(2**l - 1))**d1 2**(1 - d1 - l alpha).
-
-    ``relaxed`` replaces 2**l - 1 by 2**l, the variant whose c < 1 is
-    exactly equivalent to the feasibility inequality.
-    """
-    d1 = float(d1)
-    alpha = float(alpha)
-    branches = 3 * (2**l if relaxed else 2**l - 1)
-    return (math.e / d1) ** d1 * branches**d1 * 2.0 ** (1 - d1 - l * alpha)
 
 
 def feasible_l(alpha: float, d1) -> int:

@@ -17,6 +17,8 @@ from typing import Callable
 
 import numpy as np
 
+from .paf import max_holder_ratio
+
 
 def interval_length(n: int) -> Fraction:
     """Length 1/(2**(n+1)-1) of a level-n interval."""
@@ -555,24 +557,10 @@ def phase_perturbation(grid: dict, config: PhaseTransitionConfig) -> Perturbatio
         raise ValueError("grid must contain the top corners of the cylinder")
 
     pts = list(grid)
-    vals = [float(grid[p]) for p in pts]
     xs = np.array([float(p[0]) for p in pts])
     ys = np.array([float(p[1]) for p in pts])
-    va = np.array(vals)
-
-    def max_ratio(values: np.ndarray) -> float:
-        best = 0.0
-        for i0 in range(0, len(pts), 256):
-            i1 = min(i0 + 256, len(pts))
-            dx = xs[i0:i1, None] - xs[None, :]
-            dy = ys[i0:i1, None] - ys[None, :]
-            dv = np.abs(values[i0:i1, None] - values[None, :])
-            dist = np.hypot(dx, dy)
-            dist[dist == 0] = np.inf
-            best = max(best, float(np.max(dv / dist**config.alpha)))
-        return best
-
-    base_ratio = max_ratio(va)
+    base_ratio, _ = max_holder_ratio(xs, ys, np.array([float(grid[p]) for p in pts]),
+                                     config.alpha)
     if base_ratio > float(c) * (1 + 1e-9):
         raise ValueError(
             f"base certificate fails: grid ratio {base_ratio:.6g} exceeds c = {float(c):.6g}"
@@ -596,7 +584,8 @@ def phase_perturbation(grid: dict, config: PhaseTransitionConfig) -> Perturbatio
     perturbed = {p: grid[p] + ramp(p[0]) for p in pts}
     lhs = abs(perturbed[v1] - perturbed[v2])
     rhs = (1 - c) * (x2 - x1)
-    pert_ratio = max_ratio(np.array([float(perturbed[p]) for p in pts]))
+    pert_ratio, _ = max_holder_ratio(xs, ys, np.array([float(perturbed[p]) for p in pts]),
+                                     config.alpha)
     cap = capacity_gap(config.k, config.alpha)
     return PerturbationReport(
         perturbed=perturbed,

@@ -13,6 +13,7 @@ import argparse
 import json
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import bounds as bd
@@ -37,6 +38,10 @@ def _fmt(x) -> str:
         return format(x, ".12g")
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, int) and not isinstance(x, bool):
+        # str() refuses ints past sys.get_int_max_str_digits() digits
+        # (witness counts 2**zeros reach that); Decimal prints any size
+        return str(Decimal(x))
     return str(x)
 
 

@@ -61,9 +61,6 @@ class CoordQ3:
 
     # -- queries -----------------------------------------------------
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def to_fraction(self) -> Fraction:
         if self.b != 0:
             raise ValueError(f"{self!r} has a nonzero sqrt(3) part")
@@ -173,8 +170,6 @@ class CoordQ3:
 
 
 SQRT3 = CoordQ3(0, 1, 0)
-ZERO = CoordQ3(0)
-ONE = CoordQ3(1)
 
 
 @dataclass(frozen=True)
@@ -310,10 +305,6 @@ class PointQ3:
     x: CoordQ3
     y: CoordQ3
 
-    @classmethod
-    def from_fractions(cls, fx, fy) -> "PointQ3":
-        return cls(CoordQ3.from_fraction(fx), CoordQ3.from_fraction(fy))
-
     def __add__(self, other: "PointQ3") -> "PointQ3":
         return PointQ3(self.x + other.x, self.y + other.y)
 
@@ -330,9 +321,6 @@ class PointQ3:
         dx = self.x - other.x
         dy = self.y - other.y
         return dx * dx + dy * dy
-
-    def to_floats(self) -> tuple[float, float]:
-        return (float(self.x), float(self.y))
 
     def to_triples(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
         return (self.x.to_triple(), self.y.to_triple())

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -331,19 +332,19 @@ def kappa_exponent(fn: PiecewiseAffineFn, word: str, l: int = 1) -> int:
     labelings of the ancestors, so it is defined for every triangle of
     the subdivision family, member or not.
     """
+    # Below the function level L every triangle is affine, and the
+    # midpoint averaging v_i -> (v_i + v_s)/2 that yields a child's
+    # corners keeps their order and their ties; so every triangle below
+    # L has the extreme pair of its level-L ancestor, table[word[:L]].
     if len(word) % l:
         raise ValueError(f"address length must be a multiple of l={l}")
+    table = fn.word_table()
     exp = 0
-    vals = fn.corner_values("")
-    prefix = ""
     for i in range(0, len(word), l):
         step = word[i: i + l]
         if step not in _boundary_words(l):
             raise ValueError(f"{step!r} is not a boundary word at l={l}")
-        if step not in _extreme_words(vals, l):
-            exp += 1
-        vals = fn.descend(prefix, vals, step)
-        prefix += step
+        exp += step not in _extreme_words(table[word[:min(i, fn.level)]], l)
     return exp
 
 
@@ -392,6 +393,18 @@ def conductivity_measure(fn: PiecewiseAffineFn, r, n: int, l: int = 1,
 # census of well-conducting triangles
 # ---------------------------------------------------------------------------
 
+def census_constant(alpha: float, d1, l: int, relaxed: bool = False) -> float:
+    """c = (e/d1)**d1 (3(2**l - 1))**d1 2**(1 - d1 - l alpha).
+
+    ``relaxed`` replaces 2**l - 1 by 2**l, the variant whose c < 1 is
+    exactly equivalent to the feasibility inequality.
+    """
+    d1 = float(d1)
+    alpha = float(alpha)
+    branches = 3 * (2**l if relaxed else 2**l - 1)
+    return (math.e / d1) ** d1 * branches**d1 * 2.0 ** (1 - d1 - l * alpha)
+
+
 @dataclass
 class CensusResult:
     count: int
@@ -408,11 +421,16 @@ def well_conducting_census(fn: PiecewiseAffineFn, r, n: int, l: int, d1,
     The count ranges over the whole subdivision family (conductivity
     does not depend on the level value; ``r`` is only validated).  The
     binomial bound is (e n/(n d1))**(n d1) (3(2**l-1))**(n d1) 2**(n-n d1)
-    and the image-measure column is c**n with
-    c = (e/d1)**d1 (3(2**l-1))**d1 2**(1-d1-l*alpha).
-    """
-    import math
+    and the image-measure column is ``census_constant(alpha, d1, l)**n``.
 
+    Triangles are enumerated down to the function level L.  Below it
+    every triangle has the extreme pair of its level-L ancestor (see
+    ``kappa_exponent``), so m further steps from a node with exponent e
+    keep the exponent on the two extreme corner words and raise it on
+    the other B - 2 = 3(2**l - 1) - 2: the node has
+    sum_{j <= t - e} C(m, j) 2**(m-j) (B-2)**j descendants within the
+    threshold t = n d1, or B**m (if e + m <= t) when it is constant.
+    """
     d1 = Fraction(d1)
     t = n * d1
     if t.denominator != 1:
@@ -426,41 +444,28 @@ def well_conducting_census(fn: PiecewiseAffineFn, r, n: int, l: int, d1,
             raise ValueError("alpha is needed for the image-measure column")
         alpha = fn.holder.alpha
 
-    # the word table times (common denominator) * 2**(n l): every descent
-    # below it stays integral, so a step is three adds and shifts
-    words_table = fn.word_table()
-    scale = math.lcm(*(v.denominator for vals in words_table.values() for v in vals))
-    scale <<= n * l
-    table = {word: tuple(v.numerator * (scale // v.denominator) for v in vals)
-             for word, vals in words_table.items()}
+    table = fn.word_table()
     words = _boundary_words(l)
-    word_syms = [tuple(int(c) for c in w) for w in words]
-    corner_words = tuple(str(s) * l for s in range(3))
-
-    # frontier entries: (word, scaled corner values, kappa exponent); the
-    # word is kept only while table lookups are still needed
-    frontier = [("", table[""], 0)]
-    for step in range(n):
-        k = fn.level - step * l      # symbols still covered by the table
+    top = min(n, -(-fn.level // l))     # steps until the words reach level L
+    frontier = [("", 0)]                # (word, kappa exponent) within t
+    for _ in range(top):
         nxt = []
-        for word, vals, exp in frontier:
-            pair = extreme_pair(vals)
-            ext = (corner_words[pair[0]], corner_words[pair[1]]) if pair else ()
-            for w, syms in zip(words, word_syms):
-                new_exp = exp + (0 if w in ext else 1)
-                if new_exp > t:
-                    continue
-                cur = vals
-                if k > 0:
-                    cur = table[word + w[:k]]
-                    syms = syms[k:]
-                for s in syms:
-                    anchor = cur[s]
-                    cur = ((cur[0] + anchor) >> 1, (cur[1] + anchor) >> 1,
-                           (cur[2] + anchor) >> 1)
-                nxt.append((word + w if k > l else None, cur, new_exp))
+        for word, exp in frontier:
+            ext = _extreme_words(table[word], l)
+            for w in words:
+                new_exp = exp + (w not in ext)
+                if new_exp <= t:
+                    nxt.append((word + w, new_exp))
         frontier = nxt
-    count = len(frontier)
+    m = n - top
+    b = len(words)
+    count = 0
+    for word, exp in frontier:
+        if extreme_pair(table[word[:fn.level]]):
+            count += sum(math.comb(m, j) * 2 ** (m - j) * (b - 2) ** j
+                         for j in range(min(m, t - exp) + 1))
+        elif exp + m <= t:
+            count += b**m
 
     if t == 0:
         binomial_bound = float(2**n)
@@ -468,14 +473,10 @@ def well_conducting_census(fn: PiecewiseAffineFn, r, n: int, l: int, d1,
         binomial_bound = ((math.e * n / t) ** t
                           * (3 * (2**l - 1)) ** t
                           * 2.0 ** (n - t))
-    d1f = float(d1)
-    c = ((math.e / d1f) ** d1f
-         * (3 * (2**l - 1)) ** d1f
-         * 2.0 ** (1 - d1f - l * alpha))
     return CensusResult(
         count=count,
         binomial_bound=binomial_bound,
-        image_measure=c**n,
+        image_measure=census_constant(alpha, d1, l)**n,
         threshold_exp=t,
         passed=count <= binomial_bound,
     )

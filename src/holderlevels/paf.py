@@ -131,12 +131,6 @@ class PiecewiseAffineFn:
         check_address(word)
         return self.descend("", self.word_table()[""], word)
 
-    def vertex_value(self, point: PointQ3) -> Fraction:
-        try:
-            return self.values[point]
-        except KeyError:
-            return self.eval(point)
-
     def eval(self, point) -> Fraction:
         """Exact value by barycentric interpolation.
 
@@ -312,6 +306,32 @@ def _vertex_arrays(fn: PiecewiseAffineFn, depth: int):
     return points, xs, ys, vs
 
 
+def max_holder_ratio(xs: np.ndarray, ys: np.ndarray, vs: np.ndarray,
+                     alpha: float, chunk: int = 512):
+    """Max of |vs[i] - vs[j]| / |(xs, ys)[i] - (xs, ys)[j]|**alpha over i != j.
+
+    Returns (maximum, (i, j)) with the first maximising pair in row-major
+    order, or (0.0, None) when no ratio is positive.  Rows are taken
+    ``chunk`` at a time to bound the temporaries at chunk * len(xs).
+    """
+    n = len(xs)
+    best = 0.0
+    pair = None
+    for i0 in range(0, n, chunk):
+        i1 = min(i0 + chunk, n)
+        dx = xs[i0:i1, None] - xs[None, :]
+        dy = ys[i0:i1, None] - ys[None, :]
+        dv = np.abs(vs[i0:i1, None] - vs[None, :])
+        dist = np.hypot(dx, dy)
+        np.fill_diagonal(dist[:, i0:i1], np.inf)
+        ratio = dv / dist**alpha
+        idx = np.unravel_index(np.argmax(ratio), ratio.shape)
+        if ratio[idx] > best:
+            best = float(ratio[idx])
+            pair = (i0 + int(idx[0]), int(idx[1]))
+    return best, pair
+
+
 def holder_certificate(fn: PiecewiseAffineFn, alpha: float, c: float,
                        depth: int | None = None,
                        chunk: int = 512) -> HolderCertificate:
@@ -327,21 +347,8 @@ def holder_certificate(fn: PiecewiseAffineFn, alpha: float, c: float,
     if depth < fn.level:
         raise ValueError("certificate depth must be at least the function level")
     points, xs, ys, vs = _vertex_arrays(fn, depth)
-    n = len(points)
-    best = 0.0
-    pair = None
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
-        dx = xs[i0:i1, None] - xs[None, :]
-        dy = ys[i0:i1, None] - ys[None, :]
-        dv = np.abs(vs[i0:i1, None] - vs[None, :])
-        dist = np.hypot(dx, dy)
-        np.fill_diagonal(dist[:, i0:i1], np.inf)
-        ratio = dv / dist**alpha
-        idx = np.unravel_index(np.argmax(ratio), ratio.shape)
-        if ratio[idx] > best:
-            best = float(ratio[idx])
-            pair = (points[i0 + idx[0]], points[idx[1]])
+    best, idx = max_holder_ratio(xs, ys, vs, alpha, chunk)
+    pair = None if idx is None else (points[idx[0]], points[idx[1]])
     return HolderCertificate(
         alpha=alpha, c=c, depth=depth, max_ratio=best, witness_pair=pair,
         safety_factor=(4.0 / math.sqrt(3.0)) ** alpha,

@@ -1,11 +1,13 @@
 """CLI: determinism, artifact formats, exit codes."""
 
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
+from holderlevels.bernoulli import sample_digits
 from holderlevels.cli import main
 
 
@@ -90,6 +92,21 @@ def test_witness_trace(tmp_path):
     assert len(rows) == 50
     for n, count, log2count in rows:
         assert int(count) == 1 << int(log2count)
+
+
+def test_witness_count_past_int_str_limit(tmp_path):
+    """A 2**zeros count longer than str()'s default 4300 digits still prints."""
+    out = tmp_path / "w.csv"
+    res = run_cli(["witness", "--alpha", "0.5", "--digits", "60000", "--trials", "1",
+                   "--seed", "42", "--out", str(out)])
+    assert res.returncode == 0 and "Traceback" not in res.stderr
+    n, count, _ = out.read_text().splitlines()[2].split(",")
+    assert n == "60000" and len(count) > 4300
+    zeros = sample_digits(random.Random(42 * 7919), 2.0 ** -0.5, 60000).count(0)
+    value = 0
+    for i in range(0, len(count), 1000):   # int() parses at most 4300 digits
+        value = value * 10 ** len(count[i:i + 1000]) + int(count[i:i + 1000])
+    assert value == 1 << zeros
 
 
 def test_cantor_command(tmp_path):

@@ -13,8 +13,13 @@ from functools import lru_cache
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from holderlevels.levelset import extreme_labeling, extreme_pair, well_conducting_census
-from holderlevels.paf import random_standard_paf
+from holderlevels.levelset import (
+    extreme_labeling,
+    extreme_pair,
+    kappa_exponent,
+    well_conducting_census,
+)
+from holderlevels.paf import PiecewiseAffineFn, random_standard_paf
 from holderlevels.triangles import boundary_family, subdivision_addresses, triangle_vertices
 
 CORPUS_ALPHAS = (0.3, 0.5, 0.8)
@@ -23,6 +28,24 @@ CORPUS_ALPHAS = (0.3, 0.5, 0.8)
 @lru_cache(maxsize=None)
 def corpus_fn(seed: int, level: int):
     return random_standard_paf(seed, level, CORPUS_ALPHAS[seed % 3], 0.9, check=False)
+
+
+@lru_cache(maxsize=None)
+def census_fn(seed, level: int):
+    """A corpus function; for seed "flat", one constant on triangle 0.
+
+    Corpus functions are locally non-constant, so only the flat one
+    has constant triangles below the function level.
+    """
+    if seed != "flat":
+        return corpus_fn(seed, level)
+    values = {}
+    for word, vals in (("0", (0, 0, 0)), ("1", (0, 1, Fraction(3, 4))),
+                       ("2", (0, Fraction(3, 4), Fraction(1, 2)))):
+        values.update(zip(triangle_vertices(word), map(Fraction, vals)))
+    fn = PiecewiseAffineFn(level, values)
+    assert [w for w, v in fn.iter_triangles() if len(set(v)) == 1] == ["0"]
+    return fn
 
 
 def slow_corner_values(fn, word: str):
@@ -60,6 +83,7 @@ def test_corner_values_match_slow_path(args, data):
     word = data.draw(st.text(alphabet="012", min_size=size, max_size=size))
     expected = slow_corner_values(fn, word)
     assert fn.corner_values(word) == expected
+    assert kappa_exponent(fn, word) == slow_kappa_exponent(fn, word, 1, {})
     cut = data.draw(st.integers(min_value=0, max_value=len(word)))
     prefix = word[:cut]
     assert fn.descend(prefix, fn.corner_values(prefix), word[cut:]) == expected
@@ -74,11 +98,12 @@ def test_word_tables_match_slow_path(level):
         assert vals == slow_corner_values(fn, word)
 
 
-@pytest.mark.parametrize("seed,level", [(0, 1), (1, 2), (2, 3), (3, 4), (4, 2)])
+@pytest.mark.parametrize("seed,level", [(0, 1), (1, 2), (2, 3), (3, 4), (4, 2), ("flat", 1)])
 @pytest.mark.parametrize("l,n,d1", [(1, 4, Fraction(1, 2)), (1, 4, Fraction(1, 4)),
-                                    (2, 2, Fraction(1, 2))])
+                                    (2, 2, Fraction(1, 2)), (1, 6, Fraction(1, 2)),
+                                    (2, 3, Fraction(2, 3))])
 def test_census_matches_slow_enumeration(seed, level, l, n, d1):
-    fn = corpus_fn(seed, level)
+    fn = census_fn(seed, level)
     t = int(n * d1)
     cache: dict = {}
     direct = sum(1 for w in subdivision_addresses(n, l)
