@@ -11,10 +11,27 @@ apex.  With p = 2**(-alpha) it satisfies |f(x)-f(y)| <= 3 |x-y|**alpha.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+def _binary_digits(x: Fraction):
+    """Binary digits of a rational x in [0, 1] until the remainder is zero.
+
+    The walk ends only for dyadic x.  The numerator is doubled against
+    the denominator, so no Fraction is built per digit.
+    """
+    num, den = x.numerator, x.denominator
+    while num:
+        num <<= 1
+        if num >= den:
+            num -= den
+            yield 1
+        else:
+            yield 0
 
 
 def digits_of_dyadic(x: Fraction, max_digits: int = 4096) -> list[int]:
@@ -22,13 +39,8 @@ def digits_of_dyadic(x: Fraction, max_digits: int = 4096) -> list[int]:
     x = Fraction(x)
     if not 0 <= x < 1:
         raise ValueError("expected a value in [0, 1)")
-    out = []
-    while x and len(out) <= max_digits:
-        x *= 2
-        bit = int(x >= 1)
-        out.append(bit)
-        x -= bit
-    if x:
+    out = list(itertools.islice(_binary_digits(x), max_digits + 2))
+    if len(out) > max_digits + 1:
         raise ValueError("not a dyadic rational (binary expansion does not terminate)")
     return out
 
@@ -36,13 +48,8 @@ def digits_of_dyadic(x: Fraction, max_digits: int = 4096) -> list[int]:
 def digit_prefix(x, n: int) -> list[int]:
     """First n binary digits of any x in [0, 1]."""
     if isinstance(x, Fraction):
-        out = []
-        for _ in range(n):
-            x *= 2
-            bit = int(x >= 1)
-            out.append(bit)
-            x -= bit
-        return out
+        out = list(itertools.islice(_binary_digits(x), n))
+        return out + [0] * (n - len(out))
     out = []
     x = float(x)
     for _ in range(n):
@@ -84,21 +91,8 @@ def bernoulli_cdf(x, p, max_depth: int = 4096):
             raise ValueError("expected a value in [0, 1]")
         if x == 1:
             return p - p + 1  # one, in the arithmetic type of p
-        total = p - p  # zero of the right type
-        prefix_mass = 1 - p + p  # one
-        steps = 0
-        while x:
-            if steps >= max_depth:
-                break
-            x *= 2
-            if x >= 1:
-                total += prefix_mass * (1 - p)
-                prefix_mass *= p
-                x -= 1
-            else:
-                prefix_mass *= 1 - p
-            steps += 1
-        return total
+        # trailing zero digits add no mass, so a dyadic x stops early
+        return cdf_from_digits(itertools.islice(_binary_digits(x), max_depth), p)
     return cdf_from_digits(digit_prefix(float(x), max_depth), p)
 
 

@@ -430,6 +430,9 @@ def well_conducting_census(fn: PiecewiseAffineFn, r, n: int, l: int, d1,
     the other B - 2 = 3(2**l - 1) - 2: the node has
     sum_{j <= t - e} C(m, j) 2**(m-j) (B-2)**j descendants within the
     threshold t = n d1, or B**m (if e + m <= t) when it is constant.
+    When no triangle down to level L has three equal corners, every
+    step has two extreme words, and the count does not depend on the
+    function: sum_{j <= t} C(n, j) 2**(n-j) (B-2)**j.
     """
     d1 = Fraction(d1)
     t = n * d1

@@ -21,7 +21,8 @@ from .triangles import (
     ROOT_VERTICES,
     barycentric_weights,
     check_address,
-    child_vertices,
+    lattice_child,
+    lattice_vertices,
     locate,
     triangle_vertices,
 )
@@ -75,22 +76,26 @@ class PiecewiseAffineFn:
         symbol order and popped in reverse, so leaves come out in
         decreasing word order.  At or above the level the values are read
         from ``values``, below it they are midpoint averages.  This is
-        the only place that walks the exact geometry to read values.
+        the only place that walks the exact geometry (by lattice index)
+        to read values.
         """
-        stack = [("", ROOT_VERTICES, tuple(self.values[p] for p in ROOT_VERTICES))]
+        stack = [("", 0, 0, ROOT_VERTICES,
+                  tuple(self.values[p] for p in ROOT_VERTICES))]
         while stack:
-            word, pts, vals = stack.pop()
+            word, row, col, pts, vals = stack.pop()
             yield word, pts, vals
-            if len(word) == depth:
+            n = len(word)
+            if n == depth:
                 continue
-            above = len(word) < self.level
+            above = n < self.level
             for sym in range(3):
-                cpts = child_vertices(pts, sym)
+                r, c = lattice_child(row, col, sym)
+                cpts = lattice_vertices(r, c, n + 1)
                 if above:
                     cvals = tuple(self.values[p] for p in cpts)
                 else:
                     cvals = _average(vals, sym)
-                stack.append((word + "012"[sym], cpts, cvals))
+                stack.append((word + "012"[sym], r, c, cpts, cvals))
 
     def _leaves(self, depth: int):
         """(word, vertices, corner values) of the depth-``depth`` triangles."""
@@ -311,8 +316,9 @@ def max_holder_ratio(xs: np.ndarray, ys: np.ndarray, vs: np.ndarray,
     """Max of |vs[i] - vs[j]| / |(xs, ys)[i] - (xs, ys)[j]|**alpha over i != j.
 
     Returns (maximum, (i, j)) with the first maximising pair in row-major
-    order, or (0.0, None) when no ratio is positive.  Rows are taken
-    ``chunk`` at a time to bound the temporaries at chunk * len(xs).
+    order, or (0.0, None) when no ratio is positive; 0/0 counts as 0.
+    Rows are taken ``chunk`` at a time to bound the temporaries at
+    chunk * len(xs).
     """
     n = len(xs)
     best = 0.0
@@ -324,7 +330,7 @@ def max_holder_ratio(xs: np.ndarray, ys: np.ndarray, vs: np.ndarray,
         dv = np.abs(vs[i0:i1, None] - vs[None, :])
         dist = np.hypot(dx, dy)
         np.fill_diagonal(dist[:, i0:i1], np.inf)
-        ratio = dv / dist**alpha
+        ratio = np.divide(dv, dist**alpha, out=dv, where=dv > 0)
         idx = np.unravel_index(np.argmax(ratio), ratio.shape)
         if ratio[idx] > best:
             best = float(ratio[idx])

@@ -4,8 +4,9 @@ A construction triangle is addressed by a word over {0,1,2}: symbol i
 selects the child sitting at the parent's vertex i+1 (labels are
 inherited through the contraction, so child i and its parent share the
 vertex with index i).  The unit triangle has vertices (0,0), (1,0) and
-(1/2, sqrt(3)/2); every subdivision vertex stays inside the CoordQ3
-ring, which keeps containment and intersection tests exact.
+(1/2, sqrt(3)/2); a level-n triangle is the integer cell (row, col) of
+the side-2**-n lattice, and its corners lie in the CoordQ3 ring, which
+keeps containment and intersection tests exact.
 
 The module also covers the boundary sub-fractal generated by the
 level-l triangles touching the outer edges, the similarity onto the
@@ -19,20 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (
-    SQRT3,
-    CoordQ3,
-    PointQ3,
-    QSqrt3,
-    cross,
-    midpoint,
-)
-
-ROOT_VERTICES: tuple[PointQ3, PointQ3, PointQ3] = (
-    PointQ3(CoordQ3(0), CoordQ3(0)),
-    PointQ3(CoordQ3(1), CoordQ3(0)),
-    PointQ3(CoordQ3(1, 0, 1), CoordQ3(0, 1, 1)),  # (1/2, sqrt(3)/2)
-)
+from .exact import SQRT3, CoordQ3, PointQ3, QSqrt3, cross
 
 _VALID_SYMBOLS = frozenset("012")
 
@@ -43,14 +31,25 @@ def check_address(word: str) -> str:
     return word
 
 
-def child_vertices(vertices, symbol: int):
-    """Vertices of the child triangle at the given corner.
+def lattice_child(row: int, col: int, symbol: int) -> tuple[int, int]:
+    """Cell of child ``symbol`` of (row, col): it keeps corner ``symbol``, whose indices double."""
+    return (2 * row + (symbol == 2), 2 * col + (symbol == 1))
 
-    Vertex j of the child is the midpoint of v_j and v_symbol, so the
-    corner vertex itself is fixed and labels are inherited.
+
+def lattice_vertices(row: int, col: int, n: int) -> tuple[PointQ3, PointQ3, PointQ3]:
+    """Exact corners (row, col), (row, col+1), (row+1, col) at scale 2**-n.
+
+    The lattice point (r, c) is c*u1 + r*u2 with u1 = 2**-n (1, 0) and
+    u2 = 2**-n (1/2, sqrt(3)/2), i.e. (2c + r, r*sqrt(3)) / 2**(n+1).
     """
-    anchor = vertices[symbol]
-    return tuple(midpoint(v, anchor) for v in vertices)
+    k, x = n + 1, 2 * col + row
+    y = CoordQ3(0, row, k)
+    return (PointQ3(CoordQ3(x, 0, k), y), PointQ3(CoordQ3(x + 2, 0, k), y),
+            PointQ3(CoordQ3(x + 1, 0, k), CoordQ3(0, row + 1, k)))
+
+
+# (0,0), (1,0), (1/2, sqrt(3)/2)
+ROOT_VERTICES: tuple[PointQ3, PointQ3, PointQ3] = lattice_vertices(0, 0, 0)
 
 
 def triangle_vertices(word: str) -> tuple[PointQ3, PointQ3, PointQ3]:
@@ -58,11 +57,7 @@ def triangle_vertices(word: str) -> tuple[PointQ3, PointQ3, PointQ3]:
 
     Pairwise distances are exactly 2**(-len(word)).
     """
-    check_address(word)
-    vs = ROOT_VERTICES
-    for ch in word:
-        vs = child_vertices(vs, int(ch))
-    return vs
+    return lattice_vertices(*delta_lattice_index(word), len(word))
 
 
 def as_field_pair(point) -> tuple[QSqrt3, QSqrt3]:
@@ -106,8 +101,13 @@ def barycentric_weights(point, vertices) -> tuple[QSqrt3, QSqrt3, QSqrt3]:
 
 
 def contains_point(vertices, point) -> bool:
-    """Closed-triangle membership, exact."""
-    return all(w.sign() >= 0 for w in barycentric_weights(point, vertices))
+    """Closed-triangle membership, exact (for a ring point, by cross-product signs)."""
+    if not isinstance(point, PointQ3):
+        return all(w.sign() >= 0 for w in barycentric_weights(point, vertices))
+    a, b, c = vertices
+    s = cross(a, b, c).sign()
+    return all(s * cross(*t).sign() >= 0
+               for t in ((point, b, c), (a, point, c), (a, b, point)))
 
 
 def locate(point, level: int) -> str:
@@ -118,15 +118,15 @@ def locate(point, level: int) -> str:
     level-``level`` approximation of the fractal.
     """
     word = []
-    vs = ROOT_VERTICES
-    if not contains_point(vs, point):
+    row = col = 0
+    if not contains_point(ROOT_VERTICES, point):
         raise ValueError(f"point {point} lies outside the unit triangle")
-    for _ in range(level):
+    for n in range(1, level + 1):
         for sym in range(3):
-            cand = child_vertices(vs, sym)
-            if contains_point(cand, point):
+            r, c = lattice_child(row, col, sym)
+            if contains_point(lattice_vertices(r, c, n), point):
                 word.append(str(sym))
-                vs = cand
+                row, col = r, c
                 break
         else:
             raise ValueError(
@@ -215,17 +215,11 @@ def subdivision_addresses(n: int, l: int = 1, limit: int = 2_000_000) -> list[st
 
 def vertex_table(level: int) -> set[PointQ3]:
     """All vertices of the level-``level`` triangles; |V_n| = (3**(n+1)+3)/2."""
-    seen: set[PointQ3] = set(ROOT_VERTICES)
-    stack = [(ROOT_VERTICES, 0)]
-    while stack:
-        vs, depth = stack.pop()
-        if depth == level:
-            continue
-        for sym in range(3):
-            ch = child_vertices(vs, sym)
-            seen.update(ch)
-            stack.append((ch, depth + 1))
-    return seen
+    # every corner of a triangle is a corner of one of its children
+    cells = [(0, 0)]
+    for _ in range(level):
+        cells = [lattice_child(r, c, sym) for r, c in cells for sym in range(3)]
+    return {p for r, c in cells for p in lattice_vertices(r, c, level)}
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +454,11 @@ def delta_lattice_index(word: str) -> tuple[int, int]:
     Basis u1 = 2**-n (1, 0), u2 = 2**-n (1/2, sqrt(3)/2); the first
     vertex of any construction triangle is col*u1 + row*u2.
     """
-    n = len(word)
-    v1 = triangle_vertices(word)[0]
-    row = v1.y.sqrt3_coefficient() * (1 << (n + 1))
-    col = (v1.x.to_fraction() - Fraction(row, 1 << (n + 1))) * (1 << n)
-    if row.denominator != 1 or col.denominator != 1:
-        raise ValueError(f"triangle {word!r} is not lattice aligned")
-    return (int(row), int(col))
+    check_address(word)
+    row = col = 0
+    for ch in word:
+        row, col = lattice_child(row, col, int(ch))
+    return (row, col)
 
 
 _CELL_NEIGHBOR_OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))

@@ -1,18 +1,26 @@
-"""The word-table corner-value kernel against the exact slow path.
+"""The address kernels against exact slow paths.
 
-The slow path rebuilds the exact vertices of a triangle and reads the
-stored vertex table at or above the function level, or evaluates the
-function by barycentric interpolation at each corner below it.  It
-shares no code with the kernel (``word_table``, ``descend``) or with
-the census walk built on it.
+The geometry reference replays an address by exact midpoints (vertex
+i of child j is the midpoint of the parent's vertices i and j) and
+checks the integer lattice map (``triangle_vertices``,
+``delta_lattice_index``, ``locate``, ``vertex_table`` and the vertices
+of the function walk) against it.
+
+The corner-value slow path takes a triangle's vertices from that
+replay and reads the stored vertex table at or above the function
+level, or evaluates the function by barycentric interpolation at each
+corner below it.  It shares no code with the kernel (``word_table``,
+``descend``) or with the census walk built on it.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
+from holderlevels.exact import CoordQ3, PointQ3, midpoint
 from holderlevels.levelset import (
     extreme_labeling,
     extreme_pair,
@@ -20,7 +28,64 @@ from holderlevels.levelset import (
     well_conducting_census,
 )
 from holderlevels.paf import PiecewiseAffineFn, random_standard_paf
-from holderlevels.triangles import boundary_family, subdivision_addresses, triangle_vertices
+from holderlevels.triangles import (
+    boundary_family,
+    delta_lattice_index,
+    locate,
+    subdivision_addresses,
+    triangle_vertices,
+    vertex_table,
+)
+
+REPLAY_ROOT = (
+    PointQ3(CoordQ3(0), CoordQ3(0)),
+    PointQ3(CoordQ3(1), CoordQ3(0)),
+    PointQ3(CoordQ3(1, 0, 1), CoordQ3(0, 1, 1)),
+)
+
+
+def replay_child(vs, s: str):
+    return tuple(midpoint(v, vs[int(s)]) for v in vs)
+
+
+def replay_vertices(word: str):
+    vs = REPLAY_ROOT
+    for s in word:
+        vs = replay_child(vs, s)
+    return vs
+
+
+def lattice_point(row: int, col: int, n: int) -> PointQ3:
+    """col*u1 + row*u2 with u1 = 2**-n (1, 0), u2 = 2**-n (1/2, sqrt(3)/2)."""
+    return PointQ3(CoordQ3(col, 0, n) + CoordQ3(row, 0, n + 1), CoordQ3(0, row, n + 1))
+
+
+def check_geometry(word: str, vs) -> None:
+    assert triangle_vertices(word) == vs
+    assert lattice_point(*delta_lattice_index(word), len(word)) == vs[0]
+    # an interior point, barycentric (1/4, 1/4, 1/2), lies in this triangle only
+    assert locate(midpoint(midpoint(vs[0], vs[1]), vs[2]), len(word)) == word
+
+
+def test_geometry_matches_replay_exhaustively():
+    table = {"": REPLAY_ROOT}
+    for n in range(7):
+        for word in [w for w in table if len(w) == n]:
+            for s in "012":
+                table[word + s] = replay_child(table[word], s)
+    assert len(table) == (3**8 - 1) // 2
+    for word, vs in table.items():
+        check_geometry(word, vs)
+    for n in range(8):
+        corners = {p for w, vs in table.items() if len(w) == n for p in vs}
+        assert vertex_table(n) == corners
+
+
+@given(st.text(alphabet="012", max_size=12))
+@settings(max_examples=200)
+def test_geometry_matches_replay(word):
+    check_geometry(word, replay_vertices(word))
+
 
 CORPUS_ALPHAS = (0.3, 0.5, 0.8)
 
@@ -42,14 +107,14 @@ def census_fn(seed, level: int):
     values = {}
     for word, vals in (("0", (0, 0, 0)), ("1", (0, 1, Fraction(3, 4))),
                        ("2", (0, Fraction(3, 4), Fraction(1, 2)))):
-        values.update(zip(triangle_vertices(word), map(Fraction, vals)))
+        values.update(zip(replay_vertices(word), map(Fraction, vals)))
     fn = PiecewiseAffineFn(level, values)
     assert [w for w, v in fn.iter_triangles() if len(set(v)) == 1] == ["0"]
     return fn
 
 
 def slow_corner_values(fn, word: str):
-    pts = triangle_vertices(word)
+    pts = replay_vertices(word)
     if len(word) <= fn.level:
         return tuple(fn.values[p] for p in pts)
     return tuple(fn.eval(p) for p in pts)
@@ -89,6 +154,23 @@ def test_corner_values_match_slow_path(args, data):
     assert fn.descend(prefix, fn.corner_values(prefix), word[cut:]) == expected
 
 
+@lru_cache(maxsize=None)
+def refined(seed: int, level: int, depth: int):
+    return corpus_fn(seed, level).refine(depth)
+
+
+@given(st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=2), st.data())
+@settings(max_examples=60, deadline=None)
+def test_walk_vertices_match_replay(seed, level, extra, data):
+    # refine keys its values by the vertices that the function walk yields
+    fn = corpus_fn(seed, level)
+    g = refined(seed, level, level + extra)
+    assert len(g.values) == (3 ** (g.level + 1) + 3) // 2
+    word = data.draw(st.text(alphabet="012", min_size=g.level, max_size=g.level))
+    assert tuple(g.values[p] for p in replay_vertices(word)) == slow_corner_values(fn, word)
+
+
 @pytest.mark.parametrize("level", range(1, 7))
 def test_word_tables_match_slow_path(level):
     fn = corpus_fn(level % 4, level)
@@ -110,7 +192,13 @@ def test_census_matches_slow_enumeration(seed, level, l, n, d1):
                  if slow_kappa_exponent(fn, w, l, cache) <= t)
     res = well_conducting_census(fn, None, n, l, d1, alpha=0.5)
     assert res.count == direct
-    assert 0 < direct <= len(boundary_family(l)) ** n
+    b = len(boundary_family(l))
+    assert 0 < direct <= b**n
+    if seed != "flat":
+        # no corner triple down to the level is constant: the closed form
+        assert all(len(set(v)) > 1 for v in fn.word_table().values())
+        assert direct == sum(math.comb(n, j) * 2 ** (n - j) * (b - 2) ** j
+                             for j in range(t + 1))
 
 
 values = st.integers(min_value=-2, max_value=2).map(Fraction)

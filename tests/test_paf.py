@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from holderlevels.exact import CoordQ3, PointQ3, QSqrt3, midpoint
@@ -12,6 +13,7 @@ from holderlevels.paf import (
     affine_from_corners,
     constant_fn,
     holder_certificate,
+    max_holder_ratio,
     random_standard_paf,
 )
 from holderlevels.triangles import ROOT_VERTICES, triangle_vertices
@@ -138,6 +140,16 @@ def test_certificate_afine_base():
     assert cert.chained_bound == pytest.approx(cert.max_ratio * 4 / math.sqrt(3))
     a, b = cert.witness_pair
     assert a != b
+
+
+def test_max_holder_ratio_coincident_points():
+    # 0/0 on two points at one position counts as 0, not as NaN
+    zeros = np.zeros(3)
+    assert max_holder_ratio(np.array([0.0, 0.0, 1.0]), zeros,
+                            np.array([0.0, 0.0, 5.0]), 0.5) == (5.0, (0, 2))
+    with np.errstate(divide="ignore"):
+        best, pair = max_holder_ratio(zeros[:2], zeros[:2], np.array([0.0, 1.0]), 0.5)
+    assert best == math.inf and pair == (0, 1)
 
 
 def test_certificate_depth_guard():
