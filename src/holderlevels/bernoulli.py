@@ -34,15 +34,14 @@ def _binary_digits(x: Fraction):
             yield 0
 
 
-def digits_of_dyadic(x: Fraction, max_digits: int = 4096) -> list[int]:
-    """Binary digits of a dyadic rational in [0, 1)."""
+def digits_of_dyadic(x: Fraction) -> list[int]:
+    """Binary digits of a dyadic rational in [0, 1), through the last 1."""
     x = Fraction(x)
     if not 0 <= x < 1:
         raise ValueError("expected a value in [0, 1)")
-    out = list(itertools.islice(_binary_digits(x), max_digits + 2))
-    if len(out) > max_digits + 1:
-        raise ValueError("not a dyadic rational (binary expansion does not terminate)")
-    return out
+    if x.denominator & (x.denominator - 1):
+        raise ValueError("not a dyadic rational (denominator is not a power of two)")
+    return list(_binary_digits(x))
 
 
 def digit_prefix(x, n: int) -> list[int]:

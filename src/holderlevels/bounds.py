@@ -89,14 +89,17 @@ def lchoice_window(alpha: float) -> tuple[float, float]:
     return (lo, lo + 1)
 
 
-def default_d1(alpha: float, max_denominator: int = 64) -> Fraction:
-    """Best rational approximation of alpha/2 with a bounded denominator."""
-    d1 = Fraction(alpha / 2).limit_denominator(max_denominator)
+_MAX_DENOMINATOR = 64
+
+
+def default_d1(alpha: float) -> Fraction:
+    """Best rational approximation of alpha/2 with denominator <= 64."""
+    d1 = Fraction(alpha / 2).limit_denominator(_MAX_DENOMINATOR)
     if d1 <= 0:
         raise ValueError(f"alpha = {alpha} too small for denominator cap "
-                         f"{max_denominator}")
+                         f"{_MAX_DENOMINATOR}")
     if d1 >= alpha:
-        d1 = Fraction(alpha / 2).limit_denominator(4 * max_denominator)
+        d1 = Fraction(alpha / 2).limit_denominator(4 * _MAX_DENOMINATOR)
         if not 0 < d1 < alpha:
             raise ValueError(f"no usable rational rate for alpha = {alpha}")
     return d1
@@ -150,24 +153,21 @@ class DimensionEstimate:
         return [1 << int(z) for z in self.log2_counts]
 
 
-def box_count_dimension(digits, n_max: int | None = None,
-                        window: float = 0.5) -> DimensionEstimate:
+def box_count_dimension(digits) -> DimensionEstimate:
     """Slope of the crossing-count law along a digit stream.
 
     ``digits`` is the binary expansion of the line height; the level-n
     count is 2**(zeros among the first n digits), so log2 of the counts
     is a cumulative sum and the limsup quotient is replaced by a least
-    squares fit over the trailing ``window`` share of levels.
+    squares fit over the trailing half of the levels.
     """
     digits = list(digits)
-    if n_max is not None:
-        digits = digits[:n_max]
     n = len(digits)
     if n == 0:
         return DimensionEstimate(np.array([]), np.array([]), 0.0, 0.0, empty=True)
     zeros = np.cumsum([1 - e for e in digits])
     levels = np.arange(1, n + 1)
-    start = max(0, int(n * (1 - window)) - 1)
+    start = max(0, n // 2 - 1)
     xs = levels[start:].astype(float)
     ys = zeros[start:].astype(float)
     if len(xs) < 2:
@@ -207,35 +207,34 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams,
     under ``c_cap``; the certified exponent for the instance is
     s = d1 / l regardless, as that is what the cell bound implies when C
     is uniform in the depth.
+
+    mu at depth n depends only on the ancestors, so the measure is
+    filled once to the deepest depth.  Each member adds its mass to the
+    cells it touches; the touching relation is symmetric, so every cell
+    ends up with the total of the members touching it.  ``worst_cell``
+    is the first maximising cell in scatter order (the level's node
+    order, then the neighbour offset order) at the first depth that
+    reaches the maximum.
     """
     q, l, d1 = params.q, params.l, params.d1
     t = tree if tree is not None else LevelSetTree(fn, r, l)
+    t.fill_measure(q * n_prime_max)
     c_emp = 0.0
     worst_cell = None
     worst_level = None
     levels = []
     for n_prime in range(1, n_prime_max + 1):
         n = n_prime * q
-        t.extend(n)
-        t.fill_measure(n)
-        nodes = t.nodes_at(n)
         cell_mass: dict[tuple[int, int], Fraction] = {}
-        for node in nodes:
-            idx = delta_lattice_index(node.word)
-            cell_mass[idx] = cell_mass.get(idx, Fraction(0)) + node.mu
-        # candidate cells: every cell touching a mass-carrying one
-        candidates = set()
-        for idx in cell_mass:
-            candidates.update(touching_up_cells(*idx))
-        threshold = Fraction(1, 1 << int(n * d1))
-        for cell in candidates:
-            mass = sum((cell_mass.get(other, Fraction(0))
-                        for other in touching_up_cells(*cell)), Fraction(0))
-            quot = float(mass / threshold)
-            if quot > c_emp:
-                c_emp = quot
-                worst_cell = cell
-                worst_level = n
+        for node in t.nodes_at(n):
+            for cell in touching_up_cells(*delta_lattice_index(node.word)):
+                cell_mass[cell] = cell_mass.get(cell, 0) + node.mu
+        cell, mass = max(cell_mass.items(), key=lambda item: item[1])
+        quot = float(mass * 2 ** int(n * d1))
+        if quot > c_emp:
+            c_emp = quot
+            worst_cell = cell
+            worst_level = n
         levels.append(n)
     return MassDistributionReport(
         s=params.s,

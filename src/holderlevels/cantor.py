@@ -19,6 +19,12 @@ import numpy as np
 
 from .paf import max_holder_ratio
 
+_MATERIALIZATION_LIMIT = 1 << 22    # most intervals FatCantorSet.intervals builds
+_TERM_TOL = 1e-18                   # capacity_gap stops below this term size
+_MAX_TERMS = 100_000                # ... or after this many terms
+_BRUTE_LEVELS = 3                   # product levels checked pair by pair
+_IFS_LEVELS = 6                     # IFS levels that fix the constant K
+
 
 def interval_length(n: int) -> Fraction:
     """Length 1/(2**(n+1)-1) of a level-n interval."""
@@ -74,8 +80,8 @@ class FatCantorSet:
         a = self.left_endpoint(index)
         return (a, a + self.length)
 
-    def intervals(self, limit: int = 1 << 22) -> list[tuple[Fraction, Fraction]]:
-        if self.count > limit:
+    def intervals(self) -> list[tuple[Fraction, Fraction]]:
+        if self.count > _MATERIALIZATION_LIMIT:
             raise ValueError(f"{self.count} intervals exceed the materialization limit")
         return [self.interval(i) for i in range(self.count)]
 
@@ -137,8 +143,7 @@ class CapacityGap:
     truncation_tail: float
 
 
-def capacity_gap(k: int, alpha: float, term_tol: float = 1e-18,
-                 max_terms: int = 100_000) -> CapacityGap:
+def capacity_gap(k: int, alpha: float) -> CapacityGap:
     """Capacity estimate of (level-k interval) minus the limit set.
 
     Covers the removed part by its contiguous gaps: 2**(m-k-1) gaps of
@@ -169,7 +174,7 @@ def capacity_gap(k: int, alpha: float, term_tol: float = 1e-18,
         if diverges:
             if terms >= 200 or total > 1e15:
                 break
-        elif last_term < term_tol or terms >= max_terms:
+        elif last_term < _TERM_TOL or terms >= _MAX_TERMS:
             break
     decay = 2.0 ** (1 - 2 * alpha)  # asymptotic term ratio
     tail = last_term * decay / (1 - decay) if decay < 1 else math.inf
@@ -234,14 +239,14 @@ def product_distance_sq(a: ProductPiece, b: ProductPiece) -> Fraction:
     return gx * gx + gy * gy
 
 
-def product_separated_structure(k_max: int, brute_levels: int = 3) -> SeparatedStructure:
+def product_separated_structure(k_max: int) -> SeparatedStructure:
     """The (1/2, 1/4) structure of the product of the set with itself.
 
     For every level up to ``k_max`` two exact facts are certified: each
     piece has diameter sqrt(2) * l_k <= sqrt(2) * 2**(-k), and distinct
     pieces are at least r_k apart with r_k >= (1/4) 4**(-k) (pieces are
     products, so they differ in some factor and the distance reduces to
-    a one-dimensional gap).  Levels up to ``brute_levels`` additionally
+    a one-dimensional gap).  Levels up to ``_BRUTE_LEVELS`` additionally
     verify the reduction by exhaustive pairwise rational distances.
     K = 2 makes both inequalities hold for every level, not just the
     materialized ones.
@@ -267,7 +272,7 @@ def product_separated_structure(k_max: int, brute_levels: int = 3) -> SeparatedS
             "min_distance": r_k,
             "distance_lower_law": lower,
         }
-        if k <= brute_levels:
+        if k <= _BRUTE_LEVELS:
             pieces = [ProductPiece(k, i, j)
                       for i in range(1 << k) for j in range(1 << k)]
             best = None
@@ -321,8 +326,7 @@ class Cylinder:
 
 def ifs_separated_structure(maps: list[AffineMap1D],
                             base: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1)),
-                            self_similar: bool | None = None,
-                            k_max: int = 6) -> SeparatedStructure:
+                            self_similar: bool | None = None) -> SeparatedStructure:
     """Separated structure of a strongly separated IFS attractor.
 
     Splits cylinders until all diameters fall inside
@@ -380,9 +384,9 @@ def ifs_separated_structure(maps: list[AffineMap1D],
                           "levels": {}}
     structure = SeparatedStructure(nu=nu, rho=rho, K=Fraction(1), family=family,
                                    certificates=certificates)
-    # compute the K making the definition hold on the materialized levels
+    # compute the K making the definition hold on levels 0.._IFS_LEVELS
     k_needed = Fraction(1)
-    for k in range(0, k_max + 1):
+    for k in range(0, _IFS_LEVELS + 1):
         fam = family(k)
         hulls = sorted(c.hull for c in fam)
         min_gap = None
@@ -508,18 +512,17 @@ class PhaseTransitionConfig:
 
 
 def cylinder_config(alpha: float, c: Fraction, k: int, ix: int, iy: int,
-                    delta: float, delta_prime_frac: Fraction = Fraction(1, 100),
-                    M: float | None = None) -> PhaseTransitionConfig:
-    """Config for the level-k cylinder with given interval indices."""
+                    delta: float) -> PhaseTransitionConfig:
+    """Config for the level-k cylinder (ix, iy); M = c, delta_prime = width/100."""
     cs = FatCantorSet(k)
     x1, x2 = cs.interval(ix)
     _, y1 = cs.interval(iy)
     width = x2 - x1
     band = interval_length(k + 1)
     return PhaseTransitionConfig(
-        alpha=alpha, c=Fraction(c), M=float(c) if M is None else M, k=k,
+        alpha=alpha, c=Fraction(c), M=float(c), k=k,
         x1=x1, x2=x2, y1=y1, delta=delta,
-        delta_prime=float(width * delta_prime_frac),
+        delta_prime=float(width / 100),
         r=band, eta=cantor_tail_measure(k + 1),
     )
 

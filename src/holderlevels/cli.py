@@ -200,10 +200,9 @@ def cmd_conductivity_hist(args) -> int:
         mu_by_exp: dict[int, Fraction] = {}
         for node in tree.nodes_at(level):
             hist[node.kappa_exp] = hist.get(node.kappa_exp, 0) + 1
-            if node.mu is not None:
-                mu_by_exp[node.kappa_exp] = mu_by_exp.get(node.kappa_exp, Fraction(0)) + node.mu
+            mu_by_exp[node.kappa_exp] = mu_by_exp.get(node.kappa_exp, Fraction(0)) + node.mu
         for exp in sorted(hist):
-            rows.append((level, exp, hist[exp], float(mu_by_exp.get(exp, Fraction(0)))))
+            rows.append((level, exp, hist[exp], float(mu_by_exp[exp])))
     write_csv(args.out, config, ["level", "kappa_exp", "count", "mu_total"], rows)
     if d1 is not None:
         ok = True

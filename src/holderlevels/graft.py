@@ -38,14 +38,13 @@ class NotStandardError(ValueError):
     pass
 
 
-def min_graft_level(lipschitz: float, alpha: float,
-                    threshold: Fraction = HOLDER_STEP_THRESHOLD) -> int:
-    """Smallest n' with M * 2**(-n'(1-alpha)) < threshold."""
+def min_graft_level(lipschitz: float, alpha: float) -> int:
+    """Smallest n' with M * 2**(-n'(1-alpha)) < HOLDER_STEP_THRESHOLD."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     if lipschitz <= 0:
         raise ValueError("need a positive Lipschitz constant")
-    t = float(threshold)
+    t = float(HOLDER_STEP_THRESHOLD)
     n = max(0, math.floor(math.log2(lipschitz / t) / (1 - alpha)) + 1)
     while lipschitz * 2.0 ** (-n * (1 - alpha)) >= t:
         n += 1
@@ -124,15 +123,13 @@ class GraftedFn:
         return self.value_in_triangle(word, point)
 
 
-def graft(base: PiecewiseAffineFn, n_prime: int, witness: BernoulliWitnessFn,
-          *, step_threshold: Fraction = HOLDER_STEP_THRESHOLD,
-          budget: Fraction = GRAFT_BUDGET) -> GraftedFn:
+def graft(base: PiecewiseAffineFn, n_prime: int, witness: BernoulliWitnessFn) -> GraftedFn:
     """Build the grafted function, validating the level choice.
 
     Rejects a non-standard base and any n' with
-    M * 2**(-n'(1-alpha)) >= step_threshold, reporting the smallest
-    admissible level.  The budget (1/8 unless overridden) is the bound
-    the closed-form certificate constant must stay below.
+    M * 2**(-n'(1-alpha)) >= HOLDER_STEP_THRESHOLD, reporting the
+    smallest admissible level.  The closed-form certificate constant
+    must stay below GRAFT_BUDGET = 1/8.
     """
     if n_prime < base.level:
         raise ValueError("graft level must be at least the base level")
@@ -142,18 +139,18 @@ def graft(base: PiecewiseAffineFn, n_prime: int, witness: BernoulliWitnessFn,
     lip = base.lipschitz()
     if lip > 0:
         step = lip * 2.0 ** (-n_prime * (1 - alpha))
-        if step >= float(step_threshold):
-            needed = min_graft_level(lip, alpha, step_threshold)
+        if step >= float(HOLDER_STEP_THRESHOLD):
+            needed = min_graft_level(lip, alpha)
             raise ValueError(
                 f"graft level {n_prime} too small: M * 2**(-n'(1-alpha)) = "
-                f"{step:.6g} >= {float(step_threshold):.6g}; smallest admissible "
+                f"{step:.6g} >= {float(HOLDER_STEP_THRESHOLD):.6g}; smallest admissible "
                 f"level is {needed}"
             )
     constant = graft_certificate_constant(lip, alpha, n_prime)
-    if constant >= float(budget):
+    if constant >= float(GRAFT_BUDGET):
         raise ValueError(
             f"certificate constant {constant:.6g} exceeds the budget "
-            f"{float(budget):.6g}"
+            f"{float(GRAFT_BUDGET):.6g}"
         )
     return GraftedFn(base=base, n_prime=n_prime, witness=witness,
                      certificate_constant=constant)

@@ -196,17 +196,14 @@ class LevelSetTree:
 
     # -- conductivity measure ------------------------------------------
 
-    def fill_measure(self, depth: int | None = None) -> "LevelSetTree":
-        """Split unit mass down the tree proportionally to conductivity."""
+    def fill_measure(self, depth: int) -> "LevelSetTree":
+        """Extend to ``depth`` and split unit mass down by conductivity."""
         if self.root is None:
             raise ValueError("the root is not a member; no measure to build")
-        depth = self.depth if depth is None else depth
         self.extend(depth)
         self.root.mu = Fraction(1)
         for level in range(depth):
             for node in self.nodes_at(level):
-                if node.mu is None:
-                    continue
                 if not node.children:
                     raise AssertionError(
                         f"member {node.word!r} has no member children; "
@@ -380,11 +377,7 @@ def conductivity_measure(fn: PiecewiseAffineFn, r, n: int, l: int = 1,
     at each level sum to one; conservation makes each value at most the
     triangle's conductivity.
     """
-    r = _level_fraction(r)
     t = tree if tree is not None else LevelSetTree(fn, r, l)
-    t.extend(n)
-    if t.root is None:
-        raise ValueError("the root is not a member for this level value")
     t.fill_measure(n)
     return {node.word: node.mu for node in t.nodes_at(n)}
 

@@ -311,26 +311,30 @@ def _vertex_arrays(fn: PiecewiseAffineFn, depth: int):
     return points, xs, ys, vs
 
 
-def max_holder_ratio(xs: np.ndarray, ys: np.ndarray, vs: np.ndarray,
-                     alpha: float, chunk: int = 512):
+_HOLDER_CHUNK = 512
+
+
+def max_holder_ratio(xs: np.ndarray, ys: np.ndarray, vs: np.ndarray, alpha: float):
     """Max of |vs[i] - vs[j]| / |(xs, ys)[i] - (xs, ys)[j]|**alpha over i != j.
 
     Returns (maximum, (i, j)) with the first maximising pair in row-major
-    order, or (0.0, None) when no ratio is positive; 0/0 counts as 0.
-    Rows are taken ``chunk`` at a time to bound the temporaries at
-    chunk * len(xs).
+    order, or (0.0, None) when no ratio is positive; 0/0 counts as 0 and
+    a positive difference at zero distance as inf.  Rows are taken
+    ``_HOLDER_CHUNK`` at a time to bound the temporaries at
+    _HOLDER_CHUNK * len(xs).
     """
     n = len(xs)
     best = 0.0
     pair = None
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
+    for i0 in range(0, n, _HOLDER_CHUNK):
+        i1 = min(i0 + _HOLDER_CHUNK, n)
         dx = xs[i0:i1, None] - xs[None, :]
         dy = ys[i0:i1, None] - ys[None, :]
         dv = np.abs(vs[i0:i1, None] - vs[None, :])
         dist = np.hypot(dx, dy)
         np.fill_diagonal(dist[:, i0:i1], np.inf)
-        ratio = np.divide(dv, dist**alpha, out=dv, where=dv > 0)
+        with np.errstate(divide="ignore"):
+            ratio = np.divide(dv, dist**alpha, out=dv, where=dv > 0)
         idx = np.unravel_index(np.argmax(ratio), ratio.shape)
         if ratio[idx] > best:
             best = float(ratio[idx])
@@ -339,8 +343,7 @@ def max_holder_ratio(xs: np.ndarray, ys: np.ndarray, vs: np.ndarray,
 
 
 def holder_certificate(fn: PiecewiseAffineFn, alpha: float, c: float,
-                       depth: int | None = None,
-                       chunk: int = 512) -> HolderCertificate:
+                       depth: int | None = None) -> HolderCertificate:
     """Max of |f(x)-f(y)| / |x-y|**alpha over vertex pairs at ``depth``.
 
     The certificate passes when the maximum is at most c.  Ratios are
@@ -353,7 +356,7 @@ def holder_certificate(fn: PiecewiseAffineFn, alpha: float, c: float,
     if depth < fn.level:
         raise ValueError("certificate depth must be at least the function level")
     points, xs, ys, vs = _vertex_arrays(fn, depth)
-    best, idx = max_holder_ratio(xs, ys, vs, alpha, chunk)
+    best, idx = max_holder_ratio(xs, ys, vs, alpha)
     pair = None if idx is None else (points[idx[0]], points[idx[1]])
     return HolderCertificate(
         alpha=alpha, c=c, depth=depth, max_ratio=best, witness_pair=pair,
@@ -371,6 +374,7 @@ class ResamplingCapExceeded(RuntimeError):
 
 _DISP_BITS = 20
 _DISP_DENOM = 1 << _DISP_BITS
+_MAX_ATTEMPTS = 50
 
 
 def _dyadic_uniform(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
@@ -378,8 +382,7 @@ def _dyadic_uniform(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
 
 
 def random_standard_paf(seed: int, level: int, alpha: float, c: float,
-                        *, check: bool = True, check_depth: int | None = None,
-                        max_attempts: int = 50) -> PiecewiseAffineFn:
+                        *, check: bool = True) -> PiecewiseAffineFn:
     """Seeded random standard function passing its Holder certificate.
 
     Midpoint displacement with amplitude shrinking like c * 2**(-k*alpha)
@@ -398,7 +401,7 @@ def random_standard_paf(seed: int, level: int, alpha: float, c: float,
         raise ValueError("c must be positive")
     disp_headroom = 0.45 * (1 - 2.0 ** (-(1 - alpha))) if alpha < 1 else 0.1
     failing = None
-    for attempt in range(max_attempts):
+    for attempt in range(_MAX_ATTEMPTS):
         rng = random.Random(seed * 1_000_003 + attempt)
         base_span = Fraction(max(1, int(0.25 * c * _DISP_DENOM)), _DISP_DENOM)
         vals = {}
@@ -435,8 +438,7 @@ def random_standard_paf(seed: int, level: int, alpha: float, c: float,
             continue
         out = fn.standardize()
         if check:
-            cert = holder_certificate(out, alpha, c,
-                                      depth=check_depth or out.level + 1)
+            cert = holder_certificate(out, alpha, c, depth=out.level + 1)
             if not cert.passed:
                 failing = cert.witness_pair
                 continue
@@ -445,5 +447,5 @@ def random_standard_paf(seed: int, level: int, alpha: float, c: float,
             out.holder = HolderParams(alpha, c)
         return out
     raise ResamplingCapExceeded(
-        f"no admissible sample after {max_attempts} attempts; last failure: {failing!r}"
+        f"no admissible sample after {_MAX_ATTEMPTS} attempts; last failure: {failing!r}"
     )

@@ -49,6 +49,7 @@ from holderlevels.triangles import (
     line_crossing_count_geometric,
     triangle_vertices,
 )
+from test_kernel import census_fn
 
 F = Fraction
 
@@ -132,10 +133,25 @@ def test_criterion_04_census(corpus):
             runs += 1
             if not res.passed:
                 bad += 1
+    # corpus counts do not depend on the function; a constant triangle
+    # takes the census off the closed form sum_j C(n, j) 2**(n-j) (B-2)**j
+    flat = census_fn("flat", 1)
+    off_closed_form = 0
+    for l in (1, 2):
+        b = 3 * (2**l - 1)
+        for n in (2, 4, 6):
+            res = well_conducting_census(flat, None, n, l, d1, alpha=0.5)
+            runs += 1
+            if not res.passed:
+                bad += 1
+            t = res.threshold_exp
+            closed = sum(math.comb(n, j) * 2 ** (n - j) * (b - 2) ** j for j in range(t + 1))
+            off_closed_form += res.count != closed
     l_star = feasible_l(1.0, F(1, 2))
     c_star = census_constant(1.0, F(1, 2), l_star)
-    _report(4, bad == 0 and l_star == 6 and c_star < 1,
-            f"{runs} census runs within the binomial bound; feasible l(1, 1/2)"
+    _report(4, bad == 0 and off_closed_form > 0 and l_star == 6 and c_star < 1,
+            f"{runs} census runs within the binomial bound, {off_closed_form} "
+            f"flat-function counts off the closed form; feasible l(1, 1/2)"
             f" = {l_star} with c = {c_star:.4f} < 1")
 
 

@@ -66,6 +66,14 @@ def test_digits_of_dyadic():
         digits_of_dyadic(Fraction(1, 3))
 
 
+def test_digits_of_dyadic_follow_the_denominator():
+    # as many digits as the power of two in the denominator, however many
+    assert digits_of_dyadic(Fraction(1, 2**5000)) == [0] * 4999 + [1]
+    assert digits_of_dyadic(Fraction(1, 16)) == [0, 0, 0, 1]
+    with pytest.raises(ValueError, match="denominator is not a power of two"):
+        digits_of_dyadic(Fraction(5, 3 * 2**10))
+
+
 def test_cdf_from_digits_matches_cdf():
     p = Fraction(5, 8)
     for num in range(16):

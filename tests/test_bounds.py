@@ -1,9 +1,15 @@
-"""Bound formulas, feasibility search, slopes, mass distribution."""
+"""Bound formulas, feasibility search, slopes, mass distribution.
+
+The mass-distribution reference refills the measure at every checked
+depth and gathers, for every cell touching a member, the masses of the
+members touching it; the program fills once and scatters.
+"""
 
 import math
 import random
 from fractions import Fraction
 
+from hypothesis import assume, given, settings, strategies as st
 import pytest
 
 from holderlevels.bounds import (
@@ -19,8 +25,10 @@ from holderlevels.bounds import (
     trivial_upper_bound_sierpinski,
     upper_bound,
 )
-from holderlevels.levelset import LevelSetTree
+from holderlevels.levelset import LevelCollisionError, LevelSetTree
 from holderlevels.paf import affine_from_corners, random_standard_paf
+from holderlevels.triangles import delta_lattice_index, touching_up_cells
+from test_kernel import corpus_fn
 
 F = Fraction
 
@@ -186,3 +194,69 @@ def test_mass_distribution_spread_function():
     assert rep.s == F(1, 4)
     assert rep.levels_checked == [4]
     assert rep.c_empirical > 0
+
+
+def gathered_cell_masses(tree, n: int) -> dict:
+    """Mass of every cell touching a depth-n member, gathered per cell."""
+    tree.fill_measure(n)
+    cell_mass: dict = {}
+    for node in tree.nodes_at(n):
+        idx = delta_lattice_index(node.word)
+        cell_mass[idx] = cell_mass.get(idx, F(0)) + node.mu
+    candidates = set()
+    for idx in cell_mass:
+        candidates.update(touching_up_cells(*idx))
+    return {cell: sum((cell_mass.get(other, F(0)) for other in touching_up_cells(*cell)),
+                      F(0))
+            for cell in candidates}
+
+
+def oracle_mass_distribution(fn, r, params, n_prime_max, c_cap=8.0):
+    """(c_empirical, worst_level, levels_checked, verified, masses per level)."""
+    tree = LevelSetTree(fn, r, params.l)
+    c_emp, worst_level, levels, masses = 0.0, None, [], {}
+    for n_prime in range(1, n_prime_max + 1):
+        n = n_prime * params.q
+        masses[n] = gathered_cell_masses(tree, n)
+        threshold = F(1, 1 << int(n * params.d1))
+        for mass in masses[n].values():
+            quot = float(mass / threshold)
+            if quot > c_emp:
+                c_emp, worst_level = quot, n
+        levels.append(n)
+    return c_emp, worst_level, levels, c_emp <= c_cap, masses
+
+
+@given(st.integers(min_value=0, max_value=3), st.integers(min_value=2, max_value=4),
+       st.sampled_from([2, 4]), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=3 * 2**24 - 1))
+@settings(max_examples=25, deadline=None)
+def test_mass_distribution_matches_gather_oracle(seed, level, q, n_prime_max, k):
+    fn = corpus_fn(seed, level)
+    root = fn.corner_values("")
+    r = min(root) + (max(root) - min(root)) * F(k, 3 * 2**24)
+    params = BoundSearchParams(alpha=1.0, d1=F(1, q), l=1)
+    try:
+        rep = mass_distribution_lower(fn, r, params, n_prime_max, c_cap=2.0)
+    except LevelCollisionError:
+        assume(False)
+    c_emp, worst_level, levels, verified, masses = oracle_mass_distribution(
+        fn, r, params, n_prime_max, c_cap=2.0)
+    assert rep.s == params.s
+    assert (rep.c_empirical, rep.worst_level, rep.levels_checked, rep.verified) \
+        == (c_emp, worst_level, levels, verified)
+    level_masses = masses[rep.worst_level]
+    assert level_masses[rep.worst_cell] == max(level_masses.values())
+
+
+def test_mass_distribution_tie_goes_to_first_scatter_cell():
+    # two members at depth 4, '2220' (mu 2/3) at (14, 0) and '2221' (mu 1/3)
+    # at (14, 1): the four cells touching both tie at mass 1, and the
+    # first of them in scatter order is the first member's own cell
+    ramp = affine_from_corners(F(0), F(0), F(1), level=1)
+    params = BoundSearchParams(alpha=1.0, d1=F(1, 2), l=1)
+    rep = mass_distribution_lower(ramp, F(9, 10), params, n_prime_max=2)
+    *_, masses = oracle_mass_distribution(ramp, F(9, 10), params, 2)
+    tied = sorted(c for c, m in masses[4].items() if m == 1)
+    assert tied == [(13, 1), (14, 0), (14, 1), (15, 0)]
+    assert (rep.worst_level, rep.worst_cell) == (4, (14, 0))

@@ -142,13 +142,14 @@ def test_certificate_afine_base():
     assert a != b
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_max_holder_ratio_coincident_points():
-    # 0/0 on two points at one position counts as 0, not as NaN
+    # 0/0 on two points at one position counts as 0, not as NaN; a
+    # positive difference there is inf, without a divide warning
     zeros = np.zeros(3)
     assert max_holder_ratio(np.array([0.0, 0.0, 1.0]), zeros,
                             np.array([0.0, 0.0, 5.0]), 0.5) == (5.0, (0, 2))
-    with np.errstate(divide="ignore"):
-        best, pair = max_holder_ratio(zeros[:2], zeros[:2], np.array([0.0, 1.0]), 0.5)
+    best, pair = max_holder_ratio(zeros[:2], zeros[:2], np.array([0.0, 1.0]), 0.5)
     assert best == math.inf and pair == (0, 1)
 
 
