@@ -16,7 +16,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .levelset import LevelSetTree, census_constant
+from .levelset import LevelSetTree, census_constant, checked_tree
 from .triangles import delta_lattice_index, touching_up_cells
 
 BIG_DIGITS = 50
@@ -211,26 +211,29 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams,
     mu at depth n depends only on the ancestors, so the measure is
     filled once to the deepest depth.  Each member adds its mass to the
     cells it touches; the touching relation is symmetric, so every cell
-    ends up with the total of the members touching it.  ``worst_cell``
+    ends up with the total of the members touching it.  Masses are the
+    integer numerators over the level's common denominator.  ``worst_cell``
     is the first maximising cell in scatter order (the level's node
     order, then the neighbour offset order) at the first depth that
-    reaches the maximum.
+    reaches the maximum.  A ``tree`` must be one built for ``fn``, ``r``
+    and ``params.l``.
     """
     q, l, d1 = params.q, params.l, params.d1
-    t = tree if tree is not None else LevelSetTree(fn, r, l)
-    t.fill_measure(q * n_prime_max)
+    t = checked_tree(fn, r, l, tree).fill_measure(q * n_prime_max)
     c_emp = 0.0
     worst_cell = None
     worst_level = None
     levels = []
     for n_prime in range(1, n_prime_max + 1):
         n = n_prime * q
-        cell_mass: dict[tuple[int, int], Fraction] = {}
+        cell_mass: dict[tuple[int, int], int] = {}
         for node in t.nodes_at(n):
+            m = node.mu_num
             for cell in touching_up_cells(*delta_lattice_index(node.word)):
-                cell_mass[cell] = cell_mass.get(cell, 0) + node.mu
+                cell_mass[cell] = cell_mass.get(cell, 0) + m
         cell, mass = max(cell_mass.items(), key=lambda item: item[1])
-        quot = float(mass * 2 ** int(n * d1))
+        # int / int is correctly rounded, so this is float(mu(U) 2**(n d1))
+        quot = (mass << int(n * d1)) / t.mu_denominators[n]
         if quot > c_emp:
             c_emp = quot
             worst_cell = cell

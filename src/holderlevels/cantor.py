@@ -24,6 +24,7 @@ _TERM_TOL = 1e-18                   # capacity_gap stops below this term size
 _MAX_TERMS = 100_000                # ... or after this many terms
 _BRUTE_LEVELS = 3                   # product levels checked pair by pair
 _IFS_LEVELS = 6                     # IFS levels that fix the constant K
+_IFS_BASE = (Fraction(0), Fraction(1))  # the interval every IFS map must keep
 
 
 def interval_length(n: int) -> Fraction:
@@ -325,26 +326,25 @@ class Cylinder:
 
 
 def ifs_separated_structure(maps: list[AffineMap1D],
-                            base: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1)),
                             self_similar: bool | None = None) -> SeparatedStructure:
     """Separated structure of a strongly separated IFS attractor.
 
-    Splits cylinders until all diameters fall inside
-    [nu**(k+1) |F|, nu**k |F|] with nu the smallest ratio; the minimal
-    image separation must be positive.  For exact similarities the
-    distance scale can match the diameter scale (rho = nu); otherwise
-    rho = nu**L with L = log nu / log rho_star and rho_star the largest
-    ratio.
+    Every map must keep the base interval [0, 1] invariant.  Splits
+    cylinders until all diameters fall inside [nu**(k+1) |F|, nu**k |F|]
+    with nu the smallest ratio; the minimal image separation must be
+    positive.  For exact similarities the distance scale can match the
+    diameter scale (rho = nu); otherwise rho = nu**L with
+    L = log nu / log rho_star and rho_star the largest ratio.
     """
     if not maps:
         raise ValueError("need at least one map")
     for mp in maps:
         if not 0 < mp.ratio < 1:
             raise ValueError(f"map {mp} is not a contraction")
-        img = mp.image(base)
-        if not (base[0] <= img[0] and img[1] <= base[1]):
+        img = mp.image(_IFS_BASE)
+        if not (_IFS_BASE[0] <= img[0] and img[1] <= _IFS_BASE[1]):
             raise ValueError(f"map {mp} does not keep the base interval invariant")
-    images = sorted(mp.image(base) for mp in maps)
+    images = sorted(mp.image(_IFS_BASE) for mp in maps)
     min_dist = None
     for (a0, a1), (b0, b1) in zip(images, images[1:]):
         gap = b0 - a1
@@ -363,13 +363,13 @@ def ifs_separated_structure(maps: list[AffineMap1D],
     else:
         rho = float(nu) ** l_star if nu != rho_star else nu
 
-    diam_f = base[1] - base[0]
+    diam_f = _IFS_BASE[1] - _IFS_BASE[0]
 
     def family(k: int) -> list[Cylinder]:
         target_hi = nu**k * diam_f
         target_lo = nu ** (k + 1) * diam_f
         done: list[Cylinder] = []
-        todo = [Cylinder((), base)]
+        todo = [Cylinder((), _IFS_BASE)]
         while todo:
             cyl = todo.pop()
             if cyl.diameter <= target_hi:

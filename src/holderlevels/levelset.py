@@ -118,62 +118,104 @@ def _extreme_words(values, l: int) -> tuple[str, ...]:
 
 
 class LevelSetNode:
-    """One member triangle in the descendant tree."""
+    """One member triangle in the descendant tree.
 
-    __slots__ = ("word", "values", "kappa_exp", "children", "mu")
+    ``corners`` are the exact corner values as integers at the tree's
+    scale for the word's length (``LevelSetTree.scale``); the measure is
+    ``mu_num / mu_den``, with ``mu_den`` the common denominator of its
+    level once ``fill_measure`` has run.
+    """
 
-    def __init__(self, word: str, values, kappa_exp: int):
+    __slots__ = ("word", "corners", "kappa_exp", "children", "mu_num", "mu_den")
+
+    def __init__(self, word: str, corners: tuple, kappa_exp: int):
         self.word = word
-        self.values = values
+        self.corners = corners
         self.kappa_exp = kappa_exp
         self.children: list[LevelSetNode] = []
-        self.mu: Fraction | None = None
+        self.mu_num: int | None = None
+        self.mu_den = 1
 
     @property
     def kappa(self) -> Fraction:
         return Fraction(1, 1 << self.kappa_exp)
+
+    @property
+    def mu(self) -> Fraction | None:
+        return None if self.mu_num is None else Fraction(self.mu_num, self.mu_den)
+
+    @mu.setter
+    def mu(self, value) -> None:
+        value = Fraction(value)
+        self.mu_num, self.mu_den = value.numerator, value.denominator
 
     def __repr__(self):
         return f"LevelSetNode({self.word!r}, kappa=2^-{self.kappa_exp})"
 
 
 class LevelSetTree:
-    """Descendant tree of the root for a fixed function, level and l."""
+    """Descendant tree of the root for a fixed function, level and l.
+
+    The walk is exact and integer.  With D the common denominator of the
+    function's word table (``int_word_table``), corner values at word
+    length k are integers at scale D r.den 2**max(0, k - L), where the
+    level r is the integer r.num D 2**max(0, k - L).  At or above the
+    function level L a triangle's corners are a table hit; each step
+    below it maps corners v to v + v[s], since midpoint averaging halves
+    the values and the scale doubles.
+    """
 
     def __init__(self, fn: PiecewiseAffineFn, r, l: int = 1, depth: int = 0):
         self.fn = fn
         self.r = _level_fraction(r)
         self.l = l
         self.depth = 0
-        root_vals = fn.corner_values("")
-        self._check_collision("", root_vals)
-        if min(root_vals) < self.r < max(root_vals):
-            self.root: LevelSetNode | None = LevelSetNode("", root_vals, 0)
+        self._denom, self._table = fn.int_word_table()
+        corners = tuple(v * self.r.denominator for v in self._table[""])
+        level = self.r.numerator * self._denom
+        if level in corners:
+            raise LevelCollisionError(self.r, "")
+        if min(corners) < level < max(corners):
+            self.root: LevelSetNode | None = LevelSetNode("", corners, 0)
         else:
             self.root = None
         self._levels: list[list[LevelSetNode]] = [[self.root] if self.root else []]
+        self.mu_denominators: list[int] = []
         if depth:
             self.extend(depth)
 
-    def _check_collision(self, word: str, vals):
-        for v in vals:
-            if v == self.r:
-                raise LevelCollisionError(self.r, word)
+    def scale(self, length: int) -> int:
+        """The factor between corner values and the integer corners at a word length."""
+        return self._denom * self.r.denominator << max(0, length - self.fn.level)
 
     def extend(self, depth: int) -> "LevelSetTree":
+        fn_level, l, table = self.fn.level, self.l, self._table
+        rden = self.r.denominator
         while self.depth < depth:
-            frontier = self._levels[self.depth]
+            length = (self.depth + 1) * l       # word length of the children
+            level = self.r.numerator * self._denom << max(0, length - fn_level)
+            above = length - l < fn_level       # the parents are table entries
+            below = min(l, max(0, length - fn_level))
+            # each boundary word with the symbols of its steps below the level
+            words = [(w, tuple(map(int, w[l - below:]))) for w in _boundary_words(l)]
             nxt: list[LevelSetNode] = []
-            words = _boundary_words(self.l)
-            for node in frontier:
-                extreme_words = _extreme_words(node.values, self.l)
-                for w in words:
-                    vals = self.fn.descend(node.word, node.values, w)
-                    self._check_collision(node.word + w, vals)
-                    if not (min(vals) < self.r < max(vals)):
+            for node in self._levels[self.depth]:
+                extreme_words = _extreme_words(node.corners, l)
+                for w, steps in words:
+                    word = node.word + w
+                    if above:
+                        vals = tuple(v * rden for v in table[word[:fn_level]])
+                    else:
+                        vals = node.corners
+                    for s in steps:
+                        a = vals[s]
+                        vals = (vals[0] + a, vals[1] + a, vals[2] + a)
+                    if level in vals:
+                        raise LevelCollisionError(self.r, word)
+                    if not (min(vals) < level < max(vals)):
                         continue
-                    exp = node.kappa_exp + (0 if w in extreme_words else 1)
-                    child = LevelSetNode(node.word + w, vals, exp)
+                    exp = node.kappa_exp + (w not in extreme_words)
+                    child = LevelSetNode(word, vals, exp)
                     node.children.append(child)
                     nxt.append(child)
             self._levels.append(nxt)
@@ -197,21 +239,38 @@ class LevelSetTree:
     # -- conductivity measure ------------------------------------------
 
     def fill_measure(self, depth: int) -> "LevelSetTree":
-        """Extend to ``depth`` and split unit mass down by conductivity."""
+        """Extend to ``depth`` and split unit mass down by conductivity.
+
+        Children of a node take mass in proportion to their weights
+        2**(e_max - e), over the weights' sum S.  Numerators are integers
+        over one denominator per level: the next level's is this one's
+        times the lcm of S over the level's nodes, kept in ``mu_denominators``.
+        """
         if self.root is None:
             raise ValueError("the root is not a member; no measure to build")
         self.extend(depth)
-        self.root.mu = Fraction(1)
+        self.root.mu_num, self.root.mu_den = 1, 1
+        self.mu_denominators = [1]
         for level in range(depth):
-            for node in self.nodes_at(level):
+            splits = []
+            lcm = 1
+            for node in self._levels[level]:
                 if not node.children:
                     raise AssertionError(
                         f"member {node.word!r} has no member children; "
                         "the nesting invariant failed"
                     )
-                total = sum(c.kappa for c in node.children)
-                for c in node.children:
-                    c.mu = node.mu * c.kappa / total
+                top = max(c.kappa_exp for c in node.children)
+                weights = [1 << (top - c.kappa_exp) for c in node.children]
+                total = sum(weights)
+                lcm = math.lcm(lcm, total)
+                splits.append((node, weights, total))
+            den = self.mu_denominators[-1] * lcm
+            for node, weights, total in splits:
+                unit = node.mu_num * (lcm // total)
+                for c, w in zip(node.children, weights):
+                    c.mu_num, c.mu_den = unit * w, den
+            self.mu_denominators.append(den)
         return self
 
     # -- derived checks -------------------------------------------------
@@ -225,8 +284,20 @@ class LevelSetTree:
         frontier = [node]
         for _ in range(k):
             frontier = [c for n in frontier for c in n.children]
-        lhs = sum((n.kappa for n in frontier), Fraction(0))
+        top = max((n.kappa_exp for n in frontier), default=0)
+        lhs = Fraction(sum(1 << (top - n.kappa_exp) for n in frontier), 1 << top)
         return ConservationResult(lhs=lhs, rhs=node.kappa, passed=lhs >= node.kappa)
+
+
+def checked_tree(fn: PiecewiseAffineFn, r, l: int,
+                 tree: LevelSetTree | None) -> LevelSetTree:
+    """``tree`` if it was built for (fn, r, l), a new tree if it is None."""
+    if tree is None:
+        return LevelSetTree(fn, r, l)
+    if tree.fn is not fn or tree.r != _level_fraction(r) or tree.l != l:
+        raise ValueError(f"the tree was built for another function, level value or l "
+                         f"(tree r = {tree.r}, l = {tree.l})")
+    return tree
 
 
 @dataclass
@@ -291,11 +362,12 @@ def approx_level_set(fn: PiecewiseAffineFn, r, n: int, l: int = 1,
     conductivity measure lives on).  ``full`` enumerates the whole
     subdivision family and applies the membership test to every
     triangle, which also finds members whose parents are not members;
-    feasible only while the family is small.
+    feasible only while the family is small.  A ``tree`` passed to
+    ``descendants`` must be one built for ``fn``, ``r`` and ``l``.
     """
     r = _level_fraction(r)
     if method == "descendants":
-        t = tree if tree is not None else LevelSetTree(fn, r, l)
+        t = checked_tree(fn, r, l, tree)
         t.extend(n)
         members = {node.word: node.kappa_exp for node in t.nodes_at(n)}
         mu = {
@@ -369,16 +441,15 @@ def conservation_check(fn: PiecewiseAffineFn, r, word: str, k: int,
     return tree.conservation(word, k)
 
 
-def conductivity_measure(fn: PiecewiseAffineFn, r, n: int, l: int = 1,
-                         tree: LevelSetTree | None = None) -> dict[str, Fraction]:
+def conductivity_measure(fn: PiecewiseAffineFn, r, n: int,
+                         l: int = 1) -> dict[str, Fraction]:
     """Mass assignment at depth n, proportional to conductivity.
 
     The root carries mass 1 and every split conserves it, so the values
     at each level sum to one; conservation makes each value at most the
     triangle's conductivity.
     """
-    t = tree if tree is not None else LevelSetTree(fn, r, l)
-    t.fill_measure(n)
+    t = LevelSetTree(fn, r, l).fill_measure(n)
     return {node.word: node.mu for node in t.nodes_at(n)}
 
 

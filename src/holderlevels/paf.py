@@ -66,6 +66,7 @@ class PiecewiseAffineFn:
         self.standard = standard
         self.holder = holder
         self._words: dict[str, tuple] | None = None
+        self._int_words: tuple[int, dict[str, tuple]] | None = None
 
     # -- the corner-value kernel -----------------------------------------
 
@@ -111,6 +112,16 @@ class PiecewiseAffineFn:
         if self._words is None:
             self._words = {word: vals for word, _, vals in self._walk(self.level)}
         return self._words
+
+    def int_word_table(self) -> tuple[int, dict[str, tuple]]:
+        """(D, the word table times D), D the lcm of its denominators; built once."""
+        if self._int_words is None:
+            table = self.word_table()
+            d = math.lcm(*(v.denominator for vals in table.values() for v in vals))
+            self._int_words = (d, {word: tuple(v.numerator * (d // v.denominator)
+                                               for v in vals)
+                                   for word, vals in table.items()})
+        return self._int_words
 
     def descend(self, word: str, vals, suffix: str) -> tuple:
         """Corner values of ``word + suffix`` given those of ``word``.
