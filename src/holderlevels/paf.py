@@ -3,8 +3,10 @@
 A function at level n is stored as exact rational values on the vertex
 set V_n and extended affinely on every level-n construction triangle.
 The "standard" variant has two equal vertex values on every triangle,
-obtained by the midpoint-copy subdivision.  Certificates bound the
-Holder ratio by exhausting vertex pairs at a chosen depth.
+obtained by the midpoint-copy subdivision.  Certificates give the
+maximum Holder ratio over all vertex pairs at a chosen depth; a
+branch and bound over grid cells evaluates only the pairs whose cell
+pair could still hold the maximum.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import PointQ3, QSqrt3, midpoint
+from .exact import _SQRT3_FLOAT, PointQ3, QSqrt3, midpoint
 from .triangles import (
     ROOT_VERTICES,
     barycentric_weights,
@@ -76,9 +78,10 @@ class PiecewiseAffineFn:
         Yields (word, vertices, corner values); children are pushed in
         symbol order and popped in reverse, so leaves come out in
         decreasing word order.  At or above the level the values are read
-        from ``values``, below it they are midpoint averages.  This is
-        the only place that walks the exact geometry (by lattice index)
-        to read values.
+        from ``values``, below it they are midpoint averages.  Apart from
+        the certificate's integer copy of this walk (``_vertex_arrays``),
+        this is the only place that walks the exact geometry (by lattice
+        index) to read values.
         """
         stack = [("", 0, 0, ROOT_VERTICES,
                   tuple(self.values[p] for p in ROOT_VERTICES))]
@@ -311,64 +314,176 @@ class HolderCertificate:
 
 
 def _vertex_arrays(fn: PiecewiseAffineFn, depth: int):
-    table: dict[PointQ3, Fraction] = {}
-    for _, pts, vals in fn._walk(depth):
-        for p, v in zip(pts, vals):
-            table[p] = v
-    points = list(table)
-    xs = np.array([float(p.x) for p in points])
-    ys = np.array([float(p.y) for p in points])
-    vs = np.array([float(table[p]) for p in points])
-    return points, xs, ys, vs
+    """Lattice indices, coordinates and values of the depth-``depth`` vertices.
+
+    Vertices come in the order the pre-order walk first visits them.  The
+    walk is integer: (row, col) at scale 2**-depth is the point
+    (2 col + row, row sqrt(3)) / 2**(depth+1), and the corner values of a
+    triangle at word length n are integers at scale D 2**max(0, n - L)
+    (as in ``LevelSetTree``).  The floats are those of the exact ring:
+    x = (2 col + row) / 2**(depth+1), y = 0.0 + row / 2**(depth+1) * sqrt(3)
+    as in ``CoordQ3.__float__``, and each value an int / int true division,
+    correctly rounded like ``float(Fraction)``.
+    """
+    level = fn.level
+    denom, table = fn.int_word_table()
+    top = max(0, depth - level)
+    values: dict[tuple[int, int], int] = {}
+    stack = [("", 0, 0, table[""])]
+    while stack:
+        word, row, col, vals = stack.pop()
+        n = len(word)
+        s, shift = depth - n, top - max(0, n - level)
+        for (r, c), v in zip(((row, col), (row, col + 1), (row + 1, col)), vals):
+            values[r << s, c << s] = v << shift
+        if n == depth:
+            continue
+        for sym in range(3):
+            child = word + "012"[sym]
+            if n < level:
+                cvals = table[child]
+            else:
+                a = vals[sym]
+                cvals = (vals[0] + a, vals[1] + a, vals[2] + a)
+            stack.append((child, *lattice_child(row, col, sym), cvals))
+    index = np.array(list(values), dtype=np.int64)
+    rows, cols = index[:, 0], index[:, 1]
+    unit = 2.0 ** (depth + 1)
+    scale = denom << top
+    xs = (2 * cols + rows) / unit
+    ys = rows / unit * _SQRT3_FLOAT
+    vs = np.array([v / scale for v in values.values()], dtype=float)
+    return index, xs, ys, vs
 
 
-_HOLDER_CHUNK = 512
+_MARGIN = 1 + 1e-9          # relative safety margin on a cell-pair bound
+_CELL_POINTS = 8            # points per grid cell the cell count aims at
+_BATCH_PAIRS = 1 << 14      # index pairs generated per evaluation batch
+
+
+def _pair_ratios(xs, ys, vs, i, j, alpha: float) -> np.ndarray:
+    """|vs[i] - vs[j]| / |(xs, ys)[i] - (xs, ys)[j]|**alpha per index pair.
+
+    0/0 counts as 0 and a positive difference at zero distance as inf.
+    The one place where pair ratios are evaluated.
+    """
+    dist = np.hypot(xs[i] - xs[j], ys[i] - ys[j])
+    dv = np.abs(vs[i] - vs[j])
+    with np.errstate(divide="ignore"):
+        return np.divide(dv, dist**alpha, out=dv, where=dv > 0)
+
+
+def _fold(ratio, i, j, n: int, best: float, key: int | None):
+    """Fold one batch into (best, key), key = i*n + j of the smallest maximising pair."""
+    if not len(ratio):
+        return best, key
+    top = float(ratio.max())
+    if top == 0 or top < best:
+        return best, key
+    hit = ratio == top
+    first = int((i[hit] * n + j[hit]).min())
+    if top > best:
+        return top, first
+    return best, min(key, first)
+
+
+def _pruned_scan(xs, ys, vs, alpha: float, k: int):
+    """(best, key) as ``_fold`` leaves it, over cell pairs of a k-by-k grid."""
+    n = len(xs)
+    x0, y0 = xs.min(), ys.min()
+    width = max(xs.max() - x0, ys.max() - y0) or 1.0
+    cx = np.minimum((xs - x0) * (k / width), k - 1).astype(np.int64)
+    cy = np.minimum((ys - y0) * (k / width), k - 1).astype(np.int64)
+    cell = cy * k + cx
+    order = np.argsort(cell, kind="stable")
+    cell = cell[order]
+    starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+    ends = np.r_[starts[1:], n]
+
+    def extent(arr):
+        arr = arr[order]
+        return np.minimum.reduceat(arr, starts), np.maximum.reduceat(arr, starts)
+
+    (lo_x, hi_x), (lo_y, hi_y), (lo_v, hi_v) = extent(xs), extent(ys), extent(vs)
+    a, b = np.triu_indices(len(starts))
+    gap = np.hypot(np.maximum(0.0, np.maximum(lo_x[b] - hi_x[a], lo_x[a] - hi_x[b])),
+                   np.maximum(0.0, np.maximum(lo_y[b] - hi_y[a], lo_y[a] - hi_y[b])))
+    spread = np.maximum(hi_v[a], hi_v[b]) - np.minimum(lo_v[a], lo_v[b])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = spread / gap**alpha * _MARGIN
+    bound[spread == 0] = 0.0
+    visit = np.argsort(-bound, kind="stable")
+    a, b, bound = a[visit], b[visit], bound[visit]
+    size = ends - starts
+    count = size[a] * size[b]               # index pairs generated per cell pair
+    done = np.cumsum(count)
+    live = np.count_nonzero(bound > 0)      # a zero bound means equal values only
+    best, key = 0.0, None
+    pos = 0
+    while pos < live and bound[pos] >= best:
+        budget = done[pos] - count[pos] + _BATCH_PAIRS
+        stop = min(live, np.count_nonzero(bound >= best),
+                   max(pos + 1, np.searchsorted(done, budget)))
+        ca, cb, cc = a[pos:stop], b[pos:stop], count[pos:stop]
+        owner = np.repeat(np.arange(stop - pos), cc)
+        t = np.arange(cc.sum()) - np.repeat(np.cumsum(cc) - cc, cc)
+        p, q = np.divmod(t, size[cb][owner])
+        i = order[starts[ca][owner] + p]
+        j = order[starts[cb][owner] + q]
+        keep = (ca != cb)[owner] | (p < q)
+        i, j = i[keep], j[keep]
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        best, key = _fold(_pair_ratios(xs, ys, vs, i, j, alpha), i, j, n, best, key)
+        pos = stop
+    return best, key
 
 
 def max_holder_ratio(xs: np.ndarray, ys: np.ndarray, vs: np.ndarray, alpha: float):
     """Max of |vs[i] - vs[j]| / |(xs, ys)[i] - (xs, ys)[j]|**alpha over i != j.
 
-    Returns (maximum, (i, j)) with the first maximising pair in row-major
-    order, or (0.0, None) when no ratio is positive; 0/0 counts as 0 and
-    a positive difference at zero distance as inf.  Rows are taken
-    ``_HOLDER_CHUNK`` at a time to bound the temporaries at
-    _HOLDER_CHUNK * len(xs).
+    Returns (maximum, (i, j)) with the smallest maximising pair, i < j,
+    or (0.0, None) when no ratio is positive; 0/0 counts as 0 and a
+    positive difference at zero distance as inf.  The ratio is exactly
+    symmetric, so the pair is also the first maximum in row-major order.
+
+    Exact branch and bound: points fall into a square grid of about
+    n / ``_CELL_POINTS`` cells.  No pair across two cells has a ratio
+    above (value range of the union) / (gap of the bounding boxes)**alpha,
+    taken times 1 + 1e-9 against rounding in the pair's own float ops; a
+    zero gap bounds by inf.  Cell pairs are evaluated in decreasing bound
+    order, ``_BATCH_PAIRS`` index pairs at a time, until the next bound is
+    below the best ratio found.  With one cell this is the plain scan of
+    the upper triangle.
     """
     n = len(xs)
-    best = 0.0
-    pair = None
-    for i0 in range(0, n, _HOLDER_CHUNK):
-        i1 = min(i0 + _HOLDER_CHUNK, n)
-        dx = xs[i0:i1, None] - xs[None, :]
-        dy = ys[i0:i1, None] - ys[None, :]
-        dv = np.abs(vs[i0:i1, None] - vs[None, :])
-        dist = np.hypot(dx, dy)
-        np.fill_diagonal(dist[:, i0:i1], np.inf)
-        with np.errstate(divide="ignore"):
-            ratio = np.divide(dv, dist**alpha, out=dv, where=dv > 0)
-        idx = np.unravel_index(np.argmax(ratio), ratio.shape)
-        if ratio[idx] > best:
-            best = float(ratio[idx])
-            pair = (i0 + int(idx[0]), int(idx[1]))
-    return best, pair
+    k = max(1, math.isqrt(n // _CELL_POINTS))
+    if k == 1:
+        i, j = np.triu_indices(n, 1)
+        best, key = _fold(_pair_ratios(xs, ys, vs, i, j, alpha), i, j, n, 0.0, None)
+    else:
+        best, key = _pruned_scan(xs, ys, vs, alpha, k)
+    return (0.0, None) if key is None else (best, divmod(key, n))
 
 
 def holder_certificate(fn: PiecewiseAffineFn, alpha: float, c: float,
-                       depth: int | None = None) -> HolderCertificate:
+                       depth: int) -> HolderCertificate:
     """Max of |f(x)-f(y)| / |x-y|**alpha over vertex pairs at ``depth``.
 
     The certificate passes when the maximum is at most c.  Ratios are
     evaluated in floating point; exact values enter as floats, so the
     result carries the usual 1e-15 relative noise, negligible against
-    the chained safety factor.
+    the chained safety factor.  The maximum is exact over all pairs:
+    ``max_holder_ratio`` skips only cell pairs whose bound, with its
+    1e-9 relative margin, is below a ratio already found.  The witness
+    is the maximising pair with the smallest vertex indices, in the
+    order the walk first visits the vertices.
     """
-    if depth is None:
-        depth = fn.level + 2
     if depth < fn.level:
         raise ValueError("certificate depth must be at least the function level")
-    points, xs, ys, vs = _vertex_arrays(fn, depth)
+    index, xs, ys, vs = _vertex_arrays(fn, depth)
     best, idx = max_holder_ratio(xs, ys, vs, alpha)
-    pair = None if idx is None else (points[idx[0]], points[idx[1]])
+    pair = None if idx is None else tuple(
+        lattice_vertices(int(index[t, 0]), int(index[t, 1]), depth)[0] for t in idx)
     return HolderCertificate(
         alpha=alpha, c=c, depth=depth, max_ratio=best, witness_pair=pair,
         safety_factor=(4.0 / math.sqrt(3.0)) ** alpha,
