@@ -10,9 +10,11 @@ estimates meaningful above it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -44,13 +46,19 @@ def removal_length(m: int) -> Fraction:
     return Fraction(1, ((1 << m) - 1) * ((1 << (m + 1)) - 1))
 
 
+@cache
+def _right_shift(m: int) -> Fraction:
+    """How far a right child at generation m sits from its parent's left end."""
+    return interval_length(m - 1) - interval_length(m)
+
+
 @dataclass(frozen=True)
 class FatCantorSet:
     """Level-n stage: 2**n closed intervals of equal length.
 
-    Endpoints are generated on demand from the binary address of the
-    interval, so deep levels stay cheap; materialization is available
-    for moderate n.
+    Bit n - m of an index stands for generation m; when it is set, the
+    left end moves right by ``_right_shift(m)``.  ``interval`` sums these
+    shifts for one index; ``intervals`` builds the level once from them.
     """
 
     n: int
@@ -67,24 +75,21 @@ class FatCantorSet:
     def measure(self) -> Fraction:
         return self.count * self.length
 
-    def left_endpoint(self, index: int) -> Fraction:
+    def interval(self, index: int) -> tuple[Fraction, Fraction]:
         if not 0 <= index < self.count:
             raise IndexError(f"interval index {index} out of range")
-        pos = Fraction(0)
-        for level in range(1, self.n + 1):
-            bit = (index >> (self.n - level)) & 1
-            if bit:
-                pos += interval_length(level - 1) - interval_length(level)
-        return pos
-
-    def interval(self, index: int) -> tuple[Fraction, Fraction]:
-        a = self.left_endpoint(index)
+        a = sum((_right_shift(self.n - b) for b in range(self.n) if index >> b & 1),
+                Fraction(0))
         return (a, a + self.length)
 
     def intervals(self) -> list[tuple[Fraction, Fraction]]:
         if self.count > _MATERIALIZATION_LIMIT:
             raise ValueError(f"{self.count} intervals exceed the materialization limit")
-        return [self.interval(i) for i in range(self.count)]
+        lefts = [Fraction(0)]
+        for m in range(1, self.n + 1):
+            shift = _right_shift(m)
+            lefts = [x for a in lefts for x in (a, a + shift)]
+        return [(a, a + self.length) for a in lefts]
 
     def contains(self, x: Fraction) -> bool:
         x = Fraction(x)
@@ -225,19 +230,18 @@ class ProductPiece:
         return (cs.interval(self.ix), cs.interval(self.iy))
 
 
+def _distance_sq(r, s) -> Fraction:
+    """Exact squared distance between two rectangles, each a pair of intervals."""
+    total = Fraction(0)
+    for (a0, a1), (b0, b1) in zip(r, s):
+        gap = max(0, b0 - a1, a0 - b1)
+        total += gap * gap
+    return total
+
+
 def product_distance_sq(a: ProductPiece, b: ProductPiece) -> Fraction:
     """Exact squared distance between two product cells."""
-    cs = FatCantorSet(a.k)
-
-    def axis_gap(i: int, j: int) -> Fraction:
-        if i == j:
-            return Fraction(0)
-        (a0, a1), (b0, b1) = cs.interval(min(i, j)), cs.interval(max(i, j))
-        return max(Fraction(0), b0 - a1)
-
-    gx = axis_gap(a.ix, b.ix)
-    gy = axis_gap(a.iy, b.iy)
-    return gx * gx + gy * gy
+    return _distance_sq(a.rectangle(), b.rectangle())
 
 
 def product_separated_structure(k_max: int) -> SeparatedStructure:
@@ -274,14 +278,8 @@ def product_separated_structure(k_max: int) -> SeparatedStructure:
             "distance_lower_law": lower,
         }
         if k <= _BRUTE_LEVELS:
-            pieces = [ProductPiece(k, i, j)
-                      for i in range(1 << k) for j in range(1 << k)]
-            best = None
-            for i in range(len(pieces)):
-                for j in range(i + 1, len(pieces)):
-                    d2 = product_distance_sq(pieces[i], pieces[j])
-                    if best is None or d2 < best:
-                        best = d2
+            rects = itertools.product(FatCantorSet(k).intervals(), repeat=2)
+            best = min(itertools.starmap(_distance_sq, itertools.combinations(rects, 2)))
             assert best == r_k * r_k, (k, best)
             certificates["levels"][k]["brute_min_distance_sq"] = best
 
@@ -607,9 +605,5 @@ def phase_perturbation(grid: dict, config: PhaseTransitionConfig) -> Perturbatio
 def cantor_grid(fn: Callable[[Fraction, Fraction], Fraction],
                 level: int) -> dict:
     """Sample a function on the endpoint grid of the level-``level`` stage."""
-    cs = FatCantorSet(level)
-    coords: list[Fraction] = []
-    for i in range(cs.count):
-        a, b = cs.interval(i)
-        coords.extend((a, b))
+    coords = [x for iv in FatCantorSet(level).intervals() for x in iv]
     return {(x, y): fn(x, y) for x in coords for y in coords}

@@ -249,8 +249,16 @@ def cmd_witness(args) -> int:
 
 
 def cmd_cantor(args) -> int:
+    _require(args.depth >= 0, "--depth must be non-negative")
+    _require(args.json_depth >= 0, "--json-depth must be non-negative")
     config = {"command": "cantor", "depth": args.depth,
               "capacity_alphas": args.capacity_alphas}
+    level = min(args.depth, args.json_depth)
+    if args.json_out:
+        try:
+            intervals = ct.cantor_level(level).to_json()
+        except ValueError as exc:
+            raise UsageError(f"interval list at level {level}: {exc}")
     rows = []
     for n in range(args.depth + 1):
         cs = ct.cantor_level(n)
@@ -259,10 +267,9 @@ def cmd_cantor(args) -> int:
     write_csv(args.out, config,
               ["n", "intervals", "length", "measure", "removal"], rows)
     if args.json_out:
-        level = min(args.depth, args.json_depth)
         write_json(args.json_out, {
             "config": dict(config, intervals_level=level),
-            "intervals": ct.cantor_level(level).to_json(),
+            "intervals": intervals,
         })
     if args.capacity_alphas:
         cap_rows = []
@@ -286,6 +293,12 @@ def cmd_cantor(args) -> int:
 
 def cmd_phase(args) -> int:
     _require(0 < args.alpha <= 1, "--alpha must lie in (0, 1]")
+    _require(0 < args.c < 1, "--c must lie in (0, 1)")
+    _require(args.M > 0, "--M must be positive")
+    _require(args.k_cap >= 1, "--k-cap must be at least 1")
+    _require(args.delta > 0, "--delta must be positive")
+    _require(args.perturb_k >= 1, "--perturb-k must be at least 1")
+    _require(args.grid_level >= 0, "--grid-level must be non-negative")
     config = {"command": "phase", "alpha": args.alpha, "c": args.c,
               "M": args.M, "k_cap": args.k_cap}
     structure = ct.product_separated_structure(max(2, min(args.k_cap, 10)))
@@ -317,12 +330,16 @@ def cmd_phase(args) -> int:
             cap = ct.capacity_gap(k, args.alpha)
         cfg = ct.cylinder_config(args.alpha, c, k=k, ix=1, iy=1,
                                  delta=args.delta)
-        grid = ct.cantor_grid(lambda x, y: c * x, args.grid_level)
-        cs = ct.cantor_level(k)
-        x1, x2 = cs.interval(1)
-        _, y1 = cs.interval(1)
-        for p in [(x1, y1), (x2, y1)]:
-            grid[p] = c * p[0]
+        try:
+            cfg.validate()
+        except ValueError as exc:
+            raise UsageError(f"--c {args.c:g} and --delta {args.delta:g}: {exc}")
+        try:
+            grid = ct.cantor_grid(lambda x, y: c * x, args.grid_level)
+        except ValueError as exc:
+            raise UsageError(f"--grid-level {args.grid_level}: {exc}")
+        for x in (cfg.x1, cfg.x2):
+            grid[(x, cfg.y1)] = c * x
         pert = ct.phase_perturbation(grid, cfg)
         ok = ok and pert.large_change_exact and pert.holder_ok and pert.capacity_ok
         report["perturbation"] = {

@@ -22,13 +22,7 @@ from fractions import Fraction
 
 from .bernoulli import BernoulliWitnessFn
 from .paf import PiecewiseAffineFn
-from .triangles import (
-    Similarity,
-    barycentric_weights,
-    locate,
-    rescaling_similarity,
-    triangle_vertices,
-)
+from .triangles import barycentric_weights, locate, triangle_vertices
 
 HOLDER_STEP_THRESHOLD = Fraction(1, 100)
 GRAFT_BUDGET = Fraction(1, 8)
@@ -89,10 +83,6 @@ class GraftedFn:
 
     def labels_for(self, word: str) -> tuple[int, int, int]:
         return _repeated_value_labels(self.base.corner_values(word))
-
-    def similarity_for(self, word: str) -> Similarity:
-        """The per-triangle label-aware map onto the rescaled triangle."""
-        return rescaling_similarity(word, self.labels_for(word))
 
     def value_in_triangle(self, word: str, point) -> Fraction | float:
         """Evaluate inside the addressed level-n' triangle.

@@ -317,9 +317,6 @@ class ApproxLevelSet:
     members: dict[str, int]                      # word -> kappa exponent
     mu: dict[str, Fraction] = field(default_factory=dict)
 
-    def kappa(self, word: str) -> Fraction:
-        return Fraction(1, 1 << self.members[word])
-
     def kappa_sum(self) -> Fraction:
         return sum((Fraction(1, 1 << e) for e in self.members.values()), Fraction(0))
 

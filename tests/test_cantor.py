@@ -1,5 +1,6 @@
 """Fat Cantor construction, capacity, separated structures, perturbation."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -98,6 +99,77 @@ def test_deep_interval_random_access():
     assert b - a == interval_length(30)
     pa, pb = cantor_level(29).interval(2**28)
     assert pa <= a < b <= pb
+
+
+# -- reference endpoints: the per-index replay and the pairwise axis gap
+#    that the one-shift level build and the rectangle distance replaced
+
+def _replay_interval(n: int, index: int) -> tuple[Fraction, Fraction]:
+    """Left end rebuilt from scratch: one Fraction addition per set bit."""
+    pos = F(0)
+    for level in range(1, n + 1):
+        if (index >> (n - level)) & 1:
+            pos += interval_length(level - 1) - interval_length(level)
+    return (pos, pos + interval_length(n))
+
+
+def _oracle_distance_sq(k: int, a: tuple[int, int], b: tuple[int, int]) -> Fraction:
+    """Squared distance of product cells a = (ix, iy) and b, axis by axis."""
+    def axis_gap(i: int, j: int) -> Fraction:
+        if i == j:
+            return F(0)
+        (_, a1), (b0, _) = _replay_interval(k, min(i, j)), _replay_interval(k, max(i, j))
+        return max(F(0), b0 - a1)
+
+    gx, gy = axis_gap(a[0], b[0]), axis_gap(a[1], b[1])
+    return gx * gx + gy * gy
+
+
+def _oracle_grid(fn, level: int) -> dict:
+    coords = [x for i in range(1 << level) for x in _replay_interval(level, i)]
+    return {(x, y): fn(x, y) for x in coords for y in coords}
+
+
+def test_intervals_match_replay():
+    for n in range(13):
+        assert cantor_level(n).intervals() == [_replay_interval(n, i) for i in range(1 << n)]
+    with pytest.raises(IndexError):
+        cantor_level(3).interval(8)
+    with pytest.raises(IndexError):
+        cantor_level(3).interval(-1)
+
+
+@given(st.integers(min_value=0, max_value=64), st.integers(min_value=0, max_value=2**64 - 1))
+@settings(max_examples=200, deadline=None)
+def test_interval_matches_replay(n, num):
+    index = num % (1 << n)
+    assert cantor_level(n).interval(index) == _replay_interval(n, index)
+
+
+def test_product_distance_matches_oracle():
+    for k in (2, 3):
+        cells = list(itertools.product(range(1 << k), repeat=2))
+        for a, b in itertools.product(cells, repeat=2):
+            got = product_distance_sq(ProductPiece(k, *a), ProductPiece(k, *b))
+            assert got == _oracle_distance_sq(k, a, b), (k, a, b)
+
+
+def test_brute_minimum_matches_oracle():
+    levels = product_separated_structure(3).certificates["levels"]
+    for k in (2, 3):
+        cells = itertools.product(range(1 << k), repeat=2)
+        oracle = min(_oracle_distance_sq(k, a, b)
+                     for a, b in itertools.combinations(cells, 2))
+        assert levels[k]["brute_min_distance_sq"] == oracle == removal_length(k) ** 2
+
+
+def test_cantor_grid_matches_oracle():
+    def fn(x, y):
+        return F(1, 2) * x + F(1, 3) * y * y
+
+    for level in range(6):
+        grid = cantor_grid(fn, level)
+        assert list(grid.items()) == list(_oracle_grid(fn, level).items())
 
 
 def test_tail_measure():

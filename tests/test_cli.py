@@ -190,3 +190,34 @@ def test_levelset_rejects_level_zero(tmp_path):
 
 def test_phase_rejects_alpha_above_one():
     _assert_usage_error(run_cli(["phase", "--alpha", "1.5"]), "phase")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["cantor", "--depth", "-1"], "--depth"),
+    (["cantor", "--json-depth", "-2"], "--json-depth"),
+    (["phase", "--alpha", "0.6", "--perturb-k", "0"], "--perturb-k"),
+    (["phase", "--alpha", "0.6", "--grid-level", "-1"], "--grid-level"),
+    (["phase", "--alpha", "0.6", "--grid-level", "23"], "--grid-level"),
+    (["phase", "--alpha", "0.4", "--c", "1.5"], "--c"),
+    (["phase", "--alpha", "0.6", "--c", "0"], "--c"),
+    (["phase", "--alpha", "0.6", "--delta", "0.9"], "--delta"),
+    (["phase", "--alpha", "0.6", "--delta", "0"], "--delta"),
+    (["phase", "--alpha", "0.6", "--M", "-1"], "--M"),
+    (["phase", "--alpha", "0.6", "--k-cap", "-1"], "--k-cap"),
+])
+def test_cantor_and_phase_reject_bad_input(argv, option):
+    res = run_cli(argv)
+    _assert_usage_error(res, argv[0])
+    assert option in res.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["--depth", "-1"],
+    ["--json-depth", "-2"],
+    ["--depth", "23", "--json-depth", "23"],  # past the materialization limit
+])
+def test_cantor_interval_list_rejects_bad_level(tmp_path, argv):
+    js = tmp_path / "x.json"
+    res = run_cli(["cantor", *argv, "--json-out", str(js)])
+    _assert_usage_error(res, "cantor")
+    assert not js.exists()
