@@ -28,6 +28,11 @@ class UsageError(Exception):
     """Bad command-line input; ``main`` reports it and returns 2."""
 
 
+# the phase grid has (2**(g+1))**2 points and the Holder check pairs them
+# all: g = 7 takes seconds and hundreds of MB, and g + 1 four times that
+_MAX_GRID_LEVEL = 7
+
+
 def _require(ok: bool, message: str) -> None:
     if not ok:
         raise UsageError(message)
@@ -298,7 +303,8 @@ def cmd_phase(args) -> int:
     _require(args.k_cap >= 1, "--k-cap must be at least 1")
     _require(args.delta > 0, "--delta must be positive")
     _require(args.perturb_k >= 1, "--perturb-k must be at least 1")
-    _require(args.grid_level >= 0, "--grid-level must be non-negative")
+    _require(0 <= args.grid_level <= _MAX_GRID_LEVEL,
+             f"--grid-level must lie in 0..{_MAX_GRID_LEVEL}: each level costs about 4x the last")
     config = {"command": "phase", "alpha": args.alpha, "c": args.c,
               "M": args.M, "k_cap": args.k_cap}
     structure = ct.product_separated_structure(max(2, min(args.k_cap, 10)))
@@ -334,10 +340,7 @@ def cmd_phase(args) -> int:
             cfg.validate()
         except ValueError as exc:
             raise UsageError(f"--c {args.c:g} and --delta {args.delta:g}: {exc}")
-        try:
-            grid = ct.cantor_grid(lambda x, y: c * x, args.grid_level)
-        except ValueError as exc:
-            raise UsageError(f"--grid-level {args.grid_level}: {exc}")
+        grid = ct.cantor_grid(lambda x, y: c * x, args.grid_level)
         for x in (cfg.x1, cfg.x2):
             grid[(x, cfg.y1)] = c * x
         pert = ct.phase_perturbation(grid, cfg)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .paf import PiecewiseAffineFn
-from .triangles import boundary_family, subdivision_addresses
+from .triangles import boundary_family, lattice_point, subdivision_addresses
 
 _BOUNDARY_CACHE: dict[int, tuple[str, ...]] = {}
 
@@ -58,8 +58,9 @@ class LevelValue:
     @classmethod
     def checked(cls, r, fn: PiecewiseAffineFn) -> "LevelValue":
         r = Fraction(r)
-        for point, v in fn.values.items():
+        for (row, col), v in fn.grid.items():
             if v == r:
+                point = lattice_point(row, col, fn.level)
                 raise LevelCollisionError(r, f"vertex {point.to_triples()}")
         return cls(r)
 

@@ -13,18 +13,20 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
-from .exact import _SQRT3_FLOAT, PointQ3, QSqrt3, midpoint
+from .exact import _SQRT3_FLOAT, PointQ3, QSqrt3
 from .triangles import (
-    ROOT_VERTICES,
     barycentric_weights,
     check_address,
+    delta_lattice_index,
     lattice_child,
-    lattice_vertices,
+    lattice_point,
     locate,
     triangle_vertices,
 )
@@ -53,59 +55,104 @@ def _average(vals, sym: int) -> tuple:
     return tuple((v + anchor) / 2 for v in vals)
 
 
+def _corners(row: int, col: int, s: int = 0) -> tuple:
+    """Lattice indices of the corners of cell (row, col), each times 2**s.
+
+    At scale 2**-n the cell's corners are (row, col), (row, col+1) and
+    (row+1, col); times 2**s they are the same points at scale 2**-(n+s).
+    """
+    return ((row << s, col << s), (row << s, (col + 1) << s),
+            ((row + 1) << s, col << s))
+
+
+def _midpoint_copy(leaves) -> dict:
+    """Vertex table of the midpoint-copy subdivision, one level down.
+
+    ``leaves`` yields (row, col, corner values) of the level-n cells.  At
+    scale 2**-(n+1) a corner's index doubles and the midpoint of two
+    corners is the sum of their indices at scale 2**-n; the midpoint of
+    corners i and j (edges (0,1), (1,2), (0,2)) copies the value of i.
+    """
+    grid = {}
+    for row, col, (q1, q2, q3) in leaves:
+        r, c = 2 * row, 2 * col
+        grid[r, c] = q1
+        grid[r, c + 2] = q2
+        grid[r + 2, c] = q3
+        grid[r, c + 1] = q1
+        grid[r + 1, c + 1] = q2
+        grid[r + 1, c] = q3
+    return grid
+
+
 class PiecewiseAffineFn:
     """Exact rational vertex table plus affine extension per triangle.
 
-    ``values`` maps each vertex of V_level to its value; it is read-only
-    after construction, because the word table below is derived from it
-    on first use and never rebuilt.
+    ``grid`` is the one vertex table: it maps the lattice index
+    (row, col) at scale 2**-level of each vertex of V_level, the point
+    (2 col + row, row sqrt(3)) / 2**(level+1), to its value.  It is
+    read-only after construction, because the word tables below are
+    derived from it on first use and never rebuilt.  ``values`` is a
+    derived view of the same table keyed by exact ``PointQ3`` points,
+    in the same order, built on first access.
     """
 
-    def __init__(self, level: int, values: dict[PointQ3, Fraction],
+    def __init__(self, level: int, grid: dict[tuple[int, int], Fraction],
                  standard: bool = False, holder: HolderParams | None = None):
         self.level = level
-        self.values = values
+        self.grid = grid
         self.standard = standard
         self.holder = holder
+        self._values: Mapping[PointQ3, Fraction] | None = None
         self._words: dict[str, tuple] | None = None
         self._int_words: tuple[int, dict[str, tuple]] | None = None
 
+    @property
+    def values(self) -> Mapping[PointQ3, Fraction]:
+        """Read-only view of ``grid`` keyed by exact points, built once."""
+        if self._values is None:
+            self._values = MappingProxyType({
+                lattice_point(row, col, self.level): v
+                for (row, col), v in self.grid.items()})
+        return self._values
+
     # -- the corner-value kernel -----------------------------------------
 
-    def _walk(self, depth: int):
+    def _walk(self, depth: int, grid=None):
         """Pre-order walk over the words of length <= ``depth``.
 
-        Yields (word, vertices, corner values); children are pushed in
-        symbol order and popped in reverse, so leaves come out in
-        decreasing word order.  At or above the level the values are read
-        from ``values``, below it they are midpoint averages.  Apart from
-        the certificate's integer copy of this walk (``_vertex_arrays``),
-        this is the only place that walks the exact geometry (by lattice
-        index) to read values.
+        Yields (word, row, col, corner values), (row, col) the word's
+        cell at scale 2**-len(word); children are pushed in symbol order
+        and popped in reverse, so leaves come out in decreasing word
+        order.  At or above the level the values are read from ``grid``
+        (``self.grid`` or a table with the same keys), below it they are
+        midpoint averages.  Apart from the certificate's integer copy of
+        this walk (``_vertex_arrays``) and the generator's displacement
+        walk, this is the only place that walks the lattice to read values.
         """
-        stack = [("", 0, 0, ROOT_VERTICES,
-                  tuple(self.values[p] for p in ROOT_VERTICES))]
+        grid = self.grid if grid is None else grid
+        level = self.level
+        stack = [("", 0, 0, tuple(grid[p] for p in _corners(0, 0, level)))]
         while stack:
-            word, row, col, pts, vals = stack.pop()
-            yield word, pts, vals
+            word, row, col, vals = stack.pop()
+            yield word, row, col, vals
             n = len(word)
             if n == depth:
                 continue
-            above = n < self.level
+            s = level - n - 1
             for sym in range(3):
                 r, c = lattice_child(row, col, sym)
-                cpts = lattice_vertices(r, c, n + 1)
-                if above:
-                    cvals = tuple(self.values[p] for p in cpts)
+                if s >= 0:
+                    cvals = tuple(grid[p] for p in _corners(r, c, s))
                 else:
                     cvals = _average(vals, sym)
-                stack.append((word + "012"[sym], r, c, cpts, cvals))
+                stack.append((word + "012"[sym], r, c, cvals))
 
     def _leaves(self, depth: int):
-        """(word, vertices, corner values) of the depth-``depth`` triangles."""
-        for word, pts, vals in self._walk(depth):
-            if len(word) == depth:
-                yield word, pts, vals
+        """(word, row, col, corner values) of the depth-``depth`` triangles."""
+        for leaf in self._walk(depth):
+            if len(leaf[0]) == depth:
+                yield leaf
 
     def word_table(self) -> dict[str, tuple]:
         """Corner values of every word of length <= level, built once.
@@ -113,17 +160,19 @@ class PiecewiseAffineFn:
         (3**(level+1) - 1) / 2 entries, in the walk's pre-order.
         """
         if self._words is None:
-            self._words = {word: vals for word, _, vals in self._walk(self.level)}
+            self._words = {word: vals for word, _, _, vals in self._walk(self.level)}
         return self._words
 
     def int_word_table(self) -> tuple[int, dict[str, tuple]]:
-        """(D, the word table times D), D the lcm of its denominators; built once."""
+        """(D, the word table times D), D the lcm of the grid's denominators; built once.
+
+        The grid is scaled once and walked like ``word_table``.
+        """
         if self._int_words is None:
-            table = self.word_table()
-            d = math.lcm(*(v.denominator for vals in table.values() for v in vals))
-            self._int_words = (d, {word: tuple(v.numerator * (d // v.denominator)
-                                               for v in vals)
-                                   for word, vals in table.items()})
+            d = math.lcm(*(v.denominator for v in self.grid.values()))
+            scaled = {p: v.numerator * (d // v.denominator) for p, v in self.grid.items()}
+            self._int_words = (d, {word: vals for word, _, _, vals
+                                   in self._walk(self.level, scaled)})
         return self._int_words
 
     def descend(self, word: str, vals, suffix: str) -> tuple:
@@ -175,13 +224,12 @@ class PiecewiseAffineFn:
         if level < self.level:
             raise ValueError("cannot refine to a coarser level")
         if level == self.level:
-            return PiecewiseAffineFn(self.level, dict(self.values),
+            return PiecewiseAffineFn(self.level, dict(self.grid),
                                      self.standard, self.holder)
-        values: dict[PointQ3, Fraction] = {}
-        for _, pts, vals in self._leaves(level):
-            for p, v in zip(pts, vals):
-                values[p] = v
-        return PiecewiseAffineFn(level, values, standard=False, holder=self.holder)
+        grid: dict[tuple[int, int], Fraction] = {}
+        for _, row, col, vals in self._leaves(level):
+            grid.update(zip(_corners(row, col), vals))
+        return PiecewiseAffineFn(level, grid, standard=False, holder=self.holder)
 
     def standardize(self) -> "PiecewiseAffineFn":
         """Midpoint-copy subdivision, one level down.
@@ -192,15 +240,8 @@ class PiecewiseAffineFn:
         a repeated value on every child.  The sup distance to the input
         is at most half the largest per-triangle oscillation.
         """
-        values: dict[PointQ3, Fraction] = {}
-        for _, (v1, v2, v3), (q1, q2, q3) in self._leaves(self.level):
-            values[v1] = q1
-            values[v2] = q2
-            values[v3] = q3
-            values[midpoint(v1, v2)] = q1
-            values[midpoint(v2, v3)] = q2
-            values[midpoint(v1, v3)] = q3
-        return PiecewiseAffineFn(self.level + 1, values, standard=True,
+        grid = _midpoint_copy(leaf[1:] for leaf in self._leaves(self.level))
+        return PiecewiseAffineFn(self.level + 1, grid, standard=True,
                                  holder=self.holder)
 
     # -- structure checks ------------------------------------------------
@@ -248,41 +289,50 @@ class PiecewiseAffineFn:
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
-        ids: dict[PointQ3, str] = {}
-        for word, pts, _ in self._leaves(self.level):
-            for corner, p in enumerate(pts):
+        ids: dict[tuple[int, int], str] = {}
+        for word, row, col, _ in self._leaves(self.level):
+            for corner, p in enumerate(_corners(row, col)):
                 key = f"{word}:{corner}"
                 if p not in ids or key < ids[p]:
                     ids[p] = key
         entries = sorted(
-            (ids[p], f"{v.numerator}/{v.denominator}") for p, v in self.values.items()
+            (ids[p], f"{v.numerator}/{v.denominator}") for p, v in self.grid.items()
         )
         return {"level": self.level, "standard": self.standard, "entries": entries}
 
     @classmethod
     def from_json(cls, data: dict) -> "PiecewiseAffineFn":
+        """Inverse of ``to_json``; ValueError unless the entries give V_level exactly once."""
         level = int(data["level"])
-        values: dict[PointQ3, Fraction] = {}
+        if level < 0:
+            raise ValueError(f"level {level} is negative")
+        grid: dict[tuple[int, int], Fraction] = {}
         for key, frac in data["entries"]:
             word, corner = key.split(":")
             if len(word) != level:
                 raise ValueError(f"vertex id {key!r} does not match level {level}")
-            point = triangle_vertices(word)[int(corner)]
-            values[point] = Fraction(frac)
-        return cls(level, values, standard=bool(data.get("standard", False)))
+            if corner not in ("0", "1", "2"):
+                raise ValueError(f"vertex id {key!r}: the corner must be 0, 1 or 2")
+            p = _corners(*delta_lattice_index(word))[int(corner)]
+            v = Fraction(frac)
+            if grid.setdefault(p, v) != v:
+                raise ValueError(f"vertex id {key!r} gives its vertex a second value")
+        size = (3 ** (level + 1) + 3) // 2
+        if len(grid) != size:
+            raise ValueError(f"{len(grid)} of the {size} vertices of level {level} have values")
+        return cls(level, grid, standard=bool(data.get("standard", False)))
 
 
 def constant_fn(value: Fraction, level: int = 0) -> PiecewiseAffineFn:
-    v = Fraction(value)
-    base = PiecewiseAffineFn(0, {p: v for p in ROOT_VERTICES})
+    base = PiecewiseAffineFn(0, dict.fromkeys(_corners(0, 0), Fraction(value)))
     return base.refine(level)
 
 
 def affine_from_corners(q1: Fraction, q2: Fraction, q3: Fraction,
                         level: int = 0) -> PiecewiseAffineFn:
     """The globally affine function with the given root corner values."""
-    vals = {p: Fraction(q) for p, q in zip(ROOT_VERTICES, (q1, q2, q3))}
-    return PiecewiseAffineFn(0, vals).refine(level)
+    grid = {p: Fraction(q) for p, q in zip(_corners(0, 0), (q1, q2, q3))}
+    return PiecewiseAffineFn(0, grid).refine(level)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +533,7 @@ def holder_certificate(fn: PiecewiseAffineFn, alpha: float, c: float,
     index, xs, ys, vs = _vertex_arrays(fn, depth)
     best, idx = max_holder_ratio(xs, ys, vs, alpha)
     pair = None if idx is None else tuple(
-        lattice_vertices(int(index[t, 0]), int(index[t, 1]), depth)[0] for t in idx)
+        lattice_point(int(index[t, 0]), int(index[t, 1]), depth) for t in idx)
     return HolderCertificate(
         alpha=alpha, c=c, depth=depth, max_ratio=best, witness_pair=pair,
         safety_factor=(4.0 / math.sqrt(3.0)) ** alpha,
@@ -503,8 +553,10 @@ _DISP_DENOM = 1 << _DISP_BITS
 _MAX_ATTEMPTS = 50
 
 
-def _dyadic_uniform(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
-    return lo + (hi - lo) * Fraction(rng.randrange(_DISP_DENOM + 1), _DISP_DENOM)
+def _cell_word(row: int, col: int, n: int) -> str:
+    """Address of cell (row, col) at scale 2**-n: bit n-1-i gives symbol i."""
+    return "".join("2" if row >> b & 1 else "1" if col >> b & 1 else "0"
+                   for b in range(n - 1, -1, -1))
 
 
 def random_standard_paf(seed: int, level: int, alpha: float, c: float,
@@ -520,49 +572,57 @@ def random_standard_paf(seed: int, level: int, alpha: float, c: float,
     Holder ratio and their slopes stack geometrically with factor
     2**(1-alpha) per level, so the headroom carries the normalizer
     1 - 2**(alpha-1) to keep the certificate margin uniform in alpha.
+
+    The walk is integer: vertices are lattice indices at scale
+    2**-(level-1), and values are numerators over 2**(40 + level - 1)
+    (root values and displacements are multiples of 2**-40, and each
+    level's midpoint averages halve once).  Leaves are displaced in
+    decreasing word order, edges (0,1), (1,2), (0,2), one draw each.
+    The standardized ``grid`` is converted to ``Fraction`` once.
     """
     if level < 1:
         raise ValueError("a standard function needs level >= 1")
     if not 0 < c:
         raise ValueError("c must be positive")
+    if not 0 < alpha <= 1:
+        raise ValueError("alpha must lie in (0, 1]")
     disp_headroom = 0.45 * (1 - 2.0 ** (-(1 - alpha))) if alpha < 1 else 0.1
+    top = level - 1
+    denom = 1 << (2 * _DISP_BITS + top)
+    base_span = max(1, int(0.25 * c * _DISP_DENOM))
+    amps = [max(1, int(disp_headroom * c * 2.0 ** (-(k + 1) * alpha) * _DISP_DENOM))
+            for k in range(top)]
     failing = None
     for attempt in range(_MAX_ATTEMPTS):
         rng = random.Random(seed * 1_000_003 + attempt)
-        base_span = Fraction(max(1, int(0.25 * c * _DISP_DENOM)), _DISP_DENOM)
-        vals = {}
         while True:
-            triple = [_dyadic_uniform(rng, Fraction(0), base_span) for _ in range(3)]
+            triple = [rng.randrange(_DISP_DENOM + 1) for _ in range(3)]
             if len(set(triple)) == 3:
                 break
-        for p, v in zip(ROOT_VERTICES, triple):
-            vals[p] = v
-        fn = PiecewiseAffineFn(0, vals)
-        ok = True
-        for k in range(level - 1):
-            amp = Fraction(
-                max(1, int(disp_headroom * c * 2.0 ** (-(k + 1) * alpha)
-                           * _DISP_DENOM)),
-                _DISP_DENOM)
-            new_vals: dict[PointQ3, Fraction] = {}
-            for _, pts, q in fn._leaves(fn.level):
-                for (i, j) in ((0, 1), (1, 2), (0, 2)):
-                    m = midpoint(pts[i], pts[j])
-                    base_val = (q[i] + q[j]) / 2
-                    new_vals[m] = base_val + _dyadic_uniform(rng, -amp, amp)
-            merged = dict(fn.values)
-            merged.update(new_vals)
-            fn = PiecewiseAffineFn(k + 1, merged)
+        grid = {p: (base_span * u) << top for p, u in zip(_corners(0, 0, top), triple)}
+        cells = [(0, 0)]                # level-k cells in increasing word order
+        for k, amp in enumerate(amps):
+            s = top - k - 1             # from scale 2**-(k+1) to 2**-top
+            for row, col in reversed(cells):
+                q1, q2, q3 = (grid[p] for p in _corners(row, col, s + 1))
+                r, cc = 2 * row, 2 * col
+                for (mr, mc), a, b in (((r, cc + 1), q1, q2), ((r + 1, cc + 1), q2, q3),
+                                       ((r + 1, cc), q1, q3)):
+                    u = rng.randrange(_DISP_DENOM + 1)
+                    grid[mr << s, mc << s] = ((a + b) >> 1) + (
+                        (amp * (2 * u - _DISP_DENOM)) << top)
+            cells = [lattice_child(row, col, sym) for row, col in cells for sym in range(3)]
+        leaves = [(row, col, tuple(grid[p] for p in _corners(row, col)))
+                  for row, col in reversed(cells)]
         # every pre-standardize triangle must have three distinct values,
         # otherwise the subdivision cannot be locally non-constant
-        for word, v in fn.iter_triangles():
-            if len(set(v)) != 3:
-                ok = False
-                failing = word
-                break
-        if not ok:
+        bad = next(((row, col) for row, col, q in leaves if len(set(q)) != 3), None)
+        if bad is not None:
+            failing = _cell_word(*bad, top)
             continue
-        out = fn.standardize()
+        out = PiecewiseAffineFn(level, {p: Fraction(v, denom) for p, v
+                                        in _midpoint_copy(leaves).items()},
+                                standard=True)
         if check:
             cert = holder_certificate(out, alpha, c, depth=out.level + 1)
             if not cert.passed:

@@ -48,6 +48,12 @@ def lattice_vertices(row: int, col: int, n: int) -> tuple[PointQ3, PointQ3, Poin
             PointQ3(CoordQ3(x + 1, 0, k), CoordQ3(0, row + 1, k)))
 
 
+def lattice_point(row: int, col: int, n: int) -> PointQ3:
+    """The first corner of ``lattice_vertices(row, col, n)``, built alone."""
+    k = n + 1
+    return PointQ3(CoordQ3(2 * col + row, 0, k), CoordQ3(0, row, k))
+
+
 # (0,0), (1,0), (1/2, sqrt(3)/2)
 ROOT_VERTICES: tuple[PointQ3, PointQ3, PointQ3] = lattice_vertices(0, 0, 0)
 

@@ -23,7 +23,7 @@ from holderlevels.paf import (
     max_holder_ratio,
     random_standard_paf,
 )
-from holderlevels.triangles import lattice_vertices
+from holderlevels.triangles import lattice_vertices, triangle_vertices
 
 F = Fraction
 
@@ -33,8 +33,8 @@ _CHUNK = 512
 def oracle_vertex_arrays(fn, depth: int):
     """Vertices in first-visit order of the exact walk, and their floats."""
     table: dict[PointQ3, Fraction] = {}
-    for _, pts, vals in fn._walk(depth):
-        for p, v in zip(pts, vals):
+    for word, _, _, vals in fn._walk(depth):
+        for p, v in zip(triangle_vertices(word), vals):
             table[p] = v
     points = list(table)
     xs = np.array([float(p.x) for p in points])

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from holderlevels import cli
 from holderlevels.bernoulli import sample_digits
 from holderlevels.cli import main
 
@@ -209,6 +210,21 @@ def test_cantor_and_phase_reject_bad_input(argv, option):
     res = run_cli(argv)
     _assert_usage_error(res, argv[0])
     assert option in res.stderr
+
+
+def test_phase_rejects_grid_level_above_cap(monkeypatch, capsys):
+    # rejected before any work: neither the structure nor the grid is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("phase did work before checking --grid-level")
+
+    monkeypatch.setattr(cli.ct, "product_separated_structure", unreachable)
+    monkeypatch.setattr(cli.ct, "cantor_grid", unreachable)
+    assert main(["phase", "--alpha", "0.6", "--grid-level", "8"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "holderlevels phase: error: --grid-level must lie in 0..7: "
+        "each level costs about 4x the last"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,6 +20,7 @@ from functools import lru_cache
 from hypothesis import given, settings, strategies as st
 import pytest
 
+from holderlevels import triangles
 from holderlevels.exact import CoordQ3, PointQ3, midpoint
 from holderlevels.levelset import (
     extreme_labeling,
@@ -60,9 +61,19 @@ def lattice_point(row: int, col: int, n: int) -> PointQ3:
     return PointQ3(CoordQ3(col, 0, n) + CoordQ3(row, 0, n + 1), CoordQ3(0, row, n + 1))
 
 
+def lattice_index(point: PointQ3, n: int) -> tuple[int, int]:
+    """Inverse of ``lattice_point``: (row, col) of a lattice point at scale 2**-n."""
+    row = point.y.sqrt3_coefficient() * 2 ** (n + 1)
+    col = (point.x.to_fraction() * 2 ** (n + 1) - row) / 2
+    assert row.denominator == col.denominator == 1
+    return int(row), int(col)
+
+
 def check_geometry(word: str, vs) -> None:
     assert triangle_vertices(word) == vs
-    assert lattice_point(*delta_lattice_index(word), len(word)) == vs[0]
+    index = delta_lattice_index(word)
+    assert lattice_point(*index, len(word)) == triangles.lattice_point(*index, len(word)) == vs[0]
+    assert lattice_index(vs[0], len(word)) == index
     # an interior point, barycentric (1/4, 1/4, 1/2), lies in this triangle only
     assert locate(midpoint(midpoint(vs[0], vs[1]), vs[2]), len(word)) == word
 
@@ -104,11 +115,12 @@ def census_fn(seed, level: int):
     """
     if seed != "flat":
         return corpus_fn(seed, level)
-    values = {}
+    grid = {}
     for word, vals in (("0", (0, 0, 0)), ("1", (0, 1, Fraction(3, 4))),
                        ("2", (0, Fraction(3, 4), Fraction(1, 2)))):
-        values.update(zip(replay_vertices(word), map(Fraction, vals)))
-    fn = PiecewiseAffineFn(level, values)
+        grid.update((lattice_index(p, level), Fraction(v))
+                    for p, v in zip(replay_vertices(word), vals))
+    fn = PiecewiseAffineFn(level, grid)
     assert [w for w, v in fn.iter_triangles() if len(set(v)) == 1] == ["0"]
     return fn
 

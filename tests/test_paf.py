@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from holderlevels import paf
 from holderlevels.exact import CoordQ3, PointQ3, QSqrt3, midpoint
 from holderlevels.paf import (
     HolderParams,
@@ -188,3 +189,30 @@ def test_json_roundtrip():
     assert back.level == fn.level
     assert back.values == fn.values
     assert back.standard == fn.standard
+
+
+def test_generator_checks_alpha_before_generating(monkeypatch):
+    # without an RNG module, any generation step would raise AttributeError
+    monkeypatch.setattr(paf, "random", None)
+    for alpha in (0.0, -0.5, 1.5, math.nan):
+        for check in (True, False):
+            with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+                random_standard_paf(1, 3, alpha, 0.9, check=check)
+
+
+def test_from_json_rejects_bad_corner_index():
+    data = random_standard_paf(8, 2, 0.8, 0.9, check=False).to_json()
+    data["entries"][0] = ("00:5", data["entries"][0][1])
+    with pytest.raises(ValueError, match="corner must be 0, 1 or 2"):
+        PiecewiseAffineFn.from_json(data)
+
+
+def test_from_json_rejects_incomplete_or_conflicting_table():
+    with pytest.raises(ValueError, match="1 of the 15 vertices of level 2"):
+        PiecewiseAffineFn.from_json({"level": 2, "entries": [("00:0", "1/2")]})
+    data = affine_from_corners(Fraction(0), Fraction(1), Fraction(2), level=1).to_json()
+    assert ("0:1", "1/2") in data["entries"]     # "1:0" names the same vertex
+    with pytest.raises(ValueError, match="second value"):
+        PiecewiseAffineFn.from_json({**data, "entries": [*data["entries"], ("1:0", "1")]})
+    with pytest.raises(ValueError, match="negative"):
+        PiecewiseAffineFn.from_json({"level": -1, "entries": []})
