@@ -11,7 +11,6 @@ apex.  With p = 2**(-alpha) it satisfies |f(x)-f(y)| <= 3 |x-y|**alpha.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -44,21 +43,6 @@ def digits_of_dyadic(x: Fraction) -> list[int]:
     return list(_binary_digits(x))
 
 
-def digit_prefix(x, n: int) -> list[int]:
-    """First n binary digits of any x in [0, 1]."""
-    if isinstance(x, Fraction):
-        out = list(itertools.islice(_binary_digits(x), n))
-        return out + [0] * (n - len(out))
-    out = []
-    x = float(x)
-    for _ in range(n):
-        x *= 2.0
-        bit = int(x >= 1.0)
-        out.append(bit)
-        x -= bit
-    return out
-
-
 def dyadic_cylinder_mass(digits, p):
     """Mass p**(sum e) (1-p)**(sum (1-e)) of the cylinder with prefix ``digits``.
 
@@ -76,23 +60,59 @@ def dyadic_cylinder_mass(digits, p):
     return p**ones * (1 - p) ** zeros
 
 
+def _unit_ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of a height x in [0, 1], in lowest terms.
+
+    An int or Fraction is taken as it is; anything else is read as a
+    float, which is an exact dyadic rational.  NaN fails the range check
+    like any other value outside [0, 1].
+    """
+    if not isinstance(x, (Fraction, int)):
+        x = float(x)
+        if not 0 <= x <= 1:
+            raise ValueError(f"expected a value in [0, 1], got {x}")
+    num, den = x.as_integer_ratio()
+    if not 0 <= num <= den:
+        raise ValueError(f"expected a value in [0, 1], got {x}")
+    return num, den
+
+
+def _cdf_bits(num: int, den: int, p, max_depth: int):
+    """Mass of [0, num/den) from the first ``max_depth`` binary digits, num < den.
+
+    The digits are those of the integer floor(num 2**max_depth / den),
+    zero-filled to ``max_depth`` places; trailing zeros add no mass and
+    are dropped.  The float operations are those of ``cdf_from_digits``
+    in the same order, so a float p gives the same bits and a Fraction p
+    the same value.
+    """
+    bits = format((num << max_depth) // den, f"0{max_depth}b").rstrip("0")
+    q = 1 - p
+    total = p - p
+    prefix_mass = q + p
+    for e in bits:
+        if e == "1":
+            total += prefix_mass * q
+            prefix_mass *= p
+        else:
+            prefix_mass *= q
+    return total
+
+
 def bernoulli_cdf(x, p, max_depth: int = 4096):
     """Mass of [0, x): the CDF of the digit measure.
 
     Walks the binary expansion of x, adding the mass of the lower half
     cylinder whenever a digit 1 is consumed.  Exact for dyadic rational
     x and Fraction p; a non-terminating expansion stops after
-    ``max_depth`` digits (truncation error at most p**max_depth).
+    ``max_depth`` digits (truncation error at most p**max_depth).  A
+    float x is read as the dyadic rational it is, and x = 1 gives one
+    in the arithmetic type of p.
     """
-    if isinstance(x, Fraction) or isinstance(x, int):
-        x = Fraction(x)
-        if not 0 <= x <= 1:
-            raise ValueError("expected a value in [0, 1]")
-        if x == 1:
-            return p - p + 1  # one, in the arithmetic type of p
-        # trailing zero digits add no mass, so a dyadic x stops early
-        return cdf_from_digits(itertools.islice(_binary_digits(x), max_depth), p)
-    return cdf_from_digits(digit_prefix(float(x), max_depth), p)
+    num, den = _unit_ratio(x)
+    if num == den:
+        return p - p + 1
+    return _cdf_bits(num, den, p, max_depth)
 
 
 def cdf_from_digits(digits, p):
@@ -147,19 +167,15 @@ class BernoulliWitnessFn:
         return float(self.p) ** self.max_depth
 
     def value_at_height(self, y):
-        """Witness value at height y (exact for dyadic y and Fraction p)."""
-        if isinstance(y, Fraction) or isinstance(y, int):
-            y = Fraction(y)
-            if y <= 0:
-                if y < 0:
-                    raise ValueError("height below the tile")
-                return 0
-            if y >= 1:
-                if y > 1:
-                    raise ValueError("height above the tile")
-                return 1
-            return bernoulli_cdf(y, self.p, self.max_depth)
-        return bernoulli_cdf(float(y), self.p, self.max_depth)
+        """Witness value at height y in [0, 1] (exact for dyadic y and Fraction p).
+
+        The base (y = 0) and the apex (y = 1) give exactly 0 and 1, for a
+        float height too.
+        """
+        num, den = _unit_ratio(y)
+        if num == 0 or num == den:
+            return num // den
+        return _cdf_bits(num, den, self.p, self.max_depth)
 
     def holder_bound(self, x, y) -> float:
         """The guaranteed bound 3 |x-y|**alpha for a pair of heights."""

@@ -22,7 +22,13 @@ from fractions import Fraction
 
 from .bernoulli import BernoulliWitnessFn
 from .paf import PiecewiseAffineFn
-from .triangles import barycentric_weights, locate, triangle_vertices
+from .triangles import (
+    barycentric_weights,
+    delta_lattice_index,
+    lattice_weights,
+    locate,
+    triangle_vertices,
+)
 
 HOLDER_STEP_THRESHOLD = Fraction(1, 100)
 GRAFT_BUDGET = Fraction(1, 8)
@@ -88,22 +94,33 @@ class GraftedFn:
         """Evaluate inside the addressed level-n' triangle.
 
         The height of the rescaled image equals the barycentric weight
-        of the apex corner, so no similarity arithmetic is needed; the
-        result is an exact Fraction whenever that weight is rational and
-        the witness parameter is rational (and at vertices regardless,
-        where the witness contributes exactly 0 or 1).
+        of the apex corner, so no similarity arithmetic is needed.  The
+        weights come from the point's lattice coordinates as Fractions
+        (``lattice_weights``), or in Q(sqrt(3)) for a point off the
+        lattice's rational grid.  The result is an exact Fraction
+        whenever that weight is rational and the witness parameter is
+        rational (and at vertices regardless, where the witness
+        contributes exactly 0 or 1).  ValueError when the point lies
+        outside the triangle (a negative weight).
         """
         vals = self.base.corner_values(word)
         labels = _repeated_value_labels(vals)
-        ws = barycentric_weights(point, triangle_vertices(word))
-        height = ws[labels[2]]
+        ws = lattice_weights(point, *delta_lattice_index(word), len(word))
+        if ws is None:
+            ws = barycentric_weights(point, triangle_vertices(word))
+            outside = min(w.sign() for w in ws) < 0
+            height = ws[labels[2]]
+            # exactly in [0, 1] once no weight is negative; its float may round past
+            height = (height.as_fraction() if height.is_rational()
+                      else min(1.0, max(0.0, float(height))))
+        else:
+            outside = min(ws) < 0
+            height = ws[labels[2]]
+        if outside:
+            raise ValueError(f"point {point} lies outside triangle {word!r}")
+        phi = self.witness.value_at_height(height)
         gap = vals[labels[2]] - vals[labels[0]]
         anchor = vals[labels[0]]
-        if height.is_rational():
-            h = height.as_fraction()
-            phi = self.witness.value_at_height(h)
-        else:
-            phi = self.witness.value_at_height(float(height))
         if isinstance(phi, Fraction) or isinstance(phi, int):
             return anchor + Fraction(phi) * gap
         return float(anchor) + phi * float(gap)

@@ -11,6 +11,7 @@ pair could still hold the maximum.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections.abc import Mapping
@@ -27,6 +28,7 @@ from .triangles import (
     delta_lattice_index,
     lattice_child,
     lattice_point,
+    lattice_weights,
     locate,
     triangle_vertices,
 )
@@ -65,6 +67,31 @@ def _corners(row: int, col: int, s: int = 0) -> tuple:
             ((row + 1) << s, col << s))
 
 
+@functools.cache
+def _vertex_indices(level: int) -> frozenset[tuple[int, int]]:
+    """Lattice indices at scale 2**-level of the vertices of V_level."""
+    cells = [(0, 0)]
+    for _ in range(level):
+        cells = [lattice_child(row, col, sym) for row, col in cells for sym in range(3)]
+    return frozenset(p for row, col in cells for p in _corners(row, col))
+
+
+def _check_grid(level: int, grid) -> None:
+    """ValueError unless ``grid``'s keys are exactly the vertex indices of V_level."""
+    if level < 0:
+        raise ValueError(f"level {level} is negative")
+    expected = _vertex_indices(level)
+    if grid.keys() == expected:
+        return
+    stray = next((p for p in grid if p not in expected), None)
+    if stray is not None:
+        raise ValueError(f"key {stray!r} is not the lattice index of a vertex of "
+                         f"level {level}")
+    missing = min(expected - grid.keys())
+    raise ValueError(f"{len(grid)} of the {len(expected)} vertices of level {level} "
+                     f"have values; {missing!r} has none")
+
+
 def _midpoint_copy(leaves) -> dict:
     """Vertex table of the midpoint-copy subdivision, one level down.
 
@@ -94,11 +121,13 @@ class PiecewiseAffineFn:
     read-only after construction, because the word tables below are
     derived from it on first use and never rebuilt.  ``values`` is a
     derived view of the same table keyed by exact ``PointQ3`` points,
-    in the same order, built on first access.
+    in the same order, built on first access.  Construction raises
+    ValueError unless ``grid``'s keys are exactly the indices of V_level.
     """
 
     def __init__(self, level: int, grid: dict[tuple[int, int], Fraction],
                  standard: bool = False, holder: HolderParams | None = None):
+        _check_grid(level, grid)
         self.level = level
         self.grid = grid
         self.standard = standard
@@ -175,45 +204,47 @@ class PiecewiseAffineFn:
                                    in self._walk(self.level, scaled)})
         return self._int_words
 
-    def descend(self, word: str, vals, suffix: str) -> tuple:
-        """Corner values of ``word + suffix`` given those of ``word``.
-
-        Steps at or above the level are one table hit; each step below it
-        is a midpoint average.
-        """
-        k = self.level - len(word)
-        if k > 0:
-            vals = self.word_table()[word + suffix[:k]]
-            suffix = suffix[k:]
-        for ch in suffix:
-            vals = _average(vals, int(ch))
-        return vals
-
     def corner_values(self, word: str) -> tuple[Fraction, Fraction, Fraction]:
         """Values at the three corners of the addressed triangle.
 
-        Down to the function's own level this is a word-table lookup;
-        deeper corners are affine combinations, produced by midpoint
-        averaging along the address.
+        Down to the function's own level this is a word-table lookup.
+        Deeper corners are midpoint averages, taken as the integer step
+        of ``LevelSetTree.extend``: from the integer word table at scale
+        D, each further symbol s maps the corners v to v + v[s], which
+        doubles the scale; one ``Fraction`` per corner is built at the end.
         """
         check_address(word)
-        return self.descend("", self.word_table()[""], word)
+        extra = len(word) - self.level
+        if extra <= 0:
+            return self.word_table()[word]
+        denom, table = self.int_word_table()
+        vals = table[word[:self.level]]
+        for ch in word[self.level:]:
+            a = vals[int(ch)]
+            vals = (vals[0] + a, vals[1] + a, vals[2] + a)
+        denom <<= extra
+        return tuple(Fraction(v, denom) for v in vals)
 
     def eval(self, point) -> Fraction:
         """Exact value by barycentric interpolation.
 
-        Accepts a PointQ3 or a pair of Q(sqrt(3)) coordinates.  Raises
-        ValueError when the point is outside the level-n approximation
-        or when the exact value has an irrational part (possible for
-        points that are not rational combinations of the containing
-        triangle's corners).
+        Accepts a PointQ3 or a pair of Q(sqrt(3)) coordinates.  A PointQ3
+        with a rational x and a pure sqrt(3) multiple as y (every point of
+        the midpoint geometry) takes its weights from its lattice
+        coordinates, as Fractions; any other point falls back to weights
+        in Q(sqrt(3)).  Raises ValueError when the point is outside the
+        level-n approximation or when the exact value has an irrational
+        part (possible for points that are not rational combinations of
+        the containing triangle's corners).
         """
         word = locate(point, self.level)
-        vs = triangle_vertices(word)
-        ws = barycentric_weights(point, vs)
-        vals = [self.values[p] for p in vs]
+        row, col = delta_lattice_index(word)
+        vals = [self.grid[p] for p in _corners(row, col)]
+        ws = lattice_weights(point, row, col, self.level)
+        if ws is not None:
+            return sum(w * v for w, v in zip(ws, vals))
         acc = QSqrt3(Fraction(0))
-        for w, v in zip(ws, vals):
+        for w, v in zip(barycentric_weights(point, triangle_vertices(word)), vals):
             acc = acc + w * QSqrt3(v)
         return acc.as_fraction()
 
@@ -304,8 +335,6 @@ class PiecewiseAffineFn:
     def from_json(cls, data: dict) -> "PiecewiseAffineFn":
         """Inverse of ``to_json``; ValueError unless the entries give V_level exactly once."""
         level = int(data["level"])
-        if level < 0:
-            raise ValueError(f"level {level} is negative")
         grid: dict[tuple[int, int], Fraction] = {}
         for key, frac in data["entries"]:
             word, corner = key.split(":")
@@ -317,9 +346,6 @@ class PiecewiseAffineFn:
             v = Fraction(frac)
             if grid.setdefault(p, v) != v:
                 raise ValueError(f"vertex id {key!r} gives its vertex a second value")
-        size = (3 ** (level + 1) + 3) // 2
-        if len(grid) != size:
-            raise ValueError(f"{len(grid)} of the {size} vertices of level {level} have values")
         return cls(level, grid, standard=bool(data.get("standard", False)))
 
 

@@ -106,6 +106,32 @@ def barycentric_weights(point, vertices) -> tuple[QSqrt3, QSqrt3, QSqrt3]:
     return (wa, wb, wc)
 
 
+def lattice_weights(point, row: int, col: int,
+                    n: int) -> tuple[Fraction, Fraction, Fraction] | None:
+    """Barycentric weights of ``point`` in cell (row, col) at scale 2**-n, or None.
+
+    A PointQ3 whose x has no sqrt(3) part and whose y has no rational
+    part has the rational lattice coordinates R = y 2**(n+1) / sqrt(3)
+    and C = (x 2**(n+1) - R) / 2, and its weights in the cell are
+    (1 - (C - col) - (R - row), C - col, R - row).  Any other point
+    gives None; ``barycentric_weights`` covers it.
+    """
+    if not isinstance(point, PointQ3):
+        return None
+    x, y = point.x, point.y
+    if x.b or y.a:
+        return None
+    # R and C as integers over 2**k, with k one above both coordinates'
+    # exponents so that the halving in C stays integer
+    k = max(x.k, y.k) + 1
+    r = y.b << (n + 1 + k - y.k)
+    c = ((x.a << (n + 1 + k - x.k)) - r) >> 1
+    unit = 1 << k
+    wc = r - (row << k)
+    wb = c - (col << k)
+    return (Fraction(unit - wb - wc, unit), Fraction(wb, unit), Fraction(wc, unit))
+
+
 def contains_point(vertices, point) -> bool:
     """Closed-triangle membership, exact (for a ring point, by cross-product signs)."""
     if not isinstance(point, PointQ3):

@@ -1,5 +1,6 @@
 """Digit-measure laws: cylinder masses, the CDF witness, digit statistics."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from holderlevels.bernoulli import (
     BernoulliWitnessFn,
+    _binary_digits,
     bernoulli_cdf,
     cdf_from_digits,
     digits_of_dyadic,
@@ -151,3 +153,63 @@ def test_truncation_depth():
     assert abs(float(approx) - float(bernoulli_cdf(Fraction(1, 3), Fraction(3, 4), 64))) \
         <= w.truncation_error
     assert w.truncation_error == 0.75**8
+
+
+def test_float_heights_get_the_fraction_checks():
+    w = BernoulliWitnessFn.for_alpha(0.5)
+    assert w.value_at_height(1.0) == 1
+    assert w.value_at_height(0.0) == 0
+    assert w.value_at_height(0.5) == w.value_at_height(Fraction(1, 2))
+    for bad in (1.5, -0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"expected a value in \[0, 1\]"):
+            w.value_at_height(bad)
+    assert bernoulli_cdf(1.0, 0.7) == 1
+    assert bernoulli_cdf(0.0, 0.7) == 0
+    for bad in (2.5, -0.25, float("nan")):
+        with pytest.raises(ValueError, match=r"expected a value in \[0, 1\]"):
+            bernoulli_cdf(bad, 0.7)
+
+
+def float_digits(x: float, n: int) -> list[int]:
+    """First n binary digits of a float in [0, 1) by exact doubling: the
+    digit loop the float CDF path used to run."""
+    out = []
+    for _ in range(n):
+        x *= 2.0
+        bit = int(x >= 1.0)
+        out.append(bit)
+        x -= bit
+    return out
+
+
+def same(a, b) -> bool:
+    """Equal, and for floats equal in every bit."""
+    if isinstance(a, float) or isinstance(b, float):
+        return type(a) is type(b) and a.hex() == b.hex()
+    return a == b
+
+
+depths = st.sampled_from([1, 5, 48, 64])
+float_p = st.floats(min_value=0.01, max_value=0.99).map(lambda a: 2.0 ** -a)
+any_p = st.one_of(float_p, rational_p)
+dyadic_heights = st.integers(min_value=1, max_value=70).flatmap(
+    lambda k: st.integers(min_value=0, max_value=(1 << k) - 1).map(lambda m: Fraction(m, 1 << k)))
+rational_heights = st.fractions(min_value=0, max_value=1, max_denominator=10**6) \
+    .filter(lambda x: x < 1)
+
+
+@given(st.one_of(dyadic_heights, rational_heights), any_p, depths)
+@settings(max_examples=300)
+def test_bit_loop_matches_the_digit_stream(x, p, depth):
+    # the old path: the doubling generator cut at max_depth, into cdf_from_digits
+    expected = cdf_from_digits(itertools.islice(_binary_digits(x), depth), p)
+    assert same(bernoulli_cdf(x, p, depth), expected)
+    w = BernoulliWitnessFn(p, max_depth=depth)
+    if x:
+        assert same(w.value_at_height(x), expected)
+
+
+@given(st.floats(min_value=0, max_value=1, exclude_max=True), any_p, depths)
+@settings(max_examples=200)
+def test_float_heights_match_the_float_digit_loop(x, p, depth):
+    assert same(bernoulli_cdf(x, p, depth), cdf_from_digits(float_digits(x, depth), p))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from holderlevels.bernoulli import BernoulliWitnessFn
-from holderlevels.exact import midpoint
+from holderlevels.exact import QSqrt3, midpoint
 from holderlevels.graft import (
     GRAFT_BUDGET,
     NotStandardError,
@@ -113,3 +113,25 @@ def test_grafted_holder_ratio_within_constant():
                 continue
             ratio = abs(vals[i] - vals[j]) / dist**0.5
             assert ratio <= gf.certificate_constant * (1 + 1e-9)
+
+
+def test_value_in_triangle_rejects_a_point_outside():
+    # a vertex of the sibling cell: apex weight 0 in the addressed cell,
+    # so without the check it would return the base value silently
+    g = random_standard_paf(4, 2, 0.5, 0.1, check=False)
+    n = max(min_graft_level(g.lipschitz(), 0.5), g.level)
+    gf = graft(g, n, BernoulliWitnessFn.for_alpha(0.5))
+    rng = random.Random(3)
+    while True:
+        parent = "".join(str(rng.randrange(3)) for _ in range(n - 1))
+        word = parent + "0"
+        if gf.labels_for(word)[2] == 2:
+            break
+    outside = triangle_vertices(parent)[1]     # weights (-1, 2, 0) in ``word``
+    with pytest.raises(ValueError, match="outside triangle"):
+        gf.value_in_triangle(word, outside)
+    field = (QSqrt3.from_coord(outside.x), QSqrt3.from_coord(outside.y))
+    with pytest.raises(ValueError, match="outside triangle"):
+        gf.value_in_triangle(word, field)
+    inside = triangle_vertices(word)[1]
+    assert gf.value_in_triangle(word, inside) == g.corner_values(word)[1]

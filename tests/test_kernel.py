@@ -10,7 +10,9 @@ The corner-value slow path takes a triangle's vertices from that
 replay and reads the stored vertex table at or above the function
 level, or evaluates the function by barycentric interpolation at each
 corner below it.  It shares no code with the kernel (``word_table``,
-``descend``) or with the census walk built on it.
+``int_word_table`` and the integer step below the level) or with the
+census walk built on it.  ``descend``, the kernel's former Fraction
+descent, is kept here as the oracle of that integer step.
 """
 
 import math
@@ -106,6 +108,23 @@ def corpus_fn(seed: int, level: int):
     return random_standard_paf(seed, level, CORPUS_ALPHAS[seed % 3], 0.9, check=False)
 
 
+def descend(fn, word: str, vals, suffix: str) -> tuple:
+    """Corner values of ``word + suffix`` given those of ``word``, in Fractions.
+
+    Steps at or above the level are one table hit; each step below it
+    is a midpoint average.  This was the kernel's own descent; below the
+    level ``corner_values`` now takes the integer step instead.
+    """
+    k = fn.level - len(word)
+    if k > 0:
+        vals = fn.word_table()[word + suffix[:k]]
+        suffix = suffix[k:]
+    for ch in suffix:
+        anchor = vals[int(ch)]
+        vals = tuple((v + anchor) / 2 for v in vals)
+    return vals
+
+
 @lru_cache(maxsize=None)
 def census_fn(seed, level: int):
     """A corpus function; for seed "flat", one constant on triangle 0.
@@ -163,7 +182,21 @@ def test_corner_values_match_slow_path(args, data):
     assert kappa_exponent(fn, word) == slow_kappa_exponent(fn, word, 1, {})
     cut = data.draw(st.integers(min_value=0, max_value=len(word)))
     prefix = word[:cut]
-    assert fn.descend(prefix, fn.corner_values(prefix), word[cut:]) == expected
+    assert descend(fn, prefix, fn.corner_values(prefix), word[cut:]) == expected
+
+
+@given(st.tuples(st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=6)),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_integer_corner_values_match_fraction_descent(args, data):
+    # the integer step below the level against the Fraction descent from the root
+    fn = census_fn(*args) if args[0] < 5 else census_fn("flat", 1)
+    extra = data.draw(st.integers(min_value=0, max_value=12))
+    word = data.draw(st.text(alphabet="012", min_size=fn.level + extra,
+                             max_size=fn.level + extra))
+    got = fn.corner_values(word)
+    assert all(type(v) is Fraction for v in got)
+    assert got == descend(fn, "", fn.corner_values(""), word)
 
 
 @lru_cache(maxsize=None)

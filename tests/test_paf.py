@@ -17,7 +17,7 @@ from holderlevels.paf import (
     max_holder_ratio,
     random_standard_paf,
 )
-from holderlevels.triangles import ROOT_VERTICES, triangle_vertices
+from holderlevels.triangles import ROOT_VERTICES, triangle_vertices, vertex_table
 
 V1, V2, V3 = ROOT_VERTICES
 
@@ -216,3 +216,26 @@ def test_from_json_rejects_incomplete_or_conflicting_table():
         PiecewiseAffineFn.from_json({**data, "entries": [*data["entries"], ("1:0", "1")]})
     with pytest.raises(ValueError, match="negative"):
         PiecewiseAffineFn.from_json({"level": -1, "entries": []})
+
+
+def test_grid_keys_checked_at_construction():
+    # a table keyed by exact points instead of lattice indices fails here,
+    # not later inside the walk
+    points = {p: Fraction(0) for p in vertex_table(1)}
+    with pytest.raises(ValueError, match="is not the lattice index of a vertex of level 1"):
+        PiecewiseAffineFn(1, points)
+    grid = dict(affine_from_corners(Fraction(0), Fraction(1), Fraction(2), level=1).grid)
+    del grid[0, 1]
+    with pytest.raises(ValueError, match=r"5 of the 6 vertices of level 1 have values; \(0, 1\)"):
+        PiecewiseAffineFn(1, grid)
+    with pytest.raises(ValueError, match=r"\(4, 0\) is not the lattice index"):
+        PiecewiseAffineFn(1, {**grid, (4, 0): Fraction(1)})
+
+
+def test_eval_lattice_and_field_weights_agree():
+    f = random_standard_paf(5, 3, 0.5, 0.9, check=False)
+    a, b, c = triangle_vertices("0121")
+    p = midpoint(midpoint(a, b), c)
+    field = (QSqrt3.from_coord(p.x), QSqrt3.from_coord(p.y))
+    assert f.eval(p) == f.eval(field) == f.corner_values("0121")[2] / 2 + sum(
+        f.corner_values("0121")[:2]) / 4

@@ -1,7 +1,7 @@
 """The integer level-set tree and measure against the exact Fraction walk.
 
 The reference is the tree walk as it was written in ``Fraction``s: each
-member descends every boundary word with ``fn.descend`` (a table hit at
+member descends every boundary word with ``descend`` (a table hit at
 or above the function level, midpoint averages below it), tests the
 word's corners against the level for a collision and then for
 membership, and splits its measure among its member children by
@@ -21,7 +21,7 @@ from holderlevels.levelset import (
     extreme_pair,
 )
 from holderlevels.triangles import boundary_family
-from test_kernel import corpus_fn
+from test_kernel import corpus_fn, descend
 
 F = Fraction
 
@@ -38,7 +38,7 @@ def oracle_levels(fn, r: Fraction, l: int, depth: int):
         for i, (word, exp, vals, _) in enumerate(levels[-1]):
             extremes = tuple(str(s) * l for s in extreme_pair(vals))
             for w in words:
-                cvals = fn.descend(word, vals, w)
+                cvals = descend(fn, word, vals, w)
                 if r in cvals:
                     raise LevelCollisionError(r, word + w)
                 if min(cvals) < r < max(cvals):

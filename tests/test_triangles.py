@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holderlevels.exact import CoordQ3, PointQ3, QSqrt3
+from holderlevels.exact import CoordQ3, PointQ3, QSqrt3, midpoint
 from holderlevels.triangles import (
     ROOT_VERTICES,
     LatticeTriangle,
@@ -18,6 +18,7 @@ from holderlevels.triangles import (
     downward_tiles_touched,
     has_boundary_edge,
     iter_subdivision_addresses,
+    lattice_weights,
     line_crossing_count,
     line_crossing_count_geometric,
     locate,
@@ -224,3 +225,36 @@ def test_delta_lattice_index():
 
 def test_iter_matches_list():
     assert list(iter_subdivision_addresses(2, 2)) == subdivision_addresses(2, 2)
+
+
+@st.composite
+def cell_points(draw):
+    """A word of length 1..14 and a point of its triangle: a vertex, an edge
+    midpoint, or a deeper dyadic point reached by repeated midpoints."""
+    word = draw(st.text(alphabet="012", min_size=1, max_size=14))
+    pts = list(triangle_vertices(word))
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        i, j = draw(st.integers(0, len(pts) - 1)), draw(st.integers(0, len(pts) - 1))
+        pts.append(midpoint(pts[i], pts[j]))
+    return word, draw(st.sampled_from(pts))
+
+
+@given(cell_points(), st.text(alphabet="012", max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_lattice_weights_match_field_weights(case, shift):
+    word, point = case
+    # the point's own cell, and a nearby one (a sibling or cousin) where
+    # weights may be negative
+    for cell in (word, word[:len(word) - len(shift)] + shift):
+        ws = lattice_weights(point, *delta_lattice_index(cell), len(cell))
+        assert all(type(w) is Fraction for w in ws)
+        assert tuple(QSqrt3(w) for w in ws) == barycentric_weights(point, triangle_vertices(cell))
+
+
+def test_lattice_weights_need_a_lattice_point():
+    centroid = (QSqrt3(Fraction(1, 2)), QSqrt3(0, Fraction(1, 6)))
+    assert lattice_weights(centroid, 0, 0, 0) is None
+    # a sqrt(3) part in x, or a rational part in y
+    assert lattice_weights(PointQ3(CoordQ3(0, 1, 2), CoordQ3(0)), 0, 0, 0) is None
+    assert lattice_weights(PointQ3(CoordQ3(1, 0, 1), CoordQ3(1, 0, 2)), 0, 0, 0) is None
+    assert lattice_weights(ROOT_VERTICES[2], 0, 0, 0) == (0, 0, 1)
