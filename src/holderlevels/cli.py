@@ -110,7 +110,7 @@ def _check_function_args(args) -> None:
     _require(args.l >= 1, "--l must be at least 1")
     _require(args.depth >= 0, "--depth must be non-negative")
     _require(0 < args.alpha <= 1, "--alpha must lie in (0, 1]")
-    _require(args.c > 0, "--c must be positive")
+    _require(0 < args.c < float("inf"), "--c must be positive and finite")
 
 
 # ---------------------------------------------------------------------------

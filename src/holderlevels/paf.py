@@ -24,11 +24,12 @@ import numpy as np
 from .exact import _SQRT3_FLOAT, PointQ3, QSqrt3
 from .triangles import (
     barycentric_weights,
+    cell_corners,
     check_address,
     delta_lattice_index,
-    lattice_child,
     lattice_point,
     lattice_weights,
+    level_index,
     locate,
     triangle_vertices,
 )
@@ -51,43 +52,16 @@ class HolderParams:
             raise ValueError("the Lipschitz constant must be positive")
 
 
-def _average(vals, sym: int) -> tuple:
-    """Corner values of child ``sym`` of an affine piece: midpoint averages."""
-    anchor = vals[sym]
-    return tuple((v + anchor) / 2 for v in vals)
-
-
-def _corners(row: int, col: int, s: int = 0) -> tuple:
-    """Lattice indices of the corners of cell (row, col), each times 2**s.
-
-    At scale 2**-n the cell's corners are (row, col), (row, col+1) and
-    (row+1, col); times 2**s they are the same points at scale 2**-(n+s).
-    """
-    return ((row << s, col << s), (row << s, (col + 1) << s),
-            ((row + 1) << s, col << s))
-
-
-@functools.cache
-def _vertex_indices(level: int) -> frozenset[tuple[int, int]]:
-    """Lattice indices at scale 2**-level of the vertices of V_level."""
-    cells = [(0, 0)]
-    for _ in range(level):
-        cells = [lattice_child(row, col, sym) for row, col in cells for sym in range(3)]
-    return frozenset(p for row, col in cells for p in _corners(row, col))
-
-
 def _check_grid(level: int, grid) -> None:
     """ValueError unless ``grid``'s keys are exactly the vertex indices of V_level."""
-    if level < 0:
-        raise ValueError(f"level {level} is negative")
-    expected = _vertex_indices(level)
-    if grid.keys() == expected:
+    expected = level_index(level).vertices
+    if grid.keys() == expected.keys():
         return
     stray = next((p for p in grid if p not in expected), None)
     if stray is not None:
         raise ValueError(f"key {stray!r} is not the lattice index of a vertex of "
                          f"level {level}")
-    missing = min(expected - grid.keys())
+    missing = min(expected.keys() - grid.keys())
     raise ValueError(f"{len(grid)} of the {len(expected)} vertices of level {level} "
                      f"have values; {missing!r} has none")
 
@@ -95,13 +69,13 @@ def _check_grid(level: int, grid) -> None:
 def _midpoint_copy(leaves) -> dict:
     """Vertex table of the midpoint-copy subdivision, one level down.
 
-    ``leaves`` yields (row, col, corner values) of the level-n cells.  At
+    ``leaves`` yields ((row, col), corner values) of the level-n cells.  At
     scale 2**-(n+1) a corner's index doubles and the midpoint of two
     corners is the sum of their indices at scale 2**-n; the midpoint of
     corners i and j (edges (0,1), (1,2), (0,2)) copies the value of i.
     """
     grid = {}
-    for row, col, (q1, q2, q3) in leaves:
+    for (row, col), (q1, q2, q3) in leaves:
         r, c = 2 * row, 2 * col
         grid[r, c] = q1
         grid[r, c + 2] = q2
@@ -110,6 +84,12 @@ def _midpoint_copy(leaves) -> dict:
         grid[r + 1, c + 1] = q2
         grid[r + 1, c] = q3
     return grid
+
+
+def _gather(index, values) -> dict[str, tuple]:
+    """{word: its corner values} over ``index``, from values in its vertex order."""
+    return {word: (values[a], values[b], values[c])
+            for word, (a, b, c) in zip(index.words, index.corners)}
 
 
 class PiecewiseAffineFn:
@@ -147,62 +127,44 @@ class PiecewiseAffineFn:
 
     # -- the corner-value kernel -----------------------------------------
 
-    def _walk(self, depth: int, grid=None):
-        """Pre-order walk over the words of length <= ``depth``.
-
-        Yields (word, row, col, corner values), (row, col) the word's
-        cell at scale 2**-len(word); children are pushed in symbol order
-        and popped in reverse, so leaves come out in decreasing word
-        order.  At or above the level the values are read from ``grid``
-        (``self.grid`` or a table with the same keys), below it they are
-        midpoint averages.  Apart from the certificate's integer copy of
-        this walk (``_vertex_arrays``) and the generator's displacement
-        walk, this is the only place that walks the lattice to read values.
-        """
-        grid = self.grid if grid is None else grid
-        level = self.level
-        stack = [("", 0, 0, tuple(grid[p] for p in _corners(0, 0, level)))]
-        while stack:
-            word, row, col, vals = stack.pop()
-            yield word, row, col, vals
-            n = len(word)
-            if n == depth:
-                continue
-            s = level - n - 1
-            for sym in range(3):
-                r, c = lattice_child(row, col, sym)
-                if s >= 0:
-                    cvals = tuple(grid[p] for p in _corners(r, c, s))
-                else:
-                    cvals = _average(vals, sym)
-                stack.append((word + "012"[sym], r, c, cvals))
-
-    def _leaves(self, depth: int):
-        """(word, row, col, corner values) of the depth-``depth`` triangles."""
-        for leaf in self._walk(depth):
-            if len(leaf[0]) == depth:
-                yield leaf
-
     def word_table(self) -> dict[str, tuple]:
         """Corner values of every word of length <= level, built once.
 
-        (3**(level+1) - 1) / 2 entries, in the walk's pre-order.
+        (3**(level+1) - 1) / 2 entries in ``level_index(level)``'s word
+        order, gathered from the grid by corner position.
         """
         if self._words is None:
-            self._words = {word: vals for word, _, _, vals in self._walk(self.level)}
+            index = level_index(self.level)
+            self._words = _gather(index, [self.grid[p] for p in index.vertices])
         return self._words
 
     def int_word_table(self) -> tuple[int, dict[str, tuple]]:
-        """(D, the word table times D), D the lcm of the grid's denominators; built once.
-
-        The grid is scaled once and walked like ``word_table``.
-        """
+        """(D, the word table times D), D the lcm of the grid's denominators; built once."""
         if self._int_words is None:
-            d = math.lcm(*(v.denominator for v in self.grid.values()))
-            scaled = {p: v.numerator * (d // v.denominator) for p, v in self.grid.items()}
-            self._int_words = (d, {word: vals for word, _, _, vals
-                                   in self._walk(self.level, scaled)})
+            d, values = self._int_values(self.level)
+            self._int_words = (d, _gather(level_index(self.level), values))
         return self._int_words
+
+    def _int_values(self, depth: int) -> tuple[int, list[int]]:
+        """(S, the values at V_depth times S) in ``level_index(depth)``'s vertex order.
+
+        For depth >= L; S = D 2**(depth - L).  Below L each cell's corners
+        are the midpoints of its parent's corners with the corner it keeps.
+        """
+        d = math.lcm(*(v.denominator for v in self.grid.values()))
+        top = depth - self.level
+        index = level_index(depth)
+        values = [0] * len(index.vertices)
+        for (row, col), v in self.grid.items():
+            values[index.vertices[row << top, col << top]] = (
+                v.numerator * (d // v.denominator) << top)
+        for layer in index.layers[self.level + 1:]:
+            for i in layer:
+                up = index.corners[index.parents[i]]
+                a = values[up[int(index.words[i][-1])]]
+                for k, j in zip(index.corners[i], up):
+                    values[k] = (values[j] + a) >> 1
+        return d << top, values
 
     def corner_values(self, word: str) -> tuple[Fraction, Fraction, Fraction]:
         """Values at the three corners of the addressed triangle.
@@ -239,7 +201,7 @@ class PiecewiseAffineFn:
         """
         word = locate(point, self.level)
         row, col = delta_lattice_index(word)
-        vals = [self.grid[p] for p in _corners(row, col)]
+        vals = [self.grid[p] for p in cell_corners(row, col)]
         ws = lattice_weights(point, row, col, self.level)
         if ws is not None:
             return sum(w * v for w, v in zip(ws, vals))
@@ -257,9 +219,12 @@ class PiecewiseAffineFn:
         if level == self.level:
             return PiecewiseAffineFn(self.level, dict(self.grid),
                                      self.standard, self.holder)
-        grid: dict[tuple[int, int], Fraction] = {}
-        for _, row, col, vals in self._leaves(level):
-            grid.update(zip(_corners(row, col), vals))
+        scale, values = self._int_values(level)
+        index = level_index(level)
+        keys = list(index.vertices)
+        # keys in the order the level-``level`` cells first reach them
+        grid = {keys[k]: Fraction(values[k], scale)
+                for i in index.layers[level] for k in index.corners[i]}
         return PiecewiseAffineFn(level, grid, standard=False, holder=self.holder)
 
     def standardize(self) -> "PiecewiseAffineFn":
@@ -271,7 +236,10 @@ class PiecewiseAffineFn:
         a repeated value on every child.  The sup distance to the input
         is at most half the largest per-triangle oscillation.
         """
-        grid = _midpoint_copy(leaf[1:] for leaf in self._leaves(self.level))
+        index = level_index(self.level)
+        table = self.word_table()
+        grid = _midpoint_copy((index.cells[i], table[index.words[i]])
+                              for i in index.layers[self.level])
         return PiecewiseAffineFn(self.level + 1, grid, standard=True,
                                  holder=self.holder)
 
@@ -320,29 +288,36 @@ class PiecewiseAffineFn:
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
-        ids: dict[tuple[int, int], str] = {}
-        for word, row, col, _ in self._leaves(self.level):
-            for corner, p in enumerate(_corners(row, col)):
-                key = f"{word}:{corner}"
-                if p not in ids or key < ids[p]:
-                    ids[p] = key
-        entries = sorted(
-            (ids[p], f"{v.numerator}/{v.denominator}") for p, v in self.grid.items()
-        )
+        """Each vertex under its smallest id "word:corner" over the level-n cells."""
+        index = level_index(self.level)
+        ids: dict[int, str] = {}
+        for i in reversed(index.layers[self.level]):    # increasing word order
+            for corner, k in enumerate(index.corners[i]):
+                ids.setdefault(k, f"{index.words[i]}:{corner}")
+        entries = sorted((ids[index.vertices[p]], f"{v.numerator}/{v.denominator}")
+                         for p, v in self.grid.items())
         return {"level": self.level, "standard": self.standard, "entries": entries}
 
     @classmethod
     def from_json(cls, data: dict) -> "PiecewiseAffineFn":
         """Inverse of ``to_json``; ValueError unless the entries give V_level exactly once."""
         level = int(data["level"])
+        entries = data["entries"]
+        if level < 0:
+            raise ValueError(f"level {level} is negative")
+        # fail before building anything of V_level's size; no list holds 3**64 entries
+        count = (3 ** (level + 1) + 3) // 2 if level < 64 else f"(3**{level + 1} + 3)/2"
+        if level >= 64 or len(entries) < count:
+            raise ValueError(f"at most {len(entries)} of the {count} vertices of level "
+                             f"{level} have values")
         grid: dict[tuple[int, int], Fraction] = {}
-        for key, frac in data["entries"]:
+        for key, frac in entries:
             word, corner = key.split(":")
             if len(word) != level:
                 raise ValueError(f"vertex id {key!r} does not match level {level}")
             if corner not in ("0", "1", "2"):
                 raise ValueError(f"vertex id {key!r}: the corner must be 0, 1 or 2")
-            p = _corners(*delta_lattice_index(word))[int(corner)]
+            p = cell_corners(*delta_lattice_index(word))[int(corner)]
             v = Fraction(frac)
             if grid.setdefault(p, v) != v:
                 raise ValueError(f"vertex id {key!r} gives its vertex a second value")
@@ -350,14 +325,14 @@ class PiecewiseAffineFn:
 
 
 def constant_fn(value: Fraction, level: int = 0) -> PiecewiseAffineFn:
-    base = PiecewiseAffineFn(0, dict.fromkeys(_corners(0, 0), Fraction(value)))
+    base = PiecewiseAffineFn(0, dict.fromkeys(cell_corners(0, 0), Fraction(value)))
     return base.refine(level)
 
 
 def affine_from_corners(q1: Fraction, q2: Fraction, q3: Fraction,
                         level: int = 0) -> PiecewiseAffineFn:
     """The globally affine function with the given root corner values."""
-    grid = {p: Fraction(q) for p, q in zip(_corners(0, 0), (q1, q2, q3))}
+    grid = {p: Fraction(q) for p, q in zip(cell_corners(0, 0), (q1, q2, q3))}
     return PiecewiseAffineFn(0, grid).refine(level)
 
 
@@ -389,46 +364,31 @@ class HolderCertificate:
         return self.max_ratio * self.safety_factor
 
 
-def _vertex_arrays(fn: PiecewiseAffineFn, depth: int):
-    """Lattice indices, coordinates and values of the depth-``depth`` vertices.
+@functools.cache
+def _vertex_points(depth: int):
+    """Lattice indices and floats x, y of V_depth in ``level_index(depth)``'s order.
 
-    Vertices come in the order the pre-order walk first visits them.  The
-    walk is integer: (row, col) at scale 2**-depth is the point
-    (2 col + row, row sqrt(3)) / 2**(depth+1), and the corner values of a
-    triangle at word length n are integers at scale D 2**max(0, n - L)
-    (as in ``LevelSetTree``).  The floats are those of the exact ring:
-    x = (2 col + row) / 2**(depth+1), y = 0.0 + row / 2**(depth+1) * sqrt(3)
-    as in ``CoordQ3.__float__``, and each value an int / int true division,
-    correctly rounded like ``float(Fraction)``.
+    Read-only and shared by every function.  As in ``CoordQ3.__float__``,
+    x = (2 col + row) / 2**(depth+1) and y = 0.0 + row / 2**(depth+1) * sqrt(3).
     """
-    level = fn.level
-    denom, table = fn.int_word_table()
-    top = max(0, depth - level)
-    values: dict[tuple[int, int], int] = {}
-    stack = [("", 0, 0, table[""])]
-    while stack:
-        word, row, col, vals = stack.pop()
-        n = len(word)
-        s, shift = depth - n, top - max(0, n - level)
-        for (r, c), v in zip(((row, col), (row, col + 1), (row + 1, col)), vals):
-            values[r << s, c << s] = v << shift
-        if n == depth:
-            continue
-        for sym in range(3):
-            child = word + "012"[sym]
-            if n < level:
-                cvals = table[child]
-            else:
-                a = vals[sym]
-                cvals = (vals[0] + a, vals[1] + a, vals[2] + a)
-            stack.append((child, *lattice_child(row, col, sym), cvals))
-    index = np.array(list(values), dtype=np.int64)
+    index = np.array(list(level_index(depth).vertices), dtype=np.int64)
     rows, cols = index[:, 0], index[:, 1]
     unit = 2.0 ** (depth + 1)
-    scale = denom << top
     xs = (2 * cols + rows) / unit
     ys = rows / unit * _SQRT3_FLOAT
-    vs = np.array([v / scale for v in values.values()], dtype=float)
+    for arr in (index, xs, ys):
+        arr.flags.writeable = False
+    return index, xs, ys
+
+
+def _vertex_arrays(fn: PiecewiseAffineFn, depth: int):
+    """Lattice indices, coordinates and values of V_depth, in ``level_index`` order.
+
+    Each value is an int / int true division, rounded like ``float(Fraction)``.
+    """
+    index, xs, ys = _vertex_points(depth)
+    scale, values = fn._int_values(depth)
+    vs = np.array([v / scale for v in values], dtype=float)
     return index, xs, ys, vs
 
 
@@ -551,8 +511,8 @@ def holder_certificate(fn: PiecewiseAffineFn, alpha: float, c: float,
     the chained safety factor.  The maximum is exact over all pairs:
     ``max_holder_ratio`` skips only cell pairs whose bound, with its
     1e-9 relative margin, is below a ratio already found.  The witness
-    is the maximising pair with the smallest vertex indices, in the
-    order the walk first visits the vertices.
+    is the maximising pair with the smallest vertex indices, in
+    ``level_index(depth)``'s vertex order.
     """
     if depth < fn.level:
         raise ValueError("certificate depth must be at least the function level")
@@ -579,12 +539,6 @@ _DISP_DENOM = 1 << _DISP_BITS
 _MAX_ATTEMPTS = 50
 
 
-def _cell_word(row: int, col: int, n: int) -> str:
-    """Address of cell (row, col) at scale 2**-n: bit n-1-i gives symbol i."""
-    return "".join("2" if row >> b & 1 else "1" if col >> b & 1 else "0"
-                   for b in range(n - 1, -1, -1))
-
-
 def random_standard_paf(seed: int, level: int, alpha: float, c: float,
                         *, check: bool = True) -> PiecewiseAffineFn:
     """Seeded random standard function passing its Holder certificate.
@@ -599,21 +553,23 @@ def random_standard_paf(seed: int, level: int, alpha: float, c: float,
     2**(1-alpha) per level, so the headroom carries the normalizer
     1 - 2**(alpha-1) to keep the certificate margin uniform in alpha.
 
-    The walk is integer: vertices are lattice indices at scale
+    The displacement is integer: vertices are lattice indices at scale
     2**-(level-1), and values are numerators over 2**(40 + level - 1)
     (root values and displacements are multiples of 2**-40, and each
-    level's midpoint averages halve once).  Leaves are displaced in
-    decreasing word order, edges (0,1), (1,2), (0,2), one draw each.
-    The standardized ``grid`` is converted to ``Fraction`` once.
+    level's midpoint averages halve once).  The cells of each level are
+    displaced in the decreasing word order of ``level_index(level - 1)``,
+    edges (0,1), (1,2), (0,2), one draw each.  The standardized ``grid``
+    is converted to ``Fraction`` once.
     """
     if level < 1:
         raise ValueError("a standard function needs level >= 1")
-    if not 0 < c:
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("c must be positive and finite")
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     disp_headroom = 0.45 * (1 - 2.0 ** (-(1 - alpha))) if alpha < 1 else 0.1
     top = level - 1
+    index = level_index(top)
     denom = 1 << (2 * _DISP_BITS + top)
     base_span = max(1, int(0.25 * c * _DISP_DENOM))
     amps = [max(1, int(disp_headroom * c * 2.0 ** (-(k + 1) * alpha) * _DISP_DENOM))
@@ -625,26 +581,25 @@ def random_standard_paf(seed: int, level: int, alpha: float, c: float,
             triple = [rng.randrange(_DISP_DENOM + 1) for _ in range(3)]
             if len(set(triple)) == 3:
                 break
-        grid = {p: (base_span * u) << top for p, u in zip(_corners(0, 0, top), triple)}
-        cells = [(0, 0)]                # level-k cells in increasing word order
+        grid = {p: (base_span * u) << top for p, u in zip(cell_corners(0, 0, top), triple)}
         for k, amp in enumerate(amps):
             s = top - k - 1             # from scale 2**-(k+1) to 2**-top
-            for row, col in reversed(cells):
-                q1, q2, q3 = (grid[p] for p in _corners(row, col, s + 1))
+            for i in index.layers[k]:   # level-k cells in decreasing word order
+                row, col = index.cells[i]
+                q1, q2, q3 = (grid[p] for p in cell_corners(row, col, s + 1))
                 r, cc = 2 * row, 2 * col
                 for (mr, mc), a, b in (((r, cc + 1), q1, q2), ((r + 1, cc + 1), q2, q3),
                                        ((r + 1, cc), q1, q3)):
                     u = rng.randrange(_DISP_DENOM + 1)
                     grid[mr << s, mc << s] = ((a + b) >> 1) + (
                         (amp * (2 * u - _DISP_DENOM)) << top)
-            cells = [lattice_child(row, col, sym) for row, col in cells for sym in range(3)]
-        leaves = [(row, col, tuple(grid[p] for p in _corners(row, col)))
-                  for row, col in reversed(cells)]
+        leaves = [(index.cells[i], tuple(grid[p] for p in cell_corners(*index.cells[i])))
+                  for i in index.layers[top]]
         # every pre-standardize triangle must have three distinct values,
         # otherwise the subdivision cannot be locally non-constant
-        bad = next(((row, col) for row, col, q in leaves if len(set(q)) != 3), None)
-        if bad is not None:
-            failing = _cell_word(*bad, top)
+        bad = [i for i, (_, q) in zip(index.layers[top], leaves) if len(set(q)) != 3]
+        if bad:
+            failing = index.words[bad[0]]
             continue
         out = PiecewiseAffineFn(level, {p: Fraction(v, denom) for p, v
                                         in _midpoint_copy(leaves).items()},

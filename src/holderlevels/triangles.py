@@ -16,9 +16,12 @@ and the triangular-lattice counts used by the box-count law.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .exact import SQRT3, CoordQ3, PointQ3, QSqrt3, cross
 
@@ -34,6 +37,60 @@ def check_address(word: str) -> str:
 def lattice_child(row: int, col: int, symbol: int) -> tuple[int, int]:
     """Cell of child ``symbol`` of (row, col): it keeps corner ``symbol``, whose indices double."""
     return (2 * row + (symbol == 2), 2 * col + (symbol == 1))
+
+
+def cell_corners(row: int, col: int, s: int = 0) -> tuple[tuple[int, int], ...]:
+    """Lattice indices of the corners of cell (row, col), each times 2**s.
+
+    At scale 2**-n the cell's corners are (row, col), (row, col+1) and
+    (row+1, col); times 2**s they are the same points at scale 2**-(n+s).
+    """
+    return ((row << s, col << s), (row << s, (col + 1) << s),
+            ((row + 1) << s, col << s))
+
+
+class LevelIndex(NamedTuple):
+    """The words of length <= level and V_level, the same for every function.
+
+    Position i holds the i-th word of the pre-order walk (children taken
+    in symbol order 2, 1, 0, so each length's words decrease), its cell at
+    scale 2**-len(word), its parent's position (-1 for the root) and its
+    corners' positions in ``vertices``: the lattice indices at scale
+    2**-level of V_level, in first-visit order.  ``layers[n]`` lists the
+    positions of the words of length n.
+    """
+
+    words: tuple[str, ...]
+    cells: tuple[tuple[int, int], ...]
+    parents: tuple[int, ...]
+    corners: tuple[tuple[int, int, int], ...]
+    vertices: MappingProxyType[tuple[int, int], int]
+    layers: tuple[tuple[int, ...], ...]
+
+
+@functools.cache
+def level_index(level: int) -> LevelIndex:
+    """The one walk over the lattice of V_``level``, built once per level."""
+    if level < 0:
+        raise ValueError(f"level {level} is negative")
+    words, cells, parents, corners = [], [], [], []
+    vertices: dict[tuple[int, int], int] = {}
+    layers: list[list[int]] = [[] for _ in range(level + 1)]
+    stack = [("", 0, 0, -1)]
+    while stack:
+        word, row, col, parent = stack.pop()
+        s = level - len(word)
+        if s:
+            stack.extend((word + "012"[sym], *lattice_child(row, col, sym), len(words))
+                         for sym in range(3))
+        layers[len(word)].append(len(words))
+        words.append(word)
+        cells.append((row, col))
+        parents.append(parent)
+        corners.append(tuple(vertices.setdefault(p, len(vertices))
+                             for p in cell_corners(row, col, s)))
+    return LevelIndex(tuple(words), tuple(cells), tuple(parents), tuple(corners),
+                      MappingProxyType(vertices), tuple(map(tuple, layers)))
 
 
 def lattice_vertices(row: int, col: int, n: int) -> tuple[PointQ3, PointQ3, PointQ3]:
@@ -245,15 +302,6 @@ def subdivision_addresses(n: int, l: int = 1, limit: int = 2_000_000) -> list[st
     return list(iter_subdivision_addresses(n, l))
 
 
-def vertex_table(level: int) -> set[PointQ3]:
-    """All vertices of the level-``level`` triangles; |V_n| = (3**(n+1)+3)/2."""
-    # every corner of a triangle is a corner of one of its children
-    cells = [(0, 0)]
-    for _ in range(level):
-        cells = [lattice_child(r, c, sym) for r, c in cells for sym in range(3)]
-    return {p for r, c in cells for p in lattice_vertices(r, c, level)}
-
-
 # ---------------------------------------------------------------------------
 # the rescaled triangle and its similarity
 # ---------------------------------------------------------------------------
@@ -359,20 +407,15 @@ def line_crossing_count(digits) -> int:
 
 
 def rescaled_construction_triangles(level: int):
-    """Vertex triples of the rescaled-triangle construction at ``level``."""
-    tris = [RESCALED_VERTICES]
-    for _ in range(level):
-        nxt = []
-        for vs in tris:
-            for sym in range(3):
-                anchor = vs[sym]
-                nxt.append(tuple(
-                    ((v[0] + anchor[0]) * QSqrt3(Fraction(1, 2)),
-                     (v[1] + anchor[1]) * QSqrt3(Fraction(1, 2)))
-                    for v in vs
-                ))
-        tris = nxt
-    return tris
+    """Vertex triples of the rescaled-triangle construction at ``level``.
+
+    The lattice point (row, col) at scale 2**-level maps to col f1 + row f2,
+    f1 and f2 the second and third rescaled vertices over 2**level.
+    """
+    unit, index = 1 << level, level_index(level)
+    return [tuple((QSqrt3(0, Fraction(2 * c + r, 3 * unit)), QSqrt3(Fraction(r, unit)))
+                  for r, c in cell_corners(*index.cells[i]))
+            for i in index.layers[level]]
 
 
 def _check_line_height(y: Fraction, level: int) -> Fraction:

@@ -1,7 +1,8 @@
 """The pruned Holder certificate against the exhaustive float scan.
 
 The references are the certificate path as it was written before the
-pruning: the vertex arrays from the ``PointQ3``/``Fraction`` walk, and
+pruning: the vertex arrays from the ``PointQ3``/``Fraction`` walk
+(``walk_oracle``), and
 a scan of the full ratio matrix in row chunks that keeps the first
 maximum in row-major order.  The pruned kernel must return the same
 (maximum, pair) and the integer walk the same arrays, bit for bit.
@@ -25,6 +26,8 @@ from holderlevels.paf import (
 )
 from holderlevels.triangles import lattice_vertices, triangle_vertices
 
+from walk_oracle import walk
+
 F = Fraction
 
 _CHUNK = 512
@@ -33,7 +36,7 @@ _CHUNK = 512
 def oracle_vertex_arrays(fn, depth: int):
     """Vertices in first-visit order of the exact walk, and their floats."""
     table: dict[PointQ3, Fraction] = {}
-    for word, _, _, vals in fn._walk(depth):
+    for word, _, _, vals in walk(fn, depth):
         for p, v in zip(triangle_vertices(word), vals):
             table[p] = v
     points = list(table)
@@ -134,7 +137,8 @@ def test_phase_grid_matches_oracle(alpha):
     assert max_holder_ratio(xs, ys, vs, alpha) == oracle_max_holder_ratio(xs, ys, vs, alpha)
 
 
-@pytest.mark.parametrize("level, depth", [(1, 1), (2, 4), (3, 6), (2, 2), (4, 5)])
+@pytest.mark.parametrize("level, depth", [(1, 1), (2, 4), (3, 6), (2, 2), (4, 5), (4, 7),
+                                          (5, 6)])
 def test_vertex_arrays_match_oracle(level, depth):
     fn = random_standard_paf(40 + level, level, 0.8, 0.9, check=False)
     index, xs, ys, vs = paf._vertex_arrays(fn, depth)

@@ -189,6 +189,18 @@ def test_levelset_rejects_level_zero(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["levelset", "--level", "3", "--l", "3", "--depth", "1", "--c", "inf"],
+    ["conductivity-hist", "--c", "inf"],
+])
+def test_function_commands_reject_infinite_c(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    res = run_cli([*argv, "--out", str(out)])
+    _assert_usage_error(res, argv[0])
+    assert "--c" in res.stderr
+    assert not out.exists()
+
+
 def test_phase_rejects_alpha_above_one():
     _assert_usage_error(run_cli(["phase", "--alpha", "1.5"]), "phase")
 

@@ -18,7 +18,6 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from holderlevels import paf
 from holderlevels.exact import midpoint
 from holderlevels.paf import (
     HolderParams,
@@ -27,7 +26,7 @@ from holderlevels.paf import (
     holder_certificate,
     random_standard_paf,
 )
-from holderlevels.triangles import delta_lattice_index, triangle_vertices
+from holderlevels.triangles import triangle_vertices
 
 from test_kernel import lattice_index
 
@@ -146,10 +145,3 @@ def test_certificate_driven_resample_matches_oracle():
 
 def test_resampling_cap_message_matches_oracle():
     assert assert_matches_oracle(0, 3, 0.5, 1e-7, True) is None
-
-
-def test_cell_word_inverts_lattice_index():
-    # a triangle with a repeated value is reported by its address
-    for n in range(6):
-        for word in decreasing_words(n):
-            assert paf._cell_word(*delta_lattice_index(word), n) == word

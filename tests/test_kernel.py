@@ -3,8 +3,8 @@
 The geometry reference replays an address by exact midpoints (vertex
 i of child j is the midpoint of the parent's vertices i and j) and
 checks the integer lattice map (``triangle_vertices``,
-``delta_lattice_index``, ``locate``, ``vertex_table`` and the vertices
-of the function walk) against it.
+``delta_lattice_index``, ``locate``, the vertex list of ``level_index``
+and the vertices of ``refine``) against it.
 
 The corner-value slow path takes a triangle's vertices from that
 replay and reads the stored vertex table at or above the function
@@ -36,8 +36,8 @@ from holderlevels.triangles import (
     delta_lattice_index,
     locate,
     subdivision_addresses,
+    level_index,
     triangle_vertices,
-    vertex_table,
 )
 
 REPLAY_ROOT = (
@@ -91,7 +91,7 @@ def test_geometry_matches_replay_exhaustively():
         check_geometry(word, vs)
     for n in range(8):
         corners = {p for w, vs in table.items() if len(w) == n for p in vs}
-        assert vertex_table(n) == corners
+        assert {lattice_point(*p, n) for p in level_index(n).vertices} == corners
 
 
 @given(st.text(alphabet="012", max_size=12))
@@ -208,7 +208,7 @@ def refined(seed: int, level: int, depth: int):
        st.integers(min_value=0, max_value=2), st.data())
 @settings(max_examples=60, deadline=None)
 def test_walk_vertices_match_replay(seed, level, extra, data):
-    # refine keys its values by the vertices that the function walk yields
+    # refine keys its values by the corners of the level_index cells
     fn = corpus_fn(seed, level)
     g = refined(seed, level, level + extra)
     assert len(g.values) == (3 ** (g.level + 1) + 3) // 2

@@ -17,7 +17,7 @@ from holderlevels.paf import (
     max_holder_ratio,
     random_standard_paf,
 )
-from holderlevels.triangles import ROOT_VERTICES, triangle_vertices, vertex_table
+from holderlevels.triangles import ROOT_VERTICES, lattice_point, level_index, triangle_vertices
 
 V1, V2, V3 = ROOT_VERTICES
 
@@ -207,6 +207,25 @@ def test_from_json_rejects_bad_corner_index():
         PiecewiseAffineFn.from_json(data)
 
 
+def test_generator_rejects_non_finite_c(monkeypatch):
+    monkeypatch.setattr(paf, "random", None)
+    for c in (math.inf, math.nan, -1.0, 0.0):
+        with pytest.raises(ValueError, match="c must be positive and finite"):
+            random_standard_paf(1, 3, 0.5, c)
+
+
+def test_from_json_rejects_short_table_before_building_it(monkeypatch):
+    # the vertex count alone rejects it: no lattice index of V_40 is built
+    def unreachable(level):
+        raise AssertionError(f"built the lattice index of level {level}")
+
+    monkeypatch.setattr(paf, "level_index", unreachable)
+    with pytest.raises(ValueError, match="0 of the 18236498188585393203 vertices of level 40"):
+        PiecewiseAffineFn.from_json({"level": 40, "entries": []})
+    with pytest.raises(ValueError, match=r"1 of the \(3\*\*1000001 \+ 3\)/2 vertices"):
+        PiecewiseAffineFn.from_json({"level": 10**6, "entries": [("0:0", "1")]})
+
+
 def test_from_json_rejects_incomplete_or_conflicting_table():
     with pytest.raises(ValueError, match="1 of the 15 vertices of level 2"):
         PiecewiseAffineFn.from_json({"level": 2, "entries": [("00:0", "1/2")]})
@@ -221,7 +240,7 @@ def test_from_json_rejects_incomplete_or_conflicting_table():
 def test_grid_keys_checked_at_construction():
     # a table keyed by exact points instead of lattice indices fails here,
     # not later inside the walk
-    points = {p: Fraction(0) for p in vertex_table(1)}
+    points = {lattice_point(*p, 1): Fraction(0) for p in level_index(1).vertices}
     with pytest.raises(ValueError, match="is not the lattice index of a vertex of level 1"):
         PiecewiseAffineFn(1, points)
     grid = dict(affine_from_corners(Fraction(0), Fraction(1), Fraction(2), level=1).grid)
@@ -230,6 +249,8 @@ def test_grid_keys_checked_at_construction():
         PiecewiseAffineFn(1, grid)
     with pytest.raises(ValueError, match=r"\(4, 0\) is not the lattice index"):
         PiecewiseAffineFn(1, {**grid, (4, 0): Fraction(1)})
+    with pytest.raises(ValueError, match="level -1 is negative"):
+        PiecewiseAffineFn(-1, {})
 
 
 def test_eval_lattice_and_field_weights_agree():

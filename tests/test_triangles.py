@@ -21,12 +21,12 @@ from holderlevels.triangles import (
     lattice_weights,
     line_crossing_count,
     line_crossing_count_geometric,
+    level_index,
     locate,
     rescaling_similarity,
     subdivision_addresses,
     touching_up_cells,
     triangle_vertices,
-    vertex_table,
 )
 
 words = st.text(alphabet="012", min_size=0, max_size=12)
@@ -75,7 +75,7 @@ def test_child_keeps_labeled_corner():
 
 def test_vertex_counts():
     for n in range(9):
-        assert len(vertex_table(n)) == (3 ** (n + 1) + 3) // 2
+        assert len(level_index(n).vertices) == (3 ** (n + 1) + 3) // 2
 
 
 def test_boundary_family_counts():
