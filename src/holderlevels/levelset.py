@@ -35,6 +35,42 @@ def _boundary_words(l: int) -> tuple[str, ...]:
     return _BOUNDARY_CACHE[l]
 
 
+_DIGIT_CACHE: dict[int, tuple] = {}
+
+
+def _digit_blocks(l: int) -> tuple:
+    """Member children of a two-valued triangle below the function level.
+
+    ``_digit_blocks(l)[o][k]`` lists (boundary word, kappa increment) for
+    the words whose steps into the odd corner o spell the l binary digits
+    of k, in ``_boundary_words(l)`` order: all 2**l words over the other
+    two symbols for k = 0, only o**l for k = 2**l - 1, and the two words
+    o and one other symbol spell for a mixed block.  o**l and m**l, m the
+    smallest symbol other than o, are the extreme words and keep kappa.
+    """
+    if l not in _DIGIT_CACHE:
+        blocks = [[[] for _ in range(1 << l)] for _ in range(3)]
+        for w in _boundary_words(l):
+            for o in range(3):
+                extremes = (str(o) * l, str(int(o == 0)) * l)
+                k = int("".join("1" if int(s) == o else "0" for s in w), 2)
+                blocks[o][k].append((w, int(w not in extremes)))
+        _DIGIT_CACHE[l] = tuple(tuple(map(tuple, by_k)) for by_k in blocks)
+    return _DIGIT_CACHE[l]
+
+
+def _odd_corner(corners) -> tuple | None:
+    """(o, b, a) for corners equal to b except corner o, which is a; None otherwise."""
+    c0, c1, c2 = corners
+    if c0 == c1:
+        return (2, c0, c2) if c2 != c0 else None
+    if c0 == c2:
+        return 1, c0, c1
+    if c1 == c2:
+        return 0, c1, c0
+    return None
+
+
 class LevelCollisionError(ValueError):
     """The level value hits a vertex value."""
 
@@ -164,6 +200,20 @@ class LevelSetTree:
     function level L a triangle's corners are a table hit; each step
     below it maps corners v to v + v[s], since midpoint averaging halves
     the values and the scale doubles.
+
+    A member of word length at least L whose corners are (b, b, a) in
+    some order, with the odd corner o carrying a, takes the digit step.
+    A step into o maps the relative height h = (r - b)/(a - b) to 2h - 1
+    and any other step to 2h, and o stays the odd corner, so a boundary
+    word is a member exactly when its steps into o spell the next l
+    binary digits k = floor(2**l h) of h.  Its children are the block
+    ``_digit_blocks(l)[o][k]``, all with the corners b' = b 2**l + k(a - b)
+    and a' = b' + (a - b).  When 2**l h is an integer the level hits a
+    vertex, and the node falls back to the word loop, which tests every
+    boundary word in order and names the first colliding one.  Members
+    above L, members whose children cross L and members with three
+    distinct corners (possible only in functions that are not standard)
+    take the word loop too.
     """
 
     def __init__(self, fn: PiecewiseAffineFn, r, l: int = 1, depth: int = 0):
@@ -192,6 +242,7 @@ class LevelSetTree:
     def extend(self, depth: int) -> "LevelSetTree":
         fn_level, l, table = self.fn.level, self.l, self._table
         rden = self.r.denominator
+        blocks = _digit_blocks(l)
         while self.depth < depth:
             length = (self.depth + 1) * l       # word length of the children
             level = self.r.numerator * self._denom << max(0, length - fn_level)
@@ -200,7 +251,20 @@ class LevelSetTree:
             # each boundary word with the symbols of its steps below the level
             words = [(w, tuple(map(int, w[l - below:]))) for w in _boundary_words(l)]
             nxt: list[LevelSetNode] = []
+            parent_level = level >> l           # exact once the parents are at or below L
             for node in self._levels[self.depth]:
+                split = None if above else _odd_corner(node.corners)
+                if split:
+                    o, b, a = split
+                    k, rem = divmod((parent_level - b) << l, a - b)
+                    if rem:
+                        b, a = (b << l) + k * (a - b), (b << l) + (k + 1) * (a - b)
+                        corners = ((a, b, b), (b, a, b), (b, b, a))[o]
+                        word, exp = node.word, node.kappa_exp
+                        node.children = [LevelSetNode(word + w, corners, exp + inc)
+                                         for w, inc in blocks[o][k]]
+                        nxt.extend(node.children)
+                        continue
                 extreme_words = _extreme_words(node.corners, l)
                 for w, steps in words:
                     word = node.word + w
@@ -246,13 +310,16 @@ class LevelSetTree:
         2**(e_max - e), over the weights' sum S.  Numerators are integers
         over one denominator per level: the next level's is this one's
         times the lcm of S over the level's nodes, kept in ``mu_denominators``.
+        A level's measure depends only on the levels above it, so a fill
+        continues from the deepest level already filled and never redoes one.
         """
         if self.root is None:
             raise ValueError("the root is not a member; no measure to build")
         self.extend(depth)
-        self.root.mu_num, self.root.mu_den = 1, 1
-        self.mu_denominators = [1]
-        for level in range(depth):
+        if not self.mu_denominators:
+            self.root.mu_num, self.root.mu_den = 1, 1
+            self.mu_denominators = [1]
+        for level in range(len(self.mu_denominators) - 1, depth):
             splits = []
             lcm = 1
             for node in self._levels[level]:

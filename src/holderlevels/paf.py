@@ -12,6 +12,7 @@ pair could still hold the maximum.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import random
 from collections.abc import Mapping
@@ -52,17 +53,75 @@ class HolderParams:
             raise ValueError("the Lipschitz constant must be positive")
 
 
+def _vertex_count(level: int) -> int | str:
+    """|V_level| = (3**(level+1) + 3)/2; from level 64 on, where no table holds it, the formula."""
+    if level < 0:
+        raise ValueError(f"level {level} is negative")
+    return (3 ** (level + 1) + 3) // 2 if level < 64 else f"(3**{level + 1} + 3)/2"
+
+
+def _is_cell(level: int, row: int, col: int) -> bool:
+    """Whether (row, col) is a level cell: each symbol sets one bit of the row or the column."""
+    return row >= 0 and col >= 0 and not row & col and not (row | col) >> level
+
+
+def _is_vertex(level: int, key) -> bool:
+    """Whether ``key`` is a corner (R, C), (R, C+1) or (R+1, C) of a level cell (R, C)."""
+    if not (isinstance(key, tuple) and len(key) == 2
+            and all(isinstance(v, int) for v in key)):
+        return False
+    row, col = key
+    return (_is_cell(level, row, col) or _is_cell(level, row, col - 1)
+            or _is_cell(level, row - 1, col))
+
+
+def _submasks(mask: int):
+    """The submasks of ``mask`` in increasing order."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = ((sub | ~mask) + 1) & mask
+
+
+def _sorted_vertices(level: int):
+    """V_level's lattice indices in increasing order, by lattice arithmetic alone.
+
+    Row R holds corners 0 and 1 of the cells (R, C), whose columns are the
+    submasks of the bits R leaves free, and corner 2 of the cells (R - 1, C).
+    """
+    top = (1 << level) - 1
+    for row in range(top + 2):
+        runs = []
+        if row <= top:
+            runs += [_submasks(top & ~row), (c + 1 for c in _submasks(top & ~row))]
+        if row:
+            runs.append(_submasks(top & ~(row - 1)))
+        last = -1
+        for col in heapq.merge(*runs):
+            if col != last:
+                yield row, col
+                last = col
+
+
 def _check_grid(level: int, grid) -> None:
-    """ValueError unless ``grid``'s keys are exactly the vertex indices of V_level."""
-    expected = level_index(level).vertices
-    if grid.keys() == expected.keys():
+    """ValueError unless ``grid``'s keys are exactly the vertex indices of V_level.
+
+    Only a grid with |V_level| keys can be valid, and only such a grid is
+    compared with the level's lattice index; the stray or missing key of
+    any grid is found by lattice arithmetic, without building anything of
+    V_level's size.
+    """
+    count = _vertex_count(level)
+    if len(grid) == count and grid.keys() == level_index(level).vertices.keys():
         return
-    stray = next((p for p in grid if p not in expected), None)
+    stray = next((p for p in grid if not _is_vertex(level, p)), None)
     if stray is not None:
         raise ValueError(f"key {stray!r} is not the lattice index of a vertex of "
                          f"level {level}")
-    missing = min(expected.keys() - grid.keys())
-    raise ValueError(f"{len(grid)} of the {len(expected)} vertices of level {level} "
+    missing = next(p for p in _sorted_vertices(level) if p not in grid)
+    raise ValueError(f"{len(grid)} of the {count} vertices of level {level} "
                      f"have values; {missing!r} has none")
 
 
@@ -303,10 +362,8 @@ class PiecewiseAffineFn:
         """Inverse of ``to_json``; ValueError unless the entries give V_level exactly once."""
         level = int(data["level"])
         entries = data["entries"]
-        if level < 0:
-            raise ValueError(f"level {level} is negative")
         # fail before building anything of V_level's size; no list holds 3**64 entries
-        count = (3 ** (level + 1) + 3) // 2 if level < 64 else f"(3**{level + 1} + 3)/2"
+        count = _vertex_count(level)
         if level >= 64 or len(entries) < count:
             raise ValueError(f"at most {len(entries)} of the {count} vertices of level "
                              f"{level} have values")

@@ -523,17 +523,22 @@ def downward_tiles_touched(y: Fraction, level: int) -> set[LatticeTriangle]:
 # lattice indexing in unit-triangle coordinates (for measure cells)
 # ---------------------------------------------------------------------------
 
+_ROW_DIGITS = str.maketrans("012", "001")
+_COL_DIGITS = str.maketrans("012", "010")
+
+
 def delta_lattice_index(word: str) -> tuple[int, int]:
     """(row, col) of a construction triangle in the side-2**-n lattice.
 
     Basis u1 = 2**-n (1, 0), u2 = 2**-n (1/2, sqrt(3)/2); the first
-    vertex of any construction triangle is col*u1 + row*u2.
+    vertex of any construction triangle is col*u1 + row*u2.  Each step
+    doubles both (``lattice_child``) and symbol 2 adds one to the row,
+    symbol 1 to the column, so the row's binary digits mark the word's
+    2s and the column's its 1s.
     """
     check_address(word)
-    row = col = 0
-    for ch in word:
-        row, col = lattice_child(row, col, int(ch))
-    return (row, col)
+    return (int(word.translate(_ROW_DIGITS) or "0", 2),
+            int(word.translate(_COL_DIGITS) or "0", 2))
 
 
 _CELL_NEIGHBOR_OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))

@@ -1,6 +1,7 @@
 """Piecewise affine functions: evaluation, subdivision, certificates."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -251,6 +252,37 @@ def test_grid_keys_checked_at_construction():
         PiecewiseAffineFn(1, {**grid, (4, 0): Fraction(1)})
     with pytest.raises(ValueError, match="level -1 is negative"):
         PiecewiseAffineFn(-1, {})
+
+
+def test_constructor_rejects_a_wrong_grid_before_building_the_index(monkeypatch):
+    # a grid of the wrong size cannot be valid: lattice arithmetic alone rejects it
+    def unreachable(level):
+        raise AssertionError(f"built the lattice index of level {level}")
+
+    monkeypatch.setattr(paf, "level_index", unreachable)
+    with pytest.raises(ValueError, match=r"1 of the 18236498188585393203 vertices of "
+                                         r"level 40 have values; \(0, 1\) has none"):
+        PiecewiseAffineFn(40, {(0, 0): Fraction(0)})
+    with pytest.raises(ValueError, match=r"key \(3, 3\) is not the lattice index"):
+        PiecewiseAffineFn(40, {(0, 0): Fraction(0), (3, 3): Fraction(1)})
+    with pytest.raises(ValueError, match=r"1 of the \(3\*\*65 \+ 3\)/2 vertices"):
+        PiecewiseAffineFn(64, {(0, 0): Fraction(0)})
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_lattice_arithmetic_matches_the_index(level):
+    vertices = level_index(level).vertices
+    assert list(paf._sorted_vertices(level)) == sorted(vertices)
+    side = 1 << level
+    assert {(row, col) for row in range(-1, side + 2) for col in range(-1, side + 2)
+            if paf._is_vertex(level, (row, col))} == vertices.keys()
+    grid = dict.fromkeys(vertices, Fraction(0))
+    last = max(vertices)
+    del grid[last]
+    message = (f"{len(grid)} of the {len(vertices)} vertices of level {level} have "
+               f"values; {last} has none")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PiecewiseAffineFn(level, grid)
 
 
 def test_eval_lattice_and_field_weights_agree():

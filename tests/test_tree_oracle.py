@@ -20,6 +20,7 @@ from holderlevels.levelset import (
     approx_level_set,
     extreme_pair,
 )
+from holderlevels.paf import affine_from_corners
 from holderlevels.triangles import boundary_family
 from test_kernel import corpus_fn, descend
 
@@ -67,20 +68,8 @@ def walk(build):
         return err
 
 
-@given(st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=5),
-       st.sampled_from([1, 2]), st.integers(min_value=1, max_value=3 * 2**24 - 1),
-       st.data())
-@settings(max_examples=60, deadline=None)
-def test_tree_matches_fraction_walk(seed, level, l, k, data):
-    fn = corpus_fn(seed, level)
-    depth = level + data.draw(st.integers(min_value=-1, max_value=4))
-    if data.draw(st.booleans()):
-        root = fn.corner_values("")
-        r = min(root) + (max(root) - min(root)) * F(k, 3 * 2**24)
-    else:
-        # a corner value: the walk collides if it reaches a triangle carrying it
-        word = data.draw(st.text(alphabet="012", min_size=1, max_size=level + 4))
-        r = fn.corner_values(word)[k % 3]
+def assert_tree_matches(fn, r, l: int, depth: int) -> None:
+    """The tree to ``depth`` and its measure are the Fraction walk's, or both collide alike."""
     expected = walk(lambda: oracle_levels(fn, r, l, depth))
     tree = walk(lambda: LevelSetTree(fn, r, l, depth=depth))
     if isinstance(expected, LevelCollisionError):
@@ -95,6 +84,10 @@ def test_tree_matches_fraction_walk(seed, level, l, k, data):
     for n, (want, want_mu) in enumerate(zip(expected, mus)):
         nodes = tree.nodes_at(n)
         assert [(v.word, v.kappa_exp) for v in nodes] == [(w, e) for w, e, _, _ in want]
+        if n < depth:
+            assert [[c.word for c in v.children] for v in nodes] == [
+                [w for w, _, _, parent in expected[n + 1] if parent == i]
+                for i in range(len(want))]
         assert [v.mu for v in nodes] == want_mu
         assert all(v.mu_den == tree.mu_denominators[n] for v in nodes)
         scale = tree.scale(n * l)
@@ -102,6 +95,43 @@ def test_tree_matches_fraction_walk(seed, level, l, k, data):
             assert tuple(F(c, scale) for c in v.corners) == vals == fn.corner_values(v.word)
     lhs = sum((F(1, 1 << e) for _, e, _, _ in expected[depth]), F(0))
     assert tree.conservation("", depth).lhs == lhs
+
+
+def draw_level(fn, data, k: int, min_word: int, max_word: int) -> Fraction:
+    """A non-dyadic level inside the root's hull, or a corner value (a collision)."""
+    if data.draw(st.booleans()):
+        root = fn.corner_values("")
+        return min(root) + (max(root) - min(root)) * F(k, 3 * 2**24)
+    # a corner value: the walk collides if it reaches a triangle carrying it
+    word = data.draw(st.text(alphabet="012", min_size=min_word, max_size=max_word))
+    return fn.corner_values(word)[k % 3]
+
+
+@given(st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=5),
+       st.sampled_from([1, 2]), st.integers(min_value=1, max_value=3 * 2**24 - 1),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_tree_matches_fraction_walk(seed, level, l, k, data):
+    fn = corpus_fn(seed, level)
+    depth = level + data.draw(st.integers(min_value=-1, max_value=4))
+    assert_tree_matches(fn, draw_level(fn, data, k, 1, level + 4), l, depth)
+
+
+@given(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=4),
+       st.sampled_from([1, 2, 3, 4]), st.integers(min_value=1, max_value=3 * 2**24 - 1),
+       st.data())
+@settings(max_examples=80, deadline=None)
+def test_digit_step_matches_fraction_walk(seed, level, l, k, data):
+    # at least two digit blocks below the function level; seed 4 is an
+    # affine function whose triangles keep three distinct corners, so its
+    # members below the level take the word loop
+    if seed < 4:
+        fn = corpus_fn(seed, level)
+    else:
+        fn = affine_from_corners(F(0), F(1), F(3), level=level)
+    depth = -(-level // l) + data.draw(st.integers(min_value=2, max_value=3 if l < 3 else 2))
+    # a collision value is a corner below the level, met inside the tree or not at all
+    assert_tree_matches(fn, draw_level(fn, data, k, level + 1, depth * l), l, depth)
 
 
 def test_dyadic_level_hits_a_vertex_value_below_the_function_level():
@@ -136,3 +166,30 @@ def test_tree_argument_must_match_the_call():
     with pytest.raises(ValueError, match="another function"):
         mass_distribution_lower(fn, r, BoundSearchParams(alpha=1.0, d1=F(1, 2), l=2), 1,
                                 tree=one)
+
+
+def test_refills_keep_every_filled_level():
+    # a fill continues from the deepest filled level; a shallower one leaves it be
+    fn = corpus_fn(0, 2)
+    root = fn.corner_values("")
+    r = min(root) + (max(root) - min(root)) * F(1, 3)
+    tree = LevelSetTree(fn, r, 1, depth=12).fill_measure(12)
+    once = [[v.mu for v in tree.nodes_at(n)] for n in range(13)]
+
+    def filled(depth):
+        assert len(tree.mu_denominators) == depth + 1
+        for n in range(depth + 1):
+            assert all(v.mu_den == tree.mu_denominators[n] for v in tree.nodes_at(n))
+
+    mass_distribution_lower(fn, r, BoundSearchParams(alpha=1.0, d1=F(1, 4), l=1), 2,
+                            tree=tree)
+    filled(12)
+    tree.fill_measure(5)
+    filled(12)
+    assert [[v.mu for v in tree.nodes_at(n)] for n in range(13)] == once
+    tree.fill_measure(14)
+    filled(14)
+    fresh = LevelSetTree(fn, r, 1).fill_measure(14)
+    assert [[v.mu for v in tree.nodes_at(n)] for n in range(15)] == [
+        [v.mu for v in fresh.nodes_at(n)] for n in range(15)]
+    assert tree.mu_denominators == fresh.mu_denominators

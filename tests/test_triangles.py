@@ -18,6 +18,7 @@ from holderlevels.triangles import (
     downward_tiles_touched,
     has_boundary_edge,
     iter_subdivision_addresses,
+    lattice_child,
     lattice_weights,
     line_crossing_count,
     line_crossing_count_geometric,
@@ -220,7 +221,24 @@ def test_delta_lattice_index():
     assert delta_lattice_index("1") == (0, 1)
     assert delta_lattice_index("2") == (1, 0)
     assert delta_lattice_index("11") == (0, 3)
+    assert delta_lattice_index("") == (0, 0)
     assert len(touching_up_cells(0, 0)) == 7
+
+
+@given(st.text(alphabet="012", max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_delta_lattice_index_reads_the_lattice_child_fold(word):
+    # the index is read from the word's digits; the reference folds lattice_child
+    row = col = 0
+    for ch in word:
+        row, col = lattice_child(row, col, int(ch))
+    assert delta_lattice_index(word) == (row, col)
+
+
+@pytest.mark.parametrize("word", ["3", "01a", "0 1", "1_0", "-1", "٣"])
+def test_delta_lattice_index_rejects_bad_symbols(word):
+    with pytest.raises(ValueError, match="invalid address"):
+        delta_lattice_index(word)
 
 
 def test_iter_matches_list():
