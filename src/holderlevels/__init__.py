@@ -55,11 +55,9 @@ from .cantor import (
 )
 from .triangles import (
     BoundaryFamilyL,
-    LatticeTriangle,
     boundary_family,
     line_crossing_count,
     line_crossing_count_geometric,
-    rescaling_similarity,
     subdivision_addresses,
     triangle_vertices,
 )

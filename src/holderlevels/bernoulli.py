@@ -17,32 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-def _binary_digits(x: Fraction):
-    """Binary digits of a rational x in [0, 1] until the remainder is zero.
-
-    The walk ends only for dyadic x.  The numerator is doubled against
-    the denominator, so no Fraction is built per digit.
-    """
-    num, den = x.numerator, x.denominator
-    while num:
-        num <<= 1
-        if num >= den:
-            num -= den
-            yield 1
-        else:
-            yield 0
-
-
-def digits_of_dyadic(x: Fraction) -> list[int]:
-    """Binary digits of a dyadic rational in [0, 1), through the last 1."""
-    x = Fraction(x)
-    if not 0 <= x < 1:
-        raise ValueError("expected a value in [0, 1)")
-    if x.denominator & (x.denominator - 1):
-        raise ValueError("not a dyadic rational (denominator is not a power of two)")
-    return list(_binary_digits(x))
-
-
 def dyadic_cylinder_mass(digits, p):
     """Mass p**(sum e) (1-p)**(sum (1-e)) of the cylinder with prefix ``digits``.
 
@@ -185,8 +159,3 @@ class BernoulliWitnessFn:
 def sample_digits(rng: random.Random, p: float, n: int) -> list[int]:
     """n i.i.d. digits that are 1 with probability p."""
     return [1 if rng.random() < p else 0 for _ in range(n)]
-
-
-def sample_dyadic(rng: random.Random, depth: int) -> Fraction:
-    """Uniform dyadic rational with ``depth`` digits."""
-    return Fraction(rng.randrange(1 << depth), 1 << depth)

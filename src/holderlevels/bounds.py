@@ -83,12 +83,6 @@ def feasible_l(alpha: float, d1) -> int:
     return l
 
 
-def lchoice_window(alpha: float) -> tuple[float, float]:
-    """The (lo, lo+1] window for l when d1 is essentially alpha/2."""
-    lo = (alpha / 2 * (1 + math.log(3 / alpha)) + math.log(2)) / (alpha / 2 * math.log(2))
-    return (lo, lo + 1)
-
-
 _MAX_DENOMINATOR = 64
 
 

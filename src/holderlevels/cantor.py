@@ -239,11 +239,6 @@ def _distance_sq(r, s) -> Fraction:
     return total
 
 
-def product_distance_sq(a: ProductPiece, b: ProductPiece) -> Fraction:
-    """Exact squared distance between two product cells."""
-    return _distance_sq(a.rectangle(), b.rectangle())
-
-
 def product_separated_structure(k_max: int) -> SeparatedStructure:
     """The (1/2, 1/4) structure of the product of the set with itself.
 

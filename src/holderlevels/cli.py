@@ -4,13 +4,14 @@ Every CSV artifact starts with a '#'-prefixed JSON line holding the
 fully resolved run configuration, so outputs are self-describing and a
 rerun with the same flags is byte-identical.  Exit status is 0 when
 every embedded invariant check passed, 1 when one failed, and 2 on bad
-input, which is reported in one line on stderr.
+input or an output that cannot be written, reported in one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from decimal import Decimal
@@ -50,32 +51,39 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _write(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout for None or '-'.
+
+    A failed write is a UsageError.  When stdout is the one that failed
+    (a closed pipe), it is pointed at the null device first, so the
+    interpreter's last flush at exit cannot fail again.
+    """
+    to_stdout = path is None or path == "-"
+    try:
+        if to_stdout:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w") as fh:
+                fh.write(text)
+    except OSError as exc:
+        if to_stdout:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise UsageError(f"cannot write {'stdout' if to_stdout else path}: {exc}")
+
+
 def write_csv(path: str | None, config: dict, header: list[str], rows) -> None:
     lines = ["# " + json.dumps(config, sort_keys=True)]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {path}: {exc}")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def write_json(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, default=_fmt) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {path}: {exc}")
+    _write(path, json.dumps(payload, sort_keys=True, indent=2, default=_fmt) + "\n")
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -132,6 +140,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_levelset(args) -> int:
     _check_function_args(args)
+    _require(args.r_count >= 0, "--r-count must be non-negative")
     config = {
         "command": "levelset", "seed": args.seed, "depth": args.depth,
         "l": args.l, "level": args.level, "r_count": args.r_count,
@@ -231,6 +240,7 @@ def cmd_witness(args) -> int:
     alpha = args.alpha
     _require(0 < alpha < 1, "witness runs need alpha in (0, 1): p must exceed 1/2")
     _require(args.digits >= 1, "--digits must be at least 1")
+    _require(args.trials >= 0, "--trials must be non-negative")
     p = 2.0 ** (-alpha)
     config = {"command": "witness", "alpha": alpha, "digits": args.digits,
               "trials": args.trials, "seed": args.seed}
@@ -321,11 +331,11 @@ def cmd_phase(args) -> int:
     }
     ok = True
     if search.first_feasible_k is not None:
-        print(f"feasible piecewise-constant approximation at "
-              f"k={search.first_feasible_k}")
+        _write(None, f"feasible piecewise-constant approximation at "
+                     f"k={search.first_feasible_k}\n")
     elif search.boundary:
-        print("boundary exponent: lhs/rhs ratio is constant up to the "
-              "K-dependent prefactor")
+        _write(None, "boundary exponent: lhs/rhs ratio is constant up to the "
+                     "K-dependent prefactor\n")
     else:
         ok = ok and search.monotone_infeasible
         c = Fraction(args.c).limit_denominator(10**6)
@@ -353,7 +363,7 @@ def cmd_phase(args) -> int:
             "guaranteed_interval_length": pert.guaranteed_interval_length,
         }
         state = "holds" if ok else "FAILS"
-        print(f"infeasible; perturbation certificate {state}")
+        _write(None, f"infeasible; perturbation certificate {state}\n")
     if args.out:
         write_json(args.out, report)
     return 0 if ok else 1
@@ -396,11 +406,8 @@ def cmd_selftest(args) -> int:
     cg = ct.capacity_gap(8, 0.75)
     checks.append(("capacity bounded", cg.direct_sum <= cg.closed_form_bound))
 
-    failures = 0
-    for name, ok in checks:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        failures += 0 if ok else 1
-    return 1 if failures else 0
+    _write(None, "".join(f"{'PASS' if ok else 'FAIL'}  {name}\n" for name, ok in checks))
+    return 0 if all(ok for _, ok in checks) else 1
 
 
 # ---------------------------------------------------------------------------

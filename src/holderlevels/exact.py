@@ -3,10 +3,9 @@
 Every vertex produced by midpoint subdivision of the unit equilateral
 triangle has coordinates of the form (a + b*sqrt(3)) / 2**k with integer
 a, b and k >= 0.  ``CoordQ3`` implements this ring with one canonical
-representative per value, so equality, hashing, ordering and containment
-predicates are exact.  ``QSqrt3`` is the enclosing field Q(sqrt(3)); it
-appears whenever ratios of ring elements are needed (barycentric
-weights, the similarity onto the rescaled triangle).
+representative per value, so equality, hashing and ordering are exact.
+``QSqrt3`` is the enclosing field Q(sqrt(3)); it holds the vertices of
+the rescaled triangle and coordinates given as field pairs.
 """
 
 from __future__ import annotations
@@ -329,11 +328,3 @@ class PointQ3:
 def midpoint(p: PointQ3, q: PointQ3) -> PointQ3:
     return PointQ3((p.x + q.x).half(), (p.y + q.y).half())
 
-
-def cross(origin: PointQ3, p: PointQ3, q: PointQ3) -> CoordQ3:
-    """Signed cross product (p - origin) x (q - origin); exact."""
-    ax = p.x - origin.x
-    ay = p.y - origin.y
-    bx = q.x - origin.x
-    by = q.y - origin.y
-    return ax * by - ay * bx

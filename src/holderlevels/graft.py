@@ -22,13 +22,7 @@ from fractions import Fraction
 
 from .bernoulli import BernoulliWitnessFn
 from .paf import PiecewiseAffineFn
-from .triangles import (
-    barycentric_weights,
-    delta_lattice_index,
-    lattice_weights,
-    locate,
-    triangle_vertices,
-)
+from .triangles import delta_lattice_index, lattice_weights, locate
 
 HOLDER_STEP_THRESHOLD = Fraction(1, 100)
 GRAFT_BUDGET = Fraction(1, 8)
@@ -96,29 +90,18 @@ class GraftedFn:
         The height of the rescaled image equals the barycentric weight
         of the apex corner, so no similarity arithmetic is needed.  The
         weights come from the point's lattice coordinates as Fractions
-        (``lattice_weights``), or in Q(sqrt(3)) for a point off the
-        lattice's rational grid.  The result is an exact Fraction
-        whenever that weight is rational and the witness parameter is
-        rational (and at vertices regardless, where the witness
-        contributes exactly 0 or 1).  ValueError when the point lies
-        outside the triangle (a negative weight).
+        (``lattice_weights``), so the height is a Fraction, and the
+        result is exact whenever the witness parameter is rational (and
+        at vertices regardless, where the witness contributes exactly 0
+        or 1).  ValueError when the point lies outside the triangle (a
+        negative weight) or has an irrational lattice coordinate.
         """
         vals = self.base.corner_values(word)
         labels = _repeated_value_labels(vals)
         ws = lattice_weights(point, *delta_lattice_index(word), len(word))
-        if ws is None:
-            ws = barycentric_weights(point, triangle_vertices(word))
-            outside = min(w.sign() for w in ws) < 0
-            height = ws[labels[2]]
-            # exactly in [0, 1] once no weight is negative; its float may round past
-            height = (height.as_fraction() if height.is_rational()
-                      else min(1.0, max(0.0, float(height))))
-        else:
-            outside = min(ws) < 0
-            height = ws[labels[2]]
-        if outside:
+        if min(ws) < 0:
             raise ValueError(f"point {point} lies outside triangle {word!r}")
-        phi = self.witness.value_at_height(height)
+        phi = self.witness.value_at_height(ws[labels[2]])
         gap = vals[labels[2]] - vals[labels[0]]
         anchor = vals[labels[0]]
         if isinstance(phi, Fraction) or isinstance(phi, int):

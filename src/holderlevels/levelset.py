@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -612,7 +611,3 @@ def well_conducting_census(fn: PiecewiseAffineFn, r, n: int, l: int, d1,
         threshold_exp=t,
         passed=count <= binomial_bound,
     )
-
-
-def level_set_to_json(level_set: ApproxLevelSet) -> str:
-    return json.dumps(level_set.to_json(), sort_keys=True)

@@ -22,9 +22,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .exact import _SQRT3_FLOAT, PointQ3, QSqrt3
+from .exact import _SQRT3_FLOAT, PointQ3
 from .triangles import (
-    barycentric_weights,
     cell_corners,
     check_address,
     delta_lattice_index,
@@ -32,7 +31,6 @@ from .triangles import (
     lattice_weights,
     level_index,
     locate,
-    triangle_vertices,
 )
 
 
@@ -249,25 +247,17 @@ class PiecewiseAffineFn:
     def eval(self, point) -> Fraction:
         """Exact value by barycentric interpolation.
 
-        Accepts a PointQ3 or a pair of Q(sqrt(3)) coordinates.  A PointQ3
-        with a rational x and a pure sqrt(3) multiple as y (every point of
-        the midpoint geometry) takes its weights from its lattice
-        coordinates, as Fractions; any other point falls back to weights
-        in Q(sqrt(3)).  Raises ValueError when the point is outside the
-        level-n approximation or when the exact value has an irrational
-        part (possible for points that are not rational combinations of
-        the containing triangle's corners).
+        Accepts a PointQ3 or a pair of QSqrt3 / Fraction coordinates.
+        The point's lattice coordinates locate its level-n cell
+        (``triangles.locate``) and give its weights there as Fractions
+        (``triangles.lattice_weights``).  Raises ValueError when the
+        point is outside the level-n approximation or has an irrational
+        lattice coordinate (x with a sqrt(3) part or y with a rational
+        part).
         """
-        word = locate(point, self.level)
-        row, col = delta_lattice_index(word)
-        vals = [self.grid[p] for p in cell_corners(row, col)]
+        row, col = delta_lattice_index(locate(point, self.level))
         ws = lattice_weights(point, row, col, self.level)
-        if ws is not None:
-            return sum(w * v for w, v in zip(ws, vals))
-        acc = QSqrt3(Fraction(0))
-        for w, v in zip(barycentric_weights(point, triangle_vertices(word)), vals):
-            acc = acc + w * QSqrt3(v)
-        return acc.as_fraction()
+        return sum(w * self.grid[p] for w, p in zip(ws, cell_corners(row, col)))
 
     # -- refinement ----------------------------------------------------
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from holderlevels.bernoulli import BernoulliWitnessFn, sample_dyadic
+from holderlevels.bernoulli import BernoulliWitnessFn
 from holderlevels.bounds import (
     box_count_dimension,
     census_constant,
@@ -49,6 +49,7 @@ from holderlevels.triangles import (
     line_crossing_count_geometric,
     triangle_vertices,
 )
+from helpers import sample_dyadic
 from test_kernel import census_fn
 
 F = Fraction

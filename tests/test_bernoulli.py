@@ -11,15 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 from holderlevels.bernoulli import (
     BernoulliWitnessFn,
-    _binary_digits,
     bernoulli_cdf,
     cdf_from_digits,
-    digits_of_dyadic,
     dyadic_cylinder_mass,
     p_for_holder_exponent,
     sample_digits,
-    sample_dyadic,
 )
+
+from helpers import _binary_digits, digits_of_dyadic, sample_dyadic
 
 rational_p = st.fractions(min_value=Fraction(1, 2), max_value=Fraction(63, 64),
                           max_denominator=64) \

@@ -18,7 +18,6 @@ from holderlevels.bounds import (
     census_constant,
     default_d1,
     feasible_l,
-    lchoice_window,
     lcondition_lhs,
     lower_bound,
     mass_distribution_lower,
@@ -28,6 +27,7 @@ from holderlevels.bounds import (
 from holderlevels.levelset import LevelCollisionError, LevelSetTree
 from holderlevels.paf import affine_from_corners, random_standard_paf
 from holderlevels.triangles import delta_lattice_index, touching_up_cells
+from helpers import lchoice_window
 from test_kernel import corpus_fn
 
 F = Fraction

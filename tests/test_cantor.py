@@ -21,10 +21,11 @@ from holderlevels.cantor import (
     interval_length,
     phase_perturbation,
     piecewise_constant_feasibility,
-    product_distance_sq,
     product_separated_structure,
     removal_length,
 )
+
+from helpers import product_distance_sq
 
 F = Fraction
 

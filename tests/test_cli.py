@@ -1,6 +1,7 @@
 """CLI: determinism, artifact formats, exit codes."""
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -179,6 +180,40 @@ def test_bounds_rejects_alpha_outside_unit_interval():
     _assert_usage_error(res, "bounds")
     assert "(0, 1]" in res.stderr
     _assert_usage_error(run_cli(["bounds", "--grid", "0.1:x:3"]), "bounds")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["levelset", "--r-count", "-3"], "--r-count"),
+    (["witness", "--alpha", "0.5", "--trials", "-1"], "--trials"),
+])
+def test_negative_counts_rejected(tmp_path, argv, option):
+    out = tmp_path / "out.csv"
+    res = run_cli([*argv, "--out", str(out)])
+    _assert_usage_error(res, argv[0])
+    assert option in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "--alpha", "0.5", "--digits", "200", "--trials", "2", "--trace-out", "-"],
+    ["bounds", "--grid", "0.5", "--out", "-"],
+    ["phase", "--alpha", "0.4"],
+    ["selftest"],
+])
+def test_closed_stdout_pipe_is_a_usage_error(argv):
+    # the read end is closed before the CLI starts, so its first flush fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run([sys.executable, "-m", "holderlevels.cli", *argv],
+                             stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert res.returncode == 2
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1, res.stderr
+    assert lines[0].startswith(f"holderlevels {argv[0]}: error: cannot write stdout: ")
+    assert "Broken pipe" in lines[0]
 
 
 def test_levelset_rejects_level_zero(tmp_path):

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from holderlevels.exact import SQRT3, CoordQ3, PointQ3, QSqrt3, cross, midpoint
+from holderlevels.exact import SQRT3, CoordQ3, PointQ3, QSqrt3, midpoint
+
+from geometry_oracle import cross
 
 coords = st.builds(
     CoordQ3,

@@ -16,10 +16,11 @@ from holderlevels.levelset import (
     conservation_check,
     extreme_labeling,
     kappa_exponent,
-    level_set_to_json,
     well_conducting_census,
 )
 from holderlevels.paf import affine_from_corners, constant_fn, random_standard_paf
+
+from helpers import level_set_to_json
 
 F = Fraction
 

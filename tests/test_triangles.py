@@ -10,13 +10,8 @@ from hypothesis import given, settings, strategies as st
 from holderlevels.exact import CoordQ3, PointQ3, QSqrt3, midpoint
 from holderlevels.triangles import (
     ROOT_VERTICES,
-    LatticeTriangle,
-    barycentric_weights,
     boundary_family,
-    contains_point,
     delta_lattice_index,
-    downward_tiles_touched,
-    has_boundary_edge,
     iter_subdivision_addresses,
     lattice_child,
     lattice_weights,
@@ -24,10 +19,18 @@ from holderlevels.triangles import (
     line_crossing_count_geometric,
     level_index,
     locate,
-    rescaling_similarity,
     subdivision_addresses,
     touching_up_cells,
     triangle_vertices,
+)
+
+from geometry_oracle import (
+    LatticeTriangle,
+    barycentric_weights,
+    contains_point,
+    downward_tiles_touched,
+    has_boundary_edge,
+    rescaling_similarity,
 )
 
 words = st.text(alphabet="012", min_size=0, max_size=12)
@@ -271,8 +274,10 @@ def test_lattice_weights_match_field_weights(case, shift):
 
 def test_lattice_weights_need_a_lattice_point():
     centroid = (QSqrt3(Fraction(1, 2)), QSqrt3(0, Fraction(1, 6)))
-    assert lattice_weights(centroid, 0, 0, 0) is None
-    # a sqrt(3) part in x, or a rational part in y
-    assert lattice_weights(PointQ3(CoordQ3(0, 1, 2), CoordQ3(0)), 0, 0, 0) is None
-    assert lattice_weights(PointQ3(CoordQ3(1, 0, 1), CoordQ3(1, 0, 2)), 0, 0, 0) is None
+    assert lattice_weights(centroid, 0, 0, 0) == (Fraction(1, 3),) * 3
+    # a sqrt(3) part in x, or a rational part in y: an irrational lattice coordinate
+    with pytest.raises(ValueError, match="irrational lattice coordinate"):
+        lattice_weights(PointQ3(CoordQ3(0, 1, 2), CoordQ3(0)), 0, 0, 0)
+    with pytest.raises(ValueError, match="irrational lattice coordinate"):
+        lattice_weights(PointQ3(CoordQ3(1, 0, 1), CoordQ3(1, 0, 2)), 0, 0, 0)
     assert lattice_weights(ROOT_VERTICES[2], 0, 0, 0) == (0, 0, 1)
