@@ -17,7 +17,7 @@ import mpmath
 import numpy as np
 
 from .levelset import LevelSetTree, census_constant, checked_tree
-from .triangles import delta_lattice_index, touching_up_cells
+from .triangles import lattice_index_unchecked
 
 BIG_DIGITS = 50
 
@@ -179,10 +179,19 @@ def box_count_dimension(digits) -> DimensionEstimate:
 # finite-depth mass distribution verification
 # ---------------------------------------------------------------------------
 
+# (row, col) offsets of the seven upward cells sharing at least one
+# lattice vertex with an upward cell, itself first; the scatter order
+_CELL_NEIGHBOR_OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
+
+
 @dataclass
 class MassDistributionReport:
+    """``verified``: C stayed under its cap; ``feasible``: the triple is
+    feasible (``BoundSearchParams.feasible``), so the cell bound certifies s."""
+
     s: Fraction
     verified: bool
+    feasible: bool
     c_empirical: float
     worst_cell: tuple[int, int] | None
     worst_level: int | None
@@ -206,11 +215,14 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams,
     filled once to the deepest depth.  Each member adds its mass to the
     cells it touches; the touching relation is symmetric, so every cell
     ends up with the total of the members touching it.  Masses are the
-    integer numerators over the level's common denominator.  ``worst_cell``
-    is the first maximising cell in scatter order (the level's node
-    order, then the neighbour offset order) at the first depth that
-    reaches the maximum.  A ``tree`` must be one built for ``fn``, ``r``
-    and ``params.l``.
+    integer numerators over the level's common denominator.  A cell
+    (row, col) at depth n is keyed by the integer ((row + 1) << s) + col + 1
+    with s = n l + 2, so row and col in [-1, 2**(n l)] never carry into
+    each other and each neighbour offset is one integer added to the key.
+    ``worst_cell`` is the first maximising cell in scatter order (the
+    level's node order, then the neighbour offset order) at the first
+    depth that reaches the maximum.  A ``tree`` must be one built for
+    ``fn``, ``r`` and ``params.l``.
     """
     q, l, d1 = params.q, params.l, params.d1
     t = checked_tree(fn, r, l, tree).fill_measure(q * n_prime_max)
@@ -220,22 +232,31 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams,
     levels = []
     for n_prime in range(1, n_prime_max + 1):
         n = n_prime * q
-        cell_mass: dict[tuple[int, int], int] = {}
+        s = n * l + 2
+        base = (1 << s) + 1
+        deltas = [(dr << s) + dc for dr, dc in _CELL_NEIGHBOR_OFFSETS]
+        cell_mass: dict[int, int] = {}
+        get = cell_mass.get
         for node in t.nodes_at(n):
             m = node.mu_num
-            for cell in touching_up_cells(*delta_lattice_index(node.word)):
-                cell_mass[cell] = cell_mass.get(cell, 0) + m
-        cell, mass = max(cell_mass.items(), key=lambda item: item[1])
+            row, col = lattice_index_unchecked(node.word)
+            key = (row << s) + col + base
+            for d in deltas:
+                cell = key + d
+                cell_mass[cell] = get(cell, 0) + m
+        mass = max(cell_mass.values())
         # int / int is correctly rounded, so this is float(mu(U) 2**(n d1))
         quot = (mass << int(n * d1)) / t.mu_denominators[n]
         if quot > c_emp:
+            key = next(k for k, v in cell_mass.items() if v == mass)
             c_emp = quot
-            worst_cell = cell
+            worst_cell = ((key >> s) - 1, (key & ((1 << s) - 1)) - 1)
             worst_level = n
         levels.append(n)
     return MassDistributionReport(
         s=params.s,
         verified=c_emp <= c_cap,
+        feasible=params.feasible,
         c_empirical=c_emp,
         worst_cell=worst_cell,
         worst_level=worst_level,

@@ -33,6 +33,11 @@ class UsageError(Exception):
 # all: g = 7 takes seconds and hundreds of MB, and g + 1 four times that
 _MAX_GRID_LEVEL = 7
 
+# the trees and the census build and test the 3(2**l - 1) boundary words
+# as strings: l = 16 takes about 8 s and 230 MB at depth 2, each l + 1
+# doubles both, and it is the feasible l of BoundSearchParams.for_alpha(0.2)
+_MAX_L = 16
+
 
 def _require(ok: bool, message: str) -> None:
     if not ok:
@@ -115,7 +120,8 @@ def _alpha_grid(text: str) -> list[float]:
 def _check_function_args(args) -> None:
     """The seeded standard function and tree options shared by two commands."""
     _require(args.level >= 1, "--level must be at least 1")
-    _require(args.l >= 1, "--l must be at least 1")
+    _require(1 <= args.l <= _MAX_L,
+             f"--l must lie in 1..{_MAX_L}: each l + 1 doubles the boundary words")
     _require(args.depth >= 0, "--depth must be non-negative")
     _require(0 < args.alpha <= 1, "--alpha must lie in (0, 1]")
     _require(0 < args.c < float("inf"), "--c must be positive and finite")
@@ -309,7 +315,7 @@ def cmd_cantor(args) -> int:
 def cmd_phase(args) -> int:
     _require(0 < args.alpha <= 1, "--alpha must lie in (0, 1]")
     _require(0 < args.c < 1, "--c must lie in (0, 1)")
-    _require(args.M > 0, "--M must be positive")
+    _require(0 < args.M < float("inf"), "--M must be positive and finite")
     _require(args.k_cap >= 1, "--k-cap must be at least 1")
     _require(args.delta > 0, "--delta must be positive")
     _require(args.perturb_k >= 1, "--perturb-k must be at least 1")
@@ -349,7 +355,7 @@ def cmd_phase(args) -> int:
         try:
             cfg.validate()
         except ValueError as exc:
-            raise UsageError(f"--c {args.c:g} and --delta {args.delta:g}: {exc}")
+            raise UsageError(f"--c {args.c!r} and --delta {args.delta!r}: {exc}")
         grid = ct.cantor_grid(lambda x, y: c * x, args.grid_level)
         for x in (cfg.x1, cfg.x2):
             grid[(x, cfg.y1)] = c * x

@@ -37,15 +37,29 @@ def _boundary_words(l: int) -> tuple[str, ...]:
 _DIGIT_CACHE: dict[int, tuple] = {}
 
 
+def _split(incs) -> tuple[tuple[int, ...], int]:
+    """Child weights 2**(top - e) and their sum, from the children's kappa increments.
+
+    A node's measure goes to its children in proportion to their
+    conductivities 2**-e; top is the largest exponent among them.
+    """
+    top = max(incs, default=0)
+    weights = tuple(1 << (top - inc) for inc in incs)
+    return weights, sum(weights)
+
+
 def _digit_blocks(l: int) -> tuple:
     """Member children of a two-valued triangle below the function level.
 
-    ``_digit_blocks(l)[o][k]`` lists (boundary word, kappa increment) for
-    the words whose steps into the odd corner o spell the l binary digits
-    of k, in ``_boundary_words(l)`` order: all 2**l words over the other
-    two symbols for k = 0, only o**l for k = 2**l - 1, and the two words
-    o and one other symbol spell for a mixed block.  o**l and m**l, m the
-    smallest symbol other than o, are the extreme words and keep kappa.
+    ``_digit_blocks(l)[o][k]`` is (children, split).  The children are
+    (boundary word, kappa increment) for the words whose steps into the
+    odd corner o spell the l binary digits of k, in ``_boundary_words(l)``
+    order: all 2**l words over the other two symbols for k = 0, only o**l
+    for k = 2**l - 1, and the two words o and one other symbol spell for
+    a mixed block.  o**l and m**l, m the smallest symbol other than o,
+    are the extreme words and keep kappa.  The split is the block's
+    ``_split``: weight 2 for m**l and 1 for the others in the zero block
+    (sum 2**l + 1), (1,) for o**l and (1, 1) for a mixed block.
     """
     if l not in _DIGIT_CACHE:
         blocks = [[[] for _ in range(1 << l)] for _ in range(3)]
@@ -54,7 +68,9 @@ def _digit_blocks(l: int) -> tuple:
                 extremes = (str(o) * l, str(int(o == 0)) * l)
                 k = int("".join("1" if int(s) == o else "0" for s in w), 2)
                 blocks[o][k].append((w, int(w not in extremes)))
-        _DIGIT_CACHE[l] = tuple(tuple(map(tuple, by_k)) for by_k in blocks)
+        _DIGIT_CACHE[l] = tuple(
+            tuple((tuple(block), _split([inc for _, inc in block])) for block in by_k)
+            for by_k in blocks)
     return _DIGIT_CACHE[l]
 
 
@@ -159,16 +175,18 @@ class LevelSetNode:
     ``corners`` are the exact corner values as integers at the tree's
     scale for the word's length (``LevelSetTree.scale``); the measure is
     ``mu_num / mu_den``, with ``mu_den`` the common denominator of its
-    level once ``fill_measure`` has run.
+    level once ``fill_measure`` has run.  ``split`` is set when the node
+    is expanded: the children's weights and their sum (``_split``).
     """
 
-    __slots__ = ("word", "corners", "kappa_exp", "children", "mu_num", "mu_den")
+    __slots__ = ("word", "corners", "kappa_exp", "children", "split", "mu_num", "mu_den")
 
     def __init__(self, word: str, corners: tuple, kappa_exp: int):
         self.word = word
         self.corners = corners
         self.kappa_exp = kappa_exp
         self.children: list[LevelSetNode] = []
+        self.split: tuple[tuple[int, ...], int] | None = None
         self.mu_num: int | None = None
         self.mu_den = 1
 
@@ -207,12 +225,13 @@ class LevelSetTree:
     word is a member exactly when its steps into o spell the next l
     binary digits k = floor(2**l h) of h.  Its children are the block
     ``_digit_blocks(l)[o][k]``, all with the corners b' = b 2**l + k(a - b)
-    and a' = b' + (a - b).  When 2**l h is an integer the level hits a
-    vertex, and the node falls back to the word loop, which tests every
-    boundary word in order and names the first colliding one.  Members
-    above L, members whose children cross L and members with three
-    distinct corners (possible only in functions that are not standard)
-    take the word loop too.
+    and a' = b' + (a - b), and its split is the block's.  When 2**l h is
+    an integer the level hits a vertex, and the node falls back to the
+    word loop, which tests every boundary word in order and names the
+    first colliding one.  Members above L, members whose children cross L
+    and members with three distinct corners (possible only in functions
+    that are not standard) take the word loop too, which computes the
+    split from the children's kappa increments.
     """
 
     def __init__(self, fn: PiecewiseAffineFn, r, l: int = 1, depth: int = 0):
@@ -260,11 +279,13 @@ class LevelSetTree:
                         b, a = (b << l) + k * (a - b), (b << l) + (k + 1) * (a - b)
                         corners = ((a, b, b), (b, a, b), (b, b, a))[o]
                         word, exp = node.word, node.kappa_exp
+                        children, node.split = blocks[o][k]
                         node.children = [LevelSetNode(word + w, corners, exp + inc)
-                                         for w, inc in blocks[o][k]]
+                                         for w, inc in children]
                         nxt.extend(node.children)
                         continue
                 extreme_words = _extreme_words(node.corners, l)
+                incs = []
                 for w, steps in words:
                     word = node.word + w
                     if above:
@@ -278,10 +299,12 @@ class LevelSetTree:
                         raise LevelCollisionError(self.r, word)
                     if not (min(vals) < level < max(vals)):
                         continue
-                    exp = node.kappa_exp + (w not in extreme_words)
-                    child = LevelSetNode(word, vals, exp)
+                    inc = int(w not in extreme_words)
+                    child = LevelSetNode(word, vals, node.kappa_exp + inc)
                     node.children.append(child)
                     nxt.append(child)
+                    incs.append(inc)
+                node.split = _split(incs)
             self._levels.append(nxt)
             self.depth += 1
         return self
@@ -305,12 +328,14 @@ class LevelSetTree:
     def fill_measure(self, depth: int) -> "LevelSetTree":
         """Extend to ``depth`` and split unit mass down by conductivity.
 
-        Children of a node take mass in proportion to their weights
-        2**(e_max - e), over the weights' sum S.  Numerators are integers
-        over one denominator per level: the next level's is this one's
-        times the lcm of S over the level's nodes, kept in ``mu_denominators``.
-        A level's measure depends only on the levels above it, so a fill
-        continues from the deepest level already filled and never redoes one.
+        Children of a node take mass in proportion to the weights
+        2**(e_max - e) that ``extend`` recorded in the node's split, over
+        their sum S.  Numerators are integers over one denominator per
+        level: the next level's is this one's times the lcm of the level's
+        distinct S, kept in ``mu_denominators``, and a child of a node with
+        numerator u gets u (lcm / S) times its weight.  A level's measure
+        depends only on the levels above it, so a fill continues from the
+        deepest level already filled and never redoes one.
         """
         if self.root is None:
             raise ValueError("the root is not a member; no measure to build")
@@ -319,21 +344,16 @@ class LevelSetTree:
             self.root.mu_num, self.root.mu_den = 1, 1
             self.mu_denominators = [1]
         for level in range(len(self.mu_denominators) - 1, depth):
-            splits = []
-            lcm = 1
-            for node in self._levels[level]:
-                if not node.children:
-                    raise AssertionError(
-                        f"member {node.word!r} has no member children; "
-                        "the nesting invariant failed"
-                    )
-                top = max(c.kappa_exp for c in node.children)
-                weights = [1 << (top - c.kappa_exp) for c in node.children]
-                total = sum(weights)
-                lcm = math.lcm(lcm, total)
-                splits.append((node, weights, total))
+            nodes = self._levels[level]
+            totals = {node.split[1] for node in nodes}
+            if 0 in totals:
+                word = next(node.word for node in nodes if not node.children)
+                raise AssertionError(f"member {word!r} has no member children; "
+                                     "the nesting invariant failed")
+            lcm = math.lcm(*totals)
             den = self.mu_denominators[-1] * lcm
-            for node, weights, total in splits:
+            for node in nodes:
+                weights, total = node.split
                 unit = node.mu_num * (lcm // total)
                 for c, w in zip(node.children, weights):
                     c.mu_num, c.mu_den = unit * w, den

@@ -326,6 +326,12 @@ _ROW_DIGITS = str.maketrans("012", "001")
 _COL_DIGITS = str.maketrans("012", "010")
 
 
+def lattice_index_unchecked(word: str) -> tuple[int, int]:
+    """``delta_lattice_index`` of a word already known to be over {0,1,2}."""
+    return (int(word.translate(_ROW_DIGITS) or "0", 2),
+            int(word.translate(_COL_DIGITS) or "0", 2))
+
+
 def delta_lattice_index(word: str) -> tuple[int, int]:
     """(row, col) of a construction triangle in the side-2**-n lattice.
 
@@ -335,14 +341,5 @@ def delta_lattice_index(word: str) -> tuple[int, int]:
     symbol 1 to the column, so the row's binary digits mark the word's
     2s and the column's its 1s.
     """
-    check_address(word)
-    return (int(word.translate(_ROW_DIGITS) or "0", 2),
-            int(word.translate(_COL_DIGITS) or "0", 2))
+    return lattice_index_unchecked(check_address(word))
 
-
-_CELL_NEIGHBOR_OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
-
-
-def touching_up_cells(row: int, col: int) -> list[tuple[int, int]]:
-    """Upward cells sharing at least one lattice vertex with (row, col)."""
-    return [(row + dr, col + dc) for dr, dc in _CELL_NEIGHBOR_OFFSETS]

@@ -13,6 +13,12 @@ from holderlevels.cantor import ProductPiece, _distance_sq
 from holderlevels.levelset import ApproxLevelSet
 
 
+def touching_up_cells(row: int, col: int) -> list[tuple[int, int]]:
+    """Upward cells sharing at least one lattice vertex with (row, col)."""
+    return [(row + dr, col + dc)
+            for dr, dc in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))]
+
+
 def level_set_to_json(level_set: ApproxLevelSet) -> str:
     return json.dumps(level_set.to_json(), sort_keys=True)
 

@@ -26,8 +26,8 @@ from holderlevels.bounds import (
 )
 from holderlevels.levelset import LevelCollisionError, LevelSetTree
 from holderlevels.paf import affine_from_corners, random_standard_paf
-from holderlevels.triangles import delta_lattice_index, touching_up_cells
-from helpers import lchoice_window
+from holderlevels.triangles import delta_lattice_index
+from helpers import lchoice_window, touching_up_cells
 from test_kernel import corpus_fn
 
 F = Fraction
@@ -229,13 +229,16 @@ def oracle_mass_distribution(fn, r, params, n_prime_max, c_cap=8.0):
 
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=2, max_value=4),
        st.sampled_from([2, 4]), st.integers(min_value=1, max_value=3),
-       st.integers(min_value=1, max_value=3 * 2**24 - 1))
+       st.integers(min_value=1, max_value=3 * 2**24 - 1), st.sampled_from([1, 2, 3]))
 @settings(max_examples=25, deadline=None)
-def test_mass_distribution_matches_gather_oracle(seed, level, q, n_prime_max, k):
+def test_mass_distribution_matches_gather_oracle(seed, level, q, n_prime_max, k, l):
+    # the cell keys shift by the word length n l; at most 12 subdivision
+    # levels keep the Fraction oracle small
+    n_prime_max = min(n_prime_max, max(1, 12 // (q * l)))
     fn = corpus_fn(seed, level)
     root = fn.corner_values("")
     r = min(root) + (max(root) - min(root)) * F(k, 3 * 2**24)
-    params = BoundSearchParams(alpha=1.0, d1=F(1, q), l=1)
+    params = BoundSearchParams(alpha=1.0, d1=F(1, q), l=l)
     try:
         rep = mass_distribution_lower(fn, r, params, n_prime_max, c_cap=2.0)
     except LevelCollisionError:
@@ -260,3 +263,15 @@ def test_mass_distribution_tie_goes_to_first_scatter_cell():
     tied = sorted(c for c, m in masses[4].items() if m == 1)
     assert tied == [(13, 1), (14, 0), (14, 1), (15, 0)]
     assert (rep.worst_level, rep.worst_cell) == (4, (14, 0))
+
+
+def test_mass_distribution_reports_feasibility():
+    ramp = affine_from_corners(F(0), F(0), F(1), level=1)
+    feasible = BoundSearchParams.for_alpha(1.0)
+    assert (feasible.d1, feasible.l, feasible.q) == (F(1, 2), 6, 2)
+    rep = mass_distribution_lower(ramp, F(9, 10), feasible, n_prime_max=1)
+    assert rep.feasible and rep.verified
+    assert rep.s == F(1, 12)
+    infeasible = BoundSearchParams(alpha=1.0, d1=F(1, 2), l=1)
+    rep = mass_distribution_lower(ramp, F(9, 10), infeasible, n_prime_max=3)
+    assert not rep.feasible and rep.verified  # verified keeps its meaning: C under the cap

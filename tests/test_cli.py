@@ -252,6 +252,8 @@ def test_phase_rejects_alpha_above_one():
     (["phase", "--alpha", "0.6", "--delta", "0"], "--delta"),
     (["phase", "--alpha", "0.6", "--M", "-1"], "--M"),
     (["phase", "--alpha", "0.6", "--k-cap", "-1"], "--k-cap"),
+    (["phase", "--alpha", "0.4", "--M", "inf"], "--M"),
+    (["phase", "--alpha", "0.4", "--M", "nan"], "--M"),
 ])
 def test_cantor_and_phase_reject_bad_input(argv, option):
     res = run_cli(argv)
@@ -272,6 +274,33 @@ def test_phase_rejects_grid_level_above_cap(monkeypatch, capsys):
     assert err.splitlines() == [
         "holderlevels phase: error: --grid-level must lie in 0..7: "
         "each level costs about 4x the last"]
+
+
+def test_phase_c_message_prints_the_value_as_given():
+    # 0.999999999 rounds to c = 1 in the configuration; the message names the input
+    res = run_cli(["phase", "--alpha", "0.6", "--c", "0.999999999"])
+    _assert_usage_error(res, "phase")
+    assert "--c 0.999999999 " in res.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["levelset", "--depth", "2", "--l", "30", "--r-count", "1"],
+    ["conductivity-hist", "--depth", "3", "--l", "25"],
+    ["levelset", "--l", "17"],
+])
+def test_function_commands_reject_l_above_cap(monkeypatch, capsys, argv):
+    # rejected before any work: the boundary family is never built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built the boundary family before checking --l")
+
+    monkeypatch.setattr(cli.ls, "boundary_family", unreachable)
+    monkeypatch.setattr(cli.ls, "_boundary_words", unreachable)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"holderlevels {argv[0]}: error: --l must lie in 1..16: "
+        "each l + 1 doubles the boundary words"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,7 +20,6 @@ from holderlevels.triangles import (
     level_index,
     locate,
     subdivision_addresses,
-    touching_up_cells,
     triangle_vertices,
 )
 
@@ -32,6 +31,7 @@ from geometry_oracle import (
     has_boundary_edge,
     rescaling_similarity,
 )
+from helpers import touching_up_cells
 
 words = st.text(alphabet="012", min_size=0, max_size=12)
 
