@@ -2,7 +2,10 @@
 
 Exact geometry of the Sierpinski subdivision, conductivity-based lower
 bounds, the Bernoulli-measure upper-bound witness, separated-structure
-degeneracy and the fat-Cantor phase transition.
+degeneracy and the fat-Cantor phase transition.  The package holds what
+the CLI, the README and the benchmark run; the slow exact paths that
+check it (the Q(sqrt(3)) arithmetic, the whole-family enumeration, the
+IFS separated structure) are test oracles under ``tests/``.
 """
 
 from .exact import CoordQ3, PointQ3, QSqrt3
@@ -22,10 +25,6 @@ from .levelset import (
     LevelSetTree,
     LevelValue,
     approx_level_set,
-    conductivity,
-    conductivity_measure,
-    conservation_check,
-    extreme_labeling,
     kappa_exponent,
     well_conducting_census,
 )
@@ -41,14 +40,12 @@ from .bounds import (
     upper_bound,
 )
 from .cantor import (
-    AffineMap1D,
     FatCantorSet,
     PhaseTransitionConfig,
     SeparatedStructure,
     cantor_level,
     capacity_gap,
     feasibility_search,
-    ifs_separated_structure,
     phase_perturbation,
     piecewise_constant_feasibility,
     product_separated_structure,
@@ -58,7 +55,6 @@ from .triangles import (
     boundary_family,
     line_crossing_count,
     line_crossing_count_geometric,
-    subdivision_addresses,
     triangle_vertices,
 )
 

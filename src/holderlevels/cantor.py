@@ -25,8 +25,6 @@ _MATERIALIZATION_LIMIT = 1 << 22    # most intervals FatCantorSet.intervals buil
 _TERM_TOL = 1e-18                   # capacity_gap stops below this term size
 _MAX_TERMS = 100_000                # ... or after this many terms
 _BRUTE_LEVELS = 3                   # product levels checked pair by pair
-_IFS_LEVELS = 6                     # IFS levels that fix the constant K
-_IFS_BASE = (Fraction(0), Fraction(1))  # the interval every IFS map must keep
 
 
 def interval_length(n: int) -> Fraction:
@@ -285,122 +283,6 @@ def product_separated_structure(k_max: int) -> SeparatedStructure:
 
     return SeparatedStructure(nu=nu, rho=rho, K=K, family=family,
                               certificates=certificates)
-
-
-# -- bi-Lipschitz iterated function systems on the line ---------------------
-
-@dataclass(frozen=True)
-class AffineMap1D:
-    """x -> scale * x + offset; |scale| in (0, 1) for a contraction."""
-
-    scale: Fraction
-    offset: Fraction
-
-    def __call__(self, x: Fraction) -> Fraction:
-        return self.scale * x + self.offset
-
-    @property
-    def ratio(self) -> Fraction:
-        return abs(self.scale)
-
-    def image(self, interval: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-        a, b = self(interval[0]), self(interval[1])
-        return (min(a, b), max(a, b))
-
-
-@dataclass(frozen=True)
-class Cylinder:
-    word: tuple[int, ...]
-    hull: tuple[Fraction, Fraction]
-
-    @property
-    def diameter(self) -> Fraction:
-        return self.hull[1] - self.hull[0]
-
-
-def ifs_separated_structure(maps: list[AffineMap1D],
-                            self_similar: bool | None = None) -> SeparatedStructure:
-    """Separated structure of a strongly separated IFS attractor.
-
-    Every map must keep the base interval [0, 1] invariant.  Splits
-    cylinders until all diameters fall inside [nu**(k+1) |F|, nu**k |F|]
-    with nu the smallest ratio; the minimal image separation must be
-    positive.  For exact similarities the distance scale can match the
-    diameter scale (rho = nu); otherwise rho = nu**L with
-    L = log nu / log rho_star and rho_star the largest ratio.
-    """
-    if not maps:
-        raise ValueError("need at least one map")
-    for mp in maps:
-        if not 0 < mp.ratio < 1:
-            raise ValueError(f"map {mp} is not a contraction")
-        img = mp.image(_IFS_BASE)
-        if not (_IFS_BASE[0] <= img[0] and img[1] <= _IFS_BASE[1]):
-            raise ValueError(f"map {mp} does not keep the base interval invariant")
-    images = sorted(mp.image(_IFS_BASE) for mp in maps)
-    min_dist = None
-    for (a0, a1), (b0, b1) in zip(images, images[1:]):
-        gap = b0 - a1
-        if gap <= 0:
-            raise ValueError("images overlap or touch: strong separation fails")
-        min_dist = gap if min_dist is None else min(min_dist, gap)
-    nu = min(mp.ratio for mp in maps)
-    rho_star = max(mp.ratio for mp in maps)
-    if self_similar is None:
-        # equal-ratio systems take the similarity shortcut by default;
-        # callers may force either branch
-        self_similar = len({mp.ratio for mp in maps}) == 1
-    l_star = math.log(float(nu)) / math.log(float(rho_star))
-    if self_similar:
-        rho: Fraction | float = nu
-    else:
-        rho = float(nu) ** l_star if nu != rho_star else nu
-
-    diam_f = _IFS_BASE[1] - _IFS_BASE[0]
-
-    def family(k: int) -> list[Cylinder]:
-        target_hi = nu**k * diam_f
-        target_lo = nu ** (k + 1) * diam_f
-        done: list[Cylinder] = []
-        todo = [Cylinder((), _IFS_BASE)]
-        while todo:
-            cyl = todo.pop()
-            if cyl.diameter <= target_hi:
-                done.append(cyl)
-                continue
-            for i, mp in enumerate(maps):
-                todo.append(Cylinder(cyl.word + (i,), mp.image(cyl.hull)))
-        assert all(target_lo <= c.diameter <= target_hi for c in done)
-        return done
-
-    certificates: dict = {"min_image_distance": min_dist, "l_star": l_star,
-                          "levels": {}}
-    structure = SeparatedStructure(nu=nu, rho=rho, K=Fraction(1), family=family,
-                                   certificates=certificates)
-    # compute the K making the definition hold on levels 0.._IFS_LEVELS
-    k_needed = Fraction(1)
-    for k in range(0, _IFS_LEVELS + 1):
-        fam = family(k)
-        hulls = sorted(c.hull for c in fam)
-        min_gap = None
-        for (a0, a1), (b0, b1) in zip(hulls, hulls[1:]):
-            gap = b0 - a1
-            min_gap = gap if min_gap is None else min(min_gap, gap)
-        max_diam = max(c.diameter for c in fam)
-        certificates["levels"][k] = {"pieces": len(fam), "max_diameter": max_diam,
-                                     "min_gap": min_gap}
-        # diameter: < K nu^k ; distance: > rho^k / K; an irrational rho
-        # (general branch) is rationalized for the bookkeeping only
-        if max_diam > 0:
-            k_needed = max(k_needed, Fraction(max_diam, nu**k) * 2)
-        if min_gap is not None and min_gap > 0:
-            if isinstance(rho, Fraction):
-                rk = rho**k
-            else:
-                rk = Fraction(rho).limit_denominator(10**9) ** k
-            k_needed = max(k_needed, rk / min_gap * 2)
-    structure.K = k_needed
-    return structure
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,11 @@ _MAX_GRID_LEVEL = 7
 # doubles both, and it is the feasible l of BoundSearchParams.for_alpha(0.2)
 _MAX_L = 16
 
+# the function's level index and word tables hold (3**(L+1) - 1)/2 words:
+# levelset --depth 5 --r-count 1 (2-CPU Xeon, Python 3.11) took 1.5-2.0 s and
+# 140 MB at L = 10, 5.6 s and 340 MB at L = 11 and 15 s and 1.0 GB at L = 12
+_MAX_LEVEL = 11
+
 
 def _require(ok: bool, message: str) -> None:
     if not ok:
@@ -119,7 +124,8 @@ def _alpha_grid(text: str) -> list[float]:
 
 def _check_function_args(args) -> None:
     """The seeded standard function and tree options shared by two commands."""
-    _require(args.level >= 1, "--level must be at least 1")
+    _require(1 <= args.level <= _MAX_LEVEL,
+             f"--level must lie in 1..{_MAX_LEVEL}: each level costs about 3x the last")
     _require(1 <= args.l <= _MAX_L,
              f"--l must lie in 1..{_MAX_L}: each l + 1 doubles the boundary words")
     _require(args.depth >= 0, "--depth must be non-negative")

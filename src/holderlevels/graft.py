@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernoulli import BernoulliWitnessFn
+from .levelset import odd_corner
 from .paf import PiecewiseAffineFn
 from .triangles import delta_lattice_index, lattice_weights, locate
 
@@ -53,22 +54,22 @@ def graft_certificate_constant(lipschitz: float, alpha: float, n_prime: int) -> 
             * 3.0 * (2.0 / math.sqrt(3.0)) ** alpha)
 
 
+# (base1, base2, apex) by the odd corner: the apex, after the other two in order
+_LABELS_BY_ODD_CORNER = ((1, 2, 0), (0, 2, 1), (0, 1, 2))
+
+
 def _repeated_value_labels(values) -> tuple[int, int, int]:
     """Corner roles (base1, base2, apex) for a standard triangle.
 
-    The two corners with the repeated value become the base; ties pick
-    the smaller corner index first.  A constant triangle keeps the
-    identity labeling (its graft gap is zero anyway).
+    The apex is the odd corner (``levelset.odd_corner``) and the base the
+    two corners with the repeated value, in increasing order.  A constant
+    triangle keeps the identity labeling (its graft gap is zero anyway).
     """
-    q1, q2, q3 = values
-    if q1 == q2 == q3:
+    odd = odd_corner(values)
+    if odd is not None:
+        return _LABELS_BY_ODD_CORNER[odd[0]]
+    if values[0] == values[1] == values[2]:
         return (0, 1, 2)
-    if q1 == q2:
-        return (0, 1, 2)
-    if q2 == q3:
-        return (1, 2, 0)
-    if q1 == q3:
-        return (0, 2, 1)
     raise NotStandardError(f"no repeated corner value in {values!r}")
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .paf import PiecewiseAffineFn
-from .triangles import boundary_family, lattice_point, subdivision_addresses
+from .triangles import boundary_family, lattice_point
 
 _BOUNDARY_CACHE: dict[int, tuple[str, ...]] = {}
 
@@ -74,8 +74,12 @@ def _digit_blocks(l: int) -> tuple:
     return _DIGIT_CACHE[l]
 
 
-def _odd_corner(corners) -> tuple | None:
-    """(o, b, a) for corners equal to b except corner o, which is a; None otherwise."""
+def odd_corner(corners) -> tuple | None:
+    """(o, b, a) for corners equal to b except corner o, which is a.
+
+    None for a constant triple and for three distinct values.  The tree's
+    digit step and the graft's corner labels both read this one rule.
+    """
     c0, c1, c2 = corners
     if c0 == c1:
         return (2, c0, c2) if c2 != c0 else None
@@ -121,25 +125,6 @@ def _level_fraction(r) -> Fraction:
     return r.r if isinstance(r, LevelValue) else Fraction(r)
 
 
-@dataclass(frozen=True)
-class ExtremeLabeling:
-    """Designated extreme corners of a triangle.
-
-    ``vmin``/``vmax`` are corner indices (0..2); ties collapse to the
-    smallest index and are flagged; a constant triangle has no extreme
-    corners at all.
-    """
-
-    vmin: int | None
-    vmax: int | None
-    low_tie_collapsed: bool
-    high_tie_collapsed: bool
-
-    @property
-    def is_constant(self) -> bool:
-        return self.vmin is None
-
-
 def extreme_pair(values) -> tuple:
     """(vmin, vmax) corner indices, ties to the smallest; () if constant."""
     a, b, c = values
@@ -148,20 +133,6 @@ def extreme_pair(values) -> tuple:
     lo = 0 if a <= b and a <= c else (1 if b <= c else 2)
     hi = 0 if a >= b and a >= c else (1 if b >= c else 2)
     return (lo, hi)
-
-
-def extreme_labeling(values) -> ExtremeLabeling:
-    q = tuple(values)
-    pair = extreme_pair(q)
-    if not pair:
-        return ExtremeLabeling(None, None, False, False)
-    lo, hi = pair
-    return ExtremeLabeling(
-        vmin=lo,
-        vmax=hi,
-        low_tie_collapsed=q.count(q[lo]) > 1,
-        high_tie_collapsed=q.count(q[hi]) > 1,
-    )
 
 
 def _extreme_words(values, l: int) -> tuple[str, ...]:
@@ -271,7 +242,7 @@ class LevelSetTree:
             nxt: list[LevelSetNode] = []
             parent_level = level >> l           # exact once the parents are at or below L
             for node in self._levels[self.depth]:
-                split = None if above else _odd_corner(node.corners)
+                split = None if above else odd_corner(node.corners)
                 if split:
                     o, b, a = split
                     k, rem = divmod((parent_level - b) << l, a - b)
@@ -438,44 +409,18 @@ class ApproxLevelSet:
 
 
 def approx_level_set(fn: PiecewiseAffineFn, r, n: int, l: int = 1,
-                     method: str = "descendants",
                      tree: LevelSetTree | None = None) -> ApproxLevelSet:
-    """The n-th approximation of the level set.
-
-    ``descendants`` walks the member tree below the root (the object the
-    conductivity measure lives on).  ``full`` enumerates the whole
-    subdivision family and applies the membership test to every
-    triangle, which also finds members whose parents are not members;
-    feasible only while the family is small.  A ``tree`` passed to
-    ``descendants`` must be one built for ``fn``, ``r`` and ``l``.
+    """The n-th approximation of the level set: the members at depth n of
+    the tree below the root (the object the conductivity measure lives on),
+    with their measure where it has been filled.  A ``tree`` passed in must
+    be one built for ``fn``, ``r`` and ``l``.
     """
     r = _level_fraction(r)
-    if method == "descendants":
-        t = checked_tree(fn, r, l, tree)
-        t.extend(n)
-        members = {node.word: node.kappa_exp for node in t.nodes_at(n)}
-        mu = {
-            node.word: node.mu
-            for node in t.nodes_at(n)
-            if node.mu is not None
-        }
-        return ApproxLevelSet(r=r, n=n, l=l, members=members, mu=mu)
-    if method == "full":
-        members: dict[str, int] = {}
-        for word in subdivision_addresses(n, l, limit=300_000):
-            vals = _corner_values_checked(fn, word, r)
-            if min(vals) < r < max(vals):
-                members[word] = kappa_exponent(fn, word, l)
-        return ApproxLevelSet(r=r, n=n, l=l, members=members)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _corner_values_checked(fn: PiecewiseAffineFn, word: str, r: Fraction):
-    vals = fn.corner_values(word)
-    for v in vals:
-        if v == r:
-            raise LevelCollisionError(r, word)
-    return vals
+    t = checked_tree(fn, r, l, tree)
+    nodes = t.nodes_at(n)
+    members = {node.word: node.kappa_exp for node in nodes}
+    mu = {node.word: node.mu for node in nodes if node.mu is not None}
+    return ApproxLevelSet(r=r, n=n, l=l, members=members, mu=mu)
 
 
 def kappa_exponent(fn: PiecewiseAffineFn, word: str, l: int = 1) -> int:
@@ -499,42 +444,6 @@ def kappa_exponent(fn: PiecewiseAffineFn, word: str, l: int = 1) -> int:
             raise ValueError(f"{step!r} is not a boundary word at l={l}")
         exp += step not in _extreme_words(table[word[:min(i, fn.level)]], l)
     return exp
-
-
-def conductivity(fn: PiecewiseAffineFn, r, word: str, l: int = 1) -> Fraction:
-    """Conductivity of a member descendant; rejects non-descendants."""
-    r = _level_fraction(r)
-    tree = LevelSetTree(fn, r, l, depth=len(word) // l if word else 0)
-    if word == "":
-        if tree.root is None:
-            raise ValueError("the root is not a member for this level value")
-        return Fraction(1)
-    node = tree.find(word)
-    if node is None:
-        raise ValueError(f"{word!r} is not a member descendant of the root")
-    return node.kappa
-
-
-def conservation_check(fn: PiecewiseAffineFn, r, word: str, k: int,
-                       l: int = 1) -> ConservationResult:
-    """Weak conservation below one member triangle, exact arithmetic."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    r = _level_fraction(r)
-    tree = LevelSetTree(fn, r, l, depth=len(word) // l)
-    return tree.conservation(word, k)
-
-
-def conductivity_measure(fn: PiecewiseAffineFn, r, n: int,
-                         l: int = 1) -> dict[str, Fraction]:
-    """Mass assignment at depth n, proportional to conductivity.
-
-    The root carries mass 1 and every split conserves it, so the values
-    at each level sum to one; conservation makes each value at most the
-    triangle's conductivity.
-    """
-    t = LevelSetTree(fn, r, l).fill_measure(n)
-    return {node.word: node.mu for node in t.nodes_at(n)}
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,8 @@ import functools
 import heapq
 import math
 import random
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 
 import numpy as np
 
@@ -156,9 +154,7 @@ class PiecewiseAffineFn:
     (row, col) at scale 2**-level of each vertex of V_level, the point
     (2 col + row, row sqrt(3)) / 2**(level+1), to its value.  It is
     read-only after construction, because the word tables below are
-    derived from it on first use and never rebuilt.  ``values`` is a
-    derived view of the same table keyed by exact ``PointQ3`` points,
-    in the same order, built on first access.  Construction raises
+    derived from it on first use and never rebuilt.  Construction raises
     ValueError unless ``grid``'s keys are exactly the indices of V_level.
     """
 
@@ -169,18 +165,8 @@ class PiecewiseAffineFn:
         self.grid = grid
         self.standard = standard
         self.holder = holder
-        self._values: Mapping[PointQ3, Fraction] | None = None
         self._words: dict[str, tuple] | None = None
         self._int_words: tuple[int, dict[str, tuple]] | None = None
-
-    @property
-    def values(self) -> Mapping[PointQ3, Fraction]:
-        """Read-only view of ``grid`` keyed by exact points, built once."""
-        if self._values is None:
-            self._values = MappingProxyType({
-                lattice_point(row, col, self.level): v
-                for (row, col), v in self.grid.items()})
-        return self._values
 
     # -- the corner-value kernel -----------------------------------------
 
@@ -415,7 +401,8 @@ class HolderCertificate:
 def _vertex_points(depth: int):
     """Lattice indices and floats x, y of V_depth in ``level_index(depth)``'s order.
 
-    Read-only and shared by every function.  As in ``CoordQ3.__float__``,
+    Read-only and shared by every function.  Each exact coordinate
+    (a + b sqrt(3)) / 2**k is rounded as float(a / 2**k) + float(b / 2**k) * sqrt(3):
     x = (2 col + row) / 2**(depth+1) and y = 0.0 + row / 2**(depth+1) * sqrt(3).
     """
     index = np.array(list(level_index(depth).vertices), dtype=np.int64)

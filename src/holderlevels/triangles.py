@@ -237,27 +237,6 @@ def boundary_family(l: int) -> BoundaryFamilyL:
     return BoundaryFamilyL(l=l, addresses=out)
 
 
-def iter_subdivision_addresses(n: int, l: int = 1):
-    """Addresses of the n-th level of the boundary sub-fractal.
-
-    Words of length n*l obtained by concatenating n boundary words;
-    there are (3*(2**l - 1))**n of them.  With l = 1 this is the full
-    family of 3**n level-n addresses.
-    """
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    fam = boundary_family(l).addresses
-    for combo in itertools.product(fam, repeat=n):
-        yield "".join(combo)
-
-
-def subdivision_addresses(n: int, l: int = 1, limit: int = 2_000_000) -> list[str]:
-    count = (3 * (2**l - 1)) ** n
-    if count > limit:
-        raise ValueError(f"family of size {count} exceeds materialization limit")
-    return list(iter_subdivision_addresses(n, l))
-
-
 # ---------------------------------------------------------------------------
 # lattice counts for horizontal lines
 # ---------------------------------------------------------------------------
@@ -280,18 +259,6 @@ def line_crossing_count(digits) -> int:
     return count
 
 
-def rescaled_construction_triangles(level: int):
-    """Vertex triples of the rescaled-triangle construction at ``level``.
-
-    The lattice point (row, col) at scale 2**-level maps to col f1 + row f2,
-    f1 and f2 the second and third rescaled vertices over 2**level.
-    """
-    unit, index = 1 << level, level_index(level)
-    return [tuple((QSqrt3(0, Fraction(2 * c + r, 3 * unit)), QSqrt3(Fraction(r, unit)))
-                  for r, c in cell_corners(*index.cells[i]))
-            for i in index.layers[level]]
-
-
 def _check_line_height(y: Fraction, level: int) -> Fraction:
     y = Fraction(y)
     if not 0 < y < 1:
@@ -306,16 +273,15 @@ def _check_line_height(y: Fraction, level: int) -> Fraction:
 def line_crossing_count_geometric(y: Fraction, level: int) -> int:
     """Brute-force count of level-``level`` construction triangles crossed.
 
-    Cross-checks the digit law by exact line/triangle intersection: the
-    vertex heights are rational, so the open-interval test is exact.
+    Cross-checks the digit law by geometry: the rescaled construction
+    triangle of cell (row, col) spans the heights row/2**level to
+    (row + 1)/2**level, so the line crosses the cells of
+    ``level_index(level)`` whose rows straddle y 2**level.
     """
     y = _check_line_height(y, level)
-    count = 0
-    for vs in rescaled_construction_triangles(level):
-        heights = [v[1].as_fraction() for v in vs]
-        if min(heights) < y < max(heights):
-            count += 1
-    return count
+    row = math.floor(y * (1 << level))
+    index = level_index(level)
+    return sum(index.cells[i][0] == row for i in index.layers[level])
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,26 @@ Each one used to live in the library beside the code it exercises; no
 library path, benchmark or tool calls them.
 """
 
+import itertools
 import json
 import math
 import random
+import weakref
+from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
-from holderlevels.cantor import ProductPiece, _distance_sq
-from holderlevels.levelset import ApproxLevelSet
+from holderlevels.cantor import ProductPiece, SeparatedStructure, _distance_sq
+from holderlevels.levelset import (
+    ApproxLevelSet,
+    LevelCollisionError,
+    _level_fraction,
+    kappa_exponent,
+)
+from holderlevels.triangles import boundary_family, lattice_point
+
+_IFS_LEVELS = 6                     # IFS levels that fix the constant K
+_IFS_BASE = (Fraction(0), Fraction(1))  # the interval every IFS map must keep
 
 
 def touching_up_cells(row: int, col: int) -> list[tuple[int, int]]:
@@ -63,3 +76,173 @@ def sample_dyadic(rng: random.Random, depth: int) -> Fraction:
 def product_distance_sq(a: ProductPiece, b: ProductPiece) -> Fraction:
     """Exact squared distance between two product cells."""
     return _distance_sq(a.rectangle(), b.rectangle())
+
+
+_POINT_VALUES = weakref.WeakKeyDictionary()
+
+
+def point_values(fn):
+    """Read-only view of ``fn.grid`` keyed by exact points, in the same order."""
+    if fn not in _POINT_VALUES:
+        _POINT_VALUES[fn] = MappingProxyType({
+            lattice_point(row, col, fn.level): v for (row, col), v in fn.grid.items()})
+    return _POINT_VALUES[fn]
+
+
+def iter_subdivision_addresses(n: int, l: int = 1):
+    """Addresses of the n-th level of the boundary sub-fractal.
+
+    Words of length n*l obtained by concatenating n boundary words;
+    there are (3*(2**l - 1))**n of them.  With l = 1 this is the full
+    family of 3**n level-n addresses.
+    """
+    if n < 0:
+        raise ValueError("level must be >= 0")
+    fam = boundary_family(l).addresses
+    for combo in itertools.product(fam, repeat=n):
+        yield "".join(combo)
+
+
+def subdivision_addresses(n: int, l: int = 1, limit: int = 2_000_000) -> list[str]:
+    count = (3 * (2**l - 1)) ** n
+    if count > limit:
+        raise ValueError(f"family of size {count} exceeds materialization limit")
+    return list(iter_subdivision_addresses(n, l))
+
+
+def _corner_values_checked(fn, word: str, r: Fraction):
+    vals = fn.corner_values(word)
+    for v in vals:
+        if v == r:
+            raise LevelCollisionError(r, word)
+    return vals
+
+
+def full_level_set(fn, r, n: int, l: int = 1) -> ApproxLevelSet:
+    """The n-th approximation by the membership test on the whole family.
+
+    Enumerates every triangle of the n-th subdivision, so it also finds
+    members whose parents are not members; feasible only while the
+    family is small.
+    """
+    r = _level_fraction(r)
+    members: dict[str, int] = {}
+    for word in subdivision_addresses(n, l, limit=300_000):
+        vals = _corner_values_checked(fn, word, r)
+        if min(vals) < r < max(vals):
+            members[word] = kappa_exponent(fn, word, l)
+    return ApproxLevelSet(r=r, n=n, l=l, members=members)
+
+
+@dataclass(frozen=True)
+class AffineMap1D:
+    """x -> scale * x + offset; |scale| in (0, 1) for a contraction."""
+
+    scale: Fraction
+    offset: Fraction
+
+    def __call__(self, x: Fraction) -> Fraction:
+        return self.scale * x + self.offset
+
+    @property
+    def ratio(self) -> Fraction:
+        return abs(self.scale)
+
+    def image(self, interval: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
+        a, b = self(interval[0]), self(interval[1])
+        return (min(a, b), max(a, b))
+
+
+@dataclass(frozen=True)
+class Cylinder:
+    word: tuple[int, ...]
+    hull: tuple[Fraction, Fraction]
+
+    @property
+    def diameter(self) -> Fraction:
+        return self.hull[1] - self.hull[0]
+
+
+def ifs_separated_structure(maps: list[AffineMap1D],
+                            self_similar: bool | None = None) -> SeparatedStructure:
+    """Separated structure of a strongly separated IFS attractor.
+
+    Every map must keep the base interval [0, 1] invariant.  Splits
+    cylinders until all diameters fall inside [nu**(k+1) |F|, nu**k |F|]
+    with nu the smallest ratio; the minimal image separation must be
+    positive.  For exact similarities the distance scale can match the
+    diameter scale (rho = nu); otherwise rho = nu**L with
+    L = log nu / log rho_star and rho_star the largest ratio.
+    """
+    if not maps:
+        raise ValueError("need at least one map")
+    for mp in maps:
+        if not 0 < mp.ratio < 1:
+            raise ValueError(f"map {mp} is not a contraction")
+        img = mp.image(_IFS_BASE)
+        if not (_IFS_BASE[0] <= img[0] and img[1] <= _IFS_BASE[1]):
+            raise ValueError(f"map {mp} does not keep the base interval invariant")
+    images = sorted(mp.image(_IFS_BASE) for mp in maps)
+    min_dist = None
+    for (a0, a1), (b0, b1) in zip(images, images[1:]):
+        gap = b0 - a1
+        if gap <= 0:
+            raise ValueError("images overlap or touch: strong separation fails")
+        min_dist = gap if min_dist is None else min(min_dist, gap)
+    nu = min(mp.ratio for mp in maps)
+    rho_star = max(mp.ratio for mp in maps)
+    if self_similar is None:
+        # equal-ratio systems take the similarity shortcut by default;
+        # callers may force either branch
+        self_similar = len({mp.ratio for mp in maps}) == 1
+    l_star = math.log(float(nu)) / math.log(float(rho_star))
+    if self_similar:
+        rho: Fraction | float = nu
+    else:
+        rho = float(nu) ** l_star if nu != rho_star else nu
+
+    diam_f = _IFS_BASE[1] - _IFS_BASE[0]
+
+    def family(k: int) -> list[Cylinder]:
+        target_hi = nu**k * diam_f
+        target_lo = nu ** (k + 1) * diam_f
+        done: list[Cylinder] = []
+        todo = [Cylinder((), _IFS_BASE)]
+        while todo:
+            cyl = todo.pop()
+            if cyl.diameter <= target_hi:
+                done.append(cyl)
+                continue
+            for i, mp in enumerate(maps):
+                todo.append(Cylinder(cyl.word + (i,), mp.image(cyl.hull)))
+        assert all(target_lo <= c.diameter <= target_hi for c in done)
+        return done
+
+    certificates: dict = {"min_image_distance": min_dist, "l_star": l_star,
+                          "levels": {}}
+    structure = SeparatedStructure(nu=nu, rho=rho, K=Fraction(1), family=family,
+                                   certificates=certificates)
+    # compute the K making the definition hold on levels 0.._IFS_LEVELS
+    k_needed = Fraction(1)
+    for k in range(0, _IFS_LEVELS + 1):
+        fam = family(k)
+        hulls = sorted(c.hull for c in fam)
+        min_gap = None
+        for (a0, a1), (b0, b1) in zip(hulls, hulls[1:]):
+            gap = b0 - a1
+            min_gap = gap if min_gap is None else min(min_gap, gap)
+        max_diam = max(c.diameter for c in fam)
+        certificates["levels"][k] = {"pieces": len(fam), "max_diameter": max_diam,
+                                     "min_gap": min_gap}
+        # diameter: < K nu^k ; distance: > rho^k / K; an irrational rho
+        # (general branch) is rationalized for the bookkeeping only
+        if max_diam > 0:
+            k_needed = max(k_needed, Fraction(max_diam, nu**k) * 2)
+        if min_gap is not None and min_gap > 0:
+            if isinstance(rho, Fraction):
+                rk = rho**k
+            else:
+                rk = Fraction(rho).limit_denominator(10**9) ** k
+            k_needed = max(k_needed, rk / min_gap * 2)
+    structure.K = k_needed
+    return structure

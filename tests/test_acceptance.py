@@ -49,7 +49,7 @@ from holderlevels.triangles import (
     line_crossing_count_geometric,
     triangle_vertices,
 )
-from helpers import sample_dyadic
+from helpers import point_values, sample_dyadic
 from test_kernel import census_fn
 
 F = Fraction
@@ -201,7 +201,7 @@ def test_criterion_06_witness_holder():
 
 def _graft_base_agreement(gf, base, n_prime: int) -> bool:
     """Exhaustive check over every level-n' triangle, exact arithmetic."""
-    stack = [("", tuple(base.values[p] for p in triangle_vertices("")))]
+    stack = [("", tuple(point_values(base)[p] for p in triangle_vertices("")))]
     while stack:
         word, vals = stack.pop()
         if len(word) == n_prime:
@@ -219,7 +219,7 @@ def _graft_base_agreement(gf, base, n_prime: int) -> bool:
         for sym in range(3):
             if len(word) + 1 <= base.level:
                 pts = triangle_vertices(word + str(sym))
-                cvals = tuple(base.values[p] for p in pts)
+                cvals = tuple(point_values(base)[p] for p in pts)
             else:
                 anchor = vals[sym]
                 cvals = tuple((v + anchor) / 2 for v in vals)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holderlevels.cantor import (
-    AffineMap1D,
     FatCantorSet,
     ProductPiece,
     cantor_grid,
@@ -17,7 +16,6 @@ from holderlevels.cantor import (
     capacity_gap,
     cylinder_config,
     feasibility_search,
-    ifs_separated_structure,
     interval_length,
     phase_perturbation,
     piecewise_constant_feasibility,
@@ -25,7 +23,7 @@ from holderlevels.cantor import (
     removal_length,
 )
 
-from helpers import product_distance_sq
+from helpers import AffineMap1D, ifs_separated_structure, product_distance_sq
 
 F = Fraction
 

@@ -26,6 +26,7 @@ from holderlevels.paf import (
 )
 from holderlevels.triangles import lattice_vertices, triangle_vertices
 
+from geometry_oracle import ring
 from walk_oracle import walk
 
 F = Fraction
@@ -40,8 +41,8 @@ def oracle_vertex_arrays(fn, depth: int):
         for p, v in zip(triangle_vertices(word), vals):
             table[p] = v
     points = list(table)
-    xs = np.array([float(p.x) for p in points])
-    ys = np.array([float(p.y) for p in points])
+    xs = np.array([float(ring(p.x)) for p in points])
+    ys = np.array([float(ring(p.y)) for p in points])
     vs = np.array([float(table[p]) for p in points])
     return points, xs, ys, vs
 

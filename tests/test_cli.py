@@ -304,6 +304,25 @@ def test_function_commands_reject_l_above_cap(monkeypatch, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["levelset", "--level", "12", "--depth", "1", "--r-count", "1"],
+    ["conductivity-hist", "--level", "20", "--depth", "1"],
+    ["levelset", "--level", "13"],
+])
+def test_function_commands_reject_level_above_cap(monkeypatch, capsys, argv):
+    # rejected before any work: the function is never generated
+    def unreachable(*args, **kwargs):
+        raise AssertionError("generated the function before checking --level")
+
+    monkeypatch.setattr(cli, "random_standard_paf", unreachable)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"holderlevels {argv[0]}: error: --level must lie in 1..11: "
+        "each level costs about 3x the last"]
+
+
+@pytest.mark.parametrize("argv", [
     ["--depth", "-1"],
     ["--json-depth", "-2"],
     ["--depth", "23", "--json-depth", "23"],  # past the materialization limit

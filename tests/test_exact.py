@@ -1,4 +1,8 @@
-"""Exact arithmetic: canonical forms, ring closure, ordering."""
+"""Exact arithmetic: canonical forms, ring closure, ordering.
+
+The library keeps the value types; the ring and field operations are the
+test oracle's (``RingQ3``, ``FieldQ3``).
+"""
 
 import math
 from fractions import Fraction
@@ -6,12 +10,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from holderlevels.exact import SQRT3, CoordQ3, PointQ3, QSqrt3, midpoint
+from holderlevels.exact import CoordQ3, PointQ3, QSqrt3, midpoint
 
-from geometry_oracle import cross
+from geometry_oracle import SQRT3, FieldQ3, RingQ3, cross, dist_sq, field, ring
 
 coords = st.builds(
-    CoordQ3,
+    RingQ3,
     st.integers(min_value=-2**40, max_value=2**40),
     st.integers(min_value=-2**40, max_value=2**40),
     st.integers(min_value=0, max_value=40),
@@ -28,9 +32,9 @@ def test_canonical_form():
 
 
 def test_from_fraction_requires_dyadic():
-    assert CoordQ3.from_fraction(Fraction(3, 8)) == CoordQ3(3, 0, 3)
+    assert RingQ3.from_fraction(Fraction(3, 8)) == CoordQ3(3, 0, 3)
     with pytest.raises(ValueError):
-        CoordQ3.from_fraction(Fraction(1, 3))
+        RingQ3.from_fraction(Fraction(1, 3))
 
 
 @given(coords, coords)
@@ -52,11 +56,11 @@ def test_ordering_matches_floats(x, y):
 
 
 def test_sign_mixed_cases():
-    assert CoordQ3(-5, 3, 0).sign() == 1    # 3*sqrt(3) = 5.196 > 5
-    assert CoordQ3(-6, 3, 0).sign() == -1
-    assert CoordQ3(5, -3, 0).sign() == -1
-    assert CoordQ3(6, -3, 0).sign() == 1
-    assert CoordQ3(0, 0, 0).sign() == 0
+    assert RingQ3(-5, 3, 0).sign() == 1    # 3*sqrt(3) = 5.196 > 5
+    assert RingQ3(-6, 3, 0).sign() == -1
+    assert RingQ3(5, -3, 0).sign() == -1
+    assert RingQ3(6, -3, 0).sign() == 1
+    assert RingQ3(0, 0, 0).sign() == 0
 
 
 def test_sqrt3_squares_to_three():
@@ -72,26 +76,26 @@ def test_to_fraction_guards():
 
 
 def test_scale_pow2():
-    c = CoordQ3(3, 1, 2)
+    c = RingQ3(3, 1, 2)
     assert c.scale_pow2(2) == CoordQ3(3, 1, 0)
     assert c.scale_pow2(-1) == CoordQ3(3, 1, 3)
     assert c.half() == c.scale_pow2(-1)
 
 
 def test_qsqrt3_field_ops():
-    a = QSqrt3(Fraction(1, 2), Fraction(1, 3))
-    b = QSqrt3(Fraction(2), Fraction(-1, 5))
+    a = FieldQ3(Fraction(1, 2), Fraction(1, 3))
+    b = FieldQ3(Fraction(2), Fraction(-1, 5))
     assert (a * b) / b == a
     assert (a / b) * b == a
     assert float(a) == pytest.approx(0.5 + math.sqrt(3) / 3)
     with pytest.raises(ZeroDivisionError):
-        QSqrt3(Fraction(0)).inverse()
+        FieldQ3(Fraction(0)).inverse()
 
 
 def test_qsqrt3_rationality():
-    assert QSqrt3(Fraction(7, 3)).as_fraction() == Fraction(7, 3)
+    assert FieldQ3(Fraction(7, 3)).as_fraction() == Fraction(7, 3)
     with pytest.raises(ValueError):
-        QSqrt3(Fraction(1), Fraction(1)).as_fraction()
+        FieldQ3(Fraction(1), Fraction(1)).as_fraction()
 
 
 def test_point_ops():
@@ -99,12 +103,22 @@ def test_point_ops():
     q = PointQ3(CoordQ3(0), CoordQ3(0, 1, 0))
     m = midpoint(p, q)
     assert m == PointQ3(CoordQ3(1, 0, 1), CoordQ3(0, 1, 1))
-    assert p.dist_sq(q) == CoordQ3(4)  # 1 + 3
+    assert dist_sq(p, q) == CoordQ3(4)  # 1 + 3
     assert cross(q, p, m).sign() == 0  # collinear
 
 
 @given(coords, coords, coords, coords)
 def test_point_dist_symmetry(ax, ay, bx, by):
     p, q = PointQ3(ax, ay), PointQ3(bx, by)
-    assert p.dist_sq(q) == q.dist_sq(p)
-    assert p.dist_sq(q).sign() >= 0
+    assert dist_sq(p, q) == dist_sq(q, p)
+    assert dist_sq(p, q).sign() >= 0
+
+
+@given(coords)
+def test_lifts_equal_the_library_values(x):
+    # the oracle's types equal, and hash like, the library value they lift
+    c = CoordQ3(x.a, x.b, x.k)
+    assert ring(c) == c and c == ring(c) and hash(ring(c)) == hash(c)
+    q = QSqrt3(Fraction(x.a, 1 << x.k), Fraction(x.b, 1 << x.k))
+    assert field(c) == q and q == field(c) and hash(field(c)) == hash(q)
+    assert field(q) == FieldQ3.from_coord(c)

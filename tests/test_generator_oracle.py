@@ -28,6 +28,7 @@ from holderlevels.paf import (
 )
 from holderlevels.triangles import triangle_vertices
 
+from helpers import point_values
 from test_kernel import lattice_index
 
 _DISP_DENOM = 1 << 20
@@ -121,7 +122,7 @@ def assert_matches_oracle(seed: int, level: int, alpha: float, c: float, check: 
         return None
     fn = random_standard_paf(seed, level, alpha, c, check=check)
     assert (fn.level, fn.standard, fn.holder) == (level, True, holder)
-    assert list(fn.values.items()) == list(values.items())
+    assert list(point_values(fn).items()) == list(values.items())
     assert list(fn.word_table().items()) == list(table.items())
     d = math.lcm(*(v.denominator for vals in table.values() for v in vals))
     assert fn.int_word_table() == (d, {w: tuple(v.numerator * (d // v.denominator) for v in vals)

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from holderlevels.bernoulli import BernoulliWitnessFn
-from holderlevels.exact import SQRT3, CoordQ3, PointQ3, QSqrt3, midpoint
+from holderlevels.exact import CoordQ3, PointQ3, QSqrt3, midpoint
 from holderlevels.graft import graft
 from holderlevels.paf import affine_from_corners
 from holderlevels.triangles import (
@@ -29,6 +29,7 @@ from holderlevels.triangles import (
 )
 
 import geometry_oracle as oracle
+from geometry_oracle import SQRT3, FieldQ3, RingQ3
 
 F = Fraction
 
@@ -55,14 +56,14 @@ def field_points(draw):
     q = draw(st.integers(1, 12))
     wb, wc = F(draw(st.integers(-q, 2 * q)), q), F(draw(st.integers(-q, 2 * q)), q)
     ws = (1 - wb - wc, wb, wc)
-    return tuple(sum((w * v[axis] for w, v in zip(ws, corners)), QSqrt3(0))
+    return tuple(sum((w * v[axis] for w, v in zip(ws, corners)), FieldQ3(0))
                  for axis in (0, 1))
 
 
 def grid_point(r: Fraction, c: Fraction, ring: bool):
     """The point with lattice coordinates (R, C): a PointQ3 or a field pair."""
     if ring:
-        return PointQ3(CoordQ3.from_fraction(c + r / 2), CoordQ3.from_fraction(r / 2) * SQRT3)
+        return PointQ3(RingQ3.from_fraction(c + r / 2), RingQ3.from_fraction(r / 2) * SQRT3)
     return (QSqrt3(c + r / 2), QSqrt3(0, r / 2))
 
 

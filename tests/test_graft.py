@@ -1,5 +1,6 @@
 """Grafting: level thresholds, vertex agreement, certificate constants."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,16 +8,20 @@ from fractions import Fraction
 import pytest
 
 from holderlevels.bernoulli import BernoulliWitnessFn
-from holderlevels.exact import QSqrt3, midpoint
+from holderlevels.exact import midpoint
 from holderlevels.graft import (
     GRAFT_BUDGET,
     NotStandardError,
+    _repeated_value_labels,
     graft,
     graft_certificate_constant,
     min_graft_level,
 )
+from holderlevels.levelset import odd_corner
 from holderlevels.paf import affine_from_corners, random_standard_paf
 from holderlevels.triangles import ROOT_VERTICES, triangle_vertices
+
+import geometry_oracle as oracle
 
 
 def test_min_graft_level_example():
@@ -47,6 +52,19 @@ def test_graft_rejects_nonstandard():
     w = BernoulliWitnessFn.for_alpha(0.5)
     with pytest.raises(NotStandardError):
         graft(g, 20, w)
+    # the labels (base1, base2, apex) for every equality pattern of a triple:
+    # the apex is the odd corner, the base the other two in increasing order
+    F = Fraction
+    for values, labels in [((F(5), F(5), F(5)), (0, 1, 2)),
+                           ((F(1), F(1), F(2)), (0, 1, 2)), ((F(2), F(2), F(1)), (0, 1, 2)),
+                           ((F(2), F(1), F(1)), (1, 2, 0)), ((F(1), F(2), F(2)), (1, 2, 0)),
+                           ((F(1), F(2), F(1)), (0, 2, 1)), ((F(2), F(1), F(2)), (0, 2, 1))]:
+        assert _repeated_value_labels(values) == labels
+        odd = odd_corner(values)
+        assert odd is None if len(set(values)) == 1 else odd[0] == labels[2]
+    for values in itertools.permutations((F(0), F(1), F(2))):
+        with pytest.raises(NotStandardError):
+            _repeated_value_labels(values)
 
 
 def test_constant_base_grafts_to_constant():
@@ -108,7 +126,7 @@ def test_grafted_holder_ratio_within_constant():
     vals = [float(gf.value_in_triangle(word, p)) for p in pts]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            dist = math.sqrt(float(pts[i].dist_sq(pts[j])))
+            dist = math.sqrt(float(oracle.dist_sq(pts[i], pts[j])))
             if dist == 0:
                 continue
             ratio = abs(vals[i] - vals[j]) / dist**0.5
@@ -130,7 +148,7 @@ def test_value_in_triangle_rejects_a_point_outside():
     outside = triangle_vertices(parent)[1]     # weights (-1, 2, 0) in ``word``
     with pytest.raises(ValueError, match="outside triangle"):
         gf.value_in_triangle(word, outside)
-    field = (QSqrt3.from_coord(outside.x), QSqrt3.from_coord(outside.y))
+    field = (oracle.field(outside.x), oracle.field(outside.y))
     with pytest.raises(ValueError, match="outside triangle"):
         gf.value_in_triangle(word, field)
     inside = triangle_vertices(word)[1]

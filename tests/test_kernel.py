@@ -25,7 +25,6 @@ import pytest
 from holderlevels import triangles
 from holderlevels.exact import CoordQ3, PointQ3, midpoint
 from holderlevels.levelset import (
-    extreme_labeling,
     extreme_pair,
     kappa_exponent,
     well_conducting_census,
@@ -35,10 +34,11 @@ from holderlevels.triangles import (
     boundary_family,
     delta_lattice_index,
     locate,
-    subdivision_addresses,
     level_index,
     triangle_vertices,
 )
+
+from helpers import point_values, subdivision_addresses
 
 REPLAY_ROOT = (
     PointQ3(CoordQ3(0), CoordQ3(0)),
@@ -147,7 +147,7 @@ def census_fn(seed, level: int):
 def slow_corner_values(fn, word: str):
     pts = replay_vertices(word)
     if len(word) <= fn.level:
-        return tuple(fn.values[p] for p in pts)
+        return tuple(point_values(fn)[p] for p in pts)
     return tuple(fn.eval(p) for p in pts)
 
 
@@ -211,9 +211,9 @@ def test_walk_vertices_match_replay(seed, level, extra, data):
     # refine keys its values by the corners of the level_index cells
     fn = corpus_fn(seed, level)
     g = refined(seed, level, level + extra)
-    assert len(g.values) == (3 ** (g.level + 1) + 3) // 2
+    assert len(point_values(g)) == (3 ** (g.level + 1) + 3) // 2
     word = data.draw(st.text(alphabet="012", min_size=g.level, max_size=g.level))
-    assert tuple(g.values[p] for p in replay_vertices(word)) == slow_corner_values(fn, word)
+    assert tuple(point_values(g)[p] for p in replay_vertices(word)) == slow_corner_values(fn, word)
 
 
 @pytest.mark.parametrize("level", range(1, 7))
@@ -252,11 +252,7 @@ values = st.integers(min_value=-2, max_value=2).map(Fraction)
 @given(st.tuples(values, values, values))
 def test_extreme_pair_tie_rules(q):
     pair = extreme_pair(q)
-    lab = extreme_labeling(q)
     if len(set(q)) == 1:
-        assert pair == () and lab.is_constant
+        assert pair == ()
         return
     assert pair == (q.index(min(q)), q.index(max(q)))
-    assert (lab.vmin, lab.vmax) == pair
-    assert lab.low_tie_collapsed == (q.count(min(q)) > 1)
-    assert lab.high_tie_collapsed == (q.count(max(q)) > 1)

@@ -11,16 +11,13 @@ from holderlevels.levelset import (
     LevelSetTree,
     LevelValue,
     approx_level_set,
-    conductivity,
-    conductivity_measure,
-    conservation_check,
-    extreme_labeling,
+    extreme_pair,
     kappa_exponent,
     well_conducting_census,
 )
 from holderlevels.paf import affine_from_corners, constant_fn, random_standard_paf
 
-from helpers import level_set_to_json
+from helpers import full_level_set, level_set_to_json, subdivision_addresses
 
 F = Fraction
 
@@ -32,13 +29,9 @@ def ramp():
 
 
 def test_extreme_labeling_examples():
-    lab = extreme_labeling((F(0), F(1), F(2)))
-    assert (lab.vmin, lab.vmax) == (0, 2)
-    assert not lab.low_tie_collapsed and not lab.high_tie_collapsed
-    tie = extreme_labeling((F(0), F(0), F(1)))
-    assert (tie.vmin, tie.vmax) == (0, 2) and tie.low_tie_collapsed
-    const = extreme_labeling((F(5), F(5), F(5)))
-    assert const.is_constant and const.vmin is None
+    assert extreme_pair((F(0), F(1), F(2))) == (0, 2)
+    assert extreme_pair((F(0), F(0), F(1))) == (0, 2)     # the low tie goes to corner 0
+    assert extreme_pair((F(5), F(5), F(5))) == ()         # a constant triangle
 
 
 def test_level_value_collision():
@@ -62,7 +55,7 @@ def test_membership_examples(ramp):
 
 
 def test_full_membership_matches_hull_condition(ramp):
-    ls = approx_level_set(ramp, F(1, 3), 2, 1, method="full")
+    ls = full_level_set(ramp, F(1, 3), 2, 1)
     for word in ls.members:
         vals = ramp.corner_values(word)
         assert min(vals) < F(1, 3) < max(vals)
@@ -72,7 +65,7 @@ def test_membership_against_geometric_oracle_l2(ramp):
     # the ramp is 2/sqrt(3) times the height, so corner values can be
     # computed straight from vertex coordinates, independently of the
     # value-table averaging the level-set walk uses
-    from holderlevels.triangles import subdivision_addresses, triangle_vertices
+    from holderlevels.triangles import triangle_vertices
 
     r = F(1, 3)
     expected = {}
@@ -86,18 +79,18 @@ def test_membership_against_geometric_oracle_l2(ramp):
 
 
 def test_conductivity_examples(ramp):
-    assert conductivity(ramp, F(1, 3), "") == 1
-    assert conductivity(ramp, F(1, 3), "0") == 1       # designated low corner
-    assert conductivity(ramp, F(1, 3), "1") == F(1, 2)  # collapsed tie halves
-    with pytest.raises(ValueError):
-        conductivity(ramp, F(1, 3), "2")  # not a member for this level
+    tree = LevelSetTree(ramp, F(1, 3), 1, depth=1)
+    assert tree.root.kappa == 1
+    assert tree.find("0").kappa == 1       # designated low corner
+    assert tree.find("1").kappa == F(1, 2)  # collapsed tie halves
+    assert tree.find("2") is None           # not a member for this level
 
 
 def test_kappa_two_nonextreme_steps():
     f = affine_from_corners(F(0), F(1), F(2), level=2)
     # corner 1 is never extreme for this ramp, so two middle steps halve twice
     assert kappa_exponent(f, "11") == 2
-    assert conductivity(f, F(9, 8) + F(1, 3 * 2**10), "11") == F(1, 4)
+    assert LevelSetTree(f, F(9, 8) + F(1, 3 * 2**10), 1, depth=2).find("11").kappa == F(1, 4)
 
 
 def test_kappa_rejects_bad_words():
@@ -109,7 +102,7 @@ def test_kappa_rejects_bad_words():
 
 
 def test_conservation_example(ramp):
-    res = conservation_check(ramp, F(1, 3), "", 1)
+    res = LevelSetTree(ramp, F(1, 3), 1).conservation("", 1)
     assert res.lhs == F(3, 2) and res.rhs == 1 and res.passed
 
 
@@ -118,14 +111,18 @@ def test_conservation_equality_on_extreme_chain(ramp):
     # inherits conductivity, so the sum equals it at every depth
     r = F(9, 10)
     for k in (1, 2, 3):
-        res = conservation_check(ramp, r, "", k)
+        res = LevelSetTree(ramp, r, 1).conservation("", k)
         assert res.lhs == res.rhs == 1
 
 
 def test_measure_examples(ramp):
-    mu = conductivity_measure(ramp, F(1, 3), 1)
+    def measure(r, n):
+        tree = LevelSetTree(ramp, r, 1).fill_measure(n)
+        return {node.word: node.mu for node in tree.nodes_at(n)}
+
+    mu = measure(F(1, 3), 1)
     assert mu == {"0": F(2, 3), "1": F(1, 3)}
-    chain = conductivity_measure(ramp, F(9, 10), 3)
+    chain = measure(F(9, 10), 3)
     assert chain == {"222": F(1)}
 
 
@@ -169,7 +166,7 @@ def test_monotone_shrink_at_affine_scale():
     fn = random_standard_paf(3, 2, 0.5, 0.9, check=False)
     root = fn.corner_values("")
     r = min(root) + (max(root) - min(root)) * F(1, 3)
-    sets = {n: approx_level_set(fn, r, n, 1, method="full") for n in (2, 3, 4, 5)}
+    sets = {n: full_level_set(fn, r, n, 1) for n in (2, 3, 4, 5)}
     for n in (2, 3, 4):
         parents = set(sets[n].members)
         for word in sets[n + 1].members:
@@ -181,7 +178,7 @@ def test_descendants_subset_of_full(small_corpus):
     r, tree = pairs[0]
     n = min(depth, 3)
     desc = approx_level_set(fn, r, n, l, tree=tree)
-    full = approx_level_set(fn, r, n, l, method="full")
+    full = full_level_set(fn, r, n, l)
     assert set(desc.members) <= set(full.members)
     for w, e in desc.members.items():
         assert full.members[w] == e
@@ -196,8 +193,6 @@ def test_census_small_cases(ramp):
 
 def test_census_matches_direct_enumeration():
     fn = random_standard_paf(9, 3, 0.5, 0.9, check=False)
-    from holderlevels.triangles import subdivision_addresses
-
     for n, l in ((4, 1), (2, 2)):
         d1 = F(1, 2)
         res = well_conducting_census(fn, None, n, l, d1, alpha=0.5)

@@ -22,6 +22,7 @@ from holderlevels.levelset import (
 )
 from holderlevels.paf import affine_from_corners
 from holderlevels.triangles import boundary_family
+from helpers import point_values
 from test_kernel import corpus_fn, descend
 
 F = Fraction
@@ -139,7 +140,7 @@ def test_dyadic_level_hits_a_vertex_value_below_the_function_level():
     # a corner value two levels below L that is no vertex value at or
     # above it; the walk meets it first one level below L, on '100'
     r = fn.corner_values("1002")[2]
-    assert r not in fn.values.values()
+    assert r not in point_values(fn).values()
     assert r.denominator & (r.denominator - 1) == 0
     expected = walk(lambda: oracle_levels(fn, r, 1, 5))
     assert isinstance(expected, LevelCollisionError)

@@ -12,14 +12,12 @@ from holderlevels.triangles import (
     ROOT_VERTICES,
     boundary_family,
     delta_lattice_index,
-    iter_subdivision_addresses,
     lattice_child,
     lattice_weights,
     line_crossing_count,
     line_crossing_count_geometric,
     level_index,
     locate,
-    subdivision_addresses,
     triangle_vertices,
 )
 
@@ -27,11 +25,13 @@ from geometry_oracle import (
     LatticeTriangle,
     barycentric_weights,
     contains_point,
+    dist_sq,
     downward_tiles_touched,
     has_boundary_edge,
+    line_crossing_count_exact,
     rescaling_similarity,
 )
-from helpers import touching_up_cells
+from helpers import iter_subdivision_addresses, subdivision_addresses, touching_up_cells
 
 words = st.text(alphabet="012", min_size=0, max_size=12)
 
@@ -46,7 +46,7 @@ def test_root_vertices():
 def test_child_scaling():
     vs = triangle_vertices("0")
     assert vs[0] == ROOT_VERTICES[0]
-    assert all(vs[i].dist_sq(vs[j]) == CoordQ3(1, 0, 2)
+    assert all(dist_sq(vs[i], vs[j]) == CoordQ3(1, 0, 2)
                for i, j in ((0, 1), (1, 2), (0, 2)))
 
 
@@ -54,7 +54,7 @@ def test_apex_word():
     vs = triangle_vertices("22")
     apex = PointQ3(CoordQ3(1, 0, 1), CoordQ3(0, 1, 1))
     assert contains_point(vs, apex)
-    assert all(vs[i].dist_sq(vs[j]) == CoordQ3(1, 0, 4)
+    assert all(dist_sq(vs[i], vs[j]) == CoordQ3(1, 0, 4)
                for i, j in ((0, 1), (1, 2), (0, 2)))
 
 
@@ -63,7 +63,7 @@ def test_apex_word():
 def test_side_lengths_and_parent_containment(word):
     vs = triangle_vertices(word)
     side_sq = CoordQ3(1, 0, 2 * len(word))
-    assert all(vs[i].dist_sq(vs[j]) == side_sq for i, j in ((0, 1), (1, 2), (0, 2)))
+    assert all(dist_sq(vs[i], vs[j]) == side_sq for i, j in ((0, 1), (1, 2), (0, 2)))
     if word:
         parent = triangle_vertices(word[:-1])
         assert all(contains_point(parent, v) for v in vs)
@@ -174,6 +174,7 @@ def test_line_crossing_matches_geometry_exhaustive():
             y = Fraction(sum(d << (n - 1 - i) for i, d in enumerate(digits)), 1 << n)
             y += Fraction(1, 1 << (n + 1))
             assert line_crossing_count(digits) == line_crossing_count_geometric(y, n)
+            assert line_crossing_count_geometric(y, n) == line_crossing_count_exact(y, n)
 
 
 def test_line_crossing_matches_geometry_spot_deep():
@@ -183,6 +184,7 @@ def test_line_crossing_matches_geometry_spot_deep():
         y = Fraction(sum(d << (5 - i) for i, d in enumerate(digits)), 64)
         y += Fraction(1, 128)
         assert line_crossing_count(digits) == line_crossing_count_geometric(y, 6)
+        assert line_crossing_count_geometric(y, 6) == line_crossing_count_exact(y, 6)
 
 
 def test_line_crossing_rejects_dyadic():
