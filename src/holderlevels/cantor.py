@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -44,10 +45,19 @@ def removal_length(m: int) -> Fraction:
     return Fraction(1, ((1 << m) - 1) * ((1 << (m + 1)) - 1))
 
 
-@cache
-def _right_shift(m: int) -> Fraction:
-    """How far a right child at generation m sits from its parent's left end."""
-    return interval_length(m - 1) - interval_length(m)
+@lru_cache(maxsize=64)
+def _lattice(n: int) -> tuple[int, int, tuple[int, ...]]:
+    """(den, length, shifts): level n on the integer lattice 1/den.
+
+    den = lcm(2**j - 1, j <= n + 1), so the interval length
+    1/(2**(n+1) - 1) and each generation-m shift l_(m-1) - l_m of a right
+    child from its parent's left end, m = 1..n, are integers over it
+    (2**m - 1 and 2**(m+1) - 1 are coprime, and both divide den).
+    """
+    den = math.lcm(*((1 << j) - 1 for j in range(1, n + 2)))
+    shifts = tuple(den // ((1 << m) - 1) - den // ((1 << (m + 1)) - 1)
+                   for m in range(1, n + 1))
+    return den, den // ((1 << (n + 1)) - 1), shifts
 
 
 @dataclass(frozen=True)
@@ -55,8 +65,9 @@ class FatCantorSet:
     """Level-n stage: 2**n closed intervals of equal length.
 
     Bit n - m of an index stands for generation m; when it is set, the
-    left end moves right by ``_right_shift(m)``.  ``interval`` sums these
-    shifts for one index; ``intervals`` builds the level once from them.
+    left end moves right by the generation-m shift of ``_lattice(n)``.
+    ``interval`` sums these shifts for one index; ``intervals`` and
+    ``to_json`` build the level once from them, on integers.
     """
 
     n: int
@@ -76,18 +87,22 @@ class FatCantorSet:
     def interval(self, index: int) -> tuple[Fraction, Fraction]:
         if not 0 <= index < self.count:
             raise IndexError(f"interval index {index} out of range")
-        a = sum((_right_shift(self.n - b) for b in range(self.n) if index >> b & 1),
-                Fraction(0))
-        return (a, a + self.length)
+        den, length, shifts = _lattice(self.n)
+        a = sum(shifts[self.n - 1 - b] for b in range(self.n) if index >> b & 1)
+        return (Fraction(a, den), Fraction(a + length, den))
 
-    def intervals(self) -> list[tuple[Fraction, Fraction]]:
+    def _lefts(self) -> list[int]:
+        """Every left end, in order, as an integer over ``_lattice(n)``'s den."""
         if self.count > _MATERIALIZATION_LIMIT:
             raise ValueError(f"{self.count} intervals exceed the materialization limit")
-        lefts = [Fraction(0)]
-        for m in range(1, self.n + 1):
-            shift = _right_shift(m)
+        lefts = [0]
+        for shift in _lattice(self.n)[2]:
             lefts = [x for a in lefts for x in (a, a + shift)]
-        return [(a, a + self.length) for a in lefts]
+        return lefts
+
+    def intervals(self) -> list[tuple[Fraction, Fraction]]:
+        den, length, _ = _lattice(self.n)
+        return [(Fraction(a, den), Fraction(a + length, den)) for a in self._lefts()]
 
     def contains(self, x: Fraction) -> bool:
         x = Fraction(x)
@@ -111,10 +126,14 @@ class FatCantorSet:
         return removal_length(self.n)
 
     def to_json(self) -> list[list[str]]:
-        return [
-            [f"{a.numerator}/{a.denominator}", f"{b.numerator}/{b.denominator}"]
-            for a, b in self.intervals()
-        ]
+        """Each interval as two reduced fractions "num/den"."""
+        den, length, _ = _lattice(self.n)
+
+        def reduced(a: int) -> str:
+            g = math.gcd(a, den)
+            return f"{a // g}/{den // g}"
+
+        return [[reduced(a), reduced(a + length)] for a in self._lefts()]
 
 
 def cantor_level(n: int) -> FatCantorSet:
@@ -134,6 +153,12 @@ def cantor_tail_measure(interval_level: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # Hausdorff capacity of the complement
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=1 << 12)
+def _removal_log2(m: int) -> float:
+    """log2 of 1/r_m = (2**m - 1)(2**(m+1) - 1), one float per generation."""
+    return math.log2((1 << m) - 1) + math.log2((1 << (m + 1)) - 1)
+
 
 @dataclass
 class CapacityGap:
@@ -169,8 +194,7 @@ def capacity_gap(k: int, alpha: float) -> CapacityGap:
     while True:
         # term = 2**(m-k-1) * r_m**alpha, evaluated in log2 space so deep
         # generations neither overflow nor underflow
-        denom_log2 = math.log2((1 << m) - 1) + math.log2((1 << (m + 1)) - 1)
-        term_log2 = (m - k - 1) - alpha * denom_log2
+        term_log2 = (m - k - 1) - alpha * _removal_log2(m)
         last_term = 2.0**term_log2 if term_log2 < 512 else math.inf
         total += last_term
         terms += 1
@@ -228,15 +252,6 @@ class ProductPiece:
         return (cs.interval(self.ix), cs.interval(self.iy))
 
 
-def _distance_sq(r, s) -> Fraction:
-    """Exact squared distance between two rectangles, each a pair of intervals."""
-    total = Fraction(0)
-    for (a0, a1), (b0, b1) in zip(r, s):
-        gap = max(0, b0 - a1, a0 - b1)
-        total += gap * gap
-    return total
-
-
 def product_separated_structure(k_max: int) -> SeparatedStructure:
     """The (1/2, 1/4) structure of the product of the set with itself.
 
@@ -271,10 +286,18 @@ def product_separated_structure(k_max: int) -> SeparatedStructure:
             "distance_lower_law": lower,
         }
         if k <= _BRUTE_LEVELS:
-            rects = itertools.product(FatCantorSet(k).intervals(), repeat=2)
-            best = min(itertools.starmap(_distance_sq, itertools.combinations(rects, 2)))
-            assert best == r_k * r_k, (k, best)
-            certificates["levels"][k]["brute_min_distance_sq"] = best
+            # every pair of distinct cells, on the lattice 1/den: a pair's
+            # squared distance is the sum of its two squared axis gaps
+            den, length, _ = _lattice(k)
+            lefts = FatCantorSet(k)._lefts()
+            gap_sq = [[max(0, b - a - length, a - b - length) ** 2 for b in lefts]
+                      for a in lefts]
+            cells = itertools.product(range(len(lefts)), repeat=2)
+            best = min(gap_sq[ix][jx] + gap_sq[iy][jy]
+                       for (ix, iy), (jx, jy) in itertools.combinations(cells, 2))
+            if best != (r_k * den) ** 2:
+                raise AssertionError(f"brute distance check failed at level {k}")
+            certificates["levels"][k]["brute_min_distance_sq"] = Fraction(best, den * den)
 
     def family(k: int) -> list[ProductPiece]:
         if k < 2:
@@ -301,7 +324,12 @@ class FeasibilityResult:
 def piecewise_constant_feasibility(alpha: float, c: float, M: float,
                                    structure: SeparatedStructure,
                                    k: int) -> FeasibilityResult:
-    """Check 2 K M nu**k <= (1-c) (rho**k)**alpha / K**alpha at one level."""
+    """Check 2 K M nu**k <= (1-c) (rho**k)**alpha / K**alpha at one level.
+
+    While both sides are normal floats they are compared directly.  Deep
+    levels take them below the smallest normal float and then to 0.0, so
+    there the closed-form log2 of each side is compared instead.
+    """
     if not 0 < c < 1:
         raise ValueError("need 0 < c < 1")
     K = float(structure.K)
@@ -309,8 +337,13 @@ def piecewise_constant_feasibility(alpha: float, c: float, M: float,
     rho = float(structure.rho)
     lhs = 2 * K * M * nu**k
     rhs = (1 - c) / K**alpha * (rho**k) ** alpha
+    if min(lhs, rhs) >= sys.float_info.min:
+        feasible = lhs <= rhs
+    else:
+        feasible = (math.log2(2 * K * M) + k * math.log2(nu)
+                    <= math.log2(1 - c) - alpha * math.log2(K) + alpha * k * math.log2(rho))
     boundary = math.isclose(rho**alpha, nu, rel_tol=1e-12)
-    return FeasibilityResult(k=k, lhs=lhs, rhs=rhs, feasible=lhs <= rhs,
+    return FeasibilityResult(k=k, lhs=lhs, rhs=rhs, feasible=feasible,
                              boundary=boundary)
 
 
@@ -434,22 +467,13 @@ def phase_perturbation(grid: dict, config: PhaseTransitionConfig) -> Perturbatio
     if v1 not in grid or v2 not in grid:
         raise ValueError("grid must contain the top corners of the cylinder")
 
-    pts = list(grid)
-    xs = np.array([float(p[0]) for p in pts])
-    ys = np.array([float(p[1]) for p in pts])
-    base_ratio, _ = max_holder_ratio(xs, ys, np.array([float(grid[p]) for p in pts]),
-                                     config.alpha)
-    if base_ratio > float(c) * (1 + 1e-9):
-        raise ValueError(
-            f"base certificate fails: grid ratio {base_ratio:.6g} exceeds c = {float(c):.6g}"
-        )
-
     mirrored = grid[v1] > grid[v2]
+    rhs = (1 - c) * (x2 - x1)
 
     def ramp(x: Fraction) -> Fraction:
         if mirrored:
             if x < x1:
-                return (1 - c) * (x2 - x1)
+                return rhs
             if x <= x2:
                 return (1 - c) * (x2 - x)
             return Fraction(0)
@@ -457,12 +481,35 @@ def phase_perturbation(grid: dict, config: PhaseTransitionConfig) -> Perturbatio
             return Fraction(0)
         if x <= x2:
             return (1 - c) * (x - x1)
-        return (1 - c) * (x2 - x1)
+        return rhs
 
-    perturbed = {p: grid[p] + ramp(p[0]) for p in pts}
+    # one float per coordinate and one ramp per abscissa, memoised by object
+    # identity: the grid keeps each coordinate alive for the call,
+    # cantor_grid shares one object per coordinate value, and hashing a
+    # Fraction costs about three float conversions
+    floats: dict[int, float] = {}
+    ramps: dict[int, Fraction] = {}
+    xs, ys, values = [], [], []
+    for (x, y), v in grid.items():
+        for coord in (x, y):
+            if id(coord) not in floats:
+                floats[id(coord)] = float(coord)
+        if id(x) not in ramps:
+            ramps[id(x)] = ramp(x)
+        xs.append(floats[id(x)])
+        ys.append(floats[id(y)])
+        values.append(v + ramps[id(x)])
+    xs, ys = np.array(xs), np.array(ys)
+    base_ratio, _ = max_holder_ratio(xs, ys, np.array([float(v) for v in grid.values()]),
+                                     config.alpha)
+    if base_ratio > float(c) * (1 + 1e-9):
+        raise ValueError(
+            f"base certificate fails: grid ratio {base_ratio:.6g} exceeds c = {float(c):.6g}"
+        )
+
+    perturbed = dict(zip(grid, values))
     lhs = abs(perturbed[v1] - perturbed[v2])
-    rhs = (1 - c) * (x2 - x1)
-    pert_ratio, _ = max_holder_ratio(xs, ys, np.array([float(perturbed[p]) for p in pts]),
+    pert_ratio, _ = max_holder_ratio(xs, ys, np.array([float(v) for v in values]),
                                      config.alpha)
     cap = capacity_gap(config.k, config.alpha)
     return PerturbationReport(

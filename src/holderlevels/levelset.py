@@ -35,6 +35,7 @@ def _boundary_words(l: int) -> tuple[str, ...]:
 
 
 _DIGIT_CACHE: dict[int, tuple] = {}
+_STEPS_CACHE: dict[tuple[int, int], tuple] = {}
 
 
 def _split(incs) -> tuple[tuple[int, ...], int]:
@@ -62,16 +63,30 @@ def _digit_blocks(l: int) -> tuple:
     (sum 2**l + 1), (1,) for o**l and (1, 1) for a mixed block.
     """
     if l not in _DIGIT_CACHE:
-        blocks = [[[] for _ in range(1 << l)] for _ in range(3)]
-        for w in _boundary_words(l):
-            for o in range(3):
-                extremes = (str(o) * l, str(int(o == 0)) * l)
-                k = int("".join("1" if int(s) == o else "0" for s in w), 2)
-                blocks[o][k].append((w, int(w not in extremes)))
-        _DIGIT_CACHE[l] = tuple(
-            tuple((tuple(block), _split([inc for _, inc in block])) for block in by_k)
-            for by_k in blocks)
+        blocks = []
+        for o in range(3):
+            digits = str.maketrans("012", "".join("01"[s == o] for s in range(3)))
+            extremes = (str(o) * l, str(int(o == 0)) * l)
+            by_k: list[list] = [[] for _ in range(1 << l)]
+            for w in _boundary_words(l):
+                by_k[int(w.translate(digits), 2)].append((w, int(w not in extremes)))
+            blocks.append(tuple((tuple(block), _split([inc for _, inc in block]))
+                                for block in by_k))
+        _DIGIT_CACHE[l] = tuple(blocks)
     return _DIGIT_CACHE[l]
+
+
+def _word_steps(l: int, below: int) -> tuple:
+    """Each boundary word with the symbols of its last ``below`` steps, as ints.
+
+    The word loop applies those steps to corner values that lie below the
+    function level; the rest of a word is read from the word table.
+    """
+    key = (l, below)
+    if key not in _STEPS_CACHE:
+        _STEPS_CACHE[key] = tuple((w, tuple(map(int, w[l - below:])))
+                                  for w in _boundary_words(l))
+    return _STEPS_CACHE[key]
 
 
 def odd_corner(corners) -> tuple | None:
@@ -237,8 +252,7 @@ class LevelSetTree:
             level = self.r.numerator * self._denom << max(0, length - fn_level)
             above = length - l < fn_level       # the parents are table entries
             below = min(l, max(0, length - fn_level))
-            # each boundary word with the symbols of its steps below the level
-            words = [(w, tuple(map(int, w[l - below:]))) for w in _boundary_words(l)]
+            words = None                        # built when a node first needs the word loop
             nxt: list[LevelSetNode] = []
             parent_level = level >> l           # exact once the parents are at or below L
             for node in self._levels[self.depth]:
@@ -255,6 +269,8 @@ class LevelSetTree:
                                          for w, inc in children]
                         nxt.extend(node.children)
                         continue
+                if words is None:
+                    words = _word_steps(l, below)
                 extreme_words = _extreme_words(node.corners, l)
                 incs = []
                 for w, steps in words:

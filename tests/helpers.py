@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from holderlevels.cantor import ProductPiece, SeparatedStructure, _distance_sq
+from holderlevels.cantor import ProductPiece, SeparatedStructure
 from holderlevels.levelset import (
     ApproxLevelSet,
     LevelCollisionError,
@@ -71,6 +71,15 @@ def digits_of_dyadic(x: Fraction) -> list[int]:
 def sample_dyadic(rng: random.Random, depth: int) -> Fraction:
     """Uniform dyadic rational with ``depth`` digits."""
     return Fraction(rng.randrange(1 << depth), 1 << depth)
+
+
+def _distance_sq(r, s) -> Fraction:
+    """Exact squared distance between two rectangles, each a pair of intervals."""
+    total = Fraction(0)
+    for (a0, a1), (b0, b1) in zip(r, s):
+        gap = max(0, b0 - a1, a0 - b1)
+        total += gap * gap
+    return total
 
 
 def product_distance_sq(a: ProductPiece, b: ProductPiece) -> Fraction:

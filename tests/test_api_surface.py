@@ -45,6 +45,8 @@ REMOVED = {
     # cantor: the IFS structure and its option
     "ifs_separated_structure", "AffineMap1D", "Cylinder", "self_similar",
     "_IFS_LEVELS", "_IFS_BASE",
+    # cantor: the Fraction endpoint shift and the rectangle distance
+    "_right_shift", "_distance_sq",
     # exact and triangles: the ring and field arithmetic
     "SQRT3", "from_fraction", "from_coord", "sign", "is_rational", "as_fraction",
     "inverse", "dist_sq", "scale_pow2", "_coerce", "_is_power_of_two",

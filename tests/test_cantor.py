@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,8 @@ from holderlevels.cantor import (
     product_separated_structure,
     removal_length,
 )
+
+from holderlevels.cli import _alpha_grid
 
 from helpers import AffineMap1D, ifs_separated_structure, product_distance_sq
 
@@ -129,6 +132,31 @@ def _oracle_grid(fn, level: int) -> dict:
     return {(x, y): fn(x, y) for x in coords for y in coords}
 
 
+def _fraction_intervals(n: int) -> list[tuple[Fraction, Fraction]]:
+    """The level by the left/right recursion, one Fraction shift per generation."""
+    lefts = [F(0)]
+    for m in range(1, n + 1):
+        shift = interval_length(m - 1) - interval_length(m)
+        lefts = [x for a in lefts for x in (a, a + shift)]
+    return [(a, a + interval_length(n)) for a in lefts]
+
+
+def test_lattice_matches_fraction_recursion():
+    for n in range(13):
+        cs = cantor_level(n)
+        ref = _fraction_intervals(n)
+        got = cs.intervals()
+        assert got == ref
+        assert all(type(x) is Fraction for iv in got for x in iv)
+        assert cs.to_json() == [[f"{a.numerator}/{a.denominator}",
+                                 f"{b.numerator}/{b.denominator}"] for a, b in ref]
+    rng = random.Random(29)
+    for n in (20, 29):
+        cs = cantor_level(n)
+        for index in [0, 1, cs.count - 1] + [rng.randrange(cs.count) for _ in range(40)]:
+            assert cs.interval(index) == _replay_interval(n, index), (n, index)
+
+
 def test_intervals_match_replay():
     for n in range(13):
         assert cantor_level(n).intervals() == [_replay_interval(n, i) for i in range(1 << n)]
@@ -177,6 +205,36 @@ def test_tail_measure():
     vals = [(2 ** (j - 3)) * interval_length(j) for j in range(4, 24)]
     assert all(x > y for x, y in zip(vals, vals[1:]))
     assert abs(vals[-1] - F(1, 16)) < F(1, 10**5)
+
+
+def _capacity_reference(k: int, alpha: float) -> tuple[float, int, float]:
+    """(direct_sum, terms, truncation_tail) with every generation's log2 computed afresh."""
+    total, m, terms = 0.0, k + 1, 0
+    diverges = alpha <= 0.5
+    while True:
+        denom_log2 = math.log2((1 << m) - 1) + math.log2((1 << (m + 1)) - 1)
+        term_log2 = (m - k - 1) - alpha * denom_log2
+        last = 2.0**term_log2 if term_log2 < 512 else math.inf
+        total += last
+        terms += 1
+        m += 1
+        if diverges:
+            if terms >= 200 or total > 1e15:
+                break
+        elif last < 1e-18 or terms >= 100_000:
+            break
+    decay = 2.0 ** (1 - 2 * alpha)
+    tail = last * decay / (1 - decay) if decay < 1 else math.inf
+    return total, terms, tail
+
+
+def test_capacity_matches_uncached_formula():
+    for alpha in _alpha_grid("0.55:1.0:10") + [0.4, 0.5, 0.51]:
+        for k in range(1, 30):
+            cg = capacity_gap(k, alpha)
+            # == on floats: bit for bit, as no value is a NaN or a signed zero
+            assert (cg.direct_sum, cg.terms, cg.truncation_tail) == \
+                _capacity_reference(k, alpha), (k, alpha)
 
 
 def test_capacity_examples():
@@ -288,6 +346,28 @@ def test_feasibility_infeasible_and_boundary():
         piecewise_constant_feasibility(0.5, 1.0, 1.0, ps, k=1)
 
 
+def test_no_feasible_level_once_both_sides_underflow():
+    # from k = 1075 on nu**k and (rho**k)**alpha are both 0.0 in floats
+    ps = product_separated_structure(4)
+    for alpha in (0.6, 0.9):
+        s = feasibility_search(alpha, 0.5, 1.0, ps, k_cap=2000)
+        assert s.first_feasible_k is None and s.monotone_infeasible, alpha
+
+
+def test_feasibility_matches_float_comparison():
+    # up to k = 60 both sides are normal floats and the decision is their
+    # comparison; exact ties such as alpha = 0.4, c = 3/4, M = 1, k = 22,
+    # where the log2 sides round the other way, keep the float answer
+    ps = product_separated_structure(4)
+    for alpha, c, M in itertools.product(_alpha_grid("0.55:1.0:10") + [0.4, 0.6],
+                                         (0.1, 0.5, 0.75), (0.25, 1.0, 4.0)):
+        for k in range(61):
+            lhs = 2 * 2.0 * M * 0.5**k
+            rhs = (1 - c) / 2.0**alpha * (0.25**k) ** alpha
+            res = piecewise_constant_feasibility(alpha, c, M, ps, k)
+            assert res.feasible == (lhs <= rhs), (alpha, c, M, k)
+
+
 def test_phase_boundary_matches_threshold():
     # feasible levels exist exactly when rho**alpha > nu; near the
     # threshold the ratio decays slowly, hence the generous cap
@@ -344,6 +424,28 @@ def test_phase_perturbation_mirrored():
     grid = {p: -v for p, v in _corner_grid(c, 4, 25, 2, 1).items()}
     rep = phase_perturbation(grid, cfg)
     assert rep.mirrored and rep.large_change_exact and rep.holder_ok
+
+
+def test_perturbed_values_match_pointwise_ramp():
+    c = F(1, 2)
+    for sign, ix, iy in ((1, 1, 2), (-1, 2, 1)):
+        cfg = cylinder_config(0.6, c, k=29, ix=ix, iy=iy, delta=0.2)
+        grid = {p: sign * v for p, v in _corner_grid(c, 4, 29, ix, iy).items()}
+        rep = phase_perturbation(grid, cfg)
+        assert rep.mirrored == (sign < 0)
+        x1, x2, gain = cfg.x1, cfg.x2, (1 - c) * (cfg.x2 - cfg.x1)
+
+        def ramp(x):
+            if x < x1:
+                return gain if rep.mirrored else F(0)
+            if x <= x2:
+                return (1 - c) * ((x2 - x) if rep.mirrored else (x - x1))
+            return F(0) if rep.mirrored else gain
+
+        assert list(rep.perturbed.items()) == [(p, v + ramp(p[0])) for p, v in grid.items()]
+        # the two top corners, inserted into the level-4 grid
+        assert abs(rep.perturbed[(x2, cfg.y1)] - rep.perturbed[(x1, cfg.y1)]) \
+            == rep.large_change_lhs >= gain
 
 
 def test_phase_perturbation_rejects_bad_base():

@@ -148,6 +148,12 @@ def test_phase_commands(tmp_path):
     assert "boundary exponent" in boundary.stdout
 
 
+def test_phase_reports_no_feasible_level_past_float_underflow(capsys):
+    # nu**k and (rho**k)**alpha are both 0.0 from k = 1075 on
+    assert main(["phase", "--alpha", "0.6", "--k-cap", "2000"]) == 0
+    assert capsys.readouterr().out == "infeasible; perturbation certificate holds\n"
+
+
 def test_selftest_passes():
     res = run_cli(["selftest"])
     assert res.returncode == 0

@@ -17,6 +17,8 @@ from holderlevels.bounds import BoundSearchParams, mass_distribution_lower
 from holderlevels.levelset import (
     LevelCollisionError,
     LevelSetTree,
+    _digit_blocks,
+    _split,
     approx_level_set,
     extreme_pair,
 )
@@ -47,6 +49,24 @@ def oracle_levels(fn, r: Fraction, l: int, depth: int):
                     nxt.append((word + w, exp + (w not in extremes), cvals, i))
         levels.append(nxt)
     return levels
+
+
+def oracle_digit_blocks(l: int) -> tuple:
+    """``_digit_blocks(l)``, each word's digits joined one symbol at a time."""
+    blocks = [[[] for _ in range(1 << l)] for _ in range(3)]
+    for w in boundary_family(l).addresses:
+        for o in range(3):
+            extremes = (str(o) * l, str(int(o == 0)) * l)
+            k = int("".join("1" if int(s) == o else "0" for s in w), 2)
+            blocks[o][k].append((w, int(w not in extremes)))
+    return tuple(
+        tuple((tuple(block), _split([inc for _, inc in block])) for block in by_k)
+        for by_k in blocks)
+
+
+def test_digit_blocks_match_joined_digits():
+    for l in range(1, 11):
+        assert _digit_blocks(l) == oracle_digit_blocks(l), l
 
 
 def oracle_measure(levels) -> list[list[Fraction]]:
