@@ -321,6 +321,15 @@ class FeasibilityResult:
     boundary: bool
 
 
+def _log2_sides(alpha: float, c: float, M: float, structure: SeparatedStructure,
+                k: int) -> tuple[float, float]:
+    """log2 of both sides of the feasibility inequality, finite at every level."""
+    K = float(structure.K)
+    return (math.log2(2 * K * M) + k * math.log2(float(structure.nu)),
+            math.log2(1 - c) - alpha * math.log2(K)
+            + alpha * k * math.log2(float(structure.rho)))
+
+
 def piecewise_constant_feasibility(alpha: float, c: float, M: float,
                                    structure: SeparatedStructure,
                                    k: int) -> FeasibilityResult:
@@ -340,8 +349,8 @@ def piecewise_constant_feasibility(alpha: float, c: float, M: float,
     if min(lhs, rhs) >= sys.float_info.min:
         feasible = lhs <= rhs
     else:
-        feasible = (math.log2(2 * K * M) + k * math.log2(nu)
-                    <= math.log2(1 - c) - alpha * math.log2(K) + alpha * k * math.log2(rho))
+        log2_lhs, log2_rhs = _log2_sides(alpha, c, M, structure, k)
+        feasible = log2_lhs <= log2_rhs
     boundary = math.isclose(rho**alpha, nu, rel_tol=1e-12)
     return FeasibilityResult(k=k, lhs=lhs, rhs=rhs, feasible=feasible,
                              boundary=boundary)
@@ -362,7 +371,10 @@ def feasibility_search(alpha: float, c: float, M: float,
 
     Below the threshold exponent the lhs/rhs quotient decays
     geometrically and a feasible level exists; above it the quotient
-    grows, which the scan certifies up to ``k_cap``.
+    grows, which the scan certifies up to ``k_cap``.  While both sides
+    are normal floats the quotient is their float division; past that
+    it is 2**(log2 lhs - log2 rhs) from the closed-form sides, which is
+    inf only where the quotient itself overflows.
     """
     ratios = []
     first = None
@@ -370,7 +382,14 @@ def feasibility_search(alpha: float, c: float, M: float,
     for k in range(k_cap + 1):
         res = piecewise_constant_feasibility(alpha, c, M, structure, k)
         boundary = res.boundary
-        ratios.append(res.lhs / res.rhs if res.rhs else math.inf)
+        if min(res.lhs, res.rhs) >= sys.float_info.min:
+            ratios.append(res.lhs / res.rhs)
+        else:
+            log2_lhs, log2_rhs = _log2_sides(alpha, c, M, structure, k)
+            try:
+                ratios.append(2.0 ** (log2_lhs - log2_rhs))
+            except OverflowError:
+                ratios.append(math.inf)
         if res.feasible and first is None:
             first = k
     increasing = all(b >= a * (1 - 1e-12) for a, b in zip(ratios, ratios[1:]))

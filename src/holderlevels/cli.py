@@ -33,9 +33,10 @@ class UsageError(Exception):
 # all: g = 7 takes seconds and hundreds of MB, and g + 1 four times that
 _MAX_GRID_LEVEL = 7
 
-# the trees and the census build and test the 3(2**l - 1) boundary words
-# as strings: l = 16 takes about 8 s and 230 MB at depth 2, each l + 1
-# doubles both, and it is the feasible l of BoundSearchParams.for_alpha(0.2)
+# the trees still build and test the 3(2**l - 1) boundary words as strings
+# (the census of a standard function counts them by a closed form): l = 16
+# takes about 8 s and 230 MB at depth 2, each l + 1 doubles both, and it is
+# the feasible l of BoundSearchParams.for_alpha(0.2)
 _MAX_L = 16
 
 # the function's level index and word tables hold (3**(L+1) - 1)/2 words:

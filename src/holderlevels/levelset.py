@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -120,7 +121,11 @@ class LevelValue:
 
     Avoidance over the infinite vertex set cannot be decided, so the
     value is validated against the function's own table at construction
-    and re-checked lazily on every triangle a computation touches.
+    and re-checked lazily on every triangle a computation touches.  Every
+    grid value's denominator divides D, the lcm of the grid's
+    denominators, so a level whose denominator does not divide D is
+    accepted without a scan; any other level is compared with the grid
+    in order, and the first equal vertex is named.
     """
 
     r: Fraction
@@ -128,6 +133,8 @@ class LevelValue:
     @classmethod
     def checked(cls, r, fn: PiecewiseAffineFn) -> "LevelValue":
         r = Fraction(r)
+        if fn._denominator() % r.denominator:
+            return cls(r)
         for (row, col), v in fn.grid.items():
             if v == r:
                 point = lattice_point(row, col, fn.level)
@@ -450,13 +457,17 @@ def kappa_exponent(fn: PiecewiseAffineFn, word: str, l: int = 1) -> int:
     # midpoint averaging v_i -> (v_i + v_s)/2 that yields a child's
     # corners keeps their order and their ties; so every triangle below
     # L has the extreme pair of its level-L ancestor, table[word[:L]].
+    # A boundary word is a step of length l over at most two of the
+    # symbols 0, 1 and 2 (``boundary_family``); scaling the table by D
+    # keeps the extreme pairs.
     if len(word) % l:
         raise ValueError(f"address length must be a multiple of l={l}")
-    table = fn.word_table()
+    table = fn.int_word_table()[1]
     exp = 0
     for i in range(0, len(word), l):
         step = word[i: i + l]
-        if step not in _boundary_words(l):
+        symbols = set(step)
+        if len(symbols) > 2 or not symbols <= {"0", "1", "2"}:
             raise ValueError(f"{step!r} is not a boundary word at l={l}")
         exp += step not in _extreme_words(table[word[:min(i, fn.level)]], l)
     return exp
@@ -496,16 +507,18 @@ def well_conducting_census(fn: PiecewiseAffineFn, r, n: int, l: int, d1,
     binomial bound is (e n/(n d1))**(n d1) (3(2**l-1))**(n d1) 2**(n-n d1)
     and the image-measure column is ``census_constant(alpha, d1, l)**n``.
 
-    Triangles are enumerated down to the function level L.  Below it
-    every triangle has the extreme pair of its level-L ancestor (see
-    ``kappa_exponent``), so m further steps from a node with exponent e
-    keep the exponent on the two extreme corner words and raise it on
-    the other B - 2 = 3(2**l - 1) - 2: the node has
-    sum_{j <= t - e} C(m, j) 2**(m-j) (B-2)**j descendants within the
-    threshold t = n d1, or B**m (if e + m <= t) when it is constant.
-    When no triangle down to level L has three equal corners, every
-    step has two extreme words, and the count does not depend on the
-    function: sum_{j <= t} C(n, j) 2**(n-j) (B-2)**j.
+    Below the function level L every triangle has the extreme pair of
+    its level-L ancestor (see ``kappa_exponent``), so m further steps
+    from a node with exponent e keep the exponent on the two extreme
+    corner words and raise it on the other B - 2 = 3(2**l - 1) - 2: the
+    node has sum_{j <= t - e} C(m, j) 2**(m-j) (B-2)**j descendants
+    within the threshold t = n d1, or B**m (if e + m <= t) when it is
+    constant.  When no triangle down to level L has three equal corners,
+    every step has two extreme words, and the count does not depend on
+    the function: sum_{j <= t} C(n, j) 2**(n-j) (B-2)**j, taken at once
+    from the root with B from the formula.  Otherwise the triangles are
+    enumerated down to level L first, on the integer word table, whose
+    scaling by D keeps every extreme pair.
     """
     d1 = Fraction(d1)
     t = n * d1
@@ -520,26 +533,32 @@ def well_conducting_census(fn: PiecewiseAffineFn, r, n: int, l: int, d1,
             raise ValueError("alpha is needed for the image-measure column")
         alpha = fn.holder.alpha
 
-    table = fn.word_table()
-    words = _boundary_words(l)
-    top = min(n, -(-fn.level // l))     # steps until the words reach level L
+    if l < 1:
+        raise ValueError("boundary family needs l >= 1")
+    table = fn.int_word_table()[1]
+    b = 3 * ((1 << l) - 1)              # B = len(boundary_family(l))
     frontier = [("", 0)]                # (word, kappa exponent) within t
-    for _ in range(top):
-        nxt = []
-        for word, exp in frontier:
-            ext = _extreme_words(table[word], l)
-            for w in words:
-                new_exp = exp + (w not in ext)
-                if new_exp <= t:
-                    nxt.append((word + w, new_exp))
-        frontier = nxt
+    top = 0                             # steps enumerated
+    if any(v0 == v1 == v2 for v0, v1, v2 in table.values()):
+        words = _boundary_words(l)
+        top = min(n, -(-fn.level // l))     # steps until the words reach level L
+        for _ in range(top):
+            nxt = []
+            for word, exp in frontier:
+                ext = _extreme_words(table[word], l)
+                for w in words:
+                    new_exp = exp + (w not in ext)
+                    if new_exp <= t:
+                        nxt.append((word + w, new_exp))
+            frontier = nxt
     m = n - top
-    b = len(words)
+    # within[k]: the m-step descendants raising the exponent at most k times
+    within = list(itertools.accumulate(math.comb(m, j) * 2 ** (m - j) * (b - 2) ** j
+                                       for j in range(m + 1)))
     count = 0
     for word, exp in frontier:
         if extreme_pair(table[word[:fn.level]]):
-            count += sum(math.comb(m, j) * 2 ** (m - j) * (b - 2) ** j
-                         for j in range(min(m, t - exp) + 1))
+            count += within[min(m, t - exp)]
         elif exp + m <= t:
             count += b**m
 

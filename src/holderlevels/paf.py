@@ -167,6 +167,7 @@ class PiecewiseAffineFn:
         self.holder = holder
         self._words: dict[str, tuple] | None = None
         self._int_words: tuple[int, dict[str, tuple]] | None = None
+        self._den: int | None = None
 
     # -- the corner-value kernel -----------------------------------------
 
@@ -181,6 +182,12 @@ class PiecewiseAffineFn:
             self._words = _gather(index, [self.grid[p] for p in index.vertices])
         return self._words
 
+    def _denominator(self) -> int:
+        """D, the lcm of the grid's denominators; computed once, from the grid alone."""
+        if self._den is None:
+            self._den = math.lcm(*(v.denominator for v in self.grid.values()))
+        return self._den
+
     def int_word_table(self) -> tuple[int, dict[str, tuple]]:
         """(D, the word table times D), D the lcm of the grid's denominators; built once."""
         if self._int_words is None:
@@ -194,7 +201,7 @@ class PiecewiseAffineFn:
         For depth >= L; S = D 2**(depth - L).  Below L each cell's corners
         are the midpoints of its parent's corners with the corner it keeps.
         """
-        d = math.lcm(*(v.denominator for v in self.grid.values()))
+        d = self._denominator()
         top = depth - self.level
         index = level_index(depth)
         values = [0] * len(index.vertices)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -352,6 +353,27 @@ def test_no_feasible_level_once_both_sides_underflow():
     for alpha in (0.6, 0.9):
         s = feasibility_search(alpha, 0.5, 1.0, ps, k_cap=2000)
         assert s.first_feasible_k is None and s.monotone_infeasible, alpha
+
+
+def test_ratios_stay_finite_past_float_underflow():
+    # from k = 538 on (rho**k)**alpha is 0.0; while both sides are normal
+    # floats the ratio is still their quotient, bit for bit
+    ps = product_separated_structure(4)
+    for alpha in (0.6, 0.9):
+        ratios = feasibility_search(alpha, 0.5, 1.0, ps, k_cap=2000).ratios
+        for k, ratio in enumerate(ratios):
+            lhs = 2 * 2.0 * 1.0 * 0.5**k
+            rhs = (1 - 0.5) / 2.0**alpha * (0.25**k) ** alpha
+            if min(lhs, rhs) >= sys.float_info.min:
+                assert ratio == lhs / rhs, (alpha, k)
+            # log2(lhs / rhs) = 2 + 1 + alpha - k (1 - 2 alpha)
+            log2_ratio = 3 + alpha + k * (2 * alpha - 1)
+            if abs(log2_ratio - 1024) > 1:
+                assert math.isfinite(ratio) == (log2_ratio < 1024), (alpha, k)
+        finite = [x for x in ratios if math.isfinite(x)]
+        assert all(b > a for a, b in zip(finite, finite[1:])), alpha
+    assert len(finite) < len(ratios)        # alpha = 0.9 overflows for real
+    assert all(map(math.isfinite, feasibility_search(0.6, 0.5, 1.0, ps, k_cap=2000).ratios))
 
 
 def test_feasibility_matches_float_comparison():

@@ -15,16 +15,20 @@ census walk built on it.  ``descend``, the kernel's former Fraction
 descent, is kept here as the oracle of that integer step.
 """
 
+import itertools
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from holderlevels import triangles
+from holderlevels import levelset, triangles
 from holderlevels.exact import CoordQ3, PointQ3, midpoint
 from holderlevels.levelset import (
+    LevelCollisionError,
+    LevelValue,
     extreme_pair,
     kappa_exponent,
     well_conducting_census,
@@ -244,6 +248,92 @@ def test_census_matches_slow_enumeration(seed, level, l, n, d1):
         assert all(len(set(v)) > 1 for v in fn.word_table().values())
         assert direct == sum(math.comb(n, j) * 2 ** (n - j) * (b - 2) ** j
                              for j in range(t + 1))
+
+
+@st.composite
+def flattened_fns(draw):
+    """A corpus function of level L <= 3 made constant on the triangle of a
+    drawn word of length <= L, so the census walks down to level L."""
+    seed = draw(st.integers(min_value=0, max_value=3))
+    level = draw(st.integers(min_value=1, max_value=3))
+    fn = corpus_fn(seed, level)
+    size = draw(st.integers(min_value=0, max_value=level))
+    word = draw(st.text(alphabet="012", min_size=size, max_size=size))
+    value = draw(st.sampled_from(sorted(set(fn.grid.values()))))
+    grid = dict(fn.grid)
+    for suffix in itertools.product("012", repeat=level - size):
+        for p in replay_vertices(word + "".join(suffix)):
+            grid[lattice_index(p, level)] = value
+    flat = PiecewiseAffineFn(level, grid)
+    assert len(set(flat.corner_values(word))) == 1
+    return flat
+
+
+@given(flattened_fns(), st.sampled_from([1, 2, 3]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_census_with_a_constant_triangle_matches_slow_enumeration(fn, l, data):
+    n = data.draw(st.integers(min_value=1, max_value={1: 5, 2: 3, 3: 2}[l]))
+    t = data.draw(st.integers(min_value=1, max_value=n))
+    cache: dict = {}
+    direct = sum(1 for w in subdivision_addresses(n, l)
+                 if slow_kappa_exponent(fn, w, l, cache) <= t)
+    assert well_conducting_census(fn, None, n, l, Fraction(t, n), alpha=0.5).count == direct
+
+
+def test_census_of_a_standard_function_builds_no_boundary_words():
+    # no triangle of a standard function is constant: the closed form, B from l
+    levelset._BOUNDARY_CACHE.pop(16, None)
+    fn = random_standard_paf(7, 3, 0.2, 0.9, check=False)
+    res = well_conducting_census(fn, None, 10, 16, Fraction(1, 10), alpha=0.2)
+    b = 3 * (2**16 - 1)
+    assert res.count == sum(math.comb(10, j) * 2 ** (10 - j) * (b - 2) ** j
+                            for j in range(2))
+    assert 16 not in levelset._BOUNDARY_CACHE
+
+
+def full_scan(fn, r: Fraction):
+    """The first grid vertex whose value is r, as triples; None if there is none."""
+    for (row, col), v in fn.grid.items():
+        if v == r:
+            return triangles.lattice_point(row, col, fn.level).to_triples()
+    return None
+
+
+dyadics = st.builds(lambda a, e: Fraction(a, 1 << e),
+                    st.integers(min_value=-(1 << 50), max_value=1 << 50),
+                    st.integers(min_value=0, max_value=50))
+
+
+@given(st.one_of(fn_args.map(lambda a: corpus_fn(*a)), flattened_fns()), st.data())
+@settings(max_examples=80, deadline=None)
+def test_level_check_matches_full_scan(fn, data):
+    r = data.draw(st.one_of(st.sampled_from(sorted(set(fn.grid.values()))),
+                            dyadics, st.fractions()))
+    hit = full_scan(fn, r)
+    if hit is None:
+        assert LevelValue.checked(r, fn).r == r
+        return
+    with pytest.raises(LevelCollisionError) as err:
+        LevelValue.checked(r, fn)
+    assert err.value.word == f"vertex {hit}"
+
+
+@given(st.one_of(fn_args.map(lambda a: corpus_fn(*a)), flattened_fns()),
+       st.sampled_from([2, 3]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_kappa_exponent_matches_slow_path_at_larger_l(fn, l, data):
+    words = boundary_family(l).addresses
+    steps = data.draw(st.lists(st.sampled_from(words), max_size=4))
+    word = "".join(steps)
+    assert kappa_exponent(fn, word, l) == slow_kappa_exponent(fn, word, l, {})
+    foreign = st.text(alphabet="0123x", min_size=l, max_size=l).filter(
+        lambda s: s not in words)
+    three = st.permutations("012").map("".join)     # three symbols, at l = 3
+    bad = data.draw(st.one_of(three, foreign) if l == 3 else foreign)
+    cut = data.draw(st.integers(min_value=0, max_value=len(steps)))
+    message = re.escape(f"{bad!r} is not a boundary word at l={l}")
+    with pytest.raises(ValueError, match=message):
+        kappa_exponent(fn, "".join(steps[:cut] + [bad] + steps[cut:]), l)
 
 
 values = st.integers(min_value=-2, max_value=2).map(Fraction)
