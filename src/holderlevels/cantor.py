@@ -317,17 +317,9 @@ class FeasibilityResult:
     k: int
     lhs: float
     rhs: float
+    ratio: float
     feasible: bool
     boundary: bool
-
-
-def _log2_sides(alpha: float, c: float, M: float, structure: SeparatedStructure,
-                k: int) -> tuple[float, float]:
-    """log2 of both sides of the feasibility inequality, finite at every level."""
-    K = float(structure.K)
-    return (math.log2(2 * K * M) + k * math.log2(float(structure.nu)),
-            math.log2(1 - c) - alpha * math.log2(K)
-            + alpha * k * math.log2(float(structure.rho)))
 
 
 def piecewise_constant_feasibility(alpha: float, c: float, M: float,
@@ -335,24 +327,36 @@ def piecewise_constant_feasibility(alpha: float, c: float, M: float,
                                    k: int) -> FeasibilityResult:
     """Check 2 K M nu**k <= (1-c) (rho**k)**alpha / K**alpha at one level.
 
-    While both sides are normal floats they are compared directly.  Deep
-    levels take them below the smallest normal float and then to 0.0, so
-    there the closed-form log2 of each side is compared instead.
+    While both sides are normal floats they are compared directly and
+    ``ratio`` is lhs / rhs.  Deep levels take them below the smallest
+    normal float and then to 0.0, so there the closed-form log2 of each
+    side is compared instead and ``ratio`` is 2**(log2 lhs - log2 rhs),
+    which is inf only where the quotient itself overflows.  M = 0 is
+    feasible at every level, with ratio 0.0.
     """
     if not 0 < c < 1:
         raise ValueError("need 0 < c < 1")
+    if M < 0:
+        raise ValueError("need M >= 0")
     K = float(structure.K)
     nu = float(structure.nu)
     rho = float(structure.rho)
     lhs = 2 * K * M * nu**k
     rhs = (1 - c) / K**alpha * (rho**k) ** alpha
-    if min(lhs, rhs) >= sys.float_info.min:
-        feasible = lhs <= rhs
+    if M == 0:
+        feasible, ratio = True, 0.0
+    elif min(lhs, rhs) >= sys.float_info.min:
+        feasible, ratio = lhs <= rhs, lhs / rhs
     else:
-        log2_lhs, log2_rhs = _log2_sides(alpha, c, M, structure, k)
+        log2_lhs = math.log2(2 * K * M) + k * math.log2(nu)
+        log2_rhs = math.log2(1 - c) - alpha * math.log2(K) + alpha * k * math.log2(rho)
         feasible = log2_lhs <= log2_rhs
+        try:
+            ratio = 2.0 ** (log2_lhs - log2_rhs)
+        except OverflowError:
+            ratio = math.inf
     boundary = math.isclose(rho**alpha, nu, rel_tol=1e-12)
-    return FeasibilityResult(k=k, lhs=lhs, rhs=rhs, feasible=feasible,
+    return FeasibilityResult(k=k, lhs=lhs, rhs=rhs, ratio=ratio, feasible=feasible,
                              boundary=boundary)
 
 
@@ -371,10 +375,8 @@ def feasibility_search(alpha: float, c: float, M: float,
 
     Below the threshold exponent the lhs/rhs quotient decays
     geometrically and a feasible level exists; above it the quotient
-    grows, which the scan certifies up to ``k_cap``.  While both sides
-    are normal floats the quotient is their float division; past that
-    it is 2**(log2 lhs - log2 rhs) from the closed-form sides, which is
-    inf only where the quotient itself overflows.
+    grows, which the scan certifies up to ``k_cap``.  ``ratios`` holds
+    each level's ``piecewise_constant_feasibility`` ratio.
     """
     ratios = []
     first = None
@@ -382,14 +384,7 @@ def feasibility_search(alpha: float, c: float, M: float,
     for k in range(k_cap + 1):
         res = piecewise_constant_feasibility(alpha, c, M, structure, k)
         boundary = res.boundary
-        if min(res.lhs, res.rhs) >= sys.float_info.min:
-            ratios.append(res.lhs / res.rhs)
-        else:
-            log2_lhs, log2_rhs = _log2_sides(alpha, c, M, structure, k)
-            try:
-                ratios.append(2.0 ** (log2_lhs - log2_rhs))
-            except OverflowError:
-                ratios.append(math.inf)
+        ratios.append(res.ratio)
         if res.feasible and first is None:
             first = k
     increasing = all(b >= a * (1 - 1e-12) for a, b in zip(ratios, ratios[1:]))
@@ -490,17 +485,8 @@ def phase_perturbation(grid: dict, config: PhaseTransitionConfig) -> Perturbatio
     rhs = (1 - c) * (x2 - x1)
 
     def ramp(x: Fraction) -> Fraction:
-        if mirrored:
-            if x < x1:
-                return rhs
-            if x <= x2:
-                return (1 - c) * (x2 - x)
-            return Fraction(0)
-        if x < x1:
-            return Fraction(0)
-        if x <= x2:
-            return (1 - c) * (x - x1)
-        return rhs
+        rise = (1 - c) * (min(max(x, x1), x2) - x1)
+        return rhs - rise if mirrored else rise
 
     # one float per coordinate and one ramp per abscissa, memoised by object
     # identity: the grid keeps each coordinate alive for the call,

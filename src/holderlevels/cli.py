@@ -39,9 +39,10 @@ _MAX_GRID_LEVEL = 7
 # the feasible l of BoundSearchParams.for_alpha(0.2)
 _MAX_L = 16
 
-# the function's level index and word tables hold (3**(L+1) - 1)/2 words:
-# levelset --depth 5 --r-count 1 (2-CPU Xeon, Python 3.11) took 1.5-2.0 s and
-# 140 MB at L = 10, 5.6 s and 340 MB at L = 11 and 15 s and 1.0 GB at L = 12
+# the function's level index and word table hold (3**(L+1) - 1)/2 words:
+# levelset --depth 5 --r-count 1 (2-CPU Xeon, Python 3.11) took 1.4 s and
+# 130 MB at L = 10 and 4.0 s and 320 MB at L = 11; with a second, Fraction
+# word table it took 15 s and 1.0 GB at L = 12
 _MAX_LEVEL = 11
 
 
@@ -161,8 +162,8 @@ def cmd_levelset(args) -> int:
     }
     fn = random_standard_paf(args.seed, args.level, args.alpha, args.c,
                              check=False)
-    lo = min(fn.corner_values(""))
-    hi = max(fn.corner_values(""))
+    hull = fn.corner_values("")
+    lo, hi = min(hull), max(hull)
     rng = random.Random(args.seed ^ 0x5EED)
     failures = 0
     resampled = 0
@@ -216,8 +217,8 @@ def cmd_conductivity_hist(args) -> int:
     }
     fn = random_standard_paf(args.seed, args.level, args.alpha, args.c,
                              check=False)
-    lo = min(fn.corner_values(""))
-    hi = max(fn.corner_values(""))
+    hull = fn.corner_values("")
+    lo, hi = min(hull), max(hull)
     rng = random.Random(args.seed ^ 0x5EED)
     r = lo + (hi - lo) * Fraction(rng.randrange(1, 3 * 2**24), 3 * 2**24)
     tree = ls.LevelSetTree(fn, r, args.l, depth=args.depth).fill_measure(args.depth)
@@ -401,8 +402,8 @@ def cmd_selftest(args) -> int:
     fn = random_standard_paf(args.seed, 4, 0.5, 0.9, check=False)
     cert = holder_certificate(fn, 0.5, 0.9, depth=5)
     checks.append(("seeded function certificate", cert.passed))
-    lo = min(fn.corner_values(""))
-    hi = max(fn.corner_values(""))
+    hull = fn.corner_values("")
+    lo, hi = min(hull), max(hull)
     r = lo + (hi - lo) * Fraction(1, 3)
     tree = ls.LevelSetTree(fn, r, 1, depth=4).fill_measure(4)
     cons_ok = mu_ok = True

@@ -141,21 +141,16 @@ def _midpoint_copy(leaves) -> dict:
     return grid
 
 
-def _gather(index, values) -> dict[str, tuple]:
-    """{word: its corner values} over ``index``, from values in its vertex order."""
-    return {word: (values[a], values[b], values[c])
-            for word, (a, b, c) in zip(index.words, index.corners)}
-
-
 class PiecewiseAffineFn:
     """Exact rational vertex table plus affine extension per triangle.
 
     ``grid`` is the one vertex table: it maps the lattice index
     (row, col) at scale 2**-level of each vertex of V_level, the point
     (2 col + row, row sqrt(3)) / 2**(level+1), to its value.  It is
-    read-only after construction, because the word tables below are
-    derived from it on first use and never rebuilt.  Construction raises
-    ValueError unless ``grid``'s keys are exactly the indices of V_level.
+    read-only after construction, because the one derived table, the
+    integer word table of ``int_word_table``, is built from it on first
+    use and never rebuilt.  Construction raises ValueError unless
+    ``grid``'s keys are exactly the indices of V_level.
     """
 
     def __init__(self, level: int, grid: dict[tuple[int, int], Fraction],
@@ -165,22 +160,10 @@ class PiecewiseAffineFn:
         self.grid = grid
         self.standard = standard
         self.holder = holder
-        self._words: dict[str, tuple] | None = None
         self._int_words: tuple[int, dict[str, tuple]] | None = None
         self._den: int | None = None
 
     # -- the corner-value kernel -----------------------------------------
-
-    def word_table(self) -> dict[str, tuple]:
-        """Corner values of every word of length <= level, built once.
-
-        (3**(level+1) - 1) / 2 entries in ``level_index(level)``'s word
-        order, gathered from the grid by corner position.
-        """
-        if self._words is None:
-            index = level_index(self.level)
-            self._words = _gather(index, [self.grid[p] for p in index.vertices])
-        return self._words
 
     def _denominator(self) -> int:
         """D, the lcm of the grid's denominators; computed once, from the grid alone."""
@@ -189,10 +172,17 @@ class PiecewiseAffineFn:
         return self._den
 
     def int_word_table(self) -> tuple[int, dict[str, tuple]]:
-        """(D, the word table times D), D the lcm of the grid's denominators; built once."""
+        """(D, {word: its corner values times D}), D the lcm of the grid's denominators.
+
+        Built once, over every word of length <= level in
+        ``level_index(level)``'s word order, gathered from the grid by
+        corner position.
+        """
         if self._int_words is None:
             d, values = self._int_values(self.level)
-            self._int_words = (d, _gather(level_index(self.level), values))
+            index = level_index(self.level)
+            self._int_words = (d, {word: (values[a], values[b], values[c])
+                                   for word, (a, b, c) in zip(index.words, index.corners)})
         return self._int_words
 
     def _int_values(self, depth: int) -> tuple[int, list[int]]:
@@ -219,22 +209,19 @@ class PiecewiseAffineFn:
     def corner_values(self, word: str) -> tuple[Fraction, Fraction, Fraction]:
         """Values at the three corners of the addressed triangle.
 
-        Down to the function's own level this is a word-table lookup.
-        Deeper corners are midpoint averages, taken as the integer step
-        of ``LevelSetTree.extend``: from the integer word table at scale
-        D, each further symbol s maps the corners v to v + v[s], which
-        doubles the scale; one ``Fraction`` per corner is built at the end.
+        One path at every word length: the integer word table at scale D
+        gives the corners of ``word[:level]``, and each further symbol s
+        maps them to v + v[s], the midpoint step of ``LevelSetTree.extend``,
+        which doubles the scale; one ``Fraction`` per corner is built at
+        the end.
         """
         check_address(word)
-        extra = len(word) - self.level
-        if extra <= 0:
-            return self.word_table()[word]
         denom, table = self.int_word_table()
         vals = table[word[:self.level]]
         for ch in word[self.level:]:
             a = vals[int(ch)]
             vals = (vals[0] + a, vals[1] + a, vals[2] + a)
-        denom <<= extra
+        denom <<= max(0, len(word) - self.level)
         return tuple(Fraction(v, denom) for v in vals)
 
     def eval(self, point) -> Fraction:
@@ -279,50 +266,47 @@ class PiecewiseAffineFn:
         is at most half the largest per-triangle oscillation.
         """
         index = level_index(self.level)
-        table = self.word_table()
+        d, table = self.int_word_table()
         grid = _midpoint_copy((index.cells[i], table[index.words[i]])
                               for i in index.layers[self.level])
-        return PiecewiseAffineFn(self.level + 1, grid, standard=True,
-                                 holder=self.holder)
+        return PiecewiseAffineFn(self.level + 1, {p: Fraction(v, d) for p, v in grid.items()},
+                                 standard=True, holder=self.holder)
 
     # -- structure checks ------------------------------------------------
 
+    def _int_triangles(self):
+        """(word, corner values times D) over the level-n triangles, in word-table order."""
+        return ((word, vals) for word, vals in self.int_word_table()[1].items()
+                if len(word) == self.level)
+
     def iter_triangles(self):
         """Yields (word, corner values) over all level-n triangles."""
-        for word, vals in self.word_table().items():
-            if len(word) == self.level:
-                yield word, vals
+        d = self._denominator()
+        for word, vals in self._int_triangles():
+            yield word, tuple(Fraction(v, d) for v in vals)
 
     def is_standard(self) -> bool:
-        return all(
-            q1 == q2 or q2 == q3 or q1 == q3
-            for _, (q1, q2, q3) in self.iter_triangles()
-        )
+        return all(q1 == q2 or q2 == q3 or q1 == q3
+                   for _, (q1, q2, q3) in self._int_triangles())
 
     def is_locally_nonconstant(self) -> bool:
-        return all(
-            not (q1 == q2 == q3) for _, (q1, q2, q3) in self.iter_triangles()
-        )
+        return all(not (q1 == q2 == q3) for _, (q1, q2, q3) in self._int_triangles())
 
     def oscillation(self) -> Fraction:
-        return max(max(v) - min(v) for _, v in self.iter_triangles())
+        return Fraction(max(max(v) - min(v) for _, v in self._int_triangles()),
+                        self._denominator())
 
     def lipschitz_sq(self) -> Fraction:
         """Exact square of the Lipschitz constant.
 
         For an affine piece on an equilateral triangle of side s with
         corner differences d1 = q2-q1, d2 = q3-q1 the gradient norm
-        squared is (4/3) (d1**2 - d1 d2 + d2**2) / s**2.
+        squared is (4/3) (d1**2 - d1 d2 + d2**2) / s**2; on the integer
+        corners, s = 2**-n and the values carry the scale D.
         """
-        best = Fraction(0)
-        scale = Fraction(4, 3) * (4**self.level)
-        for _, (q1, q2, q3) in self.iter_triangles():
-            d1 = q2 - q1
-            d2 = q3 - q1
-            g = scale * (d1 * d1 - d1 * d2 + d2 * d2)
-            if g > best:
-                best = g
-        return best
+        top = max((q2 - q1) ** 2 - (q2 - q1) * (q3 - q1) + (q3 - q1) ** 2
+                  for _, (q1, q2, q3) in self._int_triangles())
+        return Fraction(4 ** (self.level + 1) * top, 3 * self._denominator() ** 2)
 
     def lipschitz(self) -> float:
         return math.sqrt(float(self.lipschitz_sq()))
@@ -533,12 +517,9 @@ def max_holder_ratio(xs: np.ndarray, ys: np.ndarray, vs: np.ndarray, alpha: floa
     the upper triangle.
     """
     n = len(xs)
-    k = max(1, math.isqrt(n // _CELL_POINTS))
-    if k == 1:
-        i, j = np.triu_indices(n, 1)
-        best, key = _fold(_pair_ratios(xs, ys, vs, i, j, alpha), i, j, n, 0.0, None)
-    else:
-        best, key = _pruned_scan(xs, ys, vs, alpha, k)
+    if n < 2:
+        return 0.0, None
+    best, key = _pruned_scan(xs, ys, vs, alpha, max(1, math.isqrt(n // _CELL_POINTS)))
     return (0.0, None) if key is None else (best, divmod(key, n))
 
 

@@ -20,7 +20,8 @@ from holderlevels.levelset import (
     _level_fraction,
     kappa_exponent,
 )
-from holderlevels.triangles import boundary_family, lattice_point
+from holderlevels.paf import PiecewiseAffineFn, _midpoint_copy
+from holderlevels.triangles import boundary_family, lattice_point, level_index
 
 _IFS_LEVELS = 6                     # IFS levels that fix the constant K
 _IFS_BASE = (Fraction(0), Fraction(1))  # the interval every IFS map must keep
@@ -96,6 +97,45 @@ def point_values(fn):
         _POINT_VALUES[fn] = MappingProxyType({
             lattice_point(row, col, fn.level): v for (row, col), v in fn.grid.items()})
     return _POINT_VALUES[fn]
+
+
+def fraction_triangles(fn) -> list[tuple[str, tuple]]:
+    """(word, corner values) over fn's level-n triangles in word-table order, by ``corner_values``."""
+    return [(word, fn.corner_values(word)) for word in level_index(fn.level).words
+            if len(word) == fn.level]
+
+
+def fraction_is_standard(fn) -> bool:
+    return all(q1 == q2 or q2 == q3 or q1 == q3 for _, (q1, q2, q3) in fraction_triangles(fn))
+
+
+def fraction_is_locally_nonconstant(fn) -> bool:
+    return all(not (q1 == q2 == q3) for _, (q1, q2, q3) in fraction_triangles(fn))
+
+
+def fraction_oscillation(fn) -> Fraction:
+    return max(max(v) - min(v) for _, v in fraction_triangles(fn))
+
+
+def fraction_lipschitz_sq(fn) -> Fraction:
+    """(4/3) (d1**2 - d1 d2 + d2**2) / s**2 per triangle in Fractions, maximised."""
+    best = Fraction(0)
+    scale = Fraction(4, 3) * (4**fn.level)
+    for _, (q1, q2, q3) in fraction_triangles(fn):
+        d1 = q2 - q1
+        d2 = q3 - q1
+        g = scale * (d1 * d1 - d1 * d2 + d2 * d2)
+        if g > best:
+            best = g
+    return best
+
+
+def fraction_standardize(fn) -> PiecewiseAffineFn:
+    """The midpoint-copy subdivision with the ``Fraction`` corner values of each leaf."""
+    index = level_index(fn.level)
+    grid = _midpoint_copy((index.cells[i], fn.corner_values(index.words[i]))
+                          for i in index.layers[fn.level])
+    return PiecewiseAffineFn(fn.level + 1, grid, standard=True, holder=fn.holder)
 
 
 def iter_subdivision_addresses(n: int, l: int = 1):

@@ -47,6 +47,9 @@ REMOVED = {
     "_IFS_LEVELS", "_IFS_BASE",
     # cantor: the Fraction endpoint shift and the rectangle distance
     "_right_shift", "_distance_sq",
+    # paf: the Fraction word table beside the integer one; cantor: the
+    # log2 sides outside the one feasibility decision
+    "word_table", "_words", "_log2_sides",
     # exact and triangles: the ring and field arithmetic
     "SQRT3", "from_fraction", "from_coord", "sign", "is_rational", "as_fraction",
     "inverse", "dist_sq", "scale_pow2", "_coerce", "_is_power_of_two",

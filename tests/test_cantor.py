@@ -376,6 +376,26 @@ def test_ratios_stay_finite_past_float_underflow():
     assert all(map(math.isfinite, feasibility_search(0.6, 0.5, 1.0, ps, k_cap=2000).ratios))
 
 
+def test_feasibility_ratio_is_the_float_quotient_while_both_sides_are_normal():
+    # at alpha = 0.6 both sides stay normal floats through k = 537
+    ps = product_separated_structure(4)
+    for k in range(538):
+        res = piecewise_constant_feasibility(0.6, 0.5, 1.0, ps, k)
+        assert min(res.lhs, res.rhs) >= sys.float_info.min, k
+        assert res.ratio == res.lhs / res.rhs, k
+    assert piecewise_constant_feasibility(0.6, 0.5, 1.0, ps, 538).rhs < sys.float_info.min
+
+
+def test_feasibility_with_zero_M_is_feasible_at_every_level():
+    ps = product_separated_structure(4)
+    for k in (0, 537, 1075, 2000):
+        res = piecewise_constant_feasibility(0.6, 0.5, 0.0, ps, k)
+        assert (res.lhs, res.ratio, res.feasible) == (0.0, 0.0, True), k
+    assert feasibility_search(0.6, 0.5, 0.0, ps).first_feasible_k == 0
+    with pytest.raises(ValueError, match="need M >= 0"):
+        piecewise_constant_feasibility(0.6, 0.5, -1.0, ps, 3)
+
+
 def test_feasibility_matches_float_comparison():
     # up to k = 60 both sides are normal floats and the decision is their
     # comparison; exact ties such as alpha = 0.4, c = 3/4, M = 1, k = 22,

@@ -6,8 +6,9 @@ generator moved to the integer lattice: midpoint displacement on exact
 order, and the midpoint-copy subdivision by exact ``midpoint``.  The
 word table and the Lipschitz constant are read off its vertex table by
 exact addresses.  The integer generator must draw the same numbers and
-give equal ``values`` in the same key order, the same word tables and
-the same Holder parameters, or fail with the same message.
+give equal ``values`` in the same key order, the same corner values and
+integer word table, and the same Holder parameters, or fail with the
+same message.
 """
 
 import itertools
@@ -26,7 +27,7 @@ from holderlevels.paf import (
     holder_certificate,
     random_standard_paf,
 )
-from holderlevels.triangles import triangle_vertices
+from holderlevels.triangles import level_index, triangle_vertices
 
 from helpers import point_values
 from test_kernel import lattice_index
@@ -123,7 +124,7 @@ def assert_matches_oracle(seed: int, level: int, alpha: float, c: float, check: 
     fn = random_standard_paf(seed, level, alpha, c, check=check)
     assert (fn.level, fn.standard, fn.holder) == (level, True, holder)
     assert list(point_values(fn).items()) == list(values.items())
-    assert list(fn.word_table().items()) == list(table.items())
+    assert [(w, fn.corner_values(w)) for w in level_index(level).words] == list(table.items())
     d = math.lcm(*(v.denominator for vals in table.values() for v in vals))
     assert fn.int_word_table() == (d, {w: tuple(v.numerator * (d // v.denominator) for v in vals)
                                        for w, vals in table.items()})

@@ -9,9 +9,9 @@ and the vertices of ``refine``) against it.
 The corner-value slow path takes a triangle's vertices from that
 replay and reads the stored vertex table at or above the function
 level, or evaluates the function by barycentric interpolation at each
-corner below it.  It shares no code with the kernel (``word_table``,
-``int_word_table`` and the integer step below the level) or with the
-census walk built on it.  ``descend``, the kernel's former Fraction
+corner below it.  It shares no code with the kernel (``int_word_table``
+and the integer step of ``corner_values``) or with the census walk
+built on it.  ``descend``, the kernel's former Fraction
 descent, is kept here as the oracle of that integer step.
 """
 
@@ -121,7 +121,7 @@ def descend(fn, word: str, vals, suffix: str) -> tuple:
     """
     k = fn.level - len(word)
     if k > 0:
-        vals = fn.word_table()[word + suffix[:k]]
+        vals = fn.corner_values(word + suffix[:k])
         suffix = suffix[k:]
     for ch in suffix:
         anchor = vals[int(ch)]
@@ -223,7 +223,7 @@ def test_walk_vertices_match_replay(seed, level, extra, data):
 @pytest.mark.parametrize("level", range(1, 7))
 def test_word_tables_match_slow_path(level):
     fn = corpus_fn(level % 4, level)
-    table = fn.word_table()
+    table = {word: fn.corner_values(word) for word in level_index(level).words}
     assert len(table) == (3 ** (level + 1) - 1) // 2
     for word, vals in table.items():
         assert vals == slow_corner_values(fn, word)
@@ -245,7 +245,7 @@ def test_census_matches_slow_enumeration(seed, level, l, n, d1):
     assert 0 < direct <= b**n
     if seed != "flat":
         # no corner triple down to the level is constant: the closed form
-        assert all(len(set(v)) > 1 for v in fn.word_table().values())
+        assert all(len(set(fn.corner_values(w))) > 1 for w in level_index(level).words)
         assert direct == sum(math.comb(n, j) * 2 ** (n - j) * (b - 2) ** j
                              for j in range(t + 1))
 

@@ -1,10 +1,10 @@
 """The cached lattice index of each level against the pre-order walk.
 
-``level_index`` is the one walk over the lattice; the word tables,
+``level_index`` is the one walk over the lattice; the word table,
 ``refine``, ``standardize``, ``to_json``, the certificate's vertex arrays,
 the generator and the grid check all read it.  Each of them must see the
 words, cells, corners and vertex order that the walk in ``walk_oracle``
-produces, and the tables it gathers must be the ones the walk filled.
+produces, and the table it gathers must be the one the walk filled.
 """
 
 import math
@@ -45,7 +45,7 @@ def test_level_index_matches_walk(level):
 def test_word_tables_match_walk(level):
     fn = random_standard_paf(70 + level, level, 0.5, 0.9, check=False)
     table = [(word, vals) for word, _, _, vals in walk(fn, level)]
-    assert list(fn.word_table().items()) == table
+    assert [(w, fn.corner_values(w)) for w in level_index(level).words] == table
     d = math.lcm(*(v.denominator for v in fn.grid.values()))
     assert fn.int_word_table() == (d, {w: tuple(v.numerator * (d // v.denominator) for v in vals)
                                        for w, vals in table})
