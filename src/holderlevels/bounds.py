@@ -13,16 +13,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .levelset import LevelSetTree, census_constant, checked_tree
 from .triangles import lattice_index_unchecked
 
+# mpmath is imported by the precision="big" paths alone, so importing the
+# package does not load it
 BIG_DIGITS = 50
 
 
 def _mp(x):
+    import mpmath
     return mpmath.mpf(x) if not isinstance(x, Fraction) else mpmath.mpf(x.numerator) / x.denominator
 
 
@@ -36,6 +38,7 @@ def lower_bound(alpha: float, precision: str = "double"):
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     if precision == "big":
+        import mpmath
         with mpmath.workdps(BIG_DIGITS):
             a = _mp(alpha)
             denom = 1 + (1 + mpmath.log(3 / a)) / mpmath.log(2) + 2 / a
@@ -49,6 +52,7 @@ def upper_bound(alpha: float, precision: str = "double"):
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     if precision == "big":
+        import mpmath
         with mpmath.workdps(BIG_DIGITS):
             return 1 - mpmath.power(2, -_mp(alpha))
     return 1.0 - 2.0 ** (-float(alpha))
@@ -57,6 +61,7 @@ def upper_bound(alpha: float, precision: str = "double"):
 def trivial_upper_bound_sierpinski(precision: str = "double"):
     """log 3 / log 2 - 1, the box-dimension bound, about 0.584962500721."""
     if precision == "big":
+        import mpmath
         with mpmath.workdps(BIG_DIGITS):
             return mpmath.log(3) / mpmath.log(2) - 1
     return math.log(3) / math.log(2) - 1.0

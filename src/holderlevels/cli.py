@@ -34,8 +34,9 @@ class UsageError(Exception):
 _MAX_GRID_LEVEL = 7
 
 # the trees still build and test the 3(2**l - 1) boundary words as strings
-# (the census of a standard function counts them by a closed form): l = 16
-# takes about 8 s and 230 MB at depth 2, each l + 1 doubles both, and it is
+# (the census of a standard function counts them by a closed form):
+# levelset --l 16 --depth 2 --r-count 1 (in-process, 2-CPU Xeon, Python
+# 3.11) takes about 3 s and 180 MB, each l + 1 doubles both, and l = 16 is
 # the feasible l of BoundSearchParams.for_alpha(0.2)
 _MAX_L = 16
 
@@ -135,6 +136,24 @@ def _check_function_args(args) -> None:
     _require(0 < args.c < float("inf"), "--c must be positive and finite")
 
 
+def _level_draws(fn, seed: int):
+    """Level values lo + (hi - lo) k / (3 2**24), 0 < k < 3 2**24, over the root hull.
+
+    A k divisible by 3 gives a dyadic level, which can meet a vertex
+    value; the commands then draw again and count the resamples.
+    """
+    hull = fn.corner_values("")
+    lo, hi = min(hull), max(hull)
+    rng = random.Random(seed ^ 0x5EED)
+    while True:
+        yield lo + (hi - lo) * Fraction(rng.randrange(1, 3 * 2**24), 3 * 2**24)
+
+
+def _report_resampled(resampled: int) -> None:
+    if resampled:
+        print(f"resampled {resampled} colliding level values", file=sys.stderr)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -162,16 +181,14 @@ def cmd_levelset(args) -> int:
     }
     fn = random_standard_paf(args.seed, args.level, args.alpha, args.c,
                              check=False)
-    hull = fn.corner_values("")
-    lo, hi = min(hull), max(hull)
-    rng = random.Random(args.seed ^ 0x5EED)
+    draws = _level_draws(fn, args.seed)
     failures = 0
     resampled = 0
     rows = []
     artifacts = []
     produced = 0
     while produced < args.r_count:
-        r = lo + (hi - lo) * Fraction(rng.randrange(1, 3 * 2**24), 3 * 2**24)
+        r = next(draws)
         try:
             tree = ls.LevelSetTree(fn, r, args.l, depth=args.depth)
         except ls.LevelCollisionError:
@@ -196,8 +213,7 @@ def cmd_levelset(args) -> int:
     if args.json_out:
         write_json(args.json_out, {"config": config, "resampled": resampled,
                                    "level_sets": artifacts})
-    if resampled:
-        print(f"resampled {resampled} colliding level values", file=sys.stderr)
+    _report_resampled(resampled)
     return 1 if failures else 0
 
 
@@ -217,11 +233,15 @@ def cmd_conductivity_hist(args) -> int:
     }
     fn = random_standard_paf(args.seed, args.level, args.alpha, args.c,
                              check=False)
-    hull = fn.corner_values("")
-    lo, hi = min(hull), max(hull)
-    rng = random.Random(args.seed ^ 0x5EED)
-    r = lo + (hi - lo) * Fraction(rng.randrange(1, 3 * 2**24), 3 * 2**24)
-    tree = ls.LevelSetTree(fn, r, args.l, depth=args.depth).fill_measure(args.depth)
+    resampled = 0
+    for r in _level_draws(fn, args.seed):
+        try:
+            tree = ls.LevelSetTree(fn, r, args.l, depth=args.depth)
+            break
+        except ls.LevelCollisionError:
+            resampled += 1
+    _report_resampled(resampled)
+    tree.fill_measure(args.depth)
     rows = []
     for level in range(args.depth + 1):
         hist: dict[int, int] = {}

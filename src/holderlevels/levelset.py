@@ -218,13 +218,25 @@ class LevelSetTree:
     word is a member exactly when its steps into o spell the next l
     binary digits k = floor(2**l h) of h.  Its children are the block
     ``_digit_blocks(l)[o][k]``, all with the corners b' = b 2**l + k(a - b)
-    and a' = b' + (a - b), and its split is the block's.  When 2**l h is
-    an integer the level hits a vertex, and the node falls back to the
-    word loop, which tests every boundary word in order and names the
-    first colliding one.  Members above L, members whose children cross L
-    and members with three distinct corners (possible only in functions
-    that are not standard) take the word loop too, which computes the
-    split from the children's kappa increments.
+    and a' = b' + (a - b), and its split is the block's.  Those children
+    all share one corner tuple, so at one depth the members under one
+    level-L ancestor carry the same triple; the step (the children's
+    corners and the block) is computed once per run of parents holding
+    the same tuple, and each parent of the run only builds its children.
+    When 2**l h is an integer the level hits a vertex, and each node of
+    the run falls back to the word loop, which tests every boundary word
+    in order and names the first colliding one.  Members above L, members
+    whose children cross L and members with three distinct corners
+    (possible only in functions that are not standard) take the word loop
+    too, which computes the split from the children's kappa increments.
+
+    Above L the word loop tests a word's unscaled table triple t (after
+    any steps below L, which are linear): with q, rem = divmod(level,
+    r.den), t r.den meets the level only if rem == 0 and q is in t, and
+    lies around it exactly when min(t) <= q < max(t) once no corner is q.
+    Only the members' corners are scaled by r.den.  Below L the parents'
+    corners are already scaled, and the same test runs with q the level
+    and rem = 0.
     """
 
     def __init__(self, fn: PiecewiseAffineFn, r, l: int = 1, depth: int = 0):
@@ -262,37 +274,44 @@ class LevelSetTree:
             words = None                        # built when a node first needs the word loop
             nxt: list[LevelSetNode] = []
             parent_level = level >> l           # exact once the parents are at or below L
+            # above L the word loop tests unscaled table triples t against q:
+            # t r.den meets the level only when rem == 0 and q is in t
+            q, rem = divmod(level, rden) if above else (level, 0)
+            run = step = None                   # the last parent's corners and digit step
             for node in self._levels[self.depth]:
-                split = None if above else odd_corner(node.corners)
-                if split:
-                    o, b, a = split
-                    k, rem = divmod((parent_level - b) << l, a - b)
-                    if rem:
-                        b, a = (b << l) + k * (a - b), (b << l) + (k + 1) * (a - b)
-                        corners = ((a, b, b), (b, a, b), (b, b, a))[o]
-                        word, exp = node.word, node.kappa_exp
-                        children, node.split = blocks[o][k]
-                        node.children = [LevelSetNode(word + w, corners, exp + inc)
-                                         for w, inc in children]
-                        nxt.extend(node.children)
-                        continue
+                if node.corners is not run:
+                    run, step = node.corners, None
+                    split = None if above else odd_corner(run)
+                    if split:
+                        o, b, a = split
+                        k, krem = divmod((parent_level - b) << l, a - b)
+                        if krem:
+                            b, a = (b << l) + k * (a - b), (b << l) + (k + 1) * (a - b)
+                            step = ((a, b, b), (b, a, b), (b, b, a))[o], blocks[o][k]
+                if step:
+                    corners, (children, node.split) = step
+                    word, exp = node.word, node.kappa_exp
+                    node.children = [LevelSetNode(word + w, corners, exp + inc)
+                                     for w, inc in children]
+                    nxt.extend(node.children)
+                    continue
                 if words is None:
                     words = _word_steps(l, below)
                 extreme_words = _extreme_words(node.corners, l)
                 incs = []
                 for w, steps in words:
                     word = node.word + w
-                    if above:
-                        vals = tuple(v * rden for v in table[word[:fn_level]])
-                    else:
-                        vals = node.corners
+                    vals = table[word[:fn_level]] if above else node.corners
                     for s in steps:
                         a = vals[s]
                         vals = (vals[0] + a, vals[1] + a, vals[2] + a)
-                    if level in vals:
+                    if not rem and q in vals:
                         raise LevelCollisionError(self.r, word)
-                    if not (min(vals) < level < max(vals)):
+                    # past the collision test, min(vals) <= q: the lowest corner is below the level
+                    if not (min(vals) <= q < max(vals)):
                         continue
+                    if above:
+                        vals = (vals[0] * rden, vals[1] * rden, vals[2] * rden)
                     inc = int(w not in extreme_words)
                     child = LevelSetNode(word, vals, node.kappa_exp + inc)
                     node.children.append(child)
@@ -304,6 +323,8 @@ class LevelSetTree:
         return self
 
     def nodes_at(self, level: int) -> list[LevelSetNode]:
+        if level < 0:
+            raise ValueError(f"level must be non-negative, got {level}")
         if level > self.depth:
             self.extend(level)
         return self._levels[level]
@@ -357,6 +378,8 @@ class LevelSetTree:
     # -- derived checks -------------------------------------------------
 
     def conservation(self, word: str, k: int) -> "ConservationResult":
+        if k < 0:
+            raise ValueError(f"k must be non-negative, got {k}")
         node = self.find(word)
         if node is None:
             raise ValueError(f"{word!r} is not a member descendant of the root")

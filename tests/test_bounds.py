@@ -7,6 +7,8 @@ members touching it; the program fills once and scatters.
 
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
@@ -58,6 +60,16 @@ def test_trivial_bound_digits():
     assert trivial_upper_bound_sierpinski() == pytest.approx(0.584962500721, abs=1e-11)
     big = trivial_upper_bound_sierpinski("big")
     assert abs(float(big) - math.log2(3) + 1) < 1e-15
+
+
+def test_importing_the_package_leaves_mpmath_unloaded():
+    # only the precision="big" paths import mpmath, when they run
+    code = ("import sys, holderlevels; from holderlevels.bounds import upper_bound; "
+            "print('mpmath' in sys.modules); big = upper_bound(1.0, 'big'); "
+            "print('mpmath' in sys.modules, type(big).__name__, float(big))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "True mpf 0.5"]
 
 
 def test_bounds_monotone_and_ordered():

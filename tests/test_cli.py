@@ -78,6 +78,20 @@ def test_conductivity_hist(tmp_path):
     assert all(line.endswith(",1") for line in census_lines[2:])
 
 
+def test_conductivity_hist_resamples_a_colliding_level(tmp_path):
+    # seed 0 at level 1 first draws a k divisible by 3: a dyadic level,
+    # which meets a vertex value on the way to depth 25
+    out = tmp_path / "hist.csv"
+    proc = run_cli(["conductivity-hist", "--seed", "0", "--level", "1",
+                    "--depth", "25", "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "resampled 1 colliding level values" in proc.stderr
+    lines = out.read_text().splitlines()
+    assert lines[1] == "level,kappa_exp,count,mu_total"
+    assert any(line.startswith("25,") for line in lines[2:])
+
+
 def test_witness_zero_trials(tmp_path):
     out = tmp_path / "empty.csv"
     assert main(["witness", "--alpha", "0.5", "--trials", "0",

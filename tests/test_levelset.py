@@ -225,6 +225,21 @@ def test_collision_raised_during_walk(ramp):
         LevelSetTree(ramp.refine(2), F(1, 4), 1, depth=2)
 
 
+def test_negative_levels_are_rejected():
+    # a negative index used to read the deepest level as if it were level n
+    fn = random_standard_paf(0, 2, 0.5, 0.9, check=False)
+    root = fn.corner_values("")
+    r = min(root) + (max(root) - min(root)) * F(1, 3)
+    tree = LevelSetTree(fn, r, 1, depth=4)
+    with pytest.raises(ValueError, match="non-negative"):
+        tree.nodes_at(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        approx_level_set(fn, r, -1, 1, tree=tree)
+    with pytest.raises(ValueError, match="non-negative"):
+        tree.conservation("", -1)
+    assert tree.depth == 4 and tree.nodes_at(4)
+
+
 def test_kappa_sum_at_least_one(small_corpus):
     for fn, l, alpha, depth, pairs in small_corpus:
         for r, tree in pairs:

@@ -10,7 +10,7 @@ conductivity, mu(child) = mu kappa(child) / sum of the children's kappa.
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 import pytest
 
 from holderlevels.bounds import BoundSearchParams, mass_distribution_lower
@@ -153,6 +153,76 @@ def test_digit_step_matches_fraction_walk(seed, level, l, k, data):
     depth = -(-level // l) + data.draw(st.integers(min_value=2, max_value=3 if l < 3 else 2))
     # a collision value is a corner below the level, met inside the tree or not at all
     assert_tree_matches(fn, draw_level(fn, data, k, level + 1, depth * l), l, depth)
+
+
+def tree_fields(tree, depth: int) -> list:
+    """Per level: each node's (word, kappa exponent, corners, split, children's words)."""
+    return [[(v.word, v.kappa_exp, v.corners, v.split, [c.word for c in v.children])
+             for v in tree.nodes_at(n)] for n in range(depth + 1)]
+
+
+def extended_stepwise(fn, r, l: int, depth: int) -> LevelSetTree:
+    tree = LevelSetTree(fn, r, l)
+    for d in range(1, depth + 1):
+        tree.extend(d)
+    return tree
+
+
+@given(st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=4),
+       st.sampled_from([1, 2, 3]), st.integers(min_value=1, max_value=3 * 2**24 - 1),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_stepwise_extension_matches_one_shot(seed, level, l, k, data):
+    # the digit step's per-run cache lives for one level of one call: a tree
+    # grown one level per call is the tree grown at once, collisions included
+    fn = corpus_fn(seed, level)
+    depth = -(-level // l) + data.draw(st.integers(min_value=0, max_value=3 if l < 3 else 2))
+    r = draw_level(fn, data, k, 1, depth * l)
+    once = walk(lambda: LevelSetTree(fn, r, l, depth=depth))
+    stepwise = walk(lambda: extended_stepwise(fn, r, l, depth))
+    if isinstance(once, LevelCollisionError):
+        assert isinstance(stepwise, LevelCollisionError)
+        assert (stepwise.r, stepwise.word) == (once.r, once.word)
+        return
+    assert tree_fields(stepwise, depth) == tree_fields(once, depth)
+
+
+def grid_denominator_levels(fn) -> list[Fraction]:
+    """Means of neighbouring grid values inside the root's hull whose denominator divides D.
+
+    Such a level lies strictly between two neighbouring vertex values, so
+    it is none, yet at or above the function level it falls on the
+    tree's integer lattice: the word loop's rem == 0 branch without a
+    collision.
+    """
+    values = sorted(set(point_values(fn).values()))
+    root = fn.corner_values("")
+    return [m for m in ((a + b) / 2 for a, b in zip(values, values[1:]))
+            if fn._denominator() % m.denominator == 0 and min(root) < m < max(root)]
+
+
+@given(st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=5),
+       st.sampled_from([1, 2]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_grid_denominator_level_matches_fraction_walk(seed, level, l, data):
+    fn = corpus_fn(seed, level)
+    levels = grid_denominator_levels(fn)
+    assume(levels)
+    r = data.draw(st.sampled_from(levels))
+    assert r not in point_values(fn).values()
+    assert_tree_matches(fn, r, l, data.draw(st.integers(min_value=1, max_value=level + 2)))
+
+
+def test_grid_denominator_levels_reach_the_function_level():
+    # above L the tree meets such a level exactly yet keeps members
+    for seed, level in ((0, 3), (1, 4), (3, 5)):
+        fn = corpus_fn(seed, level)
+        levels = grid_denominator_levels(fn)
+        assert levels
+        for r in levels:
+            tree = LevelSetTree(fn, r, 1, depth=level)
+            assert tree.nodes_at(level)
+            assert_tree_matches(fn, r, 1, level)
 
 
 def test_dyadic_level_hits_a_vertex_value_below_the_function_level():
