@@ -229,6 +229,8 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams,
     depth that reaches the maximum.  A ``tree`` must be one built for
     ``fn``, ``r`` and ``params.l``.
     """
+    if n_prime_max < 1:
+        raise ValueError(f"n_prime_max must be at least 1, got {n_prime_max}")
     q, l, d1 = params.q, params.l, params.d1
     t = checked_tree(fn, r, l, tree).fill_measure(q * n_prime_max)
     c_emp = 0.0

@@ -72,6 +72,10 @@ class FatCantorSet:
 
     n: int
 
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"level n must be non-negative, got {self.n}")
+
     @property
     def length(self) -> Fraction:
         return interval_length(self.n)

@@ -122,10 +122,11 @@ class LevelValue:
     Avoidance over the infinite vertex set cannot be decided, so the
     value is validated against the function's own table at construction
     and re-checked lazily on every triangle a computation touches.  Every
-    grid value's denominator divides D, the lcm of the grid's
+    vertex value is an integer over D, the lcm of the values' reduced
     denominators, so a level whose denominator does not divide D is
-    accepted without a scan; any other level is compared with the grid
-    in order, and the first equal vertex is named.
+    accepted without a scan; any other level is the integer
+    r.num (D / r.den) over D and is compared with the integer vertex
+    table in its key order, and the first equal vertex is named.
     """
 
     r: Fraction
@@ -133,10 +134,12 @@ class LevelValue:
     @classmethod
     def checked(cls, r, fn: PiecewiseAffineFn) -> "LevelValue":
         r = Fraction(r)
-        if fn._denominator() % r.denominator:
+        d = fn._denominator()
+        if d % r.denominator:
             return cls(r)
-        for (row, col), v in fn.grid.items():
-            if v == r:
+        target = r.numerator * (d // r.denominator)
+        for (row, col), v in fn._numerators.items():
+            if v == target:
                 point = lattice_point(row, col, fn.level)
                 raise LevelCollisionError(r, f"vertex {point.to_triples()}")
         return cls(r)
@@ -263,6 +266,22 @@ class LevelSetTree:
         return self._denom * self.r.denominator << max(0, length - self.fn.level)
 
     def extend(self, depth: int) -> "LevelSetTree":
+        """Expand the members down to ``depth``, all or nothing.
+
+        On a ``LevelCollisionError`` the level being expanded is reset,
+        so the tree is the one it was at its old depth and a retry raises
+        on the same word.
+        """
+        if depth < 0:
+            raise ValueError(f"depth must be non-negative, got {depth}")
+        try:
+            return self._extend(depth)
+        except LevelCollisionError:
+            for node in self._levels[self.depth]:
+                node.children, node.split = [], None
+            raise
+
+    def _extend(self, depth: int) -> "LevelSetTree":
         fn_level, l, table = self.fn.level, self.l, self._table
         rden = self.r.denominator
         blocks = _digit_blocks(l)
@@ -352,9 +371,9 @@ class LevelSetTree:
         depends only on the levels above it, so a fill continues from the
         deepest level already filled and never redoes one.
         """
+        self.extend(depth)
         if self.root is None:
             raise ValueError("the root is not a member; no measure to build")
-        self.extend(depth)
         if not self.mu_denominators:
             self.root.mu_num, self.root.mu_den = 1, 1
             self.mu_denominators = [1]
@@ -483,6 +502,8 @@ def kappa_exponent(fn: PiecewiseAffineFn, word: str, l: int = 1) -> int:
     # A boundary word is a step of length l over at most two of the
     # symbols 0, 1 and 2 (``boundary_family``); scaling the table by D
     # keeps the extreme pairs.
+    if l < 1:
+        raise ValueError(f"boundary family needs l >= 1, got l={l}")
     if len(word) % l:
         raise ValueError(f"address length must be a multiple of l={l}")
     table = fn.int_word_table()[1]
@@ -543,7 +564,11 @@ def well_conducting_census(fn: PiecewiseAffineFn, r, n: int, l: int, d1,
     enumerated down to level L first, on the integer word table, whose
     scaling by D keeps every extreme pair.
     """
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     d1 = Fraction(d1)
+    if d1 <= 0:
+        raise ValueError(f"d1 must be positive, got {d1}")
     t = n * d1
     if t.denominator != 1:
         raise ValueError(f"n*d1 = {t} is not an integer; n must be a multiple "

@@ -17,6 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -144,39 +145,69 @@ def _midpoint_copy(leaves) -> dict:
 class PiecewiseAffineFn:
     """Exact rational vertex table plus affine extension per triangle.
 
-    ``grid`` is the one vertex table: it maps the lattice index
-    (row, col) at scale 2**-level of each vertex of V_level, the point
-    (2 col + row, row sqrt(3)) / 2**(level+1), to its value.  It is
-    read-only after construction, because the one derived table, the
-    integer word table of ``int_word_table``, is built from it on first
-    use and never rebuilt.  Construction raises ValueError unless
-    ``grid``'s keys are exactly the indices of V_level.
+    The one vertex table is integer: D, the lcm of the reduced values'
+    denominators, and the numerators ``{(row, col): value times D}``
+    keyed by the lattice index (row, col) at scale 2**-level of each
+    vertex of V_level, the point (2 col + row, row sqrt(3)) / 2**(level+1).
+    It is read-only after construction, because the one derived table,
+    the integer word table of ``int_word_table``, is built from it on
+    first use and never rebuilt.  ``grid`` is a read-only ``Fraction``
+    view of the same table in the same key order.  Construction raises
+    ValueError unless ``grid``'s keys are exactly the indices of V_level.
     """
 
     def __init__(self, level: int, grid: dict[tuple[int, int], Fraction],
                  standard: bool = False, holder: HolderParams | None = None):
         _check_grid(level, grid)
-        self.level = level
-        self.grid = grid
-        self.standard = standard
-        self.holder = holder
+        self.level, self.standard, self.holder = level, standard, holder
+        self._den = math.lcm(*(v.denominator for v in grid.values()))
+        self._numerators = {p: v.numerator * (self._den // v.denominator)
+                            for p, v in grid.items()}
+        self._grid: MappingProxyType | None = MappingProxyType(grid)
         self._int_words: tuple[int, dict[str, tuple]] | None = None
-        self._den: int | None = None
+
+    @classmethod
+    def _from_ints(cls, level: int, scale: int, values: dict[tuple[int, int], int],
+                   standard: bool = False,
+                   holder: HolderParams | None = None) -> "PiecewiseAffineFn":
+        """The function with value v / scale at each vertex p of ``values``.
+
+        ``values`` must be keyed by V_level's lattice indices, as every
+        table the library builds is.  Dividing scale and values by
+        g = gcd(scale, *values) makes the scale the lcm of the reduced
+        denominators, the D of the public constructor.
+        """
+        g = math.gcd(scale, *values.values())
+        if g > 1:
+            scale //= g
+            values = {p: v // g for p, v in values.items()}
+        fn = cls.__new__(cls)
+        fn.level, fn.standard, fn.holder = level, standard, holder
+        fn._den, fn._numerators = scale, values
+        fn._grid = fn._int_words = None
+        return fn
+
+    @property
+    def grid(self) -> MappingProxyType:
+        """Read-only ``{(row, col): Fraction}`` view of the vertex table, built on first read."""
+        if self._grid is None:
+            d = self._den
+            self._grid = MappingProxyType({p: Fraction(v, d)
+                                           for p, v in self._numerators.items()})
+        return self._grid
 
     # -- the corner-value kernel -----------------------------------------
 
     def _denominator(self) -> int:
-        """D, the lcm of the grid's denominators; computed once, from the grid alone."""
-        if self._den is None:
-            self._den = math.lcm(*(v.denominator for v in self.grid.values()))
+        """D, the lcm of the reduced denominators of the vertex values."""
         return self._den
 
     def int_word_table(self) -> tuple[int, dict[str, tuple]]:
-        """(D, {word: its corner values times D}), D the lcm of the grid's denominators.
+        """(D, {word: its corner values times D}), D the vertex table's scale.
 
         Built once, over every word of length <= level in
-        ``level_index(level)``'s word order, gathered from the grid by
-        corner position.
+        ``level_index(level)``'s word order, gathered from the vertex
+        table by corner position.
         """
         if self._int_words is None:
             d, values = self._int_values(self.level)
@@ -191,20 +222,18 @@ class PiecewiseAffineFn:
         For depth >= L; S = D 2**(depth - L).  Below L each cell's corners
         are the midpoints of its parent's corners with the corner it keeps.
         """
-        d = self._denominator()
         top = depth - self.level
         index = level_index(depth)
         values = [0] * len(index.vertices)
-        for (row, col), v in self.grid.items():
-            values[index.vertices[row << top, col << top]] = (
-                v.numerator * (d // v.denominator) << top)
+        for (row, col), v in self._numerators.items():
+            values[index.vertices[row << top, col << top]] = v << top
         for layer in index.layers[self.level + 1:]:
             for i in layer:
                 up = index.corners[index.parents[i]]
                 a = values[up[int(index.words[i][-1])]]
                 for k, j in zip(index.corners[i], up):
                     values[k] = (values[j] + a) >> 1
-        return d << top, values
+        return self._den << top, values
 
     def corner_values(self, word: str) -> tuple[Fraction, Fraction, Fraction]:
         """Values at the three corners of the addressed triangle.
@@ -237,7 +266,8 @@ class PiecewiseAffineFn:
         """
         row, col = delta_lattice_index(locate(point, self.level))
         ws = lattice_weights(point, row, col, self.level)
-        return sum(w * self.grid[p] for w, p in zip(ws, cell_corners(row, col)))
+        return sum(w * self._numerators[p]
+                   for w, p in zip(ws, cell_corners(row, col))) / self._den
 
     # -- refinement ----------------------------------------------------
 
@@ -246,15 +276,14 @@ class PiecewiseAffineFn:
         if level < self.level:
             raise ValueError("cannot refine to a coarser level")
         if level == self.level:
-            return PiecewiseAffineFn(self.level, dict(self.grid),
-                                     self.standard, self.holder)
+            return PiecewiseAffineFn._from_ints(level, self._den, self._numerators,
+                                                self.standard, self.holder)
         scale, values = self._int_values(level)
         index = level_index(level)
         keys = list(index.vertices)
         # keys in the order the level-``level`` cells first reach them
-        grid = {keys[k]: Fraction(values[k], scale)
-                for i in index.layers[level] for k in index.corners[i]}
-        return PiecewiseAffineFn(level, grid, standard=False, holder=self.holder)
+        grid = {keys[k]: values[k] for i in index.layers[level] for k in index.corners[i]}
+        return PiecewiseAffineFn._from_ints(level, scale, grid, holder=self.holder)
 
     def standardize(self) -> "PiecewiseAffineFn":
         """Midpoint-copy subdivision, one level down.
@@ -269,8 +298,8 @@ class PiecewiseAffineFn:
         d, table = self.int_word_table()
         grid = _midpoint_copy((index.cells[i], table[index.words[i]])
                               for i in index.layers[self.level])
-        return PiecewiseAffineFn(self.level + 1, {p: Fraction(v, d) for p, v in grid.items()},
-                                 standard=True, holder=self.holder)
+        return PiecewiseAffineFn._from_ints(self.level + 1, d, grid, standard=True,
+                                            holder=self.holder)
 
     # -- structure checks ------------------------------------------------
 
@@ -320,8 +349,9 @@ class PiecewiseAffineFn:
         for i in reversed(index.layers[self.level]):    # increasing word order
             for corner, k in enumerate(index.corners[i]):
                 ids.setdefault(k, f"{index.words[i]}:{corner}")
-        entries = sorted((ids[index.vertices[p]], f"{v.numerator}/{v.denominator}")
-                         for p, v in self.grid.items())
+        d = self._den
+        entries = sorted((ids[index.vertices[p]], f"{v // g}/{d // g}")
+                         for p, v in self._numerators.items() for g in (math.gcd(v, d),))
         return {"level": self.level, "standard": self.standard, "entries": entries}
 
     @classmethod
@@ -580,8 +610,8 @@ def random_standard_paf(seed: int, level: int, alpha: float, c: float,
     (root values and displacements are multiples of 2**-40, and each
     level's midpoint averages halve once).  The cells of each level are
     displaced in the decreasing word order of ``level_index(level - 1)``,
-    edges (0,1), (1,2), (0,2), one draw each.  The standardized ``grid``
-    is converted to ``Fraction`` once.
+    edges (0,1), (1,2), (0,2), one draw each.  The standardized integers
+    become the function's vertex table as they are, with no ``Fraction``.
     """
     if level < 1:
         raise ValueError("a standard function needs level >= 1")
@@ -623,9 +653,8 @@ def random_standard_paf(seed: int, level: int, alpha: float, c: float,
         if bad:
             failing = index.words[bad[0]]
             continue
-        out = PiecewiseAffineFn(level, {p: Fraction(v, denom) for p, v
-                                        in _midpoint_copy(leaves).items()},
-                                standard=True)
+        out = PiecewiseAffineFn._from_ints(level, denom, _midpoint_copy(leaves),
+                                           standard=True)
         if check:
             cert = holder_certificate(out, alpha, c, depth=out.level + 1)
             if not cert.passed:

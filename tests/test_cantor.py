@@ -40,6 +40,11 @@ def test_cantor_levels_zero_and_one():
     assert c1.measure == F(2, 3)
 
 
+def test_negative_cantor_level_is_rejected():
+    with pytest.raises(ValueError, match="non-negative, got -1"):
+        cantor_level(-1)
+
+
 def test_measure_formula_exact():
     for n in range(31):
         cs = cantor_level(n)

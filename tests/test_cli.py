@@ -352,3 +352,21 @@ def test_cantor_interval_list_rejects_bad_level(tmp_path, argv):
     res = run_cli(["cantor", *argv, "--json-out", str(js)])
     _assert_usage_error(res, "cantor")
     assert not js.exists()
+
+
+def test_readme_artifacts_fails_on_a_failed_command(tmp_path, monkeypatch, capsys):
+    # the byte-identity check compares two runs; a failed command must fail the run
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "tools" / "readme_artifacts.py"
+    spec = importlib.util.spec_from_file_location("readme_artifacts", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    good = "holderlevels phase --alpha 0.4"
+    monkeypatch.setattr(tool, "readme_commands", lambda: [good])
+    assert tool.main([str(tmp_path / "ok")]) == 0
+    monkeypatch.setattr(tool, "readme_commands", lambda: [good, "holderlevels phase --alpha 2"])
+    assert tool.main([str(tmp_path / "bad")]) == 1
+    assert (tmp_path / "bad" / "02-phase.exit").read_text() != "0\n"
+    assert "1 README command(s) exited non-zero" in capsys.readouterr().err

@@ -240,6 +240,54 @@ def test_negative_levels_are_rejected():
     assert tree.depth == 4 and tree.nodes_at(4)
 
 
+def tree_state(tree):
+    """(word, corners, kappa, split, children's words, mu) of every node, level by level."""
+    return [[(n.word, n.corners, n.kappa_exp, n.split, [c.word for c in n.children],
+              n.mu_num, n.mu_den) for n in tree.nodes_at(k)] for k in range(tree.depth + 1)]
+
+
+def test_extend_is_all_or_nothing_on_a_collision():
+    # the level is a corner value of 00100: two depth-4 members are
+    # expanded before the one that meets it
+    fn = random_standard_paf(7, 3, 1.0, 0.9)
+    r = fn.corner_values("00100")[1]
+    tree = LevelSetTree(fn, r, 1, depth=4)
+    with pytest.raises(LevelCollisionError) as err:
+        tree.extend(5)
+    assert err.value.word == "00100"
+    assert tree.depth == 4
+    assert tree_state(tree) == tree_state(LevelSetTree(fn, r, 1, depth=4))
+    with pytest.raises(LevelCollisionError) as again:
+        tree.extend(5)
+    assert again.value.word == "00100"
+    assert tree_state(tree) == tree_state(LevelSetTree(fn, r, 1, depth=4))
+
+
+def test_negative_depths_are_rejected():
+    fn = random_standard_paf(0, 2, 0.5, 0.9, check=False)
+    root = fn.corner_values("")
+    r = min(root) + (max(root) - min(root)) * F(1, 3)
+    with pytest.raises(ValueError, match="depth must be non-negative, got -3"):
+        LevelSetTree(fn, r, 1, depth=-3)
+    tree = LevelSetTree(fn, r, 1, depth=2)
+    with pytest.raises(ValueError, match="depth must be non-negative, got -1"):
+        tree.extend(-1)
+    with pytest.raises(ValueError, match="depth must be non-negative, got -1"):
+        tree.fill_measure(-1)
+    assert tree.depth == 2
+
+
+def test_census_and_kappa_reject_invalid_parameters():
+    fn = random_standard_paf(0, 2, 0.5, 0.9, check=False)
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        well_conducting_census(fn, None, -2, 1, 1 / 2)
+    for d1 in (0, F(-1, 2)):
+        with pytest.raises(ValueError, match="d1 must be positive"):
+            well_conducting_census(fn, None, 2, 1, d1)
+    with pytest.raises(ValueError, match="l >= 1"):
+        kappa_exponent(fn, "01", 0)
+
+
 def test_kappa_sum_at_least_one(small_corpus):
     for fn, l, alpha, depth, pairs in small_corpus:
         for r, tree in pairs:

@@ -7,7 +7,8 @@ directory OUT (created if missing, refused if not empty), with this
 checkout's ``src/`` first on PYTHONPATH.  Beside the files a command
 writes, OUT gets ``NN-<subcommand>.stdout``, ``.stderr`` and ``.exit``
 for the NN-th line.  Two such directories made at two commits compare
-byte for byte with ``diff -r``.
+byte for byte with ``diff -r``.  The exit status is 1 when any command
+exits non-zero, so a comparison cannot pass on a failed command.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ def main(argv: list[str]) -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    failed = 0
     for number, line in enumerate(readme_commands(), start=1):
         args = shlex.split(line)[1:]
         res = subprocess.run([sys.executable, "-m", "holderlevels.cli", *args],
@@ -53,7 +55,10 @@ def main(argv: list[str]) -> int:
         stem.with_suffix(".stderr").write_bytes(res.stderr)
         stem.with_suffix(".exit").write_text(f"{res.returncode}\n")
         print(f"{number:02d} exit {res.returncode}  {line}")
-    return 0
+        failed += res.returncode != 0
+    if failed:
+        print(f"{failed} README command(s) exited non-zero", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
