@@ -51,7 +51,6 @@ from .cantor import (
     product_separated_structure,
 )
 from .triangles import (
-    BoundaryFamilyL,
     boundary_family,
     line_crossing_count,
     line_crossing_count_geometric,
@@ -60,4 +59,18 @@ from .triangles import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ApproxLevelSet", "BernoulliWitnessFn", "BoundSearchParams", "CoordQ3",
+    "DimensionEstimate", "FatCantorSet", "GraftedFn", "HolderCertificate",
+    "HolderParams", "LevelSetTree", "LevelValue", "PhaseTransitionConfig",
+    "PiecewiseAffineFn", "PointQ3", "QSqrt3", "SeparatedStructure",
+    "affine_from_corners", "approx_level_set", "bernoulli_cdf", "boundary_family",
+    "box_count_dimension", "cantor_level", "capacity_gap", "census_constant",
+    "constant_fn", "dyadic_cylinder_mass", "feasibility_search", "feasible_l",
+    "graft", "graft_certificate_constant", "holder_certificate", "kappa_exponent",
+    "line_crossing_count", "line_crossing_count_geometric", "lower_bound",
+    "mass_distribution_lower", "min_graft_level", "phase_perturbation",
+    "piecewise_constant_feasibility", "product_separated_structure",
+    "random_standard_paf", "triangle_vertices", "trivial_upper_bound_sierpinski",
+    "upper_bound", "well_conducting_census",
+]

@@ -175,6 +175,16 @@ class CapacityGap:
     terms: int
     truncation_tail: float
 
+    @property
+    def ratio_bound(self) -> float:
+        """(direct sum + truncation tail) (2**(k+1) - 1), an upper bound on the ratio.
+
+        Each term after the first is less than 2**(1 - 2 alpha) times the
+        one before it (r_(m+1) / r_m < 1/4), so the tail bounds the terms
+        the direct sum left out; ``ratio_to_interval`` omits them.
+        """
+        return (self.direct_sum + self.truncation_tail) * float((1 << (self.k + 1)) - 1)
+
 
 def capacity_gap(k: int, alpha: float) -> CapacityGap:
     """Capacity estimate of (level-k interval) minus the limit set.
@@ -184,12 +194,17 @@ def capacity_gap(k: int, alpha: float) -> CapacityGap:
     sum 2**(m-k-1) r_m**alpha.  For alpha > 1/2 the geometric closed
     form 2**(-2 alpha (k+1)) / (1 - 2**(1-2 alpha)) dominates it; for
     alpha <= 1/2 the terms do not decay and the divergence flag is
-    raised instead.
+    raised instead.  ValueError once the first term 2**0 r_(k+1)**alpha
+    or the factor 2**(k+1) - 1 of the ratio leaves the normal float range.
     """
     if k < 1:
         raise ValueError("need k >= 1 (generation-1 gaps break the closed form)")
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
+    if (k + 1 >= sys.float_info.max_exp
+            or -alpha * _removal_log2(k + 1) < sys.float_info.min_exp - 1):
+        raise ValueError(f"k = {k} is too deep for alpha = {alpha}: the first term or "
+                         f"2**(k+1) - 1 leaves the normal float range")
     total = 0.0
     m = k + 1
     terms = 0
@@ -475,7 +490,9 @@ def phase_perturbation(grid: dict, config: PhaseTransitionConfig) -> Perturbatio
     left of x1, (1-c)(x-x1) across the cylinder and constant right of
     x2; when the base decreases across the top edge the mirrored ramp is
     used.  The perturbed function gains at least (1-c)(x2-x1) across the
-    top corners, exactly, and stays 1-Holder-alpha on the grid.
+    top corners, exactly, and stays 1-Holder-alpha on the grid.  The
+    capacity check holds when ``capacity_gap``'s ``ratio_bound`` is below
+    delta; the report carries its ``ratio_to_interval``.
     """
     config.validate()
     c = Fraction(config.c)
@@ -530,7 +547,7 @@ def phase_perturbation(grid: dict, config: PhaseTransitionConfig) -> Perturbatio
         holder_max_ratio=pert_ratio,
         holder_ok=pert_ratio <= 1 + 1e-9,
         capacity_ratio=cap.ratio_to_interval,
-        capacity_ok=cap.ratio_to_interval < config.delta,
+        capacity_ok=cap.ratio_bound < config.delta,
         guaranteed_interval_length=config.guaranteed_interval_length(),
     )
 

@@ -46,6 +46,10 @@ _MAX_L = 16
 # word table it took 15 s and 1.0 GB at L = 12
 _MAX_LEVEL = 11
 
+# phase searches the perturbation level k up to this cap, and builds the
+# level-k Cantor lattice, which grows about 8x in memory per doubling of k
+_MAX_PERTURB_K = 200
+
 
 def _require(ok: bool, message: str) -> None:
     if not ok:
@@ -308,6 +312,20 @@ def cmd_cantor(args) -> int:
             intervals = ct.cantor_level(level).to_json()
         except ValueError as exc:
             raise UsageError(f"interval list at level {level}: {exc}")
+    cap_rows = []
+    ok = True
+    for alpha in _alpha_grid(args.capacity_alphas):
+        for k in range(1, args.depth + 1):
+            try:
+                cg = ct.capacity_gap(k, alpha)
+            except ValueError as exc:
+                raise UsageError(f"--depth {args.depth}: {exc}")
+            bound = cg.closed_form_bound
+            if bound is not None and cg.direct_sum > bound:
+                ok = False
+            cap_rows.append((k, alpha, cg.direct_sum,
+                             float("nan") if bound is None else bound,
+                             cg.ratio_to_interval, int(cg.diverges)))
     rows = []
     for n in range(args.depth + 1):
         cs = ct.cantor_level(n)
@@ -321,23 +339,10 @@ def cmd_cantor(args) -> int:
             "intervals": intervals,
         })
     if args.capacity_alphas:
-        cap_rows = []
-        ok = True
-        for alpha in _alpha_grid(args.capacity_alphas):
-            for k in range(1, args.depth + 1):
-                cg = ct.capacity_gap(k, alpha)
-                bound = cg.closed_form_bound
-                if bound is not None and cg.direct_sum > bound:
-                    ok = False
-                cap_rows.append((k, alpha, cg.direct_sum,
-                                 float("nan") if bound is None else bound,
-                                 cg.ratio_to_interval, int(cg.diverges)))
         write_csv(args.capacity_out, dict(config, table="capacity"),
                   ["k", "alpha", "direct", "bound", "ratio", "diverges"],
                   cap_rows)
-        if not ok:
-            return 1
-    return 0
+    return 0 if ok else 1
 
 
 def cmd_phase(args) -> int:
@@ -346,7 +351,8 @@ def cmd_phase(args) -> int:
     _require(0 < args.M < float("inf"), "--M must be positive and finite")
     _require(args.k_cap >= 1, "--k-cap must be at least 1")
     _require(args.delta > 0, "--delta must be positive")
-    _require(args.perturb_k >= 1, "--perturb-k must be at least 1")
+    _require(1 <= args.perturb_k <= _MAX_PERTURB_K,
+             f"--perturb-k must lie in 1..{_MAX_PERTURB_K}")
     _require(0 <= args.grid_level <= _MAX_GRID_LEVEL,
              f"--grid-level must lie in 0..{_MAX_GRID_LEVEL}: each level costs about 4x the last")
     config = {"command": "phase", "alpha": args.alpha, "c": args.c,
@@ -375,7 +381,7 @@ def cmd_phase(args) -> int:
         c = Fraction(args.c).limit_denominator(10**6)
         k = args.perturb_k
         cap = ct.capacity_gap(k, args.alpha)
-        while cap.ratio_to_interval >= args.delta and k < 200:
+        while cap.ratio_bound >= args.delta and k < _MAX_PERTURB_K:
             k += 1
             cap = ct.capacity_gap(k, args.alpha)
         cfg = ct.cylinder_config(args.alpha, c, k=k, ix=1, iy=1,

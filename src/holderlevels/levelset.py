@@ -17,6 +17,7 @@ therefore never exceeds it.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -25,18 +26,6 @@ from fractions import Fraction
 
 from .paf import PiecewiseAffineFn
 from .triangles import boundary_family, lattice_point
-
-_BOUNDARY_CACHE: dict[int, tuple[str, ...]] = {}
-
-
-def _boundary_words(l: int) -> tuple[str, ...]:
-    if l not in _BOUNDARY_CACHE:
-        _BOUNDARY_CACHE[l] = boundary_family(l).addresses
-    return _BOUNDARY_CACHE[l]
-
-
-_DIGIT_CACHE: dict[int, tuple] = {}
-_STEPS_CACHE: dict[tuple[int, int], tuple] = {}
 
 
 def _split(incs) -> tuple[tuple[int, ...], int]:
@@ -50,12 +39,13 @@ def _split(incs) -> tuple[tuple[int, ...], int]:
     return weights, sum(weights)
 
 
+@functools.cache
 def _digit_blocks(l: int) -> tuple:
     """Member children of a two-valued triangle below the function level.
 
     ``_digit_blocks(l)[o][k]`` is (children, split).  The children are
     (boundary word, kappa increment) for the words whose steps into the
-    odd corner o spell the l binary digits of k, in ``_boundary_words(l)``
+    odd corner o spell the l binary digits of k, in ``boundary_family(l)``
     order: all 2**l words over the other two symbols for k = 0, only o**l
     for k = 2**l - 1, and the two words o and one other symbol spell for
     a mixed block.  o**l and m**l, m the smallest symbol other than o,
@@ -63,31 +53,26 @@ def _digit_blocks(l: int) -> tuple:
     ``_split``: weight 2 for m**l and 1 for the others in the zero block
     (sum 2**l + 1), (1,) for o**l and (1, 1) for a mixed block.
     """
-    if l not in _DIGIT_CACHE:
-        blocks = []
-        for o in range(3):
-            digits = str.maketrans("012", "".join("01"[s == o] for s in range(3)))
-            extremes = (str(o) * l, str(int(o == 0)) * l)
-            by_k: list[list] = [[] for _ in range(1 << l)]
-            for w in _boundary_words(l):
-                by_k[int(w.translate(digits), 2)].append((w, int(w not in extremes)))
-            blocks.append(tuple((tuple(block), _split([inc for _, inc in block]))
-                                for block in by_k))
-        _DIGIT_CACHE[l] = tuple(blocks)
-    return _DIGIT_CACHE[l]
+    blocks = []
+    for o in range(3):
+        digits = str.maketrans("012", "".join("01"[s == o] for s in range(3)))
+        extremes = (str(o) * l, str(int(o == 0)) * l)
+        by_k: list[list] = [[] for _ in range(1 << l)]
+        for w in boundary_family(l):
+            by_k[int(w.translate(digits), 2)].append((w, int(w not in extremes)))
+        blocks.append(tuple((tuple(block), _split([inc for _, inc in block]))
+                            for block in by_k))
+    return tuple(blocks)
 
 
+@functools.cache
 def _word_steps(l: int, below: int) -> tuple:
     """Each boundary word with the symbols of its last ``below`` steps, as ints.
 
     The word loop applies those steps to corner values that lie below the
     function level; the rest of a word is read from the word table.
     """
-    key = (l, below)
-    if key not in _STEPS_CACHE:
-        _STEPS_CACHE[key] = tuple((w, tuple(map(int, w[l - below:])))
-                                  for w in _boundary_words(l))
-    return _STEPS_CACHE[key]
+    return tuple((w, tuple(map(int, w[l - below:]))) for w in boundary_family(l))
 
 
 def odd_corner(corners) -> tuple | None:
@@ -123,10 +108,10 @@ class LevelValue:
     value is validated against the function's own table at construction
     and re-checked lazily on every triangle a computation touches.  Every
     vertex value is an integer over D, the lcm of the values' reduced
-    denominators, so a level whose denominator does not divide D is
-    accepted without a scan; any other level is the integer
-    r.num (D / r.den) over D and is compared with the integer vertex
-    table in its key order, and the first equal vertex is named.
+    denominators: with q, rem = divmod(r.num D, r.den), a level with
+    rem != 0 is accepted without a scan, and any other level is the
+    integer q over D and is compared with the integer vertex table in
+    its key order, and the first equal vertex is named.
     """
 
     r: Fraction
@@ -134,12 +119,11 @@ class LevelValue:
     @classmethod
     def checked(cls, r, fn: PiecewiseAffineFn) -> "LevelValue":
         r = Fraction(r)
-        d = fn._denominator()
-        if d % r.denominator:
+        q, rem = divmod(r.numerator * fn._denominator(), r.denominator)
+        if rem:
             return cls(r)
-        target = r.numerator * (d // r.denominator)
         for (row, col), v in fn._numerators.items():
-            if v == target:
+            if v == q:
                 point = lattice_point(row, col, fn.level)
                 raise LevelCollisionError(r, f"vertex {point.to_triples()}")
         return cls(r)
@@ -208,11 +192,13 @@ class LevelSetTree:
 
     The walk is exact and integer.  With D the common denominator of the
     function's word table (``int_word_table``), corner values at word
-    length k are integers at scale D r.den 2**max(0, k - L), where the
-    level r is the integer r.num D 2**max(0, k - L).  At or above the
-    function level L a triangle's corners are a table hit; each step
+    length k are integers at scale D 2**max(0, k - L): at or above the
+    function level L a node holds the table's own tuple, and each step
     below it maps corners v to v + v[s], since midpoint averaging halves
-    the values and the scale doubles.
+    the values and the scale doubles.  The level enters each depth only
+    as q, rem = divmod(r.num D 2**max(0, k - L), r.den): a triple t meets
+    it exactly when rem == 0 and q is in t, and lies around it exactly
+    when min(t) <= q < max(t) once no corner is q.
 
     A member of word length at least L whose corners are (b, b, a) in
     some order, with the odd corner o carrying a, takes the digit step.
@@ -228,31 +214,26 @@ class LevelSetTree:
     the same tuple, and each parent of the run only builds its children.
     When 2**l h is an integer the level hits a vertex, and each node of
     the run falls back to the word loop, which tests every boundary word
-    in order and names the first colliding one.  Members above L, members
-    whose children cross L and members with three distinct corners
-    (possible only in functions that are not standard) take the word loop
-    too, which computes the split from the children's kappa increments.
-
-    Above L the word loop tests a word's unscaled table triple t (after
-    any steps below L, which are linear): with q, rem = divmod(level,
-    r.den), t r.den meets the level only if rem == 0 and q is in t, and
-    lies around it exactly when min(t) <= q < max(t) once no corner is q.
-    Only the members' corners are scaled by r.den.  Below L the parents'
-    corners are already scaled, and the same test runs with q the level
-    and rem = 0.
+    in order (the word's table triple above L, after any steps below L)
+    and names the first colliding one.  Members above L, members whose
+    children cross L and members with three distinct corners (possible
+    only in functions that are not standard) take the word loop too,
+    which computes the split from the children's kappa increments.
     """
 
     def __init__(self, fn: PiecewiseAffineFn, r, l: int = 1, depth: int = 0):
+        if l < 1:
+            raise ValueError(f"boundary family needs l >= 1, got l={l}")
         self.fn = fn
         self.r = _level_fraction(r)
         self.l = l
         self.depth = 0
         self._denom, self._table = fn.int_word_table()
-        corners = tuple(v * self.r.denominator for v in self._table[""])
-        level = self.r.numerator * self._denom
-        if level in corners:
+        corners = self._table[""]
+        q, rem = divmod(self.r.numerator * self._denom, self.r.denominator)
+        if not rem and q in corners:
             raise LevelCollisionError(self.r, "")
-        if min(corners) < level < max(corners):
+        if min(corners) <= q < max(corners):
             self.root: LevelSetNode | None = LevelSetNode("", corners, 0)
         else:
             self.root = None
@@ -263,7 +244,7 @@ class LevelSetTree:
 
     def scale(self, length: int) -> int:
         """The factor between corner values and the integer corners at a word length."""
-        return self._denom * self.r.denominator << max(0, length - self.fn.level)
+        return self._denom << max(0, length - self.fn.level)
 
     def extend(self, depth: int) -> "LevelSetTree":
         """Expand the members down to ``depth``, all or nothing.
@@ -287,15 +268,14 @@ class LevelSetTree:
         blocks = _digit_blocks(l)
         while self.depth < depth:
             length = (self.depth + 1) * l       # word length of the children
+            # the level times r.den, at the children's scale
             level = self.r.numerator * self._denom << max(0, length - fn_level)
             above = length - l < fn_level       # the parents are table entries
             below = min(l, max(0, length - fn_level))
             words = None                        # built when a node first needs the word loop
             nxt: list[LevelSetNode] = []
             parent_level = level >> l           # exact once the parents are at or below L
-            # above L the word loop tests unscaled table triples t against q:
-            # t r.den meets the level only when rem == 0 and q is in t
-            q, rem = divmod(level, rden) if above else (level, 0)
+            q, rem = divmod(level, rden)
             run = step = None                   # the last parent's corners and digit step
             for node in self._levels[self.depth]:
                 if node.corners is not run:
@@ -303,7 +283,7 @@ class LevelSetTree:
                     split = None if above else odd_corner(run)
                     if split:
                         o, b, a = split
-                        k, krem = divmod((parent_level - b) << l, a - b)
+                        k, krem = divmod((parent_level - b * rden) << l, (a - b) * rden)
                         if krem:
                             b, a = (b << l) + k * (a - b), (b << l) + (k + 1) * (a - b)
                             step = ((a, b, b), (b, a, b), (b, b, a))[o], blocks[o][k]
@@ -329,8 +309,6 @@ class LevelSetTree:
                     # past the collision test, min(vals) <= q: the lowest corner is below the level
                     if not (min(vals) <= q < max(vals)):
                         continue
-                    if above:
-                        vals = (vals[0] * rden, vals[1] * rden, vals[2] * rden)
                     inc = int(w not in extreme_words)
                     child = LevelSetNode(word, vals, node.kappa_exp + inc)
                     node.children.append(child)
@@ -588,7 +566,7 @@ def well_conducting_census(fn: PiecewiseAffineFn, r, n: int, l: int, d1,
     frontier = [("", 0)]                # (word, kappa exponent) within t
     top = 0                             # steps enumerated
     if any(v0 == v1 == v2 for v0, v1, v2 in table.values()):
-        words = _boundary_words(l)
+        words = boundary_family(l)
         top = min(n, -(-fn.level // l))     # steps until the words reach level L
         for _ in range(top):
             nxt = []

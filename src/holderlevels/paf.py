@@ -163,7 +163,7 @@ class PiecewiseAffineFn:
         self._den = math.lcm(*(v.denominator for v in grid.values()))
         self._numerators = {p: v.numerator * (self._den // v.denominator)
                             for p, v in grid.items()}
-        self._grid: MappingProxyType | None = MappingProxyType(grid)
+        self._grid: MappingProxyType | None = None
         self._int_words: tuple[int, dict[str, tuple]] | None = None
 
     @classmethod

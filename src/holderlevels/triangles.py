@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
@@ -206,24 +205,14 @@ def locate(point, level: int) -> str:
 # boundary families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundaryFamilyL:
-    """The 3*(2**l - 1) level-l triangles with an edge on the outer boundary."""
-
-    l: int
-    addresses: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.addresses)
-
-
-def boundary_family(l: int) -> BoundaryFamilyL:
-    """Level-l addresses whose triangle has an edge on the boundary.
+@functools.cache
+def boundary_family(l: int) -> tuple[str, ...]:
+    """The sorted level-l addresses whose triangle has an edge on the boundary.
 
     A level-l triangle keeps an edge on the outer edge between root
     vertices i and j exactly when its word uses only the symbols {i, j},
     so the family is enumerated combinatorially; cardinality is
-    3*(2**l - 1).
+    3*(2**l - 1).  Built once per l.
     """
     if l < 1:
         raise ValueError("boundary family needs l >= 1")
@@ -234,7 +223,7 @@ def boundary_family(l: int) -> BoundaryFamilyL:
             words.add("".join(combo))
     out = tuple(sorted(words))
     assert len(out) == 3 * (2**l - 1)
-    return BoundaryFamilyL(l=l, addresses=out)
+    return out
 
 
 # ---------------------------------------------------------------------------

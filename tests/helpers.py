@@ -147,7 +147,7 @@ def iter_subdivision_addresses(n: int, l: int = 1):
     """
     if n < 0:
         raise ValueError("level must be >= 0")
-    fam = boundary_family(l).addresses
+    fam = boundary_family(l)
     for combo in itertools.product(fam, repeat=n):
         yield "".join(combo)
 

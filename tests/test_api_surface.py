@@ -1,6 +1,7 @@
 """The public surface, and the names that left the library for the tests.
 
-The package exports exactly the names below.  The Q(sqrt(3)) ring and
+The package exports exactly the names below, written out in its
+``__all__``: no submodule name is exported.  The Q(sqrt(3)) ring and
 field arithmetic now lives in ``geometry_oracle`` and the other code only
 the tests ran in ``helpers``; an AST scan of the library, the benchmark
 and the tools finds none of those names, and the options and members
@@ -19,20 +20,19 @@ from holderlevels.paf import PiecewiseAffineFn
 ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC = [
-    "ApproxLevelSet", "BernoulliWitnessFn", "BoundSearchParams", "BoundaryFamilyL",
-    "CoordQ3", "DimensionEstimate", "FatCantorSet", "GraftedFn", "HolderCertificate",
+    "ApproxLevelSet", "BernoulliWitnessFn", "BoundSearchParams", "CoordQ3",
+    "DimensionEstimate", "FatCantorSet", "GraftedFn", "HolderCertificate",
     "HolderParams", "LevelSetTree", "LevelValue", "PhaseTransitionConfig",
     "PiecewiseAffineFn", "PointQ3", "QSqrt3", "SeparatedStructure",
-    "affine_from_corners", "approx_level_set", "bernoulli", "bernoulli_cdf",
-    "boundary_family", "bounds", "box_count_dimension", "cantor", "cantor_level",
-    "capacity_gap", "census_constant", "constant_fn", "dyadic_cylinder_mass", "exact",
-    "feasibility_search", "feasible_l", "graft", "graft_certificate_constant",
-    "holder_certificate", "kappa_exponent", "levelset", "line_crossing_count",
-    "line_crossing_count_geometric", "lower_bound", "mass_distribution_lower",
-    "min_graft_level", "paf", "phase_perturbation", "piecewise_constant_feasibility",
-    "product_separated_structure", "random_standard_paf", "triangle_vertices",
-    "triangles", "trivial_upper_bound_sierpinski", "upper_bound",
-    "well_conducting_census",
+    "affine_from_corners", "approx_level_set", "bernoulli_cdf", "boundary_family",
+    "box_count_dimension", "cantor_level", "capacity_gap", "census_constant",
+    "constant_fn", "dyadic_cylinder_mass", "feasibility_search", "feasible_l",
+    "graft", "graft_certificate_constant", "holder_certificate", "kappa_exponent",
+    "line_crossing_count", "line_crossing_count_geometric", "lower_bound",
+    "mass_distribution_lower", "min_graft_level", "phase_perturbation",
+    "piecewise_constant_feasibility", "product_separated_structure",
+    "random_standard_paf", "triangle_vertices", "trivial_upper_bound_sierpinski",
+    "upper_bound", "well_conducting_census",
 ]
 
 # deleted, or moved to tests/geometry_oracle.py and tests/helpers.py
@@ -50,6 +50,9 @@ REMOVED = {
     # paf: the Fraction word table beside the integer one; cantor: the
     # log2 sides outside the one feasibility decision
     "word_table", "_words", "_log2_sides",
+    # triangles and levelset: the wrapper around the boundary words and
+    # the dict caches beside the cached functions
+    "BoundaryFamilyL", "_boundary_words", "_BOUNDARY_CACHE", "_DIGIT_CACHE", "_STEPS_CACHE",
     # exact and triangles: the ring and field arithmetic
     "SQRT3", "from_fraction", "from_coord", "sign", "is_rational", "as_fraction",
     "inverse", "dist_sq", "scale_pow2", "_coerce", "_is_power_of_two",

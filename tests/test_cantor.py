@@ -266,6 +266,41 @@ def test_capacity_ratio_decreasing_from_level_two():
         assert all(a > b for a, b in zip(rs, rs[1:])), alpha
 
 
+def relative_stop_ratio(k: int, alpha: float) -> float:
+    """The capacity ratio summed until a term is below 1e-17 of the total."""
+    total, m = 0.0, k + 1
+    while True:
+        term = 2.0 ** ((m - k - 1) - alpha * (math.log2((1 << m) - 1)
+                                              + math.log2((1 << (m + 1)) - 1)))
+        total += term
+        m += 1
+        if term < 1e-17 * total:
+            return total * ((1 << (k + 1)) - 1)
+
+
+def test_ratio_bound_covers_the_terms_the_sum_left_out():
+    # the sum stops at an absolute term size: at alpha = 0.51 and k = 90 it
+    # takes one term and reads 0.199 against a full sum of 14.45
+    cg = capacity_gap(90, 0.51)
+    assert cg.terms == 1 and cg.ratio_to_interval == pytest.approx(0.199, abs=1e-3)
+    assert relative_stop_ratio(90, 0.51) == pytest.approx(14.45, abs=0.01)
+    for alpha in (0.51, 0.52, 0.55, 0.6, 0.75, 1.0):
+        for k in (1, 2, 5, 10, 23, 56, 90, 174, 200):
+            # equal up to rounding where the sum took one term and the tail is the rest
+            assert capacity_gap(k, alpha).ratio_bound >= \
+                relative_stop_ratio(k, alpha) * (1 - 1e-12), (k, alpha)
+
+
+def test_capacity_refuses_k_past_the_normal_float_range():
+    # the first term 2**0 r_(k+1)**alpha, about 2**-(2k+3) at alpha = 1, is
+    # normal up to k = 509; 2**(k+1) - 1 overflows a float from k = 1023
+    assert capacity_gap(509, 1.0).direct_sum >= sys.float_info.min
+    for k, alpha in ((510, 1.0), (851, 0.6), (1023, 0.3)):
+        with pytest.raises(ValueError, match=f"k = {k} is too deep for alpha = {alpha}"):
+            capacity_gap(k, alpha)
+    assert math.isfinite(capacity_gap(1022, 0.3).ratio_to_interval)
+
+
 def test_capacity_divergence_flag():
     cg = capacity_gap(4, 0.4)
     assert cg.diverges and cg.closed_form_bound is None

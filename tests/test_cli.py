@@ -11,6 +11,7 @@ import pytest
 from holderlevels import cli
 from holderlevels.bernoulli import sample_digits
 from holderlevels.cli import main
+from test_cantor import relative_stop_ratio
 
 
 def run_cli(args, tmp_path=None):
@@ -168,6 +169,20 @@ def test_phase_reports_no_feasible_level_past_float_underflow(capsys):
     assert capsys.readouterr().out == "infeasible; perturbation certificate holds\n"
 
 
+@pytest.mark.parametrize("alpha, k, exit_code", [(0.51, 200, 1), (0.52, 174, 0),
+                                                 (0.55, 56, 0)])
+def test_phase_certificate_is_decided_by_the_full_sum(tmp_path, capsys, alpha, k, exit_code):
+    # just above alpha = 1/2 the capacity terms decay slowly, and the k
+    # search decides by the direct sum plus its tail
+    js = tmp_path / "phase.json"
+    assert main(["phase", "--alpha", str(alpha), "--out", str(js)]) == exit_code
+    state = "holds" if exit_code == 0 else "FAILS"
+    assert capsys.readouterr().out == f"infeasible; perturbation certificate {state}\n"
+    assert json.loads(js.read_text())["perturbation"]["k"] == k
+    # the certificate's verdict is the one the full sum gives
+    assert (relative_stop_ratio(k, alpha) < 0.2) == (exit_code == 0)
+
+
 def test_selftest_passes():
     res = run_cli(["selftest"])
     assert res.returncode == 0
@@ -274,6 +289,9 @@ def test_phase_rejects_alpha_above_one():
     (["phase", "--alpha", "0.6", "--k-cap", "-1"], "--k-cap"),
     (["phase", "--alpha", "0.4", "--M", "inf"], "--M"),
     (["phase", "--alpha", "0.4", "--M", "nan"], "--M"),
+    (["phase", "--alpha", "0.6", "--perturb-k", "201"], "--perturb-k"),
+    (["phase", "--alpha", "0.6", "--perturb-k", "1030"], "--perturb-k"),
+    (["cantor", "--depth", "1030", "--capacity-alphas", "0.6"], "--depth 1030: k = 851"),
 ])
 def test_cantor_and_phase_reject_bad_input(argv, option):
     res = run_cli(argv)
@@ -314,7 +332,6 @@ def test_function_commands_reject_l_above_cap(monkeypatch, capsys, argv):
         raise AssertionError("built the boundary family before checking --l")
 
     monkeypatch.setattr(cli.ls, "boundary_family", unreachable)
-    monkeypatch.setattr(cli.ls, "_boundary_words", unreachable)
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -280,15 +280,17 @@ def test_census_with_a_constant_triangle_matches_slow_enumeration(fn, l, data):
     assert well_conducting_census(fn, None, n, l, Fraction(t, n), alpha=0.5).count == direct
 
 
-def test_census_of_a_standard_function_builds_no_boundary_words():
+def test_census_of_a_standard_function_builds_no_boundary_words(monkeypatch):
     # no triangle of a standard function is constant: the closed form, B from l
-    levelset._BOUNDARY_CACHE.pop(16, None)
+    built = []
+    monkeypatch.setattr(levelset, "boundary_family",
+                        lambda l: built.append(l) or triangles.boundary_family(l))
     fn = random_standard_paf(7, 3, 0.2, 0.9, check=False)
     res = well_conducting_census(fn, None, 10, 16, Fraction(1, 10), alpha=0.2)
     b = 3 * (2**16 - 1)
     assert res.count == sum(math.comb(10, j) * 2 ** (10 - j) * (b - 2) ** j
                             for j in range(2))
-    assert 16 not in levelset._BOUNDARY_CACHE
+    assert 16 not in built
 
 
 def full_scan(fn, r: Fraction):
@@ -322,7 +324,7 @@ def test_level_check_matches_full_scan(fn, data):
        st.sampled_from([2, 3]), st.data())
 @settings(max_examples=60, deadline=None)
 def test_kappa_exponent_matches_slow_path_at_larger_l(fn, l, data):
-    words = boundary_family(l).addresses
+    words = boundary_family(l)
     steps = data.draw(st.lists(st.sampled_from(words), max_size=4))
     word = "".join(steps)
     assert kappa_exponent(fn, word, l) == slow_kappa_exponent(fn, word, l, {})

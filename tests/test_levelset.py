@@ -277,6 +277,17 @@ def test_negative_depths_are_rejected():
     assert tree.depth == 2
 
 
+@pytest.mark.parametrize("l", [-1, 0])
+def test_tree_rejects_l_below_one(l):
+    fn = random_standard_paf(0, 2, 0.5, 0.9, check=False)
+    root = fn.corner_values("")
+    r = min(root) + (max(root) - min(root)) * F(1, 3)
+    with pytest.raises(ValueError, match=f"l >= 1, got l={l}"):
+        LevelSetTree(fn, r, l, 2)
+    with pytest.raises(ValueError, match=f"l >= 1, got l={l}"):
+        LevelSetTree(fn, r, l)
+
+
 def test_census_and_kappa_reject_invalid_parameters():
     fn = random_standard_paf(0, 2, 0.5, 0.9, check=False)
     with pytest.raises(ValueError, match="n must be non-negative"):

@@ -257,6 +257,16 @@ def test_grid_keys_checked_at_construction():
         PiecewiseAffineFn(-1, {})
 
 
+def test_grid_does_not_follow_the_callers_dict():
+    # the vertex table is the integers; a later write to the caller's dict changes nothing
+    g = {(0, 0): Fraction(0), (0, 1): Fraction(1), (1, 0): Fraction(2)}
+    fn = PiecewiseAffineFn(0, g)
+    g[0, 0] = Fraction(5)
+    assert fn.grid[0, 0] == 0
+    assert fn.to_json() == PiecewiseAffineFn(0, {**g, (0, 0): Fraction(0)}).to_json()
+    assert fn.corner_values("") == (0, 1, 2)
+
+
 def test_constructor_rejects_a_wrong_grid_before_building_the_index(monkeypatch):
     # a grid of the wrong size cannot be valid: lattice arithmetic alone rejects it
     def unreachable(level):

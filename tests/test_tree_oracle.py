@@ -32,7 +32,7 @@ F = Fraction
 
 def oracle_levels(fn, r: Fraction, l: int, depth: int):
     """Levels of (word, kappa exponent, corner values, parent index) in walk order."""
-    words = boundary_family(l).addresses
+    words = boundary_family(l)
     vals = fn.corner_values("")
     if r in vals:
         raise LevelCollisionError(r, "")
@@ -54,7 +54,7 @@ def oracle_levels(fn, r: Fraction, l: int, depth: int):
 def oracle_digit_blocks(l: int) -> tuple:
     """``_digit_blocks(l)``, each word's digits joined one symbol at a time."""
     blocks = [[[] for _ in range(1 << l)] for _ in range(3)]
-    for w in boundary_family(l).addresses:
+    for w in boundary_family(l):
         for o in range(3):
             extremes = (str(o) * l, str(int(o == 0)) * l)
             k = int("".join("1" if int(s) == o else "0" for s in w), 2)
@@ -211,6 +211,60 @@ def test_grid_denominator_level_matches_fraction_walk(seed, level, l, data):
     r = data.draw(st.sampled_from(levels))
     assert r not in point_values(fn).values()
     assert_tree_matches(fn, r, l, data.draw(st.integers(min_value=1, max_value=level + 2)))
+
+
+def lattice_level(fn, word: str, corner: int, delta: int) -> Fraction:
+    """A corner value of ``word``, below L, moved by ``delta`` lattice steps of its length.
+
+    Its denominator divides D 2**j, j = len(word) - L, so from word length
+    L + j on the level is an integer at the tree's scale: rem == 0 at
+    every such depth.  With delta = 0 the walk collides once it reaches a
+    triangle carrying the value.
+    """
+    j = len(word) - fn.level
+    return fn.corner_values(word)[corner] + F(delta, fn._denominator() << j)
+
+
+@given(st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=4),
+       st.sampled_from([1, 2]), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=2), st.sampled_from([-1, 0, 1]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_lattice_level_matches_fraction_walk(seed, level, l, j, corner, delta, data):
+    # the level meets the integer corners' lattice below L: a collision
+    # names the Fraction walk's first word, and a miss keeps its members
+    fn = corpus_fn(seed, level)
+    word = data.draw(st.text(alphabet="012", min_size=level + j, max_size=level + j))
+    r = lattice_level(fn, word, corner, delta)
+    assert_tree_matches(fn, r, l, -(-(level + j) // l) + 1)
+
+
+@given(st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=4),
+       st.sampled_from([1, 2, 3]), st.integers(min_value=1, max_value=3 * 2**24 - 1),
+       st.sampled_from([5, 7, 11]))
+@settings(max_examples=60, deadline=None)
+def test_corners_are_the_functions_own_integers(seed, level, l, k, p):
+    # the level enters only the membership test: two levels of one function
+    # give a word the same corners, and at or above L they are the word
+    # table's own tuples
+    fn = corpus_fn(seed, level)
+    root = fn.corner_values("")
+    r1 = min(root) + (max(root) - min(root)) * F(k, 3 * 2**24)
+    r2 = r1 + (max(root) - min(root)) * F(1, p << 40)
+    assume(r1.denominator != r2.denominator)
+    depth = -(-level // l) + 1
+    table = fn.int_word_table()[1]
+    corners: dict = {}
+    shared = 0
+    for r in (r1, r2):
+        tree = walk(lambda: LevelSetTree(fn, r, l, depth=depth))
+        assume(not isinstance(tree, LevelCollisionError) and tree.root is not None)
+        for n in range(depth + 1):
+            for v in tree.nodes_at(n):
+                if len(v.word) <= level:
+                    assert v.corners is table[v.word]
+                shared += v.word in corners
+                assert corners.setdefault(v.word, v.corners) == v.corners
+    assert shared       # the root at least
 
 
 def test_grid_denominator_levels_reach_the_function_level():

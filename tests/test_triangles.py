@@ -86,14 +86,14 @@ def test_boundary_family_counts():
     for l in range(1, 7):
         fam = boundary_family(l)
         assert len(fam) == 3 * (2**l - 1)
-    assert boundary_family(1).addresses == ("0", "1", "2")
+    assert boundary_family(1) == ("0", "1", "2")
     with pytest.raises(ValueError):
         boundary_family(0)
 
 
 def test_boundary_family_matches_geometry():
     for l in (1, 2, 3, 4):
-        combinatorial = set(boundary_family(l).addresses)
+        combinatorial = set(boundary_family(l))
         geometric = {
             "".join(w)
             for w in itertools.product("012", repeat=l)
@@ -104,7 +104,7 @@ def test_boundary_family_matches_geometry():
 
 def test_level_two_family_is_everything():
     # with two symbols per word no address can use three distinct symbols
-    assert set(boundary_family(2).addresses) == {
+    assert set(boundary_family(2)) == {
         "".join(w) for w in itertools.product("012", repeat=2)
     }
 
