@@ -22,6 +22,8 @@ def dyadic_cylinder_mass(digits, p):
 
     Exact when p is a Fraction, floating point otherwise.
     """
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
     ones = 0
     zeros = 0
     for e in digits:
@@ -83,6 +85,10 @@ def bernoulli_cdf(x, p, max_depth: int = 4096):
     float x is read as the dyadic rational it is, and x = 1 gives one
     in the arithmetic type of p.
     """
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be non-negative, got {max_depth}")
     num, den = _unit_ratio(x)
     if num == den:
         return p - p + 1
@@ -128,6 +134,8 @@ class BernoulliWitnessFn:
         pf = float(self.p)
         if not 0.5 < pf < 1:
             raise ValueError("p must lie in (1/2, 1)")
+        if self.max_depth < 0:
+            raise ValueError(f"max_depth must be non-negative, got {self.max_depth}")
         if self.alpha is None:
             self.alpha = -math.log2(pf)
 

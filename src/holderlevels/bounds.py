@@ -9,6 +9,7 @@ distribution verification.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +29,23 @@ def _mp(x):
     return mpmath.mpf(x) if not isinstance(x, Fraction) else mpmath.mpf(x.numerator) / x.denominator
 
 
+@contextlib.contextmanager
+def _arithmetic(precision: str):
+    """(number, log) that the bound formulas are written in, for one precision.
+
+    float and ``math.log`` for "double"; for "big", mpf and ``mpmath.log``
+    at 50 significant digits while the block runs.
+    """
+    if precision == "big":
+        import mpmath
+        with mpmath.workdps(BIG_DIGITS):
+            yield _mp, mpmath.log
+    elif precision == "double":
+        yield float, math.log
+    else:
+        raise ValueError(f"precision must be 'double' or 'big', got {precision!r}")
+
+
 def lower_bound(alpha: float, precision: str = "double"):
     """(alpha/2) / (1 + (1 + log(3/alpha))/log 2 + 2/alpha).
 
@@ -37,34 +55,23 @@ def lower_bound(alpha: float, precision: str = "double"):
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
-    if precision == "big":
-        import mpmath
-        with mpmath.workdps(BIG_DIGITS):
-            a = _mp(alpha)
-            denom = 1 + (1 + mpmath.log(3 / a)) / mpmath.log(2) + 2 / a
-            return (a / 2) / denom
-    a = float(alpha)
-    return (a / 2) / (1 + (1 + math.log(3 / a)) / math.log(2) + 2 / a)
+    with _arithmetic(precision) as (num, log):
+        a = num(alpha)
+        return (a / 2) / (1 + (1 + log(3 / a)) / log(2) + 2 / a)
 
 
 def upper_bound(alpha: float, precision: str = "double"):
     """1 - 2**(-alpha), increasing, with limit 1/2 at alpha -> 1."""
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
-    if precision == "big":
-        import mpmath
-        with mpmath.workdps(BIG_DIGITS):
-            return 1 - mpmath.power(2, -_mp(alpha))
-    return 1.0 - 2.0 ** (-float(alpha))
+    with _arithmetic(precision) as (num, _):
+        return 1 - num(2) ** -num(alpha)
 
 
 def trivial_upper_bound_sierpinski(precision: str = "double"):
     """log 3 / log 2 - 1, the box-dimension bound, about 0.584962500721."""
-    if precision == "big":
-        import mpmath
-        with mpmath.workdps(BIG_DIGITS):
-            return mpmath.log(3) / mpmath.log(2) - 1
-    return math.log(3) / math.log(2) - 1.0
+    with _arithmetic(precision) as (_, log):
+        return log(3) / log(2) - 1
 
 
 def lcondition_lhs(alpha: float, d1) -> float:
@@ -73,7 +80,8 @@ def lcondition_lhs(alpha: float, d1) -> float:
     alpha = float(alpha)
     if not 0 < d1 < alpha:
         raise ValueError("need 0 < d1 < alpha")
-    return (d1 * (1 + math.log(3 / (2 * d1))) + math.log(2)) / ((alpha - d1) * math.log(2))
+    with _arithmetic("double") as (_, log):
+        return (d1 * (1 + log(3 / (2 * d1))) + log(2)) / ((alpha - d1) * log(2))
 
 
 def feasible_l(alpha: float, d1) -> int:
@@ -115,6 +123,8 @@ class BoundSearchParams:
     def __post_init__(self):
         if not 0 < self.d1 < self.alpha:
             raise ValueError("need 0 < d1 < alpha")
+        if self.l < 1:
+            raise ValueError(f"boundary family needs l >= 1, got l={self.l}")
 
     @property
     def q(self) -> int:
@@ -158,13 +168,18 @@ def box_count_dimension(digits) -> DimensionEstimate:
     ``digits`` is the binary expansion of the line height; the level-n
     count is 2**(zeros among the first n digits), so log2 of the counts
     is a cumulative sum and the limsup quotient is replaced by a least
-    squares fit over the trailing half of the levels.
+    squares fit over the trailing half of the levels.  A digit other
+    than 0 or 1 is a ValueError, as in ``line_crossing_count``.
     """
     digits = list(digits)
     n = len(digits)
     if n == 0:
         return DimensionEstimate(np.array([]), np.array([]), 0.0, 0.0, empty=True)
-    zeros = np.cumsum([1 - e for e in digits])
+    flips = np.array([1 - e for e in digits])
+    bad = (flips != 0) & (flips != 1)
+    if bad.any():
+        raise ValueError(f"binary digits expected, got {digits[int(bad.argmax())]!r}")
+    zeros = np.cumsum(flips)
     levels = np.arange(1, n + 1)
     start = max(0, n // 2 - 1)
     xs = levels[start:].astype(float)

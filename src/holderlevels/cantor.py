@@ -66,8 +66,9 @@ class FatCantorSet:
 
     Bit n - m of an index stands for generation m; when it is set, the
     left end moves right by the generation-m shift of ``_lattice(n)``.
-    ``interval`` sums these shifts for one index; ``intervals`` and
-    ``to_json`` build the level once from them, on integers.
+    ``interval`` sums these shifts for one index, ``contains`` walks them
+    for one point, and ``intervals`` and ``to_json`` build the level once
+    from them, on integers.
     """
 
     n: int
@@ -112,15 +113,15 @@ class FatCantorSet:
         x = Fraction(x)
         if not 0 <= x <= 1:
             return False
-        lo, hi = Fraction(0), Fraction(1)
-        for level in range(1, self.n + 1):
-            l_here = interval_length(level)
-            if x <= lo + l_here:
-                hi = lo + l_here
-            elif x >= hi - l_here:
-                lo = hi - l_here
-            else:
-                return False
+        den, _, shifts = _lattice(self.n)
+        p, q = x.numerator * den, x.denominator     # x = p / (q den)
+        left, length = 0, den
+        for shift in shifts:    # the left child, else the right one, else a gap
+            length -= shift
+            if p > (left + length) * q:
+                if p < (left + shift) * q:
+                    return False
+                left += shift
         return True
 
     def min_gap(self) -> Fraction:
@@ -284,7 +285,8 @@ def product_separated_structure(k_max: int) -> SeparatedStructure:
     materialized ones.
     """
     if k_max < 2:
-        raise ValueError("the distance bound needs level >= 2")
+        raise ValueError(f"k_max must be at least 2, got {k_max}: "
+                         "the distance bound needs level >= 2")
     nu, rho, K = Fraction(1, 2), Fraction(1, 4), Fraction(2)
     certificates: dict = {"k_max": k_max, "levels": {}}
     for k in range(2, k_max + 1):
@@ -353,10 +355,14 @@ def piecewise_constant_feasibility(alpha: float, c: float, M: float,
     which is inf only where the quotient itself overflows.  M = 0 is
     feasible at every level, with ratio 0.0.
     """
+    if not 0 < alpha <= 1:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if not 0 < c < 1:
         raise ValueError("need 0 < c < 1")
-    if M < 0:
-        raise ValueError("need M >= 0")
+    if not M >= 0:
+        raise ValueError(f"need M >= 0, got {M}")
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
     K = float(structure.K)
     nu = float(structure.nu)
     rho = float(structure.rho)
@@ -397,6 +403,8 @@ def feasibility_search(alpha: float, c: float, M: float,
     grows, which the scan certifies up to ``k_cap``.  ``ratios`` holds
     each level's ``piecewise_constant_feasibility`` ratio.
     """
+    if k_cap < 0:
+        raise ValueError(f"k_cap must be non-negative, got {k_cap}")
     ratios = []
     first = None
     boundary = False

@@ -10,6 +10,7 @@ input or an output that cannot be written, reported in one line on stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -35,10 +36,16 @@ _MAX_GRID_LEVEL = 7
 
 # the trees still build and test the 3(2**l - 1) boundary words as strings
 # (the census of a standard function counts them by a closed form):
-# levelset --l 16 --depth 2 --r-count 1 (in-process, 2-CPU Xeon, Python
+# levelset --l 16 --depth 1 --r-count 1 (in-process, 2-CPU Xeon, Python
 # 3.11) takes about 3 s and 180 MB, each l + 1 doubles both, and l = 16 is
 # the feasible l of BoundSearchParams.for_alpha(0.2)
 _MAX_L = 16
+
+# a tree's cost follows l * depth, its word length: levelset --r-count 1 on
+# the default function (in-process, 2-CPU Xeon, Python 3.11) took 0.7 s and
+# 87 MB at depth 24, 1.5 s and 167 MB at 26 and 3.3 s and 357 MB at 28, and
+# 2.5 s and 268 MB at --l 2 --depth 14; depth 40 would need about 10**10 nodes
+_MAX_WORD_LENGTH = 28
 
 # the function's level index and word table hold (3**(L+1) - 1)/2 words:
 # levelset --depth 5 --r-count 1 (2-CPU Xeon, Python 3.11) took 1.4 s and
@@ -136,6 +143,9 @@ def _check_function_args(args) -> None:
     _require(1 <= args.l <= _MAX_L,
              f"--l must lie in 1..{_MAX_L}: each l + 1 doubles the boundary words")
     _require(args.depth >= 0, "--depth must be non-negative")
+    _require(args.l * args.depth <= _MAX_WORD_LENGTH,
+             f"--l times --depth must be at most {_MAX_WORD_LENGTH}: "
+             "memory doubles about every two steps of word length")
     _require(0 < args.alpha <= 1, "--alpha must lie in (0, 1]")
     _require(0 < args.c < float("inf"), "--c must be positive and finite")
 
@@ -151,6 +161,22 @@ def _level_draws(fn, seed: int):
     rng = random.Random(seed ^ 0x5EED)
     while True:
         yield lo + (hi - lo) * Fraction(rng.randrange(1, 3 * 2**24), 3 * 2**24)
+
+
+def _trees(args):
+    """(r, tree to --depth, resamples so far) over the seeded function's level draws.
+
+    The draws lie strictly inside the root hull, so every root is a member.
+    """
+    fn = random_standard_paf(args.seed, args.level, args.alpha, args.c, check=False)
+    resampled = 0
+    for r in _level_draws(fn, args.seed):
+        try:
+            tree = ls.LevelSetTree(fn, r, args.l, depth=args.depth)
+        except ls.LevelCollisionError:
+            resampled += 1
+            continue
+        yield r, tree, resampled
 
 
 def _report_resampled(resampled: int) -> None:
@@ -183,34 +209,18 @@ def cmd_levelset(args) -> int:
         "l": args.l, "level": args.level, "r_count": args.r_count,
         "alpha": args.alpha, "c": args.c,
     }
-    fn = random_standard_paf(args.seed, args.level, args.alpha, args.c,
-                             check=False)
-    draws = _level_draws(fn, args.seed)
-    failures = 0
-    resampled = 0
     rows = []
     artifacts = []
-    produced = 0
-    while produced < args.r_count:
-        r = next(draws)
-        try:
-            tree = ls.LevelSetTree(fn, r, args.l, depth=args.depth)
-        except ls.LevelCollisionError:
-            resampled += 1
-            continue
-        produced += 1
-        if tree.root is None:
-            continue
+    resampled = 0
+    for r, tree, resampled in itertools.islice(_trees(args), args.r_count):
         tree.fill_measure(args.depth)
         cons = tree.conservation("", args.depth)
-        level_set = ls.approx_level_set(fn, r, args.depth, args.l, tree=tree)
-        ksum = level_set.kappa_sum()
-        ok = cons.passed and ksum >= 1
-        if not ok:
-            failures += 1
-        rows.append((float(r), len(level_set.members), float(ksum),
-                     float(cons.lhs), float(cons.rhs), int(ok)))
-        artifacts.append(level_set.to_json())
+        level_set = ls.approx_level_set(tree.fn, r, args.depth, args.l, tree=tree)
+        # the root's kappa is 1, so the conservation sum is the level's kappa sum
+        rows.append((float(r), len(level_set.members), float(cons.lhs),
+                     float(cons.lhs), float(cons.rhs), int(cons.passed)))
+        if args.json_out:
+            artifacts.append(level_set.to_json())
     write_csv(args.out, config,
               ["r", "members", "kappa_sum", "conservation_lhs",
                "conservation_rhs", "ok"], rows)
@@ -218,7 +228,7 @@ def cmd_levelset(args) -> int:
         write_json(args.json_out, {"config": config, "resampled": resampled,
                                    "level_sets": artifacts})
     _report_resampled(resampled)
-    return 1 if failures else 0
+    return 0 if all(row[-1] for row in rows) else 1
 
 
 def cmd_conductivity_hist(args) -> int:
@@ -235,33 +245,27 @@ def cmd_conductivity_hist(args) -> int:
         "l": args.l, "level": args.level, "alpha": args.alpha, "c": args.c,
         "d1": args.d1,
     }
-    fn = random_standard_paf(args.seed, args.level, args.alpha, args.c,
-                             check=False)
-    resampled = 0
-    for r in _level_draws(fn, args.seed):
-        try:
-            tree = ls.LevelSetTree(fn, r, args.l, depth=args.depth)
-            break
-        except ls.LevelCollisionError:
-            resampled += 1
+    _, tree, resampled = next(_trees(args))
     _report_resampled(resampled)
     tree.fill_measure(args.depth)
     rows = []
     for level in range(args.depth + 1):
         hist: dict[int, int] = {}
-        mu_by_exp: dict[int, Fraction] = {}
+        mu_by_exp: dict[int, int] = {}
         for node in tree.nodes_at(level):
             hist[node.kappa_exp] = hist.get(node.kappa_exp, 0) + 1
-            mu_by_exp[node.kappa_exp] = mu_by_exp.get(node.kappa_exp, Fraction(0)) + node.mu
+            mu_by_exp[node.kappa_exp] = mu_by_exp.get(node.kappa_exp, 0) + node.mu_num
+        # int / int is correctly rounded, as float(Fraction) is
+        den = tree.mu_denominators[level]
         for exp in sorted(hist):
-            rows.append((level, exp, hist[exp], float(mu_by_exp[exp])))
+            rows.append((level, exp, hist[exp], mu_by_exp[exp] / den))
     write_csv(args.out, config, ["level", "kappa_exp", "count", "mu_total"], rows)
     if d1 is not None:
         ok = True
         census_rows = []
         q = d1.denominator
         for n in range(q, args.depth + 1, q):
-            res = ls.well_conducting_census(fn, None, n, args.l, d1,
+            res = ls.well_conducting_census(tree.fn, None, n, args.l, d1,
                                             alpha=args.alpha)
             ok = ok and res.passed
             census_rows.append((n, res.count, res.binomial_bound,
@@ -282,20 +286,14 @@ def cmd_witness(args) -> int:
     p = 2.0 ** (-alpha)
     config = {"command": "witness", "alpha": alpha, "digits": args.digits,
               "trials": args.trials, "seed": args.seed}
-
-    def one(trial: int):
-        rng = random.Random(args.seed * 7919 + trial)
-        digs = sample_digits(rng, p, args.digits)
-        est = bd.box_count_dimension(digs)
-        return (args.digits, 1 << int(est.log2_counts[-1]), est.slope)
-
-    rows = [one(trial) for trial in range(args.trials)]
+    ests = [bd.box_count_dimension(
+                sample_digits(random.Random(args.seed * 7919 + trial), p, args.digits))
+            for trial in range(args.trials)]
+    rows = [(args.digits, 1 << int(est.log2_counts[-1]), est.slope) for est in ests]
     write_csv(args.out, config, ["n", "count", "slope"], rows)
-    if args.trace_out and args.trials:
-        rng = random.Random(args.seed * 7919)
-        est = bd.box_count_dimension(sample_digits(rng, p, args.digits))
+    if args.trace_out and ests:
         trace = [(int(n), 1 << int(z), int(z))
-                 for n, z in zip(est.levels, est.log2_counts)]
+                 for n, z in zip(ests[0].levels, ests[0].log2_counts)]
         write_csv(args.trace_out, dict(config, table="trace", trial=0),
                   ["n", "count", "log2count"], trace)
     return 0
@@ -467,25 +465,23 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("levelset", help="level-set trees with conservation checks")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--depth", type=int, default=5)
-    p.add_argument("--l", type=int, default=1)
-    p.add_argument("--level", type=int, default=4, help="function level")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--c", type=float, default=0.9)
+    tree_options = argparse.ArgumentParser(add_help=False)
+    tree_options.add_argument("--seed", type=int, default=42)
+    tree_options.add_argument("--depth", type=int, default=5)
+    tree_options.add_argument("--l", type=int, default=1)
+    tree_options.add_argument("--level", type=int, default=4, help="function level")
+    tree_options.add_argument("--alpha", type=float, default=0.5)
+    tree_options.add_argument("--c", type=float, default=0.9)
+
+    p = sub.add_parser("levelset", parents=[tree_options],
+                       help="level-set trees with conservation checks")
     p.add_argument("--r-count", type=int, default=20)
     p.add_argument("--out", default=None)
     p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_levelset)
 
-    p = sub.add_parser("conductivity-hist", help="histogram of conductivities")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--depth", type=int, default=5)
-    p.add_argument("--l", type=int, default=1)
-    p.add_argument("--level", type=int, default=4)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--c", type=float, default=0.9)
+    p = sub.add_parser("conductivity-hist", parents=[tree_options],
+                       help="histogram of conductivities")
     p.add_argument("--d1", default=None,
                    help="rational decay rate, e.g. 1/2; adds a census table")
     p.add_argument("--out", default=None)

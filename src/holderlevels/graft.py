@@ -37,8 +37,8 @@ def min_graft_level(lipschitz: float, alpha: float) -> int:
     """Smallest n' with M * 2**(-n'(1-alpha)) < HOLDER_STEP_THRESHOLD."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    if lipschitz <= 0:
-        raise ValueError("need a positive Lipschitz constant")
+    if not 0 < lipschitz < math.inf:
+        raise ValueError(f"lipschitz must be positive and finite, got {lipschitz}")
     t = float(HOLDER_STEP_THRESHOLD)
     n = max(0, math.floor(math.log2(lipschitz / t) / (1 - alpha)) + 1)
     while lipschitz * 2.0 ** (-n * (1 - alpha)) >= t:
@@ -50,6 +50,12 @@ def min_graft_level(lipschitz: float, alpha: float) -> int:
 
 def graft_certificate_constant(lipschitz: float, alpha: float, n_prime: int) -> float:
     """Closed-form per-triangle Holder constant of the graft."""
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
+    if not 0 <= lipschitz < math.inf:
+        raise ValueError(f"lipschitz must be non-negative and finite, got {lipschitz}")
+    if n_prime < 0:
+        raise ValueError(f"n_prime must be non-negative, got {n_prime}")
     return (lipschitz * 2.0 ** (-n_prime * (1 - alpha))
             * 3.0 * (2.0 / math.sqrt(3.0)) ** alpha)
 

@@ -39,6 +39,12 @@ def _split(incs) -> tuple[tuple[int, ...], int]:
     return weights, sum(weights)
 
 
+def _kappa_sum(exps) -> Fraction:
+    """The exact sum of 2**-e over kappa exponents e: ``_split``'s total over 2**top."""
+    exps = tuple(exps)
+    return Fraction(_split(exps)[1], 1 << max(exps, default=0))
+
+
 @functools.cache
 def _digit_blocks(l: int) -> tuple:
     """Member children of a two-valued triangle below the function level.
@@ -48,15 +54,15 @@ def _digit_blocks(l: int) -> tuple:
     odd corner o spell the l binary digits of k, in ``boundary_family(l)``
     order: all 2**l words over the other two symbols for k = 0, only o**l
     for k = 2**l - 1, and the two words o and one other symbol spell for
-    a mixed block.  o**l and m**l, m the smallest symbol other than o,
-    are the extreme words and keep kappa.  The split is the block's
+    a mixed block.  The extreme words of an odd corner o (o**l and m**l,
+    m the smallest other symbol) keep kappa.  The split is the block's
     ``_split``: weight 2 for m**l and 1 for the others in the zero block
     (sum 2**l + 1), (1,) for o**l and (1, 1) for a mixed block.
     """
     blocks = []
     for o in range(3):
         digits = str.maketrans("012", "".join("01"[s == o] for s in range(3)))
-        extremes = (str(o) * l, str(int(o == 0)) * l)
+        extremes = _extreme_words([int(s == o) for s in range(3)], l)
         by_k: list[list] = [[] for _ in range(1 << l)]
         for w in boundary_family(l):
             by_k[int(w.translate(digits), 2)].append((w, int(w not in extremes)))
@@ -385,8 +391,7 @@ class LevelSetTree:
         frontier = [node]
         for _ in range(k):
             frontier = [c for n in frontier for c in n.children]
-        top = max((n.kappa_exp for n in frontier), default=0)
-        lhs = Fraction(sum(1 << (top - n.kappa_exp) for n in frontier), 1 << top)
+        lhs = _kappa_sum(n.kappa_exp for n in frontier)
         return ConservationResult(lhs=lhs, rhs=node.kappa, passed=lhs >= node.kappa)
 
 
@@ -419,7 +424,7 @@ class ApproxLevelSet:
     mu: dict[str, Fraction] = field(default_factory=dict)
 
     def kappa_sum(self) -> Fraction:
-        return sum((Fraction(1, 1 << e) for e in self.members.values()), Fraction(0))
+        return _kappa_sum(self.members.values())
 
     def to_json(self) -> dict:
         members = [
@@ -443,11 +448,10 @@ class ApproxLevelSet:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["level", "count", "kappa_sum", "max_kappa"])
-        max_kappa = (
-            max((Fraction(1, 1 << e) for e in self.members.values()), default=Fraction(0))
-        )
-        writer.writerow([self.n, len(self.members), float(self.kappa_sum()),
-                         float(max_kappa)])
+        exps = sorted(self.members.values())
+        # the largest kappa is the smallest exponent's, 0 with no members
+        writer.writerow([self.n, len(exps), float(_kappa_sum(exps)),
+                         float(_kappa_sum(exps[:1]))])
         return buf.getvalue()
 
 
@@ -507,6 +511,12 @@ def census_constant(alpha: float, d1, l: int, relaxed: bool = False) -> float:
     """
     d1 = float(d1)
     alpha = float(alpha)
+    if not d1 > 0:
+        raise ValueError(f"d1 must be positive, got {d1}")
+    if not 0 < alpha <= 1:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if l < 1:
+        raise ValueError(f"boundary family needs l >= 1, got l={l}")
     branches = 3 * (2**l if relaxed else 2**l - 1)
     return (math.e / d1) ** d1 * branches**d1 * 2.0 ** (1 - d1 - l * alpha)
 

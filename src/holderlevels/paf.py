@@ -274,7 +274,7 @@ class PiecewiseAffineFn:
     def refine(self, level: int) -> "PiecewiseAffineFn":
         """Same function represented on the finer vertex set."""
         if level < self.level:
-            raise ValueError("cannot refine to a coarser level")
+            raise ValueError(f"cannot refine to a coarser level: level {level} < {self.level}")
         if level == self.level:
             return PiecewiseAffineFn._from_ints(level, self._den, self._numerators,
                                                 self.standard, self.holder)
@@ -566,6 +566,10 @@ def holder_certificate(fn: PiecewiseAffineFn, alpha: float, c: float,
     is the maximising pair with the smallest vertex indices, in
     ``level_index(depth)``'s vertex order.
     """
+    if not 0 < alpha <= 1:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c}")
     if depth < fn.level:
         raise ValueError("certificate depth must be at least the function level")
     index, xs, ys, vs = _vertex_arrays(fn, depth)

@@ -95,22 +95,19 @@ def level_index(level: int) -> LevelIndex:
                       MappingProxyType(vertices), tuple(map(tuple, layers)))
 
 
-def lattice_vertices(row: int, col: int, n: int) -> tuple[PointQ3, PointQ3, PointQ3]:
-    """Exact corners (row, col), (row, col+1), (row+1, col) at scale 2**-n.
-
-    The lattice point (r, c) is c*u1 + r*u2 with u1 = 2**-n (1, 0) and
-    u2 = 2**-n (1/2, sqrt(3)/2), i.e. (2c + r, r*sqrt(3)) / 2**(n+1).
-    """
-    k, x = n + 1, 2 * col + row
-    y = CoordQ3(0, row, k)
-    return (PointQ3(CoordQ3(x, 0, k), y), PointQ3(CoordQ3(x + 2, 0, k), y),
-            PointQ3(CoordQ3(x + 1, 0, k), CoordQ3(0, row + 1, k)))
-
-
 def lattice_point(row: int, col: int, n: int) -> PointQ3:
-    """The first corner of ``lattice_vertices(row, col, n)``, built alone."""
+    """The exact lattice point (row, col) at scale 2**-n.
+
+    It is col*u1 + row*u2 with u1 = 2**-n (1, 0) and
+    u2 = 2**-n (1/2, sqrt(3)/2), i.e. (2 col + row, row*sqrt(3)) / 2**(n+1).
+    """
     k = n + 1
     return PointQ3(CoordQ3(2 * col + row, 0, k), CoordQ3(0, row, k))
+
+
+def lattice_vertices(row: int, col: int, n: int) -> tuple[PointQ3, PointQ3, PointQ3]:
+    """Exact corners (row, col), (row, col+1), (row+1, col) at scale 2**-n."""
+    return tuple(lattice_point(r, c, n) for r, c in cell_corners(row, col))
 
 
 # (0,0), (1,0), (1/2, sqrt(3)/2)
@@ -249,6 +246,8 @@ def line_crossing_count(digits) -> int:
 
 
 def _check_line_height(y: Fraction, level: int) -> Fraction:
+    if level < 0:
+        raise ValueError(f"level must be non-negative, got {level}")
     y = Fraction(y)
     if not 0 < y < 1:
         raise ValueError("line height must be in (0, 1)")

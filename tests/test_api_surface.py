@@ -101,3 +101,103 @@ def test_value_types_and_removed_members():
     assert {"__add__", "__sub__", "__neg__"} & set(vars(PointQ3)) == set()
     assert "values" not in vars(PiecewiseAffineFn)
     assert "method" not in inspect.signature(approx_level_set).parameters
+
+
+# -- each rule written once: AST guards ---------------------------------
+
+def _functions(module: str) -> dict[str, ast.FunctionDef]:
+    """Every function and method of a library module, by name."""
+    path = ROOT / "src" / "holderlevels" / f"{module}.py"
+    tree = ast.parse(path.read_text(), str(path))
+    return {node.name: node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def _own_nodes(fn: ast.FunctionDef):
+    """The nodes of a function's body, without those of functions nested in it."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _called_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Call):
+        f = node.func
+        return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+    return None
+
+
+def _where(module: str, found) -> set[str]:
+    """Names of the functions of ``module`` with a node for which ``found`` holds."""
+    return {name for name, fn in _functions(module).items()
+            if any(found(node) for node in _own_nodes(fn))}
+
+
+def test_cli_has_one_draw_build_and_resample_loop():
+    def catches_collisions(node):
+        return isinstance(node, ast.ExceptHandler) and any(
+            getattr(n, "attr", getattr(n, "id", None)) == "LevelCollisionError"
+            for n in ast.walk(node.type))
+
+    assert _where("cli", catches_collisions) == {"_trees"}
+    assert _where("cli", lambda n: _called_name(n) == "_level_draws") == {"_trees"}
+    # selftest builds one tree at a fixed level value, with no draws
+    assert _where("cli", lambda n: _called_name(n) == "LevelSetTree") == {
+        "_trees", "cmd_selftest"}
+    assert _where("cli", lambda n: _called_name(n) == "random_standard_paf") == {
+        "_trees", "cmd_selftest"}
+    # the six seeded-function options are declared once, on the parent
+    # parser that both tree commands name
+    declared: dict[str, list[str]] = {}
+    parents = {}
+    command = None
+    for stmt in _functions("cli")["make_parser"].body:
+        call = getattr(stmt, "value", None)
+        if _called_name(call) == "add_parser":
+            command = call.args[0].value
+            parents[command] = [ast.unparse(k.value) for k in call.keywords
+                                if k.arg == "parents"]
+        elif _called_name(call) == "add_argument":
+            owner = command if call.func.value.id == "p" else call.func.value.id
+            declared.setdefault(owner, []).append(call.args[0].value)
+    assert declared["tree_options"] == ["--seed", "--depth", "--l", "--level",
+                                        "--alpha", "--c"]
+    for command in ("levelset", "conductivity-hist"):
+        assert parents[command] == ["[tree_options]"]
+        assert set(declared[command]).isdisjoint(declared["tree_options"])
+
+
+def test_bounds_take_their_logs_from_one_helper():
+    def log_of(module):
+        return lambda n: (isinstance(n, ast.Attribute) and n.attr in ("log", "power")
+                          and isinstance(n.value, ast.Name) and n.value.id == module)
+
+    assert _where("bounds", log_of("math")) == {"_arithmetic"}
+    assert _where("bounds", log_of("mpmath")) == {"_arithmetic"}
+
+
+def test_levelset_sums_kappa_exponents_in_one_function():
+    def weighs_exponents(node):         # 1 << (top - e), the weight of 2**-e
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)
+                and getattr(node.left, "value", None) == 1
+                and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Sub))
+
+    def sums_fractions(node):
+        return _called_name(node) == "sum" and any(
+            _called_name(n) == "Fraction" for arg in node.args for n in ast.walk(arg))
+
+    assert _where("levelset", weighs_exponents) == {"_split"}
+    assert _where("levelset", sums_fractions) == set()
+    assert _where("levelset", lambda n: _called_name(n) == "_split") == {
+        "_kappa_sum", "_digit_blocks", "_extend"}
+    # no hand-written extreme words: a symbol repeated l times is spelled
+    # only in _extreme_words, which the digit blocks call
+    def repeats_a_symbol(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and _called_name(node.left) == "str")
+
+    assert _where("levelset", repeats_a_symbol) == {"_extreme_words"}
+    assert "_digit_blocks" in _where("levelset", lambda n: _called_name(n) == "_extreme_words")

@@ -44,6 +44,32 @@ def test_lower_bound_values():
         lower_bound(0.0)
 
 
+# each bound is one formula evaluated in both precisions; from alpha =
+# 1e-150 up the double results are normal floats (the lower bound is
+# about alpha**2/4), so a relative comparison is meaningful
+@given(st.floats(min_value=1e-150, max_value=1.0))
+@settings(max_examples=200, deadline=None)
+def test_bounds_agree_between_precisions(alpha):
+    lo, up = float(lower_bound(alpha, "big")), float(upper_bound(alpha, "big"))
+    triv = float(trivial_upper_bound_sierpinski("big"))
+    assert abs(lower_bound(alpha) - lo) <= 1e-15 * lo
+    assert abs(trivial_upper_bound_sierpinski() - triv) <= 1e-15 * triv
+    # 1 - 2**-alpha cancels in double precision: its error stays below
+    # 1e-15 absolutely but not relatively as alpha -> 0 (3.8e-15 relative
+    # at alpha = 0.01); for alpha >= 1/2 the value is at least 0.29
+    assert abs(upper_bound(alpha) - up) <= 1e-15
+    if alpha >= 0.5:
+        assert abs(upper_bound(alpha) - up) <= 1e-15 * up
+
+
+def test_box_count_rejects_non_binary_digits():
+    for digits in ([2, 0, 3, 1], [2, 0], [0, 1, -1], [0, 0.5]):
+        with pytest.raises(ValueError, match="binary digits expected"):
+            box_count_dimension(digits)
+    # booleans are binary digits, as in line_crossing_count
+    assert box_count_dimension([True, False]).log2_counts.tolist() == [0, 1]
+
+
 def test_lower_bound_vanishes_at_zero():
     values = [lower_bound(10.0**-k) for k in range(1, 7)]
     assert all(a > b for a, b in zip(values, values[1:]))

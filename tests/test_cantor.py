@@ -101,6 +101,15 @@ def test_contains_matches_intervals(n, num):
     assert cs.contains(x) == inside
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_contains_at_every_endpoint_and_gap_midpoint(n):
+    # interior endpoints and gap midpoints: the points k/4096 never reach
+    cs = cantor_level(n)
+    ivs = cs.intervals()
+    assert all(cs.contains(a) and cs.contains(b) for a, b in ivs)
+    assert not any(cs.contains((b + c) / 2) for (_, b), (c, _) in zip(ivs, ivs[1:]))
+
+
 def test_deep_interval_random_access():
     cs = cantor_level(30)
     a, b = cs.interval(2**29)  # first interval of the right half

@@ -360,6 +360,29 @@ def test_function_commands_reject_level_above_cap(monkeypatch, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["levelset", "--depth", "40"],
+    ["conductivity-hist", "--depth", "40"],
+    # one step past the cap: about 2 s and 500 MB if the guard failed
+    ["levelset", "--depth", "29", "--r-count", "1"],
+    ["conductivity-hist", "--l", "2", "--depth", "15"],
+    # the command _MAX_L was first measured with; it is measured at depth 1 now
+    ["levelset", "--l", "16", "--depth", "2", "--r-count", "1"],
+])
+def test_function_commands_reject_word_length_above_cap(monkeypatch, capsys, argv):
+    # rejected before any work: the function is never generated
+    def unreachable(*args, **kwargs):
+        raise AssertionError("generated the function before checking --depth")
+
+    monkeypatch.setattr(cli, "random_standard_paf", unreachable)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"holderlevels {argv[0]}: error: --l times --depth must be at most 28: "
+        "memory doubles about every two steps of word length"]
+
+
+@pytest.mark.parametrize("argv", [
     ["--depth", "-1"],
     ["--json-depth", "-2"],
     ["--depth", "23", "--json-depth", "23"],  # past the materialization limit

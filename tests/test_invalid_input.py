@@ -1,0 +1,160 @@
+"""Invalid input at the library boundary is a ValueError that names the parameter.
+
+Every exported callable is called with negative, zero, NaN and
+out-of-range values of one argument at a time, the others valid.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import holderlevels as hl
+from holderlevels.cantor import product_separated_structure
+
+F = Fraction
+nan, inf = math.nan, math.inf
+
+_FN = hl.random_standard_paf(7, 3, 1.0, 0.9, check=False)
+_HULL = _FN.corner_values("")
+_R = min(_HULL) + (max(_HULL) - min(_HULL)) / 3
+_STRUCTURE = product_separated_structure(3)
+_WITNESS = hl.BernoulliWitnessFn.for_alpha(0.5)
+
+# (callable of the bad value, the bad values, a fragment the message holds)
+CASES = {
+    "holder_certificate alpha": (lambda v: hl.holder_certificate(_FN, v, 0.9, 4),
+                                 [nan, 0, -1, 2], "alpha"),
+    "holder_certificate c": (lambda v: hl.holder_certificate(_FN, 0.5, v, 4),
+                             [nan, 0, -1, inf], "c must"),
+    "holder_certificate depth": (lambda v: hl.holder_certificate(_FN, 0.5, 0.9, v),
+                                 [-1, 0], "depth"),
+    "feasibility_search k_cap": (lambda v: hl.feasibility_search(0.6, 0.5, 1.0, _STRUCTURE,
+                                                                 k_cap=v), [-1, -5], "k_cap"),
+    "feasibility_search alpha": (lambda v: hl.feasibility_search(v, 0.5, 1.0, _STRUCTURE, 3),
+                                 [nan, 0, -1, 2], "alpha"),
+    "piecewise_constant_feasibility M": (
+        lambda v: hl.piecewise_constant_feasibility(0.6, 0.5, v, _STRUCTURE, 3),
+        [nan, -1], "M"),
+    "piecewise_constant_feasibility c": (
+        lambda v: hl.piecewise_constant_feasibility(0.6, v, 1.0, _STRUCTURE, 3),
+        [nan, 0, -1, 2], "c"),
+    "piecewise_constant_feasibility k": (
+        lambda v: hl.piecewise_constant_feasibility(0.6, 0.5, 1.0, _STRUCTURE, v),
+        [-1], "k must"),
+    "product_separated_structure k_max": (hl.product_separated_structure, [-1, 0, 1], "k_max"),
+    "BoundSearchParams l": (lambda v: hl.BoundSearchParams(1.0, F(1, 2), v), [0, -2], "l"),
+    "BoundSearchParams d1": (lambda v: hl.BoundSearchParams(1.0, v, 1),
+                             [F(0), F(-1, 2), F(2)], "d1"),
+    "box_count_dimension digits": (hl.box_count_dimension, [[2, 0], [0, -1], [nan], [0.5]],
+                                   "digits"),
+    "line_crossing_count digits": (hl.line_crossing_count, [[2, 0], [0, -1], [nan]], "digits"),
+    "dyadic_cylinder_mass digits": (lambda v: hl.dyadic_cylinder_mass(v, 0.7),
+                                    [[2, 0], [-1], [nan]], "digits"),
+    "dyadic_cylinder_mass p": (lambda v: hl.dyadic_cylinder_mass([1, 0], v),
+                               [nan, -1, 2], "p must"),
+    "line_crossing_count_geometric level": (
+        lambda v: hl.line_crossing_count_geometric(F(1, 3), v), [-1, -4], "level"),
+    "line_crossing_count_geometric y": (lambda v: hl.line_crossing_count_geometric(v, 3),
+                                        [F(0), F(-1, 3), F(4, 3)], "height"),
+    "bernoulli_cdf max_depth": (lambda v: hl.bernoulli_cdf(0.3, 0.7, max_depth=v),
+                                [-1], "max_depth"),
+    "bernoulli_cdf p": (lambda v: hl.bernoulli_cdf(0.5, v), [nan, -1, 2.0], "p must"),
+    "bernoulli_cdf x": (lambda v: hl.bernoulli_cdf(v, 0.7), [nan, -1, 2], r"\[0, 1\]"),
+    "BernoulliWitnessFn p": (hl.BernoulliWitnessFn, [nan, 0, -1, 2, 0.5, 1], "p must"),
+    "BernoulliWitnessFn max_depth": (lambda v: hl.BernoulliWitnessFn(0.7, max_depth=v),
+                                     [-1], "max_depth"),
+    "min_graft_level lipschitz": (lambda v: hl.min_graft_level(v, 0.5),
+                                  [nan, 0, -1, inf], "lipschitz"),
+    "min_graft_level alpha": (lambda v: hl.min_graft_level(1.0, v), [nan, 0, -1, 1, 2],
+                              "alpha"),
+    "graft_certificate_constant lipschitz": (
+        lambda v: hl.graft_certificate_constant(v, 0.5, 3), [nan, -1, inf], "lipschitz"),
+    "graft_certificate_constant alpha": (
+        lambda v: hl.graft_certificate_constant(1.0, v, 3), [nan, 0, -1, 2], "alpha"),
+    "graft_certificate_constant n_prime": (
+        lambda v: hl.graft_certificate_constant(1.0, 0.5, v), [-1], "n_prime"),
+    "census_constant d1": (lambda v: hl.census_constant(1.0, v, 2), [nan, 0, -1], "d1"),
+    "census_constant alpha": (lambda v: hl.census_constant(v, F(1, 2), 2), [nan, 0, -1, 2],
+                              "alpha"),
+    "census_constant l": (lambda v: hl.census_constant(1.0, F(1, 2), v), [0, -1], "l >= 1"),
+    "feasible_l alpha": (lambda v: hl.feasible_l(v, F(1, 4)), [nan, 0, -1, 2], "alpha"),
+    "feasible_l d1": (lambda v: hl.feasible_l(0.6, v), [nan, 0, -1, 2], "d1"),
+    "lower_bound alpha": (hl.lower_bound, [nan, 0, -1, 2], "alpha"),
+    "upper_bound alpha": (hl.upper_bound, [nan, 0, -1, 2], "alpha"),
+    "lower_bound precision": (lambda v: hl.lower_bound(0.5, v), ["quad", "", "Big"],
+                              "precision"),
+    "upper_bound precision": (lambda v: hl.upper_bound(0.5, v), ["quad", "", "Big"],
+                              "precision"),
+    "trivial_upper_bound_sierpinski precision": (hl.trivial_upper_bound_sierpinski,
+                                                 ["quad", "", "Big"], "precision"),
+    "triangle_vertices word": (hl.triangle_vertices, ["3", "01-"], "address"),
+    "capacity_gap k": (lambda v: hl.capacity_gap(v, 0.75), [-1, 0], "k >= 1"),
+    "capacity_gap alpha": (lambda v: hl.capacity_gap(3, v), [nan, 0, -1, 2], "alpha"),
+    "cantor_level n": (hl.cantor_level, [-1], "n must"),
+    "FatCantorSet n": (hl.FatCantorSet, [-1], "n must"),
+    "boundary_family l": (hl.boundary_family, [0, -1], "l >= 1"),
+    "random_standard_paf level": (lambda v: hl.random_standard_paf(1, v, 0.5, 0.9, check=False),
+                                  [-1, 0], "level"),
+    "random_standard_paf alpha": (lambda v: hl.random_standard_paf(1, 2, v, 0.9, check=False),
+                                  [nan, 0, -1, 2], "alpha"),
+    "random_standard_paf c": (lambda v: hl.random_standard_paf(1, 2, 0.5, v, check=False),
+                              [nan, 0, -1, inf], "c must"),
+    "constant_fn level": (lambda v: hl.constant_fn(F(1), v), [-1], "level"),
+    "affine_from_corners level": (lambda v: hl.affine_from_corners(F(0), F(1), F(2), v),
+                                  [-1], "level"),
+    "kappa_exponent l": (lambda v: hl.kappa_exponent(_FN, "01", v), [0, -1], "l >= 1"),
+    "approx_level_set n": (lambda v: hl.approx_level_set(_FN, _R, v, 1), [-1], "level"),
+    "approx_level_set l": (lambda v: hl.approx_level_set(_FN, _R, 1, v), [0, -1], "l >= 1"),
+    "LevelSetTree l": (lambda v: hl.LevelSetTree(_FN, _R, v, 2), [0, -1], "l >= 1"),
+    "LevelSetTree depth": (lambda v: hl.LevelSetTree(_FN, _R, 1, v), [-1, -3], "depth"),
+    "well_conducting_census n": (
+        lambda v: hl.well_conducting_census(_FN, None, v, 1, F(1, 2), alpha=0.5), [-2], "n must"),
+    "well_conducting_census l": (
+        lambda v: hl.well_conducting_census(_FN, None, 2, v, F(1, 2), alpha=0.5), [0, -1],
+        "l >= 1"),
+    "well_conducting_census d1": (
+        lambda v: hl.well_conducting_census(_FN, None, 2, 1, v, alpha=0.5), [0, F(-1, 2)], "d1"),
+    "well_conducting_census alpha": (
+        lambda v: hl.well_conducting_census(_FN, None, 2, 1, F(1, 2), alpha=v),
+        [nan, 0, -1, 2], "alpha"),
+    "mass_distribution_lower n_prime_max": (
+        lambda v: hl.mass_distribution_lower(_FN, _R, hl.BoundSearchParams(1.0, F(1, 2), 1), v),
+        [0, -1], "n_prime_max"),
+    "graft n_prime": (lambda v: hl.graft(_FN, v, _WITNESS), [-1, 0], "level"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_bad_arguments_raise_a_named_value_error(name):
+    call, values, fragment = CASES[name]
+    for value in values:
+        with pytest.raises(ValueError, match=fragment):
+            call(value)
+
+
+ALPHA_CALLS = [name for name in CASES if name.endswith(" alpha")]
+outside_unit_interval = st.one_of(
+    st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True), st.just(nan))
+
+
+@given(st.sampled_from(ALPHA_CALLS), outside_unit_interval)
+@settings(max_examples=200, deadline=None)
+def test_alpha_outside_the_unit_interval_is_refused(name, alpha):
+    call, _, fragment = CASES[name]
+    with pytest.raises(ValueError, match=fragment):
+        call(alpha)
+
+
+def test_every_exported_callable_is_swept():
+    # the value types, the result types, the level value and the
+    # perturbation (whose config validates itself) aside, every exported
+    # function or class is called with bad input above
+    swept = {name.split()[0] for name in CASES}
+    skipped = {"ApproxLevelSet", "CoordQ3", "DimensionEstimate", "GraftedFn",
+               "HolderCertificate", "HolderParams", "LevelValue", "PhaseTransitionConfig",
+               "PiecewiseAffineFn", "PointQ3", "QSqrt3", "SeparatedStructure",
+               "phase_perturbation"}
+    assert swept | skipped == set(hl.__all__)
+    assert swept & skipped == set()
