@@ -121,6 +121,8 @@ class BoundSearchParams:
     l: int
 
     def __post_init__(self):
+        if not 0 < self.alpha <= 1:
+            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not 0 < self.d1 < self.alpha:
             raise ValueError("need 0 < d1 < alpha")
         if self.l < 1:
@@ -202,6 +204,8 @@ def box_count_dimension(digits) -> DimensionEstimate:
 # (row, col) offsets of the seven upward cells sharing at least one
 # lattice vertex with an upward cell, itself first; the scatter order
 _CELL_NEIGHBOR_OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
+# the empirical cell-bound constant C up to which a depth counts as verified
+_C_CAP = 8.0
 
 
 @dataclass
@@ -218,8 +222,7 @@ class MassDistributionReport:
     levels_checked: list[int]
 
 
-def mass_distribution_lower(fn, r, params: BoundSearchParams,
-                            n_prime_max: int, c_cap: float = 8.0,
+def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
                             tree: LevelSetTree | None = None) -> MassDistributionReport:
     """Verify the cell bound mu(U) <= C * 2**(-n d1) at lattice scale.
 
@@ -227,7 +230,7 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams,
     lattice cell (the cell's own triangle plus every mass-carrying
     triangle touching it) is compared against 2**(-n d1); the largest
     quotient is the empirical C.  Verification passes while it stays
-    under ``c_cap``; the certified exponent for the instance is
+    at most ``_C_CAP`` = 8; the certified exponent for the instance is
     s = d1 / l regardless, as that is what the cell bound implies when C
     is uniform in the depth.
 
@@ -277,7 +280,7 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams,
         levels.append(n)
     return MassDistributionReport(
         s=params.s,
-        verified=c_emp <= c_cap,
+        verified=c_emp <= _C_CAP,
         feasible=params.feasible,
         c_empirical=c_emp,
         worst_cell=worst_cell,

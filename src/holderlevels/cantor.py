@@ -424,56 +424,65 @@ def feasibility_search(alpha: float, c: float, M: float,
 # the phase-transition perturbation
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class PhaseTransitionConfig:
-    """Constants for the perturbation on one product cylinder.
+    """Constants for the perturbation on the level-k product cylinder (ix, iy).
 
-    The cylinder is the square I x J at level k whose top corners are
-    (x1, y1) and (x2, y1); delta bounds the capacity of the removed part
-    relative to the edge, delta_prime the value tolerance, r the height
-    of the band below the top edge and eta the measure of the set inside
-    that band.
+    The cylinder is the square I x J of ``FatCantorSet(k)``'s intervals ix
+    and iy, with top corners (x1, y1) and (x2, y1); delta bounds the capacity
+    of the removed part relative to the edge, delta_prime = width/100 the
+    value tolerance, r the height of the band below the top edge and eta the
+    measure of the set inside that band.  Invalid inputs are a ValueError.
     """
 
     alpha: float
     c: Fraction
-    M: float
     k: int
-    x1: Fraction
-    x2: Fraction
-    y1: Fraction
+    ix: int
+    iy: int
     delta: float
-    delta_prime: float
-    r: Fraction
-    eta: Fraction
+    x1: Fraction = field(init=False)
+    x2: Fraction = field(init=False)
+    y1: Fraction = field(init=False)
 
-    def guaranteed_interval_length(self) -> float:
-        return (1 - float(self.c) - self.delta) * float(self.x2 - self.x1) \
-            - 6 * self.delta_prime
-
-    def validate(self):
+    def __post_init__(self):
+        if not 0 < self.alpha <= 1:
+            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not 0 < self.c < 1:
             raise ValueError("need 0 < c < 1")
+        if self.k < 1:
+            raise ValueError(f"need k >= 1 (capacity_gap's closed form), got k={self.k}")
+        for name, index in (("ix", self.ix), ("iy", self.iy)):
+            if not 0 <= index < 1 << self.k:
+                raise ValueError(f"{name} must lie in 0..2**k - 1, got {index}")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        (x1, x2), (_, y1) = (FatCantorSet(self.k).interval(i) for i in (self.ix, self.iy))
+        for name, value in (("c", Fraction(self.c)), ("x1", x1), ("x2", x2), ("y1", y1)):
+            object.__setattr__(self, name, value)
         if self.guaranteed_interval_length() <= 0:
             raise ValueError(
                 "delta and delta_prime leave no guaranteed image interval"
             )
 
+    @property
+    def delta_prime(self) -> float:
+        return float((self.x2 - self.x1) / 100)
 
-def cylinder_config(alpha: float, c: Fraction, k: int, ix: int, iy: int,
-                    delta: float) -> PhaseTransitionConfig:
-    """Config for the level-k cylinder (ix, iy); M = c, delta_prime = width/100."""
-    cs = FatCantorSet(k)
-    x1, x2 = cs.interval(ix)
-    _, y1 = cs.interval(iy)
-    width = x2 - x1
-    band = interval_length(k + 1)
-    return PhaseTransitionConfig(
-        alpha=alpha, c=Fraction(c), M=float(c), k=k,
-        x1=x1, x2=x2, y1=y1, delta=delta,
-        delta_prime=float(width / 100),
-        r=band, eta=cantor_tail_measure(k + 1),
-    )
+    @property
+    def r(self) -> Fraction:
+        return interval_length(self.k + 1)
+
+    @property
+    def eta(self) -> Fraction:
+        return cantor_tail_measure(self.k + 1)
+
+    def guaranteed_interval_length(self) -> float:
+        return (1 - float(self.c) - self.delta) * float(self.x2 - self.x1) \
+            - 6 * self.delta_prime
+
+
+cylinder_config = PhaseTransitionConfig
 
 
 @dataclass
@@ -502,8 +511,7 @@ def phase_perturbation(grid: dict, config: PhaseTransitionConfig) -> Perturbatio
     capacity check holds when ``capacity_gap``'s ``ratio_bound`` is below
     delta; the report carries its ``ratio_to_interval``.
     """
-    config.validate()
-    c = Fraction(config.c)
+    c = config.c
     x1, x2, y1 = config.x1, config.x2, config.y1
     v1 = (x1, y1)
     v2 = (x2, y1)

@@ -215,12 +215,12 @@ def cmd_levelset(args) -> int:
     for r, tree, resampled in itertools.islice(_trees(args), args.r_count):
         tree.fill_measure(args.depth)
         cons = tree.conservation("", args.depth)
-        level_set = ls.approx_level_set(tree.fn, r, args.depth, args.l, tree=tree)
         # the root's kappa is 1, so the conservation sum is the level's kappa sum
-        rows.append((float(r), len(level_set.members), float(cons.lhs),
+        rows.append((float(r), len(tree.nodes_at(args.depth)), float(cons.lhs),
                      float(cons.lhs), float(cons.rhs), int(cons.passed)))
         if args.json_out:
-            artifacts.append(level_set.to_json())
+            artifacts.append(
+                ls.approx_level_set(tree.fn, r, args.depth, args.l, tree=tree).to_json())
     write_csv(args.out, config,
               ["r", "members", "kappa_sum", "conservation_lhs",
                "conservation_rhs", "ok"], rows)
@@ -382,10 +382,8 @@ def cmd_phase(args) -> int:
         while cap.ratio_bound >= args.delta and k < _MAX_PERTURB_K:
             k += 1
             cap = ct.capacity_gap(k, args.alpha)
-        cfg = ct.cylinder_config(args.alpha, c, k=k, ix=1, iy=1,
-                                 delta=args.delta)
         try:
-            cfg.validate()
+            cfg = ct.cylinder_config(args.alpha, c, k=k, ix=1, iy=1, delta=args.delta)
         except ValueError as exc:
             raise UsageError(f"--c {args.c!r} and --delta {args.delta!r}: {exc}")
         grid = ct.cantor_grid(lambda x, y: c * x, args.grid_level)

@@ -124,7 +124,7 @@ class LevelValue:
 
     @classmethod
     def checked(cls, r, fn: PiecewiseAffineFn) -> "LevelValue":
-        r = Fraction(r)
+        r = _level_fraction(r)
         q, rem = divmod(r.numerator * fn._denominator(), r.denominator)
         if rem:
             return cls(r)
@@ -136,8 +136,13 @@ class LevelValue:
 
 
 def _level_fraction(r) -> Fraction:
-    """The exact level of a LevelValue or of anything Fraction accepts."""
-    return r.r if isinstance(r, LevelValue) else Fraction(r)
+    """The exact level of a LevelValue or of anything finite that Fraction accepts."""
+    if isinstance(r, LevelValue):
+        return r.r
+    try:
+        return Fraction(r)
+    except (OverflowError, ValueError):     # inf; NaN or a malformed string
+        raise ValueError(f"the level r must be a finite rational, got {r!r}") from None
 
 
 def extreme_pair(values) -> tuple:
@@ -503,11 +508,11 @@ def kappa_exponent(fn: PiecewiseAffineFn, word: str, l: int = 1) -> int:
 # census of well-conducting triangles
 # ---------------------------------------------------------------------------
 
-def census_constant(alpha: float, d1, l: int, relaxed: bool = False) -> float:
+def census_constant(alpha: float, d1, l: int) -> float:
     """c = (e/d1)**d1 (3(2**l - 1))**d1 2**(1 - d1 - l alpha).
 
-    ``relaxed`` replaces 2**l - 1 by 2**l, the variant whose c < 1 is
-    exactly equivalent to the feasibility inequality.
+    With 2**l in place of 2**l - 1, c < 1 is exactly the feasibility
+    inequality ``lcondition_lhs(alpha, d1) < l``.
     """
     d1 = float(d1)
     alpha = float(alpha)
@@ -517,8 +522,7 @@ def census_constant(alpha: float, d1, l: int, relaxed: bool = False) -> float:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if l < 1:
         raise ValueError(f"boundary family needs l >= 1, got l={l}")
-    branches = 3 * (2**l if relaxed else 2**l - 1)
-    return (math.e / d1) ** d1 * branches**d1 * 2.0 ** (1 - d1 - l * alpha)
+    return (math.e / d1) ** d1 * (3 * (2**l - 1)) ** d1 * 2.0 ** (1 - d1 - l * alpha)
 
 
 @dataclass

@@ -35,19 +35,16 @@ from .triangles import (
 
 @dataclass(frozen=True)
 class HolderParams:
-    """Certified constants: |f(x)-f(y)| <= min(c |x-y|**alpha, M |x-y|)."""
+    """Certified constants: |f(x)-f(y)| <= min(c |x-y|**alpha, M |x-y|), M = fn.lipschitz()."""
 
     alpha: float
     c: float
-    lipschitz: float | None = None
 
     def __post_init__(self):
         if not 0 < self.alpha <= 1:
-            raise ValueError("alpha must lie in (0, 1]")
-        if self.c <= 0:
-            raise ValueError("the Holder constant must be positive")
-        if self.lipschitz is not None and self.lipschitz <= 0:
-            raise ValueError("the Lipschitz constant must be positive")
+            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"c must be positive and finite, got {self.c}")
 
 
 def _vertex_count(level: int) -> int | str:
@@ -157,9 +154,9 @@ class PiecewiseAffineFn:
     """
 
     def __init__(self, level: int, grid: dict[tuple[int, int], Fraction],
-                 standard: bool = False, holder: HolderParams | None = None):
+                 holder: HolderParams | None = None):
         _check_grid(level, grid)
-        self.level, self.standard, self.holder = level, standard, holder
+        self.level, self.holder = level, holder
         self._den = math.lcm(*(v.denominator for v in grid.values()))
         self._numerators = {p: v.numerator * (self._den // v.denominator)
                             for p, v in grid.items()}
@@ -168,7 +165,6 @@ class PiecewiseAffineFn:
 
     @classmethod
     def _from_ints(cls, level: int, scale: int, values: dict[tuple[int, int], int],
-                   standard: bool = False,
                    holder: HolderParams | None = None) -> "PiecewiseAffineFn":
         """The function with value v / scale at each vertex p of ``values``.
 
@@ -182,7 +178,7 @@ class PiecewiseAffineFn:
             scale //= g
             values = {p: v // g for p, v in values.items()}
         fn = cls.__new__(cls)
-        fn.level, fn.standard, fn.holder = level, standard, holder
+        fn.level, fn.holder = level, holder
         fn._den, fn._numerators = scale, values
         fn._grid = fn._int_words = None
         return fn
@@ -277,7 +273,7 @@ class PiecewiseAffineFn:
             raise ValueError(f"cannot refine to a coarser level: level {level} < {self.level}")
         if level == self.level:
             return PiecewiseAffineFn._from_ints(level, self._den, self._numerators,
-                                                self.standard, self.holder)
+                                                self.holder)
         scale, values = self._int_values(level)
         index = level_index(level)
         keys = list(index.vertices)
@@ -298,8 +294,7 @@ class PiecewiseAffineFn:
         d, table = self.int_word_table()
         grid = _midpoint_copy((index.cells[i], table[index.words[i]])
                               for i in index.layers[self.level])
-        return PiecewiseAffineFn._from_ints(self.level + 1, d, grid, standard=True,
-                                            holder=self.holder)
+        return PiecewiseAffineFn._from_ints(self.level + 1, d, grid, self.holder)
 
     # -- structure checks ------------------------------------------------
 
@@ -352,11 +347,12 @@ class PiecewiseAffineFn:
         d = self._den
         entries = sorted((ids[index.vertices[p]], f"{v // g}/{d // g}")
                          for p, v in self._numerators.items() for g in (math.gcd(v, d),))
-        return {"level": self.level, "standard": self.standard, "entries": entries}
+        return {"level": self.level, "standard": self.is_standard(), "entries": entries}
 
     @classmethod
     def from_json(cls, data: dict) -> "PiecewiseAffineFn":
-        """Inverse of ``to_json``; ValueError unless the entries give V_level exactly once."""
+        """Inverse of ``to_json``, whose "standard" is read from the table, not the key;
+        ValueError unless the entries give V_level exactly once."""
         level = int(data["level"])
         entries = data["entries"]
         # fail before building anything of V_level's size; no list holds 3**64 entries
@@ -375,7 +371,7 @@ class PiecewiseAffineFn:
             v = Fraction(frac)
             if grid.setdefault(p, v) != v:
                 raise ValueError(f"vertex id {key!r} gives its vertex a second value")
-        return cls(level, grid, standard=bool(data.get("standard", False)))
+        return cls(level, grid)
 
 
 def constant_fn(value: Fraction, level: int = 0) -> PiecewiseAffineFn:
@@ -658,15 +654,12 @@ def random_standard_paf(seed: int, level: int, alpha: float, c: float,
             failing = index.words[bad[0]]
             continue
         out = PiecewiseAffineFn._from_ints(level, denom, _midpoint_copy(leaves),
-                                           standard=True)
+                                           HolderParams(alpha, c))
         if check:
             cert = holder_certificate(out, alpha, c, depth=out.level + 1)
             if not cert.passed:
                 failing = cert.witness_pair
                 continue
-            out.holder = HolderParams(alpha, c, lipschitz=out.lipschitz())
-        else:
-            out.holder = HolderParams(alpha, c)
         return out
     raise ResamplingCapExceeded(
         f"no admissible sample after {_MAX_ATTEMPTS} attempts; last failure: {failing!r}"

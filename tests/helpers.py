@@ -135,7 +135,7 @@ def fraction_standardize(fn) -> PiecewiseAffineFn:
     index = level_index(fn.level)
     grid = _midpoint_copy((index.cells[i], fn.corner_values(index.words[i]))
                           for i in index.layers[fn.level])
-    return PiecewiseAffineFn(fn.level + 1, grid, standard=True, holder=fn.holder)
+    return PiecewiseAffineFn(fn.level + 1, grid, holder=fn.holder)
 
 
 def iter_subdivision_addresses(n: int, l: int = 1):

@@ -9,6 +9,7 @@ that went with them are gone from the classes that remain.
 """
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -101,6 +102,22 @@ def test_value_types_and_removed_members():
     assert {"__add__", "__sub__", "__neg__"} & set(vars(PointQ3)) == set()
     assert "values" not in vars(PiecewiseAffineFn)
     assert "method" not in inspect.signature(approx_level_set).parameters
+
+
+def test_values_the_code_derives_are_not_settable():
+    # "standard" is read from the table, M is fn.lipschitz(), a cylinder's
+    # corners follow from its indices, and the two test-only caps are fixed
+    for make in (PiecewiseAffineFn, PiecewiseAffineFn._from_ints):
+        assert "standard" not in inspect.signature(make).parameters
+    assert not hasattr(holderlevels.random_standard_paf(1, 2, 0.5, 0.9, check=False),
+                       "standard")
+    assert [f.name for f in dataclasses.fields(holderlevels.HolderParams)] == ["alpha", "c"]
+    config = holderlevels.PhaseTransitionConfig
+    assert config.__dataclass_params__.frozen
+    assert [f.name for f in dataclasses.fields(config) if f.init] \
+        == ["alpha", "c", "k", "ix", "iy", "delta"]
+    assert "relaxed" not in inspect.signature(holderlevels.census_constant).parameters
+    assert "c_cap" not in inspect.signature(holderlevels.mass_distribution_lower).parameters
 
 
 # -- each rule written once: AST guards ---------------------------------

@@ -143,7 +143,9 @@ def test_lcondition_iff_relaxed_constant():
         cases += 1
         for l in range(1, 12):
             lhs_ok = lcondition_lhs(alpha, d1) < l
-            relaxed_ok = census_constant(alpha, d1, l, relaxed=True) < 1
+            relaxed = (math.e / float(d1)) ** float(d1) * (3 * 2**l) ** float(d1) \
+                * 2.0 ** (1 - float(d1) - l * alpha)
+            relaxed_ok = relaxed < 1
             assert lhs_ok == relaxed_ok, (alpha, d1, l)
             if lhs_ok:
                 assert census_constant(alpha, d1, l) < 1
@@ -216,11 +218,12 @@ def test_mass_distribution_unique_chain():
     # empirical constant is exactly 2**(n d1) at the deepest level
     assert rep.s == F(1, 2)
     assert rep.c_empirical == pytest.approx(2.0 ** (4 * 0.5))
-    assert rep.verified  # 4 stays under the default cap of 8
+    assert rep.verified  # 4 stays under the cap of 8
     assert rep.worst_cell is not None and rep.worst_level == 4
-    tight = mass_distribution_lower(ramp, F(9, 10), params, n_prime_max=3,
-                                    c_cap=4.0)
-    assert not tight.verified  # 2**3 exceeds the tightened cap
+    # C grows with the depth: 64/9 = 7.11 at n' = 4 stays under the cap,
+    # 256/27 = 9.48 at n' = 5 exceeds it
+    assert mass_distribution_lower(ramp, F(9, 10), params, n_prime_max=4).verified
+    assert not mass_distribution_lower(ramp, F(9, 10), params, n_prime_max=5).verified
 
 
 def test_mass_distribution_needs_a_checked_level():
@@ -256,8 +259,8 @@ def gathered_cell_masses(tree, n: int) -> dict:
             for cell in candidates}
 
 
-def oracle_mass_distribution(fn, r, params, n_prime_max, c_cap=8.0):
-    """(c_empirical, worst_level, levels_checked, verified, masses per level)."""
+def oracle_mass_distribution(fn, r, params, n_prime_max):
+    """(c_empirical, worst_level, levels_checked, verified at cap 8, masses per level)."""
     tree = LevelSetTree(fn, r, params.l)
     c_emp, worst_level, levels, masses = 0.0, None, [], {}
     for n_prime in range(1, n_prime_max + 1):
@@ -269,7 +272,7 @@ def oracle_mass_distribution(fn, r, params, n_prime_max, c_cap=8.0):
             if quot > c_emp:
                 c_emp, worst_level = quot, n
         levels.append(n)
-    return c_emp, worst_level, levels, c_emp <= c_cap, masses
+    return c_emp, worst_level, levels, c_emp <= 8.0, masses
 
 
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=2, max_value=4),
@@ -285,11 +288,11 @@ def test_mass_distribution_matches_gather_oracle(seed, level, q, n_prime_max, k,
     r = min(root) + (max(root) - min(root)) * F(k, 3 * 2**24)
     params = BoundSearchParams(alpha=1.0, d1=F(1, q), l=l)
     try:
-        rep = mass_distribution_lower(fn, r, params, n_prime_max, c_cap=2.0)
+        rep = mass_distribution_lower(fn, r, params, n_prime_max)
     except LevelCollisionError:
         assume(False)
     c_emp, worst_level, levels, verified, masses = oracle_mass_distribution(
-        fn, r, params, n_prime_max, c_cap=2.0)
+        fn, r, params, n_prime_max)
     assert rep.s == params.s
     assert (rep.c_empirical, rep.worst_level, rep.levels_checked, rep.verified) \
         == (c_emp, worst_level, levels, verified)

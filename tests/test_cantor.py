@@ -1,5 +1,6 @@
 """Fat Cantor construction, capacity, separated structures, perturbation."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from holderlevels.cantor import (
     FatCantorSet,
+    PhaseTransitionConfig,
     ProductPiece,
     cantor_grid,
     cantor_level,
@@ -548,9 +550,22 @@ def test_phase_perturbation_rejects_bad_base():
 
 
 def test_phase_config_validation():
-    with pytest.raises(ValueError):
-        cylinder_config(0.6, F(99, 100), k=10, ix=0, iy=0, delta=0.5).validate()
+    with pytest.raises(ValueError, match="no guaranteed image interval"):
+        cylinder_config(0.6, F(99, 100), k=10, ix=0, iy=0, delta=0.5)
     cfg = cylinder_config(0.6, F(1, 2), k=10, ix=0, iy=0, delta=0.2)
-    cfg.validate()
     assert cfg.eta == cantor_tail_measure(11)
     assert cfg.r == interval_length(11)
+
+
+def test_phase_config_corners_are_its_cylinders():
+    for k in range(1, 5):
+        cs = FatCantorSet(k)
+        for ix in range(cs.count):
+            for iy in range(cs.count):
+                cfg = PhaseTransitionConfig(0.6, F(1, 2), k, ix, iy, 0.2)
+                assert (cfg.x1, cfg.x2) == cs.interval(ix)
+                assert cfg.y1 == cs.interval(iy)[1]
+                assert cfg.delta_prime == float((cfg.x2 - cfg.x1) / 100)
+    for name, value in (("x1", F(0)), ("ix", 0), ("c", F(1, 4))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)

@@ -99,15 +99,13 @@ def oracle_paf(seed: int, level: int, alpha: float, c: float, check: bool):
             std[midpoint(v2, v3)] = q2
             std[midpoint(v1, v3)] = q3
         table = {w: tuple(std[p] for p in triangle_vertices(w)) for w in preorder_words(level)}
-        holder = HolderParams(alpha, c)
         if check:
             grid = {lattice_index(p, level): v for p, v in std.items()}
             cert = holder_certificate(PiecewiseAffineFn(level, grid), alpha, c, depth=level + 1)
             if not cert.passed:
                 failing = cert.witness_pair
                 continue
-            holder = HolderParams(alpha, c, lipschitz=lipschitz(table, level))
-        return std, table, holder, attempt
+        return std, table, HolderParams(alpha, c), attempt
     raise ResamplingCapExceeded(
         f"no admissible sample after {_MAX_ATTEMPTS} attempts; last failure: {failing!r}")
 
@@ -122,7 +120,9 @@ def assert_matches_oracle(seed: int, level: int, alpha: float, c: float, check: 
         assert str(info.value) == str(exc)
         return None
     fn = random_standard_paf(seed, level, alpha, c, check=check)
-    assert (fn.level, fn.standard, fn.holder) == (level, True, holder)
+    assert (fn.level, fn.is_standard(), fn.holder) == (level, True, holder)
+    if check:
+        assert fn.lipschitz() == lipschitz(table, level)
     assert list(point_values(fn).items()) == list(values.items())
     assert [(w, fn.corner_values(w)) for w in level_index(level).words] == list(table.items())
     d = math.lcm(*(v.denominator for vals in table.values() for v in vals))

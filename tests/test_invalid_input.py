@@ -45,6 +45,25 @@ CASES = {
         [-1], "k must"),
     "product_separated_structure k_max": (hl.product_separated_structure, [-1, 0, 1], "k_max"),
     "BoundSearchParams l": (lambda v: hl.BoundSearchParams(1.0, F(1, 2), v), [0, -2], "l"),
+    "BoundSearchParams alpha": (lambda v: hl.BoundSearchParams(v, F(1, 2), 1), [nan, 0, -1, 2],
+                                "alpha must"),
+    "HolderParams alpha": (lambda v: hl.HolderParams(v, 0.9), [nan, 0, -1, 2], "alpha"),
+    "HolderParams c": (lambda v: hl.HolderParams(0.5, v), [nan, 0, -1, inf], "c must"),
+    "LevelValue r": (lambda v: hl.LevelValue.checked(v, _FN), [nan, inf, -inf], "level r"),
+    "LevelSetTree r": (lambda v: hl.LevelSetTree(_FN, v, 1, 2), [nan, inf], "level r"),
+    "PhaseTransitionConfig alpha": (
+        lambda v: hl.PhaseTransitionConfig(v, F(1, 2), 2, 1, 1, 0.2), [nan, 0, -1, 2], "alpha"),
+    "PhaseTransitionConfig c": (lambda v: hl.PhaseTransitionConfig(0.6, v, 2, 1, 1, 0.2),
+                                [nan, 0, -1, 1, inf], "c < 1"),
+    "PhaseTransitionConfig k": (lambda v: hl.PhaseTransitionConfig(0.6, F(1, 2), v, 0, 0, 0.2),
+                                [0, -1], "k >= 1"),
+    "PhaseTransitionConfig ix": (lambda v: hl.PhaseTransitionConfig(0.6, F(1, 2), 2, v, 0, 0.2),
+                                 [-1, 4, 9], "ix must"),
+    "PhaseTransitionConfig iy": (lambda v: hl.PhaseTransitionConfig(0.6, F(1, 2), 2, 0, v, 0.2),
+                                 [-1, 4, 9], "iy must"),
+    "PhaseTransitionConfig delta": (
+        lambda v: hl.PhaseTransitionConfig(0.6, F(1, 2), 2, 1, 1, v), [nan, 0, -5, inf],
+        "delta must"),
     "BoundSearchParams d1": (lambda v: hl.BoundSearchParams(1.0, v, 1),
                              [F(0), F(-1, 2), F(2)], "d1"),
     "box_count_dimension digits": (hl.box_count_dimension, [[2, 0], [0, -1], [nan], [0.5]],
@@ -148,13 +167,12 @@ def test_alpha_outside_the_unit_interval_is_refused(name, alpha):
 
 
 def test_every_exported_callable_is_swept():
-    # the value types, the result types, the level value and the
-    # perturbation (whose config validates itself) aside, every exported
+    # the value types, the result types and the perturbation (whose
+    # config validates itself at construction) aside, every exported
     # function or class is called with bad input above
     swept = {name.split()[0] for name in CASES}
     skipped = {"ApproxLevelSet", "CoordQ3", "DimensionEstimate", "GraftedFn",
-               "HolderCertificate", "HolderParams", "LevelValue", "PhaseTransitionConfig",
-               "PiecewiseAffineFn", "PointQ3", "QSqrt3", "SeparatedStructure",
-               "phase_perturbation"}
+               "HolderCertificate", "PiecewiseAffineFn", "PointQ3", "QSqrt3",
+               "SeparatedStructure", "phase_perturbation"}
     assert swept | skipped == set(hl.__all__)
     assert swept & skipped == set()

@@ -27,7 +27,7 @@ V1, V2, V3 = ROOT_VERTICES
 
 
 def test_holder_params_validation():
-    HolderParams(0.5, 1.0, 2.0)
+    HolderParams(0.5, 1.0)
     with pytest.raises(ValueError):
         HolderParams(1.5, 1.0)
     with pytest.raises(ValueError):
@@ -79,7 +79,7 @@ def test_corner_values_below_and_above_level():
 def test_standardize_assignments():
     f = affine_from_corners(Fraction(0), Fraction(0), Fraction(1))
     s = f.standardize()
-    assert s.level == 1 and s.standard and s.is_standard()
+    assert s.level == 1 and s.to_json()["standard"] and s.is_standard()
     assert point_values(s)[midpoint(V1, V2)] == 0
     assert point_values(s)[midpoint(V2, V3)] == 0
     assert point_values(s)[midpoint(V1, V3)] == 1
@@ -169,7 +169,7 @@ def test_generator_determinism_and_contract():
     b = random_standard_paf(42, 4, 0.5, 0.9)
     assert point_values(a) == point_values(b)
     assert a.is_standard() and a.is_locally_nonconstant()
-    assert a.holder is not None and a.holder.lipschitz > 0
+    assert a.holder == HolderParams(0.5, 0.9) and a.lipschitz() > 0
     # every triangle has exactly two equal corner values
     for _, (q1, q2, q3) in a.iter_triangles():
         assert len({q1, q2, q3}) == 2
@@ -192,7 +192,19 @@ def test_json_roundtrip():
     back = PiecewiseAffineFn.from_json(data)
     assert back.level == fn.level
     assert point_values(back) == point_values(fn)
-    assert back.standard == fn.standard
+    assert back.is_standard() == fn.is_standard() == data["standard"] is True
+
+
+def test_json_standard_is_read_from_the_table():
+    refined = random_standard_paf(7, 3, 1.0, 0.9).refine(5)
+    for fn in (refined, affine_from_corners(Fraction(0), Fraction(0), Fraction(1)),
+               constant_fn(Fraction(2), 2)):
+        assert fn.to_json()["standard"] is fn.is_standard() is True
+    generic = affine_from_corners(Fraction(0), Fraction(1), Fraction(2))
+    assert generic.to_json()["standard"] is generic.is_standard() is False
+    # a wrong flag in the input is not carried over
+    back = PiecewiseAffineFn.from_json(dict(generic.to_json(), standard=True))
+    assert back.to_json() == generic.to_json()
 
 
 def test_generator_checks_alpha_before_generating(monkeypatch):

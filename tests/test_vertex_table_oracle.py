@@ -75,11 +75,14 @@ def oracle_eval(level: int, grid: dict, point) -> Fraction:
     return sum(w.as_fraction() * grid[p] for w, p in zip(ws, corners(row, col)))
 
 
-def oracle_to_json(level: int, grid: dict, standard: bool) -> dict:
-    """Each vertex under its smallest id "word:corner" over the level-n cells."""
+def oracle_to_json(level: int, grid: dict) -> dict:
+    """Each vertex under its smallest id "word:corner" over the level-n cells;
+    standard when every level-n cell has a repeated corner value."""
     ids: dict = {}
+    standard = True
     for word, row, col, _ in walk(SimpleNamespace(level=level, grid=grid), level):
         if len(word) == level:
+            standard = standard and len({grid[p] for p in corners(row, col)}) < 3
             for corner, p in enumerate(corners(row, col)):
                 ids[p] = min(ids.get(p, f"{word}:{corner}"), f"{word}:{corner}")
     entries = sorted((ids[p], f"{v.numerator}/{v.denominator}") for p, v in grid.items())
@@ -122,7 +125,7 @@ def check_against_oracle(fn, grid, data):
     assert fn._denominator() == d
     assert list(fn._numerators.items()) == numerators
     assert list(fn.grid.items()) == list(grid.items())
-    assert fn.to_json() == oracle_to_json(level, grid, fn.standard)
+    assert fn.to_json() == oracle_to_json(level, grid)
 
     size = data.draw(st.integers(min_value=level, max_value=level + 2))
     word = data.draw(st.text(alphabet="012", min_size=size, max_size=size))
@@ -158,7 +161,7 @@ def test_integer_table_matches_fraction_oracle(case, data):
 def test_public_constructor_keeps_the_callers_grid(case, data):
     # built from Fractions, the function converts once and shows the caller's dict
     made, grid = case
-    fn = PiecewiseAffineFn(made.level, dict(grid), standard=made.standard)
+    fn = PiecewiseAffineFn(made.level, dict(grid))
     assert (fn._denominator(), fn._numerators) == (made._denominator(), made._numerators)
     check_against_oracle(fn, grid, data)
 
