@@ -21,10 +21,8 @@ from .paf import (
 from .bernoulli import BernoulliWitnessFn, bernoulli_cdf, dyadic_cylinder_mass
 from .graft import GraftedFn, graft, graft_certificate_constant, min_graft_level
 from .levelset import (
-    ApproxLevelSet,
     LevelSetTree,
     LevelValue,
-    approx_level_set,
     kappa_exponent,
     well_conducting_census,
 )
@@ -60,17 +58,16 @@ from .triangles import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApproxLevelSet", "BernoulliWitnessFn", "BoundSearchParams", "CoordQ3",
-    "DimensionEstimate", "FatCantorSet", "GraftedFn", "HolderCertificate",
-    "HolderParams", "LevelSetTree", "LevelValue", "PhaseTransitionConfig",
-    "PiecewiseAffineFn", "PointQ3", "QSqrt3", "SeparatedStructure",
-    "affine_from_corners", "approx_level_set", "bernoulli_cdf", "boundary_family",
-    "box_count_dimension", "cantor_level", "capacity_gap", "census_constant",
-    "constant_fn", "dyadic_cylinder_mass", "feasibility_search", "feasible_l",
-    "graft", "graft_certificate_constant", "holder_certificate", "kappa_exponent",
-    "line_crossing_count", "line_crossing_count_geometric", "lower_bound",
-    "mass_distribution_lower", "min_graft_level", "phase_perturbation",
-    "piecewise_constant_feasibility", "product_separated_structure",
-    "random_standard_paf", "triangle_vertices", "trivial_upper_bound_sierpinski",
-    "upper_bound", "well_conducting_census",
+    "BernoulliWitnessFn", "BoundSearchParams", "CoordQ3", "DimensionEstimate",
+    "FatCantorSet", "GraftedFn", "HolderCertificate", "HolderParams",
+    "LevelSetTree", "LevelValue", "PhaseTransitionConfig", "PiecewiseAffineFn",
+    "PointQ3", "QSqrt3", "SeparatedStructure", "affine_from_corners",
+    "bernoulli_cdf", "boundary_family", "box_count_dimension", "cantor_level",
+    "capacity_gap", "census_constant", "constant_fn", "dyadic_cylinder_mass",
+    "feasibility_search", "feasible_l", "graft", "graft_certificate_constant",
+    "holder_certificate", "kappa_exponent", "line_crossing_count",
+    "line_crossing_count_geometric", "lower_bound", "mass_distribution_lower",
+    "min_graft_level", "phase_perturbation", "piecewise_constant_feasibility",
+    "product_separated_structure", "random_standard_paf", "triangle_vertices",
+    "trivial_upper_bound_sierpinski", "upper_bound", "well_conducting_census",
 ]

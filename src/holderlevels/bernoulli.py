@@ -123,7 +123,9 @@ class BernoulliWitnessFn:
     The boundary values are 0 at the two base vertices and 1 at the
     apex.  ``p`` may be a Fraction (all evaluation exact) or a float,
     typically 2**(-alpha); heights are evaluated to ``max_depth`` binary
-    digits, so the truncation error is at most p**max_depth.
+    digits, so the truncation error is at most p**max_depth.  ``alpha``
+    is -log2(p) when not given; a given one must agree with p, 2**-alpha
+    within a relative 1e-12, since ``holder_bound`` and the graft read it.
     """
 
     p: Fraction | float
@@ -138,6 +140,10 @@ class BernoulliWitnessFn:
             raise ValueError(f"max_depth must be non-negative, got {self.max_depth}")
         if self.alpha is None:
             self.alpha = -math.log2(pf)
+        elif not (0 < self.alpha < 1
+                  and math.isclose(2.0 ** -self.alpha, pf, rel_tol=1e-12)):
+            raise ValueError(f"alpha = {self.alpha} contradicts p = {self.p}: "
+                             "p must be 2**-alpha")
 
     @classmethod
     def for_alpha(cls, alpha: float, max_depth: int = 64) -> "BernoulliWitnessFn":

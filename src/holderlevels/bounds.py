@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .levelset import LevelSetTree, census_constant, checked_tree
+from .levelset import LevelSetTree, _level_fraction, census_constant
 from .triangles import lattice_index_unchecked
 
 # mpmath is imported by the precision="big" paths alone, so importing the
@@ -250,7 +250,12 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
     if n_prime_max < 1:
         raise ValueError(f"n_prime_max must be at least 1, got {n_prime_max}")
     q, l, d1 = params.q, params.l, params.d1
-    t = checked_tree(fn, r, l, tree).fill_measure(q * n_prime_max)
+    if tree is None:
+        tree = LevelSetTree(fn, r, l)
+    elif tree.fn is not fn or tree.r != _level_fraction(r) or tree.l != l:
+        raise ValueError(f"the tree was built for another function, level value or l "
+                         f"(tree r = {tree.r}, l = {tree.l})")
+    tree.fill_measure(q * n_prime_max)
     c_emp = 0.0
     worst_cell = None
     worst_level = None
@@ -262,7 +267,7 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
         deltas = [(dr << s) + dc for dr, dc in _CELL_NEIGHBOR_OFFSETS]
         cell_mass: dict[int, int] = {}
         get = cell_mass.get
-        for node in t.nodes_at(n):
+        for node in tree.nodes_at(n):
             m = node.mu_num
             row, col = lattice_index_unchecked(node.word)
             key = (row << s) + col + base
@@ -271,7 +276,7 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
                 cell_mass[cell] = get(cell, 0) + m
         mass = max(cell_mass.values())
         # int / int is correctly rounded, so this is float(mu(U) 2**(n d1))
-        quot = (mass << int(n * d1)) / t.mu_denominators[n]
+        quot = (mass << int(n * d1)) / tree.mu_denominators[n]
         if quot > c_emp:
             key = next(k for k, v in cell_mass.items() if v == mass)
             c_emp = quot

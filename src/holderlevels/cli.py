@@ -219,8 +219,10 @@ def cmd_levelset(args) -> int:
         rows.append((float(r), len(tree.nodes_at(args.depth)), float(cons.lhs),
                      float(cons.lhs), float(cons.rhs), int(cons.passed)))
         if args.json_out:
-            artifacts.append(
-                ls.approx_level_set(tree.fn, r, args.depth, args.l, tree=tree).to_json())
+            members = sorted(tree.nodes_at(args.depth), key=lambda node: node.word)
+            artifacts.append({"r": tree.r, "n": args.depth, "l": args.l, "members": [
+                {"address": node.word, "kappa_exp": node.kappa_exp, "mu": node.mu}
+                for node in members]})
     write_csv(args.out, config,
               ["r", "members", "kappa_sum", "conservation_lhs",
                "conservation_rhs", "ok"], rows)

@@ -16,12 +16,10 @@ therefore never exceeds it.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .paf import PiecewiseAffineFn
@@ -280,7 +278,7 @@ class LevelSetTree:
         while self.depth < depth:
             length = (self.depth + 1) * l       # word length of the children
             # the level times r.den, at the children's scale
-            level = self.r.numerator * self._denom << max(0, length - fn_level)
+            level = self.r.numerator * self.scale(length)
             above = length - l < fn_level       # the parents are table entries
             below = min(l, max(0, length - fn_level))
             words = None                        # built when a node first needs the word loop
@@ -400,79 +398,11 @@ class LevelSetTree:
         return ConservationResult(lhs=lhs, rhs=node.kappa, passed=lhs >= node.kappa)
 
 
-def checked_tree(fn: PiecewiseAffineFn, r, l: int,
-                 tree: LevelSetTree | None) -> LevelSetTree:
-    """``tree`` if it was built for (fn, r, l), a new tree if it is None."""
-    if tree is None:
-        return LevelSetTree(fn, r, l)
-    if tree.fn is not fn or tree.r != _level_fraction(r) or tree.l != l:
-        raise ValueError(f"the tree was built for another function, level value or l "
-                         f"(tree r = {tree.r}, l = {tree.l})")
-    return tree
-
-
 @dataclass
 class ConservationResult:
     lhs: Fraction
     rhs: Fraction
     passed: bool
-
-
-@dataclass
-class ApproxLevelSet:
-    """Members of one level of the approximation, with attached weights."""
-
-    r: Fraction
-    n: int
-    l: int
-    members: dict[str, int]                      # word -> kappa exponent
-    mu: dict[str, Fraction] = field(default_factory=dict)
-
-    def kappa_sum(self) -> Fraction:
-        return _kappa_sum(self.members.values())
-
-    def to_json(self) -> dict:
-        members = [
-            {
-                "address": w,
-                "kappa_exp": e,
-                **({"mu": f"{self.mu[w].numerator}/{self.mu[w].denominator}"}
-                   if w in self.mu else {}),
-            }
-            for w, e in sorted(self.members.items())
-        ]
-        return {
-            "r": f"{self.r.numerator}/{self.r.denominator}",
-            "n": self.n,
-            "l": self.l,
-            "members": members,
-        }
-
-    def csv_summary(self) -> str:
-        """Rows (level, count, kappa_sum, max_kappa) for this one level."""
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["level", "count", "kappa_sum", "max_kappa"])
-        exps = sorted(self.members.values())
-        # the largest kappa is the smallest exponent's, 0 with no members
-        writer.writerow([self.n, len(exps), float(_kappa_sum(exps)),
-                         float(_kappa_sum(exps[:1]))])
-        return buf.getvalue()
-
-
-def approx_level_set(fn: PiecewiseAffineFn, r, n: int, l: int = 1,
-                     tree: LevelSetTree | None = None) -> ApproxLevelSet:
-    """The n-th approximation of the level set: the members at depth n of
-    the tree below the root (the object the conductivity measure lives on),
-    with their measure where it has been filled.  A ``tree`` passed in must
-    be one built for ``fn``, ``r`` and ``l``.
-    """
-    r = _level_fraction(r)
-    t = checked_tree(fn, r, l, tree)
-    nodes = t.nodes_at(n)
-    members = {node.word: node.kappa_exp for node in nodes}
-    mu = {node.word: node.mu for node in nodes if node.mu is not None}
-    return ApproxLevelSet(r=r, n=n, l=l, members=members, mu=mu)
 
 
 def kappa_exponent(fn: PiecewiseAffineFn, word: str, l: int = 1) -> int:
@@ -534,8 +464,8 @@ class CensusResult:
     passed: bool
 
 
-def well_conducting_census(fn: PiecewiseAffineFn, r, n: int, l: int, d1,
-                           alpha: float | None = None) -> CensusResult:
+def well_conducting_census(fn: PiecewiseAffineFn, r, n: int, l: int, d1, *,
+                           alpha: float) -> CensusResult:
     """Count triangles with conductivity at least 2**(-n*d1).
 
     The count ranges over the whole subdivision family (conductivity
@@ -568,11 +498,6 @@ def well_conducting_census(fn: PiecewiseAffineFn, r, n: int, l: int, d1,
     t = int(t)
     if r is not None:
         LevelValue.checked(r, fn)
-    if alpha is None:
-        if fn.holder is None:
-            raise ValueError("alpha is needed for the image-measure column")
-        alpha = fn.holder.alpha
-
     if l < 1:
         raise ValueError("boundary family needs l >= 1")
     table = fn.int_word_table()[1]

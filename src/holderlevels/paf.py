@@ -288,13 +288,15 @@ class PiecewiseAffineFn:
         v4 = mid(v1,v2), v5 = mid(v2,v3), v6 = mid(v1,v3) gets the new
         values f(v4) = f(v1), f(v5) = f(v2), f(v6) = f(v3), which forces
         a repeated value on every child.  The sup distance to the input
-        is at most half the largest per-triangle oscillation.
+        is at most half the largest per-triangle oscillation.  The result
+        is another function, which no certificate checked, so its
+        ``holder`` is None.
         """
         index = level_index(self.level)
         d, table = self.int_word_table()
         grid = _midpoint_copy((index.cells[i], table[index.words[i]])
                               for i in index.layers[self.level])
-        return PiecewiseAffineFn._from_ints(self.level + 1, d, grid, self.holder)
+        return PiecewiseAffineFn._from_ints(self.level + 1, d, grid)
 
     # -- structure checks ------------------------------------------------
 
@@ -612,6 +614,8 @@ def random_standard_paf(seed: int, level: int, alpha: float, c: float,
     displaced in the decreasing word order of ``level_index(level - 1)``,
     edges (0,1), (1,2), (0,2), one draw each.  The standardized integers
     become the function's vertex table as they are, with no ``Fraction``.
+    ``holder`` is (alpha, c) once the certificate passed; with
+    ``check=False`` nothing is certified and ``holder`` is None.
     """
     if level < 1:
         raise ValueError("a standard function needs level >= 1")
@@ -653,13 +657,13 @@ def random_standard_paf(seed: int, level: int, alpha: float, c: float,
         if bad:
             failing = index.words[bad[0]]
             continue
-        out = PiecewiseAffineFn._from_ints(level, denom, _midpoint_copy(leaves),
-                                           HolderParams(alpha, c))
+        out = PiecewiseAffineFn._from_ints(level, denom, _midpoint_copy(leaves))
         if check:
             cert = holder_certificate(out, alpha, c, depth=out.level + 1)
             if not cert.passed:
                 failing = cert.witness_pair
                 continue
+            out.holder = HolderParams(alpha, c)
         return out
     raise ResamplingCapExceeded(
         f"no admissible sample after {_MAX_ATTEMPTS} attempts; last failure: {failing!r}"

@@ -5,7 +5,6 @@ library path, benchmark or tool calls them.
 """
 
 import itertools
-import json
 import math
 import random
 import weakref
@@ -14,12 +13,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from holderlevels.cantor import ProductPiece, SeparatedStructure
-from holderlevels.levelset import (
-    ApproxLevelSet,
-    LevelCollisionError,
-    _level_fraction,
-    kappa_exponent,
-)
+from holderlevels.levelset import LevelCollisionError, _level_fraction, kappa_exponent
 from holderlevels.paf import PiecewiseAffineFn, _midpoint_copy
 from holderlevels.triangles import boundary_family, lattice_point, level_index
 
@@ -31,10 +25,6 @@ def touching_up_cells(row: int, col: int) -> list[tuple[int, int]]:
     """Upward cells sharing at least one lattice vertex with (row, col)."""
     return [(row + dr, col + dc)
             for dr, dc in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))]
-
-
-def level_set_to_json(level_set: ApproxLevelSet) -> str:
-    return json.dumps(level_set.to_json(), sort_keys=True)
 
 
 def lchoice_window(alpha: float) -> tuple[float, float]:
@@ -135,7 +125,7 @@ def fraction_standardize(fn) -> PiecewiseAffineFn:
     index = level_index(fn.level)
     grid = _midpoint_copy((index.cells[i], fn.corner_values(index.words[i]))
                           for i in index.layers[fn.level])
-    return PiecewiseAffineFn(fn.level + 1, grid, holder=fn.holder)
+    return PiecewiseAffineFn(fn.level + 1, grid)
 
 
 def iter_subdivision_addresses(n: int, l: int = 1):
@@ -167,8 +157,8 @@ def _corner_values_checked(fn, word: str, r: Fraction):
     return vals
 
 
-def full_level_set(fn, r, n: int, l: int = 1) -> ApproxLevelSet:
-    """The n-th approximation by the membership test on the whole family.
+def full_level_set(fn, r, n: int, l: int = 1) -> dict[str, int]:
+    """The n-th approximation by the membership test on the whole family, {word: kappa exponent}.
 
     Enumerates every triangle of the n-th subdivision, so it also finds
     members whose parents are not members; feasible only while the
@@ -180,7 +170,7 @@ def full_level_set(fn, r, n: int, l: int = 1) -> ApproxLevelSet:
         vals = _corner_values_checked(fn, word, r)
         if min(vals) < r < max(vals):
             members[word] = kappa_exponent(fn, word, l)
-    return ApproxLevelSet(r=r, n=n, l=l, members=members)
+    return members
 
 
 @dataclass(frozen=True)

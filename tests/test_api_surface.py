@@ -14,26 +14,25 @@ import inspect
 from pathlib import Path
 
 import holderlevels
+from holderlevels import levelset
 from holderlevels.exact import CoordQ3, PointQ3, QSqrt3
-from holderlevels.levelset import approx_level_set
 from holderlevels.paf import PiecewiseAffineFn
 
 ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC = [
-    "ApproxLevelSet", "BernoulliWitnessFn", "BoundSearchParams", "CoordQ3",
-    "DimensionEstimate", "FatCantorSet", "GraftedFn", "HolderCertificate",
-    "HolderParams", "LevelSetTree", "LevelValue", "PhaseTransitionConfig",
-    "PiecewiseAffineFn", "PointQ3", "QSqrt3", "SeparatedStructure",
-    "affine_from_corners", "approx_level_set", "bernoulli_cdf", "boundary_family",
-    "box_count_dimension", "cantor_level", "capacity_gap", "census_constant",
-    "constant_fn", "dyadic_cylinder_mass", "feasibility_search", "feasible_l",
-    "graft", "graft_certificate_constant", "holder_certificate", "kappa_exponent",
-    "line_crossing_count", "line_crossing_count_geometric", "lower_bound",
-    "mass_distribution_lower", "min_graft_level", "phase_perturbation",
-    "piecewise_constant_feasibility", "product_separated_structure",
-    "random_standard_paf", "triangle_vertices", "trivial_upper_bound_sierpinski",
-    "upper_bound", "well_conducting_census",
+    "BernoulliWitnessFn", "BoundSearchParams", "CoordQ3", "DimensionEstimate",
+    "FatCantorSet", "GraftedFn", "HolderCertificate", "HolderParams",
+    "LevelSetTree", "LevelValue", "PhaseTransitionConfig", "PiecewiseAffineFn",
+    "PointQ3", "QSqrt3", "SeparatedStructure", "affine_from_corners",
+    "bernoulli_cdf", "boundary_family", "box_count_dimension", "cantor_level",
+    "capacity_gap", "census_constant", "constant_fn", "dyadic_cylinder_mass",
+    "feasibility_search", "feasible_l", "graft", "graft_certificate_constant",
+    "holder_certificate", "kappa_exponent", "line_crossing_count",
+    "line_crossing_count_geometric", "lower_bound", "mass_distribution_lower",
+    "min_graft_level", "phase_perturbation", "piecewise_constant_feasibility",
+    "product_separated_structure", "random_standard_paf", "triangle_vertices",
+    "trivial_upper_bound_sierpinski", "upper_bound", "well_conducting_census",
 ]
 
 # deleted, or moved to tests/geometry_oracle.py and tests/helpers.py
@@ -41,6 +40,8 @@ REMOVED = {
     # levelset: deleted wrappers of LevelSetTree and extreme_pair
     "conductivity", "conservation_check", "conductivity_measure",
     "ExtremeLabeling", "extreme_labeling",
+    # levelset: the copy of one tree level and its builder and guard
+    "ApproxLevelSet", "approx_level_set", "checked_tree", "csv_summary",
     # levelset and triangles: the whole-family enumeration
     "_corner_values_checked", "subdivision_addresses", "iter_subdivision_addresses",
     # cantor: the IFS structure and its option
@@ -101,7 +102,6 @@ def test_value_types_and_removed_members():
     assert set(vars(QSqrt3)) & REMOVED == set()
     assert {"__add__", "__sub__", "__neg__"} & set(vars(PointQ3)) == set()
     assert "values" not in vars(PiecewiseAffineFn)
-    assert "method" not in inspect.signature(approx_level_set).parameters
 
 
 def test_values_the_code_derives_are_not_settable():
@@ -118,6 +118,17 @@ def test_values_the_code_derives_are_not_settable():
         == ["alpha", "c", "k", "ix", "iy", "delta"]
     assert "relaxed" not in inspect.signature(holderlevels.census_constant).parameters
     assert "c_cap" not in inspect.signature(holderlevels.mass_distribution_lower).parameters
+
+
+def test_level_sets_are_read_from_the_tree_alone():
+    # no second container for a tree level, and alpha comes from the
+    # census's caller, never from a function's constants
+    assert {"ApproxLevelSet", "approx_level_set", "checked_tree"} & set(vars(levelset)) == set()
+    alpha = inspect.signature(holderlevels.well_conducting_census).parameters["alpha"]
+    assert (alpha.kind, alpha.default) == (alpha.KEYWORD_ONLY, alpha.empty)
+    reads_holder = _where("levelset", lambda n: getattr(n, "attr", None) == "holder")
+    assert reads_holder == set()
+    assert "_extend" in _where("levelset", lambda n: _called_name(n) == "scale")
 
 
 # -- each rule written once: AST guards ---------------------------------

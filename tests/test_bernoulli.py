@@ -95,6 +95,13 @@ def test_witness_boundary_values():
         w.value_at_height(Fraction(3, 2))
 
 
+def test_for_alpha_keeps_its_alpha():
+    # its p = 2**-alpha passes the check on a given alpha, though
+    # -log2(p) does not give every alpha back
+    for k in range(1, 1000):
+        assert BernoulliWitnessFn.for_alpha(k / 1000).alpha == k / 1000
+
+
 def test_p_for_exponent_domain():
     assert p_for_holder_exponent(0.5) == pytest.approx(2 ** -0.5)
     with pytest.raises(ValueError):

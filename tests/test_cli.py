@@ -5,12 +5,16 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from holderlevels import cli
 from holderlevels.bernoulli import sample_digits
 from holderlevels.cli import main
+from holderlevels.levelset import LevelSetTree
+from holderlevels.paf import random_standard_paf
+from helpers import full_level_set
 from test_cantor import relative_stop_ratio
 
 
@@ -63,6 +67,25 @@ def test_levelset_command(tmp_path):
         assert float(row.split(",")[2]) >= 1  # kappa sum at least 1
     payload = json.loads(js.read_text())
     assert payload["level_sets"], "expected serialized level sets"
+
+
+def test_levelset_json_lists_the_tree_members(tmp_path):
+    js = tmp_path / "ls.json"
+    assert main(["levelset", "--l", "2", "--depth", "3", "--r-count", "2",
+                 "--out", str(tmp_path / "ls.csv"), "--json-out", str(js)]) == 0
+    level_sets = json.loads(js.read_text())["level_sets"]
+    assert len(level_sets) == 2
+    fn = random_standard_paf(42, 4, 0.5, 0.9, check=False)    # the command's defaults
+    for level_set in level_sets:
+        r = Fraction(level_set["r"])
+        assert (level_set["n"], level_set["l"]) == (3, 2)
+        listed = [m["address"] for m in level_set["members"]]
+        assert listed == sorted(listed)
+        assert {m["address"]: m["kappa_exp"] for m in level_set["members"]} \
+            == full_level_set(fn, r, 3, 2)
+        tree = LevelSetTree(fn, r, 2).fill_measure(3)
+        assert {m["address"]: Fraction(m["mu"]) for m in level_set["members"]} \
+            == {node.word: node.mu for node in tree.nodes_at(3)}
 
 
 def test_conductivity_hist(tmp_path):

@@ -153,3 +153,13 @@ def test_value_in_triangle_rejects_a_point_outside():
         gf.value_in_triangle(word, field)
     inside = triangle_vertices(word)[1]
     assert gf.value_in_triangle(word, inside) == g.corner_values(word)[1]
+
+
+def test_graft_level_follows_the_witness_p():
+    # a witness with p = 0.9 could once claim alpha = 0.999, which named
+    # level 2697 as the smallest admissible one; p alone gives 4
+    base = random_standard_paf(100, 2, 0.5, 0.1, check=False)
+    with pytest.raises(ValueError, match="alpha"):
+        BernoulliWitnessFn(p=0.9, alpha=0.999)
+    with pytest.raises(ValueError, match="smallest admissible level is 4$"):
+        graft(base, 2, BernoulliWitnessFn(p=0.9))

@@ -84,6 +84,9 @@ CASES = {
     "BernoulliWitnessFn p": (hl.BernoulliWitnessFn, [nan, 0, -1, 2, 0.5, 1], "p must"),
     "BernoulliWitnessFn max_depth": (lambda v: hl.BernoulliWitnessFn(0.7, max_depth=v),
                                      [-1], "max_depth"),
+    # p = 0.7 means alpha = -log2(0.7) = 0.5146
+    "BernoulliWitnessFn alpha": (lambda v: hl.BernoulliWitnessFn(0.7, alpha=v),
+                                 [0.1, 0.999, 0.5147, nan, 0, 1], "alpha"),
     "min_graft_level lipschitz": (lambda v: hl.min_graft_level(v, 0.5),
                                   [nan, 0, -1, inf], "lipschitz"),
     "min_graft_level alpha": (lambda v: hl.min_graft_level(1.0, v), [nan, 0, -1, 1, 2],
@@ -124,8 +127,6 @@ CASES = {
     "affine_from_corners level": (lambda v: hl.affine_from_corners(F(0), F(1), F(2), v),
                                   [-1], "level"),
     "kappa_exponent l": (lambda v: hl.kappa_exponent(_FN, "01", v), [0, -1], "l >= 1"),
-    "approx_level_set n": (lambda v: hl.approx_level_set(_FN, _R, v, 1), [-1], "level"),
-    "approx_level_set l": (lambda v: hl.approx_level_set(_FN, _R, 1, v), [0, -1], "l >= 1"),
     "LevelSetTree l": (lambda v: hl.LevelSetTree(_FN, _R, v, 2), [0, -1], "l >= 1"),
     "LevelSetTree depth": (lambda v: hl.LevelSetTree(_FN, _R, 1, v), [-1, -3], "depth"),
     "well_conducting_census n": (
@@ -171,8 +172,8 @@ def test_every_exported_callable_is_swept():
     # config validates itself at construction) aside, every exported
     # function or class is called with bad input above
     swept = {name.split()[0] for name in CASES}
-    skipped = {"ApproxLevelSet", "CoordQ3", "DimensionEstimate", "GraftedFn",
-               "HolderCertificate", "PiecewiseAffineFn", "PointQ3", "QSqrt3",
-               "SeparatedStructure", "phase_perturbation"}
+    skipped = {"CoordQ3", "DimensionEstimate", "GraftedFn", "HolderCertificate",
+               "PiecewiseAffineFn", "PointQ3", "QSqrt3", "SeparatedStructure",
+               "phase_perturbation"}
     assert swept | skipped == set(hl.__all__)
     assert swept & skipped == set()

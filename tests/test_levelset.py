@@ -5,21 +5,25 @@ from fractions import Fraction
 
 import pytest
 
+from holderlevels import cli
 from holderlevels.levelset import (
-    ApproxLevelSet,
     LevelCollisionError,
     LevelSetTree,
     LevelValue,
-    approx_level_set,
     extreme_pair,
     kappa_exponent,
     well_conducting_census,
 )
 from holderlevels.paf import affine_from_corners, constant_fn, random_standard_paf
 
-from helpers import full_level_set, level_set_to_json, subdivision_addresses
+from helpers import full_level_set, subdivision_addresses
 
 F = Fraction
+
+
+def members(tree, n: int) -> dict[str, int]:
+    """{word: kappa exponent} of the tree's depth-n members."""
+    return {node.word: node.kappa_exp for node in tree.nodes_at(n)}
 
 
 @pytest.fixture
@@ -43,20 +47,16 @@ def test_level_value_collision():
 
 def test_constant_function_empty_level_set(ramp):
     c = constant_fn(F(2), level=1)
-    ls = approx_level_set(c, F(1, 3), 2, 1)
-    assert ls.members == {}
+    assert members(LevelSetTree(c, F(1, 3), 1), 2) == {}
 
 
 def test_membership_examples(ramp):
-    ls = approx_level_set(ramp, F(1, 3), 1, 1)
-    assert set(ls.members) == {"0", "1"}
-    ls2 = approx_level_set(ramp, F(2, 3), 1, 1)
-    assert set(ls2.members) == {"2"}
+    assert set(members(LevelSetTree(ramp, F(1, 3), 1), 1)) == {"0", "1"}
+    assert set(members(LevelSetTree(ramp, F(2, 3), 1), 1)) == {"2"}
 
 
 def test_full_membership_matches_hull_condition(ramp):
-    ls = full_level_set(ramp, F(1, 3), 2, 1)
-    for word in ls.members:
+    for word in full_level_set(ramp, F(1, 3), 2, 1):
         vals = ramp.corner_values(word)
         assert min(vals) < F(1, 3) < max(vals)
 
@@ -74,8 +74,7 @@ def test_membership_against_geometric_oracle_l2(ramp):
         if min(heights) < r < max(heights):
             # the root's designated extremes sit at corners 0 and 2
             expected[word] = 0 if word in ("00", "22") else 1
-    ls = approx_level_set(ramp, r, 1, 2)
-    assert ls.members == expected
+    assert members(LevelSetTree(ramp, r, 2), 1) == expected
 
 
 def test_conductivity_examples(ramp):
@@ -168,8 +167,8 @@ def test_monotone_shrink_at_affine_scale():
     r = min(root) + (max(root) - min(root)) * F(1, 3)
     sets = {n: full_level_set(fn, r, n, 1) for n in (2, 3, 4, 5)}
     for n in (2, 3, 4):
-        parents = set(sets[n].members)
-        for word in sets[n + 1].members:
+        parents = set(sets[n])
+        for word in sets[n + 1]:
             assert word[:-1] in parents
 
 
@@ -177,11 +176,11 @@ def test_descendants_subset_of_full(small_corpus):
     fn, l, alpha, depth, pairs = small_corpus[0]
     r, tree = pairs[0]
     n = min(depth, 3)
-    desc = approx_level_set(fn, r, n, l, tree=tree)
+    desc = members(tree, n)
     full = full_level_set(fn, r, n, l)
-    assert set(desc.members) <= set(full.members)
-    for w, e in desc.members.items():
-        assert full.members[w] == e
+    assert set(desc) <= set(full)
+    for w, e in desc.items():
+        assert full[w] == e
 
 
 def test_census_small_cases(ramp):
@@ -233,8 +232,6 @@ def test_negative_levels_are_rejected():
     tree = LevelSetTree(fn, r, 1, depth=4)
     with pytest.raises(ValueError, match="non-negative"):
         tree.nodes_at(-1)
-    with pytest.raises(ValueError, match="non-negative"):
-        approx_level_set(fn, r, -1, 1, tree=tree)
     with pytest.raises(ValueError, match="non-negative"):
         tree.conservation("", -1)
     assert tree.depth == 4 and tree.nodes_at(4)
@@ -291,10 +288,10 @@ def test_tree_rejects_l_below_one(l):
 def test_census_and_kappa_reject_invalid_parameters():
     fn = random_standard_paf(0, 2, 0.5, 0.9, check=False)
     with pytest.raises(ValueError, match="n must be non-negative"):
-        well_conducting_census(fn, None, -2, 1, 1 / 2)
+        well_conducting_census(fn, None, -2, 1, 1 / 2, alpha=0.5)
     for d1 in (0, F(-1, 2)):
         with pytest.raises(ValueError, match="d1 must be positive"):
-            well_conducting_census(fn, None, 2, 1, d1)
+            well_conducting_census(fn, None, 2, 1, d1, alpha=0.5)
     with pytest.raises(ValueError, match="l >= 1"):
         kappa_exponent(fn, "01", 0)
 
@@ -302,16 +299,18 @@ def test_census_and_kappa_reject_invalid_parameters():
 def test_kappa_sum_at_least_one(small_corpus):
     for fn, l, alpha, depth, pairs in small_corpus:
         for r, tree in pairs:
-            ls = approx_level_set(fn, r, depth, l, tree=tree)
-            assert ls.kappa_sum() >= 1
+            assert tree.conservation("", depth).lhs >= 1
 
 
-def test_serialization(ramp):
-    tree = LevelSetTree(ramp, F(1, 3), 1, depth=1).fill_measure(1)
-    ls = approx_level_set(ramp, F(1, 3), 1, 1, tree=tree)
-    payload = json.loads(level_set_to_json(ls))
-    assert payload["n"] == 1 and payload["l"] == 1
+def test_serialization(ramp, tmp_path, monkeypatch):
+    # `levelset --json-out` serializes the ramp's tree in place of the seeded one
+    trees = [(F(1, 3), LevelSetTree(ramp, F(1, 3), 1, depth=1), 0)]
+    monkeypatch.setattr(cli, "_trees", lambda args: iter(trees))
+    js = tmp_path / "ls.json"
+    assert cli.main(["levelset", "--depth", "1", "--r-count", "1",
+                     "--out", str(tmp_path / "ls.csv"), "--json-out", str(js)]) == 0
+    payload, = json.loads(js.read_text())["level_sets"]
+    assert payload["r"] == "1/3" and payload["n"] == 1 and payload["l"] == 1
     members = {m["address"]: m for m in payload["members"]}
     assert members["0"]["kappa_exp"] == 0
     assert members["0"]["mu"] == "2/3"
-    assert "level,count,kappa_sum,max_kappa" in ls.csv_summary()

@@ -175,6 +175,20 @@ def test_generator_determinism_and_contract():
         assert len({q1, q2, q3}) == 2
 
 
+def test_holder_is_set_only_by_a_passed_certificate():
+    # neither function meets (alpha, c) = (1, 0.9): the certificates read
+    # 0.9071 and 1.559, so neither may claim those constants
+    unchecked = random_standard_paf(3, 3, 1.0, 0.9, check=False)
+    assert unchecked.holder is None
+    assert not holder_certificate(unchecked, 1.0, 0.9, depth=4).passed
+    checked = random_standard_paf(0, 3, 1.0, 0.9)
+    assert checked.holder == HolderParams(1.0, 0.9)
+    assert checked.refine(4).holder == checked.holder      # the same function
+    std = checked.standardize()
+    assert std.holder is None
+    assert not holder_certificate(std, 1.0, 0.9, depth=5).passed
+
+
 def test_generator_certificate_passes():
     fn = random_standard_paf(17, 4, 0.5, 0.9)
     cert = holder_certificate(fn, 0.5, 0.9, depth=6)

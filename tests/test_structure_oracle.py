@@ -57,7 +57,8 @@ def assert_matches_oracles(fn):
     assert osc == fraction_oscillation(fn)
     assert lip == fraction_lipschitz_sq(fn)
     std, oracle = fn.standardize(), fraction_standardize(fn)
-    assert (std.level, std.is_standard(), std.holder) == (oracle.level, True, fn.holder)
+    # the subdivision is another function, which no certificate checked
+    assert (std.level, std.is_standard(), std.holder) == (oracle.level, True, None)
     # same keys, values and insertion order: the grid order names the
     # first colliding vertex of a level value
     assert list(std.grid.items()) == list(oracle.grid.items())

@@ -19,7 +19,6 @@ from holderlevels.levelset import (
     LevelSetTree,
     _digit_blocks,
     _split,
-    approx_level_set,
     extreme_pair,
 )
 from holderlevels.paf import affine_from_corners
@@ -300,17 +299,13 @@ def test_tree_argument_must_match_the_call():
     r = min(root) + (max(root) - min(root)) * F(1, 3)
     r2 = min(root) + (max(root) - min(root)) * F(2, 3)
     one = LevelSetTree(fn, r, 1)
-    assert approx_level_set(fn, r, 2, 1, tree=one).members
-    for args in ((fn, r, 2, 2), (fn, r2, 2, 1), (corpus_fn(1, 3), r, 2, 1)):
-        with pytest.raises(ValueError, match="another function"):
-            approx_level_set(*args, tree=one)
     params = BoundSearchParams(alpha=1.0, d1=F(1, 2), l=1)
     mass_distribution_lower(fn, r, params, 1, tree=one)
-    with pytest.raises(ValueError, match="another function"):
-        mass_distribution_lower(fn, r2, params, 1, tree=one)
-    with pytest.raises(ValueError, match="another function"):
-        mass_distribution_lower(fn, r, BoundSearchParams(alpha=1.0, d1=F(1, 2), l=2), 1,
-                                tree=one)
+    assert one.nodes_at(2)
+    l2 = BoundSearchParams(alpha=1.0, d1=F(1, 2), l=2)
+    for args in ((corpus_fn(1, 3), r, params), (fn, r2, params), (fn, r, l2)):
+        with pytest.raises(ValueError, match="another function"):
+            mass_distribution_lower(*args, 1, tree=one)
 
 
 def test_refills_keep_every_filled_level():
