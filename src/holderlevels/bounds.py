@@ -13,14 +13,17 @@ import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .levelset import LevelSetTree, _level_fraction, census_constant
 from .triangles import lattice_index_unchecked
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # mpmath is imported by the precision="big" paths alone, so importing the
-# package does not load it
+# package does not load it; numpy likewise by the float kernels alone
+# (box_count_dimension, paf's Holder certificate, cantor.phase_perturbation)
 BIG_DIGITS = 50
 
 
@@ -173,6 +176,7 @@ def box_count_dimension(digits) -> DimensionEstimate:
     squares fit over the trailing half of the levels.  A digit other
     than 0 or 1 is a ValueError, as in ``line_crossing_count``.
     """
+    import numpy as np
     digits = list(digits)
     n = len(digits)
     if n == 0:

@@ -18,8 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-import numpy as np
-
 from .paf import max_holder_ratio
 
 _MATERIALIZATION_LIMIT = 1 << 22    # most intervals FatCantorSet.intervals builds
@@ -511,6 +509,7 @@ def phase_perturbation(grid: dict, config: PhaseTransitionConfig) -> Perturbatio
     capacity check holds when ``capacity_gap``'s ``ratio_bound`` is below
     delta; the report carries its ``ratio_to_interval``.
     """
+    import numpy as np
     c = config.c
     x1, x2, y1 = config.x1, config.x2, config.y1
     v1 = (x1, y1)

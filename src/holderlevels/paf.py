@@ -18,8 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exact import _SQRT3_FLOAT, PointQ3
 from .triangles import (
@@ -31,6 +30,9 @@ from .triangles import (
     level_index,
     locate,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -151,12 +153,12 @@ class PiecewiseAffineFn:
     first use and never rebuilt.  ``grid`` is a read-only ``Fraction``
     view of the same table in the same key order.  Construction raises
     ValueError unless ``grid``'s keys are exactly the indices of V_level.
+    ``holder`` starts as None: only a passed certificate sets it.
     """
 
-    def __init__(self, level: int, grid: dict[tuple[int, int], Fraction],
-                 holder: HolderParams | None = None):
+    def __init__(self, level: int, grid: dict[tuple[int, int], Fraction]):
         _check_grid(level, grid)
-        self.level, self.holder = level, holder
+        self.level, self.holder = level, None
         self._den = math.lcm(*(v.denominator for v in grid.values()))
         self._numerators = {p: v.numerator * (self._den // v.denominator)
                             for p, v in grid.items()}
@@ -424,6 +426,7 @@ def _vertex_points(depth: int):
     (a + b sqrt(3)) / 2**k is rounded as float(a / 2**k) + float(b / 2**k) * sqrt(3):
     x = (2 col + row) / 2**(depth+1) and y = 0.0 + row / 2**(depth+1) * sqrt(3).
     """
+    import numpy as np
     index = np.array(list(level_index(depth).vertices), dtype=np.int64)
     rows, cols = index[:, 0], index[:, 1]
     unit = 2.0 ** (depth + 1)
@@ -439,6 +442,7 @@ def _vertex_arrays(fn: PiecewiseAffineFn, depth: int):
 
     Each value is an int / int true division, rounded like ``float(Fraction)``.
     """
+    import numpy as np
     index, xs, ys = _vertex_points(depth)
     scale, values = fn._int_values(depth)
     vs = np.array([v / scale for v in values], dtype=float)
@@ -456,6 +460,7 @@ def _pair_ratios(xs, ys, vs, i, j, alpha: float) -> np.ndarray:
     0/0 counts as 0 and a positive difference at zero distance as inf.
     The one place where pair ratios are evaluated.
     """
+    import numpy as np
     dist = np.hypot(xs[i] - xs[j], ys[i] - ys[j])
     dv = np.abs(vs[i] - vs[j])
     with np.errstate(divide="ignore"):
@@ -478,6 +483,7 @@ def _fold(ratio, i, j, n: int, best: float, key: int | None):
 
 def _pruned_scan(xs, ys, vs, alpha: float, k: int):
     """(best, key) as ``_fold`` leaves it, over cell pairs of a k-by-k grid."""
+    import numpy as np
     n = len(xs)
     x0, y0 = xs.min(), ys.min()
     width = max(xs.max() - x0, ys.max() - y0) or 1.0

@@ -118,6 +118,8 @@ def test_values_the_code_derives_are_not_settable():
         == ["alpha", "c", "k", "ix", "iy", "delta"]
     assert "relaxed" not in inspect.signature(holderlevels.census_constant).parameters
     assert "c_cap" not in inspect.signature(holderlevels.mass_distribution_lower).parameters
+    # fn.holder is set by a passed certificate, never by the caller
+    assert "holder" not in inspect.signature(PiecewiseAffineFn).parameters
 
 
 def test_level_sets_are_read_from_the_tree_alone():
@@ -205,6 +207,29 @@ def test_bounds_take_their_logs_from_one_helper():
 
     assert _where("bounds", log_of("math")) == {"_arithmetic"}
     assert _where("bounds", log_of("mpmath")) == {"_arithmetic"}
+
+
+def test_numpy_is_imported_by_the_float_kernels_alone():
+    def imports_numpy(node):
+        return (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy"
+                                                     for a in node.names)
+                or isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "numpy")
+
+    kernels = {
+        "paf": {"_vertex_points", "_vertex_arrays", "_pair_ratios", "_pruned_scan"},
+        "bounds": {"box_count_dimension"},
+        "cantor": {"phase_perturbation"},
+    }
+    modules = sorted((ROOT / "src" / "holderlevels").glob("*.py"))
+    assert {"paf", "bounds", "cantor", "cli", "__init__"} <= {m.stem for m in modules}
+    for path in modules:
+        assert _where(path.stem, imports_numpy) == kernels.get(path.stem, set()), path.stem
+        # outside functions numpy is imported for type checkers only
+        tree = ast.parse(path.read_text(), str(path))
+        for_types = {id(n) for stmt in tree.body if isinstance(stmt, ast.If)
+                     and ast.unparse(stmt.test) == "TYPE_CHECKING" for n in stmt.body}
+        assert all(id(n) in for_types for n in _own_nodes(tree) if imports_numpy(n)), path.stem
 
 
 def test_levelset_sums_kappa_exponents_in_one_function():

@@ -98,6 +98,41 @@ def test_importing_the_package_leaves_mpmath_unloaded():
     assert proc.stdout.splitlines() == ["False", "True mpf 0.5"]
 
 
+# small variants of the README commands that run no float kernel
+NUMPY_FREE_COMMANDS = [
+    "bounds --grid 0.1:0.9:3 --out bounds.csv",
+    "bounds --grid 1.0 --precision big",
+    "levelset --seed 42 --depth 3 --l 1 --r-count 2 --out ls.csv --json-out ls.json",
+    "conductivity-hist --seed 7 --depth 3 --d1 1/2 --census-out census.csv",
+    "cantor --depth 4 --capacity-alphas 0.55:1.0:2 --capacity-out capacity.csv",
+    "phase --alpha 0.4",
+]
+
+
+@pytest.mark.parametrize("code, loads", [
+    ("pass", False),
+    ("assert [holderlevels.cli.main(a.split()) for a in %r] == [0] * 6"
+     % NUMPY_FREE_COMMANDS, False),
+    # the positive controls: each float kernel imports numpy when it runs
+    ("holder_certificate(random_standard_paf(1, 2, 0.5, 0.9, check=False), 0.5, 0.9, 3)",
+     True),
+    ("box_count_dimension([0, 1, 1, 0])", True),
+], ids=["import", "readme_commands", "holder_certificate", "box_count_dimension"])
+def test_only_the_float_kernels_load_numpy(tmp_path, code, loads):
+    # run after importing the package and its CLI, in a fresh process
+    script = ("import contextlib, io, os, sys, holderlevels, holderlevels.cli\n"
+              "from holderlevels import *\n"
+              "assert 'numpy' not in sys.modules\n"
+              "os.chdir(sys.argv[1])\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    {code}\n"
+              "print('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{loads}\n"
+
+
 def test_bounds_monotone_and_ordered():
     grid = [i / 1000 for i in range(1, 1000)]
     lows = [lower_bound(a) for a in grid]

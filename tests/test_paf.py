@@ -184,6 +184,10 @@ def test_holder_is_set_only_by_a_passed_certificate():
     checked = random_standard_paf(0, 3, 1.0, 0.9)
     assert checked.holder == HolderParams(1.0, 0.9)
     assert checked.refine(4).holder == checked.holder      # the same function
+    # the constructor claims no constants: the same table built anew has none
+    assert PiecewiseAffineFn(3, dict(checked.grid)).holder is None
+    with pytest.raises(TypeError):
+        PiecewiseAffineFn(3, dict(checked.grid), holder=HolderParams(1.0, 0.01))
     std = checked.standardize()
     assert std.holder is None
     assert not holder_certificate(std, 1.0, 0.9, depth=5).passed
