@@ -213,16 +213,16 @@ def cmd_levelset(args) -> int:
     artifacts = []
     resampled = 0
     for r, tree, resampled in itertools.islice(_trees(args), args.r_count):
-        tree.fill_measure(args.depth)
+        members = sum(count for count, _ in tree.histogram(args.depth).values())
         cons = tree.conservation("", args.depth)
         # the root's kappa is 1, so the conservation sum is the level's kappa sum
-        rows.append((float(r), len(tree.nodes_at(args.depth)), float(cons.lhs),
+        rows.append((float(r), members, float(cons.lhs),
                      float(cons.lhs), float(cons.rhs), int(cons.passed)))
         if args.json_out:
-            members = sorted(tree.nodes_at(args.depth), key=lambda node: node.word)
+            nodes = sorted(tree.nodes_at(args.depth), key=lambda node: node.word)
             artifacts.append({"r": tree.r, "n": args.depth, "l": args.l, "members": [
                 {"address": node.word, "kappa_exp": node.kappa_exp, "mu": node.mu}
-                for node in members]})
+                for node in nodes]})
     write_csv(args.out, config,
               ["r", "members", "kappa_sum", "conservation_lhs",
                "conservation_rhs", "ok"], rows)
@@ -249,18 +249,11 @@ def cmd_conductivity_hist(args) -> int:
     }
     _, tree, resampled = next(_trees(args))
     _report_resampled(resampled)
-    tree.fill_measure(args.depth)
     rows = []
     for level in range(args.depth + 1):
-        hist: dict[int, int] = {}
-        mu_by_exp: dict[int, int] = {}
-        for node in tree.nodes_at(level):
-            hist[node.kappa_exp] = hist.get(node.kappa_exp, 0) + 1
-            mu_by_exp[node.kappa_exp] = mu_by_exp.get(node.kappa_exp, 0) + node.mu_num
-        # int / int is correctly rounded, as float(Fraction) is
-        den = tree.mu_denominators[level]
-        for exp in sorted(hist):
-            rows.append((level, exp, hist[exp], mu_by_exp[exp] / den))
+        for exp, (count, mu) in tree.histogram(level).items():
+            # int / int is correctly rounded, as float(Fraction) is
+            rows.append((level, exp, count, mu / tree.mu_denominators[level]))
     write_csv(args.out, config, ["level", "kappa_exp", "count", "mu_total"], rows)
     if d1 is not None:
         ok = True

@@ -19,6 +19,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
+from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,10 +40,14 @@ def _split(incs) -> tuple[tuple[int, ...], int]:
     return weights, sum(weights)
 
 
-def _kappa_sum(exps) -> Fraction:
-    """The exact sum of 2**-e over kappa exponents e: ``_split``'s total over 2**top."""
-    exps = tuple(exps)
-    return Fraction(_split(exps)[1], 1 << max(exps, default=0))
+def _kappa_sum(counts: dict[int, int]) -> Fraction:
+    """The exact sum of m 2**-e over {kappa exponent e: multiplicity m}.
+
+    That is ``_split``'s weights, each times its multiplicity, over 2**top.
+    """
+    weights, _ = _split(counts)
+    return Fraction(sum(map(operator.mul, counts.values(), weights)),
+                    1 << max(counts, default=0))
 
 
 @functools.cache
@@ -83,7 +90,7 @@ def odd_corner(corners) -> tuple | None:
     """(o, b, a) for corners equal to b except corner o, which is a.
 
     None for a constant triple and for three distinct values.  The tree's
-    digit step and the graft's corner labels both read this one rule.
+    runs and the graft's corner labels both read this one rule.
     """
     c0, c1, c2 = corners
     if c0 == c1:
@@ -165,19 +172,32 @@ class LevelSetNode:
     scale for the word's length (``LevelSetTree.scale``); the measure is
     ``mu_num / mu_den``, with ``mu_den`` the common denominator of its
     level once ``fill_measure`` has run.  ``split`` is set when the node
-    is expanded: the children's weights and their sum (``_split``).
+    is expanded: the children's weights and their sum (``_split``).  The
+    children of a crossing member are built, with every node below the
+    crossing depth, when they are first read.
     """
 
-    __slots__ = ("word", "corners", "kappa_exp", "children", "split", "mu_num", "mu_den")
+    __slots__ = ("word", "corners", "kappa_exp", "_children", "split", "mu_num", "mu_den")
 
     def __init__(self, word: str, corners: tuple, kappa_exp: int):
         self.word = word
         self.corners = corners
         self.kappa_exp = kappa_exp
-        self.children: list[LevelSetNode] = []
+        # a list, or the tree's node builder, which sets the list when called
+        self._children: list[LevelSetNode] | Callable[[], None] = []
         self.split: tuple[tuple[int, ...], int] | None = None
         self.mu_num: int | None = None
         self.mu_den = 1
+
+    @property
+    def children(self) -> list["LevelSetNode"]:
+        if not isinstance(self._children, list):
+            self._children()
+        return self._children
+
+    @children.setter
+    def children(self, nodes: list["LevelSetNode"]) -> None:
+        self._children = nodes
 
     @property
     def kappa(self) -> Fraction:
@@ -209,25 +229,32 @@ class LevelSetTree:
     it exactly when rem == 0 and q is in t, and lies around it exactly
     when min(t) <= q < max(t) once no corner is q.
 
-    A member of word length at least L whose corners are (b, b, a) in
-    some order, with the odd corner o carrying a, takes the digit step.
-    A step into o maps the relative height h = (r - b)/(a - b) to 2h - 1
-    and any other step to 2h, and o stays the odd corner, so a boundary
-    word is a member exactly when its steps into o spell the next l
-    binary digits k = floor(2**l h) of h.  Its children are the block
+    Down to the crossing depth c = ceil(L / l), the first whose words
+    reach L, the word loop tests every boundary word of every member in
+    order (the word's table triple above L, after any steps below L),
+    names the first colliding one, and builds the member nodes.
+
+    Below c the tree keeps runs, not nodes.  A crossing member whose
+    corners are (b, b, a) in some order, with the odd corner o carrying
+    a, hands one relative height h = (r - b)/(a - b) to its whole
+    subtree: a step into o maps h to 2h - 1 and any other step to 2h,
+    and o stays the odd corner, so a boundary word is a member exactly
+    when its steps into o spell the next l binary digits k = floor(2**l h)
+    of h.  Every member of the run at one depth therefore has the children
     ``_digit_blocks(l)[o][k]``, all with the corners b' = b 2**l + k(a - b)
-    and a' = b' + (a - b), and its split is the block's.  Those children
-    all share one corner tuple, so at one depth the members under one
-    level-L ancestor carry the same triple; the step (the children's
-    corners and the block) is computed once per run of parents holding
-    the same tuple, and each parent of the run only builds its children.
-    When 2**l h is an integer the level hits a vertex, and each node of
-    the run falls back to the word loop, which tests every boundary word
-    in order (the word's table triple above L, after any steps below L)
-    and names the first colliding one.  Members above L, members whose
-    children cross L and members with three distinct corners (possible
-    only in functions that are not standard) take the word loop too,
-    which computes the split from the children's kappa increments.
+    and a' = b' + (a - b), and the block's split.  The run keeps that
+    corner triple and block per depth, one step per run per depth, and
+    its members are the products of its blocks' words.  When 2**l h is an
+    integer the level hits a vertex, and the word loop, run on the run's
+    first member at that depth, names the first colliding word.  When a
+    crossing member has three distinct corners (possible only in
+    functions that are not standard) the word loop goes on below c too.
+
+    The measure, the kappa sums, the histograms and the mass check read
+    the runs.  Nodes below c are built only when a caller asks for them
+    (``nodes_at`` or ``find`` past c, or a crossing member's
+    ``children``), all levels at once, and from then on each new level
+    is built with the others.
     """
 
     def __init__(self, fn: PiecewiseAffineFn, r, l: int = 1, depth: int = 0):
@@ -237,6 +264,7 @@ class LevelSetTree:
         self.r = _level_fraction(r)
         self.l = l
         self.depth = 0
+        self._crossing = -(-fn.level // l)
         self._denom, self._table = fn.int_word_table()
         corners = self._table[""]
         q, rem = divmod(self.r.numerator * self._denom, self.r.denominator)
@@ -246,7 +274,11 @@ class LevelSetTree:
             self.root: LevelSetNode | None = LevelSetNode("", corners, 0)
         else:
             self.root = None
+        # node levels: every level down to c, and past it the levels built so far
         self._levels: list[list[LevelSetNode]] = [[self.root] if self.root else []]
+        # per depth past c, each run's (corners, digit block); None when the
+        # word loop builds the levels past c
+        self._runs: list[list[tuple]] | None = []
         self.mu_denominators: list[int] = []
         if depth:
             self.extend(depth)
@@ -258,81 +290,186 @@ class LevelSetTree:
     def extend(self, depth: int) -> "LevelSetTree":
         """Expand the members down to ``depth``, all or nothing.
 
-        On a ``LevelCollisionError`` the level being expanded is reset,
-        so the tree is the one it was at its old depth and a retry raises
-        on the same word.
+        A level is computed in full before the tree takes it, so after a
+        ``LevelCollisionError`` the tree is the one it was before that
+        level and a retry raises on the same word.
         """
         if depth < 0:
             raise ValueError(f"depth must be non-negative, got {depth}")
-        try:
-            return self._extend(depth)
-        except LevelCollisionError:
-            for node in self._levels[self.depth]:
-                node.children, node.split = [], None
-            raise
+        return self._extend(depth)
 
     def _extend(self, depth: int) -> "LevelSetTree":
-        fn_level, l, table = self.fn.level, self.l, self._table
-        rden = self.r.denominator
-        blocks = _digit_blocks(l)
+        c = self._crossing
         while self.depth < depth:
-            length = (self.depth + 1) * l       # word length of the children
+            length = (self.depth + 1) * self.l     # word length of the children
             # the level times r.den, at the children's scale
             level = self.r.numerator * self.scale(length)
-            above = length - l < fn_level       # the parents are table entries
-            below = min(l, max(0, length - fn_level))
-            words = None                        # built when a node first needs the word loop
-            nxt: list[LevelSetNode] = []
-            parent_level = level >> l           # exact once the parents are at or below L
-            q, rem = divmod(level, rden)
-            run = step = None                   # the last parent's corners and digit step
-            for node in self._levels[self.depth]:
-                if node.corners is not run:
-                    run, step = node.corners, None
-                    split = None if above else odd_corner(run)
-                    if split:
-                        o, b, a = split
-                        k, krem = divmod((parent_level - b * rden) << l, (a - b) * rden)
-                        if krem:
-                            b, a = (b << l) + k * (a - b), (b << l) + (k + 1) * (a - b)
-                            step = ((a, b, b), (b, a, b), (b, b, a))[o], blocks[o][k]
-                if step:
-                    corners, (children, node.split) = step
-                    word, exp = node.word, node.kappa_exp
-                    node.children = [LevelSetNode(word + w, corners, exp + inc)
-                                     for w, inc in children]
-                    nxt.extend(node.children)
-                    continue
-                if words is None:
-                    words = _word_steps(l, below)
-                extreme_words = _extreme_words(node.corners, l)
-                incs = []
-                for w, steps in words:
-                    word = node.word + w
-                    vals = table[word[:fn_level]] if above else node.corners
-                    for s in steps:
-                        a = vals[s]
-                        vals = (vals[0] + a, vals[1] + a, vals[2] + a)
-                    if not rem and q in vals:
-                        raise LevelCollisionError(self.r, word)
-                    # past the collision test, min(vals) <= q: the lowest corner is below the level
-                    if not (min(vals) <= q < max(vals)):
-                        continue
-                    inc = int(w not in extreme_words)
-                    child = LevelSetNode(word, vals, node.kappa_exp + inc)
-                    node.children.append(child)
-                    nxt.append(child)
-                    incs.append(inc)
-                node.split = _split(incs)
-            self._levels.append(nxt)
+            if self.depth == c and self._runs == [] and not all(
+                    odd_corner(x.corners) for x in self._levels[c]):
+                self._runs = None
+            if self.depth < c or self._runs is None:
+                parents = self._levels[self.depth]
+                expanded = self._word_loop(((v.word, v.corners, v.kappa_exp) for v in parents),
+                                           level, length)
+                nxt: list[LevelSetNode] = []
+                for node, (children, split) in zip(parents, expanded):
+                    node.children, node.split = children, split
+                    nxt += children
+                self._levels.append(nxt)
+            else:
+                self._step_runs(level)
             self.depth += 1
+            if c + 1 < len(self._levels) < self.depth + 1:     # the nodes below c were built
+                self._build_nodes()
         return self
+
+    def _word_loop(self, parents, level: int, length: int) -> list:
+        """(member children, split) of each parent, from every boundary word in order.
+
+        ``parents`` yields (word, corners, kappa exponent) at word length
+        ``length - l``, and ``level`` is the level times r.den at the
+        children's scale.  A child colliding with the level raises
+        ``LevelCollisionError`` before any result is returned.
+        """
+        fn_level, l, table = self.fn.level, self.l, self._table
+        q, rem = divmod(level, self.r.denominator)
+        above = length - l < fn_level       # the parents are table entries
+        words = _word_steps(l, min(l, max(0, length - fn_level)))
+        expanded = []
+        for prefix, corners, exp in parents:
+            extreme_words = _extreme_words(corners, l)
+            children, incs = [], []
+            for w, steps in words:
+                word = prefix + w
+                vals = table[word[:fn_level]] if above else corners
+                for s in steps:
+                    a = vals[s]
+                    vals = (vals[0] + a, vals[1] + a, vals[2] + a)
+                if not rem and q in vals:
+                    raise LevelCollisionError(self.r, word)
+                # past the collision test, min(vals) <= q: the lowest corner is below the level
+                if not (min(vals) <= q < max(vals)):
+                    continue
+                inc = int(w not in extreme_words)
+                children.append(LevelSetNode(word, vals, exp + inc))
+                incs.append(inc)
+            expanded.append((children, _split(incs)))
+        return expanded
+
+    def _step_runs(self, level: int) -> None:
+        """Take every run one depth down: its children's corners and digit block.
+
+        ``level`` is the level times r.den at the children's scale.  The
+        first step gives the crossing members their split and leaves
+        their children to the node builder.
+        """
+        c, l, rden = self._crossing, self.l, self.r.denominator
+        crossing = self._levels[c]
+        blocks = _digit_blocks(l)
+        parent_level = level >> l           # exact: the parents are at or below L
+        steps = []
+        for i, corners in enumerate([corners for corners, _ in self._runs[-1]] if self._runs
+                                    else [x.corners for x in crossing]):
+            o, b, a = odd_corner(corners)
+            k, krem = divmod((parent_level - b * rden) << l, (a - b) * rden)
+            if not krem:
+                firsts = [run[i][1][0][0] for run in self._runs]
+                word = crossing[i].word + "".join(w for w, _ in firsts)
+                exp = crossing[i].kappa_exp + sum(inc for _, inc in firsts)
+                self._word_loop([(word, corners, exp)], level, len(word) + l)
+                raise AssertionError(f"the level meets a vertex below {word!r}, "
+                                     "yet no boundary word collides")
+            b, a = (b << l) + k * (a - b), (b << l) + (k + 1) * (a - b)
+            steps.append((((a, b, b), (b, a, b), (b, b, a))[o], blocks[o][k]))
+        if not self._runs:
+            for x, (_, (_, split)) in zip(crossing, steps):
+                x.children, x.split = self._build_nodes, split
+        self._runs.append(steps)
+
+    def _run_chains(self, n: int):
+        """(crossing member, its run's (corners, block) at depths c + 1 to n) of each run."""
+        c = self._crossing
+        return zip(self._levels[c], zip(*self._runs[:n - c]))
+
+    def _member_levels(self, n: int):
+        """The members at the deepest level with nodes, then at each depth down to n.
+
+        A member is (word, kappa exponent, mu numerator, run), the
+        numerator None past the filled depth and run the index of its
+        crossing member; each level comes in ``nodes_at`` order.  A child
+        is its parent's word and exponent plus its block word's and
+        increment, and its mu numerator is the parent's times lcm / S
+        times its weight, as ``fill_measure`` splits it.
+        """
+        c = self._crossing
+        top = len(self._levels) - 1
+        dens = self.mu_denominators
+        runs = range(len(self._levels[c]))
+        for steps in self._runs[:top - c]:     # a member of run i has len(block) children
+            runs = [i for i in runs for _ in steps[i][1][0]]
+        members = [(v.word, v.kappa_exp, v.mu_num, i) for v, i in zip(self._levels[top], runs)]
+        yield members
+        for j in range(top + 1, n + 1):
+            steps = self._runs[j - c - 1]
+            if j < len(dens):
+                lcm = dens[j] // dens[j - 1]
+                # (word, inc, lcm / S times the weight) of each distinct block's children
+                blocks = {id(block): block for _, block in steps}
+                kids = {key: [(w, inc, lcm // total * wt) for (w, inc), wt in zip(children, weights)]
+                        for key, (children, (weights, total)) in blocks.items()}
+                by_run = [kids[id(block)] for _, block in steps]
+                members = [(word + w, exp + inc, mu * f, i)
+                           for word, exp, mu, i in members for w, inc, f in by_run[i]]
+            else:
+                members = [(word + w, exp + inc, None, i)
+                           for word, exp, _, i in members for w, inc in steps[i][1][0]]
+            yield members
+
+    def _members(self, n: int):
+        """(word, kappa exponent, mu numerator) of each depth-n member, in ``nodes_at(n)`` order.
+
+        Builds no node: past c and the built levels the members come from the runs.
+        """
+        self.extend(n)
+        if n < len(self._levels):
+            for v in self._levels[n]:
+                yield v.word, v.kappa_exp, v.mu_num
+        else:
+            *_, members = self._member_levels(n)
+            for word, exp, mu, _ in members:
+                yield word, exp, mu
+
+    def _build_nodes(self) -> None:
+        """Build every level from the deepest built one down to the tree's depth, from the runs.
+
+        Each parent takes its run's split and its block's worth of the
+        next level's nodes, in order, as children.
+        """
+        c, dens = self._crossing, self.mu_denominators
+        levels = self._member_levels(self.depth)
+        parents = next(levels)
+        for members in levels:
+            n = len(self._levels)
+            steps = self._runs[n - c - 1]
+            nodes = [LevelSetNode(word, steps[i][0], exp) for word, exp, _, i in members]
+            if n < len(dens):
+                for node, (_, _, mu, _) in zip(nodes, members):
+                    node.mu_num, node.mu_den = mu, dens[n]
+            start = 0
+            for parent, (_, _, _, i) in zip(self._levels[n - 1], parents):
+                children, split = steps[i][1]
+                parent.children, parent.split = nodes[start:start + len(children)], split
+                start += len(children)
+            self._levels.append(nodes)
+            parents = members
 
     def nodes_at(self, level: int) -> list[LevelSetNode]:
         if level < 0:
             raise ValueError(f"level must be non-negative, got {level}")
         if level > self.depth:
             self.extend(level)
+        if level >= len(self._levels):
+            self._build_nodes()
         return self._levels[level]
 
     def find(self, word: str) -> LevelSetNode | None:
@@ -354,9 +491,12 @@ class LevelSetTree:
         their sum S.  Numerators are integers over one denominator per
         level: the next level's is this one's times the lcm of the level's
         distinct S, kept in ``mu_denominators``, and a child of a node with
-        numerator u gets u (lcm / S) times its weight.  A level's measure
-        depends only on the levels above it, so a fill continues from the
-        deepest level already filled and never redoes one.
+        numerator u gets u (lcm / S) times its weight.  Past the crossing
+        depth the members of a run share their block, so the lcm is taken
+        over the runs' block sums, and only nodes already built get a
+        numerator.  A level's measure depends only on the levels above it,
+        so a fill continues from the deepest level already filled and
+        never redoes one.
         """
         self.extend(depth)
         if self.root is None:
@@ -364,26 +504,76 @@ class LevelSetTree:
         if not self.mu_denominators:
             self.root.mu_num, self.root.mu_den = 1, 1
             self.mu_denominators = [1]
+        c = self._crossing
         for level in range(len(self.mu_denominators) - 1, depth):
-            nodes = self._levels[level]
-            totals = {node.split[1] for node in nodes}
-            if 0 in totals:
-                word = next(node.word for node in nodes if not node.children)
-                raise AssertionError(f"member {word!r} has no member children; "
-                                     "the nesting invariant failed")
+            if level >= c and self._runs:
+                totals = {total for _, (_, (_, total)) in self._runs[level - c]}
+            else:
+                nodes = self._levels[level]
+                totals = {node.split[1] for node in nodes}
+                if 0 in totals:
+                    word = next(node.word for node in nodes if not node.children)
+                    raise AssertionError(f"member {word!r} has no member children; "
+                                         "the nesting invariant failed")
             lcm = math.lcm(*totals)
             den = self.mu_denominators[-1] * lcm
-            for node in nodes:
-                weights, total = node.split
-                unit = node.mu_num * (lcm // total)
-                for c, w in zip(node.children, weights):
-                    c.mu_num, c.mu_den = unit * w, den
+            if level + 1 < len(self._levels):       # the children have nodes
+                for node in self._levels[level]:
+                    weights, total = node.split
+                    unit = node.mu_num * (lcm // total)
+                    for child, w in zip(node._children, weights):
+                        child.mu_num, child.mu_den = unit * w, den
             self.mu_denominators.append(den)
         return self
+
+    def histogram(self, n: int) -> dict[int, tuple[int, int]]:
+        """{kappa exponent: (members, sum of their mu numerators)} at depth n.
+
+        The measure is filled to n first, so the numerators are over
+        ``mu_denominators[n]``; the exponents come in increasing order.
+        Past the crossing depth each run's members are the products of
+        its blocks' words, so its histogram is built one depth at a time:
+        each exponent's members and mu pass to every child of the block,
+        at the exponent plus the child's increment and with mu times
+        lcm / S times the child's weight.
+        """
+        self.extend(n)
+        if self.root is None:
+            return {}
+        self.fill_measure(n)
+        hist: dict[int, tuple[int, int]] = {}
+        c = self._crossing
+        if n > c and self._runs:
+            dens = self.mu_denominators
+            for x, chain in self._run_chains(n):
+                run = {x.kappa_exp: (1, x.mu_num)}
+                for j, (_, (children, (weights, total))) in enumerate(chain, c + 1):
+                    unit = dens[j] // dens[j - 1] // total
+                    nxt: dict[int, tuple[int, int]] = {}
+                    for e, (count, mu) in run.items():
+                        for (_, inc), w in zip(children, weights):
+                            c0, m0 = nxt.get(e + inc, (0, 0))
+                            nxt[e + inc] = (c0 + count, m0 + mu * unit * w)
+                    run = nxt
+                for e, (count, mu) in run.items():
+                    c0, m0 = hist.get(e, (0, 0))
+                    hist[e] = (c0 + count, m0 + mu)
+        else:
+            for v in self._levels[n]:
+                c0, m0 = hist.get(v.kappa_exp, (0, 0))
+                hist[v.kappa_exp] = (c0 + 1, m0 + v.mu_num)
+        return dict(sorted(hist.items()))
 
     # -- derived checks -------------------------------------------------
 
     def conservation(self, word: str, k: int) -> "ConservationResult":
+        """Sum of kappa over the depth-k descendants of ``word`` against its own kappa.
+
+        Past the crossing depth a run's members sum to its crossing
+        member's kappa times the product over its blocks of the sum of
+        2**-inc, S / 2**top with S the block's split sum and top its
+        largest increment.
+        """
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
         node = self.find(word)
@@ -391,10 +581,23 @@ class LevelSetTree:
             raise ValueError(f"{word!r} is not a member descendant of the root")
         level = len(word) // self.l
         self.extend(level + k)
-        frontier = [node]
-        for _ in range(k):
-            frontier = [c for n in frontier for c in n.children]
-        lhs = _kappa_sum(n.kappa_exp for n in frontier)
+        if level <= self._crossing < level + k and self._runs:
+            counts: dict[int, int] = {}
+            for x, chain in self._run_chains(level + k):
+                if not x.word.startswith(word):
+                    continue
+                exp, count = x.kappa_exp, 1
+                for _, (children, (weights, total)) in chain:
+                    # a child's weight is 2**(top - inc), so top is its inc plus log2 of it
+                    exp += children[0][1] + weights[0].bit_length() - 1
+                    count *= total
+                counts[exp] = counts.get(exp, 0) + count
+        else:
+            frontier = [node]
+            for _ in range(k):
+                frontier = [c for n in frontier for c in n.children]
+            counts = Counter(n.kappa_exp for n in frontier)
+        lhs = _kappa_sum(counts)
         return ConservationResult(lhs=lhs, rhs=node.kappa, passed=lhs >= node.kappa)
 
 

@@ -245,7 +245,7 @@ def test_levelset_sums_kappa_exponents_in_one_function():
     assert _where("levelset", weighs_exponents) == {"_split"}
     assert _where("levelset", sums_fractions) == set()
     assert _where("levelset", lambda n: _called_name(n) == "_split") == {
-        "_kappa_sum", "_digit_blocks", "_extend"}
+        "_kappa_sum", "_digit_blocks", "_word_loop"}
     # no hand-written extreme words: a symbol repeated l times is spelled
     # only in _extreme_words, which the digit blocks call
     def repeats_a_symbol(node):
@@ -254,3 +254,19 @@ def test_levelset_sums_kappa_exponents_in_one_function():
 
     assert _where("levelset", repeats_a_symbol) == {"_extreme_words"}
     assert "_digit_blocks" in _where("levelset", lambda n: _called_name(n) == "_extreme_words")
+
+
+def test_nodes_below_the_crossing_come_from_the_runs_alone():
+    # the word loop and the node builder make the nodes below the root,
+    # and only the run step looks up a digit block: _extend has no
+    # per-node digit step
+    assert _where("levelset", lambda n: _called_name(n) == "LevelSetNode") == {
+        "__init__", "_word_loop", "_build_nodes"}
+    init = _functions("levelset")["__init__"]
+    assert sum(_called_name(n) == "LevelSetNode" for n in _own_nodes(init)) == 1    # the root
+    assert _where("levelset", lambda n: _called_name(n) == "_digit_blocks") == {"_step_runs"}
+    extend = _functions("levelset")["_extend"]
+    assert not any(getattr(n, "id", getattr(n, "attr", None)) in ("_digit_blocks", "blocks")
+                   for n in _own_nodes(extend))
+    assert {"_word_loop", "_step_runs", "_build_nodes"} <= {
+        _called_name(n) for n in _own_nodes(extend)}

@@ -6,22 +6,38 @@ or above the function level, midpoint averages below it), tests the
 word's corners against the level for a collision and then for
 membership, and splits its measure among its member children by
 conductivity, mu(child) = mu kappa(child) / sum of the children's kappa.
+
+The second reference is the integer tree that built one node per member
+at every depth: below the crossing depth each member took the digit
+step itself, once per run of parents holding one corner tuple.  The
+tree that keeps runs there, and builds nodes only when asked, must give
+the same nodes, splits, measure and collision words in any access order.
 """
 
+import json
+import math
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import assume, given, settings, strategies as st
 import pytest
 
+from holderlevels import levelset
 from holderlevels.bounds import BoundSearchParams, mass_distribution_lower
 from holderlevels.levelset import (
     LevelCollisionError,
     LevelSetTree,
     _digit_blocks,
+    _extreme_words,
     _split,
+    _word_steps,
     extreme_pair,
+    odd_corner,
 )
-from holderlevels.paf import affine_from_corners
+from holderlevels.paf import PiecewiseAffineFn, affine_from_corners, random_standard_paf
 from holderlevels.triangles import boundary_family
 from helpers import point_values
 from test_kernel import corpus_fn, descend
@@ -333,3 +349,343 @@ def test_refills_keep_every_filled_level():
     assert [[v.mu for v in tree.nodes_at(n)] for n in range(15)] == [
         [v.mu for v in fresh.nodes_at(n)] for n in range(15)]
     assert tree.mu_denominators == fresh.mu_denominators
+
+
+# -- the node-per-member tree -----------------------------------------
+
+class OracleNode:
+    __slots__ = ("word", "corners", "kappa_exp", "children", "split", "mu_num", "mu_den")
+
+    def __init__(self, word: str, corners: tuple, kappa_exp: int):
+        self.word, self.corners, self.kappa_exp = word, corners, kappa_exp
+        self.children: list = []
+        self.split = None
+        self.mu_num, self.mu_den = None, 1
+
+
+def oracle_node_levels(fn, r: Fraction, l: int, depth: int, cap: int = 400) -> list:
+    """The node levels of the integer tree with the per-node digit step.
+
+    This is the walk the tree took before it kept runs below the crossing
+    depth.  Below L, a member with corners (b, b, a) takes the digit step:
+    its children are ``_digit_blocks(l)[o][k]`` with the corners
+    b 2**l + k(a - b) and that plus a - b, computed once per run of
+    parents holding the same corner tuple; a dyadic 2**l h, members above
+    L and members with three distinct corners take the word loop.  The
+    walk stops early once a level has more than ``cap`` members.
+    """
+    denom, table = fn.int_word_table()
+    fn_level, rden = fn.level, r.denominator
+    corners = table[""]
+    q, rem = divmod(r.numerator * denom, rden)
+    if not rem and q in corners:
+        raise LevelCollisionError(r, "")
+    levels = [[OracleNode("", corners, 0)] if min(corners) <= q < max(corners) else []]
+    blocks = _digit_blocks(l)
+    for d in range(depth):
+        if len(levels[-1]) > cap:
+            break
+        length = (d + 1) * l
+        level = r.numerator * (denom << max(0, length - fn_level))
+        above = length - l < fn_level
+        words = _word_steps(l, min(l, max(0, length - fn_level)))
+        parent_level = level >> l
+        q, rem = divmod(level, rden)
+        nxt = []
+        run = step = None
+        for node in levels[-1]:
+            if node.corners is not run:
+                run, step = node.corners, None
+                split = None if above else odd_corner(run)
+                if split:
+                    o, b, a = split
+                    k, krem = divmod((parent_level - b * rden) << l, (a - b) * rden)
+                    if krem:
+                        b, a = (b << l) + k * (a - b), (b << l) + (k + 1) * (a - b)
+                        step = ((a, b, b), (b, a, b), (b, b, a))[o], blocks[o][k]
+            if step:
+                child_corners, (children, node.split) = step
+                node.children = [OracleNode(node.word + w, child_corners, node.kappa_exp + inc)
+                                 for w, inc in children]
+                nxt.extend(node.children)
+                continue
+            extremes = _extreme_words(node.corners, l)
+            incs = []
+            for w, steps in words:
+                word = node.word + w
+                vals = table[word[:fn_level]] if above else node.corners
+                for s in steps:
+                    a = vals[s]
+                    vals = (vals[0] + a, vals[1] + a, vals[2] + a)
+                if not rem and q in vals:
+                    raise LevelCollisionError(r, word)
+                if not (min(vals) <= q < max(vals)):
+                    continue
+                inc = int(w not in extremes)
+                node.children.append(OracleNode(word, vals, node.kappa_exp + inc))
+                incs.append(inc)
+            nxt.extend(node.children)
+            node.split = _split(incs)
+        levels.append(nxt)
+    if levels[0]:
+        levels[0][0].mu_num = 1
+        for n, nodes in enumerate(levels[:-1]):
+            lcm = math.lcm(*(node.split[1] for node in nodes))
+            den = levels[n][0].mu_den * lcm
+            for node in nodes:
+                weights, total = node.split
+                for child, w in zip(node.children, weights):
+                    child.mu_num, child.mu_den = node.mu_num * (lcm // total) * w, den
+    return levels
+
+
+def node_fields(nodes) -> list:
+    return [(v.word, v.corners, v.kappa_exp, v.split, [c.word for c in v.children],
+             v.mu_num, v.mu_den) for v in nodes]
+
+
+def assert_nodes_match(tree, levels, filled: bool) -> None:
+    """Every level's nodes, splits, children and measure are the oracle's."""
+    depth = len(levels) - 1
+    assert tree.depth == depth
+    for n, want in enumerate(levels):
+        got = node_fields(tree.nodes_at(n))
+        want = node_fields(want)
+        if n == depth:          # the oracle's last level is not expanded
+            got = [g[:3] + (None, []) + g[5:] for g in got]
+        if not filled:
+            want = [w[:5] + (None, 1) for w in want]
+        assert got == want, n
+
+
+def assert_readers_match(tree, levels, top: int) -> None:
+    """Members, histograms and kappa sums read from the runs are the oracle's.
+
+    Kappa sums are checked below members down to depth ``top``.
+    """
+    depth = len(levels) - 1
+    tree.fill_measure(depth)
+    assert tree.mu_denominators == [nodes[0].mu_den for nodes in levels]
+    for n, nodes in enumerate(levels):
+        assert list(tree._members(n)) == [(v.word, v.kappa_exp, v.mu_num) for v in nodes]
+        hist: dict = {}
+        for v in nodes:
+            count, mu = hist.get(v.kappa_exp, (0, 0))
+            hist[v.kappa_exp] = (count + 1, mu + v.mu_num)
+        assert tree.histogram(n) == dict(sorted(hist.items()))
+    for n, nodes in enumerate(levels[:top + 1]):
+        for v in nodes[:3]:
+            lhs = sum((F(1, 1 << d.kappa_exp) for d in levels[depth]
+                       if d.word.startswith(v.word)), F(0))
+            assert tree.conservation(v.word, depth - n).lhs == lhs
+
+
+def nonstandard_fn(seed: int, level: int, bits: int):
+    """A corpus function with the vertices marked by ``bits`` moved off their ties.
+
+    Vertex i moves by (i + 1) / (3 2**60) when bit i is set, so a level-L
+    triangle with a moved vertex in its tied pair has three distinct
+    corners and the function is not standard; the others keep two values.
+    """
+    fn = corpus_fn(seed, level)
+    grid = dict(fn.grid)
+    for i, p in enumerate(sorted(grid)):
+        grid[p] += F((bits >> i) & 1 and i + 1, 3 << 60)
+    return PiecewiseAffineFn(level, grid)
+
+
+def oracle_case(data, seed: int, level: int, l: int, k: int):
+    """(fn, r, depth, the oracle's levels or its collision) of a drawn case.
+
+    The oracle stops early once a level grows past its cap.
+    """
+    fn = corpus_fn(seed, level) if seed < 4 else nonstandard_fn(seed, level, k)
+    c = -(-level // l)
+    depth = c + data.draw(st.integers(min_value=0, max_value=3))
+    r = draw_level(fn, data, k, level, depth * l)
+    return fn, r, depth, walk(lambda: oracle_node_levels(fn, r, l, depth))
+
+
+ORDERS = ("deepest first", "children first", "fill then nodes", "nodes then fill",
+          "extend after build", "fill partway")
+
+
+def grown(fn, r, l: int, depth: int, order: str) -> tuple:
+    """The tree to ``depth`` reached in one access order, and whether it was filled."""
+    c = -(-fn.level // l)
+    if order == "extend after build":
+        tree = LevelSetTree(fn, r, l, depth=max(0, depth - 1))
+        tree.nodes_at(tree.depth)
+        tree.extend(depth)
+        return tree, False
+    tree = LevelSetTree(fn, r, l, depth=depth)
+    if order == "deepest first":
+        tree.nodes_at(depth)
+    elif order == "children first" and depth >= c:
+        for x in tree.nodes_at(c):
+            assert isinstance(x.children, list)
+    elif order == "fill then nodes":
+        tree.fill_measure(depth)
+    elif order == "nodes then fill":
+        tree.nodes_at(depth)
+        tree.fill_measure(depth)
+    elif order == "fill partway":
+        tree.fill_measure(depth // 2)
+        tree.nodes_at(depth)
+        tree.fill_measure(depth)
+    return tree, order != "deepest first" and "fill" in order
+
+
+@given(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=3 * 2**24 - 1),
+       st.sampled_from(ORDERS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_runs_match_the_node_per_member_tree(seed, level, l, k, order, data):
+    # seed 4 is a corpus function with one vertex off its tie: a crossing
+    # member with three distinct corners keeps the word loop below c
+    fn, r, depth, levels = oracle_case(data, seed, level, l, k)
+    if isinstance(levels, LevelCollisionError):
+        err = walk(lambda: LevelSetTree(fn, r, l, depth=depth))
+        assert isinstance(err, LevelCollisionError)
+        assert (err.r, err.word) == (levels.r, levels.word)
+        # one level short of the collision, grown in the drawn order: extend
+        # raises on the same word and leaves the tree as it was
+        short = len(err.word) // l - 1
+        assume(short >= 0)
+        tree = grown(fn, r, l, short, order)[0]
+        fresh = grown(fn, r, l, short, order)[0]
+        for _ in range(2):
+            with pytest.raises(LevelCollisionError) as again:
+                tree.extend(short + 1)
+            assert again.value.word == err.word
+            assert tree.depth == short
+            assert [node_fields(tree.nodes_at(n)) for n in range(short + 1)] == [
+                node_fields(fresh.nodes_at(n)) for n in range(short + 1)]
+        return
+    assume(levels[0])
+    depth = len(levels) - 1
+    tree, filled = grown(fn, r, l, depth, order)
+    assert_nodes_match(tree, levels, filled)
+    assert_readers_match(tree, levels, depth)
+    if not filled:
+        assert_nodes_match(tree, levels, True)      # the built nodes took the fill
+
+
+@given(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=3 * 2**24 - 1),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_readers_match_before_any_node_is_built(seed, level, l, k, data):
+    fn, r, _, levels = oracle_case(data, seed, level, l, k)
+    assume(not isinstance(levels, LevelCollisionError) and levels[0])
+    c = -(-level // l)
+    tree = LevelSetTree(fn, r, l, depth=len(levels) - 1)
+    assert_readers_match(tree, levels, c)
+    if seed < 4:        # standard: no node below c yet
+        assert len(tree._levels) == min(len(levels), c + 1)
+    assert_nodes_match(tree, levels, True)
+
+
+def test_a_three_valued_crossing_member_keeps_the_word_loop():
+    fn = nonstandard_fn(0, 2, -1)
+    root = fn.corner_values("")
+    r = min(root) + (max(root) - min(root)) * F(1, 3)
+    levels = oracle_node_levels(fn, r, 1, 6)
+    tree = LevelSetTree(fn, r, 1, depth=6)
+    assert any(odd_corner(x.corners) is None for x in tree.nodes_at(2))
+    assert tree._runs is None and len(tree._levels) == 7
+    assert_nodes_match(tree, levels, False)
+    assert_readers_match(tree, levels, 6)
+
+
+@pytest.mark.parametrize("corners", [(0, 0, 1), (0, 1, 3)])
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_a_level_zero_root_is_the_crossing_member(corners, l):
+    # with L = 0 the crossing depth is 0: the root starts the one run, or
+    # keeps the word loop when its corners are three distinct values
+    fn = affine_from_corners(*map(F, corners), level=0)
+    levels = oracle_node_levels(fn, F(1, 3), l, 4)
+    for order in ORDERS:
+        tree, filled = grown(fn, F(1, 3), l, 4, order)
+        assert (tree._runs is None) == (len(set(corners)) == 3)
+        assert_nodes_match(tree, levels, filled)
+        assert_readers_match(tree, levels, 4)
+
+
+class CountingNode(levelset.LevelSetNode):
+    """A LevelSetNode that counts the nodes made at each word length."""
+
+    __slots__ = ()
+    made: dict[int, int] = {}
+
+    def __init__(self, word: str, corners: tuple, kappa_exp: int):
+        super().__init__(word, corners, kappa_exp)
+        CountingNode.made[len(word)] = CountingNode.made.get(len(word), 0) + 1
+
+
+def test_deep_timed_calls_build_no_node_below_the_crossing(monkeypatch):
+    # the benchmark's deep item on a level-3 function to depth 13: the tree,
+    # its measure, the root's kappa sum and the mass check at depths 4, 8, 12
+    monkeypatch.setattr(levelset, "LevelSetNode", CountingNode)
+    monkeypatch.setattr(CountingNode, "made", {})
+    fn = random_standard_paf(7001, 3, 0.5, 0.9, check=False)
+    root = fn.corner_values("")
+    r = min(root) + (max(root) - min(root)) * F(1, 3)
+    tree = LevelSetTree(fn, r, 1, depth=13)
+    tree.fill_measure(13)
+    cons = tree.conservation("", 13)
+    report = mass_distribution_lower(fn, r, BoundSearchParams(0.5, F(1, 4), 1), 3, tree=tree)
+    assert report.levels_checked == [4, 8, 12] and cons.passed
+    assert max(CountingNode.made) == 3                      # c = 3
+    assert sum(CountingNode.made.values()) == sum(len(tree.nodes_at(n)) for n in range(4))
+    # the nodes are built once a caller asks, and then match the readers
+    assert len(tree.nodes_at(13)) == sum(count for count, _ in tree.histogram(13).values())
+    assert CountingNode.made[13] == len(tree.nodes_at(13))
+
+
+DEEP_RUN = """
+import json, resource, sys, time
+from fractions import Fraction
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from holderlevels.levelset import LevelSetTree
+from holderlevels.paf import random_standard_paf
+fn = random_standard_paf(7, 3, 1.0, 0.9, check=False)
+root = fn.corner_values("")
+r = min(root) + (max(root) - min(root)) * Fraction(1, 3)
+start = time.perf_counter()
+tree = LevelSetTree(fn, r, 6, 16)
+hists = [tree.histogram(n) for n in range(17)]
+lhs = tree.conservation("", 16).lhs
+seconds = time.perf_counter() - start
+json.dump({"hists": [sorted(h.items()) for h in hists], "lhs": str(lhs),
+           "dens": tree.mu_denominators, "levels": len(tree._levels), "seconds": seconds,
+           "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}, sys.stdout)
+"""
+
+
+def test_alpha_one_at_depth_16_fits_in_one_gib():
+    # about 3.2 million members at depth 16 (the node tree needed 6.7 GB);
+    # the runs give their counts, kappa histogram, kappa sum and mu
+    # denominators with the address space capped at 1 GiB
+    src = str(Path(levelset.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", DEEP_RUN], capture_output=True, text=True,
+                          env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    hists = [{e: (count, mu) for e, (count, mu) in h} for h in out["hists"]]
+    counts = [sum(count for count, _ in h.values()) for h in hists]
+    assert counts[16] == 3_227_648
+    assert out["levels"] == 2                               # c = 1: no node below it
+    assert F(out["lhs"]) == sum((F(count, 1 << e) for e, (count, _) in hists[16].items()), F(0))
+    for h, den in zip(hists, out["dens"]):
+        assert sum(mu for _, mu in h.values()) == den       # the measure has mass one
+    fn = random_standard_paf(7, 3, 1.0, 0.9, check=False)
+    root = fn.corner_values("")
+    r = min(root) + (max(root) - min(root)) * F(1, 3)
+    levels = oracle_node_levels(fn, r, 6, 9, cap=10**5)
+    assert len(levels) == 10
+    assert [len(nodes) for nodes in levels] == counts[:10]
+    assert [nodes[0].mu_den for nodes in levels] == out["dens"][:10]
+    for h, nodes in zip(hists, levels):
+        assert h == {e: (count, sum(v.mu_num for v in nodes if v.kappa_exp == e))
+                     for e, count in sorted(Counter(v.kappa_exp for v in nodes).items())}
