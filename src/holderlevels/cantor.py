@@ -507,7 +507,7 @@ def phase_perturbation(grid: dict, config: PhaseTransitionConfig) -> Perturbatio
     used.  The perturbed function gains at least (1-c)(x2-x1) across the
     top corners, exactly, and stays 1-Holder-alpha on the grid.  The
     capacity check holds when ``capacity_gap``'s ``ratio_bound`` is below
-    delta; the report carries its ``ratio_to_interval``.
+    delta, and the report carries that bound as ``capacity_ratio``.
     """
     import numpy as np
     c = config.c
@@ -561,7 +561,7 @@ def phase_perturbation(grid: dict, config: PhaseTransitionConfig) -> Perturbatio
         large_change_exact=lhs >= rhs,
         holder_max_ratio=pert_ratio,
         holder_ok=pert_ratio <= 1 + 1e-9,
-        capacity_ratio=cap.ratio_to_interval,
+        capacity_ratio=cap.ratio_bound,
         capacity_ok=cap.ratio_bound < config.delta,
         guaranteed_interval_length=config.guaranteed_interval_length(),
     )

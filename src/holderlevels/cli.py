@@ -41,10 +41,12 @@ _MAX_GRID_LEVEL = 7
 # the feasible l of BoundSearchParams.for_alpha(0.2)
 _MAX_L = 16
 
-# a tree's cost follows l * depth, its word length: levelset --r-count 1 on
-# the default function (in-process, 2-CPU Xeon, Python 3.11) took 0.7 s and
-# 87 MB at depth 24, 1.5 s and 167 MB at 26 and 3.3 s and 357 MB at 28, and
-# 2.5 s and 268 MB at --l 2 --depth 14; depth 40 would need about 10**10 nodes
+# below the crossing depth a tree keeps runs, so levelset --r-count 1 on the
+# default function takes 0.01 s and 18 MB at every depth up to 28 (in-process,
+# 2-CPU Xeon, Python 3.11); the cost is the --json-out node listing, which
+# follows l * depth, its word length: 1.1 s and 104 MB at depth 24, 2.6 s and
+# 214 MB at 26, about 7 s and 506 MB at 28 (711,502 nodes), and 5.8 s and
+# 413 MB at --l 2 --depth 14; depth 40 would list 3.6 * 10**8 nodes
 _MAX_WORD_LENGTH = 28
 
 # the function's level index and word table hold (3**(L+1) - 1)/2 words:
@@ -372,6 +374,8 @@ def cmd_phase(args) -> int:
     else:
         ok = ok and search.monotone_infeasible
         c = Fraction(args.c).limit_denominator(10**6)
+        _require(0 < c < 1, f"--c {args.c!r} rounds to {c} at denominators up to 10**6; "
+                            "the perturbation needs 0 < c < 1")
         k = args.perturb_k
         cap = ct.capacity_gap(k, args.alpha)
         while cap.ratio_bound >= args.delta and k < _MAX_PERTURB_K:

@@ -172,9 +172,10 @@ class LevelSetNode:
     scale for the word's length (``LevelSetTree.scale``); the measure is
     ``mu_num / mu_den``, with ``mu_den`` the common denominator of its
     level once ``fill_measure`` has run.  ``split`` is set when the node
-    is expanded: the children's weights and their sum (``_split``).  The
-    children of a crossing member are built, with every node below the
-    crossing depth, when they are first read.
+    is expanded: the children's weights and their sum (``_split``).  While
+    the tree keeps runs, a crossing member's children are not built; the
+    first read of them builds every node below the crossing depth, and
+    from then on the tree holds nodes alone.
     """
 
     __slots__ = ("word", "corners", "kappa_exp", "_children", "split", "mu_num", "mu_den")
@@ -251,10 +252,12 @@ class LevelSetTree:
     functions that are not standard) the word loop goes on below c too.
 
     The measure, the kappa sums, the histograms and the mass check read
-    the runs.  Nodes below c are built only when a caller asks for them
-    (``nodes_at`` or ``find`` past c, or a crossing member's
-    ``children``), all levels at once, and from then on each new level
-    is built with the others.
+    the runs.  Below c the tree holds runs or nodes, never both.  The
+    first read of a node past c (``nodes_at`` or ``find`` past c, or a
+    crossing member's ``children``) builds every level below c from the
+    runs and drops them, a one-way switch: the tree is then in the state
+    a three-valued crossing member leaves it in, and every later level
+    comes from the word loop.
     """
 
     def __init__(self, fn: PiecewiseAffineFn, r, l: int = 1, depth: int = 0):
@@ -274,10 +277,11 @@ class LevelSetTree:
             self.root: LevelSetNode | None = LevelSetNode("", corners, 0)
         else:
             self.root = None
-        # node levels: every level down to c, and past it the levels built so far
+        # node levels: every level down to c, and past it every level once
+        # the runs are gone
         self._levels: list[list[LevelSetNode]] = [[self.root] if self.root else []]
         # per depth past c, each run's (corners, digit block); None when the
-        # word loop builds the levels past c
+        # levels past c are nodes
         self._runs: list[list[tuple]] | None = []
         self.mu_denominators: list[int] = []
         if depth:
@@ -319,8 +323,6 @@ class LevelSetTree:
             else:
                 self._step_runs(level)
             self.depth += 1
-            if c + 1 < len(self._levels) < self.depth + 1:     # the nodes below c were built
-                self._build_nodes()
         return self
 
     def _word_loop(self, parents, level: int, length: int) -> list:
@@ -361,7 +363,7 @@ class LevelSetTree:
 
         ``level`` is the level times r.den at the children's scale.  The
         first step gives the crossing members their split and leaves
-        their children to the node builder.
+        their children to ``_expand_runs``.
         """
         c, l, rden = self._crossing, self.l, self.r.denominator
         crossing = self._levels[c]
@@ -383,7 +385,7 @@ class LevelSetTree:
             steps.append((((a, b, b), (b, a, b), (b, b, a))[o], blocks[o][k]))
         if not self._runs:
             for x, (_, (_, split)) in zip(crossing, steps):
-                x.children, x.split = self._build_nodes, split
+                x.children, x.split = self._expand_runs, split
         self._runs.append(steps)
 
     def _run_chains(self, n: int):
@@ -391,77 +393,58 @@ class LevelSetTree:
         c = self._crossing
         return zip(self._levels[c], zip(*self._runs[:n - c]))
 
-    def _member_levels(self, n: int):
-        """The members at the deepest level with nodes, then at each depth down to n.
-
-        A member is (word, kappa exponent, mu numerator, run), the
-        numerator None past the filled depth and run the index of its
-        crossing member; each level comes in ``nodes_at`` order.  A child
-        is its parent's word and exponent plus its block word's and
-        increment, and its mu numerator is the parent's times lcm / S
-        times its weight, as ``fill_measure`` splits it.
-        """
-        c = self._crossing
-        top = len(self._levels) - 1
-        dens = self.mu_denominators
-        runs = range(len(self._levels[c]))
-        for steps in self._runs[:top - c]:     # a member of run i has len(block) children
-            runs = [i for i in runs for _ in steps[i][1][0]]
-        members = [(v.word, v.kappa_exp, v.mu_num, i) for v, i in zip(self._levels[top], runs)]
-        yield members
-        for j in range(top + 1, n + 1):
-            steps = self._runs[j - c - 1]
-            if j < len(dens):
-                lcm = dens[j] // dens[j - 1]
-                # (word, inc, lcm / S times the weight) of each distinct block's children
-                blocks = {id(block): block for _, block in steps}
-                kids = {key: [(w, inc, lcm // total * wt) for (w, inc), wt in zip(children, weights)]
-                        for key, (children, (weights, total)) in blocks.items()}
-                by_run = [kids[id(block)] for _, block in steps]
-                members = [(word + w, exp + inc, mu * f, i)
-                           for word, exp, mu, i in members for w, inc, f in by_run[i]]
-            else:
-                members = [(word + w, exp + inc, None, i)
-                           for word, exp, _, i in members for w, inc in steps[i][1][0]]
-            yield members
-
     def _members(self, n: int):
         """(word, kappa exponent, mu numerator) of each depth-n member, in ``nodes_at(n)`` order.
 
-        Builds no node: past c and the built levels the members come from the runs.
+        The measure is filled to n first.  While the tree keeps runs the
+        members past c come from them, one depth at a time from the
+        crossing members, and no node is built: a child is its parent's
+        word and exponent plus its block word's and increment, and its mu
+        numerator is the parent's times lcm / S times its weight, as
+        ``fill_measure`` splits it.
         """
-        self.extend(n)
+        self.fill_measure(n)
         if n < len(self._levels):
             for v in self._levels[n]:
                 yield v.word, v.kappa_exp, v.mu_num
-        else:
-            *_, members = self._member_levels(n)
-            for word, exp, mu, _ in members:
-                yield word, exp, mu
-
-    def _build_nodes(self) -> None:
-        """Build every level from the deepest built one down to the tree's depth, from the runs.
-
-        Each parent takes its run's split and its block's worth of the
-        next level's nodes, in order, as children.
-        """
+            return
         c, dens = self._crossing, self.mu_denominators
-        levels = self._member_levels(self.depth)
-        parents = next(levels)
-        for members in levels:
-            n = len(self._levels)
-            steps = self._runs[n - c - 1]
-            nodes = [LevelSetNode(word, steps[i][0], exp) for word, exp, _, i in members]
-            if n < len(dens):
-                for node, (_, _, mu, _) in zip(nodes, members):
-                    node.mu_num, node.mu_den = mu, dens[n]
+        members = [(v.word, v.kappa_exp, v.mu_num, i) for i, v in enumerate(self._levels[c])]
+        for j, steps in enumerate(self._runs[:n - c], c + 1):
+            lcm = dens[j] // dens[j - 1]
+            # (word, inc, lcm / S times the weight) of each distinct block's children
+            blocks = {id(block): block for _, block in steps}
+            kids = {key: [(w, inc, lcm // total * wt) for (w, inc), wt in zip(children, weights)]
+                    for key, (children, (weights, total)) in blocks.items()}
+            by_run = [kids[id(block)] for _, block in steps]
+            members = [(word + w, exp + inc, mu * f, i)
+                       for word, exp, mu, i in members for w, inc, f in by_run[i]]
+        for word, exp, mu, _ in members:
+            yield word, exp, mu
+
+    def _expand_runs(self) -> None:
+        """Build the levels past c from the runs, give them the filled measure, drop the runs.
+
+        A run's members at one depth share its corner tuple, and each takes
+        its run's split and the block's words, in order, as children.
+        """
+        c = self._crossing
+        parents = self._levels[c]
+        runs = range(len(parents))          # the run of each parent
+        for steps in self._runs:
+            nodes = [LevelSetNode(v.word + w, steps[i][0], v.kappa_exp + inc)
+                     for v, i in zip(parents, runs) for w, inc in steps[i][1][0]]
             start = 0
-            for parent, (_, _, _, i) in zip(self._levels[n - 1], parents):
-                children, split = steps[i][1]
-                parent.children, parent.split = nodes[start:start + len(children)], split
+            for v, i in zip(parents, runs):
+                children, v.split = steps[i][1]
+                v._children = nodes[start:start + len(children)]
                 start += len(children)
+            runs = [i for i in runs for _ in steps[i][1][0]]
             self._levels.append(nodes)
-            parents = members
+            parents = nodes
+        self._runs = None
+        for level in range(c, len(self.mu_denominators) - 1):
+            self._fill_level(level, self.mu_denominators[level + 1])
 
     def nodes_at(self, level: int) -> list[LevelSetNode]:
         if level < 0:
@@ -469,7 +452,7 @@ class LevelSetTree:
         if level > self.depth:
             self.extend(level)
         if level >= len(self._levels):
-            self._build_nodes()
+            self._expand_runs()
         return self._levels[level]
 
     def find(self, word: str) -> LevelSetNode | None:
@@ -491,12 +474,14 @@ class LevelSetTree:
         their sum S.  Numerators are integers over one denominator per
         level: the next level's is this one's times the lcm of the level's
         distinct S, kept in ``mu_denominators``, and a child of a node with
-        numerator u gets u (lcm / S) times its weight.  Past the crossing
-        depth the members of a run share their block, so the lcm is taken
-        over the runs' block sums, and only nodes already built get a
-        numerator.  A level's measure depends only on the levels above it,
-        so a fill continues from the deepest level already filled and
-        never redoes one.
+        numerator u gets u (lcm / S) times its weight.  While the tree
+        keeps runs past the crossing depth, the members of a run share
+        their block, so the lcm is taken over the runs' block sums and no
+        node there gets a numerator until ``_expand_runs`` builds it; once
+        the levels past c are nodes, ``_fill_level`` writes every level.
+        A level's measure depends only on the levels above it, so a fill
+        continues from the deepest level already filled and never redoes
+        one.
         """
         self.extend(depth)
         if self.root is None:
@@ -515,16 +500,20 @@ class LevelSetTree:
                     word = next(node.word for node in nodes if not node.children)
                     raise AssertionError(f"member {word!r} has no member children; "
                                          "the nesting invariant failed")
-            lcm = math.lcm(*totals)
-            den = self.mu_denominators[-1] * lcm
+            den = self.mu_denominators[-1] * math.lcm(*totals)
             if level + 1 < len(self._levels):       # the children have nodes
-                for node in self._levels[level]:
-                    weights, total = node.split
-                    unit = node.mu_num * (lcm // total)
-                    for child, w in zip(node._children, weights):
-                        child.mu_num, child.mu_den = unit * w, den
+                self._fill_level(level, den)
             self.mu_denominators.append(den)
         return self
+
+    def _fill_level(self, level: int, den: int) -> None:
+        """Give the children of the depth-``level`` nodes their mu numerators over ``den``."""
+        lcm = den // self.mu_denominators[level]
+        for node in self._levels[level]:
+            weights, total = node.split
+            unit = node.mu_num * (lcm // total)
+            for child, w in zip(node._children, weights):
+                child.mu_num, child.mu_den = unit * w, den
 
     def histogram(self, n: int) -> dict[int, tuple[int, int]]:
         """{kappa exponent: (members, sum of their mu numerators)} at depth n.

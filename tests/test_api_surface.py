@@ -257,16 +257,16 @@ def test_levelset_sums_kappa_exponents_in_one_function():
 
 
 def test_nodes_below_the_crossing_come_from_the_runs_alone():
-    # the word loop and the node builder make the nodes below the root,
-    # and only the run step looks up a digit block: _extend has no
-    # per-node digit step
+    # the word loop and the one-way switch from runs to nodes make the
+    # nodes below the root, and only the run step looks up a digit block:
+    # _extend has no per-node digit step and builds no node from the runs
     assert _where("levelset", lambda n: _called_name(n) == "LevelSetNode") == {
-        "__init__", "_word_loop", "_build_nodes"}
+        "__init__", "_word_loop", "_expand_runs"}
     init = _functions("levelset")["__init__"]
     assert sum(_called_name(n) == "LevelSetNode" for n in _own_nodes(init)) == 1    # the root
     assert _where("levelset", lambda n: _called_name(n) == "_digit_blocks") == {"_step_runs"}
     extend = _functions("levelset")["_extend"]
     assert not any(getattr(n, "id", getattr(n, "attr", None)) in ("_digit_blocks", "blocks")
                    for n in _own_nodes(extend))
-    assert {"_word_loop", "_step_runs", "_build_nodes"} <= {
-        _called_name(n) for n in _own_nodes(extend)}
+    called = {_called_name(n) for n in _own_nodes(extend)}
+    assert {"_word_loop", "_step_runs"} <= called and "_expand_runs" not in called

@@ -500,6 +500,18 @@ def test_phase_perturbation_certificates():
     assert v_right == (1 - c) * (cfg.x2 - cfg.x1)
 
 
+@pytest.mark.parametrize("alpha, k", [(0.51, 200), (0.55, 56)])
+def test_phase_perturbation_reports_the_capacity_ratio_it_decides_by(alpha, k):
+    # just above alpha = 1/2 the absolute-stop direct sum (0.0433 at 0.51)
+    # understates the full ratio (3.14), so only the bound can decide
+    c = F(1, 2)
+    cfg = cylinder_config(alpha, c, k=k, ix=1, iy=1, delta=0.2)
+    rep = phase_perturbation(_corner_grid(c, 4, k, 1, 1), cfg)
+    assert rep.capacity_ratio == capacity_gap(k, alpha).ratio_bound
+    assert rep.capacity_ok == (rep.capacity_ratio < cfg.delta)
+    assert rep.capacity_ok == (alpha == 0.55)
+
+
 def test_phase_perturbation_constant_base():
     c = F(1, 2)
     cfg = cylinder_config(0.6, c, k=20, ix=0, iy=0, delta=0.3)

@@ -344,6 +344,19 @@ def test_phase_c_message_prints_the_value_as_given():
     assert "--c 0.999999999 " in res.stderr
 
 
+@pytest.mark.parametrize("c, rounded", [("0.9999999", "1"), ("4e-7", "0")])
+def test_phase_refuses_a_c_that_rounds_out_of_the_open_interval(tmp_path, c, rounded):
+    # the perturbation takes c to denominators up to 10**6; the refusal
+    # names the rounded value and comes before anything is written
+    out = tmp_path / "phase.json"
+    res = run_cli(["phase", "--alpha", "0.6", "--c", c, "--out", str(out)])
+    _assert_usage_error(res, "phase")
+    assert f"rounds to {rounded} " in res.stderr
+    assert not out.exists()
+    # the feasible branch takes no perturbation, so it does not round c
+    assert run_cli(["phase", "--alpha", "0.3", "--c", "1e-300"]).returncode == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["levelset", "--depth", "2", "--l", "30", "--r-count", "1"],
     ["conductivity-hist", "--depth", "3", "--l", "25"],

@@ -605,11 +605,48 @@ def test_a_level_zero_root_is_the_crossing_member(corners, l):
     # keeps the word loop when its corners are three distinct values
     fn = affine_from_corners(*map(F, corners), level=0)
     levels = oracle_node_levels(fn, F(1, 3), l, 4)
+    # before any node past c is read; reading one drops the runs
+    tree = LevelSetTree(fn, F(1, 3), l, depth=4).fill_measure(4)
+    assert (tree._runs is None) == (len(set(corners)) == 3)
     for order in ORDERS:
         tree, filled = grown(fn, F(1, 3), l, 4, order)
-        assert (tree._runs is None) == (len(set(corners)) == 3)
         assert_nodes_match(tree, levels, filled)
         assert_readers_match(tree, levels, 4)
+
+
+def assert_runs_or_nodes(tree) -> None:
+    """Past c the tree holds the runs and no node, or nodes at every level and no run."""
+    c = tree._crossing
+    if tree._runs is None:
+        assert len(tree._levels) == tree.depth + 1
+    else:
+        assert len(tree._levels) == min(tree.depth, c) + 1
+        assert len(tree._runs) == max(0, tree.depth - c)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_the_tree_holds_runs_or_nodes_below_the_crossing(order):
+    # a level-3 standard function, so c = 3 and every crossing member starts a run
+    fn = random_standard_paf(7001, 3, 0.5, 0.9, check=False)
+    root = fn.corner_values("")
+    r = min(root) + (max(root) - min(root)) * F(1, 3)
+    tree, _ = grown(fn, r, 1, 7, order)
+    assert_runs_or_nodes(tree)
+    tree.histogram(7)
+    tree.conservation("", 7)
+    assert_runs_or_nodes(tree)
+    built = 6 if order == "extend after build" else 7      # the deepest level from the runs
+    crossing = tree.nodes_at(3)
+    tree.nodes_at(7)
+    assert_runs_or_nodes(tree)
+    assert tree._runs is None
+    tree.fill_measure(8)
+    assert_runs_or_nodes(tree)
+    # the members of one run at one depth share one corner tuple
+    for n in range(4, built + 1):
+        for x in crossing:
+            run = [v for v in tree.nodes_at(n) if v.word.startswith(x.word)]
+            assert run and all(v.corners is run[0].corners for v in run), (n, x.word)
 
 
 class CountingNode(levelset.LevelSetNode):
