@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .levelset import LevelSetTree, _level_fraction, census_constant
-from .triangles import lattice_index_unchecked
 
 if TYPE_CHECKING:
     import numpy as np
@@ -246,12 +245,13 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
     (row, col) at depth n is keyed by the integer ((row + 1) << s) + col + 1
     with s = n l + 2, so row and col in [-1, 2**(n l)] never carry into
     each other and each neighbour offset is one integer added to the key.
-    The members are read from the tree's runs past its crossing depth,
-    so no node is built there.  ``worst_cell`` is the first maximising
-    cell in scatter order (the ``nodes_at`` order of the level's
-    members, then the neighbour offset order) at the first depth that
-    reaches the maximum.  A ``tree`` must be one built for ``fn``, ``r``
-    and ``params.l``.
+    The members' cells and masses come from the tree, which composes the
+    cells below its crossing depth block by block, so no address is
+    parsed and no node is built there.  ``worst_cell`` is the first
+    maximising cell in scatter order (the ``nodes_at`` order of the
+    level's members, then the neighbour offset order) at the first depth
+    that reaches the maximum.  A ``tree`` must be one built for ``fn``,
+    ``r`` and ``params.l``.
     """
     if n_prime_max < 1:
         raise ValueError(f"n_prime_max must be at least 1, got {n_prime_max}")
@@ -273,8 +273,7 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
         deltas = [(dr << s) + dc for dr, dc in _CELL_NEIGHBOR_OFFSETS]
         cell_mass: dict[int, int] = {}
         get = cell_mass.get
-        for word, _, m in tree._members(n):
-            row, col = lattice_index_unchecked(word)
+        for row, col, m in tree._members(n):
             key = (row << s) + col + base
             for d in deltas:
                 cell = key + d

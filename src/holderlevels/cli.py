@@ -69,10 +69,10 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".12g")
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
+        return f"{_fmt(x.numerator)}/{_fmt(x.denominator)}"
     if isinstance(x, int) and not isinstance(x, bool):
-        # str() refuses ints past sys.get_int_max_str_digits() digits
-        # (witness counts 2**zeros reach that); Decimal prints any size
+        # str() refuses ints past sys.get_int_max_str_digits() digits (witness
+        # counts 2**zeros, deep cantor interval ends); Decimal prints any size
         return str(Decimal(x))
     return str(x)
 

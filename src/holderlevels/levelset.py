@@ -20,13 +20,12 @@ import functools
 import itertools
 import math
 import operator
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .paf import PiecewiseAffineFn
-from .triangles import boundary_family, lattice_point
+from .triangles import boundary_family, lattice_index_unchecked, lattice_point
 
 
 def _split(incs) -> tuple[tuple[int, ...], int]:
@@ -251,13 +250,17 @@ class LevelSetTree:
     crossing member has three distinct corners (possible only in
     functions that are not standard) the word loop goes on below c too.
 
-    The measure, the kappa sums, the histograms and the mass check read
-    the runs.  Below c the tree holds runs or nodes, never both.  The
-    first read of a node past c (``nodes_at`` or ``find`` past c, or a
-    crossing member's ``children``) builds every level below c from the
-    runs and drops them, a one-way switch: the tree is then in the state
-    a three-valued crossing member leaves it in, and every later level
-    comes from the word loop.
+    Every reader of a depth n walks one iterator, ``_chains(n)``: each
+    member at depth t with its run's (corners, digit block) at depths
+    t + 1 to n, where t = c while the tree keeps runs and n > c, and
+    t = n, with an empty chain, otherwise.  The kappa sums, the
+    histograms, the mass check's member cells and the nodes built from
+    the runs all come from it.  Below c the tree holds runs or nodes,
+    never both.  The first read of a node past c (``nodes_at`` or
+    ``find`` past c, or a crossing member's ``children``) builds every
+    level below c from the runs and drops them, a one-way switch: the
+    tree is then in the state a three-valued crossing member leaves it
+    in, and every later level comes from the word loop.
     """
 
     def __init__(self, fn: PiecewiseAffineFn, r, l: int = 1, depth: int = 0):
@@ -388,62 +391,61 @@ class LevelSetTree:
                 x.children, x.split = self._expand_runs, split
         self._runs.append(steps)
 
-    def _run_chains(self, n: int):
-        """(crossing member, its run's (corners, block) at depths c + 1 to n) of each run."""
+    def _chains(self, n: int):
+        """(member, its run's (corners, digit block) at depths t + 1 to n) of each depth-t member.
+
+        t is c while the tree keeps runs and n > c, and t = n otherwise,
+        which gives every member an empty chain.  The members come in
+        ``nodes_at(t)`` order, and n is at most the tree's depth.
+        """
         c = self._crossing
-        return zip(self._levels[c], zip(*self._runs[:n - c]))
+        if n > c and self._runs:
+            return zip(self._levels[c], zip(*self._runs[:n - c]))
+        return ((v, ()) for v in self._levels[n])
 
     def _members(self, n: int):
-        """(word, kappa exponent, mu numerator) of each depth-n member, in ``nodes_at(n)`` order.
+        """(row, col, mu numerator) of each depth-n member, in ``nodes_at(n)`` order.
 
-        The measure is filled to n first.  While the tree keeps runs the
-        members past c come from them, one depth at a time from the
-        crossing members, and no node is built: a child is its parent's
-        word and exponent plus its block word's and increment, and its mu
-        numerator is the parent's times lcm / S times its weight, as
-        ``fill_measure`` splits it.
+        (row, col) is the member's cell, ``delta_lattice_index`` of its
+        word.  The measure is filled to n first.  Each chain of
+        ``_chains(n)`` starts from its member's cell, read off the word,
+        and each block takes every member to its children: the cell to
+        (row << l | the block word's row bits, col << l | its col bits),
+        and the mu numerator to the parent's times lcm / S times the
+        child's weight, as ``fill_measure`` splits it.  No node is built.
         """
         self.fill_measure(n)
-        if n < len(self._levels):
-            for v in self._levels[n]:
-                yield v.word, v.kappa_exp, v.mu_num
-            return
-        c, dens = self._crossing, self.mu_denominators
-        members = [(v.word, v.kappa_exp, v.mu_num, i) for i, v in enumerate(self._levels[c])]
-        for j, steps in enumerate(self._runs[:n - c], c + 1):
-            lcm = dens[j] // dens[j - 1]
-            # (word, inc, lcm / S times the weight) of each distinct block's children
-            blocks = {id(block): block for _, block in steps}
-            kids = {key: [(w, inc, lcm // total * wt) for (w, inc), wt in zip(children, weights)]
-                    for key, (children, (weights, total)) in blocks.items()}
-            by_run = [kids[id(block)] for _, block in steps]
-            members = [(word + w, exp + inc, mu * f, i)
-                       for word, exp, mu, i in members for w, inc, f in by_run[i]]
-        for word, exp, mu, _ in members:
-            yield word, exp, mu
+        l, dens = self.l, self.mu_denominators
+        for x, chain in self._chains(n):
+            members = [(*lattice_index_unchecked(x.word), x.mu_num)]
+            for j, (_, (children, (weights, total))) in enumerate(chain, self._crossing + 1):
+                unit = dens[j] // dens[j - 1] // total
+                cells = [(*lattice_index_unchecked(w), unit * wt)
+                         for (w, _), wt in zip(children, weights)]
+                members = [(row << l | br, col << l | bc, mu * f)
+                           for row, col, mu in members for br, bc, f in cells]
+            yield from members
 
     def _expand_runs(self) -> None:
         """Build the levels past c from the runs, give them the filled measure, drop the runs.
 
-        A run's members at one depth share its corner tuple, and each takes
-        its run's split and the block's words, in order, as children.
+        Each run's chain builds its members depth by depth: they share the
+        chain's corner tuple, and each takes the block's split and words,
+        in order, as children.
         """
-        c = self._crossing
-        parents = self._levels[c]
-        runs = range(len(parents))          # the run of each parent
-        for steps in self._runs:
-            nodes = [LevelSetNode(v.word + w, steps[i][0], v.kappa_exp + inc)
-                     for v, i in zip(parents, runs) for w, inc in steps[i][1][0]]
-            start = 0
-            for v, i in zip(parents, runs):
-                children, v.split = steps[i][1]
-                v._children = nodes[start:start + len(children)]
-                start += len(children)
-            runs = [i for i in runs for _ in steps[i][1][0]]
-            self._levels.append(nodes)
-            parents = nodes
+        levels: list[list[LevelSetNode]] = [[] for _ in self._runs]
+        for x, chain in self._chains(self.depth):
+            parents = [x]
+            for nodes, (corners, (children, split)) in zip(levels, chain):
+                for v in parents:
+                    v._children = [LevelSetNode(v.word + w, corners, v.kappa_exp + inc)
+                                   for w, inc in children]
+                    v.split = split
+                parents = [u for v in parents for u in v._children]
+                nodes += parents
+        self._levels += levels
         self._runs = None
-        for level in range(c, len(self.mu_denominators) - 1):
+        for level in range(self._crossing, len(self.mu_denominators) - 1):
             self._fill_level(level, self.mu_denominators[level + 1])
 
     def nodes_at(self, level: int) -> list[LevelSetNode]:
@@ -520,37 +522,32 @@ class LevelSetTree:
 
         The measure is filled to n first, so the numerators are over
         ``mu_denominators[n]``; the exponents come in increasing order.
-        Past the crossing depth each run's members are the products of
-        its blocks' words, so its histogram is built one depth at a time:
-        each exponent's members and mu pass to every child of the block,
-        at the exponent plus the child's increment and with mu times
-        lcm / S times the child's weight.
+        Each chain of ``_chains(n)`` is built into a histogram one block
+        at a time: each exponent's members and mu pass to every child of
+        the block, at the exponent plus the child's increment and with mu
+        times lcm / S times the child's weight.
         """
+        if n < 0:
+            raise ValueError(f"n must be non-negative, got {n}")
         self.extend(n)
         if self.root is None:
             return {}
         self.fill_measure(n)
         hist: dict[int, tuple[int, int]] = {}
-        c = self._crossing
-        if n > c and self._runs:
-            dens = self.mu_denominators
-            for x, chain in self._run_chains(n):
-                run = {x.kappa_exp: (1, x.mu_num)}
-                for j, (_, (children, (weights, total))) in enumerate(chain, c + 1):
-                    unit = dens[j] // dens[j - 1] // total
-                    nxt: dict[int, tuple[int, int]] = {}
-                    for e, (count, mu) in run.items():
-                        for (_, inc), w in zip(children, weights):
-                            c0, m0 = nxt.get(e + inc, (0, 0))
-                            nxt[e + inc] = (c0 + count, m0 + mu * unit * w)
-                    run = nxt
+        dens = self.mu_denominators
+        for x, chain in self._chains(n):
+            run = {x.kappa_exp: (1, x.mu_num)}
+            for j, (_, (children, (weights, total))) in enumerate(chain, self._crossing + 1):
+                unit = dens[j] // dens[j - 1] // total
+                nxt: dict[int, tuple[int, int]] = {}
                 for e, (count, mu) in run.items():
-                    c0, m0 = hist.get(e, (0, 0))
-                    hist[e] = (c0 + count, m0 + mu)
-        else:
-            for v in self._levels[n]:
-                c0, m0 = hist.get(v.kappa_exp, (0, 0))
-                hist[v.kappa_exp] = (c0 + 1, m0 + v.mu_num)
+                    for (_, inc), w in zip(children, weights):
+                        c0, m0 = nxt.get(e + inc, (0, 0))
+                        nxt[e + inc] = (c0 + count, m0 + mu * unit * w)
+                run = nxt
+            for e, (count, mu) in run.items():
+                c0, m0 = hist.get(e, (0, 0))
+                hist[e] = (c0 + count, m0 + mu)
         return dict(sorted(hist.items()))
 
     # -- derived checks -------------------------------------------------
@@ -558,10 +555,11 @@ class LevelSetTree:
     def conservation(self, word: str, k: int) -> "ConservationResult":
         """Sum of kappa over the depth-k descendants of ``word`` against its own kappa.
 
-        Past the crossing depth a run's members sum to its crossing
-        member's kappa times the product over its blocks of the sum of
-        2**-inc, S / 2**top with S the block's split sum and top its
-        largest increment.
+        The descendants are the members of ``_chains`` whose words extend
+        ``word``: a member with an empty chain adds its own kappa, and a
+        crossing member adds its kappa times the product over its run's
+        blocks of the sum of 2**-inc, S / 2**top with S the block's split
+        sum and top its largest increment.
         """
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
@@ -570,22 +568,16 @@ class LevelSetTree:
             raise ValueError(f"{word!r} is not a member descendant of the root")
         level = len(word) // self.l
         self.extend(level + k)
-        if level <= self._crossing < level + k and self._runs:
-            counts: dict[int, int] = {}
-            for x, chain in self._run_chains(level + k):
-                if not x.word.startswith(word):
-                    continue
-                exp, count = x.kappa_exp, 1
-                for _, (children, (weights, total)) in chain:
-                    # a child's weight is 2**(top - inc), so top is its inc plus log2 of it
-                    exp += children[0][1] + weights[0].bit_length() - 1
-                    count *= total
-                counts[exp] = counts.get(exp, 0) + count
-        else:
-            frontier = [node]
-            for _ in range(k):
-                frontier = [c for n in frontier for c in n.children]
-            counts = Counter(n.kappa_exp for n in frontier)
+        counts: dict[int, int] = {}
+        for x, chain in self._chains(level + k):
+            if not x.word.startswith(word):
+                continue
+            exp, count = x.kappa_exp, 1
+            for _, (children, (weights, total)) in chain:
+                # a child's weight is 2**(top - inc), so top is its inc plus log2 of it
+                exp += children[0][1] + weights[0].bit_length() - 1
+                count *= total
+            counts[exp] = counts.get(exp, 0) + count
         lhs = _kappa_sum(counts)
         return ConservationResult(lhs=lhs, rhs=node.kappa, passed=lhs >= node.kappa)
 

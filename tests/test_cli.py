@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,17 @@ def test_witness_count_past_int_str_limit(tmp_path):
     for i in range(0, len(count), 1000):   # int() parses at most 4300 digits
         value = value * 10 ** len(count[i:i + 1000]) + int(count[i:i + 1000])
     assert value == 1 << zeros
+
+
+
+def test_fractions_past_int_str_limit_print(tmp_path):
+    """A Fraction whose denominator is longer than 4300 digits still prints."""
+    out = tmp_path / "f.csv"
+    den = 2**14501 - 1
+    cli.write_csv(str(out), {}, ["x"], [[Fraction(1, den)]])
+    num, text = out.read_text().splitlines()[2].split("/")
+    # int() parses at most 4300 digits; Decimal parses any length
+    assert num == "1" and len(text) > 4300 and int(Decimal(text)) == den
 
 
 def test_cantor_command(tmp_path):

@@ -129,6 +129,8 @@ CASES = {
     "kappa_exponent l": (lambda v: hl.kappa_exponent(_FN, "01", v), [0, -1], "l >= 1"),
     "LevelSetTree l": (lambda v: hl.LevelSetTree(_FN, _R, v, 2), [0, -1], "l >= 1"),
     "LevelSetTree depth": (lambda v: hl.LevelSetTree(_FN, _R, 1, v), [-1, -3], "depth"),
+    "LevelSetTree.histogram n": (lambda v: hl.LevelSetTree(_FN, _R, 1).histogram(v), [-1, -3],
+                                 "n must"),
     "well_conducting_census n": (
         lambda v: hl.well_conducting_census(_FN, None, v, 1, F(1, 2), alpha=0.5), [-2], "n must"),
     "well_conducting_census l": (
@@ -170,8 +172,9 @@ def test_alpha_outside_the_unit_interval_is_refused(name, alpha):
 def test_every_exported_callable_is_swept():
     # the value types, the result types and the perturbation (whose
     # config validates itself at construction) aside, every exported
-    # function or class is called with bad input above
-    swept = {name.split()[0] for name in CASES}
+    # function or class is called with bad input above, itself or
+    # through a method ("Class.method parameter")
+    swept = {name.split()[0].split(".")[0] for name in CASES}
     skipped = {"CoordQ3", "DimensionEstimate", "GraftedFn", "HolderCertificate",
                "PiecewiseAffineFn", "PointQ3", "QSqrt3", "SeparatedStructure",
                "phase_perturbation"}

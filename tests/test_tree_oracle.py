@@ -38,7 +38,7 @@ from holderlevels.levelset import (
     odd_corner,
 )
 from holderlevels.paf import PiecewiseAffineFn, affine_from_corners, random_standard_paf
-from holderlevels.triangles import boundary_family
+from holderlevels.triangles import boundary_family, lattice_index_unchecked
 from helpers import point_values
 from test_kernel import corpus_fn, descend
 
@@ -467,7 +467,8 @@ def assert_readers_match(tree, levels, top: int) -> None:
     tree.fill_measure(depth)
     assert tree.mu_denominators == [nodes[0].mu_den for nodes in levels]
     for n, nodes in enumerate(levels):
-        assert list(tree._members(n)) == [(v.word, v.kappa_exp, v.mu_num) for v in nodes]
+        assert list(tree._members(n)) == [(*lattice_index_unchecked(v.word), v.mu_num)
+                                          for v in nodes]
         hist: dict = {}
         for v in nodes:
             count, mu = hist.get(v.kappa_exp, (0, 0))
