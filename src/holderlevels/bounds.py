@@ -10,6 +10,8 @@ distribution verification.
 from __future__ import annotations
 
 import contextlib
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -209,6 +211,9 @@ def box_count_dimension(digits) -> DimensionEstimate:
 _CELL_NEIGHBOR_OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
 # the empirical cell-bound constant C up to which a depth counts as verified
 _C_CAP = 8.0
+# R: a run's members fewer than R cell layers from a corner of its region
+# are the ones a cell touched by another run can touch (mass_distribution_lower)
+_SEAM_LAYERS = 2
 
 
 @dataclass
@@ -225,6 +230,108 @@ class MassDistributionReport:
     levels_checked: list[int]
 
 
+@functools.cache
+def _line_block(cells: tuple, line: int, l: int) -> tuple:
+    """One block's factors u(e) along its run's line, as ``_line_window`` reads them.
+
+    ``cells`` is a ``LevelSetTree._members`` block and ``line`` the index of
+    a cell's line digit e; u(e) is 0 where the block has no child.  With
+    top = 2**l - 1 the summary is (u(0), u(top), the largest u, the set of
+    pairs (u(e), u(e + 1)) over e < top, the largest u(e - 1) + u(e) +
+    u(e + 1), and the pairs (u(top), u(0) + u(1)) and (u(top - 1) +
+    u(top), u(0))).  The blocks, and so the cache's keys, are few
+    (``levelset._block_cells``).
+    """
+    size = 1 << l
+    u = [0] * (size + 2)            # u(e) at e + 1, with a 0 on either side
+    for cell in cells:
+        u[cell[line] + 1] = cell[2]
+    return (u[1], u[size], max(u), frozenset(zip(u[1:size], u[2:size + 1])),
+            max(map(sum, zip(u, u[1:], u[2:]))),
+            ((u[size], u[1] + u[2]), (u[size - 1] + u[size], u[1])))
+
+
+def _line_window(mu: int, blocks, line: int, l: int) -> int:
+    """The largest mu sum over three consecutive line positions of a run's deepest members.
+
+    The run is a ``LevelSetTree._members`` record's mu and blocks; ``line``
+    is the index of a block cell's line digit e (1, its col bits, on a
+    row; 0, its row bits, otherwise), and a block takes a member at line
+    position p to p 2**l + e.  With u(e) the block's factor at e
+    (``_line_block``), top = 2**l - 1 and M_j the run's largest mu at
+    depth j, a window inside one parent is M times u(e - 1) + u(e) +
+    u(e + 1), and one across two parents is F(u(top), u(0) + u(1)) or
+    F(u(top - 1) + u(top), u(0)) at the parents' depth, where F_j(a, b)
+    is the largest a mu(p) + b mu(p + 1): the larger of M_(j-1) times the
+    largest a u(e) + b u(e + 1) over e < top and F_(j-1)(a u(top), b u(0)),
+    and mu max(a, b) at the run's own member.  O(n 2**l) per run.
+    """
+    if not blocks:
+        return mu
+    summaries = [_line_block(cells, line, l) for cells in blocks]
+    peaks = [mu]                    # M_j, from the run's own member down
+    for summary in summaries[:-1]:
+        peaks.append(peaks[-1] * summary[2])
+    *_, triple, starts = summaries[-1]
+    best = peaks[-1] * triple
+    for a, b in starts:
+        for (top_peak, peak), (u0, utop, _, pairs, *_) in zip(
+                itertools.pairwise(peaks[::-1]), summaries[-2::-1]):
+            if (a + b) * top_peak <= best:      # F_j(a, b) <= (a + b) M_j
+                break
+            best = max(best, peak * max(a * x + b * y for x, y in pairs))
+            a, b = a * utop, b * u0
+        else:
+            best = max(best, mu * max(a, b))
+    return best
+
+
+def _run_cells(row: int, col: int, mu: int, blocks, l: int, reach) -> list:
+    """(row, col, mu numerator) of a run's deepest members within ``reach`` of a corner.
+
+    The run is a ``LevelSetTree._members`` record; the members come in its
+    order.  A member at local cell (i, j) of the run's region, whose side is
+    top + 1 cells, lies i + j cell layers from corner 0, top - j from
+    corner 1 and top - i from corner 2, and is kept when one of the three
+    is below ``reach``.  A block multiplies each of the three by 2**l and
+    adds a non-negative digit term, so the descent drops a member as soon
+    as it is ``reach`` layers from every corner: no descendant of it comes
+    nearer.
+    """
+    members = [(0, 0, mu)]
+    top = 0
+    for block in blocks:
+        top = top << l | ((1 << l) - 1)
+        members = [(i, j, m) for i, j, m in
+                   ((pi << l | bi, pj << l | bj, pm * f)
+                    for pi, pj, pm in members for bi, bj, f in block)
+                   if min(i + j, top - i, top - j) < reach]
+        if not members:
+            return []
+    d = len(blocks) * l
+    return [(row << d | i, col << d | j, m) for i, j, m in members]
+
+
+def _scatter(groups, s: int) -> dict[int, int]:
+    """Each touched cell's mass numerator, in the order the cells are first touched.
+
+    ``groups`` are lists of (row, col, mu numerator); each member adds its
+    mass to the seven cells it touches, in ``_CELL_NEIGHBOR_OFFSETS``
+    order, keyed as ``mass_distribution_lower`` keys them at shift ``s``.
+    """
+    base = (1 << s) + 1
+    deltas = [(dr << s) + dc for dr, dc in _CELL_NEIGHBOR_OFFSETS]
+    cell_mass: dict[int, int] = {}
+    get = cell_mass.get
+    for members in groups:
+        for row, col, m in members:
+            key = (row << s) + col + base
+            for d in deltas:
+                cell = key + d
+                cell_mass[cell] = get(cell, 0) + m
+    return cell_mass
+
+
 def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
                             tree: LevelSetTree | None = None) -> MassDistributionReport:
     """Verify the cell bound mu(U) <= C * 2**(-n d1) at lattice scale.
@@ -238,20 +345,54 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
     is uniform in the depth.
 
     mu at depth n depends only on the ancestors, so the measure is
-    filled once to the deepest depth.  Each member adds its mass to the
-    cells it touches; the touching relation is symmetric, so every cell
-    ends up with the total of the members touching it.  Masses are the
-    integer numerators over the level's common denominator.  A cell
-    (row, col) at depth n is keyed by the integer ((row + 1) << s) + col + 1
-    with s = n l + 2, so row and col in [-1, 2**(n l)] never carry into
-    each other and each neighbour offset is one integer added to the key.
-    The members' cells and masses come from the tree, which composes the
-    cells below its crossing depth block by block, so no address is
-    parsed and no node is built there.  ``worst_cell`` is the first
+    filled once to the deepest depth.  The largest cell mass comes from
+    the tree's runs (``LevelSetTree._members``), whose members are not
+    listed.  A run's members at depth n lie on one lattice line, so a
+    cell on the line touches three consecutive positions of it and a
+    cell beside it two: within one run the largest cell mass is the
+    largest sum over three consecutive positions (``_line_window``).  A
+    cell touched by two runs lies near a vertex their regions, the runs'
+    depth-t cells, share, and every member touching it is fewer than
+    R = ``_SEAM_LAYERS`` cell layers from a corner of its region.  Those
+    seam members of every run, found by a pruned descent of the blocks,
+    are scattered in member order: each adds its mass to the cells it
+    touches, so a cell touched by two runs ends up with the total of the
+    members touching it.  C is exact: it is the largest window or seam
+    total, each of which is part of one cell's mass, and every cell's
+    mass is a seam total or a sum over three or two positions of one
+    run, at most its window.  A member with an empty chain (n at most
+    the crossing depth c, or a tree that keeps nodes below c) is a run of
+    one member and its own seam member, so there every member is
+    scattered.
+
+    R = 2 since cells of one subdivision level that share no vertex are a
+    cell side, at least 2 depth-n cells, apart, and two that share a
+    vertex V lie near it in 60-degree wedges at least 60 degrees apart.
+    A cell touched by members of both has vertices x in one and y in the
+    other with |x - y| <= 1 in depth-n cell sides, so with a = |x - V|
+    and b = |y - V|, a**2 + b**2 - a b <= 1, which no lattice distance
+    a >= sqrt(3) meets: x is V or one of its two lattice neighbours in
+    the region, a vertex only of the members 0 or 1 layers from that
+    corner.  With R = 1 the scatter misses the second layer.
+
+    Masses are the integer numerators over the level's common
+    denominator.  A cell (row, col) at depth n is keyed by the integer
+    ((row + 1) << s) + col + 1 with s = n l + 2, so row and col in
+    [-1, 2**(n l)] never carry into each other and each neighbour offset
+    is one integer added to the key.  ``worst_cell`` is the first
     maximising cell in scatter order (the ``nodes_at`` order of the
     level's members, then the neighbour offset order) at the first depth
-    that reaches the maximum.  A ``tree`` must be one built for ``fn``,
-    ``r`` and ``params.l``.
+    that reaches the maximum.  It is located only at a depth that raises
+    C, and costs one run's members: the seam scatter is redone with the
+    members of the first run whose window reaches the mass, if one does,
+    in full, and its first cell of that mass is the worst cell.  That cell W is touched by
+    two runs, so that every member touching it is a seam member, or by
+    one run, whose window then reaches the mass; no earlier run's window
+    does, since it would lie on a maximising cell touched earlier.  Every
+    cell's value in this scatter is at most its mass, and a cell is
+    touched no earlier than in the full scatter, so no cell of that mass
+    comes before W.  A ``tree`` must be one built for ``fn``, ``r`` and
+    ``params.l``.
     """
     if n_prime_max < 1:
         raise ValueError(f"n_prime_max must be at least 1, got {n_prime_max}")
@@ -269,19 +410,20 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
     for n_prime in range(1, n_prime_max + 1):
         n = n_prime * q
         s = n * l + 2
-        base = (1 << s) + 1
-        deltas = [(dr << s) + dc for dr, dc in _CELL_NEIGHBOR_OFFSETS]
-        cell_mass: dict[int, int] = {}
-        get = cell_mass.get
-        for row, col, m in tree._members(n):
-            key = (row << s) + col + base
-            for d in deltas:
-                cell = key + d
-                cell_mass[cell] = get(cell, 0) + m
-        mass = max(cell_mass.values())
+        runs = list(tree._members(n))
+        windows = [_line_window(mu, blocks, int(o == 2), l) for _, _, mu, o, blocks in runs]
+        seams = [_run_cells(row, col, mu, blocks, l, _SEAM_LAYERS)
+                 for row, col, mu, _, blocks in runs]
+        cell_mass = _scatter(seams, s)
+        mass = max(max(windows), max(cell_mass.values(), default=0))
         # int / int is correctly rounded, so this is float(mu(U) 2**(n d1))
         quot = (mass << int(n * d1)) / tree.mu_denominators[n]
         if quot > c_emp:
+            first = next((i for i, w in enumerate(windows) if w == mass), None)
+            if first is not None:
+                row, col, mu, _, blocks = runs[first]
+                seams[first] = _run_cells(row, col, mu, blocks, l, math.inf)
+                cell_mass = _scatter(seams, s)
             key = next(k for k, v in cell_mass.items() if v == mass)
             c_emp = quot
             worst_cell = ((key >> s) - 1, (key & ((1 << s) - 1)) - 1)

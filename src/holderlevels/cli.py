@@ -59,6 +59,23 @@ _MAX_LEVEL = 11
 # level-k Cantor lattice, which grows about 8x in memory per doubling of k
 _MAX_PERTURB_K = 200
 
+# phase --k-cap scans the levels 0..k_cap, about 6 us each: --alpha 0.6
+# --k-cap 10000 took 0.25 s and 32 MB and 10**5 0.80 s (in-process with
+# start-up, 2-CPU Xeon, Python 3.11); 10**8 was still running at 60 s
+_MAX_K_CAP = 10_000
+
+# cantor --depth D writes one row per level with its exact length, over
+# lcm(2**j - 1, j <= D + 1): D = 4096 took 0.27 s and 35 MB and wrote 5.1 MB,
+# D = 8000 1.25 s and 83 MB and 19 MB (in-process, 2-CPU Xeon, Python 3.11),
+# about 5x per doubling; 14,500 took 6.4 s and wrote 63 MB
+_MAX_CANTOR_DEPTH = 4096
+
+# cantor --json-out lists the 2**n intervals of level n = min(--depth,
+# --json-depth) as reduced fractions: n = 16 took 0.48 s and 61 MB and wrote
+# 6.8 MB (in-process, 2-CPU Xeon, Python 3.11), and each n + 2 costs about 4x
+# the time and 3.4x the memory (n = 18: 1.9 s, 205 MB and a 30 MB file)
+_MAX_JSON_LEVEL = 16
+
 
 def _require(ok: bool, message: str) -> None:
     if not ok:
@@ -297,11 +314,15 @@ def cmd_witness(args) -> int:
 
 
 def cmd_cantor(args) -> int:
-    _require(args.depth >= 0, "--depth must be non-negative")
+    _require(0 <= args.depth <= _MAX_CANTOR_DEPTH,
+             f"--depth must lie in 0..{_MAX_CANTOR_DEPTH}: each doubling costs about 5x")
     _require(args.json_depth >= 0, "--json-depth must be non-negative")
     config = {"command": "cantor", "depth": args.depth,
               "capacity_alphas": args.capacity_alphas}
     level = min(args.depth, args.json_depth)
+    _require(not args.json_out or level <= _MAX_JSON_LEVEL,
+             f"--json-out lists level min(--depth, --json-depth) = {level}, past "
+             f"{_MAX_JSON_LEVEL}: each level doubles the intervals")
     if args.json_out:
         try:
             intervals = ct.cantor_level(level).to_json()
@@ -344,7 +365,7 @@ def cmd_phase(args) -> int:
     _require(0 < args.alpha <= 1, "--alpha must lie in (0, 1]")
     _require(0 < args.c < 1, "--c must lie in (0, 1)")
     _require(0 < args.M < float("inf"), "--M must be positive and finite")
-    _require(args.k_cap >= 1, "--k-cap must be at least 1")
+    _require(1 <= args.k_cap <= _MAX_K_CAP, f"--k-cap must lie in 1..{_MAX_K_CAP}")
     _require(args.delta > 0, "--delta must be positive")
     _require(1 <= args.perturb_k <= _MAX_PERTURB_K,
              f"--perturb-k must lie in 1..{_MAX_PERTURB_K}")

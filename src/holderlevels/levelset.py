@@ -76,6 +76,20 @@ def _digit_blocks(l: int) -> tuple:
 
 
 @functools.cache
+def _block_cells(block: tuple, unit: int) -> tuple:
+    """(row bits, col bits, mu factor) of each child of a ``_digit_blocks`` block, in order.
+
+    The factor is ``unit`` times the child's weight, where ``unit`` is
+    lcm / S at the block's depth.  The block sums S are 1, 2 and 2**l + 1,
+    so the lcm is 1, 2, 2**l + 1 or 2 (2**l + 1), and the cache holds at
+    most four entries per block.
+    """
+    children, (weights, _) = block
+    return tuple((*lattice_index_unchecked(w), unit * wt)
+                 for (w, _), wt in zip(children, weights))
+
+
+@functools.cache
 def _word_steps(l: int, below: int) -> tuple:
     """Each boundary word with the symbols of its last ``below`` steps, as ints.
 
@@ -254,7 +268,7 @@ class LevelSetTree:
     member at depth t with its run's (corners, digit block) at depths
     t + 1 to n, where t = c while the tree keeps runs and n > c, and
     t = n, with an empty chain, otherwise.  The kappa sums, the
-    histograms, the mass check's member cells and the nodes built from
+    histograms, the mass check's run records and the nodes built from
     the runs all come from it.  Below c the tree holds runs or nodes,
     never both.  The first read of a node past c (``nodes_at`` or
     ``find`` past c, or a crossing member's ``children``) builds every
@@ -404,27 +418,34 @@ class LevelSetTree:
         return ((v, ()) for v in self._levels[n])
 
     def _members(self, n: int):
-        """(row, col, mu numerator) of each depth-n member, in ``nodes_at(n)`` order.
+        """(row, col, mu numerator, odd corner, blocks) of each member of ``_chains(n)``.
 
-        (row, col) is the member's cell, ``delta_lattice_index`` of its
-        word.  The measure is filled to n first.  Each chain of
-        ``_chains(n)`` starts from its member's cell, read off the word,
-        and each block takes every member to its children: the cell to
-        (row << l | the block word's row bits, col << l | its col bits),
-        and the mu numerator to the parent's times lcm / S times the
-        child's weight, as ``fill_measure`` splits it.  No node is built.
+        The records come in ``nodes_at(t)`` order, and the measure is
+        filled to n first.  (row, col) is the member's cell,
+        ``delta_lattice_index`` of its word.  The member stands for its
+        run's depth-n members: ``blocks`` has one tuple per block of its
+        chain, each child's (row bits, col bits, mu factor), and a depth-n
+        member is one choice of child per block, in ``nodes_at(n)`` order
+        when the blocks are expanded one after the other.  Each choice
+        takes the cell to (row << l | row bits, col << l | col bits) and
+        the mu numerator to its times the factor (``_block_cells``), as
+        ``fill_measure`` splits it.  The odd corner o of a crossing member
+        fixes the line its run's members lie on: the block words' steps
+        into o spell one digit block, so their row bits are that block for
+        o = 2 (a row), their col bits for o = 1 (a column), and their row
+        plus col bits its complement for o = 0 (an anti-diagonal).  A
+        member with an empty chain has o = None and no blocks.  Each
+        block's cells are computed once, not per run; no node is built and
+        no address below c is parsed.
         """
         self.fill_measure(n)
-        l, dens = self.l, self.mu_denominators
+        dens = self.mu_denominators
+        lcms = [dens[j] // dens[j - 1] for j in range(self._crossing + 1, n + 1)]
         for x, chain in self._chains(n):
-            members = [(*lattice_index_unchecked(x.word), x.mu_num)]
-            for j, (_, (children, (weights, total))) in enumerate(chain, self._crossing + 1):
-                unit = dens[j] // dens[j - 1] // total
-                cells = [(*lattice_index_unchecked(w), unit * wt)
-                         for (w, _), wt in zip(children, weights)]
-                members = [(row << l | br, col << l | bc, mu * f)
-                           for row, col, mu in members for br, bc, f in cells]
-            yield from members
+            yield (*lattice_index_unchecked(x.word), x.mu_num,
+                   odd_corner(x.corners)[0] if chain else None,
+                   tuple(_block_cells(block, lcm // block[1][1])
+                         for (_, block), lcm in zip(chain, lcms)))
 
     def _expand_runs(self) -> None:
         """Build the levels past c from the runs, give them the filled measure, drop the runs.

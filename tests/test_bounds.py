@@ -1,14 +1,20 @@
 """Bound formulas, feasibility search, slopes, mass distribution.
 
-The mass-distribution reference refills the measure at every checked
-depth and gathers, for every cell touching a member, the masses of the
-members touching it; the program fills once and scatters.
+The mass distribution has two references.  The first refills the
+measure at every checked depth and gathers, for every cell touching a
+member, the masses of the members touching it.  The second is the
+per-member scatter the program ran before it read the runs' line
+summaries: every depth-n member, in ``nodes_at(n)`` order, adds its
+mass to the cells it touches, and the first cell of the largest mass in
+that order is the worst cell.
 """
 
 import math
 import random
 import subprocess
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
@@ -16,6 +22,7 @@ import pytest
 
 from holderlevels.bounds import (
     BoundSearchParams,
+    MassDistributionReport,
     box_count_dimension,
     census_constant,
     default_d1,
@@ -31,6 +38,7 @@ from holderlevels.paf import affine_from_corners, random_standard_paf
 from holderlevels.triangles import delta_lattice_index
 from helpers import lchoice_window, touching_up_cells
 from test_kernel import corpus_fn
+from test_structure_oracle import generic_fn
 
 F = Fraction
 
@@ -333,6 +341,86 @@ def test_mass_distribution_matches_gather_oracle(seed, level, q, n_prime_max, k,
         == (c_emp, worst_level, levels, verified)
     level_masses = masses[rep.worst_level]
     assert level_masses[rep.worst_cell] == max(level_masses.values())
+
+
+def scatter_oracle(fn, r, params, n_prime_max) -> MassDistributionReport:
+    """The report of the per-member scatter over ``nodes_at(n)`` at every checked depth.
+
+    Each member adds its mu numerator to the cells it touches, read off
+    its word, in ``touching_up_cells`` order; a cell's first insertion
+    fixes its place, and the first cell of the largest mass at the first
+    depth reaching the largest quotient is the worst cell.
+    """
+    q, l, d1 = params.q, params.l, params.d1
+    tree = LevelSetTree(fn, r, l).fill_measure(q * n_prime_max)
+    c_emp, worst_cell, worst_level, levels = 0.0, None, None, []
+    for n in range(q, q * n_prime_max + 1, q):
+        cell_mass: dict = {}
+        for node in tree.nodes_at(n):
+            for cell in touching_up_cells(*delta_lattice_index(node.word)):
+                cell_mass[cell] = cell_mass.get(cell, 0) + node.mu_num
+        mass = max(cell_mass.values())
+        quot = (mass << int(n * d1)) / tree.mu_denominators[n]
+        if quot > c_emp:
+            c_emp, worst_level = quot, n
+            worst_cell = next(c for c, m in cell_mass.items() if m == mass)
+        levels.append(n)
+    return MassDistributionReport(s=params.s, verified=c_emp <= 8.0, feasible=params.feasible,
+                                  c_empirical=c_emp, worst_cell=worst_cell,
+                                  worst_level=worst_level, levels_checked=levels)
+
+
+@given(st.integers(min_value=0, max_value=7), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=3), st.sampled_from([2, 3, 4]),
+       st.integers(min_value=1, max_value=3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_mass_distribution_matches_scatter_oracle(seed, level, l, q, n_prime_max, data):
+    # seeds 0-3 are corpus functions, whose trees keep runs below the
+    # crossing depth; seeds 4-7 are generic functions, whose trees mostly
+    # keep nodes there.  A level just off a vertex value puts members of
+    # two runs beside the corner their regions share.
+    fn = corpus_fn(seed, level) if seed < 4 else generic_fn(seed, level)
+    n_prime_max = min(n_prime_max, max(1, 12 // (q * l)))
+    root = fn.corner_values("")
+    lo, hi = min(root), max(root)
+    if data.draw(st.booleans()):
+        word = data.draw(st.text(alphabet="012", max_size=level + 2))
+        sign = data.draw(st.sampled_from([-1, 1]))
+        r = (fn.corner_values(word)[data.draw(st.integers(min_value=0, max_value=2))]
+             + (hi - lo) * F(sign, 3 << data.draw(st.integers(min_value=4, max_value=30))))
+        assume(lo < r < hi)
+    else:
+        r = lo + (hi - lo) * F(data.draw(st.integers(min_value=1, max_value=3 * 2**24 - 1)),
+                               3 * 2**24)
+    params = BoundSearchParams(alpha=1.0, d1=F(1, q), l=l)
+    try:
+        rep = mass_distribution_lower(fn, r, params, n_prime_max)
+    except LevelCollisionError:
+        assume(False)
+    assert rep == scatter_oracle(fn, r, params, n_prime_max)
+
+
+def test_mass_distribution_reaches_72_levels_at_alpha_1():
+    # the feasible alpha = 1 triple (d1, l, q) = (1/2, 6, 2) to n' = 6,
+    # 201,728 members at depth 12, from the runs alone
+    fn = random_standard_paf(7, 3, 1.0, 0.9)
+    root = fn.corner_values("")
+    r = min(root) + (max(root) - min(root)) / 3
+    params = BoundSearchParams.for_alpha(1.0)
+    shallow = mass_distribution_lower(fn, r, params, 4)
+    tree = LevelSetTree(fn, r, params.l)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        rep = mass_distribution_lower(fn, r, params, 6, tree=tree)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.levels_checked == [2, 4, 6, 8, 10, 12]
+    assert (rep.c_empirical, rep.worst_level) == (shallow.c_empirical, shallow.worst_level)
+    assert tree._runs is not None
+    assert peak < 10 * 2**20 and elapsed < 1.0, (peak, elapsed)
 
 
 def test_mass_distribution_tie_goes_to_first_scatter_cell():

@@ -442,6 +442,41 @@ def test_cantor_interval_list_rejects_bad_level(tmp_path, argv):
     assert not js.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["phase", "--alpha", "0.6", "--k-cap", "10001"], "--k-cap must lie in 1..10000"),
+    (["cantor", "--depth", "4097"],
+     "--depth must lie in 0..4096: each doubling costs about 5x"),
+    (["cantor", "--depth", "17", "--json-depth", "17", "--json-out", "x.json"],
+     "--json-out lists level min(--depth, --json-depth) = 17, past 16: "
+     "each level doubles the intervals"),
+    (["cantor", "--depth", "40", "--json-depth", "30", "--json-out", "x.json"],
+     "--json-out lists level min(--depth, --json-depth) = 30, past 16: "
+     "each level doubles the intervals"),
+])
+def test_cantor_and_phase_reject_sizes_above_cap(tmp_path, monkeypatch, capsys, argv, message):
+    # rejected before any work: no Cantor level, capacity sum or structure is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"{argv[0]} did work before checking its size options")
+
+    for name in ("cantor_level", "capacity_gap", "product_separated_structure"):
+        monkeypatch.setattr(cli.ct, name, unreachable)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"holderlevels {argv[0]}: error: {message}"]
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_cantor_json_depth_is_capped_only_on_the_listed_level(tmp_path):
+    # the list is written at min(--depth, --json-depth), and not at all without --json-out
+    js = tmp_path / "x.json"
+    assert main(["cantor", "--depth", "4", "--json-depth", "30", "--json-out", str(js)]) == 0
+    assert json.loads(js.read_text())["config"]["intervals_level"] == 4
+    assert main(["cantor", "--depth", "17", "--json-depth", "17",
+                 "--out", str(tmp_path / "c.csv")]) == 0
+
+
 def test_readme_artifacts_fails_on_a_failed_command(tmp_path, monkeypatch, capsys):
     # the byte-identity check compares two runs; a failed command must fail the run
     import importlib.util

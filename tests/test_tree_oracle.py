@@ -466,9 +466,15 @@ def assert_readers_match(tree, levels, top: int) -> None:
     depth = len(levels) - 1
     tree.fill_measure(depth)
     assert tree.mu_denominators == [nodes[0].mu_den for nodes in levels]
+    l = tree.l
     for n, nodes in enumerate(levels):
-        assert list(tree._members(n)) == [(*lattice_index_unchecked(v.word), v.mu_num)
-                                          for v in nodes]
+        members = []
+        for row, col, mu, _, blocks in tree._members(n):
+            run = [(row, col, mu)]
+            for block in blocks:
+                run = [(i << l | bi, j << l | bj, m * f) for i, j, m in run for bi, bj, f in block]
+            members += run
+        assert members == [(*lattice_index_unchecked(v.word), v.mu_num) for v in nodes]
         hist: dict = {}
         for v in nodes:
             count, mu = hist.get(v.kappa_exp, (0, 0))
