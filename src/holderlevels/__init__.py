@@ -13,12 +13,10 @@ from .paf import (
     HolderCertificate,
     HolderParams,
     PiecewiseAffineFn,
-    affine_from_corners,
-    constant_fn,
     holder_certificate,
     random_standard_paf,
 )
-from .bernoulli import BernoulliWitnessFn, bernoulli_cdf, dyadic_cylinder_mass
+from .bernoulli import BernoulliWitnessFn
 from .graft import GraftedFn, graft, graft_certificate_constant, min_graft_level
 from .levelset import (
     LevelSetTree,
@@ -59,15 +57,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BernoulliWitnessFn", "BoundSearchParams", "CoordQ3", "DimensionEstimate",
-    "FatCantorSet", "GraftedFn", "HolderCertificate", "HolderParams",
-    "LevelSetTree", "LevelValue", "PhaseTransitionConfig", "PiecewiseAffineFn",
-    "PointQ3", "QSqrt3", "SeparatedStructure", "affine_from_corners",
-    "bernoulli_cdf", "boundary_family", "box_count_dimension", "cantor_level",
-    "capacity_gap", "census_constant", "constant_fn", "dyadic_cylinder_mass",
-    "feasibility_search", "feasible_l", "graft", "graft_certificate_constant",
-    "holder_certificate", "kappa_exponent", "line_crossing_count",
-    "line_crossing_count_geometric", "lower_bound", "mass_distribution_lower",
-    "min_graft_level", "phase_perturbation", "piecewise_constant_feasibility",
-    "product_separated_structure", "random_standard_paf", "triangle_vertices",
-    "trivial_upper_bound_sierpinski", "upper_bound", "well_conducting_census",
+    "FatCantorSet", "GraftedFn", "HolderCertificate", "HolderParams", "LevelSetTree",
+    "LevelValue", "PhaseTransitionConfig", "PiecewiseAffineFn", "PointQ3", "QSqrt3",
+    "SeparatedStructure", "boundary_family", "box_count_dimension", "cantor_level",
+    "capacity_gap", "census_constant", "feasibility_search", "feasible_l", "graft",
+    "graft_certificate_constant", "holder_certificate", "kappa_exponent",
+    "line_crossing_count", "line_crossing_count_geometric", "lower_bound",
+    "mass_distribution_lower", "min_graft_level", "phase_perturbation",
+    "piecewise_constant_feasibility", "product_separated_structure", "random_standard_paf",
+    "triangle_vertices", "trivial_upper_bound_sierpinski", "upper_bound",
+    "well_conducting_census",
 ]

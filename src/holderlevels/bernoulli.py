@@ -17,25 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-def dyadic_cylinder_mass(digits, p):
-    """Mass p**(sum e) (1-p)**(sum (1-e)) of the cylinder with prefix ``digits``.
-
-    Exact when p is a Fraction, floating point otherwise.
-    """
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    ones = 0
-    zeros = 0
-    for e in digits:
-        if e == 1:
-            ones += 1
-        elif e == 0:
-            zeros += 1
-        else:
-            raise ValueError(f"binary digits expected, got {e!r}")
-    return p**ones * (1 - p) ** zeros
-
-
 def _unit_ratio(x) -> tuple[int, int]:
     """(numerator, denominator) of a height x in [0, 1], in lowest terms.
 
@@ -73,26 +54,6 @@ def _cdf_bits(num: int, den: int, p, max_depth: int):
         else:
             prefix_mass *= q
     return total
-
-
-def bernoulli_cdf(x, p, max_depth: int = 4096):
-    """Mass of [0, x): the CDF of the digit measure.
-
-    Walks the binary expansion of x, adding the mass of the lower half
-    cylinder whenever a digit 1 is consumed.  Exact for dyadic rational
-    x and Fraction p; a non-terminating expansion stops after
-    ``max_depth`` digits (truncation error at most p**max_depth).  A
-    float x is read as the dyadic rational it is, and x = 1 gives one
-    in the arithmetic type of p.
-    """
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if max_depth < 0:
-        raise ValueError(f"max_depth must be non-negative, got {max_depth}")
-    num, den = _unit_ratio(x)
-    if num == den:
-        return p - p + 1
-    return _cdf_bits(num, den, p, max_depth)
 
 
 def cdf_from_digits(digits, p):
@@ -148,11 +109,6 @@ class BernoulliWitnessFn:
     @classmethod
     def for_alpha(cls, alpha: float, max_depth: int = 64) -> "BernoulliWitnessFn":
         return cls(p=p_for_holder_exponent(alpha), max_depth=max_depth, alpha=alpha)
-
-    @property
-    def truncation_error(self) -> float:
-        """Worst-case error from cutting heights at max_depth digits."""
-        return float(self.p) ** self.max_depth
 
     def value_at_height(self, y):
         """Witness value at height y in [0, 1] (exact for dyadic y and Fraction p).

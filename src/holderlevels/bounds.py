@@ -164,9 +164,6 @@ class DimensionEstimate:
     residual: float
     empty: bool = False
 
-    def counts(self) -> list[int]:
-        return [1 << int(z) for z in self.log2_counts]
-
 
 def box_count_dimension(digits) -> DimensionEstimate:
     """Slope of the crossing-count law along a digit stream.

@@ -122,12 +122,6 @@ class FatCantorSet:
                 left += shift
         return True
 
-    def min_gap(self) -> Fraction:
-        """Smallest gap between distinct level-n intervals: the newest removal."""
-        if self.n == 0:
-            raise ValueError("a single interval has no gaps")
-        return removal_length(self.n)
-
     def to_json(self) -> list[list[str]]:
         """Each interval as two reduced fractions "num/den"."""
         den, length, _ = _lattice(self.n)
@@ -264,10 +258,6 @@ class ProductPiece:
     k: int
     ix: int
     iy: int
-
-    def rectangle(self):
-        cs = FatCantorSet(self.k)
-        return (cs.interval(self.ix), cs.interval(self.iy))
 
 
 def product_separated_structure(k_max: int) -> SeparatedStructure:

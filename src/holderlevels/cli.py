@@ -41,12 +41,20 @@ _MAX_GRID_LEVEL = 7
 # the feasible l of BoundSearchParams.for_alpha(0.2)
 _MAX_L = 16
 
-# below the crossing depth a tree keeps runs, so levelset --r-count 1 on the
-# default function takes 0.01 s and 18 MB at every depth up to 28 (in-process,
-# 2-CPU Xeon, Python 3.11); the cost is the --json-out node listing, which
-# follows l * depth, its word length: 1.1 s and 104 MB at depth 24, 2.6 s and
-# 214 MB at 26, about 7 s and 506 MB at 28 (711,502 nodes), and 5.8 s and
-# 413 MB at --l 2 --depth 14; depth 40 would list 3.6 * 10**8 nodes
+# below the crossing depth a tree keeps runs, and levelset and
+# conductivity-hist read them through histograms, whose exponents and mu
+# numerators grow with the depth: at --l 1 (in-process, 2-CPU Xeon, Python
+# 3.11) levelset --r-count 20 took 0.45 s and 21 MB at depth 100 and 1.3 s
+# and 25 MB at 200, and conductivity-hist, one histogram per level, 0.6 s and
+# 18 MB at 100 and 5.6 s and 22 MB at 200, 8-10x per doubling; at --l 8 the
+# two took 0.2 s at depth 200 (the cost of a large --l is the crossing, above)
+_MAX_DEPTH = 200
+
+# levelset --json-out lists the tree's nodes at --depth, which follows
+# l * depth, its word length (in-process, 2-CPU Xeon, Python 3.11): 1.1 s and
+# 104 MB at depth 24, 2.6 s and 214 MB at 26, about 7 s and 506 MB at 28
+# (711,502 nodes), and 5.8 s and 413 MB at --l 2 --depth 14; depth 40 would
+# list 3.6 * 10**8 nodes
 _MAX_WORD_LENGTH = 28
 
 # the function's level index and word table hold (3**(L+1) - 1)/2 words:
@@ -161,10 +169,8 @@ def _check_function_args(args) -> None:
              f"--level must lie in 1..{_MAX_LEVEL}: each level costs about 3x the last")
     _require(1 <= args.l <= _MAX_L,
              f"--l must lie in 1..{_MAX_L}: each l + 1 doubles the boundary words")
-    _require(args.depth >= 0, "--depth must be non-negative")
-    _require(args.l * args.depth <= _MAX_WORD_LENGTH,
-             f"--l times --depth must be at most {_MAX_WORD_LENGTH}: "
-             "memory doubles about every two steps of word length")
+    _require(0 <= args.depth <= _MAX_DEPTH,
+             f"--depth must lie in 0..{_MAX_DEPTH}: each doubling costs up to 10x")
     _require(0 < args.alpha <= 1, "--alpha must lie in (0, 1]")
     _require(0 < args.c < float("inf"), "--c must be positive and finite")
 
@@ -223,6 +229,9 @@ def cmd_bounds(args) -> int:
 def cmd_levelset(args) -> int:
     _check_function_args(args)
     _require(args.r_count >= 0, "--r-count must be non-negative")
+    _require(not args.json_out or args.l * args.depth <= _MAX_WORD_LENGTH,
+             f"--l times --depth must be at most {_MAX_WORD_LENGTH} with --json-out: "
+             "memory doubles about every two steps of word length")
     config = {
         "command": "levelset", "seed": args.seed, "depth": args.depth,
         "l": args.l, "level": args.level, "r_count": args.r_count,

@@ -88,9 +88,6 @@ class GraftedFn:
     witness: BernoulliWitnessFn
     certificate_constant: float
 
-    def labels_for(self, word: str) -> tuple[int, int, int]:
-        return _repeated_value_labels(self.base.corner_values(word))
-
     def value_in_triangle(self, word: str, point) -> Fraction | float:
         """Evaluate inside the addressed level-n' triangle.
 

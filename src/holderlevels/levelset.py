@@ -560,11 +560,12 @@ class LevelSetTree:
             run = {x.kappa_exp: (1, x.mu_num)}
             for j, (_, (children, (weights, total))) in enumerate(chain, self._crossing + 1):
                 unit = dens[j] // dens[j - 1] // total
+                steps = [(inc, unit * w) for (_, inc), w in zip(children, weights)]
                 nxt: dict[int, tuple[int, int]] = {}
                 for e, (count, mu) in run.items():
-                    for (_, inc), w in zip(children, weights):
+                    for inc, factor in steps:
                         c0, m0 = nxt.get(e + inc, (0, 0))
-                        nxt[e + inc] = (c0 + count, m0 + mu * unit * w)
+                        nxt[e + inc] = (c0 + count, m0 + mu * factor)
                 run = nxt
             for e, (count, mu) in run.items():
                 c0, m0 = hist.get(e, (0, 0))

@@ -307,18 +307,9 @@ class PiecewiseAffineFn:
         return ((word, vals) for word, vals in self.int_word_table()[1].items()
                 if len(word) == self.level)
 
-    def iter_triangles(self):
-        """Yields (word, corner values) over all level-n triangles."""
-        d = self._denominator()
-        for word, vals in self._int_triangles():
-            yield word, tuple(Fraction(v, d) for v in vals)
-
     def is_standard(self) -> bool:
         return all(q1 == q2 or q2 == q3 or q1 == q3
                    for _, (q1, q2, q3) in self._int_triangles())
-
-    def is_locally_nonconstant(self) -> bool:
-        return all(not (q1 == q2 == q3) for _, (q1, q2, q3) in self._int_triangles())
 
     def oscillation(self) -> Fraction:
         return Fraction(max(max(v) - min(v) for _, v in self._int_triangles()),
@@ -378,18 +369,6 @@ class PiecewiseAffineFn:
         return cls(level, grid)
 
 
-def constant_fn(value: Fraction, level: int = 0) -> PiecewiseAffineFn:
-    base = PiecewiseAffineFn(0, dict.fromkeys(cell_corners(0, 0), Fraction(value)))
-    return base.refine(level)
-
-
-def affine_from_corners(q1: Fraction, q2: Fraction, q3: Fraction,
-                        level: int = 0) -> PiecewiseAffineFn:
-    """The globally affine function with the given root corner values."""
-    grid = {p: Fraction(q) for p, q in zip(cell_corners(0, 0), (q1, q2, q3))}
-    return PiecewiseAffineFn(0, grid).refine(level)
-
-
 # ---------------------------------------------------------------------------
 # Holder certificates
 # ---------------------------------------------------------------------------
@@ -406,16 +385,6 @@ class HolderCertificate:
     @property
     def passed(self) -> bool:
         return self.max_ratio <= self.c
-
-    @property
-    def chained_bound(self) -> float:
-        """Bound on the true ratio implied by the vertex-pair maximum.
-
-        Finite-depth exhaustion underestimates the supremum; routing an
-        arbitrary pair through nearby vertices inflates the vertex
-        maximum by at most (4/sqrt(3))**alpha, which is recorded here.
-        """
-        return self.max_ratio * self.safety_factor
 
 
 @functools.cache

@@ -110,10 +110,6 @@ def lattice_vertices(row: int, col: int, n: int) -> tuple[PointQ3, PointQ3, Poin
     return tuple(lattice_point(r, c, n) for r, c in cell_corners(row, col))
 
 
-# (0,0), (1,0), (1/2, sqrt(3)/2)
-ROOT_VERTICES: tuple[PointQ3, PointQ3, PointQ3] = lattice_vertices(0, 0, 0)
-
-
 def triangle_vertices(word: str) -> tuple[PointQ3, PointQ3, PointQ3]:
     """Exact vertices of the triangle addressed by ``word``.
 

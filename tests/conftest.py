@@ -8,6 +8,8 @@ import pytest
 from holderlevels.levelset import LevelCollisionError, LevelSetTree
 from holderlevels.paf import random_standard_paf
 
+from helpers import fraction_is_locally_nonconstant
+
 CORPUS_ALPHAS = (0.3, 0.5, 0.8)
 
 
@@ -63,7 +65,7 @@ def corpus():
     entries = []
     for seed, level, l, alpha in corpus_layout(100):
         fn = random_standard_paf(seed, level, alpha, 0.9, check=False)
-        assert fn.is_standard() and fn.is_locally_nonconstant()
+        assert fn.is_standard() and fraction_is_locally_nonconstant(fn)
         depth = 6 if l == 1 else 3
         pairs = admissible_levels(fn, l, depth, count=20, seed=seed)
         entries.append((fn, l, alpha, depth, pairs))

@@ -11,9 +11,10 @@ The library's ``CoordQ3`` and ``QSqrt3`` are value types only.  The
 ring and field arithmetic, the exact sign and order live here, in
 ``RingQ3`` and ``FieldQ3``; ``ring`` and ``field`` lift a library value.
 
-The module also holds the geometry only the tests use: the similarity
-onto the rescaled triangle and its construction triangles, the downward
-tiles a horizontal line touches, and the geometric boundary-edge test.
+The module also holds the geometry only the tests use: the root
+triangle's corners, the similarity onto the rescaled triangle and its
+construction triangles, the downward tiles a horizontal line touches,
+and the geometric boundary-edge test.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,6 @@ from fractions import Fraction
 
 from holderlevels.exact import _SQRT3_FLOAT, CoordQ3, PointQ3, QSqrt3
 from holderlevels.triangles import (
-    ROOT_VERTICES,
     _check_line_height,
     cell_corners,
     lattice_child,
@@ -29,6 +29,9 @@ from holderlevels.triangles import (
     level_index,
     triangle_vertices,
 )
+
+# (0,0), (1,0), (1/2, sqrt(3)/2)
+ROOT_VERTICES: tuple[PointQ3, PointQ3, PointQ3] = lattice_vertices(0, 0, 0)
 
 
 def _sign(p, q) -> int:

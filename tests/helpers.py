@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from holderlevels.cantor import ProductPiece, SeparatedStructure
+from holderlevels.cantor import FatCantorSet, ProductPiece, SeparatedStructure
 from holderlevels.levelset import LevelCollisionError, _level_fraction, kappa_exponent
 from holderlevels.paf import PiecewiseAffineFn, _midpoint_copy
-from holderlevels.triangles import boundary_family, lattice_point, level_index
+from holderlevels.triangles import boundary_family, cell_corners, lattice_point, level_index
 
 _IFS_LEVELS = 6                     # IFS levels that fix the constant K
 _IFS_BASE = (Fraction(0), Fraction(1))  # the interval every IFS map must keep
@@ -73,9 +73,27 @@ def _distance_sq(r, s) -> Fraction:
     return total
 
 
+def product_rectangle(piece: ProductPiece):
+    """The product cell as its two level-k intervals, (x interval, y interval)."""
+    cs = FatCantorSet(piece.k)
+    return (cs.interval(piece.ix), cs.interval(piece.iy))
+
+
 def product_distance_sq(a: ProductPiece, b: ProductPiece) -> Fraction:
     """Exact squared distance between two product cells."""
-    return _distance_sq(a.rectangle(), b.rectangle())
+    return _distance_sq(product_rectangle(a), product_rectangle(b))
+
+
+def constant_fn(value: Fraction, level: int = 0) -> PiecewiseAffineFn:
+    """The constant function ``value``, refined to ``level``."""
+    return PiecewiseAffineFn(0, dict.fromkeys(cell_corners(0, 0), Fraction(value))).refine(level)
+
+
+def affine_from_corners(q1: Fraction, q2: Fraction, q3: Fraction,
+                        level: int = 0) -> PiecewiseAffineFn:
+    """The globally affine function with the given root corner values."""
+    grid = {p: Fraction(q) for p, q in zip(cell_corners(0, 0), (q1, q2, q3))}
+    return PiecewiseAffineFn(0, grid).refine(level)
 
 
 _POINT_VALUES = weakref.WeakKeyDictionary()

@@ -41,7 +41,7 @@ from holderlevels.cantor import (
     phase_perturbation,
     product_separated_structure,
 )
-from holderlevels.graft import graft, min_graft_level
+from holderlevels.graft import _repeated_value_labels, graft, min_graft_level
 from holderlevels.levelset import well_conducting_census
 from holderlevels.paf import random_standard_paf
 from holderlevels.triangles import (
@@ -205,7 +205,7 @@ def _graft_base_agreement(gf, base, n_prime: int) -> bool:
     while stack:
         word, vals = stack.pop()
         if len(word) == n_prime:
-            labels = gf.labels_for(word)
+            labels = _repeated_value_labels(gf.base.corner_values(word))
             anchor = vals[labels[0]]
             if vals[labels[1]] != anchor:
                 return False

@@ -11,14 +11,36 @@ from hypothesis import given, settings, strategies as st
 
 from holderlevels.bernoulli import (
     BernoulliWitnessFn,
-    bernoulli_cdf,
+    _cdf_bits,
+    _unit_ratio,
     cdf_from_digits,
-    dyadic_cylinder_mass,
     p_for_holder_exponent,
     sample_digits,
 )
 
 from helpers import _binary_digits, digits_of_dyadic, sample_dyadic
+
+
+def dyadic_cylinder_mass(digits, p):
+    """Mass p**(sum e) (1-p)**(sum (1-e)) of the cylinder with prefix ``digits``.
+
+    The oracle for differences of the CDF; exact when p is a Fraction.
+    """
+    if not set(digits) <= {0, 1}:
+        raise ValueError(f"binary digits expected, got {digits!r}")
+    ones = sum(digits)
+    return p**ones * (1 - p) ** (len(digits) - ones)
+
+
+def bernoulli_cdf(x, p, max_depth: int = 4096):
+    """Mass of [0, x) from the first ``max_depth`` binary digits of x.
+
+    The witness's own bit loop, with x = 1 giving one in the arithmetic
+    type of p; a height outside [0, 1] is a ValueError.
+    """
+    num, den = _unit_ratio(x)
+    return p - p + 1 if num == den else _cdf_bits(num, den, p, max_depth)
+
 
 rational_p = st.fractions(min_value=Fraction(1, 2), max_value=Fraction(63, 64),
                           max_denominator=64) \
@@ -157,8 +179,8 @@ def test_truncation_depth():
     exact_prefix = cdf_from_digits([0, 1] * 4, Fraction(3, 4))
     assert approx == exact_prefix
     assert abs(float(approx) - float(bernoulli_cdf(Fraction(1, 3), Fraction(3, 4), 64))) \
-        <= w.truncation_error
-    assert w.truncation_error == 0.75**8
+        <= w.p ** w.max_depth
+    assert w.p ** w.max_depth == 0.75**8
 
 
 def test_float_heights_get_the_fraction_checks():

@@ -18,8 +18,6 @@ from holderlevels import paf
 from holderlevels.cantor import cantor_grid
 from holderlevels.exact import PointQ3
 from holderlevels.paf import (
-    affine_from_corners,
-    constant_fn,
     holder_certificate,
     max_holder_ratio,
     random_standard_paf,
@@ -27,6 +25,7 @@ from holderlevels.paf import (
 from holderlevels.triangles import lattice_vertices, triangle_vertices
 
 from geometry_oracle import ring
+from helpers import affine_from_corners, constant_fn
 from walk_oracle import walk
 
 F = Fraction

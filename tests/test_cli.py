@@ -408,26 +408,45 @@ def test_function_commands_reject_level_above_cap(monkeypatch, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["levelset", "--depth", "40"],
-    ["conductivity-hist", "--depth", "40"],
-    # one step past the cap: about 2 s and 500 MB if the guard failed
-    ["levelset", "--depth", "29", "--r-count", "1"],
-    ["conductivity-hist", "--l", "2", "--depth", "15"],
+    ["levelset", "--depth", "40", "--json-out", "x.json"],
+    ["conductivity-hist", "--depth", "201"],
+    # one step past the listing cap: about 2 s and 500 MB if the guard failed
+    ["levelset", "--depth", "29", "--r-count", "1", "--json-out", "x.json"],
+    ["conductivity-hist", "--l", "2", "--depth", "201"],
     # the command _MAX_L was first measured with; it is measured at depth 1 now
-    ["levelset", "--l", "16", "--depth", "2", "--r-count", "1"],
+    ["levelset", "--l", "16", "--depth", "2", "--r-count", "1", "--json-out", "x.json"],
+    # one step past the histogram cap: over a second if the guard failed
+    ["levelset", "--depth", "201", "--r-count", "20"],
 ])
-def test_function_commands_reject_word_length_above_cap(monkeypatch, capsys, argv):
-    # rejected before any work: the function is never generated
+def test_function_commands_reject_word_length_above_cap(tmp_path, monkeypatch, capsys, argv):
+    # rejected before any work: the function is never generated.  Only the
+    # --json-out node listing is held to the word length; the histograms
+    # that the other reads take are held to the depth
     def unreachable(*args, **kwargs):
         raise AssertionError("generated the function before checking --depth")
 
     monkeypatch.setattr(cli, "random_standard_paf", unreachable)
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.splitlines() == [
-        f"holderlevels {argv[0]}: error: --l times --depth must be at most 28: "
-        "memory doubles about every two steps of word length"]
+    if "--json-out" in argv:
+        message = ("--l times --depth must be at most 28 with --json-out: "
+                   "memory doubles about every two steps of word length")
+    else:
+        message = "--depth must lie in 0..200: each doubling costs up to 10x"
+    assert err.splitlines() == [f"holderlevels {argv[0]}: error: {message}"]
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_histogram_commands_read_past_the_listing_cap(tmp_path):
+    # without --json-out the word length is free: the histograms of a
+    # depth-100 tree take tens of milliseconds
+    out = tmp_path / "ls.csv"
+    assert main(["levelset", "--depth", "100", "--r-count", "2", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2 + 2
+    assert main(["conductivity-hist", "--l", "3", "--depth", "40",
+                 "--out", str(tmp_path / "h.csv")]) == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,9 +18,7 @@ import pytest
 from holderlevels.bernoulli import BernoulliWitnessFn
 from holderlevels.exact import CoordQ3, PointQ3, QSqrt3, midpoint
 from holderlevels.graft import graft
-from holderlevels.paf import affine_from_corners
 from holderlevels.triangles import (
-    ROOT_VERTICES,
     delta_lattice_index,
     lattice_coordinates,
     lattice_weights,
@@ -29,7 +27,8 @@ from holderlevels.triangles import (
 )
 
 import geometry_oracle as oracle
-from geometry_oracle import SQRT3, FieldQ3, RingQ3
+from geometry_oracle import ROOT_VERTICES, SQRT3, FieldQ3, RingQ3
+from helpers import affine_from_corners
 
 F = Fraction
 

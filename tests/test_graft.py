@@ -18,10 +18,12 @@ from holderlevels.graft import (
     min_graft_level,
 )
 from holderlevels.levelset import odd_corner
-from holderlevels.paf import affine_from_corners, random_standard_paf
-from holderlevels.triangles import ROOT_VERTICES, triangle_vertices
+from holderlevels.paf import random_standard_paf
+from holderlevels.triangles import triangle_vertices
 
 import geometry_oracle as oracle
+from geometry_oracle import ROOT_VERTICES
+from helpers import affine_from_corners
 
 
 def test_min_graft_level_example():
@@ -94,7 +96,7 @@ def test_apex_value_is_base_value():
     n = max(min_graft_level(g.lipschitz(), 0.5), g.level)
     gf = graft(g, n, BernoulliWitnessFn.for_alpha(0.5))
     word = "1" * n
-    labels = gf.labels_for(word)
+    labels = _repeated_value_labels(gf.base.corner_values(word))
     apex = triangle_vertices(word)[labels[2]]
     assert gf.value_in_triangle(word, apex) == g.corner_values(word)[labels[2]]
 
@@ -143,7 +145,7 @@ def test_value_in_triangle_rejects_a_point_outside():
     while True:
         parent = "".join(str(rng.randrange(3)) for _ in range(n - 1))
         word = parent + "0"
-        if gf.labels_for(word)[2] == 2:
+        if _repeated_value_labels(gf.base.corner_values(word))[2] == 2:
             break
     outside = triangle_vertices(parent)[1]     # weights (-1, 2, 0) in ``word``
     with pytest.raises(ValueError, match="outside triangle"):

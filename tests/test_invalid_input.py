@@ -69,19 +69,13 @@ CASES = {
     "box_count_dimension digits": (hl.box_count_dimension, [[2, 0], [0, -1], [nan], [0.5]],
                                    "digits"),
     "line_crossing_count digits": (hl.line_crossing_count, [[2, 0], [0, -1], [nan]], "digits"),
-    "dyadic_cylinder_mass digits": (lambda v: hl.dyadic_cylinder_mass(v, 0.7),
-                                    [[2, 0], [-1], [nan]], "digits"),
-    "dyadic_cylinder_mass p": (lambda v: hl.dyadic_cylinder_mass([1, 0], v),
-                               [nan, -1, 2], "p must"),
     "line_crossing_count_geometric level": (
         lambda v: hl.line_crossing_count_geometric(F(1, 3), v), [-1, -4], "level"),
     "line_crossing_count_geometric y": (lambda v: hl.line_crossing_count_geometric(v, 3),
                                         [F(0), F(-1, 3), F(4, 3)], "height"),
-    "bernoulli_cdf max_depth": (lambda v: hl.bernoulli_cdf(0.3, 0.7, max_depth=v),
-                                [-1], "max_depth"),
-    "bernoulli_cdf p": (lambda v: hl.bernoulli_cdf(0.5, v), [nan, -1, 2.0], "p must"),
-    "bernoulli_cdf x": (lambda v: hl.bernoulli_cdf(v, 0.7), [nan, -1, 2], r"\[0, 1\]"),
     "BernoulliWitnessFn p": (hl.BernoulliWitnessFn, [nan, 0, -1, 2, 0.5, 1], "p must"),
+    "BernoulliWitnessFn.value_at_height y": (_WITNESS.value_at_height, [nan, -1, 2],
+                                             r"\[0, 1\]"),
     "BernoulliWitnessFn max_depth": (lambda v: hl.BernoulliWitnessFn(0.7, max_depth=v),
                                      [-1], "max_depth"),
     # p = 0.7 means alpha = -log2(0.7) = 0.5146
@@ -123,9 +117,7 @@ CASES = {
                                   [nan, 0, -1, 2], "alpha"),
     "random_standard_paf c": (lambda v: hl.random_standard_paf(1, 2, 0.5, v, check=False),
                               [nan, 0, -1, inf], "c must"),
-    "constant_fn level": (lambda v: hl.constant_fn(F(1), v), [-1], "level"),
-    "affine_from_corners level": (lambda v: hl.affine_from_corners(F(0), F(1), F(2), v),
-                                  [-1], "level"),
+    "PiecewiseAffineFn.refine level": (_FN.refine, [-1, 2], "level"),
     "kappa_exponent l": (lambda v: hl.kappa_exponent(_FN, "01", v), [0, -1], "l >= 1"),
     "LevelSetTree l": (lambda v: hl.LevelSetTree(_FN, _R, v, 2), [0, -1], "l >= 1"),
     "LevelSetTree depth": (lambda v: hl.LevelSetTree(_FN, _R, 1, v), [-1, -3], "depth"),
@@ -176,7 +168,6 @@ def test_every_exported_callable_is_swept():
     # through a method ("Class.method parameter")
     swept = {name.split()[0].split(".")[0] for name in CASES}
     skipped = {"CoordQ3", "DimensionEstimate", "GraftedFn", "HolderCertificate",
-               "PiecewiseAffineFn", "PointQ3", "QSqrt3", "SeparatedStructure",
-               "phase_perturbation"}
+               "PointQ3", "QSqrt3", "SeparatedStructure", "phase_perturbation"}
     assert swept | skipped == set(hl.__all__)
     assert swept & skipped == set()

@@ -42,7 +42,7 @@ from holderlevels.triangles import (
     triangle_vertices,
 )
 
-from helpers import point_values, subdivision_addresses
+from helpers import fraction_triangles, point_values, subdivision_addresses
 
 REPLAY_ROOT = (
     PointQ3(CoordQ3(0), CoordQ3(0)),
@@ -144,7 +144,7 @@ def census_fn(seed, level: int):
         grid.update((lattice_index(p, level), Fraction(v))
                     for p, v in zip(replay_vertices(word), vals))
     fn = PiecewiseAffineFn(level, grid)
-    assert [w for w, v in fn.iter_triangles() if len(set(v)) == 1] == ["0"]
+    assert [w for w, v in fraction_triangles(fn) if len(set(v)) == 1] == ["0"]
     return fn
 
 

@@ -14,9 +14,9 @@ from holderlevels.levelset import (
     kappa_exponent,
     well_conducting_census,
 )
-from holderlevels.paf import affine_from_corners, constant_fn, random_standard_paf
+from holderlevels.paf import random_standard_paf
 
-from helpers import full_level_set, subdivision_addresses
+from helpers import affine_from_corners, constant_fn, full_level_set, subdivision_addresses
 
 F = Fraction
 

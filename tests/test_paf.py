@@ -12,16 +12,21 @@ from holderlevels.exact import CoordQ3, PointQ3, QSqrt3, midpoint
 from holderlevels.paf import (
     HolderParams,
     PiecewiseAffineFn,
-    affine_from_corners,
-    constant_fn,
     holder_certificate,
     max_holder_ratio,
     random_standard_paf,
 )
-from holderlevels.triangles import ROOT_VERTICES, lattice_point, level_index, triangle_vertices
+from holderlevels.triangles import lattice_point, level_index, triangle_vertices
 
 import geometry_oracle as oracle
-from helpers import point_values
+from geometry_oracle import ROOT_VERTICES
+from helpers import (
+    affine_from_corners,
+    constant_fn,
+    fraction_is_locally_nonconstant,
+    fraction_triangles,
+    point_values,
+)
 
 V1, V2, V3 = ROOT_VERTICES
 
@@ -142,7 +147,8 @@ def test_certificate_afine_base():
     cert = holder_certificate(f, 1.0, 0.9, depth=6)
     assert cert.max_ratio == pytest.approx(2 / math.sqrt(3), rel=1e-9)
     assert not cert.passed
-    assert cert.chained_bound == pytest.approx(cert.max_ratio * 4 / math.sqrt(3))
+    # the chaining factor (4/sqrt(3))**alpha at alpha = 1
+    assert cert.safety_factor == pytest.approx(4 / math.sqrt(3))
     a, b = cert.witness_pair
     assert a != b
 
@@ -168,10 +174,10 @@ def test_generator_determinism_and_contract():
     a = random_standard_paf(42, 4, 0.5, 0.9)
     b = random_standard_paf(42, 4, 0.5, 0.9)
     assert point_values(a) == point_values(b)
-    assert a.is_standard() and a.is_locally_nonconstant()
+    assert a.is_standard() and fraction_is_locally_nonconstant(a)
     assert a.holder == HolderParams(0.5, 0.9) and a.lipschitz() > 0
     # every triangle has exactly two equal corner values
-    for _, (q1, q2, q3) in a.iter_triangles():
+    for _, (q1, q2, q3) in fraction_triangles(a):
         assert len({q1, q2, q3}) == 2
 
 

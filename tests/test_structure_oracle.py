@@ -1,8 +1,7 @@
 """The integer structure checks of ``PiecewiseAffineFn`` against Fraction oracles.
 
-``is_standard``, ``is_locally_nonconstant``, ``oscillation``,
-``lipschitz_sq``, ``iter_triangles`` and ``standardize`` read the integer
-word table at scale D and build at most one ``Fraction`` at the end.
+``is_standard``, ``oscillation``, ``lipschitz_sq`` and ``standardize``
+read the integer word table at scale D and build at most one ``Fraction`` at the end.
 The oracles in ``helpers`` are their former ``Fraction`` versions, which
 read each level-n triangle's corners through ``corner_values``; the
 two must agree exactly, on the generator's standard functions and on
@@ -16,21 +15,17 @@ from functools import lru_cache
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from holderlevels.paf import (
-    PiecewiseAffineFn,
-    affine_from_corners,
-    constant_fn,
-    random_standard_paf,
-)
+from holderlevels.paf import PiecewiseAffineFn, random_standard_paf
 from holderlevels.triangles import level_index
 
 from helpers import (
+    affine_from_corners,
+    constant_fn,
     fraction_is_locally_nonconstant,
     fraction_is_standard,
     fraction_lipschitz_sq,
     fraction_oscillation,
     fraction_standardize,
-    fraction_triangles,
 )
 
 F = Fraction
@@ -49,9 +44,7 @@ def generic_fn(seed: int, level: int) -> PiecewiseAffineFn:
 
 
 def assert_matches_oracles(fn):
-    assert list(fn.iter_triangles()) == fraction_triangles(fn)
     assert fn.is_standard() is fraction_is_standard(fn)
-    assert fn.is_locally_nonconstant() is fraction_is_locally_nonconstant(fn)
     osc, lip = fn.oscillation(), fn.lipschitz_sq()
     assert type(osc) is type(lip) is Fraction
     assert osc == fraction_oscillation(fn)
@@ -68,7 +61,7 @@ def assert_matches_oracles(fn):
 @given(st.integers(min_value=0, max_value=99), st.integers(min_value=1, max_value=6))
 def test_corpus_functions_match_fraction_oracles(seed, level):
     fn = corpus_fn(seed, level)
-    assert fn.is_standard() and fn.is_locally_nonconstant()
+    assert fn.is_standard() and fraction_is_locally_nonconstant(fn)
     assert_matches_oracles(fn)
 
 

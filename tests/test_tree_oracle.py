@@ -37,9 +37,9 @@ from holderlevels.levelset import (
     extreme_pair,
     odd_corner,
 )
-from holderlevels.paf import PiecewiseAffineFn, affine_from_corners, random_standard_paf
+from holderlevels.paf import PiecewiseAffineFn, random_standard_paf
 from holderlevels.triangles import boundary_family, lattice_index_unchecked
-from helpers import point_values
+from helpers import affine_from_corners, point_values
 from test_kernel import corpus_fn, descend
 
 F = Fraction

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from holderlevels.exact import CoordQ3, PointQ3, QSqrt3, midpoint
 from holderlevels.triangles import (
-    ROOT_VERTICES,
     boundary_family,
     delta_lattice_index,
     lattice_child,
@@ -22,6 +21,7 @@ from holderlevels.triangles import (
 )
 
 from geometry_oracle import (
+    ROOT_VERTICES,
     LatticeTriangle,
     barycentric_weights,
     contains_point,
