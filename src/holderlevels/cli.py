@@ -35,19 +35,20 @@ class UsageError(Exception):
 _MAX_GRID_LEVEL = 7
 
 # the trees still build and test the 3(2**l - 1) boundary words as strings
-# (the census of a standard function counts them by a closed form):
-# levelset --l 16 --depth 1 --r-count 1 (in-process, 2-CPU Xeon, Python
-# 3.11) takes about 3 s and 180 MB, each l + 1 doubles both, and l = 16 is
-# the feasible l of BoundSearchParams.for_alpha(0.2)
+# (the census of a standard function counts them by a closed form), and the
+# function keeps the root's for its later level values: levelset --l 16
+# --depth 1 (2-CPU Xeon, Python 3.11) takes 1.4 s and 133 MB at --r-count 1
+# and 1.8 s at 20, each l + 1 doubles both, and l = 16 is the feasible l of
+# BoundSearchParams.for_alpha(0.2)
 _MAX_L = 16
 
 # below the crossing depth a tree keeps runs, and levelset and
 # conductivity-hist read them through histograms, whose exponents and mu
-# numerators grow with the depth: at --l 1 (in-process, 2-CPU Xeon, Python
-# 3.11) levelset --r-count 20 took 0.45 s and 21 MB at depth 100 and 1.3 s
-# and 25 MB at 200, and conductivity-hist, one histogram per level, 0.6 s and
-# 18 MB at 100 and 5.6 s and 22 MB at 200, 8-10x per doubling; at --l 8 the
-# two took 0.2 s at depth 200 (the cost of a large --l is the crossing, above)
+# numerators grow with the depth: at --l 1 (2-CPU Xeon, Python 3.11)
+# levelset --r-count 20 took 0.46 s and 21 MB at depth 100 and 1.6 s and
+# 26 MB at 200, and conductivity-hist, every level from one walk, 0.19 s and
+# 19 MB at 100 and 0.28 s and 23 MB at 200; at --l 8 conductivity-hist took
+# 0.13 s at depth 200 (the cost of a large --l is the crossing, above)
 _MAX_DEPTH = 200
 
 # levelset --json-out lists the tree's nodes at --depth, which follows
@@ -278,8 +279,8 @@ def cmd_conductivity_hist(args) -> int:
     _, tree, resampled = next(_trees(args))
     _report_resampled(resampled)
     rows = []
-    for level in range(args.depth + 1):
-        for exp, (count, mu) in tree.histogram(level).items():
+    for level, hist in enumerate(tree.histograms(args.depth)):
+        for exp, (count, mu) in hist.items():
             # int / int is correctly rounded, as float(Fraction) is
             rows.append((level, exp, count, mu / tree.mu_denominators[level]))
     write_csv(args.out, config, ["level", "kappa_exp", "count", "mu_total"], rows)
@@ -309,14 +310,18 @@ def cmd_witness(args) -> int:
     p = 2.0 ** (-alpha)
     config = {"command": "witness", "alpha": alpha, "digits": args.digits,
               "trials": args.trials, "seed": args.seed}
-    ests = [bd.box_count_dimension(
-                sample_digits(random.Random(args.seed * 7919 + trial), p, args.digits))
-            for trial in range(args.trials)]
-    rows = [(args.digits, 1 << int(est.log2_counts[-1]), est.slope) for est in ests]
+    # each trial keeps its row alone, and trial 0 its estimate for the trace
+    rows, trace_est = [], None
+    for trial in range(args.trials):
+        est = bd.box_count_dimension(
+            sample_digits(random.Random(args.seed * 7919 + trial), p, args.digits))
+        rows.append((args.digits, 1 << int(est.log2_counts[-1]), est.slope))
+        if not trial and args.trace_out:
+            trace_est = est
     write_csv(args.out, config, ["n", "count", "slope"], rows)
-    if args.trace_out and ests:
+    if trace_est is not None:
         trace = [(int(n), 1 << int(z), int(z))
-                 for n, z in zip(ests[0].levels, ests[0].log2_counts)]
+                 for n, z in zip(trace_est.levels, trace_est.log2_counts)]
         write_csv(args.trace_out, dict(config, table="trace", trial=0),
                   ["n", "count", "log2count"], trace)
     return 0

@@ -246,7 +246,10 @@ class LevelSetTree:
     Down to the crossing depth c = ceil(L / l), the first whose words
     reach L, the word loop tests every boundary word of every member in
     order (the word's table triple above L, after any steps below L),
-    names the first colliding one, and builds the member nodes.
+    names the first colliding one, and builds the member nodes.  Above L
+    a member is a table word, and the children it tests are the
+    function's: they are computed once per function and l and read by
+    every tree on it, whatever its level.
 
     Below c the tree keeps runs, not nodes.  A crossing member whose
     corners are (b, b, a) in some order, with the odd corner o carrying
@@ -286,6 +289,8 @@ class LevelSetTree:
         self.depth = 0
         self._crossing = -(-fn.level // l)
         self._denom, self._table = fn.int_word_table()
+        # the boundary children of the table words, shared by every tree on fn with this l
+        self._memo: dict[str, tuple] = fn._word_children.setdefault(l, {})
         corners = self._table[""]
         q, rem = divmod(self.r.numerator * self._denom, self.r.denominator)
         if not rem and q in corners:
@@ -347,33 +352,57 @@ class LevelSetTree:
 
         ``parents`` yields (word, corners, kappa exponent) at word length
         ``length - l``, and ``level`` is the level times r.den at the
-        children's scale.  A child colliding with the level raises
+        children's scale.  A parent above the function level is a table
+        word, so its ``_boundary_children`` depend on the function and l
+        alone: they are computed once and kept in the function's memo for
+        every later tree.  A child colliding with the level raises
         ``LevelCollisionError`` before any result is returned.
         """
-        fn_level, l, table = self.fn.level, self.l, self._table
         q, rem = divmod(level, self.r.denominator)
-        above = length - l < fn_level       # the parents are table entries
-        words = _word_steps(l, min(l, max(0, length - fn_level)))
+        memo = self._memo if length - self.l < self.fn.level else None
         expanded = []
+        splits = {}
         for prefix, corners, exp in parents:
-            extreme_words = _extreme_words(corners, l)
+            kids = None if memo is None else memo.get(prefix)
+            if kids is None:
+                kids = self._boundary_children(prefix, corners, length)
+                if memo is not None:
+                    memo[prefix] = kids
             children, incs = [], []
-            for w, steps in words:
-                word = prefix + w
-                vals = table[word[:fn_level]] if above else corners
-                for s in steps:
-                    a = vals[s]
-                    vals = (vals[0] + a, vals[1] + a, vals[2] + a)
+            for word, vals, lo, hi, inc in kids:
                 if not rem and q in vals:
                     raise LevelCollisionError(self.r, word)
-                # past the collision test, min(vals) <= q: the lowest corner is below the level
-                if not (min(vals) <= q < max(vals)):
-                    continue
-                inc = int(w not in extreme_words)
-                children.append(LevelSetNode(word, vals, exp + inc))
-                incs.append(inc)
-            expanded.append((children, _split(incs)))
+                # past the collision test, lo <= q: the lowest corner is below the level
+                if lo <= q < hi:
+                    children.append(LevelSetNode(word, vals, exp + inc))
+                    incs.append(inc)
+            key = tuple(incs)
+            split = splits.get(key)
+            if split is None:
+                split = splits[key] = _split(key)
+            expanded.append((children, split))
         return expanded
+
+    def _boundary_children(self, prefix: str, corners: tuple, length: int) -> tuple:
+        """(word, corners, min, max, kappa increment) of every boundary word below a parent.
+
+        The parent is ``prefix`` with ``corners`` at word length ``length -
+        l``.  A child's corners are the table triple of its first L symbols
+        when the parent is above the function level L, or the parent's,
+        after the steps of its symbols below L.  No level value enters.
+        """
+        fn_level, table = self.fn.level, self._table
+        above = len(prefix) < fn_level
+        extreme_words = _extreme_words(corners, self.l)
+        kids = []
+        for w, steps in _word_steps(self.l, min(self.l, max(0, length - fn_level))):
+            word = prefix + w
+            vals = table[word[:fn_level]] if above else corners
+            for s in steps:
+                a = vals[s]
+                vals = (vals[0] + a, vals[1] + a, vals[2] + a)
+            kids.append((word, vals, min(vals), max(vals), int(w not in extreme_words)))
+        return tuple(kids)
 
     def _step_runs(self, level: int) -> None:
         """Take every run one depth down: its children's corners and digit block.
@@ -543,22 +572,44 @@ class LevelSetTree:
 
         The measure is filled to n first, so the numerators are over
         ``mu_denominators[n]``; the exponents come in increasing order.
+        """
+        return self.histograms(n, first=n)[0]
+
+    def histograms(self, n: int, first: int = 0) -> list[dict[int, tuple[int, int]]]:
+        """``histogram(m)`` of each depth m from ``first`` to n, from one walk of ``_chains(n)``.
+
         Each chain of ``_chains(n)`` is built into a histogram one block
         at a time: each exponent's members and mu pass to every child of
         the block, at the exponent plus the child's increment and with mu
-        times lcm / S times the child's weight.
+        times lcm / S times the child's weight, and the run's histogram
+        after each block adds to that depth's.  The chains start at their
+        members' depth t; a depth from ``first`` to t - 1 is above the
+        crossing depth, and its own ``_chains`` gives its members.
         """
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
+        if not 0 <= first <= n:
+            raise ValueError(f"first must lie in 0..n={n}, got {first}")
         self.extend(n)
+        hists: list[dict[int, tuple[int, int]]] = [{} for _ in range(first, n + 1)]
         if self.root is None:
-            return {}
+            return hists
+
+        def add(m: int, run: dict) -> None:
+            if m >= first:
+                hist = hists[m - first]
+                for e, (count, mu) in run.items():
+                    c0, m0 = hist.get(e, (0, 0))
+                    hist[e] = (c0 + count, m0 + mu)
+
         self.fill_measure(n)
-        hist: dict[int, tuple[int, int]] = {}
         dens = self.mu_denominators
+        t = n
         for x, chain in self._chains(n):
+            t = n - len(chain)
             run = {x.kappa_exp: (1, x.mu_num)}
-            for j, (_, (children, (weights, total))) in enumerate(chain, self._crossing + 1):
+            add(t, run)
+            for j, (_, (children, (weights, total))) in enumerate(chain, t + 1):
                 unit = dens[j] // dens[j - 1] // total
                 steps = [(inc, unit * w) for (_, inc), w in zip(children, weights)]
                 nxt: dict[int, tuple[int, int]] = {}
@@ -567,10 +618,11 @@ class LevelSetTree:
                         c0, m0 = nxt.get(e + inc, (0, 0))
                         nxt[e + inc] = (c0 + count, m0 + mu * factor)
                 run = nxt
-            for e, (count, mu) in run.items():
-                c0, m0 = hist.get(e, (0, 0))
-                hist[e] = (c0 + count, m0 + mu)
-        return dict(sorted(hist.items()))
+                add(j, run)
+        for m in range(first, t):
+            for x, _ in self._chains(m):
+                add(m, {x.kappa_exp: (1, x.mu_num)})
+        return [dict(sorted(hist.items())) for hist in hists]
 
     # -- derived checks -------------------------------------------------
 

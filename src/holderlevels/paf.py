@@ -148,9 +148,12 @@ class PiecewiseAffineFn:
     denominators, and the numerators ``{(row, col): value times D}``
     keyed by the lattice index (row, col) at scale 2**-level of each
     vertex of V_level, the point (2 col + row, row sqrt(3)) / 2**(level+1).
-    It is read-only after construction, because the one derived table,
-    the integer word table of ``int_word_table``, is built from it on
-    first use and never rebuilt.  ``grid`` is a read-only ``Fraction``
+    It is read-only after construction, because the tables derived from
+    it are built on first use and never rebuilt: the integer word table of
+    ``int_word_table``, and for each boundary parameter l the boundary
+    children that the level-set trees compute below each table word of
+    length < level (``LevelSetTree._word_loop``), which no level value
+    enters.  ``grid`` is a read-only ``Fraction``
     view of the same table in the same key order.  Construction raises
     ValueError unless ``grid``'s keys are exactly the indices of V_level.
     ``holder`` starts as None: only a passed certificate sets it.
@@ -164,6 +167,7 @@ class PiecewiseAffineFn:
                             for p, v in grid.items()}
         self._grid: MappingProxyType | None = None
         self._int_words: tuple[int, dict[str, tuple]] | None = None
+        self._word_children: dict[int, dict[str, tuple]] = {}
 
     @classmethod
     def _from_ints(cls, level: int, scale: int, values: dict[tuple[int, int], int],
@@ -183,6 +187,7 @@ class PiecewiseAffineFn:
         fn.level, fn.holder = level, holder
         fn._den, fn._numerators = scale, values
         fn._grid = fn._int_words = None
+        fn._word_children = {}
         return fn
 
     @property

@@ -307,11 +307,11 @@ def test_nodes_below_the_crossing_come_from_the_runs_alone():
 def test_every_tree_reader_walks_the_chains():
     # one (member, run blocks) iterator feeds every reader of a depth: no
     # reader forks on the runs, and the mass check parses no address
-    readers = {"histogram", "conservation", "_members", "_expand_runs"}
+    readers = {"histograms", "conservation", "_members", "_expand_runs"}
     assert readers <= _where("levelset", lambda n: _called_name(n) == "_chains")
     names_runs = _where("levelset", lambda n: isinstance(n, ast.Attribute)
                         and n.attr == "_runs" and getattr(n.value, "id", None) == "self")
-    assert names_runs & {"histogram", "conservation", "_members"} == set()
+    assert names_runs & {"histogram", "histograms", "conservation", "_members"} == set()
     assert "_run_chains" not in _functions("levelset")
     bounds = ast.parse((ROOT / "src" / "holderlevels" / "bounds.py").read_text())
     imported = {getattr(n, "module", None) or a.name for n in ast.walk(bounds)

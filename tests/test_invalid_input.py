@@ -123,6 +123,10 @@ CASES = {
     "LevelSetTree depth": (lambda v: hl.LevelSetTree(_FN, _R, 1, v), [-1, -3], "depth"),
     "LevelSetTree.histogram n": (lambda v: hl.LevelSetTree(_FN, _R, 1).histogram(v), [-1, -3],
                                  "n must"),
+    "LevelSetTree.histograms n": (lambda v: hl.LevelSetTree(_FN, _R, 1).histograms(v),
+                                  [-1, -3], "n must"),
+    "LevelSetTree.histograms first": (lambda v: hl.LevelSetTree(_FN, _R, 1).histograms(2, v),
+                                      [-1, 3], "first must"),
     "well_conducting_census n": (
         lambda v: hl.well_conducting_census(_FN, None, v, 1, F(1, 2), alpha=0.5), [-2], "n must"),
     "well_conducting_census l": (

@@ -14,6 +14,7 @@ tree that keeps runs there, and builds nodes only when asked, must give
 the same nodes, splits, measure and collision words in any access order.
 """
 
+import itertools
 import json
 import math
 import subprocess
@@ -467,6 +468,7 @@ def assert_readers_match(tree, levels, top: int) -> None:
     tree.fill_measure(depth)
     assert tree.mu_denominators == [nodes[0].mu_den for nodes in levels]
     l = tree.l
+    hists = []
     for n, nodes in enumerate(levels):
         members = []
         for row, col, mu, _, blocks in tree._members(n):
@@ -479,7 +481,11 @@ def assert_readers_match(tree, levels, top: int) -> None:
         for v in nodes:
             count, mu = hist.get(v.kappa_exp, (0, 0))
             hist[v.kappa_exp] = (count + 1, mu + v.mu_num)
-        assert tree.histogram(n) == dict(sorted(hist.items()))
+        hists.append(dict(sorted(hist.items())))
+        assert tree.histogram(n) == hists[-1]
+    # every depth's histogram from one walk, from the root or from partway down
+    assert tree.histograms(depth) == hists
+    assert tree.histograms(depth, depth // 2) == hists[depth // 2:]
     for n, nodes in enumerate(levels[:top + 1]):
         for v in nodes[:3]:
             lhs = sum((F(1, 1 << d.kappa_exp) for d in levels[depth]
@@ -654,6 +660,133 @@ def test_the_tree_holds_runs_or_nodes_below_the_crossing(order):
         for x in crossing:
             run = [v for v in tree.nodes_at(n) if v.word.startswith(x.word)]
             assert run and all(v.corners is run[0].corners for v in run), (n, x.word)
+
+
+# -- the function's memo of table children -----------------------------
+
+def fresh(fn) -> PiecewiseAffineFn:
+    """The same function with nothing derived yet: no word table and an empty memo."""
+    return PiecewiseAffineFn(fn.level, dict(fn.grid))
+
+
+def expanded_table_words(tree) -> set:
+    """The words above the function level that the tree expanded: those of depth < min(depth, c)."""
+    return {v.word for n in range(min(tree.depth, tree._crossing)) for v in tree.nodes_at(n)}
+
+
+def grown_fields(fn, r, l: int, depth: int, order: str):
+    """Every level's node fields of the tree grown in ``order``, or its collision."""
+    def build():
+        tree, _ = grown(fn, r, l, depth, order)
+        return [node_fields(tree.nodes_at(n)) for n in range(depth + 1)]
+    return walk(build)
+
+
+@given(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=3),
+       st.lists(st.integers(min_value=1, max_value=3 * 2**24 - 1), min_size=2, max_size=5),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_trees_sharing_the_memo_match_the_oracle_and_a_fresh_function(seed, level, l, ks, data):
+    # several level values on one function, in a drawn order, to drawn
+    # depths and access orders: each tree reads the table children the
+    # earlier ones left in the memo, and must be the node-per-member
+    # oracle's and the tree of a function whose memo is empty, collisions
+    # included.  Seed 4 is not standard: a crossing member with three
+    # distinct corners keeps the word loop below c.
+    base = corpus_fn(seed, level) if seed < 4 else nonstandard_fn(seed, level, ks[0])
+    fn = fresh(base)
+    c = -(-level // l)
+    for k in ks:
+        depth = c + data.draw(st.integers(min_value=-1, max_value=2))
+        r = draw_level(fn, data, k, 1, max(1, depth * l))
+        order = data.draw(st.sampled_from(ORDERS))
+        levels = walk(lambda: oracle_node_levels(fn, r, l, depth))
+        if isinstance(levels, LevelCollisionError):
+            for f in (fn, fresh(base)):
+                err = walk(lambda: LevelSetTree(f, r, l, depth=depth))
+                assert isinstance(err, LevelCollisionError)
+                assert (err.r, err.word) == (levels.r, levels.word)
+            continue
+        if not levels[0]:
+            continue
+        depth = len(levels) - 1
+        tree, filled = grown(fn, r, l, depth, order)
+        assert_nodes_match(tree, levels, filled)
+        assert [node_fields(tree.nodes_at(n)) for n in range(depth + 1)] == grown_fields(
+            fresh(base), r, l, depth, order)
+    assert set(fn._word_children) <= {l}
+
+
+@pytest.mark.parametrize("level, l", [(3, 1), (3, 2), (4, 3)])
+def test_a_dyadic_level_names_the_same_word_with_a_filled_memo(level, l):
+    # r is a vertex value carried by a child of a table word, so the tree
+    # meets it in the memo's children; the levels just above and below it
+    # expand every parent r's own tree reaches first
+    base = corpus_fn(3, level)
+    fn = fresh(base)
+    root = fn.corner_values("")
+    c = -(-level // l)
+    r = next(v for word in itertools.product("012", repeat=c * l)
+             for v in fn.corner_values("".join(word)) if min(root) < v < max(root))
+    eps = (max(root) - min(root)) * F(1, 3 << 60)
+    for near in (r - eps, r + eps, min(root) + (max(root) - min(root)) * F(1, 3)):
+        LevelSetTree(fn, near, l, depth=c + 1)
+    expected = walk(lambda: oracle_levels(base, r, l, c + 1))
+    assert isinstance(expected, LevelCollisionError)
+    assert expected.word[:-l] in fn._word_children[l]
+    for f in (fn, fresh(base), fn):
+        with pytest.raises(LevelCollisionError) as err:
+            LevelSetTree(f, r, l, depth=c + 1)
+        assert err.value.word == expected.word
+
+
+def test_a_three_valued_crossing_member_shares_the_memo():
+    # the crossing members' children are recomputed on every call; the
+    # table words' children above them come from the memo
+    base = nonstandard_fn(0, 2, -1)
+    fn = fresh(base)
+    root = fn.corner_values("")
+    three_valued, expanded = 0, set()
+    for k in (3, 1, 5, 2, 6, 4):
+        r = min(root) + (max(root) - min(root)) * F(k, 7)
+        levels = oracle_node_levels(fn, r, 1, 5)
+        tree = LevelSetTree(fn, r, 1, depth=5)
+        three_valued += any(odd_corner(x.corners) is None for x in tree.nodes_at(2))
+        expanded |= expanded_table_words(tree)
+        assert_nodes_match(tree, levels, False)
+        assert_readers_match(tree, levels, 5)
+        alone = LevelSetTree(fresh(base), r, 1, depth=5)
+        assert tree_fields(tree, 5) == tree_fields(alone, 5)
+    assert three_valued
+    assert set(fn._word_children[1]) == expanded
+
+
+def test_the_memo_belongs_to_one_function_and_one_l():
+    base = corpus_fn(2, 3)
+    fn = fresh(base)
+    root = fn.corner_values("")
+    rs = [min(root) + (max(root) - min(root)) * F(k, 7) for k in range(1, 7)]
+    expanded: dict[int, set] = {}
+    for l in (1, 2, 1):
+        # l = 2 after l = 1 and l = 1 again: each l reads its own children
+        for r in rs:
+            levels = oracle_node_levels(fn, r, l, -(-3 // l) + 1)
+            tree = LevelSetTree(fn, r, l, depth=len(levels) - 1)
+            assert_nodes_match(tree, levels, False)
+            expanded.setdefault(l, set()).update(expanded_table_words(tree))
+    # one entry per distinct table word expanded, under its l alone
+    assert {l: set(memo) for l, memo in fn._word_children.items()} == expanded
+    assert all(len(word) < fn.level for words in expanded.values() for word in words)
+    # refine and standardize make other functions, each with its own memo
+    for other in (fn.refine(fn.level), fn.refine(fn.level + 1), fn.standardize()):
+        assert other._word_children == {}
+        for r in rs[:3]:
+            levels = oracle_node_levels(other, r, 1, other.level + 1)
+            tree = LevelSetTree(other, r, 1, depth=len(levels) - 1)
+            assert_nodes_match(tree, levels, False)
+        assert set(other._word_children) == {1}
+    assert {l: set(memo) for l, memo in fn._word_children.items()} == expanded
 
 
 class CountingNode(levelset.LevelSetNode):
