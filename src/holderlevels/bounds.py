@@ -229,7 +229,7 @@ class MassDistributionReport:
 
 @functools.cache
 def _line_block(cells: tuple, line: int, l: int) -> tuple:
-    """One block's factors u(e) along its run's line, as ``_line_window`` reads them.
+    """One block's factors u(e) along its run's line, as ``_run_walks`` reads them.
 
     ``cells`` is a ``LevelSetTree._members`` block and ``line`` the index of
     a cell's line digit e; u(e) is 0 where the block has no child.  With
@@ -248,65 +248,70 @@ def _line_block(cells: tuple, line: int, l: int) -> tuple:
             ((u[size], u[1] + u[2]), (u[size - 1] + u[size], u[1])))
 
 
-def _line_window(mu: int, blocks, line: int, l: int) -> int:
-    """The largest mu sum over three consecutive line positions of a run's deepest members.
+def _run_walks(runs, l: int, reach, ks) -> list[tuple[list, list]]:
+    """(each run's window, each run's seam cells) at chain length k, for each k of ``ks``.
 
-    The run is a ``LevelSetTree._members`` record's mu and blocks; ``line``
-    is the index of a block cell's line digit e (1, its col bits, on a
-    row; 0, its row bits, otherwise), and a block takes a member at line
-    position p to p 2**l + e.  With u(e) the block's factor at e
-    (``_line_block``), top = 2**l - 1 and M_j the run's largest mu at
-    depth j, a window inside one parent is M times u(e - 1) + u(e) +
-    u(e + 1), and one across two parents is F(u(top), u(0) + u(1)) or
-    F(u(top - 1) + u(top), u(0)) at the parents' depth, where F_j(a, b)
-    is the largest a mu(p) + b mu(p + 1): the larger of M_(j-1) times the
-    largest a u(e) + b u(e + 1) over e < top and F_(j-1)(a u(top), b u(0)),
-    and mu max(a, b) at the run's own member.  O(n 2**l) per run.
+    ``runs`` are ``LevelSetTree._members`` records (row, col, mu, o,
+    blocks) and ``ks`` increasing chain lengths: at k a run stands for its
+    members at depth t + k, and each run's blocks are walked once for all
+    of them.  The window is the largest mu sum over three consecutive line
+    positions of those members.  They lie on one line: a block takes a
+    member at line position p to p 2**l + e, e read at index ``line`` of
+    a block cell (1, its col bits, on a row, o = 2; 0, its row bits,
+    otherwise).  With u(e) the block's factor at e (``_line_block``), top
+    = 2**l - 1 and M_j the run's largest mu at depth j, a window inside
+    one parent is M times u(e - 1) + u(e) + u(e + 1), and one across two
+    parents is F(u(top), u(0) + u(1)) or F(u(top - 1) + u(top), u(0)) at
+    the parents' depth, where F_j(a, b) is the largest a mu(p) + b mu(p +
+    1): the larger of M_(j-1) times the largest a u(e) + b u(e + 1) over
+    e < top and F_(j-1)(a u(top), b u(0)), and mu max(a, b) at the run's
+    own member.  The summaries and peaks M_j are shared by every k, and
+    each k runs the F recursion back from its own last block.
+
+    The seam cells are (row, col, mu numerator) of the members within
+    ``reach`` layers of a corner of the run's region, in the run's order.
+    A member at local cell (i, j) of the region, whose side is top + 1
+    cells, lies i + j cell layers from corner 0, top - j from corner 1
+    and top - i from corner 2, and is kept when one of the three is below
+    ``reach``.  A block multiplies each of the three by 2**l and adds a
+    non-negative digit term, so the descent drops a member as soon as it
+    is ``reach`` layers from every corner: no descendant of it comes
+    nearer, and the frontier after k blocks is the run's seam at depth
+    t + k.  O(max(ks) 2**l) per run.
     """
-    if not blocks:
-        return mu
-    summaries = [_line_block(cells, line, l) for cells in blocks]
-    peaks = [mu]                    # M_j, from the run's own member down
-    for summary in summaries[:-1]:
-        peaks.append(peaks[-1] * summary[2])
-    *_, triple, starts = summaries[-1]
-    best = peaks[-1] * triple
-    for a, b in starts:
-        for (top_peak, peak), (u0, utop, _, pairs, *_) in zip(
-                itertools.pairwise(peaks[::-1]), summaries[-2::-1]):
-            if (a + b) * top_peak <= best:      # F_j(a, b) <= (a + b) M_j
-                break
-            best = max(best, peak * max(a * x + b * y for x, y in pairs))
-            a, b = a * utop, b * u0
-        else:
-            best = max(best, mu * max(a, b))
-    return best
-
-
-def _run_cells(row: int, col: int, mu: int, blocks, l: int, reach) -> list:
-    """(row, col, mu numerator) of a run's deepest members within ``reach`` of a corner.
-
-    The run is a ``LevelSetTree._members`` record; the members come in its
-    order.  A member at local cell (i, j) of the run's region, whose side is
-    top + 1 cells, lies i + j cell layers from corner 0, top - j from
-    corner 1 and top - i from corner 2, and is kept when one of the three
-    is below ``reach``.  A block multiplies each of the three by 2**l and
-    adds a non-negative digit term, so the descent drops a member as soon
-    as it is ``reach`` layers from every corner: no descendant of it comes
-    nearer.
-    """
-    members = [(0, 0, mu)]
-    top = 0
-    for block in blocks:
-        top = top << l | ((1 << l) - 1)
-        members = [(i, j, m) for i, j, m in
-                   ((pi << l | bi, pj << l | bj, pm * f)
-                    for pi, pj, pm in members for bi, bj, f in block)
-                   if min(i + j, top - i, top - j) < reach]
-        if not members:
-            return []
-    d = len(blocks) * l
-    return [(row << d | i, col << d | j, m) for i, j, m in members]
+    walks = [([], []) for _ in ks]
+    for row, col, mu, o, blocks in runs:
+        line = int(o == 2)
+        summaries, peaks = [], [mu]     # M_j, from the run's own member down
+        members, top, done = [(0, 0, mu)], 0, 0
+        for k, (windows, seams) in zip(ks, walks):
+            for cells in blocks[done:k]:
+                summary = _line_block(cells, line, l)
+                summaries.append(summary)
+                peaks.append(peaks[-1] * summary[2])
+                top = top << l | ((1 << l) - 1)
+                members = [(i, j, m) for i, j, m in
+                           ((pi << l | bi, pj << l | bj, pm * f)
+                            for pi, pj, pm in members for bi, bj, f in cells)
+                           if min(i + j, top - i, top - j) < reach]
+            done = k
+            best = mu
+            if k:
+                *_, triple, starts = summaries[k - 1]
+                best = peaks[k - 1] * triple
+                for a, b in starts:
+                    for j in range(k - 1, 0, -1):
+                        if (a + b) * peaks[j] <= best:      # F_j(a, b) <= (a + b) M_j
+                            break
+                        u0, utop, _, pairs, *_ = summaries[j - 1]
+                        best = max(best, peaks[j - 1] * max(a * x + b * y for x, y in pairs))
+                        a, b = a * utop, b * u0
+                    else:
+                        best = max(best, mu * max(a, b))
+            d = k * l
+            windows.append(best)
+            seams.append([(row << d | i, col << d | j, m) for i, j, m in members])
+    return walks
 
 
 def _scatter(groups, s: int) -> dict[int, int]:
@@ -344,10 +349,12 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
     mu at depth n depends only on the ancestors, so the measure is
     filled once to the deepest depth.  The largest cell mass comes from
     the tree's runs (``LevelSetTree._members``), whose members are not
-    listed.  A run's members at depth n lie on one lattice line, so a
+    listed; they are read once, at the deepest depth, and one walk of
+    each run's blocks (``_run_walks``) serves every checked depth past
+    them.  A run's members at depth n lie on one lattice line, so a
     cell on the line touches three consecutive positions of it and a
     cell beside it two: within one run the largest cell mass is the
-    largest sum over three consecutive positions (``_line_window``).  A
+    largest sum over three consecutive positions, its window.  A
     cell touched by two runs lies near a vertex their regions, the runs'
     depth-t cells, share, and every member touching it is fewer than
     R = ``_SEAM_LAYERS`` cell layers from a corner of its region.  Those
@@ -360,7 +367,7 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
     run, at most its window.  A member with an empty chain (n at most
     the crossing depth c, or a tree that keeps nodes below c) is a run of
     one member and its own seam member, so there every member is
-    scattered.
+    scattered, and a checked depth above t reads its own members.
 
     R = 2 since cells of one subdivision level that share no vertex are a
     cell side, at least 2 depth-n cells, apart, and two that share a
@@ -382,14 +389,14 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
     that reaches the maximum.  It is located only at a depth that raises
     C, and costs one run's members: the seam scatter is redone with the
     members of the first run whose window reaches the mass, if one does,
-    in full, and its first cell of that mass is the worst cell.  That cell W is touched by
-    two runs, so that every member touching it is a seam member, or by
-    one run, whose window then reaches the mass; no earlier run's window
-    does, since it would lie on a maximising cell touched earlier.  Every
-    cell's value in this scatter is at most its mass, and a cell is
-    touched no earlier than in the full scatter, so no cell of that mass
-    comes before W.  A ``tree`` must be one built for ``fn``, ``r`` and
-    ``params.l``.
+    in full (a walk with no reach), and its first cell of that mass is
+    the worst cell.  That cell W is touched by two runs, so that every
+    member touching it is a seam member, or by one run, whose window then
+    reaches the mass; no earlier run's window does, since it would lie on
+    a maximising cell touched earlier.  Every cell's value in this scatter
+    is at most its mass, and a cell is touched no earlier than in the full
+    scatter, so no cell of that mass comes before W.  A ``tree`` must be
+    one built for ``fn``, ``r`` and ``params.l``.
     """
     if n_prime_max < 1:
         raise ValueError(f"n_prime_max must be at least 1, got {n_prime_max}")
@@ -399,33 +406,35 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
     elif tree.fn is not fn or tree.r != _level_fraction(r) or tree.l != l:
         raise ValueError(f"the tree was built for another function, level value or l "
                          f"(tree r = {tree.r}, l = {tree.l})")
-    tree.fill_measure(q * n_prime_max)
+    n_max = q * n_prime_max
+    tree.fill_measure(n_max)
+    deepest = list(tree._members(n_max))
+    t = n_max - len(deepest[0][4])      # the depth of the runs' own members
+    # (runs, their depth, the checked chain lengths k, depth t + k)
+    groups = itertools.chain(((list(tree._members(n)), n, [0]) for n in range(q, t, q)),
+                             [(deepest, t, [n - t for n in range(q, n_max + 1, q) if n >= t])])
     c_emp = 0.0
     worst_cell = None
     worst_level = None
     levels = []
-    for n_prime in range(1, n_prime_max + 1):
-        n = n_prime * q
-        s = n * l + 2
-        runs = list(tree._members(n))
-        windows = [_line_window(mu, blocks, int(o == 2), l) for _, _, mu, o, blocks in runs]
-        seams = [_run_cells(row, col, mu, blocks, l, _SEAM_LAYERS)
-                 for row, col, mu, _, blocks in runs]
-        cell_mass = _scatter(seams, s)
-        mass = max(max(windows), max(cell_mass.values(), default=0))
-        # int / int is correctly rounded, so this is float(mu(U) 2**(n d1))
-        quot = (mass << int(n * d1)) / tree.mu_denominators[n]
-        if quot > c_emp:
-            first = next((i for i, w in enumerate(windows) if w == mass), None)
-            if first is not None:
-                row, col, mu, _, blocks = runs[first]
-                seams[first] = _run_cells(row, col, mu, blocks, l, math.inf)
-                cell_mass = _scatter(seams, s)
-            key = next(k for k, v in cell_mass.items() if v == mass)
-            c_emp = quot
-            worst_cell = ((key >> s) - 1, (key & ((1 << s) - 1)) - 1)
-            worst_level = n
-        levels.append(n)
+    for runs, depth, ks in groups:
+        for k, (windows, seams) in zip(ks, _run_walks(runs, l, _SEAM_LAYERS, ks)):
+            n = depth + k
+            s = n * l + 2
+            cell_mass = _scatter(seams, s)
+            mass = max(max(windows), max(cell_mass.values(), default=0))
+            # int / int is correctly rounded, so this is float(mu(U) 2**(n d1))
+            quot = (mass << int(n * d1)) / tree.mu_denominators[n]
+            if quot > c_emp:
+                first = next((i for i, w in enumerate(windows) if w == mass), None)
+                if first is not None:
+                    [(_, [seams[first]])] = _run_walks(runs[first:first + 1], l, math.inf, [k])
+                    cell_mass = _scatter(seams, s)
+                key = next(cell for cell, v in cell_mass.items() if v == mass)
+                c_emp = quot
+                worst_cell = ((key >> s) - 1, (key & ((1 << s) - 1)) - 1)
+                worst_level = n
+            levels.append(n)
     return MassDistributionReport(
         s=params.s,
         verified=c_emp <= _C_CAP,

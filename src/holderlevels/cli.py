@@ -44,11 +44,11 @@ _MAX_L = 16
 
 # below the crossing depth a tree keeps runs, and levelset and
 # conductivity-hist read them through histograms, whose exponents and mu
-# numerators grow with the depth: at --l 1 (2-CPU Xeon, Python 3.11)
-# levelset --r-count 20 took 0.46 s and 21 MB at depth 100 and 1.6 s and
-# 26 MB at 200, and conductivity-hist, every level from one walk, 0.19 s and
-# 19 MB at 100 and 0.28 s and 23 MB at 200; at --l 8 conductivity-hist took
-# 0.13 s at depth 200 (the cost of a large --l is the crossing, above)
+# numerators grow with the depth: at --l 1 (in-process, 2-CPU Xeon, Python
+# 3.11) levelset --r-count 20 took 0.61 s and 21 MB at depth 100 and 2.1 s
+# and 25 MB at 200, and conductivity-hist, every level from one walk, 0.08 s
+# and 19 MB at 100 and 0.29 s and 23 MB at 200, about 3.5x per doubling; at
+# --l 8 conductivity-hist took 0.03 s at depth 200 (its cost is the crossing)
 _MAX_DEPTH = 200
 
 # levelset --json-out lists the tree's nodes at --depth, which follows
@@ -84,6 +84,12 @@ _MAX_CANTOR_DEPTH = 4096
 # 6.8 MB (in-process, 2-CPU Xeon, Python 3.11), and each n + 2 costs about 4x
 # the time and 3.4x the memory (n = 18: 1.9 s, 205 MB and a 30 MB file)
 _MAX_JSON_LEVEL = 16
+
+# witness --trace-out prints trial 0's count 2**z per level in full decimal,
+# which grows with --digits squared: --alpha 0.5 (in-process, 2-CPU Xeon,
+# Python 3.11) took 0.32 s, 47 MB and a 4.3 MB file at 10**4 digits, 5.1 s,
+# 273 MB and 70 MB at 4 * 10**4, and 55 s, 1.5 GB and 442 MB at 10**5
+_MAX_TRACE_DIGITS = 10_000
 
 
 def _require(ok: bool, message: str) -> None:
@@ -171,7 +177,7 @@ def _check_function_args(args) -> None:
     _require(1 <= args.l <= _MAX_L,
              f"--l must lie in 1..{_MAX_L}: each l + 1 doubles the boundary words")
     _require(0 <= args.depth <= _MAX_DEPTH,
-             f"--depth must lie in 0..{_MAX_DEPTH}: each doubling costs up to 10x")
+             f"--depth must lie in 0..{_MAX_DEPTH}: each doubling costs about 3.5x")
     _require(0 < args.alpha <= 1, "--alpha must lie in (0, 1]")
     _require(0 < args.c < float("inf"), "--c must be positive and finite")
 
@@ -306,6 +312,9 @@ def cmd_witness(args) -> int:
     alpha = args.alpha
     _require(0 < alpha < 1, "witness runs need alpha in (0, 1): p must exceed 1/2")
     _require(args.digits >= 1, "--digits must be at least 1")
+    _require(not args.trace_out or args.digits <= _MAX_TRACE_DIGITS,
+             f"--digits must be at most {_MAX_TRACE_DIGITS} with --trace-out: "
+             "the trace grows with its square")
     _require(args.trials >= 0, "--trials must be non-negative")
     p = 2.0 ** (-alpha)
     config = {"command": "witness", "alpha": alpha, "digits": args.digits,

@@ -21,8 +21,10 @@ from hypothesis import assume, given, settings, strategies as st
 import pytest
 
 from holderlevels.bounds import (
+    _SEAM_LAYERS,
     BoundSearchParams,
     MassDistributionReport,
+    _run_walks,
     box_count_dimension,
     census_constant,
     default_d1,
@@ -421,6 +423,93 @@ def test_mass_distribution_reaches_72_levels_at_alpha_1():
     assert (rep.c_empirical, rep.worst_level) == (shallow.c_empirical, shallow.worst_level)
     assert tree._runs is not None
     assert peak < 10 * 2**20 and elapsed < 1.0, (peak, elapsed)
+
+
+def count_member_reads(monkeypatch) -> list[int]:
+    """The depth of every ``LevelSetTree._members`` call, in call order."""
+    depths: list[int] = []
+    members = LevelSetTree._members
+
+    def counted(self, n):
+        depths.append(n)
+        return members(self, n)
+
+    monkeypatch.setattr(LevelSetTree, "_members", counted)
+    return depths
+
+
+def test_mass_distribution_reads_the_runs_once(monkeypatch):
+    # every checked depth 2..12 lies past the crossing depth c = 1, so one
+    # read of the runs at the deepest depth serves all six
+    fn = random_standard_paf(7, 3, 1.0, 0.9)
+    root = fn.corner_values("")
+    r = min(root) + (max(root) - min(root)) / 3
+    params = BoundSearchParams.for_alpha(1.0)
+    tree = LevelSetTree(fn, r, params.l)
+    depths = count_member_reads(monkeypatch)
+    rep = mass_distribution_lower(fn, r, params, 6, tree=tree)
+    assert tree._crossing == 1 and tree._runs is not None
+    assert depths == [12]
+    assert rep.levels_checked == [2, 4, 6, 8, 10, 12]
+
+
+def straddling_case(seed: int):
+    """A level-3 corpus function at l = 1, q = 2, n' <= 4: depth 2 above c = 3, 4..8 past it."""
+    fn = corpus_fn(seed, 3)
+    root = fn.corner_values("")
+    r = min(root) + (max(root) - min(root)) * F(1234567, 3 * 2**24)
+    return fn, r, BoundSearchParams(alpha=1.0, d1=F(1, 2), l=1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mass_distribution_straddling_the_crossing_depth(monkeypatch, seed):
+    # the depth above c reads its own members; the rest share one read
+    fn, r, params = straddling_case(seed)
+    tree = LevelSetTree(fn, r, params.l)
+    depths = count_member_reads(monkeypatch)
+    rep = mass_distribution_lower(fn, r, params, 4, tree=tree)
+    assert tree._crossing == 3 and tree._runs is not None
+    assert depths == [8, 2]
+    assert rep == scatter_oracle(fn, r, params, 4)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mass_distribution_on_a_tree_switched_to_nodes(seed):
+    # after a node read past c every checked depth reads its own members,
+    # each a run of one; the report, and the worst cell located past c,
+    # do not change
+    fn, r, params = straddling_case(seed)
+    tree = LevelSetTree(fn, r, params.l)
+    tree.nodes_at(tree._crossing + 1)
+    assert tree._runs is None
+    rep = mass_distribution_lower(fn, r, params, 4, tree=tree)
+    assert rep.worst_level > tree._crossing
+    assert rep == mass_distribution_lower(fn, r, params, 4) == scatter_oracle(fn, r, params, 4)
+
+
+@pytest.mark.parametrize("seed, level, l", [(s, level, l) for s in range(4)
+                                            for level in (2, 3) for l in (1, 2)])
+def test_run_windows_match_the_listed_members(seed, level, l):
+    # every run's window at every chain length k is the largest mu sum over
+    # three consecutive line positions of its members at depth t + k, listed
+    # in full by a walk with no reach
+    fn = corpus_fn(seed, level)
+    root = fn.corner_values("")
+    r = min(root) + (max(root) - min(root)) * F(1234567, 3 * 2**24)
+    tree = LevelSetTree(fn, r, l)
+    c = tree._crossing
+    runs = list(tree._members(c + 6 // l))
+    ks = list(range(6 // l + 1))
+    walks = _run_walks(runs, l, _SEAM_LAYERS, ks)
+    listed = _run_walks(runs, l, math.inf, ks)
+    for (windows, _), (_, members) in zip(walks, listed):
+        for (*_, o, _), window, run in zip(runs, windows, members):
+            mu_at: dict[int, int] = {}
+            for row, col, m in run:
+                p = col if o == 2 else row      # the line position
+                mu_at[p] = m
+            assert window == max(sum(mu_at.get(p + d, 0) for d in (-1, 0, 1))
+                                 for q in mu_at for p in (q - 1, q, q + 1))
 
 
 def test_mass_distribution_tie_goes_to_first_scatter_cell():

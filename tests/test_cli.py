@@ -245,6 +245,31 @@ def test_witness_rejects_zero_digits():
     assert "--digits" in res.stderr
 
 
+def test_witness_trace_refuses_digits_past_its_cap(tmp_path, monkeypatch, capsys):
+    # refused before any digit is drawn; without --trace-out the same
+    # digits run, since only the trace grows with their square
+    digits = str(cli._MAX_TRACE_DIGITS + 1)
+    out, trace = tmp_path / "w.csv", tmp_path / "trace.csv"
+    draw = cli.sample_digits
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew digits before checking --digits")
+
+    monkeypatch.setattr(cli, "sample_digits", unreachable)
+    assert main(["witness", "--alpha", "0.5", "--digits", digits, "--trials", "1",
+                 "--out", str(out), "--trace-out", str(trace)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.splitlines() == [
+        f"holderlevels witness: error: --digits must be at most {cli._MAX_TRACE_DIGITS} "
+        "with --trace-out: the trace grows with its square"]
+    assert not out.exists() and not trace.exists()
+    monkeypatch.setattr(cli, "sample_digits", draw)
+    assert main(["witness", "--alpha", "0.5", "--digits", digits, "--trials", "1",
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[2].startswith(f"{digits},")
+
+
 def test_bounds_rejects_alpha_outside_unit_interval():
     res = run_cli(["bounds", "--grid", "0,0.5"])
     _assert_usage_error(res, "bounds")
@@ -434,7 +459,7 @@ def test_function_commands_reject_word_length_above_cap(tmp_path, monkeypatch, c
         message = ("--l times --depth must be at most 28 with --json-out: "
                    "memory doubles about every two steps of word length")
     else:
-        message = "--depth must lie in 0..200: each doubling costs up to 10x"
+        message = "--depth must lie in 0..200: each doubling costs about 3.5x"
     assert err.splitlines() == [f"holderlevels {argv[0]}: error: {message}"]
     assert not (tmp_path / "x.json").exists()
 
