@@ -34,28 +34,6 @@ def _unit_ratio(x) -> tuple[int, int]:
     return num, den
 
 
-def _cdf_bits(num: int, den: int, p, max_depth: int):
-    """Mass of [0, num/den) from the first ``max_depth`` binary digits, num < den.
-
-    The digits are those of the integer floor(num 2**max_depth / den),
-    zero-filled to ``max_depth`` places; trailing zeros add no mass and
-    are dropped.  The float operations are those of ``cdf_from_digits``
-    in the same order, so a float p gives the same bits and a Fraction p
-    the same value.
-    """
-    bits = format((num << max_depth) // den, f"0{max_depth}b").rstrip("0")
-    q = 1 - p
-    total = p - p
-    prefix_mass = q + p
-    for e in bits:
-        if e == "1":
-            total += prefix_mass * q
-            prefix_mass *= p
-        else:
-            prefix_mass *= q
-    return total
-
-
 def cdf_from_digits(digits, p):
     """CDF evaluated from an explicit digit sequence."""
     total = p - p
@@ -77,7 +55,7 @@ def p_for_holder_exponent(alpha: float) -> float:
     return 2.0 ** (-alpha)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BernoulliWitnessFn:
     """Witness on the rescaled triangle: value f(height) at each point.
 
@@ -100,7 +78,7 @@ class BernoulliWitnessFn:
         if self.max_depth < 0:
             raise ValueError(f"max_depth must be non-negative, got {self.max_depth}")
         if self.alpha is None:
-            self.alpha = -math.log2(pf)
+            object.__setattr__(self, "alpha", -math.log2(pf))
         elif not (0 < self.alpha < 1
                   and math.isclose(2.0 ** -self.alpha, pf, rel_tol=1e-12)):
             raise ValueError(f"alpha = {self.alpha} contradicts p = {self.p}: "
@@ -114,16 +92,56 @@ class BernoulliWitnessFn:
         """Witness value at height y in [0, 1] (exact for dyadic y and Fraction p).
 
         The base (y = 0) and the apex (y = 1) give exactly 0 and 1, for a
-        float height too.
+        float height too.  Otherwise the value is the mass of [0, y) from
+        the first ``max_depth`` binary digits of y: those of v =
+        floor(y 2**max_depth), zero-filled to ``max_depth`` places, with
+        trailing zeros dropped since they add no mass.  The leading zeros
+        are counted from v's bit length and the rest read from ``bin`` of
+        v without its trailing zeros.  The float operations are those of
+        ``cdf_from_digits`` in the same order, so a float p gives the same
+        bits and a Fraction p the same value.
         """
-        num, den = _unit_ratio(y)
+        if isinstance(y, Fraction):
+            num, den = y.as_integer_ratio()
+            if not 0 <= num <= den:
+                raise ValueError(f"expected a value in [0, 1], got {y}")
+        else:
+            num, den = _unit_ratio(y)
         if num == 0 or num == den:
             return num // den
-        return _cdf_bits(num, den, self.p, self.max_depth)
+        p = self.p
+        q = 1 - p
+        total = p - p
+        mass = q + p
+        v = (num << self.max_depth) // den
+        if v:
+            for _ in range(self.max_depth - v.bit_length()):
+                mass *= q
+            for e in bin(v >> ((v & -v).bit_length() - 1))[2:]:
+                if e == "1":
+                    total += mass * q
+                    mass *= p
+                else:
+                    mass *= q
+        return total
 
     def holder_bound(self, x, y) -> float:
-        """The guaranteed bound 3 |x-y|**alpha for a pair of heights."""
-        return 3.0 * abs(float(x) - float(y)) ** self.alpha
+        """The guaranteed bound 3 |x-y|**alpha for a pair of heights.
+
+        A Fraction height is read as one int / int division, correctly
+        rounded, which is what ``float`` computes of it.
+        """
+        if isinstance(x, Fraction):
+            num, den = x.as_integer_ratio()
+            x = num / den
+        else:
+            x = float(x)
+        if isinstance(y, Fraction):
+            num, den = y.as_integer_ratio()
+            y = num / den
+        else:
+            y = float(y)
+        return 3.0 * abs(x - y) ** self.alpha
 
 
 def sample_digits(rng: random.Random, p: float, n: int) -> list[int]:

@@ -264,9 +264,16 @@ def _run_walks(runs, l: int, reach, ks) -> list[tuple[list, list]]:
     parents is F(u(top), u(0) + u(1)) or F(u(top - 1) + u(top), u(0)) at
     the parents' depth, where F_j(a, b) is the largest a mu(p) + b mu(p +
     1): the larger of M_(j-1) times the largest a u(e) + b u(e + 1) over
-    e < top and F_(j-1)(a u(top), b u(0)), and mu max(a, b) at the run's
-    own member.  The summaries and peaks M_j are shared by every k, and
-    each k runs the F recursion back from its own last block.
+    e < top and F_(j-1)(a u(top), b u(0)).  The recursion stops above the
+    run's own member, whose F_0(a, b) = mu max(a, b) never raises the
+    window: a mu is 0 or the mass of the run's last one or two members at
+    depth t + k, those at u(top) (and u(top - 1)) below its last member at
+    depth t + k - 1, and b mu is 0 or that of its first one or two, below
+    its first member.  Each is one depth t + k - 1 member's mu times at
+    most three consecutive u(e) of the last block, which the window
+    inside one parent bounds.
+    The summaries and peaks M_j are shared by every k, and each k runs
+    the F recursion back from its own last block.
 
     The seam cells are (row, col, mu numerator) of the members within
     ``reach`` layers of a corner of the run's region, in the run's order.
@@ -306,8 +313,6 @@ def _run_walks(runs, l: int, reach, ks) -> list[tuple[list, list]]:
                         u0, utop, _, pairs, *_ = summaries[j - 1]
                         best = max(best, peaks[j - 1] * max(a * x + b * y for x, y in pairs))
                         a, b = a * utop, b * u0
-                    else:
-                        best = max(best, mu * max(a, b))
             d = k * l
             windows.append(best)
             seams.append([(row << d | i, col << d | j, m) for i, j, m in members])

@@ -1,5 +1,6 @@
 """Digit-measure laws: cylinder masses, the CDF witness, digit statistics."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -11,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from holderlevels.bernoulli import (
     BernoulliWitnessFn,
-    _cdf_bits,
     _unit_ratio,
     cdf_from_digits,
     p_for_holder_exponent,
@@ -35,11 +35,13 @@ def dyadic_cylinder_mass(digits, p):
 def bernoulli_cdf(x, p, max_depth: int = 4096):
     """Mass of [0, x) from the first ``max_depth`` binary digits of x.
 
-    The witness's own bit loop, with x = 1 giving one in the arithmetic
-    type of p; a height outside [0, 1] is a ValueError.
+    The witness's own bit loop, with x = 0 and x = 1 giving zero and one
+    in the arithmetic type of p; a height outside [0, 1] is a ValueError.
     """
     num, den = _unit_ratio(x)
-    return p - p + 1 if num == den else _cdf_bits(num, den, p, max_depth)
+    if num == 0 or num == den:
+        return p - p + num // den
+    return BernoulliWitnessFn(p, max_depth=max_depth).value_at_height(x)
 
 
 rational_p = st.fractions(min_value=Fraction(1, 2), max_value=Fraction(63, 64),
@@ -217,7 +219,7 @@ def same(a, b) -> bool:
     return a == b
 
 
-depths = st.sampled_from([1, 5, 48, 64])
+depths = st.sampled_from([0, 1, 5, 48, 64, 200])
 float_p = st.floats(min_value=0.01, max_value=0.99).map(lambda a: 2.0 ** -a)
 any_p = st.one_of(float_p, rational_p)
 dyadic_heights = st.integers(min_value=1, max_value=70).flatmap(
@@ -226,15 +228,56 @@ rational_heights = st.fractions(min_value=0, max_value=1, max_denominator=10**6)
     .filter(lambda x: x < 1)
 
 
-@given(st.one_of(dyadic_heights, rational_heights), any_p, depths)
+@given(st.one_of(st.just(Fraction(0)), dyadic_heights, rational_heights), any_p, depths)
 @settings(max_examples=300)
 def test_bit_loop_matches_the_digit_stream(x, p, depth):
     # the old path: the doubling generator cut at max_depth, into cdf_from_digits
     expected = cdf_from_digits(itertools.islice(_binary_digits(x), depth), p)
     assert same(bernoulli_cdf(x, p, depth), expected)
+    # the base gives the int 0, whatever the type of p
+    assert same(BernoulliWitnessFn(p, max_depth=depth).value_at_height(x),
+                expected if x else 0)
+
+
+class Height(Fraction):
+    """A Fraction subclass, which the witness reads as a Fraction."""
+
+
+@given(st.one_of(dyadic_heights, rational_heights), any_p, depths)
+@settings(max_examples=200)
+def test_every_height_type_reads_as_its_fraction(x, p, depth):
     w = BernoulliWitnessFn(p, max_depth=depth)
-    if x:
-        assert same(w.value_at_height(x), expected)
+    expected = w.value_at_height(x)
+    assert same(w.value_at_height(Height(x)), expected)
+    f = float(x)
+    assert same(w.value_at_height(f), w.value_at_height(Fraction(f)))
+    for end in (0, 1, False, True, 0.0, 1.0):
+        assert type(w.value_at_height(end)) is int and w.value_at_height(end) == end
+    with pytest.raises(ValueError, match=r"expected a value in \[0, 1\]"):
+        w.value_at_height(Height(3, 2))
+    with pytest.raises(ValueError, match=r"expected a value in \[0, 1\]"):
+        w.value_at_height(2)
+
+
+any_height = st.one_of(dyadic_heights, rational_heights, st.integers(min_value=0, max_value=1),
+                       st.floats(min_value=0, max_value=1), st.builds(Height, rational_heights))
+
+
+@given(any_height, any_height, st.floats(min_value=0.01, max_value=0.99))
+@settings(max_examples=300)
+def test_holder_bound_is_the_float_formula(x, y, alpha):
+    w = BernoulliWitnessFn.for_alpha(alpha)
+    assert same(w.holder_bound(x, y), 3.0 * abs(float(x) - float(y)) ** alpha)
+
+
+def test_witness_fields_are_frozen():
+    # the checks of __post_init__ hold for the witness's whole life
+    w = BernoulliWitnessFn.for_alpha(0.5)
+    for field, value in (("p", 0.3), ("max_depth", -1), ("alpha", 0.7)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(w, field, value)
+    assert (w.p, w.max_depth, w.alpha) == (2 ** -0.5, 64, 0.5)
+    assert BernoulliWitnessFn(Fraction(3, 4)).alpha == -math.log2(0.75)
 
 
 @given(st.floats(min_value=0, max_value=1, exclude_max=True), any_p, depths)

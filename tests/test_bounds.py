@@ -35,7 +35,7 @@ from holderlevels.bounds import (
     trivial_upper_bound_sierpinski,
     upper_bound,
 )
-from holderlevels.levelset import LevelCollisionError, LevelSetTree
+from holderlevels.levelset import LevelCollisionError, LevelSetTree, _block_cells, _digit_blocks
 from holderlevels.paf import random_standard_paf
 from holderlevels.triangles import delta_lattice_index
 from helpers import affine_from_corners, lchoice_window, touching_up_cells
@@ -504,12 +504,54 @@ def test_run_windows_match_the_listed_members(seed, level, l):
     listed = _run_walks(runs, l, math.inf, ks)
     for (windows, _), (_, members) in zip(walks, listed):
         for (*_, o, _), window, run in zip(runs, windows, members):
-            mu_at: dict[int, int] = {}
-            for row, col, m in run:
-                p = col if o == 2 else row      # the line position
-                mu_at[p] = m
-            assert window == max(sum(mu_at.get(p + d, 0) for d in (-1, 0, 1))
-                                 for q in mu_at for p in (q - 1, q, q + 1))
+            assert window == listed_window(run, o)
+
+
+def listed_window(members, o: int) -> int:
+    """The largest mu sum over three consecutive line positions of a run's listed members."""
+    mu_at: dict[int, int] = {}
+    for row, col, m in members:
+        p = col if o == 2 else row      # the line position
+        mu_at[p] = m
+    return max(sum(mu_at.get(p + d, 0) for d in (-1, 0, 1))
+               for q in mu_at for p in (q - 1, q, q + 1))
+
+
+@st.composite
+def drawn_runs(draw):
+    """(l, a run record) with a drawn chain of ``_digit_blocks`` blocks.
+
+    Each block gets a unit as ``LevelSetTree._members`` forms it: the lcm
+    of the block sums at its depth, here a drawn set of sums holding the
+    block's own, over that sum.  Chains no tree of the corpus reaches
+    come up too, so the window's F recursion meets factors u(0) and u(top)
+    that differ block by block.
+    """
+    l = draw(st.integers(min_value=1, max_value=3))
+    o = draw(st.integers(min_value=0, max_value=2))
+    family = _digit_blocks(l)[o]
+    sums = sorted({total for _, (_, total) in family})
+    blocks = []
+    for k in draw(st.lists(st.integers(min_value=0, max_value=(1 << l) - 1),
+                           min_size=1, max_size=8)):
+        own = family[k][1][1]
+        lcm = math.lcm(own, *draw(st.sets(st.sampled_from(sums))))
+        blocks.append(_block_cells(family[k], lcm // own))
+    assume(math.prod(map(len, blocks)) <= 4096)
+    row, col = draw(st.integers(min_value=0, max_value=7)), draw(st.integers(min_value=0, max_value=7))
+    return l, (row, col, draw(st.integers(min_value=1, max_value=10**6)), o, tuple(blocks))
+
+
+@given(drawn_runs())
+@settings(max_examples=400, deadline=None)
+def test_run_windows_of_drawn_chains_match_the_listed_members(case):
+    # as above, on run records built directly rather than read from a tree
+    l, run = case
+    ks = list(range(len(run[4]) + 1))
+    walks = _run_walks([run], l, _SEAM_LAYERS, ks)
+    listed = _run_walks([run], l, math.inf, ks)
+    for ([window], _), (_, [members]) in zip(walks, listed):
+        assert window == listed_window(members, run[3])
 
 
 def test_mass_distribution_tie_goes_to_first_scatter_cell():
