@@ -44,6 +44,10 @@ def bernoulli_cdf(x, p, max_depth: int = 4096):
     return BernoulliWitnessFn(p, max_depth=max_depth).value_at_height(x)
 
 
+class Height(Fraction):
+    """A Fraction subclass, which the witness reads as a Fraction."""
+
+
 rational_p = st.fractions(min_value=Fraction(1, 2), max_value=Fraction(63, 64),
                           max_denominator=64) \
     .filter(lambda p: Fraction(1, 2) < p < 1)
@@ -110,13 +114,16 @@ def test_cdf_from_digits_matches_cdf():
 
 def test_witness_boundary_values():
     w = BernoulliWitnessFn.for_alpha(0.5)
-    assert w.value_at_height(Fraction(0)) == 0
-    assert w.value_at_height(Fraction(1)) == 1
+    # the ints 0 and 1, whatever the height's type
+    for end in (Fraction(0), Fraction(1), Height(1), 0, 1, False, True, 0.0, 1.0):
+        value = w.value_at_height(end)
+        assert type(value) is int and value == end
     assert w.alpha == 0.5
     with pytest.raises(ValueError):
         BernoulliWitnessFn(Fraction(1, 3))
-    with pytest.raises(ValueError):
-        w.value_at_height(Fraction(3, 2))
+    for bad in (Fraction(3, 2), Height(3, 2), 2, -1):
+        with pytest.raises(ValueError, match=r"expected a value in \[0, 1\]"):
+            w.value_at_height(bad)
 
 
 def test_for_alpha_keeps_its_alpha():
@@ -239,28 +246,20 @@ def test_bit_loop_matches_the_digit_stream(x, p, depth):
                 expected if x else 0)
 
 
-class Height(Fraction):
-    """A Fraction subclass, which the witness reads as a Fraction."""
-
-
 @given(st.one_of(dyadic_heights, rational_heights), any_p, depths)
 @settings(max_examples=200)
 def test_every_height_type_reads_as_its_fraction(x, p, depth):
     w = BernoulliWitnessFn(p, max_depth=depth)
-    expected = w.value_at_height(x)
-    assert same(w.value_at_height(Height(x)), expected)
-    f = float(x)
-    assert same(w.value_at_height(f), w.value_at_height(Fraction(f)))
-    for end in (0, 1, False, True, 0.0, 1.0):
-        assert type(w.value_at_height(end)) is int and w.value_at_height(end) == end
-    with pytest.raises(ValueError, match=r"expected a value in \[0, 1\]"):
-        w.value_at_height(Height(3, 2))
-    with pytest.raises(ValueError, match=r"expected a value in \[0, 1\]"):
-        w.value_at_height(2)
+    assert same(w.value_at_height(Height(x)), w.value_at_height(x))
+    assert same(w.value_at_height(float(x)), w.value_at_height(Fraction(float(x))))
 
 
-any_height = st.one_of(dyadic_heights, rational_heights, st.integers(min_value=0, max_value=1),
-                       st.floats(min_value=0, max_value=1), st.builds(Height, rational_heights))
+# numerators and denominators past 2**53 too, where float(num) / float(den) rounds twice
+wide_heights = st.randoms(use_true_random=True).map(
+    lambda r: Fraction(*sorted(r.randrange(1 << 54, 1 << 80) for _ in range(2))))
+any_height = st.one_of(dyadic_heights, rational_heights, wide_heights,
+                       st.integers(min_value=0, max_value=1), st.floats(min_value=0, max_value=1),
+                       st.builds(Height, rational_heights))
 
 
 @given(any_height, any_height, st.floats(min_value=0.01, max_value=0.99))

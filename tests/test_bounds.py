@@ -538,8 +538,9 @@ def drawn_runs(draw):
         lcm = math.lcm(own, *draw(st.sets(st.sampled_from(sums))))
         blocks.append(_block_cells(family[k], lcm // own))
     assume(math.prod(map(len, blocks)) <= 4096)
-    row, col = draw(st.integers(min_value=0, max_value=7)), draw(st.integers(min_value=0, max_value=7))
-    return l, (row, col, draw(st.integers(min_value=1, max_value=10**6)), o, tuple(blocks))
+    cell = st.integers(min_value=0, max_value=7)
+    return l, (draw(cell), draw(cell), draw(st.integers(min_value=1, max_value=10**6)), o,
+               tuple(blocks))
 
 
 @given(drawn_runs())
