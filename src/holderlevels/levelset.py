@@ -259,18 +259,21 @@ class LevelSetTree:
     when its steps into o spell the next l binary digits k = floor(2**l h)
     of h.  Every member of the run at one depth therefore has the children
     ``_digit_blocks(l)[o][k]``, all with the corners b' = b 2**l + k(a - b)
-    and a' = b' + (a - b), and the block's split.  The run keeps that
-    corner triple and block per depth, one step per run per depth, and
-    its members are the products of its blocks' words.  When 2**l h is an
-    integer the level hits a vertex, and the word loop, run on the run's
-    first member at that depth, names the first colliding word.  When a
-    crossing member has three distinct corners (possible only in
-    functions that are not standard) the word loop goes on below c too.
+    and a' = b' + (a - b), and the block's split.  The run keeps the
+    block alone per depth, and its corners at the tree's depth; its
+    members are the products of its blocks' words.  One ``extend`` of m
+    depths reads each run's next m blocks as the base-2**l digits of
+    floor(2**(l m) h), from one division of its height (``_step_runs``).
+    When 2**(l j) h is an integer the level hits a vertex j depths down,
+    and the word loop, run on the run's first member above that depth,
+    names the first colliding word.  When a crossing member has three
+    distinct corners (possible only in functions that are not standard)
+    the word loop goes on below c too.
 
     Every reader of a depth n walks one iterator, ``_chains(n)``: each
-    member at depth t with its run's (corners, digit block) at depths
-    t + 1 to n, where t = c while the tree keeps runs and n > c, and
-    t = n, with an empty chain, otherwise.  The kappa sums, the
+    member at depth t with its run's digit blocks at depths t + 1 to n,
+    where t = c while the tree keeps runs and n > c, and t = n, with an
+    empty chain, otherwise.  The kappa sums, the
     histograms, the mass check's run records and the nodes built from
     the runs all come from it.  Below c the tree holds runs or nodes,
     never both.  The first read of a node past c (``nodes_at`` or
@@ -302,9 +305,11 @@ class LevelSetTree:
         # node levels: every level down to c, and past it every level once
         # the runs are gone
         self._levels: list[list[LevelSetNode]] = [[self.root] if self.root else []]
-        # per depth past c, each run's (corners, digit block); None when the
-        # levels past c are nodes
-        self._runs: list[list[tuple]] | None = []
+        # per depth past c, each run's digit block there, and each run's
+        # (odd corner, b, a) at the tree's depth; None when the levels past c
+        # are nodes
+        self._runs: list[tuple] | None = []
+        self._ends: list[tuple] | None = []
         self.mu_denominators: list[int] = []
         if depth:
             self.extend(depth)
@@ -327,24 +332,23 @@ class LevelSetTree:
     def _extend(self, depth: int) -> "LevelSetTree":
         c = self._crossing
         while self.depth < depth:
-            length = (self.depth + 1) * self.l     # word length of the children
-            # the level times r.den, at the children's scale
-            level = self.r.numerator * self.scale(length)
             if self.depth == c and self._runs == [] and not all(
                     odd_corner(x.corners) for x in self._levels[c]):
                 self._runs = None
             if self.depth < c or self._runs is None:
+                length = (self.depth + 1) * self.l     # word length of the children
                 parents = self._levels[self.depth]
+                # the level times r.den, at the children's scale
                 expanded = self._word_loop(((v.word, v.corners, v.kappa_exp) for v in parents),
-                                           level, length)
+                                           self.r.numerator * self.scale(length), length)
                 nxt: list[LevelSetNode] = []
                 for node, (children, split) in zip(parents, expanded):
                     node.children, node.split = children, split
                     nxt += children
                 self._levels.append(nxt)
+                self.depth += 1
             else:
-                self._step_runs(level)
-            self.depth += 1
+                self._step_runs(depth - self.depth)
         return self
 
     def _word_loop(self, parents, level: int, length: int) -> list:
@@ -404,38 +408,73 @@ class LevelSetTree:
             kids.append((word, vals, min(vals), max(vals), int(w not in extreme_words)))
         return tuple(kids)
 
-    def _step_runs(self, level: int) -> None:
-        """Take every run one depth down: its children's corners and digit block.
+    def _step_runs(self, m: int) -> None:
+        """Take every run m depths down, reading its m digit blocks from one division.
 
-        ``level`` is the level times r.den at the children's scale.  The
-        first step gives the crossing members their split and leaves
-        their children to ``_expand_runs``.
+        A run whose corners at the tree's depth are b, except a at its odd
+        corner o, has the relative height h = (N - b r.den)/((a - b) r.den),
+        N the level times r.den at that scale.  K, rem = divmod((N - b
+        r.den) 2**(l m), (a - b) r.den) gives K = floor(2**(l m) h): its m
+        base-2**l digits, most significant first, pick the run's blocks
+        ``_digit_blocks(l)[o][k]``, and m depths down its corners are b' =
+        b 2**(l m) + K(a - b), except b' + (a - b) at o.  A nonzero
+        remainder on every run means the level meets no vertex in those
+        depths.  A remainder of 0 makes h = K / 2**(l m), whose reduced
+        denominator 2**e, e = l m less the 2-adic valuation of K, puts
+        the run's first vertex on the level ceil(e / l) depths down.  The
+        tree then takes the depths above the first such depth of any run,
+        and the word loop, run on the first member there of the first run
+        colliding at that depth, names the word.  The first depth taken
+        gives the crossing members their split and leaves their children
+        to ``_expand_runs``.
         """
         c, l, rden = self._crossing, self.l, self.r.denominator
         crossing = self._levels[c]
+        ends = self._ends if self._runs else [odd_corner(x.corners) for x in crossing]
+        level = self.r.numerator * self.scale(self.depth * l)     # N
+        shift = l * m
+        heights = []
+        first, hit = m + 1, None            # the first colliding depth and its first run
+        for i, (_, b, a) in enumerate(ends):
+            k, rem = divmod((level - b * rden) << shift, (a - b) * rden)
+            if not rem:
+                j = -(-(shift + 1 - (k & -k).bit_length()) // l)
+                if j < first:
+                    first, hit = j, i
+            heights.append(k)
+        if hit is not None:
+            m = first - 1
+            heights = [k >> (shift - l * m) for k in heights]
+            shift = l * m
         blocks = _digit_blocks(l)
-        parent_level = level >> l           # exact: the parents are at or below L
-        steps = []
-        for i, corners in enumerate([corners for corners, _ in self._runs[-1]] if self._runs
-                                    else [x.corners for x in crossing]):
-            o, b, a = odd_corner(corners)
-            k, krem = divmod((parent_level - b * rden) << l, (a - b) * rden)
-            if not krem:
-                firsts = [run[i][1][0][0] for run in self._runs]
-                word = crossing[i].word + "".join(w for w, _ in firsts)
-                exp = crossing[i].kappa_exp + sum(inc for _, inc in firsts)
-                self._word_loop([(word, corners, exp)], level, len(word) + l)
-                raise AssertionError(f"the level meets a vertex below {word!r}, "
-                                     "yet no boundary word collides")
-            b, a = (b << l) + k * (a - b), (b << l) + (k + 1) * (a - b)
-            steps.append((((a, b, b), (b, a, b), (b, b, a))[o], blocks[o][k]))
-        if not self._runs:
-            for x, (_, (_, split)) in zip(crossing, steps):
-                x.children, x.split = self._expand_runs, split
-        self._runs.append(steps)
+        mask, shifts = (1 << l) - 1, range(shift - l, -1, -l)
+        rows, moved = [], []
+        for (o, b, a), k in zip(ends, heights):
+            own = blocks[o]
+            rows.append([own[k >> s & mask] for s in shifts])
+            d = a - b
+            b = (b << shift) + k * d
+            moved.append((o, b, b + d))
+        if m:
+            depths = list(zip(*rows)) if rows else [()] * m
+            if not self._runs:
+                for x, block in zip(crossing, depths[0]):
+                    x.children, x.split = self._expand_runs, block[1]
+            self._runs += depths
+            self._ends = moved
+            self.depth += m
+        if hit is not None:
+            o, b, a = moved[hit]
+            firsts = [blocks_at[hit][0][0] for blocks_at in self._runs]
+            word = crossing[hit].word + "".join(w for w, _ in firsts)
+            exp = crossing[hit].kappa_exp + sum(inc for _, inc in firsts)
+            self._word_loop([(word, ((a, b, b), (b, a, b), (b, b, a))[o], exp)],
+                            self.r.numerator * self.scale(len(word) + l), len(word) + l)
+            raise AssertionError(f"the level meets a vertex below {word!r}, "
+                                 "yet no boundary word collides")
 
     def _chains(self, n: int):
-        """(member, its run's (corners, digit block) at depths t + 1 to n) of each depth-t member.
+        """(member, its run's digit blocks at depths t + 1 to n) of each depth-t member.
 
         t is c while the tree keeps runs and n > c, and t = n otherwise,
         which gives every member an empty chain.  The members come in
@@ -474,19 +513,31 @@ class LevelSetTree:
             yield (*lattice_index_unchecked(x.word), x.mu_num,
                    odd_corner(x.corners)[0] if chain else None,
                    tuple(_block_cells(block, lcm // block[1][1])
-                         for (_, block), lcm in zip(chain, lcms)))
+                         for block, lcm in zip(chain, lcms)))
 
     def _expand_runs(self) -> None:
         """Build the levels past c from the runs, give them the filled measure, drop the runs.
 
-        Each run's chain builds its members depth by depth: they share the
-        chain's corner tuple, and each takes the block's split and words,
-        in order, as children.
+        Each run's chain builds its members depth by depth.  A run's
+        corners are rebuilt once per depth from its crossing member's b
+        and a, d = a - b, and its end's b at the tree's depth, J depths
+        past c: the digits read are K = (end - b 2**(l J)) / d, and j
+        depths past c the corners are b 2**(l j) + (K >> l (J - j)) d,
+        that plus d at the odd corner.  The run's members at that depth
+        share the tuple, and each takes the block's split and words, in
+        order, as children.
         """
+        l, runs = self.l, len(self._runs)
         levels: list[list[LevelSetNode]] = [[] for _ in self._runs]
-        for x, chain in self._chains(self.depth):
+        for (x, chain), (_, end, _) in zip(self._chains(self.depth), self._ends):
+            o, b, a = odd_corner(x.corners)
+            d = a - b
+            digits = (end - (b << l * runs)) // d
             parents = [x]
-            for nodes, (corners, (children, split)) in zip(levels, chain):
+            for j, (nodes, (children, split)) in enumerate(zip(levels, chain), 1):
+                b_j = (b << l * j) + (digits >> l * (runs - j)) * d
+                a_j = b_j + d
+                corners = ((a_j, b_j, b_j), (b_j, a_j, b_j), (b_j, b_j, a_j))[o]
                 for v in parents:
                     v._children = [LevelSetNode(v.word + w, corners, v.kappa_exp + inc)
                                    for w, inc in children]
@@ -494,7 +545,7 @@ class LevelSetTree:
                 parents = [u for v in parents for u in v._children]
                 nodes += parents
         self._levels += levels
-        self._runs = None
+        self._runs = self._ends = None
         for level in range(self._crossing, len(self.mu_denominators) - 1):
             self._fill_level(level, self.mu_denominators[level + 1])
 
@@ -544,7 +595,7 @@ class LevelSetTree:
         c = self._crossing
         for level in range(len(self.mu_denominators) - 1, depth):
             if level >= c and self._runs:
-                totals = {total for _, (_, (_, total)) in self._runs[level - c]}
+                totals = {total for _, (_, total) in self._runs[level - c]}
             else:
                 nodes = self._levels[level]
                 totals = {node.split[1] for node in nodes}
@@ -609,7 +660,7 @@ class LevelSetTree:
             t = n - len(chain)
             run = {x.kappa_exp: (1, x.mu_num)}
             add(t, run)
-            for j, (_, (children, (weights, total))) in enumerate(chain, t + 1):
+            for j, (children, (weights, total)) in enumerate(chain, t + 1):
                 unit = dens[j] // dens[j - 1] // total
                 steps = [(inc, unit * w) for (_, inc), w in zip(children, weights)]
                 nxt: dict[int, tuple[int, int]] = {}
@@ -647,7 +698,7 @@ class LevelSetTree:
             if not x.word.startswith(word):
                 continue
             exp, count = x.kappa_exp, 1
-            for _, (children, (weights, total)) in chain:
+            for children, (weights, total) in chain:
                 # a child's weight is 2**(top - inc), so top is its inc plus log2 of it
                 exp += children[0][1] + weights[0].bit_length() - 1
                 count *= total
@@ -762,7 +813,7 @@ def well_conducting_census(fn: PiecewiseAffineFn, r, n: int, l: int, d1, *,
     b = 3 * ((1 << l) - 1)              # B = len(boundary_family(l))
     frontier = [("", 0)]                # (word, kappa exponent) within t
     top = 0                             # steps enumerated
-    if any(v0 == v1 == v2 for v0, v1, v2 in table.values()):
+    if fn._has_constant_triangle():
         words = boundary_family(l)
         top = min(n, -(-fn.level // l))     # steps until the words reach level L
         for _ in range(top):

@@ -150,10 +150,11 @@ class PiecewiseAffineFn:
     vertex of V_level, the point (2 col + row, row sqrt(3)) / 2**(level+1).
     It is read-only after construction, because the tables derived from
     it are built on first use and never rebuilt: the integer word table of
-    ``int_word_table``, and for each boundary parameter l the boundary
-    children that the level-set trees compute below each table word of
-    length < level (``LevelSetTree._word_loop``), which no level value
-    enters.  ``grid`` is a read-only ``Fraction``
+    ``int_word_table``, whether one of its words has three equal corners
+    (``_has_constant_triangle``), and for each boundary parameter l the
+    boundary children that the level-set trees compute below each table
+    word of length < level (``LevelSetTree._word_loop``), which no level
+    value enters.  ``grid`` is a read-only ``Fraction``
     view of the same table in the same key order.  Construction raises
     ValueError unless ``grid``'s keys are exactly the indices of V_level.
     ``holder`` starts as None: only a passed certificate sets it.
@@ -167,6 +168,7 @@ class PiecewiseAffineFn:
                             for p, v in grid.items()}
         self._grid: MappingProxyType | None = None
         self._int_words: tuple[int, dict[str, tuple]] | None = None
+        self._constant: bool | None = None
         self._word_children: dict[int, dict[str, tuple]] = {}
 
     @classmethod
@@ -186,7 +188,7 @@ class PiecewiseAffineFn:
         fn = cls.__new__(cls)
         fn.level, fn.holder = level, holder
         fn._den, fn._numerators = scale, values
-        fn._grid = fn._int_words = None
+        fn._grid = fn._int_words = fn._constant = None
         fn._word_children = {}
         return fn
 
@@ -218,6 +220,13 @@ class PiecewiseAffineFn:
             self._int_words = (d, {word: (values[a], values[b], values[c])
                                    for word, (a, b, c) in zip(index.words, index.corners)})
         return self._int_words
+
+    def _has_constant_triangle(self) -> bool:
+        """Whether a word of ``int_word_table`` has three equal corners; scanned once."""
+        if self._constant is None:
+            self._constant = any(v0 == v1 == v2
+                                 for v0, v1, v2 in self.int_word_table()[1].values())
+        return self._constant
 
     def _int_values(self, depth: int) -> tuple[int, list[int]]:
         """(S, the values at V_depth times S) in ``level_index(depth)``'s vertex order.

@@ -1,6 +1,10 @@
 """The summary ``tools/bench_pairs.py`` writes for each metric of a BENCH file."""
 
 import importlib.util
+import io
+import json
+import subprocess
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -24,3 +28,45 @@ def test_summary_takes_inclusive_quartiles_and_counts_pairs_by_direction():
     higher = bench_pairs.summary(parent, change, "higher", 0.15)
     assert higher["change_better"] == "1/5"
     assert not higher["within_bound"]       # 1/6 worse where higher is better
+
+
+def test_both_sides_run_from_their_own_fresh_bytecode_cache(monkeypatch, tmp_path):
+    # the parent is a fresh export with no __pycache__, so neither side may
+    # read one left by earlier runs: each gets its own empty cache, written
+    # by an untimed run before the pairs, and no run inherits a switch that
+    # stops the cache being written
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    archive = io.BytesIO()
+    with tarfile.open(fileobj=archive, mode="w"):
+        pass
+    runs = []
+
+    def fake_run(argv, cwd=None, env=None, **kwargs):
+        if argv[0] == "git":
+            out = archive.getvalue() if argv[1] == "archive" else "abc1234\n"
+            return subprocess.CompletedProcess(argv, 0, stdout=out)
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        runs.append((Path(cwd), prefix, argv[argv.index("--seconds") + 1],
+                     not prefix.exists() or not any(prefix.iterdir()),
+                     "PYTHONDONTWRITEBYTECODE" in env))
+        prefix.mkdir(parents=True, exist_ok=True)
+        (prefix / f"{len(runs)}.pyc").touch()
+        line = {"correct": True, "failed": 0, "metrics": {n: {"value": 1.0} for n in names}}
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(line) + "\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["HEAD", "--pairs", "3", "--workload", "deep",
+                             "--workload", "corpus", "--out", str(out)]) == 0
+    assert len(runs) == 2 * (2 + 2 * 3)        # per workload, a warm-up and 3 pairs
+    change = {prefix for cwd, prefix, *_ in runs if cwd == ROOT}
+    parent = {prefix for cwd, prefix, *_ in runs if cwd != ROOT}
+    assert len(change) == len(parent) == 1 and change != parent
+    assert not any(inherited for *_, inherited in runs)
+    # the first run of each side is untimed and finds its cache empty; no other run does
+    for change in (True, False):
+        mine = [(seconds, empty) for cwd, _, seconds, empty, _ in runs if (cwd == ROOT) == change]
+        assert mine[0] == ("0", True) and not any(empty for _, empty in mine[1:])
+        assert [s for s, _ in mine].count("0") == 2         # one warm-up per workload
+    assert json.loads(out.read_text())["workloads"]["deep"]["wall_s"]["change_better"] == "0/3"

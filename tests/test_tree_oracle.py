@@ -203,6 +203,89 @@ def test_stepwise_extension_matches_one_shot(seed, level, l, k, data):
     assert tree_fields(stepwise, depth) == tree_fields(once, depth)
 
 
+def tree_state(tree) -> tuple:
+    """The tree's depth, node levels, runs and measure, read without building a node."""
+    return (tree.depth, [[(v.word, v.corners, v.kappa_exp, v.split, v.mu_num, v.mu_den)
+                          for v in nodes] for nodes in tree._levels],
+            tree._runs, tree.mu_denominators)
+
+
+@given(st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=2, max_value=4),
+       st.booleans(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_multi_depth_extend_stops_above_a_collision_on_the_runs(seed, level, l, j,
+                                                                  smaller, data):
+    # the level is a vertex value of a crossing triangle's run j >= 2 depths
+    # below c: its height there is K / 2**(l j) with K not a multiple of 2**l.
+    # One extend past it raises the word loop's word, keeps every level
+    # above the collision and nothing of it, and raises again on a retry
+    j = min(j, 3 if l < 3 else 2)
+    fn = corpus_fn(seed, level)
+    c = -(-level // l)
+    runs = []
+    for symbols in itertools.product("012", repeat=c * l):
+        o, b, a = odd_corner(fn.corner_values("".join(symbols)))
+        if (a < b) == smaller:
+            runs.append((b, a))
+    assume(runs)
+    b, a = data.draw(st.sampled_from(runs))
+    k = data.draw(st.integers(min_value=1, max_value=(1 << l * j) - 1)
+                  .filter(lambda k: k % (1 << l)))
+    r = b + (a - b) * F(k, 1 << l * j)
+    expected = walk(lambda: oracle_node_levels(fn, r, l, c + j, cap=10**4))
+    assume(isinstance(expected, LevelCollisionError) and len(expected.word) == (c + j) * l)
+    tree = LevelSetTree(fn, r, l, depth=c)
+    for _ in range(2):
+        with pytest.raises(LevelCollisionError) as err:
+            tree.extend(c + j + 2)
+        assert (err.value.r, err.value.word) == (expected.r, expected.word)
+        assert tree.depth == c + j - 1
+        fresh = LevelSetTree(fn, r, l, depth=c + j - 1)
+        assert tree_state(tree) == tree_state(fresh)
+    assert tree_fields(tree, c + j - 1) == tree_fields(fresh, c + j - 1)
+
+
+@given(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=3 * 2**24 - 1),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_uneven_growth_matches_one_shot(seed, level, l, k, data):
+    # a tree grown in drawn increments, several depths past c at once, is
+    # the tree grown in one call in every reader, collisions included
+    fn = corpus_fn(seed, level) if seed < 4 else nonstandard_fn(seed, level, k)
+    c = -(-level // l)
+    n = c + data.draw(st.integers(min_value=2, max_value=6 if l < 3 else 3))
+    cuts = sorted(data.draw(st.sets(st.integers(min_value=1, max_value=n - 1), max_size=3)))
+    r = draw_level(fn, data, k, level, n * l)
+
+    def grow():
+        tree = LevelSetTree(fn, r, l)
+        for depth in (*cuts, n):
+            tree.extend(depth)
+        return tree
+
+    once = walk(lambda: LevelSetTree(fn, r, l, depth=n))
+    uneven = walk(grow)
+    if isinstance(once, LevelCollisionError):
+        assert isinstance(uneven, LevelCollisionError)
+        assert (uneven.r, uneven.word) == (once.r, once.word)
+        return
+    assert uneven.depth == n
+    assert uneven.histograms(n, 0) == once.histograms(n, 0)
+    if once.root is None:
+        assert uneven.root is None
+        return
+    assert uneven.conservation("", n) == once.conservation("", n)
+    assert list(uneven._members(n)) == list(once._members(n))
+    uneven.nodes_at(n)
+    fields = [node_fields(uneven.nodes_at(m)) for m in range(n + 1)]
+    assert fields == [node_fields(once.nodes_at(m)) for m in range(n + 1)]
+    levels = oracle_node_levels(fn, r, l, n)
+    if len(levels) == n + 1:
+        assert_nodes_match(uneven, levels, True)
+
+
 def grid_denominator_levels(fn) -> list[Fraction]:
     """Means of neighbouring grid values inside the root's hull whose denominator divides D.
 

@@ -4,7 +4,11 @@
 
 The parent's committed files are exported with ``git archive`` into a
 temporary directory, which is removed afterwards; the change is this
-checkout.  For every workload of ``BENCHMARK.json`` (or each
+checkout.  Each side keeps its bytecode in its own fresh cache in that
+directory (``PYTHONPYCACHEPREFIX``, with bytecode writing on), so
+neither reads a ``__pycache__`` left by earlier runs, and an untimed
+``--seconds 0`` run per side and workload fills the cache before the
+pairs.  For every workload of ``BENCHMARK.json`` (or each
 ``--workload`` given) and pair i = 1..N, seed ``--first-seed`` + i - 1,
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` runs once
 on each side, one process at a time: the parent first in odd pairs, the
@@ -20,6 +24,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -31,11 +36,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one benchmark run in ``checkout``."""
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float, pycache: Path) -> dict:
+    """The result line of one benchmark run in ``checkout``, its bytecode cached in ``pycache``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(pycache)
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                          cwd=checkout, capture_output=True, text=True)
+                          cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode:
         raise SystemExit(f"{checkout}: {workload} seed {seed} exited {proc.returncode}\n"
                          f"{proc.stderr[-2000:]}")
@@ -82,18 +89,21 @@ def main(argv=None) -> int:
            "env": {"python": platform.python_version(), "machine": platform.machine()},
            "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_dir = Path(tmp)
+        checkouts = {"parent": Path(tmp) / "parent", "change": ROOT}
+        caches = {side: Path(tmp) / f"pycache-{side}" for side in checkouts}
         archive = subprocess.run(["git", "archive", "--format=tar", args.parent], cwd=ROOT,
                                  check=True, capture_output=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(parent_dir, filter="data")
+            tar.extractall(checkouts["parent"], filter="data")
         for workload in workloads:
+            for side in checkouts:
+                run_bench(checkouts[side], workload, seeds[0], 0, caches[side])
             runs = {"parent": [], "change": []}
             for i, seed in enumerate(seeds):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    checkout = parent_dir if side == "parent" else ROOT
-                    runs[side].append(run_bench(checkout, workload, seed, args.seconds))
+                    runs[side].append(run_bench(checkouts[side], workload, seed, args.seconds,
+                                                caches[side]))
                     print(f"{workload} seed {seed} {side}: "
                           f"wall_s {runs[side][-1]['metrics']['wall_s']['value']:.4f}",
                           file=sys.stderr)
