@@ -370,7 +370,7 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
     total, each of which is part of one cell's mass, and every cell's
     mass is a seam total or a sum over three or two positions of one
     run, at most its window.  A member with an empty chain (n at most
-    the crossing depth c, or a tree that keeps nodes below c) is a run of
+    the crossing depth c, or a three-valued crossing member) is a run of
     one member and its own seam member, so there every member is
     scattered, and a checked depth above t reads its own members.
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .paf import PiecewiseAffineFn
-from .triangles import boundary_family, lattice_index_unchecked, lattice_point
+from .triangles import boundary_family, check_address, lattice_index_unchecked, lattice_point
 
 
 def _split(incs) -> tuple[tuple[int, ...], int]:
@@ -185,10 +185,10 @@ class LevelSetNode:
     scale for the word's length (``LevelSetTree.scale``); the measure is
     ``mu_num / mu_den``, with ``mu_den`` the common denominator of its
     level once ``fill_measure`` has run.  ``split`` is set when the node
-    is expanded: the children's weights and their sum (``_split``).  While
-    the tree keeps runs, a crossing member's children are not built; the
-    first read of them builds every node below the crossing depth, and
-    from then on the tree holds nodes alone.
+    is expanded: the children's weights and their sum (``_split``).  Past
+    the crossing depth c nodes are a view of the runs: the deepest level
+    built takes its runs' splits when the tree grows past it, and the
+    first read of its children builds every level down to the tree's depth.
     """
 
     __slots__ = ("word", "corners", "kappa_exp", "_children", "split", "mu_num", "mu_den")
@@ -275,12 +275,13 @@ class LevelSetTree:
     where t = c while the tree keeps runs and n > c, and t = n, with an
     empty chain, otherwise.  The kappa sums, the
     histograms, the mass check's run records and the nodes built from
-    the runs all come from it.  Below c the tree holds runs or nodes,
-    never both.  The first read of a node past c (``nodes_at`` or
-    ``find`` past c, or a crossing member's ``children``) builds every
-    level below c from the runs and drops them, a one-way switch: the
-    tree is then in the state a three-valued crossing member leaves it
-    in, and every later level comes from the word loop.
+    the runs all come from it.  A standard tree keeps its runs at every
+    depth past c, and its nodes there are a view of them, built on
+    demand: a read of a node past c (``nodes_at`` or ``find`` past c, or
+    the ``children`` of a node at the deepest level built) builds the
+    levels from the deepest one built down to the tree's depth, and
+    ``extend`` builds none.  Every reader other than the nodes reads the
+    runs, whatever was read before.
     """
 
     def __init__(self, fn: PiecewiseAffineFn, r, l: int = 1, depth: int = 0):
@@ -424,9 +425,9 @@ class LevelSetTree:
         the run's first vertex on the level ceil(e / l) depths down.  The
         tree then takes the depths above the first such depth of any run,
         and the word loop, run on the first member there of the first run
-        colliding at that depth, names the word.  The first depth taken
-        gives the crossing members their split and leaves their children
-        to ``_expand_runs``.
+        colliding at that depth, names the word.  If the deepest level
+        with nodes is the tree's depth, its nodes take their runs' next
+        split and leave their children to ``_expand_runs``.
         """
         c, l, rden = self._crossing, self.l, self.r.denominator
         crossing = self._levels[c]
@@ -457,9 +458,10 @@ class LevelSetTree:
             moved.append((o, b, b + d))
         if m:
             depths = list(zip(*rows)) if rows else [()] * m
-            if not self._runs:
-                for x, block in zip(crossing, depths[0]):
-                    x.children, x.split = self._expand_runs, block[1]
+            if len(self._levels) == self.depth + 1:
+                for nodes, (_, split) in zip(self._run_nodes(self.depth), depths[0]):
+                    for v in nodes:
+                        v.children, v.split = self._expand_runs, split
             self._runs += depths
             self._ends = moved
             self.depth += m
@@ -515,26 +517,35 @@ class LevelSetTree:
                    tuple(_block_cells(block, lcm // block[1][1])
                          for block, lcm in zip(chain, lcms)))
 
-    def _expand_runs(self) -> None:
-        """Build the levels past c from the runs, give them the filled measure, drop the runs.
+    def _run_nodes(self, level: int):
+        """Each run's nodes at ``level``, from c to the deepest level with nodes, in run order."""
+        if level == self._crossing:         # one node per run
+            return ([x] for x in self._levels[level])
+        nodes = iter(self._levels[level])
+        return (list(itertools.islice(nodes, math.prod(len(kids) for kids, _ in chain)))
+                for _, chain in self._chains(level))
 
-        Each run's chain builds its members depth by depth.  A run's
-        corners are rebuilt once per depth from its crossing member's b
-        and a, d = a - b, and its end's b at the tree's depth, J depths
-        past c: the digits read are K = (end - b 2**(l J)) / d, and j
-        depths past c the corners are b 2**(l j) + (K >> l (J - j)) d,
-        that plus d at the odd corner.  The run's members at that depth
-        share the tuple, and each takes the block's split and words, in
-        order, as children.
+    def _expand_runs(self) -> None:
+        """Build the node levels from the deepest one with nodes down to the tree's depth.
+
+        The runs stay.  Each run's chain builds its nodes' descendants
+        depth by depth.  A run's corners are rebuilt once per depth from
+        its crossing member's b and a, d = a - b, and its end's b at the
+        tree's depth, J depths past c: the digits read are K = (end - b
+        2**(l J)) / d, and j depths past c the corners are b 2**(l j) +
+        (K >> l (J - j)) d, that plus d at the odd corner.  The run's
+        members at that depth share the tuple, and each takes the block's
+        split and words, in order, as children, and the filled measure.
         """
-        l, runs = self.l, len(self._runs)
-        levels: list[list[LevelSetNode]] = [[] for _ in self._runs]
-        for (x, chain), (_, end, _) in zip(self._chains(self.depth), self._ends):
+        c, l, runs = self._crossing, self.l, len(self._runs)
+        top = len(self._levels) - 1 - c         # the depths past c with nodes
+        levels: list[list[LevelSetNode]] = [[] for _ in range(top, runs)]
+        for (x, chain), (_, end, _), parents in zip(self._chains(self.depth), self._ends,
+                                                    self._run_nodes(c + top)):
             o, b, a = odd_corner(x.corners)
             d = a - b
             digits = (end - (b << l * runs)) // d
-            parents = [x]
-            for j, (nodes, (children, split)) in enumerate(zip(levels, chain), 1):
+            for j, (nodes, (children, split)) in enumerate(zip(levels, chain[top:]), top + 1):
                 b_j = (b << l * j) + (digits >> l * (runs - j)) * d
                 a_j = b_j + d
                 corners = ((a_j, b_j, b_j), (b_j, a_j, b_j), (b_j, b_j, a_j))[o]
@@ -545,8 +556,7 @@ class LevelSetTree:
                 parents = [u for v in parents for u in v._children]
                 nodes += parents
         self._levels += levels
-        self._runs = self._ends = None
-        for level in range(self._crossing, len(self.mu_denominators) - 1):
+        for level in range(c + top, len(self.mu_denominators) - 1):
             self._fill_level(level, self.mu_denominators[level + 1])
 
     def nodes_at(self, level: int) -> list[LevelSetNode]:
@@ -559,6 +569,7 @@ class LevelSetTree:
         return self._levels[level]
 
     def find(self, word: str) -> LevelSetNode | None:
+        check_address(word)
         if len(word) % self.l:
             raise ValueError(f"address length must be a multiple of l={self.l}")
         level = len(word) // self.l
@@ -577,14 +588,13 @@ class LevelSetTree:
         their sum S.  Numerators are integers over one denominator per
         level: the next level's is this one's times the lcm of the level's
         distinct S, kept in ``mu_denominators``, and a child of a node with
-        numerator u gets u (lcm / S) times its weight.  While the tree
-        keeps runs past the crossing depth, the members of a run share
-        their block, so the lcm is taken over the runs' block sums and no
-        node there gets a numerator until ``_expand_runs`` builds it; once
-        the levels past c are nodes, ``_fill_level`` writes every level.
-        A level's measure depends only on the levels above it, so a fill
-        continues from the deepest level already filled and never redoes
-        one.
+        numerator u gets u (lcm / S) times its weight.  Past c in a tree
+        with runs the members of a run share their block, so the lcm is
+        taken over the runs' block sums, and ``_fill_level`` writes the
+        levels whose children have nodes; ``_expand_runs`` fills the
+        levels it builds.  A level's measure depends only on the levels
+        above it, so a fill continues from the deepest level already
+        filled and never redoes one.
         """
         self.extend(depth)
         if self.root is None:
@@ -684,7 +694,8 @@ class LevelSetTree:
         ``word``: a member with an empty chain adds its own kappa, and a
         crossing member adds its kappa times the product over its run's
         blocks of the sum of 2**-inc, S / 2**top with S the block's split
-        sum and top its largest increment.
+        sum and top its largest increment.  A word past c adds its own
+        kappa times that product over its run's blocks below it.
         """
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
@@ -696,7 +707,9 @@ class LevelSetTree:
         counts: dict[int, int] = {}
         for x, chain in self._chains(level + k):
             if not x.word.startswith(word):
-                continue
+                if not word.startswith(x.word):
+                    continue
+                x, chain = node, chain[len(chain) - k:]     # the word's run, below the word
             exp, count = x.kappa_exp, 1
             for children, (weights, total) in chain:
                 # a child's weight is 2**(top - inc), so top is its inc plus log2 of it

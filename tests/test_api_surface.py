@@ -289,9 +289,9 @@ def test_levelset_sums_kappa_exponents_in_one_function():
 
 
 def test_nodes_below_the_crossing_come_from_the_runs_alone():
-    # the word loop and the one-way switch from runs to nodes make the
-    # nodes below the root, and only the run step looks up a digit block:
-    # _extend has no per-node digit step and builds no node from the runs
+    # the word loop and the node view of the runs make the nodes below the
+    # root, and only the run step looks up a digit block: _extend has no
+    # per-node digit step and builds no node from the runs
     assert _where("levelset", lambda n: _called_name(n) == "LevelSetNode") == {
         "__init__", "_word_loop", "_expand_runs"}
     init = _functions("levelset")["__init__"]
@@ -302,6 +302,24 @@ def test_nodes_below_the_crossing_come_from_the_runs_alone():
                    for n in _own_nodes(extend))
     called = {_called_name(n) for n in _own_nodes(extend)}
     assert {"_word_loop", "_step_runs"} <= called and "_expand_runs" not in called
+
+
+def test_the_tree_keeps_its_runs():
+    # only _extend gives up the runs, at c, for a three-valued crossing
+    # member; the node view of the runs assigns neither the runs nor their ends
+    def names(node, attrs):
+        return any(isinstance(n, ast.Attribute) and n.attr in attrs
+                   and getattr(n.value, "id", None) == "self" for n in ast.walk(node))
+
+    drops = [name for name, fn in _functions("levelset").items() for n in _own_nodes(fn)
+             if isinstance(n, ast.Assign) and isinstance(n.value, ast.Constant)
+             and n.value.value is None and any(names(t, {"_runs"}) for t in n.targets)]
+    assert drops == ["_extend"]
+    expand = _functions("levelset")["_expand_runs"]
+    targets = [t for n in _own_nodes(expand) for t in (
+        n.targets if isinstance(n, ast.Assign) else
+        [n.target] if isinstance(n, (ast.AugAssign, ast.AnnAssign)) else [])]
+    assert targets and not any(names(t, {"_runs", "_ends"}) for t in targets)
 
 
 def test_every_tree_reader_walks_the_chains():

@@ -474,16 +474,27 @@ def test_mass_distribution_straddling_the_crossing_depth(monkeypatch, seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_mass_distribution_on_a_tree_switched_to_nodes(seed):
-    # after a node read past c every checked depth reads its own members,
-    # each a run of one; the report, and the worst cell located past c,
-    # do not change
+def test_mass_distribution_on_a_tree_switched_to_nodes(monkeypatch, seed):
+    # a node read past c keeps the runs: the mass check still reads one
+    # record per run at the deepest depth, its chain n_max - c blocks long,
+    # and the report, with the worst cell located past c, does not change
     fn, r, params = straddling_case(seed)
     tree = LevelSetTree(fn, r, params.l)
-    tree.nodes_at(tree._crossing + 1)
-    assert tree._runs is None
+    c = tree._crossing
+    tree.nodes_at(c + 1)
+    chains: list[tuple[int, int]] = []
+    members = LevelSetTree._members
+
+    def recorded(self, n):
+        for record in members(self, n):
+            chains.append((n, len(record[4])))
+            yield record
+
+    monkeypatch.setattr(LevelSetTree, "_members", recorded)
     rep = mass_distribution_lower(fn, r, params, 4, tree=tree)
-    assert rep.worst_level > tree._crossing
+    assert {k for n, k in chains if n == 8} == {8 - c}
+    assert len(chains) == len(tree.nodes_at(c)) + len(tree.nodes_at(2))
+    assert rep.worst_level > c
     assert rep == mass_distribution_lower(fn, r, params, 4) == scatter_oracle(fn, r, params, 4)
 
 

@@ -125,6 +125,10 @@ CASES = {
                                  "n must"),
     "LevelSetTree.histograms n": (lambda v: hl.LevelSetTree(_FN, _R, 1).histograms(v),
                                   [-1, -3], "n must"),
+    "LevelSetTree.find word": (lambda v: hl.LevelSetTree(_FN, _R, 1).find(v), ["ab9", "01x"],
+                               "address"),
+    "LevelSetTree.conservation word": (lambda v: hl.LevelSetTree(_FN, _R, 1).conservation(v, 1),
+                                       ["01x", "3"], "address"),
     "LevelSetTree.histograms first": (lambda v: hl.LevelSetTree(_FN, _R, 1).histograms(2, v),
                                       [-1, 3], "first must"),
     "well_conducting_census n": (
@@ -150,6 +154,14 @@ def test_bad_arguments_raise_a_named_value_error(name):
     for value in values:
         with pytest.raises(ValueError, match=fragment):
             call(value)
+
+
+def test_a_bad_address_is_refused_before_the_tree_grows():
+    tree = hl.LevelSetTree(_FN, _R, 1)
+    for call in (lambda: tree.find("ab9"), lambda: tree.conservation("01x", 1)):
+        with pytest.raises(ValueError, match="invalid address"):
+            call()
+        assert tree.depth == 0
 
 
 ALPHA_CALLS = [name for name in CASES if name.endswith(" alpha")]

@@ -41,6 +41,7 @@ from holderlevels.levelset import (
 from holderlevels.paf import PiecewiseAffineFn, random_standard_paf
 from holderlevels.triangles import boundary_family, lattice_index_unchecked
 from helpers import affine_from_corners, point_values
+from test_bounds import scatter_oracle
 from test_kernel import corpus_fn, descend
 
 F = Fraction
@@ -710,39 +711,157 @@ def test_a_level_zero_root_is_the_crossing_member(corners, l):
         assert_readers_match(tree, levels, 4)
 
 
-def assert_runs_or_nodes(tree) -> None:
-    """Past c the tree holds the runs and no node, or nodes at every level and no run."""
+def assert_runs_or_nodes(tree, read: int) -> None:
+    """Past c the tree keeps a run block at every depth, and nodes down to ``read`` alone.
+
+    ``read`` is the deepest level whose nodes were built, 0 if none past c was.
+    """
     c = tree._crossing
-    if tree._runs is None:
-        assert len(tree._levels) == tree.depth + 1
-    else:
-        assert len(tree._levels) == min(tree.depth, c) + 1
-        assert len(tree._runs) == max(0, tree.depth - c)
+    assert len(tree._runs) == max(0, tree.depth - c)
+    assert len(tree._ends) == (len(tree._levels[c]) if tree.depth > c else 0)
+    assert len(tree._levels) == max(min(tree.depth, c), read) + 1
+
+
+# the deepest level each access order of ``grown`` builds on a tree to depth 7
+READ_IN_ORDER = {"deepest first": 7, "children first": 7, "fill then nodes": 0,
+                 "nodes then fill": 7, "extend after build": 6, "fill partway": 7}
 
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_the_tree_holds_runs_or_nodes_below_the_crossing(order):
-    # a level-3 standard function, so c = 3 and every crossing member starts a run
+    # a level-3 standard function, so c = 3 and every crossing member starts
+    # a run; a node read past c builds the levels down to the tree's depth
+    # and keeps the runs, and later extends and fills build no node
     fn = random_standard_paf(7001, 3, 0.5, 0.9, check=False)
     root = fn.corner_values("")
     r = min(root) + (max(root) - min(root)) * F(1, 3)
     tree, _ = grown(fn, r, 1, 7, order)
-    assert_runs_or_nodes(tree)
+    assert_runs_or_nodes(tree, READ_IN_ORDER[order])
     tree.histogram(7)
     tree.conservation("", 7)
-    assert_runs_or_nodes(tree)
-    built = 6 if order == "extend after build" else 7      # the deepest level from the runs
+    assert_runs_or_nodes(tree, READ_IN_ORDER[order])
     crossing = tree.nodes_at(3)
     tree.nodes_at(7)
-    assert_runs_or_nodes(tree)
-    assert tree._runs is None
+    assert_runs_or_nodes(tree, 7)
     tree.fill_measure(8)
-    assert_runs_or_nodes(tree)
+    assert_runs_or_nodes(tree, 7)
+    tree.nodes_at(8)
+    assert_runs_or_nodes(tree, 8)
     # the members of one run at one depth share one corner tuple
-    for n in range(4, built + 1):
+    for n in range(4, 9):
         for x in crossing:
             run = [v for v in tree.nodes_at(n) if v.word.startswith(x.word)]
             assert run and all(v.corners is run[0].corners for v in run), (n, x.word)
+
+
+class FillCountingTree(LevelSetTree):
+    """A LevelSetTree that records every level whose children take the measure."""
+
+    def __init__(self, *args):
+        self.filled: list[int] = []
+        super().__init__(*args)
+
+    def _fill_level(self, level: int, den: int) -> None:
+        self.filled.append(level)
+        super()._fill_level(level, den)
+
+
+@given(st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=4),
+       st.sampled_from([1, 2, 3]), st.integers(min_value=1, max_value=3 * 2**24 - 1),
+       st.data())
+@settings(max_examples=50, deadline=None)
+def test_nodes_read_past_the_crossing_stay_a_view_of_the_runs(seed, level, l, k, data):
+    # nodes read at a depth d past c, several depths taken in one extend,
+    # then read again: each read builds from the deepest level with nodes,
+    # whose nodes took their run's split and node builder when the tree
+    # grew past them; extends and fills build no node, and no level takes
+    # the measure twice.  Every reader matches a fresh tree and the oracle
+    fn = corpus_fn(seed, level)
+    c = -(-level // l)
+    root = fn.corner_values("")
+    r = min(root) + (max(root) - min(root)) * F(k, 3 * 2**24)
+    levels = walk(lambda: oracle_node_levels(fn, r, l, c + (7 if l == 1 else 5)))
+    assume(not isinstance(levels, LevelCollisionError) and levels[0] and len(levels) > c + 3)
+    depth = len(levels) - 1
+    fresh = LevelSetTree(fn, r, l, depth)
+    d = data.draw(st.integers(min_value=c + 1, max_value=depth - 2))
+    cuts = data.draw(st.sets(st.integers(min_value=d + 2, max_value=depth - 1), max_size=2)
+                     if d + 2 < depth else st.just(set()))
+    tree = FillCountingTree(fn, r, l)
+    tree.nodes_at(d)
+    read = d
+    for target in (*sorted(cuts), depth):
+        tree.extend(target)
+        if data.draw(st.booleans()):
+            assert tree.histograms(target) == fresh.histograms(target)
+        assert len(tree._levels) == read + 1 and len(tree._runs) == target - c
+        # the nodes at the depth read first: their split, then their children
+        for n in range(read, target + 1):
+            want = [w[:5] for w in node_fields(levels[n])]
+            if n == target:
+                want = [w[:3] + (None, []) for w in want]
+            assert [g[:5] for g in node_fields(tree.nodes_at(n))] == want, n
+        tree.fill_measure(target)
+        for n in range(target + 1):
+            assert [g[5:] for g in node_fields(tree.nodes_at(n))] == [
+                w[5:] for w in node_fields(levels[n])], n
+        read = target
+    assert len(tree.filled) == len(set(tree.filled))
+    assert_nodes_match(tree, levels, True)
+    assert_readers_match(tree, levels, depth)
+    members = list(tree._members(depth))
+    assert members == list(fresh._members(depth))
+    assert all(len(blocks) == depth - c for *_, blocks in members)
+    assert tree.histograms(depth) == fresh.histograms(depth)
+    word = data.draw(st.sampled_from([v.word for v in levels[d]]))
+    assert tree.conservation(word, depth - d) == fresh.conservation(word, depth - d)
+    params = BoundSearchParams(alpha=1.0, d1=F(1, 2), l=l)
+    report = mass_distribution_lower(fn, r, params, depth // 2, tree=tree)
+    assert report == mass_distribution_lower(fn, r, params, depth // 2, tree=fresh)
+    assert report == scatter_oracle(fn, r, params, depth // 2)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_a_standard_tree_takes_no_word_loop_or_extend_node_below_the_crossing(monkeypatch,
+                                                                              order):
+    # whatever is read first, the word loop stops at c = 3, and every node
+    # past c comes from a node read, none from extend
+    loops: list[int] = []
+    made_in_extend: list[int] = []
+    extending: list[int] = []
+    word_loop, extend, node = LevelSetTree._word_loop, LevelSetTree.extend, levelset.LevelSetNode
+
+    def counted_loop(self, parents, level: int, length: int) -> list:
+        loops.append(length)
+        return word_loop(self, parents, level, length)
+
+    def counted_extend(self, depth: int):
+        extending.append(depth)
+        try:
+            return extend(self, depth)
+        finally:
+            extending.pop()
+
+    def counted_node(word: str, corners: tuple, kappa_exp: int):
+        if extending:
+            made_in_extend.append(len(word))
+        return node(word, corners, kappa_exp)
+
+    monkeypatch.setattr(LevelSetTree, "_word_loop", counted_loop)
+    monkeypatch.setattr(LevelSetTree, "extend", counted_extend)
+    monkeypatch.setattr(levelset, "LevelSetNode", counted_node)
+    fn = random_standard_paf(7001, 3, 0.5, 0.9, check=False)
+    root = fn.corner_values("")
+    r = min(root) + (max(root) - min(root)) * F(1, 3)
+    tree, _ = grown(fn, r, 1, 7, order)
+    tree.extend(9)
+    tree.histograms(9)
+    tree.nodes_at(8)
+    tree.fill_measure(11)
+    tree.conservation(tree.nodes_at(5)[0].word, 6)
+    tree.nodes_at(11)
+    assert max(loops) == max(made_in_extend) == 3
+    assert len(tree._levels) == 12 and len(tree._runs) == 8
 
 
 # -- the function's memo of table children -----------------------------

@@ -1,6 +1,6 @@
 """Run the benchmark on a parent commit and on this checkout, in alternating pairs.
 
-    python tools/bench_pairs.py PARENT_REV --pairs 10 --seconds 3 --out BENCH_N.json
+    python tools/bench_pairs.py PARENT_REV --pairs 10 --seconds 13 --out BENCH_N.json
 
 The parent's committed files are exported with ``git archive`` into a
 temporary directory, which is removed afterwards; the change is this
@@ -70,7 +70,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", metavar="PARENT_REV")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=3)
+    # perfbench makes round(seconds / 6.5) timed passes and reports their
+    # median: 13 s gives two passes per run, 3 s only one
+    parser.add_argument("--seconds", type=float, default=13)
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--workload", action="append",
                         help="a workload to run (repeatable); default: all of BENCHMARK.json")
