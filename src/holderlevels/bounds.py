@@ -127,8 +127,8 @@ class BoundSearchParams:
     def __post_init__(self):
         if not 0 < self.alpha <= 1:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not 0 < self.d1 < self.alpha:
-            raise ValueError("need 0 < d1 < alpha")
+        if not isinstance(self.d1, (int, Fraction)) or not 0 < self.d1 < self.alpha:
+            raise ValueError(f"d1 must be an int or a Fraction in (0, alpha), got {self.d1!r}")
         if self.l < 1:
             raise ValueError(f"boundary family needs l >= 1, got l={self.l}")
 
@@ -233,17 +233,16 @@ def _line_block(cells: tuple, line: int, l: int) -> tuple:
 
     ``cells`` is a ``LevelSetTree._members`` block and ``line`` the index of
     a cell's line digit e; u(e) is 0 where the block has no child.  With
-    top = 2**l - 1 the summary is (u(0), u(top), the largest u, the set of
-    pairs (u(e), u(e + 1)) over e < top, the largest u(e - 1) + u(e) +
-    u(e + 1), and the pairs (u(top), u(0) + u(1)) and (u(top - 1) +
-    u(top), u(0))).  The blocks, and so the cache's keys, are few
-    (``levelset._block_cells``).
+    top = 2**l - 1 the summary is (the largest u, the set of pairs (u(e),
+    u(e + 1)) over e < top, the largest u(e - 1) + u(e) + u(e + 1), and
+    the starts (u(top), u(0) + u(1)) and (u(top - 1) + u(top), u(0))).
+    The blocks, and so the cache's keys, are few (``levelset._block_cells``).
     """
     size = 1 << l
     u = [0] * (size + 2)            # u(e) at e + 1, with a 0 on either side
     for cell in cells:
         u[cell[line] + 1] = cell[2]
-    return (u[1], u[size], max(u), frozenset(zip(u[1:size], u[2:size + 1])),
+    return (max(u), frozenset(zip(u[1:size], u[2:size + 1])),
             max(map(sum, zip(u, u[1:], u[2:]))),
             ((u[size], u[1] + u[2]), (u[size - 1] + u[size], u[1])))
 
@@ -258,22 +257,31 @@ def _run_walks(runs, l: int, reach, ks) -> list[tuple[list, list]]:
     positions of those members.  They lie on one line: a block takes a
     member at line position p to p 2**l + e, e read at index ``line`` of
     a block cell (1, its col bits, on a row, o = 2; 0, its row bits,
-    otherwise).  With u(e) the block's factor at e (``_line_block``), top
-    = 2**l - 1 and M_j the run's largest mu at depth j, a window inside
-    one parent is M times u(e - 1) + u(e) + u(e + 1), and one across two
-    parents is F(u(top), u(0) + u(1)) or F(u(top - 1) + u(top), u(0)) at
-    the parents' depth, where F_j(a, b) is the largest a mu(p) + b mu(p +
-    1): the larger of M_(j-1) times the largest a u(e) + b u(e + 1) over
-    e < top and F_(j-1)(a u(top), b u(0)).  The recursion stops above the
-    run's own member, whose F_0(a, b) = mu max(a, b) never raises the
-    window: a mu is 0 or the mass of the run's last one or two members at
-    depth t + k, those at u(top) (and u(top - 1)) below its last member at
-    depth t + k - 1, and b mu is 0 or that of its first one or two, below
-    its first member.  Each is one depth t + k - 1 member's mu times at
-    most three consecutive u(e) of the last block, which the window
-    inside one parent bounds.
-    The summaries and peaks M_j are shared by every k, and each k runs
-    the F recursion back from its own last block.
+    otherwise).  With u(e) block j's factor at e (``_line_block``), T_j its
+    largest u(e - 1) + u(e) + u(e + 1), top = 2**l - 1 and M_j = M_(j-1)
+    max u the largest mu at depth t + j, the window is mu at k = 0 and
+    otherwise the larger of M_(k-1) T_k and, for k >= 2, M_(k-2) times the
+    largest a x + b y over the starts (a, b) of block k and the pairs
+    (x, y) of block k - 1.  Proof: three consecutive positions lie below
+    one member P at depth t + k - 1, weighing at most mu(P) T_k, or
+    straddle P, P + 1, weighing a mu(P) + b mu(P + 1); the two terms are
+    the heaviest P's best triple and siblings below the heaviest Q at
+    depth t + k - 2.  Up to a unit per depth, a block of
+    ``_digit_blocks(l)[o]`` is the zero block u = (2, 1, ..., 1), the ones
+    block (1, 0, ..., 0) or a mixed block k, 1 at e = 0 and e = top ^ k,
+    and only the first has u(top) > 0.  So, as a, b <= T_k, a heavier pair
+    is two members Q 2**l + top, (Q + 1) 2**l below a zero block k - 1 of
+    unit U, weighing U (a mu(Q) + 2 b mu(Q + 1)), with M_(k-1) = 2 U
+    M_(k-2).  If a >= b that is at most U (2 a + b) M_(k-2), the term of
+    the pair (2U, U).  If a < b and l >= 2, it is at most U 2 (a + b)
+    M_(k-2) = M_(k-1) (a + b), and a + b <= T_k (4 in the zero block,
+    else u(0) + u(1) or u(0)).  If a < b and l = 1, it is at most 2 b U
+    M_(k-2) = b M_(k-1) by the claim mu(p) + c mu(p + 1) <= c M_j for
+    c >= 2, at c = 2 b / a (plain at a = 0).  The claim holds at j = 0
+    and with a non-member; at l = 1 two members are siblings in the zero
+    block, (2 + c) U mu(Q) <= 2 c U M_(j-1) = c M_j, or straddle two
+    parents there, U (mu(Q) + 2 c mu(Q + 1)) <= 2 c U M_(j-1) by the
+    claim at j - 1 with 2 c.
 
     The seam cells are (row, col, mu numerator) of the members within
     ``reach`` layers of a corner of the run's region, in the run's order.
@@ -289,30 +297,23 @@ def _run_walks(runs, l: int, reach, ks) -> list[tuple[list, list]]:
     walks = [([], []) for _ in ks]
     for row, col, mu, o, blocks in runs:
         line = int(o == 2)
-        summaries, peaks = [], [mu]     # M_j, from the run's own member down
+        prev = last = None              # the summaries of blocks k - 1 and k
+        peaks = [mu]                    # M_j, from the run's own member down
         members, top, done = [(0, 0, mu)], 0, 0
         for k, (windows, seams) in zip(ks, walks):
             for cells in blocks[done:k]:
-                summary = _line_block(cells, line, l)
-                summaries.append(summary)
-                peaks.append(peaks[-1] * summary[2])
+                prev, last = last, _line_block(cells, line, l)
+                peaks.append(peaks[-1] * last[0])
                 top = top << l | ((1 << l) - 1)
                 members = [(i, j, m) for i, j, m in
                            ((pi << l | bi, pj << l | bj, pm * f)
                             for pi, pj, pm in members for bi, bj, f in cells)
                            if min(i + j, top - i, top - j) < reach]
             done = k
-            best = mu
-            if k:
-                *_, triple, starts = summaries[k - 1]
-                best = peaks[k - 1] * triple
-                for a, b in starts:
-                    for j in range(k - 1, 0, -1):
-                        if (a + b) * peaks[j] <= best:      # F_j(a, b) <= (a + b) M_j
-                            break
-                        u0, utop, _, pairs, *_ = summaries[j - 1]
-                        best = max(best, peaks[j - 1] * max(a * x + b * y for x, y in pairs))
-                        a, b = a * utop, b * u0
+            best = peaks[k - 1] * last[2] if k else mu
+            if k > 1:
+                best = max(best, peaks[k - 2] * max(a * x + b * y for a, b in last[3]
+                                                    for x, y in prev[1]))
             d = k * l
             windows.append(best)
             seams.append([(row << d | i, col << d | j, m) for i, j, m in members])
@@ -351,28 +352,28 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
     s = d1 / l regardless, as that is what the cell bound implies when C
     is uniform in the depth.
 
-    mu at depth n depends only on the ancestors, so the measure is
-    filled once to the deepest depth.  The largest cell mass comes from
-    the tree's runs (``LevelSetTree._members``), whose members are not
-    listed; they are read once, at the deepest depth, and one walk of
-    each run's blocks (``_run_walks``) serves every checked depth past
-    them.  A run's members at depth n lie on one lattice line, so a
-    cell on the line touches three consecutive positions of it and a
-    cell beside it two: within one run the largest cell mass is the
-    largest sum over three consecutive positions, its window.  A
-    cell touched by two runs lies near a vertex their regions, the runs'
-    depth-t cells, share, and every member touching it is fewer than
-    R = ``_SEAM_LAYERS`` cell layers from a corner of its region.  Those
-    seam members of every run, found by a pruned descent of the blocks,
-    are scattered in member order: each adds its mass to the cells it
-    touches, so a cell touched by two runs ends up with the total of the
-    members touching it.  C is exact: it is the largest window or seam
-    total, each of which is part of one cell's mass, and every cell's
-    mass is a seam total or a sum over three or two positions of one
-    run, at most its window.  A member with an empty chain (n at most
-    the crossing depth c, or a three-valued crossing member) is a run of
-    one member and its own seam member, so there every member is
-    scattered, and a checked depth above t reads its own members.
+    mu at depth n depends only on the ancestors, so the measure is filled
+    once to the deepest depth.  The largest cell mass comes from the tree's
+    runs (``LevelSetTree._members``), whose members are not listed; they
+    are read once, at the deepest depth, and one walk of each run's blocks
+    (``_run_walks``) serves every checked depth past them.  A run's members
+    at depth n lie on one lattice line, so a cell on the line touches
+    three consecutive positions of it and a cell beside it two: within one
+    run the largest cell mass is the largest sum over three consecutive
+    positions, its window, read from the run's last two blocks.  A cell
+    touched by two runs lies near a vertex their regions, the runs'
+    depth-t cells, share, and every member touching it is fewer than R =
+    ``_SEAM_LAYERS`` cell layers from a corner of its region.  Those seam
+    members of every run, found by a pruned descent of the blocks, are
+    scattered in member order: each adds its mass to the cells it touches,
+    so a cell touched by two runs ends up with the total of the members
+    touching it.  C is exact: it is the largest window or seam total, each
+    of which is part of one cell's mass, and every cell's mass is a seam
+    total or a sum over three or two positions of one run, at most its
+    window.  A member with an empty chain (n at most the crossing depth c,
+    or a three-valued crossing member) is a run of one member and its own
+    seam member, so there every member is scattered, and a checked depth
+    above t reads its own members.
 
     R = 2 since cells of one subdivision level that share no vertex are a
     cell side, at least 2 depth-n cells, apart, and two that share a
@@ -412,8 +413,7 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
         raise ValueError(f"the tree was built for another function, level value or l "
                          f"(tree r = {tree.r}, l = {tree.l})")
     n_max = q * n_prime_max
-    tree.fill_measure(n_max)
-    deepest = list(tree._members(n_max))
+    deepest = list(tree._members(n_max))     # fills the measure to n_max first
     t = n_max - len(deepest[0][4])      # the depth of the runs' own members
     # (runs, their depth, the checked chain lengths k, depth t + k)
     groups = itertools.chain(((list(tree._members(n)), n, [0]) for n in range(q, t, q)),

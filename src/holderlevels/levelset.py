@@ -303,14 +303,13 @@ class LevelSetTree:
             self.root: LevelSetNode | None = LevelSetNode("", corners, 0)
         else:
             self.root = None
-        # node levels: every level down to c, and past it every level once
-        # the runs are gone
+        # node levels: every level down to c, and past it those a node read built
         self._levels: list[list[LevelSetNode]] = [[self.root] if self.root else []]
         # per depth past c, each run's digit block there, and each run's
-        # (odd corner, b, a) at the tree's depth; None when the levels past c
-        # are nodes
+        # (odd corner, b, a) at the tree's depth; only _runs becomes None, and
+        # only for a three-valued crossing member, whose tree is nodes throughout
         self._runs: list[tuple] | None = []
-        self._ends: list[tuple] | None = []
+        self._ends: list[tuple] = []
         self.mu_denominators: list[int] = []
         if depth:
             self.extend(depth)
@@ -808,8 +807,8 @@ def well_conducting_census(fn: PiecewiseAffineFn, r, n: int, l: int, d1, *,
     enumerated down to level L first, on the integer word table, whose
     scaling by D keeps every extreme pair.
     """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"n must be non-negative and an int, got {n!r}")
     d1 = Fraction(d1)
     if d1 <= 0:
         raise ValueError(f"d1 must be positive, got {d1}")

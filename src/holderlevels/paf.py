@@ -162,10 +162,13 @@ class PiecewiseAffineFn:
 
     def __init__(self, level: int, grid: dict[tuple[int, int], Fraction]):
         _check_grid(level, grid)
-        self.level, self.holder = level, None
-        self._den = math.lcm(*(v.denominator for v in grid.values()))
-        self._numerators = {p: v.numerator * (self._den // v.denominator)
-                            for p, v in grid.items()}
+        den = math.lcm(*(v.denominator for v in grid.values()))
+        self._init(level, den, {p: v.numerator * (den // v.denominator) for p, v in grid.items()})
+
+    def _init(self, level: int, den: int, numerators: dict, holder: HolderParams | None = None):
+        """Set the vertex table and start every table derived from it unbuilt."""
+        self.level, self.holder = level, holder
+        self._den, self._numerators = den, numerators
         self._grid: MappingProxyType | None = None
         self._int_words: tuple[int, dict[str, tuple]] | None = None
         self._constant: bool | None = None
@@ -186,10 +189,7 @@ class PiecewiseAffineFn:
             scale //= g
             values = {p: v // g for p, v in values.items()}
         fn = cls.__new__(cls)
-        fn.level, fn.holder = level, holder
-        fn._den, fn._numerators = scale, values
-        fn._grid = fn._int_words = fn._constant = None
-        fn._word_children = {}
+        fn._init(level, scale, values, holder)
         return fn
 
     @property

@@ -9,6 +9,7 @@ mass to the cells it touches, and the first cell of the largest mass in
 that order is the worst cell.
 """
 
+import itertools
 import math
 import random
 import subprocess
@@ -535,8 +536,8 @@ def drawn_runs(draw):
     Each block gets a unit as ``LevelSetTree._members`` forms it: the lcm
     of the block sums at its depth, here a drawn set of sums holding the
     block's own, over that sum.  Chains no tree of the corpus reaches
-    come up too, so the window's F recursion meets factors u(0) and u(top)
-    that differ block by block.
+    come up too, so the window's two-block form meets neighbouring blocks
+    whose units differ block by block.
     """
     l = draw(st.integers(min_value=1, max_value=3))
     o = draw(st.integers(min_value=0, max_value=2))
@@ -564,6 +565,61 @@ def test_run_windows_of_drawn_chains_match_the_listed_members(case):
     listed = _run_walks([run], l, math.inf, ks)
     for ([window], _), (_, [members]) in zip(walks, listed):
         assert window == listed_window(members, run[3])
+
+
+@pytest.mark.parametrize("l", range(1, 9))
+def test_every_block_has_one_of_three_line_profiles(l):
+    # the premises of _run_walks' proof: read as _line_block reads it, with
+    # one child per line position, a block's factors along its run's line
+    # are, up to its unit, the zero block's u = (2, 1, ..., 1), the ones
+    # block's (1, 0, ..., 0) or a mixed block k's 1 at e = 0 and e = top ^ k
+    top = (1 << l) - 1
+    for o, family in enumerate(_digit_blocks(l)):
+        line = int(o == 2)
+        for k, block in enumerate(family):
+            cells = _block_cells(block, 1)
+            u = [0] * (top + 1)
+            for cell in cells:
+                u[cell[line]] = cell[2]
+            assert len({cell[line] for cell in cells}) == len(cells)
+            if k == 0:
+                assert u == [2] + [1] * top
+            else:
+                assert u == [int(e in (0, top ^ k)) for e in range(top + 1)]
+
+
+def chain_runs(l: int, length: int) -> list:
+    """A run record for every chain of ``length`` blocks of every ``_digit_blocks(l)[o]``.
+
+    The unit at depth j is formed as ``LevelSetTree._members`` forms it,
+    the lcm of the block sums at that depth over the block's own, here
+    with a second sum that changes from depth to depth.
+    """
+    runs = []
+    for o, family in enumerate(_digit_blocks(l)):
+        sums = sorted({total for _, (_, total) in family})
+        for chain in itertools.product(family, repeat=length):
+            blocks = tuple(_block_cells(block, math.lcm(total, sums[j % len(sums)]) // total)
+                           for j, block in enumerate(chain) for total in [block[1][1]])
+            runs.append((3, 5, 7, o, blocks))
+    return runs
+
+
+@pytest.mark.parametrize("l, length", [(1, 10), (2, 5), (3, 3), (4, 2)])
+def test_run_windows_of_every_chain_match_the_listed_members(l, length):
+    # every chain of blocks, each prefix of it too: the window from the last
+    # two blocks is the largest sum over three consecutive line positions of
+    # the members, listed here block by block
+    runs = chain_runs(l, length)
+    ks = range(length + 1)
+    walks = _run_walks(runs, l, 0, ks)
+    for i, (_, _, mu, o, blocks) in enumerate(runs):
+        members = [(0, 0, mu)]
+        for k, (windows, _) in zip(ks, walks):
+            if k:
+                members = [(pi << l | bi, pj << l | bj, pm * f)
+                           for pi, pj, pm in members for bi, bj, f in blocks[k - 1]]
+            assert windows[i] == listed_window(members, o), (l, o, k, blocks)
 
 
 def test_mass_distribution_tie_goes_to_first_scatter_cell():

@@ -65,7 +65,7 @@ CASES = {
         lambda v: hl.PhaseTransitionConfig(0.6, F(1, 2), 2, 1, 1, v), [nan, 0, -5, inf],
         "delta must"),
     "BoundSearchParams d1": (lambda v: hl.BoundSearchParams(1.0, v, 1),
-                             [F(0), F(-1, 2), F(2)], "d1"),
+                             [F(0), F(-1, 2), F(2), 0.5, 0.1, "1/2"], "d1"),
     "box_count_dimension digits": (hl.box_count_dimension, [[2, 0], [0, -1], [nan], [0.5]],
                                    "digits"),
     "line_crossing_count digits": (hl.line_crossing_count, [[2, 0], [0, -1], [nan]], "digits"),
@@ -132,7 +132,8 @@ CASES = {
     "LevelSetTree.histograms first": (lambda v: hl.LevelSetTree(_FN, _R, 1).histograms(2, v),
                                       [-1, 3], "first must"),
     "well_conducting_census n": (
-        lambda v: hl.well_conducting_census(_FN, None, v, 1, F(1, 2), alpha=0.5), [-2], "n must"),
+        lambda v: hl.well_conducting_census(_FN, None, v, 1, F(1, 2), alpha=0.5),
+        [-2, 4.0, F(4), 2.5], "n must"),
     "well_conducting_census l": (
         lambda v: hl.well_conducting_census(_FN, None, 2, v, F(1, 2), alpha=0.5), [0, -1],
         "l >= 1"),

@@ -303,6 +303,25 @@ def test_grid_does_not_follow_the_callers_dict():
     assert fn.corner_values("") == (0, 1, 2)
 
 
+def test_both_constructors_set_the_same_fields():
+    # the public constructor and _from_ints share one initializer, so every
+    # derived table starts unbuilt on either path and holds the same values
+    made = random_standard_paf(5, 2, 0.5, 0.9, check=False)
+    public = PiecewiseAffineFn(made.level, dict(made.grid))
+    ints = PiecewiseAffineFn._from_ints(made.level, made._den, dict(made._numerators))
+    fresh = PiecewiseAffineFn._from_ints(1, 3, {(0, 0): 0, (0, 1): 3, (1, 0): 6,
+                                                (0, 2): 1, (1, 1): 2, (2, 0): 4})
+    assert vars(public).keys() == vars(ints).keys() == vars(fresh).keys()
+    assert fresh._den == 3 and fresh.holder is None
+    assert all(getattr(fresh, f) in (None, {}) for f in vars(fresh) if f.startswith("_")
+               and f not in ("_den", "_numerators"))
+    for fn in (public, ints):
+        assert (fn.level, fn._den, fn._numerators) == (made.level, made._den, made._numerators)
+        assert fn.int_word_table() == made.int_word_table()
+        assert fn._has_constant_triangle() == made._has_constant_triangle()
+        assert fn.grid == made.grid
+
+
 def test_constructor_rejects_a_wrong_grid_before_building_the_index(monkeypatch):
     # a grid of the wrong size cannot be valid: lattice arithmetic alone rejects it
     def unreachable(level):
