@@ -13,11 +13,13 @@ import contextlib
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .levelset import LevelSetTree, _level_fraction, census_constant
+from .levelset import (LevelSetTree, _block_cells, _check_l, _digit_blocks, _level_fraction,
+                       census_constant)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -129,8 +131,7 @@ class BoundSearchParams:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not isinstance(self.d1, (int, Fraction)) or not 0 < self.d1 < self.alpha:
             raise ValueError(f"d1 must be an int or a Fraction in (0, alpha), got {self.d1!r}")
-        if self.l < 1:
-            raise ValueError(f"boundary family needs l >= 1, got l={self.l}")
+        _check_l(self.l)
 
     @property
     def q(self) -> int:
@@ -228,36 +229,94 @@ class MassDistributionReport:
 
 
 @functools.cache
-def _line_block(cells: tuple, line: int, l: int) -> tuple:
-    """One block's factors u(e) along its run's line, as ``_run_walks`` reads them.
+def _block_summary(l: int, o: int, digit: int) -> tuple:
+    """Block ``_digit_blocks(l)[o][digit]`` along its run's line, at unit 1.
 
-    ``cells`` is a ``LevelSetTree._members`` block and ``line`` the index of
-    a cell's line digit e; u(e) is 0 where the block has no child.  With
-    top = 2**l - 1 the summary is (the largest u, the set of pairs (u(e),
-    u(e + 1)) over e < top, the largest u(e - 1) + u(e) + u(e + 1), and
-    the starts (u(top), u(0) + u(1)) and (u(top - 1) + u(top), u(0))).
-    The blocks, and so the cache's keys, are few (``levelset._block_cells``).
+    With u(e) the weight of the child at line position e (0 where the
+    block has no child; e is read at index 1 of a ``_block_cells`` cell,
+    its col bits, for o = 2, and at index 0, its row bits, otherwise) and
+    top = 2**l - 1, the summary is (the block sum S, the largest u, the
+    largest u(e - 1) + u(e) + u(e + 1) T, the starts (u(top), u(0) +
+    u(1)) and (u(top - 1) + u(top), u(0)), the set of pairs (u(e), u(e +
+    1)) over e < top).  At a depth of lcm L the block's factors are L / S
+    times these weights.
     """
-    size = 1 << l
+    block = _digit_blocks(l)[o][digit]
+    line, size = int(o == 2), 1 << l
     u = [0] * (size + 2)            # u(e) at e + 1, with a 0 on either side
-    for cell in cells:
+    for cell in _block_cells(block, 1):
         u[cell[line] + 1] = cell[2]
-    return (max(u), frozenset(zip(u[1:size], u[2:size + 1])),
-            max(map(sum, zip(u, u[1:], u[2:]))),
-            ((u[size], u[1] + u[2]), (u[size - 1] + u[size], u[1])))
+    return (block[1][1], max(u), max(map(sum, zip(u, u[1:], u[2:]))),
+            ((u[size], u[1] + u[2]), (u[size - 1] + u[size], u[1])),
+            frozenset(zip(u[1:size], u[2:size + 1])))
 
 
-def _run_walks(runs, l: int, reach, ks) -> list[tuple[list, list]]:
+@functools.cache
+def _straddle(l: int, o: int, prev: int, digit: int) -> int:
+    """The largest a x + b y over block ``digit``'s starts (a, b) and ``prev``'s pairs (x, y)."""
+    pairs = _block_summary(l, o, prev)[4]
+    return max(a * x + b * y for a, b in _block_summary(l, o, digit)[3] for x, y in pairs)
+
+
+@functools.cache
+def _corner_cells(l: int, o: int, lead: int | None, digit: int) -> tuple:
+    """The corner chains of a run whose leading digits are all ``lead`` and its last ``digit``.
+
+    For each member within one layer of a corner V of the run's region,
+    a word V**(l - 1) s of block ``digit`` (s any symbol) below leading
+    blocks V**l of digit ``lead``: (row bits, col bits, weight, block
+    sum) of V**l and (row bits, col bits, weight) of the last word, cells
+    at unit 1 (``_block_cells``), in word order and once each.  ``lead``
+    None stands for no leading block.
+    """
+    words = {word: (d, pos, cell, block[1][1])
+             for d, block in enumerate(_digit_blocks(l)[o])
+             for pos, ((word, _), cell) in enumerate(zip(block[0], _block_cells(block, 1)))}
+    cells = {}
+    for v in "012":
+        d0, p0, lead_cell, s0 = words[v * l]
+        if lead is None or d0 == lead:
+            for s in "012":
+                d, pos, last_cell, _ = words[v * (l - 1) + s]
+                if d == digit:
+                    cells[p0 * (lead is not None), pos] = (*lead_cell, s0, *last_cell)
+    return tuple(cells[key] for key in sorted(cells))
+
+
+def _digit_counts(k: int, j: int, l: int) -> tuple[int, int]:
+    """(zero digits, mixed digits) among the j base-2**l digits of k.
+
+    A digit is mixed when it is neither 0 nor 2**l - 1.  A digit is
+    nonzero when its top bit is set or its low l - 1 bits, plus 2**(l -
+    1) - 1, carry into it; the top digits of k are the zero digits of its
+    complement.
+    """
+    if l == 1:
+        return j - k.bit_count(), 0
+    ones = ((1 << l * j) - 1) // ((1 << l) - 1)     # the lowest bit of each digit
+    high, fill = ones << (l - 1), ones * ((1 << (l - 1)) - 1)
+    nonzero = ((((k & ~high) + fill) | k) & high).bit_count()
+    flip = k ^ ((1 << l * j) - 1)
+    nontop = ((((flip & ~high) + fill) | flip) & high).bit_count()
+    return j - nonzero, nonzero + nontop - j
+
+
+def _run_windows(runs, l: int, lcms, ks) -> list[tuple[list, list]]:
     """(each run's window, each run's seam cells) at chain length k, for each k of ``ks``.
 
-    ``runs`` are ``LevelSetTree._members`` records (row, col, mu, o,
-    blocks) and ``ks`` increasing chain lengths: at k a run stands for its
-    members at depth t + k, and each run's blocks are walked once for all
-    of them.  The window is the largest mu sum over three consecutive line
-    positions of those members.  They lie on one line: a block takes a
-    member at line position p to p 2**l + e, e read at index ``line`` of
-    a block cell (1, its col bits, on a row, o = 2; 0, its row bits,
-    otherwise).  With u(e) block j's factor at e (``_line_block``), T_j its
+    ``runs`` are ``LevelSetTree._members`` records (row, col, mu, o, K)
+    whose chains are ``len(lcms)`` blocks long, ``lcms`` the lcm at each
+    depth of the chain and ``ks`` chain lengths: at k a run stands for
+    its members at depth t + k, whose blocks are the ones of the first k
+    digits of K.  Each (run, k) reads at most four summaries cached per
+    digit (``_block_summary``, ``_straddle``, ``_corner_cells``) and a
+    constant number of big-int operations; no block is walked and no
+    member is listed (``mass_distribution_lower`` gives the closed
+    forms).
+
+    The window is the largest mu sum over three consecutive line
+    positions of the run's members.  With u(e) block j's factor at line
+    position e (``_block_summary`` times the unit L_j / S_j), T_j its
     largest u(e - 1) + u(e) + u(e + 1), top = 2**l - 1 and M_j = M_(j-1)
     max u the largest mu at depth t + j, the window is mu at k = 0 and
     otherwise the larger of M_(k-1) T_k and, for k >= 2, M_(k-2) times the
@@ -283,41 +342,88 @@ def _run_walks(runs, l: int, reach, ks) -> list[tuple[list, list]]:
     parents there, U (mu(Q) + 2 c mu(Q + 1)) <= 2 c U M_(j-1) by the
     claim at j - 1 with 2 c.
 
-    The seam cells are (row, col, mu numerator) of the members within
-    ``reach`` layers of a corner of the run's region, in the run's order.
-    A member at local cell (i, j) of the region, whose side is top + 1
-    cells, lies i + j cell layers from corner 0, top - j from corner 1
-    and top - i from corner 2, and is kept when one of the three is below
-    ``reach``.  A block multiplies each of the three by 2**l and adds a
-    non-negative digit term, so the descent drops a member as soon as it
-    is ``reach`` layers from every corner: no descendant of it comes
-    nearer, and the frontier after k blocks is the run's seam at depth
-    t + k.  O(max(ks) 2**l) per run.
+    The seam cells are (row, col, mu numerator) of the members fewer
+    than ``_SEAM_LAYERS`` = 2 cell layers from a corner of the run's
+    region, in the run's order: the corner chains of
+    ``mass_distribution_lower``.
     """
+    size, mask = len(lcms), (1 << l) - 1
+    prods = list(itertools.accumulate(lcms, operator.mul, initial=1))    # L_1 ... L_j
+    zero_pows = [((1 << l) + 1) ** z for z in range(size + 1)]     # powers of the zero block's sum
+    # per k: the shift to its first k digits, the k - 1 digits' repunit, L_k,
+    # L_1 ... L_(k-1) and L_1 ... L_k
+    steps = [(k, l * (size - k), ((1 << l * (k - 1)) - 1) // mask, lcms[k - 1], prods[k - 1],
+              prods[k]) for k in ks if k]
     walks = [([], []) for _ in ks]
-    for row, col, mu, o, blocks in runs:
-        line = int(o == 2)
-        prev = last = None              # the summaries of blocks k - 1 and k
-        peaks = [mu]                    # M_j, from the run's own member down
-        members, top, done = [(0, 0, mu)], 0, 0
-        for k, (windows, seams) in zip(ks, walks):
-            for cells in blocks[done:k]:
-                prev, last = last, _line_block(cells, line, l)
-                peaks.append(peaks[-1] * last[0])
-                top = top << l | ((1 << l) - 1)
-                members = [(i, j, m) for i, j, m in
-                           ((pi << l | bi, pj << l | bj, pm * f)
-                            for pi, pj, pm in members for bi, bj, f in cells)
-                           if min(i + j, top - i, top - j) < reach]
-            done = k
-            best = peaks[k - 1] * last[2] if k else mu
+    for row, col, mu, o, digits in runs:
+        if 0 in ks[:1]:
+            walks[0][0].append(mu)
+            walks[0][1].append([(row, col, mu)])
+        for (k, shift, rep, lcm, before, through), (windows, seams) in zip(
+                steps, walks[len(walks) - len(steps):]):
+            head = digits >> shift          # the first k digits
+            lead, digit = head >> l, head & mask
+            total, _, triple, _, _ = _block_summary(l, o, digit)
+            zeros, mixed = _digit_counts(lead, k - 1, l)
+            peak = (mu * before << zeros) // (zero_pows[zeros] << mixed)     # M_(k-1)
+            unit = lcm // total
+            best = peak * triple * unit
             if k > 1:
-                best = max(best, peaks[k - 2] * max(a * x + b * y for a, b in last[3]
-                                                    for x, y in prev[1]))
-            d = k * l
+                # M_(k-2) times block k - 1's unit is M_(k-1) over its largest weight
+                prev = lead & mask
+                best = max(best, peak // _block_summary(l, o, prev)[1] * unit
+                           * _straddle(l, o, prev, digit))
             windows.append(best)
-            seams.append([(row << d | i, col << d | j, m) for i, j, m in members])
+            if k == 1:
+                lead_digit = None
+            elif lead == 0 or lead == mask * rep:
+                lead_digit = lead & mask
+            else:                           # a leading digit is neither 0 nor top
+                seams.append([])
+                continue
+            d = k * l
+            seams.append([(row << d | (r0 * rep) << l | rb, col << d | (c0 * rep) << l | cb,
+                           mu * through * w0 ** (k - 1) * w // (s0 ** (k - 1) * total))
+                          for r0, c0, w0, s0, rb, cb, w in _corner_cells(l, o, lead_digit, digit)])
     return walks
+
+
+def _heavy_members(run, l: int, lcms, k: int, mass: int) -> list:
+    """The members at chain length k of ``run`` that can touch a cell of ``mass``, with its seam.
+
+    (row, col, mu numerator) in the run's order, from a descent of the
+    run's first k blocks; ``run`` and ``lcms`` are as ``_run_windows``
+    reads them.  A member at depth t + j is heavy when three times its
+    mu, times the largest growth M_k / M_j its descendants can have,
+    reaches ``mass``; a member is kept when it is within two line
+    positions of a heavy one or fewer than ``_SEAM_LAYERS`` layers from
+    a corner.  A heavy member's parent is heavy, and two positions at
+    most two apart have parents at most one apart, so the kept members'
+    children hold every member kept a depth down.  The zero block leaves
+    one child at its peak and the ones block one child in all, so at l =
+    1 the heavy members stay few; a mixed block keeps both of its
+    children at its peak, so at l >= 2 they can double at each one.
+    """
+    row, col, mu, o, digits = run
+    size, mask = len(lcms), (1 << l) - 1
+    blocks = []
+    for j in range(1, k + 1):
+        block = _digit_blocks(l)[o][digits >> l * (size - j) & mask]
+        blocks.append(_block_cells(block, lcms[j - 1] // block[1][1]))
+    growth = [1]                        # M_k / M_j, from j = k up
+    for cells in reversed(blocks):
+        growth.append(growth[-1] * max(f for *_, f in cells))
+    line = int(o == 2)
+    members, top = [(0, 0, mu)], 0
+    for cells, g in zip(blocks, reversed(growth[:-1])):
+        top = top << l | mask
+        members = [(pi << l | bi, pj << l | bj, pm * f)
+                   for pi, pj, pm in members for bi, bj, f in cells]
+        near = {m[line] + e for m in members if 3 * m[2] * g >= mass for e in range(-2, 3)}
+        members = [(i, j, m) for i, j, m in members
+                   if (i, j)[line] in near or min(i + j, top - i, top - j) < _SEAM_LAYERS]
+    d = k * l
+    return [(row << d | i, col << d | j, m) for i, j, m in members]
 
 
 def _scatter(groups, s: int) -> dict[int, int]:
@@ -354,19 +460,20 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
 
     mu at depth n depends only on the ancestors, so the measure is filled
     once to the deepest depth.  The largest cell mass comes from the tree's
-    runs (``LevelSetTree._members``), whose members are not listed; they
-    are read once, at the deepest depth, and one walk of each run's blocks
-    (``_run_walks``) serves every checked depth past them.  A run's members
-    at depth n lie on one lattice line, so a cell on the line touches
-    three consecutive positions of it and a cell beside it two: within one
-    run the largest cell mass is the largest sum over three consecutive
-    positions, its window, read from the run's last two blocks.  A cell
-    touched by two runs lies near a vertex their regions, the runs'
-    depth-t cells, share, and every member touching it is fewer than R =
-    ``_SEAM_LAYERS`` cell layers from a corner of its region.  Those seam
-    members of every run, found by a pruned descent of the blocks, are
-    scattered in member order: each adds its mass to the cells it touches,
-    so a cell touched by two runs ends up with the total of the members
+    runs (``LevelSetTree._members``), whose members are not listed: each
+    is read once, at the deepest depth, as its crossing member and K, the
+    integer its digit blocks spell, and every checked depth past them
+    reads each run's window and seam in closed form from K's leading
+    digits (``_run_windows``), with no block walked.  A run's members at
+    depth n lie on one lattice line, so a cell on the line touches three
+    consecutive positions of it and a cell beside it two: within one run
+    the largest cell mass is the largest sum over three consecutive
+    positions, its window.  A cell touched by two runs lies near a vertex
+    their regions, the runs' depth-t cells, share, and every member
+    touching it is fewer than R = ``_SEAM_LAYERS`` cell layers from a
+    corner of its region.  Those seam members of every run are scattered
+    in member order: each adds its mass to the cells it touches, so a
+    cell touched by two runs ends up with the total of the members
     touching it.  C is exact: it is the largest window or seam total, each
     of which is part of one cell's mass, and every cell's mass is a seam
     total or a sum over three or two positions of one run, at most its
@@ -374,6 +481,31 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
     or a three-valued crossing member) is a run of one member and its own
     seam member, so there every member is scattered, and a checked depth
     above t reads its own members.
+
+    The closed forms read a run at chain length k from K's first k
+    digits.  Block j is ``_digit_blocks(l)[o][k_j]``, k_j the j-th base
+    2**l digit, and its factors are its weights times L_j / S_j, L_j the
+    lcm at its depth and S_j its sum: the zero block's largest weight is
+    2 of S = 2**l + 1, the ones block's 1 of 1 and a mixed block's 1 of
+    2.  So the largest mu at depth t + j is M_j = mu L_1 ... L_j 2**Z /
+    ((2**l + 1)**Z 2**X), Z and X the zero and mixed digits among the
+    first j, counted from K's bits with one carry per digit (at l = 1, Z
+    = j - popcount).  The window is M_(k-1) T_k against M_(k-2) times the
+    straddle of blocks k - 1 and k (``_run_windows`` has the proof), read
+    from the two blocks' summaries at unit 1.  A member fewer than R
+    layers from corner V lies in V's corner triangle of side 2 cells, the
+    word V**(l k - 1); its three upward cells, V**(l k) and V**(l k - 1)
+    s for the two other symbols s, are the cells within one layer of V
+    (i + j <= 1 at corner 0), and no other upward cell is.  A word is a
+    member when its block words spell K's digits.  The leading blocks
+    V**l spell 0 for V other than o and 2**l - 1 for V = o, so these
+    members exist only while the k - 1 leading digits are all 0 (the two
+    corners other than o) or all 2**l - 1 (corner o), and then those of
+    them whose last block word spells digit k.  Each one's mu is mu L_1
+    ... L_k (w0 / S0)**(k - 1) w / S_k, w0 and w the weights of its
+    leading and last block words; they come once each, in word order,
+    which is the ``nodes_at`` order, so the scatter order is a full
+    listing's.
 
     R = 2 since cells of one subdivision level that share no vertex are a
     cell side, at least 2 depth-n cells, apart, and two that share a
@@ -393,14 +525,20 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
     maximising cell in scatter order (the ``nodes_at`` order of the
     level's members, then the neighbour offset order) at the first depth
     that reaches the maximum.  It is located only at a depth that raises
-    C, and costs one run's members: the seam scatter is redone with the
-    members of the first run whose window reaches the mass, if one does,
-    in full (a walk with no reach), and its first cell of that mass is
-    the worst cell.  That cell W is touched by two runs, so that every
-    member touching it is a seam member, or by one run, whose window then
-    reaches the mass; no earlier run's window does, since it would lie on
-    a maximising cell touched earlier.  Every cell's value in this scatter
-    is at most its mass, and a cell is touched no earlier than in the full
+    C, and costs a pruned descent of one run: the seam scatter is redone
+    with, in place of the seam of the first run whose window reaches the
+    mass, if one does, that run's members that can touch a cell of the
+    mass (``_heavy_members``), and its first cell of that mass is the
+    worst cell.  Those are the members within two line positions of a
+    heavy one, whose mu times the largest growth M_k / M_j below it is
+    at least a third of the mass, and the run's seam members.  That cell
+    W is touched by two runs, so that every member touching it is a seam
+    member, or by one run, whose window then reaches the mass; no earlier
+    run's window does, since it would lie on a maximising cell touched
+    earlier.  In the second case W's mass is the sum of at most three
+    consecutive positions, one of them heavy, so every member touching W
+    is kept.  Every cell's value in this scatter is at most its mass, W
+    has its mass, and a cell is touched no earlier than in the full
     scatter, so no cell of that mass comes before W.  A ``tree`` must be
     one built for ``fn``, ``r`` and ``params.l``.
     """
@@ -414,26 +552,30 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
                          f"(tree r = {tree.r}, l = {tree.l})")
     n_max = q * n_prime_max
     deepest = list(tree._members(n_max))     # fills the measure to n_max first
-    t = n_max - len(deepest[0][4])      # the depth of the runs' own members
-    # (runs, their depth, the checked chain lengths k, depth t + k)
-    groups = itertools.chain(((list(tree._members(n)), n, [0]) for n in range(q, t, q)),
-                             [(deepest, t, [n - t for n in range(q, n_max + 1, q) if n >= t])])
+    # the depth of the runs' own members: c, unless every chain is empty
+    t = n_max if deepest[0][3] is None else tree._crossing
+    dens = tree.mu_denominators
+    lcms = [dens[j] // dens[j - 1] for j in range(t + 1, n_max + 1)]
+    # (runs, their depth, the lcms of their chains, the checked chain lengths k, depth t + k)
+    groups = itertools.chain(((list(tree._members(n)), n, [], [0]) for n in range(q, t, q)),
+                             [(deepest, t, lcms, [n - t for n in range(q, n_max + 1, q)
+                                                  if n >= t])])
     c_emp = 0.0
     worst_cell = None
     worst_level = None
     levels = []
-    for runs, depth, ks in groups:
-        for k, (windows, seams) in zip(ks, _run_walks(runs, l, _SEAM_LAYERS, ks)):
+    for runs, depth, lcms, ks in groups:
+        for k, (windows, seams) in zip(ks, _run_windows(runs, l, lcms, ks)):
             n = depth + k
             s = n * l + 2
             cell_mass = _scatter(seams, s)
             mass = max(max(windows), max(cell_mass.values(), default=0))
             # int / int is correctly rounded, so this is float(mu(U) 2**(n d1))
-            quot = (mass << int(n * d1)) / tree.mu_denominators[n]
+            quot = (mass << n * d1.numerator // q) / dens[n]
             if quot > c_emp:
                 first = next((i for i, w in enumerate(windows) if w == mass), None)
                 if first is not None:
-                    [(_, [seams[first]])] = _run_walks(runs[first:first + 1], l, math.inf, [k])
+                    seams[first] = _heavy_members(runs[first], l, lcms, k, mass)
                     cell_mass = _scatter(seams, s)
                 key = next(cell for cell, v in cell_mass.items() if v == mass)
                 c_emp = quot

@@ -49,6 +49,12 @@ def _kappa_sum(counts: dict[int, int]) -> Fraction:
                     1 << max(counts, default=0))
 
 
+def _check_l(l) -> None:
+    """Refuse a boundary parameter l that is not an int of at least 1, naming it."""
+    if not isinstance(l, int) or l < 1:
+        raise ValueError(f"boundary family needs an int l >= 1, got l={l!r}")
+
+
 @functools.cache
 def _digit_blocks(l: int) -> tuple:
     """Member children of a two-valued triangle below the function level.
@@ -285,8 +291,7 @@ class LevelSetTree:
     """
 
     def __init__(self, fn: PiecewiseAffineFn, r, l: int = 1, depth: int = 0):
-        if l < 1:
-            raise ValueError(f"boundary family needs l >= 1, got l={l}")
+        _check_l(l)
         self.fn = fn
         self.r = _level_fraction(r)
         self.l = l
@@ -487,34 +492,33 @@ class LevelSetTree:
         return ((v, ()) for v in self._levels[n])
 
     def _members(self, n: int):
-        """(row, col, mu numerator, odd corner, blocks) of each member of ``_chains(n)``.
+        """(row, col, mu numerator, odd corner, K) of each member of ``_chains(n)``.
 
         The records come in ``nodes_at(t)`` order, and the measure is
         filled to n first.  (row, col) is the member's cell,
         ``delta_lattice_index`` of its word.  The member stands for its
-        run's depth-n members: ``blocks`` has one tuple per block of its
-        chain, each child's (row bits, col bits, mu factor), and a depth-n
-        member is one choice of child per block, in ``nodes_at(n)`` order
-        when the blocks are expanded one after the other.  Each choice
-        takes the cell to (row << l | row bits, col << l | col bits) and
-        the mu numerator to its times the factor (``_block_cells``), as
-        ``fill_measure`` splits it.  The odd corner o of a crossing member
-        fixes the line its run's members lie on: the block words' steps
-        into o spell one digit block, so their row bits are that block for
-        o = 2 (a row), their col bits for o = 1 (a column), and their row
-        plus col bits its complement for o = 0 (an anti-diagonal).  A
-        member with an empty chain has o = None and no blocks.  Each
-        block's cells are computed once, not per run; no node is built and
-        no address below c is parsed.
+        run's depth-n members, which its chain's digit blocks
+        ``_digit_blocks(l)[o][k]`` give: K is the integer those blocks'
+        digits k spell in base 2**l, most significant first, the K that
+        ``_step_runs`` divides out, recovered from the run's end as
+        ``_expand_runs`` recovers it.  The odd corner o of a crossing
+        member fixes the line its run's members lie on: the block words'
+        steps into o spell one digit block, so their row bits are that
+        block for o = 2 (a row), their col bits for o = 1 (a column), and
+        their row plus col bits its complement for o = 0 (an
+        anti-diagonal).  A member with an empty chain has o = None and K =
+        0.  No node is built and no address below c is parsed.
         """
         self.fill_measure(n)
-        dens = self.mu_denominators
-        lcms = [dens[j] // dens[j - 1] for j in range(self._crossing + 1, n + 1)]
+        c, l = self._crossing, self.l
+        read = self.depth - c               # the digits each run has read
+        ends = iter(self._ends)
         for x, chain in self._chains(n):
-            yield (*lattice_index_unchecked(x.word), x.mu_num,
-                   odd_corner(x.corners)[0] if chain else None,
-                   tuple(_block_cells(block, lcm // block[1][1])
-                         for block, lcm in zip(chain, lcms)))
+            o, k = None, 0
+            if chain:
+                o, b, a = odd_corner(x.corners)
+                k = (next(ends)[1] - (b << l * read)) // (a - b) >> l * (read - len(chain))
+            yield (*lattice_index_unchecked(x.word), x.mu_num, o, k)
 
     def _run_nodes(self, level: int):
         """Each run's nodes at ``level``, from c to the deepest level with nodes, in run order."""
@@ -740,8 +744,7 @@ def kappa_exponent(fn: PiecewiseAffineFn, word: str, l: int = 1) -> int:
     # A boundary word is a step of length l over at most two of the
     # symbols 0, 1 and 2 (``boundary_family``); scaling the table by D
     # keeps the extreme pairs.
-    if l < 1:
-        raise ValueError(f"boundary family needs l >= 1, got l={l}")
+    _check_l(l)
     if len(word) % l:
         raise ValueError(f"address length must be a multiple of l={l}")
     table = fn.int_word_table()[1]
@@ -771,8 +774,7 @@ def census_constant(alpha: float, d1, l: int) -> float:
         raise ValueError(f"d1 must be positive, got {d1}")
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if l < 1:
-        raise ValueError(f"boundary family needs l >= 1, got l={l}")
+    _check_l(l)
     return (math.e / d1) ** d1 * (3 * (2**l - 1)) ** d1 * 2.0 ** (1 - d1 - l * alpha)
 
 
@@ -819,8 +821,7 @@ def well_conducting_census(fn: PiecewiseAffineFn, r, n: int, l: int, d1, *,
     t = int(t)
     if r is not None:
         LevelValue.checked(r, fn)
-    if l < 1:
-        raise ValueError("boundary family needs l >= 1")
+    _check_l(l)
     table = fn.int_word_table()[1]
     b = 3 * ((1 << l) - 1)              # B = len(boundary_family(l))
     frontier = [("", 0)]                # (word, kappa exponent) within t

@@ -13,7 +13,8 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from holderlevels.cantor import FatCantorSet, ProductPiece, SeparatedStructure
-from holderlevels.levelset import LevelCollisionError, _level_fraction, kappa_exponent
+from holderlevels.levelset import (LevelCollisionError, _block_cells, _digit_blocks,
+                                   _level_fraction, kappa_exponent)
 from holderlevels.paf import PiecewiseAffineFn, _midpoint_copy
 from holderlevels.triangles import boundary_family, cell_corners, lattice_point, level_index
 
@@ -25,6 +26,38 @@ def touching_up_cells(row: int, col: int) -> list[tuple[int, int]]:
     """Upward cells sharing at least one lattice vertex with (row, col)."""
     return [(row + dr, col + dc)
             for dr, dc in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))]
+
+
+def run_blocks(l: int, o: int, k: int, lcms) -> tuple:
+    """The digit blocks a run's K spells, each child's (row bits, col bits, mu factor).
+
+    K has ``len(lcms)`` base-2**l digits, most significant first, and the
+    block of digit d at depth j is ``_digit_blocks(l)[o][d]`` with unit
+    ``lcms[j - 1]`` over its sum, as ``LevelSetTree.fill_measure`` splits it.
+    """
+    family, size = _digit_blocks(l)[o], len(lcms)
+    blocks = [family[k >> l * (size - j) & ((1 << l) - 1)] for j in range(1, size + 1)]
+    return tuple(_block_cells(block, lcm // block[1][1]) for block, lcm in zip(blocks, lcms))
+
+
+def chain_lcms(tree, n: int) -> list[int]:
+    """The lcm at each depth from the crossing depth c + 1 to n, the chains' depths."""
+    dens = tree.fill_measure(n).mu_denominators
+    return [dens[j] // dens[j - 1] for j in range(tree._crossing + 1, n + 1)]
+
+
+def member_blocks(tree, n: int) -> list[tuple]:
+    """``tree._members(n)`` with each K spelled out as its chain's blocks (``run_blocks``).
+
+    The mass check read these records, (row, col, mu numerator, odd
+    corner, blocks), before it read each run's K in closed form; a
+    depth-n member is one child per block, in ``nodes_at(n)`` order when
+    the blocks are expanded one after the other.
+    """
+    records = list(tree._members(n))
+    lcms = chain_lcms(tree, n)
+    return [(row, col, mu, o, () if o is None else run_blocks(tree.l, o, k, lcms))
+            for row, col, mu, o, k in records]
 
 
 def lchoice_window(alpha: float) -> tuple[float, float]:

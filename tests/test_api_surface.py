@@ -335,3 +335,13 @@ def test_every_tree_reader_walks_the_chains():
     imported = {getattr(n, "module", None) or a.name for n in ast.walk(bounds)
                 if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
     assert not any(m.split(".")[-1] == "triangles" for m in imported)
+
+
+def test_the_mass_check_reads_each_run_from_block_summaries():
+    # a run's window and seam come from summaries cached per digit, so only
+    # they and the worst cell's pruned descent read a block's cells, and
+    # _members yields each run's K rather than its blocks
+    reads = _where("bounds", lambda n: _called_name(n) in ("_block_cells", "_digit_blocks"))
+    assert reads == {"_block_summary", "_corner_cells", "_heavy_members"}
+    members = _functions("levelset")["_members"]
+    assert not {"_block_cells", "_digit_blocks"} & {_called_name(n) for n in _own_nodes(members)}

@@ -1,14 +1,17 @@
 """Bound formulas, feasibility search, slopes, mass distribution.
 
-The mass distribution has two references.  The first refills the
+The mass distribution has three references.  The first refills the
 measure at every checked depth and gathers, for every cell touching a
 member, the masses of the members touching it.  The second is the
 per-member scatter the program ran before it read the runs' line
 summaries: every depth-n member, in ``nodes_at(n)`` order, adds its
 mass to the cells it touches, and the first cell of the largest mass in
-that order is the worst cell.
+that order is the worst cell.  The third is the block walk the program
+ran before it read each run's windows and seams in closed form from its
+K (``_run_walks``, ``walk_report``).
 """
 
+import functools
 import itertools
 import math
 import random
@@ -21,11 +24,14 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 import pytest
 
+from holderlevels import bounds
 from holderlevels.bounds import (
     _SEAM_LAYERS,
     BoundSearchParams,
     MassDistributionReport,
-    _run_walks,
+    _digit_counts,
+    _run_windows,
+    _scatter,
     box_count_dimension,
     census_constant,
     default_d1,
@@ -39,7 +45,8 @@ from holderlevels.bounds import (
 from holderlevels.levelset import LevelCollisionError, LevelSetTree, _block_cells, _digit_blocks
 from holderlevels.paf import random_standard_paf
 from holderlevels.triangles import delta_lattice_index
-from helpers import affine_from_corners, lchoice_window, touching_up_cells
+from helpers import (affine_from_corners, chain_lcms, lchoice_window, member_blocks, run_blocks,
+                     touching_up_cells)
 from test_kernel import corpus_fn
 from test_structure_oracle import generic_fn
 
@@ -483,20 +490,113 @@ def test_mass_distribution_on_a_tree_switched_to_nodes(monkeypatch, seed):
     tree = LevelSetTree(fn, r, params.l)
     c = tree._crossing
     tree.nodes_at(c + 1)
-    chains: list[tuple[int, int]] = []
+    chains: list[tuple[int, int | None, int]] = []
     members = LevelSetTree._members
 
     def recorded(self, n):
         for record in members(self, n):
-            chains.append((n, len(record[4])))
+            chains.append((n, record[3], record[4]))
             yield record
 
     monkeypatch.setattr(LevelSetTree, "_members", recorded)
     rep = mass_distribution_lower(fn, r, params, 4, tree=tree)
-    assert {k for n, k in chains if n == 8} == {8 - c}
+    # each depth-8 record has a chain from c: an odd corner and K of 8 - c digits
+    assert all(o is not None and k >> params.l * (8 - c) == 0 for n, o, k in chains if n == 8)
     assert len(chains) == len(tree.nodes_at(c)) + len(tree.nodes_at(2))
     assert rep.worst_level > c
     assert rep == mass_distribution_lower(fn, r, params, 4) == scatter_oracle(fn, r, params, 4)
+
+
+@functools.cache
+def _line_block(cells: tuple, line: int, l: int) -> tuple:
+    """One block's factors u(e) along its run's line, as ``_run_walks`` reads them.
+
+    ``cells`` is a block of ``run_blocks`` and ``line`` the index of a
+    cell's line digit e; u(e) is 0 where the block has no child.  With top
+    = 2**l - 1 the summary is (the largest u, the set of pairs (u(e), u(e
+    + 1)) over e < top, the largest u(e - 1) + u(e) + u(e + 1), and the
+    starts (u(top), u(0) + u(1)) and (u(top - 1) + u(top), u(0))).
+    """
+    size = 1 << l
+    u = [0] * (size + 2)            # u(e) at e + 1, with a 0 on either side
+    for cell in cells:
+        u[cell[line] + 1] = cell[2]
+    return (max(u), frozenset(zip(u[1:size], u[2:size + 1])),
+            max(map(sum, zip(u, u[1:], u[2:]))),
+            ((u[size], u[1] + u[2]), (u[size - 1] + u[size], u[1])))
+
+
+def _run_walks(runs, l: int, reach, ks) -> list[tuple[list, list]]:
+    """(each run's window, each run's seam cells) at chain length k, from a walk of its blocks.
+
+    The walk oracle of ``_run_windows``: ``runs`` are ``member_blocks``
+    records (row, col, mu, o, blocks), and each run's blocks are walked
+    once for every k of ``ks``.  The window is M_(k-1) T_k against M_(k-2)
+    times the largest a x + b y over block k's starts and block k - 1's
+    pairs, with the peaks M_j multiplied up block by block.  The seam cells
+    are the members within ``reach`` layers of a corner of the run's
+    region, found by a descent that drops a member once it is ``reach``
+    layers from every corner; with ``reach`` = inf they are every member.
+    """
+    walks = [([], []) for _ in ks]
+    for row, col, mu, o, blocks in runs:
+        line = int(o == 2)
+        prev = last = None              # the summaries of blocks k - 1 and k
+        peaks = [mu]                    # M_j, from the run's own member down
+        members, top, done = [(0, 0, mu)], 0, 0
+        for k, (windows, seams) in zip(ks, walks):
+            for cells in blocks[done:k]:
+                prev, last = last, _line_block(cells, line, l)
+                peaks.append(peaks[-1] * last[0])
+                top = top << l | ((1 << l) - 1)
+                members = [(i, j, m) for i, j, m in
+                           ((pi << l | bi, pj << l | bj, pm * f)
+                            for pi, pj, pm in members for bi, bj, f in cells)
+                           if min(i + j, top - i, top - j) < reach]
+            done = k
+            best = peaks[k - 1] * last[2] if k else mu
+            if k > 1:
+                best = max(best, peaks[k - 2] * max(a * x + b * y for a, b in last[3]
+                                                    for x, y in prev[1]))
+            d = k * l
+            windows.append(best)
+            seams.append([(row << d | i, col << d | j, m) for i, j, m in members])
+    return walks
+
+
+def walk_report(fn, r, params, n_prime_max, tree=None) -> MassDistributionReport:
+    """The report of the mass check that walked each run's blocks (``_run_walks``).
+
+    The worst cell is located by listing, in full, the members of the
+    first run whose window reaches the mass.
+    """
+    q, l, d1 = params.q, params.l, params.d1
+    tree = tree or LevelSetTree(fn, r, l)
+    n_max = q * n_prime_max
+    deepest = member_blocks(tree, n_max)
+    t = n_max - len(deepest[0][4])
+    groups = itertools.chain(((member_blocks(tree, n), n, [0]) for n in range(q, t, q)),
+                             [(deepest, t, [n - t for n in range(q, n_max + 1, q) if n >= t])])
+    c_emp, worst_cell, worst_level, levels = 0.0, None, None, []
+    for runs, depth, ks in groups:
+        for k, (windows, seams) in zip(ks, _run_walks(runs, l, _SEAM_LAYERS, ks)):
+            n = depth + k
+            s = n * l + 2
+            cell_mass = _scatter(seams, s)
+            mass = max(max(windows), max(cell_mass.values(), default=0))
+            quot = (mass << int(n * d1)) / tree.mu_denominators[n]
+            if quot > c_emp:
+                first = next((i for i, w in enumerate(windows) if w == mass), None)
+                if first is not None:
+                    [(_, [seams[first]])] = _run_walks(runs[first:first + 1], l, math.inf, [k])
+                    cell_mass = _scatter(seams, s)
+                key = next(cell for cell, v in cell_mass.items() if v == mass)
+                c_emp, worst_level = quot, n
+                worst_cell = ((key >> s) - 1, (key & ((1 << s) - 1)) - 1)
+            levels.append(n)
+    return MassDistributionReport(s=params.s, verified=c_emp <= 8.0, feasible=params.feasible,
+                                  c_empirical=c_emp, worst_cell=worst_cell,
+                                  worst_level=worst_level, levels_checked=levels)
 
 
 @pytest.mark.parametrize("seed, level, l", [(s, level, l) for s in range(4)
@@ -509,11 +609,11 @@ def test_run_windows_match_the_listed_members(seed, level, l):
     root = fn.corner_values("")
     r = min(root) + (max(root) - min(root)) * F(1234567, 3 * 2**24)
     tree = LevelSetTree(fn, r, l)
-    c = tree._crossing
-    runs = list(tree._members(c + 6 // l))
+    n = tree._crossing + 6 // l
+    runs = list(tree._members(n))
     ks = list(range(6 // l + 1))
-    walks = _run_walks(runs, l, _SEAM_LAYERS, ks)
-    listed = _run_walks(runs, l, math.inf, ks)
+    walks = _run_windows(runs, l, chain_lcms(tree, n), ks)
+    listed = _run_walks(member_blocks(tree, n), l, math.inf, ks)
     for (windows, _), (_, members) in zip(walks, listed):
         for (*_, o, _), window, run in zip(runs, windows, members):
             assert window == listed_window(run, o)
@@ -531,48 +631,46 @@ def listed_window(members, o: int) -> int:
 
 @st.composite
 def drawn_runs(draw):
-    """(l, a run record) with a drawn chain of ``_digit_blocks`` blocks.
+    """(l, a run record, the lcm at each depth of its chain) with a drawn chain of digits.
 
-    Each block gets a unit as ``LevelSetTree._members`` forms it: the lcm
-    of the block sums at its depth, here a drawn set of sums holding the
-    block's own, over that sum.  Chains no tree of the corpus reaches
-    come up too, so the window's two-block form meets neighbouring blocks
-    whose units differ block by block.
+    Each depth's lcm is formed as ``LevelSetTree.fill_measure`` forms it:
+    the lcm of the block sums at that depth, here a drawn set of sums
+    holding the block's own.  Chains no tree of the corpus reaches come up
+    too, so the window's two-block form meets neighbouring blocks whose
+    units differ block by block.
     """
     l = draw(st.integers(min_value=1, max_value=3))
     o = draw(st.integers(min_value=0, max_value=2))
     family = _digit_blocks(l)[o]
     sums = sorted({total for _, (_, total) in family})
-    blocks = []
-    for k in draw(st.lists(st.integers(min_value=0, max_value=(1 << l) - 1),
-                           min_size=1, max_size=8)):
-        own = family[k][1][1]
-        lcm = math.lcm(own, *draw(st.sets(st.sampled_from(sums))))
-        blocks.append(_block_cells(family[k], lcm // own))
-    assume(math.prod(map(len, blocks)) <= 4096)
+    digits = draw(st.lists(st.integers(min_value=0, max_value=(1 << l) - 1),
+                           min_size=1, max_size=8))
+    lcms = [math.lcm(family[k][1][1], *draw(st.sets(st.sampled_from(sums)))) for k in digits]
+    assume(math.prod(len(family[k][0]) for k in digits) <= 4096)
     cell = st.integers(min_value=0, max_value=7)
     return l, (draw(cell), draw(cell), draw(st.integers(min_value=1, max_value=10**6)), o,
-               tuple(blocks))
+               sum(k << l * j for j, k in enumerate(reversed(digits)))), lcms
 
 
 @given(drawn_runs())
 @settings(max_examples=400, deadline=None)
 def test_run_windows_of_drawn_chains_match_the_listed_members(case):
     # as above, on run records built directly rather than read from a tree
-    l, run = case
-    ks = list(range(len(run[4]) + 1))
-    walks = _run_walks([run], l, _SEAM_LAYERS, ks)
-    listed = _run_walks([run], l, math.inf, ks)
+    l, run, lcms = case
+    ks = list(range(len(lcms) + 1))
+    walks = _run_windows([run], l, lcms, ks)
+    listed = _run_walks([(*run[:4], run_blocks(l, run[3], run[4], lcms))], l, math.inf, ks)
     for ([window], _), (_, [members]) in zip(walks, listed):
         assert window == listed_window(members, run[3])
 
 
 @pytest.mark.parametrize("l", range(1, 9))
 def test_every_block_has_one_of_three_line_profiles(l):
-    # the premises of _run_walks' proof: read as _line_block reads it, with
-    # one child per line position, a block's factors along its run's line
-    # are, up to its unit, the zero block's u = (2, 1, ..., 1), the ones
-    # block's (1, 0, ..., 0) or a mixed block k's 1 at e = 0 and e = top ^ k
+    # the premises of _run_windows' proof: read as _block_summary reads
+    # them, with one child per line position, a block's factors along its
+    # run's line are, up to its unit, the zero block's u = (2, 1, ..., 1),
+    # the ones block's (1, 0, ..., 0) or a mixed block k's 1 at e = 0 and
+    # e = top ^ k
     top = (1 << l) - 1
     for o, family in enumerate(_digit_blocks(l)):
         line = int(o == 2)
@@ -589,19 +687,19 @@ def test_every_block_has_one_of_three_line_profiles(l):
 
 
 def chain_runs(l: int, length: int) -> list:
-    """A run record for every chain of ``length`` blocks of every ``_digit_blocks(l)[o]``.
+    """(a run record, its lcms) for each chain of ``length`` blocks of ``_digit_blocks(l)``.
 
-    The unit at depth j is formed as ``LevelSetTree._members`` forms it,
-    the lcm of the block sums at that depth over the block's own, here
-    with a second sum that changes from depth to depth.
+    The lcm at depth j is formed as ``LevelSetTree.fill_measure`` forms
+    it, the lcm of the block sums at that depth, here the block's own and
+    a second sum that changes from depth to depth.
     """
     runs = []
     for o, family in enumerate(_digit_blocks(l)):
         sums = sorted({total for _, (_, total) in family})
-        for chain in itertools.product(family, repeat=length):
-            blocks = tuple(_block_cells(block, math.lcm(total, sums[j % len(sums)]) // total)
-                           for j, block in enumerate(chain) for total in [block[1][1]])
-            runs.append((3, 5, 7, o, blocks))
+        for digits in itertools.product(range(1 << l), repeat=length):
+            lcms = [math.lcm(family[k][1][1], sums[j % len(sums)]) for j, k in enumerate(digits)]
+            runs.append(((3, 5, 7, o, sum(k << l * j for j, k in enumerate(reversed(digits)))),
+                         lcms))
     return runs
 
 
@@ -610,16 +708,179 @@ def test_run_windows_of_every_chain_match_the_listed_members(l, length):
     # every chain of blocks, each prefix of it too: the window from the last
     # two blocks is the largest sum over three consecutive line positions of
     # the members, listed here block by block
-    runs = chain_runs(l, length)
     ks = range(length + 1)
-    walks = _run_walks(runs, l, 0, ks)
-    for i, (_, _, mu, o, blocks) in enumerate(runs):
+    for run, lcms in chain_runs(l, length):
+        _, _, mu, o, k = run
+        blocks = run_blocks(l, o, k, lcms)
         members = [(0, 0, mu)]
-        for k, (windows, _) in zip(ks, walks):
+        for k, ([window], _) in zip(ks, _run_windows([run], l, lcms, ks)):
             if k:
                 members = [(pi << l | bi, pj << l | bj, pm * f)
                            for pi, pj, pm in members for bi, bj, f in blocks[k - 1]]
-            assert windows[i] == listed_window(members, o), (l, o, k, blocks)
+            assert window == listed_window(members, o), (l, o, k, blocks)
+
+
+@pytest.mark.parametrize("l, length", [(1, 10), (2, 5), (3, 3), (4, 2)])
+def test_run_seams_of_every_chain_match_the_walk(l, length):
+    # the corner chains against the walk's pruned descent, on every chain:
+    # the same seam members, with the same masses, in the same order
+    ks = range(length + 1)
+    for run, lcms in chain_runs(l, length):
+        walked = _run_walks([(*run[:4], run_blocks(l, run[3], run[4], lcms))], l,
+                            _SEAM_LAYERS, ks)
+        assert [seams for _, seams in _run_windows([run], l, lcms, ks)] == [
+            seams for _, seams in walked], (l, run)
+
+
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=12),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_digit_counts_match_the_digits(l, j, data):
+    k = data.draw(st.integers(min_value=0, max_value=(1 << l * j) - 1))
+    digits = [k >> l * i & ((1 << l) - 1) for i in range(j)]
+    zeros = digits.count(0)
+    assert _digit_counts(k, j, l) == (zeros, j - zeros - digits.count((1 << l) - 1))
+
+
+@st.composite
+def mass_cases(draw):
+    """(fn, r, params, n', whether a node is read past c first) across the mass check's trees.
+
+    Corpus functions at l = 1 to 4, the feasible alpha = 1 and 0.8
+    triples (l = 6), deep's (1.0, 1/4, 1), and generic functions, whose
+    crossing members mostly have three distinct corners.  A level just
+    off a vertex value puts members of two runs beside the corner their
+    regions share.
+    """
+    kind = draw(st.sampled_from(["corpus", "feasible", "deep", "generic"]))
+    seed, level = draw(st.integers(min_value=0, max_value=3)), draw(st.integers(2, 4))
+    fn = generic_fn(seed + 4, level) if kind == "generic" else corpus_fn(seed, level)
+    if kind == "feasible":
+        params = BoundSearchParams.for_alpha(draw(st.sampled_from([1.0, 0.8])))
+        n_prime = 1
+    elif kind == "deep":
+        params, n_prime = BoundSearchParams(1.0, F(1, 4), 1), draw(st.integers(1, 6))
+    else:
+        l, q = draw(st.integers(1, 4)), draw(st.sampled_from([2, 3, 4]))
+        params = BoundSearchParams(1.0, F(1, q), l)
+        n_prime = draw(st.integers(1, max(1, 16 // (q * l))))
+    root = fn.corner_values("")
+    lo, hi = min(root), max(root)
+    if draw(st.booleans()):
+        word = draw(st.text(alphabet="012", max_size=level + 2))
+        sign = draw(st.sampled_from([-1, 1]))
+        r = (fn.corner_values(word)[draw(st.integers(min_value=0, max_value=2))]
+             + (hi - lo) * F(sign, 3 << draw(st.integers(min_value=4, max_value=30))))
+        assume(lo < r < hi)
+    else:
+        r = lo + (hi - lo) * F(draw(st.integers(min_value=1, max_value=3 * 2**24 - 1)),
+                               3 * 2**24)
+    return fn, r, params, n_prime, draw(st.booleans())
+
+
+def drawn_tree(fn, r, params, n_prime, read_past_c):
+    """The case's tree grown to its deepest checked depth, a node read past c first if asked."""
+    tree = LevelSetTree(fn, r, params.l)
+    n = params.q * n_prime
+    try:
+        if read_past_c and n > tree._crossing:
+            tree.nodes_at(tree._crossing + 1)
+        tree.fill_measure(n)
+    except LevelCollisionError:
+        assume(False)
+    assume(tree.root is not None and sum(c for c, _ in tree.histogram(n).values()) <= 20_000)
+    return tree
+
+
+@given(mass_cases())
+@settings(max_examples=150, deadline=None)
+def test_run_windows_and_seams_match_the_walk_at_every_chain_length(case):
+    fn, r, params, n_prime, read_past_c = case
+    tree = drawn_tree(*case)
+    n, l = params.q * n_prime, params.l
+    runs = list(tree._members(n))
+    lcms = chain_lcms(tree, n) if runs[0][3] is not None else []
+    ks = range(len(lcms) + 1)
+    assert _run_windows(runs, l, lcms, ks) == _run_walks(member_blocks(tree, n), l,
+                                                         _SEAM_LAYERS, ks)
+
+
+@given(mass_cases())
+@settings(max_examples=150, deadline=None)
+def test_mass_distribution_matches_the_walk(case):
+    fn, r, params, n_prime, _ = case
+    tree = drawn_tree(*case)
+    assert mass_distribution_lower(fn, r, params, n_prime, tree=tree) == walk_report(
+        fn, r, params, n_prime)
+
+
+@pytest.mark.parametrize("l, length", [(1, 8), (2, 4), (3, 3)])
+def test_heavy_members_keep_every_maximising_window(l, length):
+    # every member of every window of three consecutive line positions that
+    # reaches the largest window, at every chain length of every chain, is
+    # in the worst cell's pruned descent, and so is every seam member
+    for run, lcms in chain_runs(l, length):
+        row, col, mu, o, k = run
+        blocks = run_blocks(l, o, k, lcms)
+        seams = [seams for _, [seams] in _run_windows([run], l, lcms, range(length + 1))]
+        members = [(0, 0, mu)]
+        for k, cells in enumerate(blocks, 1):
+            members = [(pi << l | bi, pj << l | bj, pm * f)
+                       for pi, pj, pm in members for bi, bj, f in cells]
+            window = listed_window(members, o)
+            at = {m[1] if o == 2 else m[0]: m for m in members}
+            need = {at[q] for p in at for start in (p - 2, p - 1, p)
+                    if sum(at[q][2] for q in range(start, start + 3) if q in at) == window
+                    for q in range(start, start + 3) if q in at}
+            d = k * l
+            kept = set(bounds._heavy_members(run, l, lcms, k, window))
+            assert {(row << d | i, col << d | j, m) for i, j, m in need} <= kept, (l, run, k)
+            assert set(seams[k]) <= kept, (l, run, k)
+
+
+def found_case():
+    """A level-2 function at deep's l = 1, q = 2 whose worst run doubles at every zero block."""
+    fn = random_standard_paf(2, 2, 1.0, 0.9, check=False)
+    root = fn.corner_values("")
+    return fn, min(root) + (max(root) - min(root)) / 3, BoundSearchParams(1.0, F(1, 2), 1)
+
+
+def test_worst_cell_is_found_without_listing_the_run():
+    # the first run whose window reaches the mass has 2**zeros members at the
+    # worst depth; the descent keeps only those near a heavy one or a corner.
+    # The block walk, which listed the run, took 25 s at n' = 24
+    fn, r, params = found_case()
+    assert mass_distribution_lower(fn, r, params, 8) == walk_report(fn, r, params, 8)
+    start = time.perf_counter()
+    rep = mass_distribution_lower(fn, r, params, 24)
+    elapsed = time.perf_counter() - start
+    assert (rep.c_empirical, rep.worst_level, rep.worst_cell) == (
+        747.4651382547372, 46, (10988213177132, 35184372088833))
+    assert elapsed < 0.5, elapsed
+    rep = mass_distribution_lower(fn, r, params, 20)
+    assert (rep.c_empirical, rep.worst_level, rep.worst_cell) == (
+        315.33685520121725, 40, (171690830892, 549755813889))
+
+
+@pytest.mark.parametrize("case", ["found", "feasible"])
+def test_mass_check_reads_a_constant_number_of_summaries_per_run_and_depth(monkeypatch, case):
+    # two block summaries and one straddle per run and checked depth past
+    # the runs' own depth, plus each summary's first read of the cache
+    if case == "found":
+        (fn, r, params), n_prime = found_case(), 24
+    else:
+        fn = random_standard_paf(7, 3, 1.0, 0.9)
+        root = fn.corner_values("")
+        r = min(root) + (max(root) - min(root)) / 3
+        params, n_prime = BoundSearchParams.for_alpha(1.0), 6
+    tree = LevelSetTree(fn, r, params.l)
+    calls = []
+    for name in ("_block_summary", "_straddle"):
+        monkeypatch.setattr(bounds, name, functools.partial(
+            lambda real, *args: calls.append(args) or real(*args), getattr(bounds, name)))
+    rep = mass_distribution_lower(fn, r, params, n_prime, tree=tree)
+    runs = len(tree.nodes_at(tree._crossing))
+    assert len(calls) <= 3 * runs * len(rep.levels_checked) + 2 * 4 ** params.l
 
 
 def test_mass_distribution_tie_goes_to_first_scatter_cell():

@@ -44,7 +44,8 @@ CASES = {
         lambda v: hl.piecewise_constant_feasibility(0.6, 0.5, 1.0, _STRUCTURE, v),
         [-1], "k must"),
     "product_separated_structure k_max": (hl.product_separated_structure, [-1, 0, 1], "k_max"),
-    "BoundSearchParams l": (lambda v: hl.BoundSearchParams(1.0, F(1, 2), v), [0, -2], "l"),
+    "BoundSearchParams l": (lambda v: hl.BoundSearchParams(1.0, F(1, 2), v),
+                             [0, -2, 1.5, 2.0, F(3, 2)], "int l >= 1"),
     "BoundSearchParams alpha": (lambda v: hl.BoundSearchParams(v, F(1, 2), 1), [nan, 0, -1, 2],
                                 "alpha must"),
     "HolderParams alpha": (lambda v: hl.HolderParams(v, 0.9), [nan, 0, -1, 2], "alpha"),
@@ -94,7 +95,8 @@ CASES = {
     "census_constant d1": (lambda v: hl.census_constant(1.0, v, 2), [nan, 0, -1], "d1"),
     "census_constant alpha": (lambda v: hl.census_constant(v, F(1, 2), 2), [nan, 0, -1, 2],
                               "alpha"),
-    "census_constant l": (lambda v: hl.census_constant(1.0, F(1, 2), v), [0, -1], "l >= 1"),
+    "census_constant l": (lambda v: hl.census_constant(1.0, F(1, 2), v), [0, -1, 1.5],
+                          "l >= 1"),
     "feasible_l alpha": (lambda v: hl.feasible_l(v, F(1, 4)), [nan, 0, -1, 2], "alpha"),
     "feasible_l d1": (lambda v: hl.feasible_l(0.6, v), [nan, 0, -1, 2], "d1"),
     "lower_bound alpha": (hl.lower_bound, [nan, 0, -1, 2], "alpha"),
@@ -118,8 +120,10 @@ CASES = {
     "random_standard_paf c": (lambda v: hl.random_standard_paf(1, 2, 0.5, v, check=False),
                               [nan, 0, -1, inf], "c must"),
     "PiecewiseAffineFn.refine level": (_FN.refine, [-1, 2], "level"),
-    "kappa_exponent l": (lambda v: hl.kappa_exponent(_FN, "01", v), [0, -1], "l >= 1"),
-    "LevelSetTree l": (lambda v: hl.LevelSetTree(_FN, _R, v, 2), [0, -1], "l >= 1"),
+    "kappa_exponent l": (lambda v: hl.kappa_exponent(_FN, "01", v), [0, -1, 1.5, 2.0],
+                         "int l >= 1"),
+    "LevelSetTree l": (lambda v: hl.LevelSetTree(_FN, _R, v, 2), [0, -1, 1.5, 2.0],
+                       "int l >= 1"),
     "LevelSetTree depth": (lambda v: hl.LevelSetTree(_FN, _R, 1, v), [-1, -3], "depth"),
     "LevelSetTree.histogram n": (lambda v: hl.LevelSetTree(_FN, _R, 1).histogram(v), [-1, -3],
                                  "n must"),
@@ -135,8 +139,8 @@ CASES = {
         lambda v: hl.well_conducting_census(_FN, None, v, 1, F(1, 2), alpha=0.5),
         [-2, 4.0, F(4), 2.5], "n must"),
     "well_conducting_census l": (
-        lambda v: hl.well_conducting_census(_FN, None, 2, v, F(1, 2), alpha=0.5), [0, -1],
-        "l >= 1"),
+        lambda v: hl.well_conducting_census(_FN, None, 2, v, F(1, 2), alpha=0.5),
+        [0, -1, 1.5, 2.0], "int l >= 1"),
     "well_conducting_census d1": (
         lambda v: hl.well_conducting_census(_FN, None, 2, 1, v, alpha=0.5), [0, F(-1, 2)], "d1"),
     "well_conducting_census alpha": (

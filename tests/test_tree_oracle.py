@@ -40,7 +40,7 @@ from holderlevels.levelset import (
 )
 from holderlevels.paf import PiecewiseAffineFn, random_standard_paf
 from holderlevels.triangles import boundary_family, lattice_index_unchecked
-from helpers import affine_from_corners, point_values
+from helpers import affine_from_corners, member_blocks, point_values
 from test_bounds import scatter_oracle
 from test_kernel import corpus_fn, descend
 
@@ -555,7 +555,7 @@ def assert_readers_match(tree, levels, top: int) -> None:
     hists = []
     for n, nodes in enumerate(levels):
         members = []
-        for row, col, mu, _, blocks in tree._members(n):
+        for row, col, mu, _, blocks in member_blocks(tree, n):
             run = [(row, col, mu)]
             for block in blocks:
                 run = [(i << l | bi, j << l | bj, m * f) for i, j, m in run for bi, bj, f in block]
@@ -809,9 +809,10 @@ def test_nodes_read_past_the_crossing_stay_a_view_of_the_runs(seed, level, l, k,
     assert len(tree.filled) == len(set(tree.filled))
     assert_nodes_match(tree, levels, True)
     assert_readers_match(tree, levels, depth)
-    members = list(tree._members(depth))
-    assert members == list(fresh._members(depth))
-    assert all(len(blocks) == depth - c for *_, blocks in members)
+    assert list(tree._members(depth)) == list(fresh._members(depth))
+    # every record has a chain from c: an odd corner and K of depth - c digits
+    assert all(o is not None and k >> tree.l * (depth - c) == 0
+               for *_, o, k in tree._members(depth))
     assert tree.histograms(depth) == fresh.histograms(depth)
     word = data.draw(st.sampled_from([v.word for v in levels[d]]))
     assert tree.conservation(word, depth - d) == fresh.conservation(word, depth - d)
