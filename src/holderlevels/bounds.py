@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .levelset import (LevelSetTree, _block_cells, _check_l, _digit_blocks, _level_fraction,
-                       census_constant)
+from .levelset import (LevelSetTree, _block_cell, _blocks, _check_depth, _check_l,
+                       _level_fraction, census_constant)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -229,33 +229,33 @@ class MassDistributionReport:
 
 
 @functools.cache
-def _block_summary(l: int, o: int, digit: int) -> tuple:
-    """Block ``_digit_blocks(l)[o][digit]`` along its run's line, at unit 1.
+def _block_summary(l: int, digit: int) -> tuple:
+    """The block of ``digit`` along its run's line, at unit 1.
 
     With u(e) the weight of the child at line position e (0 where the
-    block has no child; e is read at index 1 of a ``_block_cells`` cell,
-    its col bits, for o = 2, and at index 0, its row bits, otherwise) and
-    top = 2**l - 1, the summary is (the block sum S, the largest u, the
-    largest u(e - 1) + u(e) + u(e + 1) T, the starts (u(top), u(0) +
-    u(1)) and (u(top - 1) + u(top), u(0)), the set of pairs (u(e), u(e +
-    1)) over e < top).  At a depth of lcm L the block's factors are L / S
-    times these weights.
+    block has no child) and top = 2**l - 1, the summary is (the block sum
+    S, the largest u, the largest u(e - 1) + u(e) + u(e + 1) T, the
+    starts (u(top), u(0) + u(1)) and (u(top - 1) + u(top), u(0)), the set
+    of pairs (u(e), u(e + 1)) over e < top).  At a depth of lcm L the
+    block's factors are L / S times these weights.  Each entry reads at
+    most three consecutive positions or an end, so u is read along
+    the block's spans with each stretch of equal weights cut to three.
     """
-    block = _digit_blocks(l)[o][digit]
-    line, size = int(o == 2), 1 << l
-    u = [0] * (size + 2)            # u(e) at e + 1, with a 0 on either side
-    for cell in _block_cells(block, 1):
-        u[cell[line] + 1] = cell[2]
-    return (block[1][1], max(u), max(map(sum, zip(u, u[1:], u[2:]))),
-            ((u[size], u[1] + u[2]), (u[size - 1] + u[size], u[1])),
-            frozenset(zip(u[1:size], u[2:size + 1])))
+    _, total, spans = _blocks(l)[digit]
+    u, end = [0], 0         # the cut line with a 0 on either side, and the next position
+    for _, w, lines in spans:
+        u += [0] * min(lines.start - end, 3) + [w] * min(len(lines), 3)
+        end = lines.stop
+    u += [0] * min((1 << l) - end, 3) + [0]
+    return (total, max(u), max(map(sum, zip(u, u[1:], u[2:]))),
+            ((u[-2], u[1] + u[2]), (u[-3] + u[-2], u[1])), frozenset(zip(u[1:-2], u[2:-1])))
 
 
 @functools.cache
-def _straddle(l: int, o: int, prev: int, digit: int) -> int:
+def _straddle(l: int, prev: int, digit: int) -> int:
     """The largest a x + b y over block ``digit``'s starts (a, b) and ``prev``'s pairs (x, y)."""
-    pairs = _block_summary(l, o, prev)[4]
-    return max(a * x + b * y for a, b in _block_summary(l, o, digit)[3] for x, y in pairs)
+    pairs = _block_summary(l, prev)[4]
+    return max(a * x + b * y for a, b in _block_summary(l, digit)[3] for x, y in pairs)
 
 
 @functools.cache
@@ -266,20 +266,20 @@ def _corner_cells(l: int, o: int, lead: int | None, digit: int) -> tuple:
     a word V**(l - 1) s of block ``digit`` (s any symbol) below leading
     blocks V**l of digit ``lead``: (row bits, col bits, weight, block
     sum) of V**l and (row bits, col bits, weight) of the last word, cells
-    at unit 1 (``_block_cells``), in word order and once each.  ``lead``
-    None stands for no leading block.
+    at unit 1, in word order and once each.  ``lead`` None stands for no
+    leading block.
     """
-    words = {word: (d, pos, cell, block[1][1])
-             for d, block in enumerate(_digit_blocks(l)[o])
-             for pos, ((word, _), cell) in enumerate(zip(block[0], _block_cells(block, 1)))}
+    top, big = (1 << l) - 1, 1 + (o < 2)
     cells = {}
-    for v in "012":
-        d0, p0, lead_cell, s0 = words[v * l]
-        if lead is None or d0 == lead:
-            for s in "012":
-                d, pos, last_cell, _ = words[v * (l - 1) + s]
-                if d == digit:
-                    cells[p0 * (lead is not None), pos] = (*lead_cell, s0, *last_cell)
+    for v, s in itertools.product(range(3), repeat=2):
+        # (digit, line position) of V**l and V**(l - 1) s: the bits of their o and big steps
+        words = ((top * (v == o), top * (v == big)),
+                 ((top ^ 1) * (v == o) | (s == o), (top ^ 1) * (v == big) | (s == big)))
+        (k0, e0), (k, e) = words
+        if lead in (None, k0) and k == digit:
+            lead_cell, last_cell = [(*_block_cell(l, o, d, p), next(
+                w for _, w, span in _blocks(l)[d][2] if p in span)) for d, p in words]
+            cells[e0 * (lead is not None), e] = (*lead_cell, _blocks(l)[k0][1], *last_cell)
     return tuple(cells[key] for key in sorted(cells))
 
 
@@ -325,18 +325,18 @@ def _run_windows(runs, l: int, lcms, ks) -> list[tuple[list, list]]:
     one member P at depth t + k - 1, weighing at most mu(P) T_k, or
     straddle P, P + 1, weighing a mu(P) + b mu(P + 1); the two terms are
     the heaviest P's best triple and siblings below the heaviest Q at
-    depth t + k - 2.  Up to a unit per depth, a block of
-    ``_digit_blocks(l)[o]`` is the zero block u = (2, 1, ..., 1), the ones
-    block (1, 0, ..., 0) or a mixed block k, 1 at e = 0 and e = top ^ k,
-    and only the first has u(top) > 0.  So, as a, b <= T_k, a heavier pair
-    is two members Q 2**l + top, (Q + 1) 2**l below a zero block k - 1 of
-    unit U, weighing U (a mu(Q) + 2 b mu(Q + 1)), with M_(k-1) = 2 U
-    M_(k-2).  If a >= b that is at most U (2 a + b) M_(k-2), the term of
-    the pair (2U, U).  If a < b and l >= 2, it is at most U 2 (a + b)
-    M_(k-2) = M_(k-1) (a + b), and a + b <= T_k (4 in the zero block,
-    else u(0) + u(1) or u(0)).  If a < b and l = 1, it is at most 2 b U
-    M_(k-2) = b M_(k-1) by the claim mu(p) + c mu(p + 1) <= c M_j for
-    c >= 2, at c = 2 b / a (plain at a = 0).  The claim holds at j = 0
+    depth t + k - 2.  Up to a unit per depth, a block (``_blocks``) is
+    the zero block u = (2, 1, ..., 1), the ones block (1, 0, ..., 0) or a
+    mixed block k, 1 at e = 0 and e = top ^ k, and only the first has
+    u(top) > 0.  So, as a, b <= T_k, a heavier pair is two members Q 2**l
+    + top, (Q + 1) 2**l below a zero block k - 1 of unit U, weighing U (a
+    mu(Q) + 2 b mu(Q + 1)), with M_(k-1) = 2 U M_(k-2).  If a >= b that
+    is at most U (2 a + b) M_(k-2), the term of the pair (2U, U).  If a <
+    b and l >= 2, it is at most U 2 (a + b) M_(k-2) = M_(k-1) (a + b),
+    and a + b <= T_k (4 in the zero block, else u(0) + u(1) or u(0)).  If
+    a < b and l = 1, it is at most 2 b U M_(k-2) = b M_(k-1) by the claim
+    mu(p) + c mu(p + 1) <= c M_j for c >= 2, at c = 2 b / a (plain at a =
+    0).  The claim holds at j = 0
     and with a non-member; at l = 1 two members are siblings in the zero
     block, (2 + c) U mu(Q) <= 2 c U M_(j-1) = c M_j, or straddle two
     parents there, U (mu(Q) + 2 c mu(Q + 1)) <= 2 c U M_(j-1) by the
@@ -363,7 +363,7 @@ def _run_windows(runs, l: int, lcms, ks) -> list[tuple[list, list]]:
                 steps, walks[len(walks) - len(steps):]):
             head = digits >> shift          # the first k digits
             lead, digit = head >> l, head & mask
-            total, _, triple, _, _ = _block_summary(l, o, digit)
+            total, _, triple, _, _ = _block_summary(l, digit)
             zeros, mixed = _digit_counts(lead, k - 1, l)
             peak = (mu * before << zeros) // (zero_pows[zeros] << mixed)     # M_(k-1)
             unit = lcm // total
@@ -371,8 +371,8 @@ def _run_windows(runs, l: int, lcms, ks) -> list[tuple[list, list]]:
             if k > 1:
                 # M_(k-2) times block k - 1's unit is M_(k-1) over its largest weight
                 prev = lead & mask
-                best = max(best, peak // _block_summary(l, o, prev)[1] * unit
-                           * _straddle(l, o, prev, digit))
+                best = max(best, peak // _block_summary(l, prev)[1] * unit
+                           * _straddle(l, prev, digit))
             windows.append(best)
             if k == 1:
                 lead_digit = None
@@ -392,24 +392,26 @@ def _heavy_members(run, l: int, lcms, k: int, mass: int) -> list:
     """The members at chain length k of ``run`` that can touch a cell of ``mass``, with its seam.
 
     (row, col, mu numerator) in the run's order, from a descent of the
-    run's first k blocks; ``run`` and ``lcms`` are as ``_run_windows``
-    reads them.  A member at depth t + j is heavy when three times its
-    mu, times the largest growth M_k / M_j its descendants can have,
-    reaches ``mass``; a member is kept when it is within two line
-    positions of a heavy one or fewer than ``_SEAM_LAYERS`` layers from
-    a corner.  A heavy member's parent is heavy, and two positions at
-    most two apart have parents at most one apart, so the kept members'
-    children hold every member kept a depth down.  The zero block leaves
-    one child at its peak and the ones block one child in all, so at l =
-    1 the heavy members stay few; a mixed block keeps both of its
-    children at its peak, so at l >= 2 they can double at each one.
+    run's first k blocks (``_blocks``, ``_block_cell``); ``run`` and
+    ``lcms`` are as ``_run_windows`` reads them.  A member at depth t + j
+    is heavy when three times its mu, times the largest growth M_k / M_j
+    its descendants can have, reaches ``mass``; a member is kept when it
+    is within two line positions of a heavy one or fewer than
+    ``_SEAM_LAYERS`` layers from a corner.  A heavy member's parent is
+    heavy, and two positions at most two apart have parents at most one
+    apart, so the kept members' children hold every member kept a depth
+    down.  The zero block leaves one child at its peak and the ones block
+    one child in all, so at l = 1 the heavy members stay few; a mixed
+    block keeps both of its children at its peak, so at l >= 2 they can
+    double at each one.
     """
     row, col, mu, o, digits = run
     size, mask = len(lcms), (1 << l) - 1
     blocks = []
     for j in range(1, k + 1):
-        block = _digit_blocks(l)[o][digits >> l * (size - j) & mask]
-        blocks.append(_block_cells(block, lcms[j - 1] // block[1][1]))
+        digit, total, spans = _blocks(l)[digits >> l * (size - j) & mask]
+        blocks.append([(*_block_cell(l, o, digit, e), lcms[j - 1] // total * w)
+                       for _, w, lines in spans for e in lines])
     growth = [1]                        # M_k / M_j, from j = k up
     for cells in reversed(blocks):
         growth.append(growth[-1] * max(f for *_, f in cells))
@@ -483,8 +485,8 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
     above t reads its own members.
 
     The closed forms read a run at chain length k from K's first k
-    digits.  Block j is ``_digit_blocks(l)[o][k_j]``, k_j the j-th base
-    2**l digit, and its factors are its weights times L_j / S_j, L_j the
+    digits.  Block j is ``_blocks(l)[k_j]``, k_j the j-th base 2**l
+    digit, and its factors are its weights times L_j / S_j, L_j the
     lcm at its depth and S_j its sum: the zero block's largest weight is
     2 of S = 2**l + 1, the ones block's 1 of 1 and a mixed block's 1 of
     2.  So the largest mu at depth t + j is M_j = mu L_1 ... L_j 2**Z /
@@ -542,6 +544,7 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
     scatter, so no cell of that mass comes before W.  A ``tree`` must be
     one built for ``fn``, ``r`` and ``params.l``.
     """
+    _check_depth("n_prime_max", n_prime_max)
     if n_prime_max < 1:
         raise ValueError(f"n_prime_max must be at least 1, got {n_prime_max}")
     q, l, d1 = params.q, params.l, params.d1

@@ -55,44 +55,56 @@ def _check_l(l) -> None:
         raise ValueError(f"boundary family needs an int l >= 1, got l={l!r}")
 
 
-@functools.cache
-def _digit_blocks(l: int) -> tuple:
-    """Member children of a two-valued triangle below the function level.
+def _check_depth(name: str, value) -> None:
+    """Refuse a depth, level or count of depths that is not a non-negative int, naming it."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {name}={value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
 
-    ``_digit_blocks(l)[o][k]`` is (children, split).  The children are
-    (boundary word, kappa increment) for the words whose steps into the
-    odd corner o spell the l binary digits of k, in ``boundary_family(l)``
-    order: all 2**l words over the other two symbols for k = 0, only o**l
-    for k = 2**l - 1, and the two words o and one other symbol spell for
-    a mixed block.  The extreme words of an odd corner o (o**l and m**l,
-    m the smallest other symbol) keep kappa.  The split is the block's
-    ``_split``: weight 2 for m**l and 1 for the others in the zero block
-    (sum 2**l + 1), (1,) for o**l and (1, 1) for a mixed block.
+
+class _Blocks(dict):
+    """``_blocks(l)[k]``: (k, S, spans) of the run block of digit k, built on its first read.
+
+    The block's children are the boundary words whose steps into the odd
+    corner o spell k's l bits: the child at line position e puts o at k's
+    1 bits, M at e's and m elsewhere, m < M the other symbols.  With top =
+    2**l - 1 the positions are 0..top for k = 0, 0 for k = top and 0 and
+    top ^ k otherwise.  Each span is (kappa increment, weight, a range of
+    e), in word order: only o**l and m**l, at e = 0, keep kappa, only m**l
+    weighs 2 (``_split``), and S is 2**l + 1, 1 or 2.  A block read again
+    is one dict lookup, as cheap as an index into a table of every digit.
     """
-    blocks = []
-    for o in range(3):
-        digits = str.maketrans("012", "".join("01"[s == o] for s in range(3)))
-        extremes = _extreme_words([int(s == o) for s in range(3)], l)
-        by_k: list[list] = [[] for _ in range(1 << l)]
-        for w in boundary_family(l):
-            by_k[int(w.translate(digits), 2)].append((w, int(w not in extremes)))
-        blocks.append(tuple((tuple(block), _split([inc for _, inc in block]))
-                            for block in by_k))
-    return tuple(blocks)
+
+    def __init__(self, l: int):
+        super().__init__()
+        self.l = l
+
+    def __missing__(self, k: int) -> tuple:
+        top = (1 << self.l) - 1
+        spans = (((0, 2, range(1)), (1, 1, range(1, top + 1))) if k == 0 else
+                 ((0, 1, range(1)),) if k == top else
+                 ((1, 1, range(1)), (1, 1, range(top ^ k, (top ^ k) + 1))))
+        self[k] = block = (k, sum(w * len(lines) for _, w, lines in spans), spans)
+        return block
+
+
+_blocks = functools.cache(_Blocks)
 
 
 @functools.cache
-def _block_cells(block: tuple, unit: int) -> tuple:
-    """(row bits, col bits, mu factor) of each child of a ``_digit_blocks`` block, in order.
+def _block_children(l: int, o: int, k: int) -> tuple:
+    """((word, kappa increment) of each child, split) of ``_blocks(l)[k]`` below corner o."""
+    symbols = [str(s) for s in range(3) if s != o] + [str(o)]     # m, M, o: 2 k_i + e_i
+    bits = range(l - 1, -1, -1)
+    children = tuple(("".join(symbols[(k >> i & 1) << 1 | e >> i & 1] for i in bits), inc)
+                     for inc, _, lines in _blocks(l)[k][2] for e in lines)
+    return children, _split([inc for _, inc in children])
 
-    The factor is ``unit`` times the child's weight, where ``unit`` is
-    lcm / S at the block's depth.  The block sums S are 1, 2 and 2**l + 1,
-    so the lcm is 1, 2, 2**l + 1 or 2 (2**l + 1), and the cache holds at
-    most four entries per block.
-    """
-    children, (weights, _) = block
-    return tuple((*lattice_index_unchecked(w), unit * wt)
-                 for (w, _), wt in zip(children, weights))
+
+def _block_cell(l: int, o: int, k: int, e: int) -> tuple[int, int]:
+    """``delta_lattice_index`` of the word at line position e of block k below o."""
+    return ((e, ((1 << l) - 1) ^ k ^ e), (e, k), (k, e))[o]
 
 
 @functools.cache
@@ -264,30 +276,27 @@ class LevelSetTree:
     and o stays the odd corner, so a boundary word is a member exactly
     when its steps into o spell the next l binary digits k = floor(2**l h)
     of h.  Every member of the run at one depth therefore has the children
-    ``_digit_blocks(l)[o][k]``, all with the corners b' = b 2**l + k(a - b)
-    and a' = b' + (a - b), and the block's split.  The run keeps the
-    block alone per depth, and its corners at the tree's depth; its
-    members are the products of its blocks' words.  One ``extend`` of m
-    depths reads each run's next m blocks as the base-2**l digits of
-    floor(2**(l m) h), from one division of its height (``_step_runs``).
+    of the block of digit k (``_blocks``), all with the corners b' = b
+    2**l + k(a - b) and a' = b' + (a - b), and the block's split.  The
+    run keeps the block alone per depth, and its corners at the tree's
+    depth; its members are the products of its blocks' words.  One
+    ``extend`` of m depths reads each run's next m blocks from the
+    base-2**l digits of floor(2**(l m) h), one division of its height.
     When 2**(l j) h is an integer the level hits a vertex j depths down,
     and the word loop, run on the run's first member above that depth,
     names the first colliding word.  When a crossing member has three
     distinct corners (possible only in functions that are not standard)
     the word loop goes on below c too.
 
-    Every reader of a depth n walks one iterator, ``_chains(n)``: each
-    member at depth t with its run's digit blocks at depths t + 1 to n,
-    where t = c while the tree keeps runs and n > c, and t = n, with an
-    empty chain, otherwise.  The kappa sums, the
-    histograms, the mass check's run records and the nodes built from
-    the runs all come from it.  A standard tree keeps its runs at every
-    depth past c, and its nodes there are a view of them, built on
-    demand: a read of a node past c (``nodes_at`` or ``find`` past c, or
-    the ``children`` of a node at the deepest level built) builds the
-    levels from the deepest one built down to the tree's depth, and
-    ``extend`` builds none.  Every reader other than the nodes reads the
-    runs, whatever was read before.
+    Every reader of a depth n walks one iterator of members and their
+    runs' blocks, ``_chains(n)``: the kappa sums, the histograms, the
+    mass check's run records and the nodes built from the runs.  A
+    standard tree keeps its runs at every depth past c, and its nodes
+    there are a view of them, built on demand: a read of a node past c
+    (``nodes_at`` or ``find`` past c, or the ``children`` of a node at
+    the deepest level built) builds the levels from the deepest one built
+    down to the tree's depth, and ``extend`` builds none.  Every reader
+    other than the nodes reads the runs, whatever was read before.
     """
 
     def __init__(self, fn: PiecewiseAffineFn, r, l: int = 1, depth: int = 0):
@@ -310,14 +319,13 @@ class LevelSetTree:
             self.root = None
         # node levels: every level down to c, and past it those a node read built
         self._levels: list[list[LevelSetNode]] = [[self.root] if self.root else []]
-        # per depth past c, each run's digit block there, and each run's
+        # per depth past c, each run's block there, and each run's
         # (odd corner, b, a) at the tree's depth; only _runs becomes None, and
         # only for a three-valued crossing member, whose tree is nodes throughout
         self._runs: list[tuple] | None = []
         self._ends: list[tuple] = []
         self.mu_denominators: list[int] = []
-        if depth:
-            self.extend(depth)
+        self.extend(depth)
 
     def scale(self, length: int) -> int:
         """The factor between corner values and the integer corners at a word length."""
@@ -330,8 +338,7 @@ class LevelSetTree:
         ``LevelCollisionError`` the tree is the one it was before that
         level and a retry raises on the same word.
         """
-        if depth < 0:
-            raise ValueError(f"depth must be non-negative, got {depth}")
+        _check_depth("depth", depth)
         return self._extend(depth)
 
     def _extend(self, depth: int) -> "LevelSetTree":
@@ -414,24 +421,24 @@ class LevelSetTree:
         return tuple(kids)
 
     def _step_runs(self, m: int) -> None:
-        """Take every run m depths down, reading its m digit blocks from one division.
+        """Take every run m depths down, reading its m blocks from one division.
 
         A run whose corners at the tree's depth are b, except a at its odd
         corner o, has the relative height h = (N - b r.den)/((a - b) r.den),
         N the level times r.den at that scale.  K, rem = divmod((N - b
         r.den) 2**(l m), (a - b) r.den) gives K = floor(2**(l m) h): its m
-        base-2**l digits, most significant first, pick the run's blocks
-        ``_digit_blocks(l)[o][k]``, and m depths down its corners are b' =
-        b 2**(l m) + K(a - b), except b' + (a - b) at o.  A nonzero
-        remainder on every run means the level meets no vertex in those
-        depths.  A remainder of 0 makes h = K / 2**(l m), whose reduced
-        denominator 2**e, e = l m less the 2-adic valuation of K, puts
-        the run's first vertex on the level ceil(e / l) depths down.  The
-        tree then takes the depths above the first such depth of any run,
-        and the word loop, run on the first member there of the first run
-        colliding at that depth, names the word.  If the deepest level
-        with nodes is the tree's depth, its nodes take their runs' next
-        split and leave their children to ``_expand_runs``.
+        base-2**l digits k, most significant first, are the run's blocks
+        (``_blocks(l)[k]``), and m depths down its corners are b' = b 2**(l
+        m) + K(a - b), except b' + (a - b) at o.  A nonzero remainder on
+        every run means the level meets no vertex in those depths.  A
+        remainder of 0 makes h = K / 2**(l m), whose reduced denominator
+        2**e, e = l m less the 2-adic valuation of K, puts the run's first
+        vertex on the level ceil(e / l) depths down.  The tree then takes
+        the depths above the first such depth of any run, and the word
+        loop, run on the first member there of the first run colliding at
+        that depth, names the word.  If the deepest level with nodes is the
+        tree's depth, its nodes take their runs' next split and leave their
+        children to ``_expand_runs``.
         """
         c, l, rden = self._crossing, self.l, self.r.denominator
         crossing = self._levels[c]
@@ -451,19 +458,18 @@ class LevelSetTree:
             m = first - 1
             heights = [k >> (shift - l * m) for k in heights]
             shift = l * m
-        blocks = _digit_blocks(l)
-        mask, shifts = (1 << l) - 1, range(shift - l, -1, -l)
+        blocks, mask, shifts = _blocks(l), (1 << l) - 1, range(shift - l, -1, -l)
         rows, moved = [], []
         for (o, b, a), k in zip(ends, heights):
-            own = blocks[o]
-            rows.append([own[k >> s & mask] for s in shifts])
+            rows.append([blocks[k >> s & mask] for s in shifts])
             d = a - b
             b = (b << shift) + k * d
             moved.append((o, b, b + d))
         if m:
             depths = list(zip(*rows)) if rows else [()] * m
             if len(self._levels) == self.depth + 1:
-                for nodes, (_, split) in zip(self._run_nodes(self.depth), depths[0]):
+                for nodes, end, (k, _, _) in zip(self._run_nodes(self.depth), ends, depths[0]):
+                    split = _block_children(l, end[0], k)[1]
                     for v in nodes:
                         v.children, v.split = self._expand_runs, split
             self._runs += depths
@@ -471,7 +477,7 @@ class LevelSetTree:
             self.depth += m
         if hit is not None:
             o, b, a = moved[hit]
-            firsts = [blocks_at[hit][0][0] for blocks_at in self._runs]
+            firsts = [_block_children(l, o, blocks_at[hit][0])[0][0] for blocks_at in self._runs]
             word = crossing[hit].word + "".join(w for w, _ in firsts)
             exp = crossing[hit].kappa_exp + sum(inc for _, inc in firsts)
             self._word_loop([(word, ((a, b, b), (b, a, b), (b, b, a))[o], exp)],
@@ -480,7 +486,7 @@ class LevelSetTree:
                                  "yet no boundary word collides")
 
     def _chains(self, n: int):
-        """(member, its run's digit blocks at depths t + 1 to n) of each depth-t member.
+        """(member, its run's blocks at depths t + 1 to n) of each depth-t member.
 
         t is c while the tree keeps runs and n > c, and t = n otherwise,
         which gives every member an empty chain.  The members come in
@@ -497,17 +503,13 @@ class LevelSetTree:
         The records come in ``nodes_at(t)`` order, and the measure is
         filled to n first.  (row, col) is the member's cell,
         ``delta_lattice_index`` of its word.  The member stands for its
-        run's depth-n members, which its chain's digit blocks
-        ``_digit_blocks(l)[o][k]`` give: K is the integer those blocks'
-        digits k spell in base 2**l, most significant first, the K that
-        ``_step_runs`` divides out, recovered from the run's end as
-        ``_expand_runs`` recovers it.  The odd corner o of a crossing
-        member fixes the line its run's members lie on: the block words'
-        steps into o spell one digit block, so their row bits are that
-        block for o = 2 (a row), their col bits for o = 1 (a column), and
-        their row plus col bits its complement for o = 0 (an
-        anti-diagonal).  A member with an empty chain has o = None and K =
-        0.  No node is built and no address below c is parsed.
+        run's depth-n members, which its chain's blocks give: K is the
+        integer their digits k spell in base 2**l, most significant first,
+        the K that ``_step_runs`` divides out, recovered from the run's
+        end.  The odd corner o of a crossing member fixes the line its
+        run's members lie on (``_block_cell``).  A member with an empty
+        chain has o = None and K = 0.  No node is built and no address
+        below c is parsed.
         """
         self.fill_measure(n)
         c, l = self._crossing, self.l
@@ -521,37 +523,33 @@ class LevelSetTree:
             yield (*lattice_index_unchecked(x.word), x.mu_num, o, k)
 
     def _run_nodes(self, level: int):
-        """Each run's nodes at ``level``, from c to the deepest level with nodes, in run order."""
+        """Each run's nodes at ``level``, c or past it, in run order: those below its member."""
         if level == self._crossing:         # one node per run
             return ([x] for x in self._levels[level])
-        nodes = iter(self._levels[level])
-        return (list(itertools.islice(nodes, math.prod(len(kids) for kids, _ in chain)))
-                for _, chain in self._chains(level))
+        width = self._crossing * self.l
+        return (list(nodes) for _, nodes in
+                itertools.groupby(self._levels[level], key=lambda v: v.word[:width]))
 
     def _expand_runs(self) -> None:
         """Build the node levels from the deepest one with nodes down to the tree's depth.
 
         The runs stay.  Each run's chain builds its nodes' descendants
-        depth by depth.  A run's corners are rebuilt once per depth from
-        its crossing member's b and a, d = a - b, and its end's b at the
-        tree's depth, J depths past c: the digits read are K = (end - b
-        2**(l J)) / d, and j depths past c the corners are b 2**(l j) +
-        (K >> l (J - j)) d, that plus d at the odd corner.  The run's
+        depth by depth: the nodes' corners b, except b + d at the odd
+        corner, give their children, in the block of the run's digit k
+        there, the corners b' = b 2**l + k d, except b' + d.  The run's
         members at that depth share the tuple, and each takes the block's
         split and words, in order, as children, and the filled measure.
         """
-        c, l, runs = self._crossing, self.l, len(self._runs)
+        c, l = self._crossing, self.l
         top = len(self._levels) - 1 - c         # the depths past c with nodes
-        levels: list[list[LevelSetNode]] = [[] for _ in range(top, runs)]
-        for (x, chain), (_, end, _), parents in zip(self._chains(self.depth), self._ends,
-                                                    self._run_nodes(c + top)):
-            o, b, a = odd_corner(x.corners)
+        levels: list[list[LevelSetNode]] = [[] for _ in range(top, len(self._runs))]
+        for (_, chain), parents in zip(self._chains(self.depth), self._run_nodes(c + top)):
+            o, b, a = odd_corner(parents[0].corners)
             d = a - b
-            digits = (end - (b << l * runs)) // d
-            for j, (nodes, (children, split)) in enumerate(zip(levels, chain[top:]), top + 1):
-                b_j = (b << l * j) + (digits >> l * (runs - j)) * d
-                a_j = b_j + d
-                corners = ((a_j, b_j, b_j), (b_j, a_j, b_j), (b_j, b_j, a_j))[o]
+            for nodes, (k, _, _) in zip(levels, chain[top:]):
+                b = (b << l) + k * d
+                corners = ((b + d, b, b), (b, b + d, b), (b, b, b + d))[o]
+                children, split = _block_children(l, o, k)
                 for v in parents:
                     v._children = [LevelSetNode(v.word + w, corners, v.kappa_exp + inc)
                                    for w, inc in children]
@@ -563,8 +561,7 @@ class LevelSetTree:
             self._fill_level(level, self.mu_denominators[level + 1])
 
     def nodes_at(self, level: int) -> list[LevelSetNode]:
-        if level < 0:
-            raise ValueError(f"level must be non-negative, got {level}")
+        _check_depth("level", level)
         if level > self.depth:
             self.extend(level)
         if level >= len(self._levels):
@@ -608,7 +605,7 @@ class LevelSetTree:
         c = self._crossing
         for level in range(len(self.mu_denominators) - 1, depth):
             if level >= c and self._runs:
-                totals = {total for _, (_, total) in self._runs[level - c]}
+                totals = {total for _, total, _ in self._runs[level - c]}
             else:
                 nodes = self._levels[level]
                 totals = {node.split[1] for node in nodes}
@@ -650,9 +647,9 @@ class LevelSetTree:
         members' depth t; a depth from ``first`` to t - 1 is above the
         crossing depth, and its own ``_chains`` gives its members.
         """
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
-        if not 0 <= first <= n:
+        _check_depth("n", n)
+        _check_depth("first", first)
+        if first > n:
             raise ValueError(f"first must lie in 0..n={n}, got {first}")
         self.extend(n)
         hists: list[dict[int, tuple[int, int]]] = [{} for _ in range(first, n + 1)]
@@ -673,14 +670,14 @@ class LevelSetTree:
             t = n - len(chain)
             run = {x.kappa_exp: (1, x.mu_num)}
             add(t, run)
-            for j, (children, (weights, total)) in enumerate(chain, t + 1):
+            for j, (_, total, spans) in enumerate(chain, t + 1):
                 unit = dens[j] // dens[j - 1] // total
-                steps = [(inc, unit * w) for (_, inc), w in zip(children, weights)]
+                steps = [(inc, len(lines), unit * w * len(lines)) for inc, w, lines in spans]
                 nxt: dict[int, tuple[int, int]] = {}
                 for e, (count, mu) in run.items():
-                    for inc, factor in steps:
+                    for inc, size, factor in steps:
                         c0, m0 = nxt.get(e + inc, (0, 0))
-                        nxt[e + inc] = (c0 + count, m0 + mu * factor)
+                        nxt[e + inc] = (c0 + count * size, m0 + mu * factor)
                 run = nxt
                 add(j, run)
         for m in range(first, t):
@@ -700,8 +697,7 @@ class LevelSetTree:
         sum and top its largest increment.  A word past c adds its own
         kappa times that product over its run's blocks below it.
         """
-        if k < 0:
-            raise ValueError(f"k must be non-negative, got {k}")
+        _check_depth("k", k)
         node = self.find(word)
         if node is None:
             raise ValueError(f"{word!r} is not a member descendant of the root")
@@ -714,9 +710,9 @@ class LevelSetTree:
                     continue
                 x, chain = node, chain[len(chain) - k:]     # the word's run, below the word
             exp, count = x.kappa_exp, 1
-            for children, (weights, total) in chain:
+            for _, total, spans in chain:
                 # a child's weight is 2**(top - inc), so top is its inc plus log2 of it
-                exp += children[0][1] + weights[0].bit_length() - 1
+                exp += spans[0][0] + spans[0][1].bit_length() - 1
                 count *= total
             counts[exp] = counts.get(exp, 0) + count
         lhs = _kappa_sum(counts)
@@ -809,8 +805,7 @@ def well_conducting_census(fn: PiecewiseAffineFn, r, n: int, l: int, d1, *,
     enumerated down to level L first, on the integer word table, whose
     scaling by D keeps every extreme pair.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be non-negative and an int, got {n!r}")
+    _check_depth("n", n)
     d1 = Fraction(d1)
     if d1 <= 0:
         raise ValueError(f"d1 must be positive, got {d1}")

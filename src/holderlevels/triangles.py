@@ -31,8 +31,8 @@ _VALID_SYMBOLS = frozenset("012")
 
 
 def check_address(word: str) -> str:
-    if not set(word) <= _VALID_SYMBOLS:
-        raise ValueError(f"invalid address {word!r}: symbols must be 0, 1 or 2")
+    if not isinstance(word, str) or not set(word) <= _VALID_SYMBOLS:
+        raise ValueError(f"invalid address {word!r}: an address is a str of the symbols 0, 1, 2")
     return word
 
 

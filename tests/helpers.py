@@ -4,6 +4,7 @@ Each one used to live in the library beside the code it exercises; no
 library path, benchmark or tool calls them.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -13,10 +14,10 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from holderlevels.cantor import FatCantorSet, ProductPiece, SeparatedStructure
-from holderlevels.levelset import (LevelCollisionError, _block_cells, _digit_blocks,
-                                   _level_fraction, kappa_exponent)
+from holderlevels.levelset import LevelCollisionError, _level_fraction, _split, kappa_exponent
 from holderlevels.paf import PiecewiseAffineFn, _midpoint_copy
-from holderlevels.triangles import boundary_family, cell_corners, lattice_point, level_index
+from holderlevels.triangles import (boundary_family, cell_corners, lattice_index_unchecked,
+                                    lattice_point, level_index)
 
 _IFS_LEVELS = 6                     # IFS levels that fix the constant K
 _IFS_BASE = (Fraction(0), Fraction(1))  # the interval every IFS map must keep
@@ -28,16 +29,52 @@ def touching_up_cells(row: int, col: int) -> list[tuple[int, int]]:
             for dr, dc in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))]
 
 
+@functools.cache
+def oracle_digit_blocks(l: int) -> tuple:
+    """The run block of every odd corner o and digit k, from every boundary word in order.
+
+    ``oracle_digit_blocks(l)[o][k]`` is (children, split): the children
+    are (word, kappa increment) of the boundary words whose steps into o,
+    joined one symbol at a time, spell the l binary digits of k, in
+    ``boundary_family(l)`` order.  The extreme words o**l and m**l, m the
+    smallest other symbol, keep kappa, and the split is ``_split`` of the
+    increments.  The library reads every block from ``levelset._blocks``.
+    """
+    blocks = [[[] for _ in range(1 << l)] for _ in range(3)]
+    for w in boundary_family(l):
+        for o in range(3):
+            extremes = (str(o) * l, str(int(o == 0)) * l)
+            k = int("".join("1" if int(s) == o else "0" for s in w), 2)
+            blocks[o][k].append((w, int(w not in extremes)))
+    return tuple(
+        tuple((tuple(block), _split([inc for _, inc in block])) for block in by_k)
+        for by_k in blocks)
+
+
+@functools.cache
+def oracle_block_cells(block: tuple, unit: int) -> tuple:
+    """(row bits, col bits, mu factor) of each child of an ``oracle_digit_blocks`` block.
+
+    The factor is ``unit`` times the child's weight, where ``unit`` is
+    lcm / S at the block's depth.
+    """
+    children, (weights, _) = block
+    return tuple((*lattice_index_unchecked(w), unit * wt)
+                 for (w, _), wt in zip(children, weights))
+
+
 def run_blocks(l: int, o: int, k: int, lcms) -> tuple:
     """The digit blocks a run's K spells, each child's (row bits, col bits, mu factor).
 
     K has ``len(lcms)`` base-2**l digits, most significant first, and the
-    block of digit d at depth j is ``_digit_blocks(l)[o][d]`` with unit
-    ``lcms[j - 1]`` over its sum, as ``LevelSetTree.fill_measure`` splits it.
+    block of digit d at depth j is ``oracle_digit_blocks(l)[o][d]`` with
+    unit ``lcms[j - 1]`` over its sum, as ``LevelSetTree.fill_measure``
+    splits it.
     """
-    family, size = _digit_blocks(l)[o], len(lcms)
+    family, size = oracle_digit_blocks(l)[o], len(lcms)
     blocks = [family[k >> l * (size - j) & ((1 << l) - 1)] for j in range(1, size + 1)]
-    return tuple(_block_cells(block, lcm // block[1][1]) for block, lcm in zip(blocks, lcms))
+    return tuple(oracle_block_cells(block, lcm // block[1][1])
+                 for block, lcm in zip(blocks, lcms))
 
 
 def chain_lcms(tree, n: int) -> list[int]:

@@ -58,6 +58,9 @@ REMOVED = {
     # triangles and levelset: the wrapper around the boundary words and
     # the dict caches beside the cached functions
     "BoundaryFamilyL", "_boundary_words", "_BOUNDARY_CACHE", "_DIGIT_CACHE", "_STEPS_CACHE",
+    # levelset: the table of every run block and its cell cache, which the
+    # closed form _blocks replaced (the table is helpers.oracle_digit_blocks)
+    "_digit_blocks", "_block_cells",
     # exact and triangles: the ring and field arithmetic
     "SQRT3", "from_fraction", "from_coord", "sign", "is_rational", "as_fraction",
     "inverse", "dist_sq", "scale_pow2", "_coerce", "_is_power_of_two",
@@ -277,28 +280,36 @@ def test_levelset_sums_kappa_exponents_in_one_function():
     assert _where("levelset", weighs_exponents) == {"_split"}
     assert _where("levelset", sums_fractions) == set()
     assert _where("levelset", lambda n: _called_name(n) == "_split") == {
-        "_kappa_sum", "_digit_blocks", "_word_loop"}
+        "_kappa_sum", "_block_children", "_word_loop"}
     # no hand-written extreme words: a symbol repeated l times is spelled
-    # only in _extreme_words, which the digit blocks call
+    # only in _extreme_words, which the word loop and the kappa readers
+    # call; a run block's children are read from _blocks' closed form
     def repeats_a_symbol(node):
         return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
                 and _called_name(node.left) == "str")
 
     assert _where("levelset", repeats_a_symbol) == {"_extreme_words"}
-    assert "_digit_blocks" in _where("levelset", lambda n: _called_name(n) == "_extreme_words")
+    assert _where("levelset", lambda n: _called_name(n) == "_extreme_words") == {
+        "_boundary_children", "kappa_exponent", "well_conducting_census"}
 
 
 def test_nodes_below_the_crossing_come_from_the_runs_alone():
     # the word loop and the node view of the runs make the nodes below the
-    # root, and only the run step looks up a digit block: _extend has no
-    # per-node digit step and builds no node from the runs
+    # root; only the run step (and the split it hands the nodes) looks up a
+    # digit block, and a block's words are spelled only where a word is
+    # asked for, by the node view and the run step's collision naming:
+    # _extend has no per-node digit step and builds no node from the runs
     assert _where("levelset", lambda n: _called_name(n) == "LevelSetNode") == {
         "__init__", "_word_loop", "_expand_runs"}
     init = _functions("levelset")["__init__"]
     assert sum(_called_name(n) == "LevelSetNode" for n in _own_nodes(init)) == 1    # the root
-    assert _where("levelset", lambda n: _called_name(n) == "_digit_blocks") == {"_step_runs"}
+    assert _where("levelset", lambda n: _called_name(n) == "_blocks") == {
+        "_step_runs", "_block_children"}
+    assert _where("levelset", lambda n: _called_name(n) == "_block_children") == {
+        "_step_runs", "_expand_runs"}
     extend = _functions("levelset")["_extend"]
-    assert not any(getattr(n, "id", getattr(n, "attr", None)) in ("_digit_blocks", "blocks")
+    assert not any(getattr(n, "id", getattr(n, "attr", None))
+                   in ("_blocks", "_block_children", "blocks")
                    for n in _own_nodes(extend))
     called = {_called_name(n) for n in _own_nodes(extend)}
     assert {"_word_loop", "_step_runs"} <= called and "_expand_runs" not in called
@@ -341,7 +352,8 @@ def test_the_mass_check_reads_each_run_from_block_summaries():
     # a run's window and seam come from summaries cached per digit, so only
     # they and the worst cell's pruned descent read a block's cells, and
     # _members yields each run's K rather than its blocks
-    reads = _where("bounds", lambda n: _called_name(n) in ("_block_cells", "_digit_blocks"))
+    reads = _where("bounds", lambda n: _called_name(n) in ("_blocks", "_block_cell"))
     assert reads == {"_block_summary", "_corner_cells", "_heavy_members"}
     members = _functions("levelset")["_members"]
-    assert not {"_block_cells", "_digit_blocks"} & {_called_name(n) for n in _own_nodes(members)}
+    assert not {"_blocks", "_block_cell", "_block_children"} & {
+        _called_name(n) for n in _own_nodes(members)}

@@ -24,7 +24,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 import pytest
 
-from holderlevels import bounds
+from holderlevels import bounds, levelset
 from holderlevels.bounds import (
     _SEAM_LAYERS,
     BoundSearchParams,
@@ -42,11 +42,11 @@ from holderlevels.bounds import (
     trivial_upper_bound_sierpinski,
     upper_bound,
 )
-from holderlevels.levelset import LevelCollisionError, LevelSetTree, _block_cells, _digit_blocks
+from holderlevels.levelset import LevelCollisionError, LevelSetTree
 from holderlevels.paf import random_standard_paf
 from holderlevels.triangles import delta_lattice_index
-from helpers import (affine_from_corners, chain_lcms, lchoice_window, member_blocks, run_blocks,
-                     touching_up_cells)
+from helpers import (affine_from_corners, chain_lcms, lchoice_window, member_blocks,
+                     oracle_block_cells, oracle_digit_blocks, run_blocks, touching_up_cells)
 from test_kernel import corpus_fn
 from test_structure_oracle import generic_fn
 
@@ -641,7 +641,7 @@ def drawn_runs(draw):
     """
     l = draw(st.integers(min_value=1, max_value=3))
     o = draw(st.integers(min_value=0, max_value=2))
-    family = _digit_blocks(l)[o]
+    family = oracle_digit_blocks(l)[o]
     sums = sorted({total for _, (_, total) in family})
     digits = draw(st.lists(st.integers(min_value=0, max_value=(1 << l) - 1),
                            min_size=1, max_size=8))
@@ -672,10 +672,10 @@ def test_every_block_has_one_of_three_line_profiles(l):
     # the ones block's (1, 0, ..., 0) or a mixed block k's 1 at e = 0 and
     # e = top ^ k
     top = (1 << l) - 1
-    for o, family in enumerate(_digit_blocks(l)):
+    for o, family in enumerate(oracle_digit_blocks(l)):
         line = int(o == 2)
         for k, block in enumerate(family):
-            cells = _block_cells(block, 1)
+            cells = oracle_block_cells(block, 1)
             u = [0] * (top + 1)
             for cell in cells:
                 u[cell[line]] = cell[2]
@@ -686,15 +686,31 @@ def test_every_block_has_one_of_three_line_profiles(l):
                 assert u == [int(e in (0, top ^ k)) for e in range(top + 1)]
 
 
+@pytest.mark.parametrize("l", range(1, 9))
+def test_block_summaries_match_the_whole_line(l):
+    # the summary _block_summary reads on the cut line against the one read
+    # on the whole line of the oracle's block, with a 0 on either side
+    top = (1 << l) - 1
+    for o, family in enumerate(oracle_digit_blocks(l)):
+        for k, block in enumerate(family):
+            u = [0] * (top + 3)         # u(e) at e + 1
+            for cell in oracle_block_cells(block, 1):
+                u[cell[int(o == 2)] + 1] = cell[2]
+            assert bounds._block_summary(l, k) == (
+                block[1][1], max(u), max(map(sum, zip(u, u[1:], u[2:]))),
+                ((u[top + 1], u[1] + u[2]), (u[top] + u[top + 1], u[1])),
+                frozenset(zip(u[1:top + 1], u[2:top + 2]))), (l, o, k)
+
+
 def chain_runs(l: int, length: int) -> list:
-    """(a run record, its lcms) for each chain of ``length`` blocks of ``_digit_blocks(l)``.
+    """(a run record, its lcms) for each chain of ``length`` blocks of ``oracle_digit_blocks(l)``.
 
     The lcm at depth j is formed as ``LevelSetTree.fill_measure`` forms
     it, the lcm of the block sums at that depth, here the block's own and
     a second sum that changes from depth to depth.
     """
     runs = []
-    for o, family in enumerate(_digit_blocks(l)):
+    for o, family in enumerate(oracle_digit_blocks(l)):
         sums = sorted({total for _, (_, total) in family})
         for digits in itertools.product(range(1 << l), repeat=length):
             lcms = [math.lcm(family[k][1][1], sums[j % len(sums)]) for j, k in enumerate(digits)]
@@ -881,6 +897,40 @@ def test_mass_check_reads_a_constant_number_of_summaries_per_run_and_depth(monke
     rep = mass_distribution_lower(fn, r, params, n_prime, tree=tree)
     runs = len(tree.nodes_at(tree._crossing))
     assert len(calls) <= 3 * runs * len(rep.levels_checked) + 2 * 4 ** params.l
+
+
+def test_past_the_crossing_no_reader_lists_a_block(monkeypatch):
+    # at l = 16 a zero block has 65,536 children and the boundary words
+    # number 196,605: past the crossing the runs, the histograms, the kappa
+    # sums and the mass check read each block from (l, o, digit) and list
+    # no word.  Sorting every word into blocks cost about a second and 94
+    # MB of process peak on this function (2 CPUs, Python 3.11); the
+    # closed form takes milliseconds
+    fn = random_standard_paf(7, 3, 1.0, 0.9, check=False)
+    root = fn.corner_values("")
+    r = min(root) + (max(root) - min(root)) / 3
+    tree = LevelSetTree(fn, r, 16, 1)
+    assert tree._crossing == 1
+
+    def unreachable(*args):
+        raise AssertionError(f"boundary words listed past the crossing: {args}")
+
+    monkeypatch.setattr(levelset, "boundary_family", unreachable)
+    monkeypatch.setattr(levelset, "_word_steps", unreachable)
+    tracemalloc.start()
+    start = time.perf_counter()
+    tree.extend(10)
+    hists = tree.histograms(10, 0)
+    assert tree.conservation("", 10).passed
+    rep = mass_distribution_lower(fn, r, BoundSearchParams(1.0, F(1, 4), 16), 2, tree=tree)
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert sum(count for count, _ in hists[10].values()) == 3072
+    assert (rep.c_empirical, rep.worst_level, rep.worst_cell) == (
+        0.041666666666666664, 4, (1417818844805407013, 0))
+    assert elapsed < 0.5, elapsed
+    assert peak < 10 << 20, peak
 
 
 def test_mass_distribution_tie_goes_to_first_scatter_cell():

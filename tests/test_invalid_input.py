@@ -124,17 +124,26 @@ CASES = {
                          "int l >= 1"),
     "LevelSetTree l": (lambda v: hl.LevelSetTree(_FN, _R, v, 2), [0, -1, 1.5, 2.0],
                        "int l >= 1"),
-    "LevelSetTree depth": (lambda v: hl.LevelSetTree(_FN, _R, 1, v), [-1, -3], "depth"),
-    "LevelSetTree.histogram n": (lambda v: hl.LevelSetTree(_FN, _R, 1).histogram(v), [-1, -3],
-                                 "n must"),
+    "LevelSetTree depth": (lambda v: hl.LevelSetTree(_FN, _R, 1, v), [-1, -3, 2.5, 5.5, 2.0],
+                           "depth"),
+    "LevelSetTree.extend depth": (lambda v: hl.LevelSetTree(_FN, _R, 1).extend(v),
+                                  [-1, 1.5, 2.0, F(2)], "depth"),
+    "LevelSetTree.nodes_at level": (lambda v: hl.LevelSetTree(_FN, _R, 1).nodes_at(v),
+                                    [-1, 1.5, 2.0], "level"),
+    "LevelSetTree.fill_measure depth": (lambda v: hl.LevelSetTree(_FN, _R, 1).fill_measure(v),
+                                        [-1, 1.5, 2.0], "depth"),
+    "LevelSetTree.conservation k": (lambda v: hl.LevelSetTree(_FN, _R, 1).conservation("", v),
+                                    [-1, 1.5, 2.0], "k must"),
+    "LevelSetTree.histogram n": (lambda v: hl.LevelSetTree(_FN, _R, 1).histogram(v),
+                                 [-1, -3, 1.5, 2.0], "n must"),
     "LevelSetTree.histograms n": (lambda v: hl.LevelSetTree(_FN, _R, 1).histograms(v),
-                                  [-1, -3], "n must"),
-    "LevelSetTree.find word": (lambda v: hl.LevelSetTree(_FN, _R, 1).find(v), ["ab9", "01x"],
-                               "address"),
+                                  [-1, -3, 1.5, 2.0], "n must"),
+    "LevelSetTree.find word": (lambda v: hl.LevelSetTree(_FN, _R, 1).find(v),
+                               ["ab9", "01x", 12, None, ["0", "1"]], "address"),
     "LevelSetTree.conservation word": (lambda v: hl.LevelSetTree(_FN, _R, 1).conservation(v, 1),
                                        ["01x", "3"], "address"),
     "LevelSetTree.histograms first": (lambda v: hl.LevelSetTree(_FN, _R, 1).histograms(2, v),
-                                      [-1, 3], "first must"),
+                                      [-1, 3, 0.5, 1.0], "first must"),
     "well_conducting_census n": (
         lambda v: hl.well_conducting_census(_FN, None, v, 1, F(1, 2), alpha=0.5),
         [-2, 4.0, F(4), 2.5], "n must"),
@@ -148,7 +157,7 @@ CASES = {
         [nan, 0, -1, 2], "alpha"),
     "mass_distribution_lower n_prime_max": (
         lambda v: hl.mass_distribution_lower(_FN, _R, hl.BoundSearchParams(1.0, F(1, 2), 1), v),
-        [0, -1], "n_prime_max"),
+        [0, -1, 1.5, 2.0], "n_prime_max"),
     "graft n_prime": (lambda v: hl.graft(_FN, v, _WITNESS), [-1, 0], "level"),
 }
 

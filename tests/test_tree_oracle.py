@@ -31,7 +31,9 @@ from holderlevels.bounds import BoundSearchParams, mass_distribution_lower
 from holderlevels.levelset import (
     LevelCollisionError,
     LevelSetTree,
-    _digit_blocks,
+    _block_cell,
+    _block_children,
+    _blocks,
     _extreme_words,
     _split,
     _word_steps,
@@ -40,7 +42,7 @@ from holderlevels.levelset import (
 )
 from holderlevels.paf import PiecewiseAffineFn, random_standard_paf
 from holderlevels.triangles import boundary_family, lattice_index_unchecked
-from helpers import affine_from_corners, member_blocks, point_values
+from helpers import affine_from_corners, member_blocks, oracle_digit_blocks, point_values
 from test_bounds import scatter_oracle
 from test_kernel import corpus_fn, descend
 
@@ -68,22 +70,41 @@ def oracle_levels(fn, r: Fraction, l: int, depth: int):
     return levels
 
 
-def oracle_digit_blocks(l: int) -> tuple:
-    """``_digit_blocks(l)``, each word's digits joined one symbol at a time."""
-    blocks = [[[] for _ in range(1 << l)] for _ in range(3)]
-    for w in boundary_family(l):
-        for o in range(3):
-            extremes = (str(o) * l, str(int(o == 0)) * l)
-            k = int("".join("1" if int(s) == o else "0" for s in w), 2)
-            blocks[o][k].append((w, int(w not in extremes)))
-    return tuple(
-        tuple((tuple(block), _split([inc for _, inc in block])) for block in by_k)
-        for by_k in blocks)
+def formula_block(l: int, o: int, k: int) -> tuple:
+    """(children, split, cells) of the block of digit k below odd corner o, from the closed form.
+
+    The children, (word, kappa increment) in word order, and the split are
+    ``_block_children``'s, whose increments and weights must be the spans'
+    of ``_blocks``; the cells are each child's (row bits, col bits) from
+    (l, o, k, line position).
+    """
+    digit, total, spans = _blocks(l)[k]
+    children, split = _block_children(l, o, k)
+    assert digit == k and split == (tuple(w for _, w, span in spans for _ in span), total)
+    assert [inc for _, inc in children] == [inc for inc, _, span in spans for _ in span]
+    return children, split, tuple(_block_cell(l, o, k, e) for _, _, span in spans for e in span)
+
+
+def oracle_block(l: int, o: int, k: int) -> tuple:
+    """(children, split, cells) of ``oracle_digit_blocks(l)[o][k]``, cells parsed from words."""
+    children, split = oracle_digit_blocks(l)[o][k]
+    return children, split, tuple(lattice_index_unchecked(w) for w, _ in children)
 
 
 def test_digit_blocks_match_joined_digits():
-    for l in range(1, 11):
-        assert _digit_blocks(l) == oracle_digit_blocks(l), l
+    # every block at l <= 8: the closed form's words, increments, weights,
+    # sum and cells against the blocks sorted out of every boundary word
+    for l in range(1, 9):
+        for o in range(3):
+            for k in range(1 << l):
+                assert formula_block(l, o, k) == oracle_block(l, o, k), (l, o, k)
+
+
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2), st.data())
+@settings(max_examples=100, deadline=None)
+def test_drawn_digit_blocks_match_joined_digits(l, o, data):
+    k = data.draw(st.sampled_from([0, (1 << l) - 1]) | st.integers(0, (1 << l) - 1))
+    assert formula_block(l, o, k) == oracle_block(l, o, k)
 
 
 def oracle_measure(levels) -> list[list[Fraction]]:
@@ -453,7 +474,7 @@ def oracle_node_levels(fn, r: Fraction, l: int, depth: int, cap: int = 400) -> l
 
     This is the walk the tree took before it kept runs below the crossing
     depth.  Below L, a member with corners (b, b, a) takes the digit step:
-    its children are ``_digit_blocks(l)[o][k]`` with the corners
+    its children are ``oracle_digit_blocks(l)[o][k]`` with the corners
     b 2**l + k(a - b) and that plus a - b, computed once per run of
     parents holding the same corner tuple; a dyadic 2**l h, members above
     L and members with three distinct corners take the word loop.  The
@@ -466,7 +487,7 @@ def oracle_node_levels(fn, r: Fraction, l: int, depth: int, cap: int = 400) -> l
     if not rem and q in corners:
         raise LevelCollisionError(r, "")
     levels = [[OracleNode("", corners, 0)] if min(corners) <= q < max(corners) else []]
-    blocks = _digit_blocks(l)
+    blocks = oracle_digit_blocks(l)
     for d in range(depth):
         if len(levels[-1]) > cap:
             break
