@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .paf import PiecewiseAffineFn
-from .triangles import boundary_family, check_address, lattice_index_unchecked, lattice_point
+from .triangles import (_check_l, boundary_family, check_address, lattice_index_unchecked,
+                        lattice_point)
 
 
 def _split(incs) -> tuple[tuple[int, ...], int]:
@@ -47,12 +48,6 @@ def _kappa_sum(counts: dict[int, int]) -> Fraction:
     weights, _ = _split(counts)
     return Fraction(sum(map(operator.mul, counts.values(), weights)),
                     1 << max(counts, default=0))
-
-
-def _check_l(l) -> None:
-    """Refuse a boundary parameter l that is not an int of at least 1, naming it."""
-    if not isinstance(l, int) or l < 1:
-        raise ValueError(f"boundary family needs an int l >= 1, got l={l!r}")
 
 
 def _check_depth(name: str, value) -> None:
@@ -92,12 +87,19 @@ class _Blocks(dict):
 _blocks = functools.cache(_Blocks)
 
 
+def _block_word(l: int, o: int, k: int, e: int = 0) -> str:
+    """The l-symbol word with o at k's 1 bits, M at e's and m elsewhere, m < M the others.
+
+    At e = 0 it is the first in word order whose steps into o spell k.
+    """
+    symbols = [str(s) for s in range(3) if s != o] + [str(o)]     # m, M, o: 2 k_i + e_i
+    return "".join(symbols[(k >> i & 1) << 1 | e >> i & 1] for i in range(l - 1, -1, -1))
+
+
 @functools.cache
 def _block_children(l: int, o: int, k: int) -> tuple:
     """((word, kappa increment) of each child, split) of ``_blocks(l)[k]`` below corner o."""
-    symbols = [str(s) for s in range(3) if s != o] + [str(o)]     # m, M, o: 2 k_i + e_i
-    bits = range(l - 1, -1, -1)
-    children = tuple(("".join(symbols[(k >> i & 1) << 1 | e >> i & 1] for i in bits), inc)
+    children = tuple((_block_word(l, o, k, e), inc)
                      for inc, _, lines in _blocks(l)[k][2] for e in lines)
     return children, _split([inc for _, inc in children])
 
@@ -173,12 +175,15 @@ class LevelValue:
 
 def _level_fraction(r) -> Fraction:
     """The exact level of a LevelValue or of anything finite that Fraction accepts."""
-    if isinstance(r, LevelValue):
-        return r.r
+    return r.r if isinstance(r, LevelValue) else _rational("the level r", r)
+
+
+def _rational(name: str, value) -> Fraction:
+    """``value`` as a Fraction, or a ValueError naming it if Fraction cannot read it."""
     try:
-        return Fraction(r)
-    except (OverflowError, ValueError):     # inf; NaN or a malformed string
-        raise ValueError(f"the level r must be a finite rational, got {r!r}") from None
+        return Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):    # None; NaN or a bad string; inf or x/0
+        raise ValueError(f"{name} must be a finite rational, got {value!r}") from None
 
 
 def extreme_pair(values) -> tuple:
@@ -205,8 +210,8 @@ class LevelSetNode:
     level once ``fill_measure`` has run.  ``split`` is set when the node
     is expanded: the children's weights and their sum (``_split``).  Past
     the crossing depth c nodes are a view of the runs: the deepest level
-    built takes its runs' splits when the tree grows past it, and the
-    first read of its children builds every level down to the tree's depth.
+    built, if above the tree's depth, holds its runs' next split, and the
+    first read of its children builds the next level.
     """
 
     __slots__ = ("word", "corners", "kappa_exp", "_children", "split", "mu_num", "mu_den")
@@ -277,26 +282,17 @@ class LevelSetTree:
     when its steps into o spell the next l binary digits k = floor(2**l h)
     of h.  Every member of the run at one depth therefore has the children
     of the block of digit k (``_blocks``), all with the corners b' = b
-    2**l + k(a - b) and a' = b' + (a - b), and the block's split.  The
-    run keeps the block alone per depth, and its corners at the tree's
-    depth; its members are the products of its blocks' words.  One
-    ``extend`` of m depths reads each run's next m blocks from the
-    base-2**l digits of floor(2**(l m) h), one division of its height.
-    When 2**(l j) h is an integer the level hits a vertex j depths down,
-    and the word loop, run on the run's first member above that depth,
-    names the first colliding word.  When a crossing member has three
+    2**l + k(a - b) and a' = b' + (a - b), and the block's split.  A run
+    is its crossing member and one integer K whose base-2**l digits are
+    its k past c (``_step_runs``).  When a crossing member has three
     distinct corners (possible only in functions that are not standard)
     the word loop goes on below c too.
 
-    Every reader of a depth n walks one iterator of members and their
-    runs' blocks, ``_chains(n)``: the kappa sums, the histograms, the
-    mass check's run records and the nodes built from the runs.  A
-    standard tree keeps its runs at every depth past c, and its nodes
-    there are a view of them, built on demand: a read of a node past c
-    (``nodes_at`` or ``find`` past c, or the ``children`` of a node at
-    the deepest level built) builds the levels from the deepest one built
-    down to the tree's depth, and ``extend`` builds none.  Every reader
-    other than the nodes reads the runs, whatever was read before.
+    Every reader past c reads K: the kappa sums and histograms walk its
+    digits' blocks (``_chains``), the mass check takes K (``_members``),
+    and the nodes are a view built on demand, by ``nodes_at`` and ``find``
+    down to the level read and by a ``children`` read one level down;
+    ``extend`` builds none.
     """
 
     def __init__(self, fn: PiecewiseAffineFn, r, l: int = 1, depth: int = 0):
@@ -319,11 +315,9 @@ class LevelSetTree:
             self.root = None
         # node levels: every level down to c, and past it those a node read built
         self._levels: list[list[LevelSetNode]] = [[self.root] if self.root else []]
-        # per depth past c, each run's block there, and each run's
-        # (odd corner, b, a) at the tree's depth; only _runs becomes None, and
-        # only for a three-valued crossing member, whose tree is nodes throughout
-        self._runs: list[tuple] | None = []
-        self._ends: list[tuple] = []
+        # each run's K once the tree is past c; None only for a three-valued
+        # crossing member, whose tree is nodes throughout
+        self._ks: list[int] | None = []
         self.mu_denominators: list[int] = []
         self.extend(depth)
 
@@ -344,10 +338,10 @@ class LevelSetTree:
     def _extend(self, depth: int) -> "LevelSetTree":
         c = self._crossing
         while self.depth < depth:
-            if self.depth == c and self._runs == [] and not all(
+            if self.depth == c and self._ks == [] and not all(
                     odd_corner(x.corners) for x in self._levels[c]):
-                self._runs = None
-            if self.depth < c or self._runs is None:
+                self._ks = None
+            if self.depth < c or self._ks is None:
                 length = (self.depth + 1) * self.l     # word length of the children
                 parents = self._levels[self.depth]
                 # the level times r.den, at the children's scale
@@ -421,69 +415,45 @@ class LevelSetTree:
         return tuple(kids)
 
     def _step_runs(self, m: int) -> None:
-        """Take every run m depths down, reading its m blocks from one division.
+        """Take every run m depths down: its K gains m digits from one division.
 
-        A run whose corners at the tree's depth are b, except a at its odd
-        corner o, has the relative height h = (N - b r.den)/((a - b) r.den),
-        N the level times r.den at that scale.  K, rem = divmod((N - b
-        r.den) 2**(l m), (a - b) r.den) gives K = floor(2**(l m) h): its m
-        base-2**l digits k, most significant first, are the run's blocks
-        (``_blocks(l)[k]``), and m depths down its corners are b' = b 2**(l
-        m) + K(a - b), except b' + (a - b) at o.  A nonzero remainder on
-        every run means the level meets no vertex in those depths.  A
-        remainder of 0 makes h = K / 2**(l m), whose reduced denominator
-        2**e, e = l m less the 2-adic valuation of K, puts the run's first
-        vertex on the level ceil(e / l) depths down.  The tree then takes
-        the depths above the first such depth of any run, and the word
-        loop, run on the first member there of the first run colliding at
-        that depth, names the word.  If the deepest level with nodes is the
-        tree's depth, its nodes take their runs' next split and leave their
-        children to ``_expand_runs``.
+        A run's crossing member has the corners b, except a at its odd
+        corner o.  With N the level times r.den at its scale, K, rem =
+        divmod((N - b r.den) 2**(l n), (a - b) r.den) is K = floor(2**(l n)
+        h), the run's n digits past c.  A remainder of 0 makes h = K /
+        2**(l n), so the level first meets a vertex of the run j = n -
+        floor(v / l) depths past c, v the 2-adic valuation of K.  The tree
+        takes the depths above the least such j and names the first run
+        colliding there: the children meeting the level are those whose
+        steps into o spell k' - 1 or k', k' its digit at j, so the word is
+        the smaller of the two spelled over o and m (``_block_word``) below
+        the run's first member, itself spelled over o and m.
         """
         c, l, rden = self._crossing, self.l, self.r.denominator
         crossing = self._levels[c]
-        ends = self._ends if self._runs else [odd_corner(x.corners) for x in crossing]
-        level = self.r.numerator * self.scale(self.depth * l)     # N
-        shift = l * m
-        heights = []
-        first, hit = m + 1, None            # the first colliding depth and its first run
-        for i, (_, b, a) in enumerate(ends):
-            k, rem = divmod((level - b * rden) << shift, (a - b) * rden)
+        n = self.depth - c + m
+        level = self.r.numerator * self.scale(c * l)      # N
+        ks, first, hit = [], n + 1, None        # the first colliding j and its first run
+        for i, x in enumerate(crossing):
+            _, b, a = odd_corner(x.corners)
+            k, rem = divmod((level - b * rden) << l * n, (a - b) * rden)
             if not rem:
-                j = -(-(shift + 1 - (k & -k).bit_length()) // l)
+                j = n - ((k & -k).bit_length() - 1) // l
                 if j < first:
                     first, hit = j, i
-            heights.append(k)
+            ks.append(k)
+        word = None
         if hit is not None:
-            m = first - 1
-            heights = [k >> (shift - l * m) for k in heights]
-            shift = l * m
-        blocks, mask, shifts = _blocks(l), (1 << l) - 1, range(shift - l, -1, -l)
-        rows, moved = [], []
-        for (o, b, a), k in zip(ends, heights):
-            rows.append([blocks[k >> s & mask] for s in shifts])
-            d = a - b
-            b = (b << shift) + k * d
-            moved.append((o, b, b + d))
-        if m:
-            depths = list(zip(*rows)) if rows else [()] * m
-            if len(self._levels) == self.depth + 1:
-                for nodes, end, (k, _, _) in zip(self._run_nodes(self.depth), ends, depths[0]):
-                    split = _block_children(l, end[0], k)[1]
-                    for v in nodes:
-                        v.children, v.split = self._expand_runs, split
-            self._runs += depths
-            self._ends = moved
-            self.depth += m
-        if hit is not None:
-            o, b, a = moved[hit]
-            firsts = [_block_children(l, o, blocks_at[hit][0])[0][0] for blocks_at in self._runs]
-            word = crossing[hit].word + "".join(w for w, _ in firsts)
-            exp = crossing[hit].kappa_exp + sum(inc for _, inc in firsts)
-            self._word_loop([(word, ((a, b, b), (b, a, b), (b, b, a))[o], exp)],
-                            self.r.numerator * self.scale(len(word) + l), len(word) + l)
-            raise AssertionError(f"the level meets a vertex below {word!r}, "
-                                 "yet no boundary word collides")
+            x, k = crossing[hit], ks[hit] >> l * (n - first)       # K down to j
+            o = odd_corner(x.corners)[0]
+            word = x.word + min(_block_word(l * first, o, k - 1), _block_word(l * first, o, k))
+            ks = [v >> l * (n + 1 - first) for v in ks]
+            n = first - 1
+        if c + n > self.depth:
+            self._ks, self.depth = ks, c + n
+            self._arm()
+        if word is not None:
+            raise LevelCollisionError(self.r, word)
 
     def _chains(self, n: int):
         """(member, its run's blocks at depths t + 1 to n) of each depth-t member.
@@ -492,64 +462,75 @@ class LevelSetTree:
         which gives every member an empty chain.  The members come in
         ``nodes_at(t)`` order, and n is at most the tree's depth.
         """
-        c = self._crossing
-        if n > c and self._runs:
-            return zip(self._levels[c], zip(*self._runs[:n - c]))
+        c, l = self._crossing, self.l
+        if n > c and self._ks is not None:
+            blocks, mask = _blocks(l), (1 << l) - 1
+            shifts = range(l * (self.depth - c - 1), l * (self.depth - n) - 1, -l)
+            return zip(self._levels[c], ([blocks[k >> s & mask] for s in shifts]
+                                         for k in self._ks))
         return ((v, ()) for v in self._levels[n])
 
     def _members(self, n: int):
-        """(row, col, mu numerator, odd corner, K) of each member of ``_chains(n)``.
+        """(row, col, mu numerator, odd corner o, K) of each member of ``_chains(n)``.
 
-        The records come in ``nodes_at(t)`` order, and the measure is
-        filled to n first.  (row, col) is the member's cell,
-        ``delta_lattice_index`` of its word.  The member stands for its
-        run's depth-n members, which its chain's blocks give: K is the
-        integer their digits k spell in base 2**l, most significant first,
-        the K that ``_step_runs`` divides out, recovered from the run's
-        end.  The odd corner o of a crossing member fixes the line its
-        run's members lie on (``_block_cell``).  A member with an empty
-        chain has o = None and K = 0.  No node is built and no address
-        below c is parsed.
+        The measure is filled to n first.  (row, col) is the member's cell
+        (``delta_lattice_index``), and K its run's digits down to n, whose
+        members lie on the line o fixes (``_block_cell``); an empty chain
+        has o = None and K = 0.  No node is built and no address parsed.
         """
         self.fill_measure(n)
-        c, l = self._crossing, self.l
-        read = self.depth - c               # the digits each run has read
-        ends = iter(self._ends)
-        for x, chain in self._chains(n):
-            o, k = None, 0
-            if chain:
-                o, b, a = odd_corner(x.corners)
-                k = (next(ends)[1] - (b << l * read)) // (a - b) >> l * (read - len(chain))
+        c = self._crossing
+        if n > c and self._ks is not None:
+            shift = self.l * (self.depth - n)
+            runs = ((x, odd_corner(x.corners)[0], k >> shift)
+                    for x, k in zip(self._levels[c], self._ks))
+        else:
+            runs = ((v, None, 0) for v in self._levels[n])
+        for x, o, k in runs:
             yield (*lattice_index_unchecked(x.word), x.mu_num, o, k)
 
     def _run_nodes(self, level: int):
-        """Each run's nodes at ``level``, c or past it, in run order: those below its member."""
+        """(nodes at ``level``, K) of each run in run order, ``level`` c or past it."""
         if level == self._crossing:         # one node per run
-            return ([x] for x in self._levels[level])
-        width = self._crossing * self.l
-        return (list(nodes) for _, nodes in
-                itertools.groupby(self._levels[level], key=lambda v: v.word[:width]))
+            nodes = ([x] for x in self._levels[level])
+        else:
+            width = self._crossing * self.l
+            nodes = (list(run) for _, run in
+                     itertools.groupby(self._levels[level], key=lambda v: v.word[:width]))
+        return zip(nodes, self._ks)
 
-    def _expand_runs(self) -> None:
-        """Build the node levels from the deepest one with nodes down to the tree's depth.
+    def _arm(self) -> None:
+        """Give the deepest node level, if above the tree's depth, its runs' next split.
 
-        The runs stay.  Each run's chain builds its nodes' descendants
-        depth by depth: the nodes' corners b, except b + d at the odd
-        corner, give their children, in the block of the run's digit k
-        there, the corners b' = b 2**l + k d, except b' + d.  The run's
-        members at that depth share the tuple, and each takes the block's
-        split and words, in order, as children, and the filled measure.
+        Its nodes take ``_expand_runs`` as the builder of their children.
         """
-        c, l = self._crossing, self.l
-        top = len(self._levels) - 1 - c         # the depths past c with nodes
-        levels: list[list[LevelSetNode]] = [[] for _ in range(top, len(self._runs))]
-        for (_, chain), parents in zip(self._chains(self.depth), self._run_nodes(c + top)):
+        t, l = len(self._levels) - 1, self.l
+        if t < self.depth:
+            shift, mask = l * (self.depth - t - 1), (1 << l) - 1
+            for nodes, k in self._run_nodes(t):
+                split = _block_children(l, odd_corner(nodes[0].corners)[0], k >> shift & mask)[1]
+                for v in nodes:
+                    v._children, v.split = self._expand_runs, split
+
+    def _expand_runs(self, level: int = 0) -> None:
+        """Build the node levels below the deepest one built, down to ``level`` or one level.
+
+        A run's nodes at one depth share the corners b, except b + d at the
+        odd corner, and their children in the block of the run's digit k
+        share b' = b 2**l + k d, except b' + d.  Each node takes the block's
+        words and split, and the measure where it is filled.  The runs stay.
+        """
+        l, mask = self.l, (1 << self.l) - 1
+        top = len(self._levels) - 1
+        levels: list[list[LevelSetNode]] = [[] for _ in range(top, max(level, top + 1))]
+        for parents, k in self._run_nodes(top):
             o, b, a = odd_corner(parents[0].corners)
             d = a - b
-            for nodes, (k, _, _) in zip(levels, chain[top:]):
-                b = (b << l) + k * d
+            for t, nodes in enumerate(levels, top + 1):
+                digit = k >> l * (self.depth - t) & mask
+                b = (b << l) + digit * d
                 corners = ((b + d, b, b), (b, b + d, b), (b, b, b + d))[o]
-                children, split = _block_children(l, o, k)
+                children, split = _block_children(l, o, digit)
                 for v in parents:
                     v._children = [LevelSetNode(v.word + w, corners, v.kappa_exp + inc)
                                    for w, inc in children]
@@ -557,15 +538,16 @@ class LevelSetTree:
                 parents = [u for v in parents for u in v._children]
                 nodes += parents
         self._levels += levels
-        for level in range(c + top, len(self.mu_denominators) - 1):
-            self._fill_level(level, self.mu_denominators[level + 1])
+        for t in range(top, min(len(self._levels), len(self.mu_denominators)) - 1):
+            self._fill_level(t, self.mu_denominators[t + 1])
+        self._arm()
 
     def nodes_at(self, level: int) -> list[LevelSetNode]:
         _check_depth("level", level)
         if level > self.depth:
             self.extend(level)
         if level >= len(self._levels):
-            self._expand_runs()
+            self._expand_runs(level)
         return self._levels[level]
 
     def find(self, word: str) -> LevelSetNode | None:
@@ -602,10 +584,11 @@ class LevelSetTree:
         if not self.mu_denominators:
             self.root.mu_num, self.root.mu_den = 1, 1
             self.mu_denominators = [1]
-        c = self._crossing
+        c, l = self._crossing, self.l
         for level in range(len(self.mu_denominators) - 1, depth):
-            if level >= c and self._runs:
-                totals = {total for _, total, _ in self._runs[level - c]}
+            if level >= c and self._ks is not None:
+                blocks, shift, mask = _blocks(l), l * (self.depth - level - 1), (1 << l) - 1
+                totals = {blocks[k >> shift & mask][1] for k in self._ks}
             else:
                 nodes = self._levels[level]
                 totals = {node.split[1] for node in nodes}
@@ -740,6 +723,7 @@ def kappa_exponent(fn: PiecewiseAffineFn, word: str, l: int = 1) -> int:
     # A boundary word is a step of length l over at most two of the
     # symbols 0, 1 and 2 (``boundary_family``); scaling the table by D
     # keeps the extreme pairs.
+    check_address(word)
     _check_l(l)
     if len(word) % l:
         raise ValueError(f"address length must be a multiple of l={l}")
@@ -747,8 +731,7 @@ def kappa_exponent(fn: PiecewiseAffineFn, word: str, l: int = 1) -> int:
     exp = 0
     for i in range(0, len(word), l):
         step = word[i: i + l]
-        symbols = set(step)
-        if len(symbols) > 2 or not symbols <= {"0", "1", "2"}:
+        if len(set(step)) > 2:
             raise ValueError(f"{step!r} is not a boundary word at l={l}")
         exp += step not in _extreme_words(table[word[:min(i, fn.level)]], l)
     return exp
@@ -806,7 +789,7 @@ def well_conducting_census(fn: PiecewiseAffineFn, r, n: int, l: int, d1, *,
     scaling by D keeps every extreme pair.
     """
     _check_depth("n", n)
-    d1 = Fraction(d1)
+    d1 = _rational("d1", d1)
     if d1 <= 0:
         raise ValueError(f"d1 must be positive, got {d1}")
     t = n * d1

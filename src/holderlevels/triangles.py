@@ -36,6 +36,12 @@ def check_address(word: str) -> str:
     return word
 
 
+def _check_l(l) -> None:
+    """Refuse a boundary parameter l that is not an int of at least 1, naming it."""
+    if not isinstance(l, int) or l < 1:
+        raise ValueError(f"boundary family needs an int l >= 1, got l={l!r}")
+
+
 def lattice_child(row: int, col: int, symbol: int) -> tuple[int, int]:
     """Cell of child ``symbol`` of (row, col): it keeps corner ``symbol``, whose indices double."""
     return (2 * row + (symbol == 2), 2 * col + (symbol == 1))
@@ -207,8 +213,7 @@ def boundary_family(l: int) -> tuple[str, ...]:
     so the family is enumerated combinatorially; cardinality is
     3*(2**l - 1).  Built once per l.
     """
-    if l < 1:
-        raise ValueError("boundary family needs l >= 1")
+    _check_l(l)
     words: set[str] = set()
     for pair in ((0, 1), (0, 2), (1, 2)):
         syms = tuple(str(s) for s in pair)

@@ -295,18 +295,25 @@ def test_levelset_sums_kappa_exponents_in_one_function():
 
 def test_nodes_below_the_crossing_come_from_the_runs_alone():
     # the word loop and the node view of the runs make the nodes below the
-    # root; only the run step (and the split it hands the nodes) looks up a
-    # digit block, and a block's words are spelled only where a word is
-    # asked for, by the node view and the run step's collision naming:
-    # _extend has no per-node digit step and builds no node from the runs
+    # root, and only _extend runs the word loop; past c a digit block is
+    # looked up from K by the chains and the fill, and a block's words are
+    # spelled only by the node view (whose split _arm hands the deepest
+    # level).  The run step names a collision from K's digit alone: no word
+    # loop, no boundary child, no block child and no node.  _extend has no
+    # per-node digit step and builds no node from the runs
     assert _where("levelset", lambda n: _called_name(n) == "LevelSetNode") == {
         "__init__", "_word_loop", "_expand_runs"}
     init = _functions("levelset")["__init__"]
     assert sum(_called_name(n) == "LevelSetNode" for n in _own_nodes(init)) == 1    # the root
+    assert _where("levelset", lambda n: _called_name(n) == "_word_loop") == {"_extend"}
     assert _where("levelset", lambda n: _called_name(n) == "_blocks") == {
-        "_step_runs", "_block_children"}
+        "_chains", "fill_measure", "_block_children"}
     assert _where("levelset", lambda n: _called_name(n) == "_block_children") == {
-        "_step_runs", "_expand_runs"}
+        "_arm", "_expand_runs"}
+    assert _where("levelset", lambda n: _called_name(n) == "_block_word") == {
+        "_block_children", "_step_runs"}
+    step = {_called_name(n) for n in _own_nodes(_functions("levelset")["_step_runs"])}
+    assert not step & {"_word_loop", "_boundary_children", "_block_children", "LevelSetNode"}
     extend = _functions("levelset")["_extend"]
     assert not any(getattr(n, "id", getattr(n, "attr", None))
                    in ("_blocks", "_block_children", "blocks")
@@ -317,30 +324,32 @@ def test_nodes_below_the_crossing_come_from_the_runs_alone():
 
 def test_the_tree_keeps_its_runs():
     # only _extend gives up the runs, at c, for a three-valued crossing
-    # member; the node view of the runs assigns neither the runs nor their ends
+    # member; the node view of the runs never assigns the runs' K
     def names(node, attrs):
         return any(isinstance(n, ast.Attribute) and n.attr in attrs
                    and getattr(n.value, "id", None) == "self" for n in ast.walk(node))
 
     drops = [name for name, fn in _functions("levelset").items() for n in _own_nodes(fn)
              if isinstance(n, ast.Assign) and isinstance(n.value, ast.Constant)
-             and n.value.value is None and any(names(t, {"_runs"}) for t in n.targets)]
+             and n.value.value is None and any(names(t, {"_ks"}) for t in n.targets)]
     assert drops == ["_extend"]
-    expand = _functions("levelset")["_expand_runs"]
-    targets = [t for n in _own_nodes(expand) for t in (
-        n.targets if isinstance(n, ast.Assign) else
-        [n.target] if isinstance(n, (ast.AugAssign, ast.AnnAssign)) else [])]
-    assert targets and not any(names(t, {"_runs", "_ends"}) for t in targets)
+    for view in ("_expand_runs", "_arm"):
+        targets = [t for n in _own_nodes(_functions("levelset")[view]) for t in (
+            n.targets if isinstance(n, ast.Assign) else
+            [n.target] if isinstance(n, (ast.AugAssign, ast.AnnAssign)) else [])]
+        assert targets and not any(names(t, {"_ks"}) for t in targets), view
 
 
 def test_every_tree_reader_walks_the_chains():
-    # one (member, run blocks) iterator feeds every reader of a depth: no
-    # reader forks on the runs, and the mass check parses no address
-    readers = {"histograms", "conservation", "_members", "_expand_runs"}
+    # one (member, run blocks) iterator feeds every reader that walks a
+    # depth's blocks: no such reader forks on the runs, and the mass check
+    # parses no address.  _members, which reads no block, and the node
+    # view, which reads one per level it builds, take each run's K itself
+    readers = {"histograms", "conservation"}
     assert readers <= _where("levelset", lambda n: _called_name(n) == "_chains")
     names_runs = _where("levelset", lambda n: isinstance(n, ast.Attribute)
-                        and n.attr == "_runs" and getattr(n.value, "id", None) == "self")
-    assert names_runs & {"histogram", "histograms", "conservation", "_members"} == set()
+                        and n.attr == "_ks" and getattr(n.value, "id", None) == "self")
+    assert names_runs & {"histogram", "histograms", "conservation"} == set()
     assert "_run_chains" not in _functions("levelset")
     bounds = ast.parse((ROOT / "src" / "holderlevels" / "bounds.py").read_text())
     imported = {getattr(n, "module", None) or a.name for n in ast.walk(bounds)

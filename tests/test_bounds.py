@@ -429,7 +429,7 @@ def test_mass_distribution_reaches_72_levels_at_alpha_1():
         tracemalloc.stop()
     assert rep.levels_checked == [2, 4, 6, 8, 10, 12]
     assert (rep.c_empirical, rep.worst_level) == (shallow.c_empirical, shallow.worst_level)
-    assert tree._runs is not None
+    assert tree._ks is not None
     assert peak < 10 * 2**20 and elapsed < 1.0, (peak, elapsed)
 
 
@@ -456,7 +456,7 @@ def test_mass_distribution_reads_the_runs_once(monkeypatch):
     tree = LevelSetTree(fn, r, params.l)
     depths = count_member_reads(monkeypatch)
     rep = mass_distribution_lower(fn, r, params, 6, tree=tree)
-    assert tree._crossing == 1 and tree._runs is not None
+    assert tree._crossing == 1 and tree._ks is not None
     assert depths == [12]
     assert rep.levels_checked == [2, 4, 6, 8, 10, 12]
 
@@ -476,7 +476,7 @@ def test_mass_distribution_straddling_the_crossing_depth(monkeypatch, seed):
     tree = LevelSetTree(fn, r, params.l)
     depths = count_member_reads(monkeypatch)
     rep = mass_distribution_lower(fn, r, params, 4, tree=tree)
-    assert tree._crossing == 3 and tree._runs is not None
+    assert tree._crossing == 3 and tree._ks is not None
     assert depths == [8, 2]
     assert rep == scatter_oracle(fn, r, params, 4)
 

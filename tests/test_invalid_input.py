@@ -50,7 +50,8 @@ CASES = {
                                 "alpha must"),
     "HolderParams alpha": (lambda v: hl.HolderParams(v, 0.9), [nan, 0, -1, 2], "alpha"),
     "HolderParams c": (lambda v: hl.HolderParams(0.5, v), [nan, 0, -1, inf], "c must"),
-    "LevelValue r": (lambda v: hl.LevelValue.checked(v, _FN), [nan, inf, -inf], "level r"),
+    "LevelValue r": (lambda v: hl.LevelValue.checked(v, _FN),
+                     [nan, inf, -inf, "abc", "1/0", None], "level r"),
     "LevelSetTree r": (lambda v: hl.LevelSetTree(_FN, v, 1, 2), [nan, inf], "level r"),
     "PhaseTransitionConfig alpha": (
         lambda v: hl.PhaseTransitionConfig(v, F(1, 2), 2, 1, 1, 0.2), [nan, 0, -1, 2], "alpha"),
@@ -112,7 +113,7 @@ CASES = {
     "capacity_gap alpha": (lambda v: hl.capacity_gap(3, v), [nan, 0, -1, 2], "alpha"),
     "cantor_level n": (hl.cantor_level, [-1], "n must"),
     "FatCantorSet n": (hl.FatCantorSet, [-1], "n must"),
-    "boundary_family l": (hl.boundary_family, [0, -1], "l >= 1"),
+    "boundary_family l": (hl.boundary_family, [0, -1, 1.5, 2.0, "2", None], "l >= 1"),
     "random_standard_paf level": (lambda v: hl.random_standard_paf(1, v, 0.5, 0.9, check=False),
                                   [-1, 0], "level"),
     "random_standard_paf alpha": (lambda v: hl.random_standard_paf(1, 2, v, 0.9, check=False),
@@ -122,6 +123,8 @@ CASES = {
     "PiecewiseAffineFn.refine level": (_FN.refine, [-1, 2], "level"),
     "kappa_exponent l": (lambda v: hl.kappa_exponent(_FN, "01", v), [0, -1, 1.5, 2.0],
                          "int l >= 1"),
+    "kappa_exponent word": (lambda v: hl.kappa_exponent(_FN, v, 1), [12, None, "0a"],
+                            "address"),
     "LevelSetTree l": (lambda v: hl.LevelSetTree(_FN, _R, v, 2), [0, -1, 1.5, 2.0],
                        "int l >= 1"),
     "LevelSetTree depth": (lambda v: hl.LevelSetTree(_FN, _R, 1, v), [-1, -3, 2.5, 5.5, 2.0],
@@ -151,7 +154,8 @@ CASES = {
         lambda v: hl.well_conducting_census(_FN, None, 2, v, F(1, 2), alpha=0.5),
         [0, -1, 1.5, 2.0], "int l >= 1"),
     "well_conducting_census d1": (
-        lambda v: hl.well_conducting_census(_FN, None, 2, 1, v, alpha=0.5), [0, F(-1, 2)], "d1"),
+        lambda v: hl.well_conducting_census(_FN, None, 2, 1, v, alpha=0.5),
+        [0, F(-1, 2), nan, inf, "abc", "1/0", None], "d1"),
     "well_conducting_census alpha": (
         lambda v: hl.well_conducting_census(_FN, None, 2, 1, F(1, 2), alpha=v),
         [nan, 0, -1, 2], "alpha"),

@@ -333,9 +333,12 @@ def test_kappa_exponent_matches_slow_path_at_larger_l(fn, l, data):
     three = st.permutations("012").map("".join)     # three symbols, at l = 3
     bad = data.draw(st.one_of(three, foreign) if l == 3 else foreign)
     cut = data.draw(st.integers(min_value=0, max_value=len(steps)))
-    message = re.escape(f"{bad!r} is not a boundary word at l={l}")
+    address = "".join(steps[:cut] + [bad] + steps[cut:])
+    # a symbol other than 0, 1, 2 fails the address check, which names the whole word
+    message = re.escape(f"{bad!r} is not a boundary word at l={l}" if set(bad) <= set("012")
+                        else f"invalid address {address!r}")
     with pytest.raises(ValueError, match=message):
-        kappa_exponent(fn, "".join(steps[:cut] + [bad] + steps[cut:]), l)
+        kappa_exponent(fn, address, l)
 
 
 values = st.integers(min_value=-2, max_value=2).map(Fraction)

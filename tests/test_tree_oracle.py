@@ -19,6 +19,8 @@ import json
 import math
 import subprocess
 import sys
+import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -229,7 +231,7 @@ def tree_state(tree) -> tuple:
     """The tree's depth, node levels, runs and measure, read without building a node."""
     return (tree.depth, [[(v.word, v.corners, v.kappa_exp, v.split, v.mu_num, v.mu_den)
                           for v in nodes] for nodes in tree._levels],
-            tree._runs, tree.mu_denominators)
+            tree._ks, tree.mu_denominators)
 
 
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=4),
@@ -266,6 +268,64 @@ def test_a_multi_depth_extend_stops_above_a_collision_on_the_runs(seed, level, l
         fresh = LevelSetTree(fn, r, l, depth=c + j - 1)
         assert tree_state(tree) == tree_state(fresh)
     assert tree_fields(tree, c + j - 1) == tree_fields(fresh, c + j - 1)
+
+
+@pytest.mark.parametrize("l", [5, 6])
+@pytest.mark.parametrize("o", range(3))
+@pytest.mark.parametrize("top", [False, True])
+def test_a_collision_on_digit_one_or_the_top_digit_names_the_oracles_word(l, o, top):
+    # the level meets a vertex of the run below the first depth-1 boundary
+    # word with odd corner o, two depths past c = 1, where its digit k' is 1
+    # or 2**l - 1: the words meeting it spell k' - 1 or k' over o, so the
+    # zero block's m**l or the ones block's o**l is a candidate, and the
+    # first in word order must be the word the node oracle's word loop names
+    fn = corpus_fn(0, 2)
+    word = next(w for w in boundary_family(l)
+                if (odd_corner(fn.corner_values(w)) or (None,))[0] == o)
+    _, b, a = odd_corner(fn.corner_values(word))
+    k = (1 << l) - 1 if top else 1
+    r = b + (a - b) * F((5 << l) + k, 1 << 2 * l)       # the digits 5 and k'
+    with pytest.raises(LevelCollisionError) as want:
+        oracle_node_levels(fn, r, l, 3, cap=10**4)
+    assert want.value.word.startswith(word) and len(want.value.word) == 3 * l
+    tree = LevelSetTree(fn, r, l, depth=1)
+    for _ in range(2):
+        with pytest.raises(LevelCollisionError) as err:
+            tree.extend(5)
+        assert (err.value.r, err.value.word) == (want.value.r, want.value.word)
+        assert tree_state(tree) == tree_state(LevelSetTree(fn, r, l, depth=2))
+
+
+def test_a_collision_past_the_crossing_is_named_without_the_word_loop(monkeypatch):
+    # at l = 16 there are 196,605 boundary words: running the word loop on
+    # one member to name this collision took 1.2-1.6 s and 124 MB of process
+    # peak (2 CPUs, Python 3.11); the word comes from the run's digit there
+    fn = random_standard_paf(7, 3, 1.0, 0.9, check=False)
+    root = fn.corner_values("")
+    first = LevelSetTree(fn, min(root) + (max(root) - min(root)) / 3, 16, 1)._levels[1][0]
+    _, b, a = odd_corner(fn.corner_values(first.word))
+    r = b + (a - b) * F(12345678901, 2**32)
+    tree = LevelSetTree(fn, r, 16, 1)
+    assert tree._crossing == 1
+
+    def unreachable(*args):
+        raise AssertionError(f"boundary words listed past the crossing: {args}")
+
+    monkeypatch.setattr(levelset, "boundary_family", unreachable)
+    monkeypatch.setattr(levelset, "_word_steps", unreachable)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(LevelCollisionError) as err:
+            tree.extend(4)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.word == "000200222020222222022222220222000002220000220200"
+    assert tree.depth == 2
+    assert elapsed < 0.5, elapsed
+    assert peak < 10 << 20, peak
 
 
 @given(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=4),
@@ -711,7 +771,7 @@ def test_a_three_valued_crossing_member_keeps_the_word_loop():
     levels = oracle_node_levels(fn, r, 1, 6)
     tree = LevelSetTree(fn, r, 1, depth=6)
     assert any(odd_corner(x.corners) is None for x in tree.nodes_at(2))
-    assert tree._runs is None and len(tree._levels) == 7
+    assert tree._ks is None and len(tree._levels) == 7
     assert_nodes_match(tree, levels, False)
     assert_readers_match(tree, levels, 6)
 
@@ -725,34 +785,45 @@ def test_a_level_zero_root_is_the_crossing_member(corners, l):
     levels = oracle_node_levels(fn, F(1, 3), l, 4)
     # before any node past c is read; reading one drops the runs
     tree = LevelSetTree(fn, F(1, 3), l, depth=4).fill_measure(4)
-    assert (tree._runs is None) == (len(set(corners)) == 3)
+    assert (tree._ks is None) == (len(set(corners)) == 3)
     for order in ORDERS:
         tree, filled = grown(fn, F(1, 3), l, 4, order)
         assert_nodes_match(tree, levels, filled)
         assert_readers_match(tree, levels, 4)
 
 
+def assert_run_heights(tree) -> None:
+    """Past c each run's K is floor(2**(l n) h): its height h's digits at every depth, n of them.
+
+    h = (r - b)/(a - b) is read in Fractions from its crossing member's
+    corner values; before the tree passes c it keeps no K.
+    """
+    c, l = tree._crossing, tree.l
+    runs = tree._levels[c] if tree.depth > c else []
+    assert tree._ks == [math.floor((tree.r - b) / (a - b) * 2 ** (l * (tree.depth - c)))
+                        for _, b, a in (odd_corner(tree.fn.corner_values(x.word)) for x in runs)]
+
+
 def assert_runs_or_nodes(tree, read: int) -> None:
-    """Past c the tree keeps a run block at every depth, and nodes down to ``read`` alone.
+    """Past c the tree keeps each run's digits at every depth, and nodes down to ``read`` alone.
 
     ``read`` is the deepest level whose nodes were built, 0 if none past c was.
     """
-    c = tree._crossing
-    assert len(tree._runs) == max(0, tree.depth - c)
-    assert len(tree._ends) == (len(tree._levels[c]) if tree.depth > c else 0)
-    assert len(tree._levels) == max(min(tree.depth, c), read) + 1
+    assert_run_heights(tree)
+    assert len(tree._levels) == max(min(tree.depth, tree._crossing), read) + 1
 
 
 # the deepest level each access order of ``grown`` builds on a tree to depth 7
-READ_IN_ORDER = {"deepest first": 7, "children first": 7, "fill then nodes": 0,
+READ_IN_ORDER = {"deepest first": 7, "children first": 4, "fill then nodes": 0,
                  "nodes then fill": 7, "extend after build": 6, "fill partway": 7}
 
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_the_tree_holds_runs_or_nodes_below_the_crossing(order):
     # a level-3 standard function, so c = 3 and every crossing member starts
-    # a run; a node read past c builds the levels down to the tree's depth
-    # and keeps the runs, and later extends and fills build no node
+    # a run; a node read past c builds the levels down to the level read
+    # (a crossing member's children, the next one) and keeps the runs, and
+    # later extends and fills build no node
     fn = random_standard_paf(7001, 3, 0.5, 0.9, check=False)
     root = fn.corner_values("")
     r = min(root) + (max(root) - min(root)) * F(1, 3)
@@ -762,6 +833,8 @@ def test_the_tree_holds_runs_or_nodes_below_the_crossing(order):
     tree.conservation("", 7)
     assert_runs_or_nodes(tree, READ_IN_ORDER[order])
     crossing = tree.nodes_at(3)
+    tree.nodes_at(5)
+    assert_runs_or_nodes(tree, max(5, READ_IN_ORDER[order]))
     tree.nodes_at(7)
     assert_runs_or_nodes(tree, 7)
     tree.fill_measure(8)
@@ -773,6 +846,17 @@ def test_the_tree_holds_runs_or_nodes_below_the_crossing(order):
         for x in crossing:
             run = [v for v in tree.nodes_at(n) if v.word.startswith(x.word)]
             assert run and all(v.corners is run[0].corners for v in run), (n, x.word)
+
+
+def test_a_node_read_builds_no_level_below_the_one_read():
+    # 12 nodes at depth 2 of a tree to depth 12 at l = 6: building every
+    # level down to the tree's depth made 320,125 nodes (0.5 s, 112 MB)
+    fn = random_standard_paf(7, 3, 1.0, 0.9, check=False)
+    root = fn.corner_values("")
+    tree = LevelSetTree(fn, min(root) + (max(root) - min(root)) / 3, 6, 12)
+    assert len(tree.nodes_at(2)) == 12
+    assert len(tree._levels) == 3 and sum(map(len, tree._levels)) == 19
+    assert_run_heights(tree)
 
 
 class FillCountingTree(LevelSetTree):
@@ -815,7 +899,8 @@ def test_nodes_read_past_the_crossing_stay_a_view_of_the_runs(seed, level, l, k,
         tree.extend(target)
         if data.draw(st.booleans()):
             assert tree.histograms(target) == fresh.histograms(target)
-        assert len(tree._levels) == read + 1 and len(tree._runs) == target - c
+        assert len(tree._levels) == read + 1 and tree.depth == target
+        assert_run_heights(tree)
         # the nodes at the depth read first: their split, then their children
         for n in range(read, target + 1):
             want = [w[:5] for w in node_fields(levels[n])]
@@ -883,7 +968,8 @@ def test_a_standard_tree_takes_no_word_loop_or_extend_node_below_the_crossing(mo
     tree.conservation(tree.nodes_at(5)[0].word, 6)
     tree.nodes_at(11)
     assert max(loops) == max(made_in_extend) == 3
-    assert len(tree._levels) == 12 and len(tree._runs) == 8
+    assert len(tree._levels) == 12 and tree.depth == 11
+    assert_run_heights(tree)
 
 
 # -- the function's memo of table children -----------------------------
