@@ -288,11 +288,11 @@ class LevelSetTree:
     distinct corners (possible only in functions that are not standard)
     the word loop goes on below c too.
 
-    Every reader past c reads K: the kappa sums and histograms walk its
-    digits' blocks (``_chains``), the mass check takes K (``_members``),
-    and the nodes are a view built on demand, by ``nodes_at`` and ``find``
-    down to the level read and by a ``children`` read one level down;
-    ``extend`` builds none.
+    Every reader past c reads K: the kappa sums, histograms and nodes walk
+    its digits' blocks (``_chains``), and the mass check takes K
+    (``_members``).  The nodes are a view built on demand, by ``nodes_at``
+    and ``find`` down to the level read and by a ``children`` read one
+    level down; ``extend`` builds none.
     """
 
     def __init__(self, fn: PiecewiseAffineFn, r, l: int = 1, depth: int = 0):
@@ -450,8 +450,10 @@ class LevelSetTree:
             ks = [v >> l * (n + 1 - first) for v in ks]
             n = first - 1
         if c + n > self.depth:
+            deepest = len(self._levels) - 1 == self.depth     # built, and not yet armed
             self._ks, self.depth = ks, c + n
-            self._arm()
+            if deepest:
+                self._arm()
         if word is not None:
             raise LevelCollisionError(self.r, word)
 
@@ -490,25 +492,22 @@ class LevelSetTree:
             yield (*lattice_index_unchecked(x.word), x.mu_num, o, k)
 
     def _run_nodes(self, level: int):
-        """(nodes at ``level``, K) of each run in run order, ``level`` c or past it."""
+        """Each run's nodes at ``level``, c or past it, in run order: those below its member."""
         if level == self._crossing:         # one node per run
-            nodes = ([x] for x in self._levels[level])
-        else:
-            width = self._crossing * self.l
-            nodes = (list(run) for _, run in
-                     itertools.groupby(self._levels[level], key=lambda v: v.word[:width]))
-        return zip(nodes, self._ks)
+            return ([x] for x in self._levels[level])
+        width = self._crossing * self.l
+        return (list(nodes) for _, nodes in
+                itertools.groupby(self._levels[level], key=lambda v: v.word[:width]))
 
     def _arm(self) -> None:
         """Give the deepest node level, if above the tree's depth, its runs' next split.
 
         Its nodes take ``_expand_runs`` as the builder of their children.
         """
-        t, l = len(self._levels) - 1, self.l
+        t = len(self._levels) - 1
         if t < self.depth:
-            shift, mask = l * (self.depth - t - 1), (1 << l) - 1
-            for nodes, k in self._run_nodes(t):
-                split = _block_children(l, odd_corner(nodes[0].corners)[0], k >> shift & mask)[1]
+            for (x, chain), nodes in zip(self._chains(t + 1), self._run_nodes(t)):
+                split = _block_children(self.l, odd_corner(x.corners)[0], chain[-1][0])[1]
                 for v in nodes:
                     v._children, v.split = self._expand_runs, split
 
@@ -516,21 +515,21 @@ class LevelSetTree:
         """Build the node levels below the deepest one built, down to ``level`` or one level.
 
         A run's nodes at one depth share the corners b, except b + d at the
-        odd corner, and their children in the block of the run's digit k
+        odd corner, and their children in the block of its chain's digit k
         share b' = b 2**l + k d, except b' + d.  Each node takes the block's
         words and split, and the measure where it is filled.  The runs stay.
         """
-        l, mask = self.l, (1 << self.l) - 1
+        c, l = self._crossing, self.l
         top = len(self._levels) - 1
-        levels: list[list[LevelSetNode]] = [[] for _ in range(top, max(level, top + 1))]
-        for parents, k in self._run_nodes(top):
+        bottom = max(level, top + 1)
+        levels: list[list[LevelSetNode]] = [[] for _ in range(top, bottom)]
+        for (_, chain), parents in zip(self._chains(bottom), self._run_nodes(top)):
             o, b, a = odd_corner(parents[0].corners)
             d = a - b
-            for t, nodes in enumerate(levels, top + 1):
-                digit = k >> l * (self.depth - t) & mask
-                b = (b << l) + digit * d
+            for nodes, (k, _, _) in zip(levels, chain[top - c:]):
+                b = (b << l) + k * d
                 corners = ((b + d, b, b), (b, b + d, b), (b, b, b + d))[o]
-                children, split = _block_children(l, o, digit)
+                children, split = _block_children(l, o, k)
                 for v in parents:
                     v._children = [LevelSetNode(v.word + w, corners, v.kappa_exp + inc)
                                    for w, inc in children]

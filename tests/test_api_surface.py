@@ -341,15 +341,16 @@ def test_the_tree_keeps_its_runs():
 
 
 def test_every_tree_reader_walks_the_chains():
-    # one (member, run blocks) iterator feeds every reader that walks a
-    # depth's blocks: no such reader forks on the runs, and the mass check
-    # parses no address.  _members, which reads no block, and the node
-    # view, which reads one per level it builds, take each run's K itself
-    readers = {"histograms", "conservation"}
+    # one (member, run blocks) iterator feeds every reader of a depth's
+    # blocks: no reader forks on the runs, and the mass check parses no
+    # address.  Past the run step, only _members, which reads no block, and
+    # fill_measure, which reads one digit per level, take a run's K itself
+    readers = {"histograms", "conservation", "_expand_runs", "_arm"}
     assert readers <= _where("levelset", lambda n: _called_name(n) == "_chains")
     names_runs = _where("levelset", lambda n: isinstance(n, ast.Attribute)
                         and n.attr == "_ks" and getattr(n.value, "id", None) == "self")
-    assert names_runs & {"histogram", "histograms", "conservation"} == set()
+    assert names_runs == {"__init__", "_extend", "_step_runs", "_chains", "_members",
+                          "fill_measure"}
     assert "_run_chains" not in _functions("levelset")
     bounds = ast.parse((ROOT / "src" / "holderlevels" / "bounds.py").read_text())
     imported = {getattr(n, "module", None) or a.name for n in ast.walk(bounds)

@@ -859,6 +859,37 @@ def test_a_node_read_builds_no_level_below_the_one_read():
     assert_run_heights(tree)
 
 
+class ArmCountingTree(LevelSetTree):
+    """A LevelSetTree that records the deepest built level at every ``_arm``."""
+
+    def __init__(self, *args):
+        self.armed: list[int] = []
+        super().__init__(*args)
+
+    def _arm(self) -> None:
+        self.armed.append(len(self._levels) - 1)
+        super()._arm()
+
+
+def test_a_level_takes_its_runs_next_split_once():
+    # the deepest level built is armed when the tree first grows past it
+    # or a node read builds it; an extend below it leaves its nodes alone,
+    # which once cost a walk of every node there per extend
+    fn = random_standard_paf(7, 3, 1.0, 0.9, check=False)
+    root = fn.corner_values("")
+    r = min(root) + (max(root) - min(root)) / 3
+    tree = ArmCountingTree(fn, r, 6, 12)
+    assert tree.armed == [1]
+    tree.nodes_at(7)
+    assert tree.armed == [1, 7]
+    for depth in range(13, 30):
+        tree.extend(depth)
+    assert tree.armed == [1, 7]
+    fresh = LevelSetTree(fn, r, 6, 29)
+    assert [v.word for v in tree.nodes_at(9)] == [v.word for v in fresh.nodes_at(9)]
+    assert_run_heights(tree)
+
+
 class FillCountingTree(LevelSetTree):
     """A LevelSetTree that records every level whose children take the measure."""
 
