@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .levelset import (LevelSetTree, _block_cell, _blocks, _check_depth, _check_l,
-                       _level_fraction, census_constant)
+                       _level_fraction, _rational, census_constant)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -82,7 +82,7 @@ def trivial_upper_bound_sierpinski(precision: str = "double"):
 
 def lcondition_lhs(alpha: float, d1) -> float:
     """(d1 (1 + log(3/(2 d1))) + log 2) / ((alpha - d1) log 2)."""
-    d1 = float(d1)
+    d1 = float(_rational("d1", d1))
     alpha = float(alpha)
     if not 0 < d1 < alpha:
         raise ValueError("need 0 < d1 < alpha")
@@ -209,9 +209,6 @@ def box_count_dimension(digits) -> DimensionEstimate:
 _CELL_NEIGHBOR_OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
 # the empirical cell-bound constant C up to which a depth counts as verified
 _C_CAP = 8.0
-# R: a run's members fewer than R cell layers from a corner of its region
-# are the ones a cell touched by another run can touch (mass_distribution_lower)
-_SEAM_LAYERS = 2
 
 
 @dataclass
@@ -343,9 +340,8 @@ def _run_windows(runs, l: int, lcms, ks) -> list[tuple[list, list]]:
     claim at j - 1 with 2 c.
 
     The seam cells are (row, col, mu numerator) of the members fewer
-    than ``_SEAM_LAYERS`` = 2 cell layers from a corner of the run's
-    region, in the run's order: the corner chains of
-    ``mass_distribution_lower``.
+    than R = 2 cell layers from a corner of the run's region, in the
+    run's order: the corner chains of ``mass_distribution_lower``.
     """
     size, mask = len(lcms), (1 << l) - 1
     prods = list(itertools.accumulate(lcms, operator.mul, initial=1))    # L_1 ... L_j
@@ -388,44 +384,33 @@ def _run_windows(runs, l: int, lcms, ks) -> list[tuple[list, list]]:
     return walks
 
 
-def _heavy_members(run, l: int, lcms, k: int, mass: int) -> list:
-    """The members at chain length k of ``run`` that can touch a cell of ``mass``, with its seam.
+def _window_members(run, l: int, lcms, k: int, seam: list) -> list:
+    """``seam`` merged with the members at chain length k of ``run`` at seven line positions.
 
-    (row, col, mu numerator) in the run's order, from a descent of the
-    run's first k blocks (``_blocks``, ``_block_cell``); ``run`` and
-    ``lcms`` are as ``_run_windows`` reads them.  A member at depth t + j
-    is heavy when three times its mu, times the largest growth M_k / M_j
-    its descendants can have, reaches ``mass``; a member is kept when it
-    is within two line positions of a heavy one or fewer than
-    ``_SEAM_LAYERS`` layers from a corner.  A heavy member's parent is
-    heavy, and two positions at most two apart have parents at most one
-    apart, so the kept members' children hold every member kept a depth
-    down.  The zero block leaves one child at its peak and the ones block
-    one child in all, so at l = 1 the heavy members stay few; a mixed
-    block keeps both of its children at its peak, so at l >= 2 they can
-    double at each one.
+    (row, col, mu numerator) in line order, which is the run's order; the
+    positions are 0, 1, 2 and 2**l - 2 to 2**l + 1 of depth t + k, those
+    that are members.  ``run`` and ``lcms`` are as ``_run_windows`` reads
+    them and ``seam`` is the run's seam at k.  A line position spells
+    its block positions e, one base-2**l digit per block of K's first k,
+    and is a member's when each block has a child at its e; at k <= 1 a
+    position past the run's last spells one of the others.  These hold
+    every member touching the first cell of the run's window in scatter
+    order (``mass_distribution_lower`` has the argument).
     """
     row, col, mu, o, digits = run
-    size, mask = len(lcms), (1 << l) - 1
-    blocks = []
-    for j in range(1, k + 1):
-        digit, total, spans = _blocks(l)[digits >> l * (size - j) & mask]
-        blocks.append([(*_block_cell(l, o, digit, e), lcms[j - 1] // total * w)
-                       for _, w, lines in spans for e in lines])
-    growth = [1]                        # M_k / M_j, from j = k up
-    for cells in reversed(blocks):
-        growth.append(growth[-1] * max(f for *_, f in cells))
-    line = int(o == 2)
-    members, top = [(0, 0, mu)], 0
-    for cells, g in zip(blocks, reversed(growth[:-1])):
-        top = top << l | mask
-        members = [(pi << l | bi, pj << l | bj, pm * f)
-                   for pi, pj, pm in members for bi, bj, f in cells]
-        near = {m[line] + e for m in members if 3 * m[2] * g >= mass for e in range(-2, 3)}
-        members = [(i, j, m) for i, j, m in members
-                   if (i, j)[line] in near or min(i + j, top - i, top - j) < _SEAM_LAYERS]
-    d = k * l
-    return [(row << d | i, col << d | j, m) for i, j, m in members]
+    size, mask, d = len(lcms), (1 << l) - 1, k * l
+    blocks = [_blocks(l)[digits >> l * (size - j) & mask] for j in range(1, k + 1)]
+    members = set(seam)
+    for p in {0, 1, 2, *range(mask - 1, mask + 3)}:
+        i, j, m = 0, 0, mu
+        for depth, (digit, total, spans) in enumerate(blocks):
+            e = p >> l * (k - 1 - depth) & mask
+            w = next((w for _, w, lines in spans if e in lines), 0)
+            bi, bj = _block_cell(l, o, digit, e)
+            i, j, m = i << l | bi, j << l | bj, m * (lcms[depth] // total) * w
+        if m:
+            members.add((row << d | i, col << d | j, m))
+    return sorted(members, key=operator.itemgetter(int(o == 2)))
 
 
 def _scatter(groups, s: int) -> dict[int, int]:
@@ -472,9 +457,9 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
     the largest cell mass is the largest sum over three consecutive
     positions, its window.  A cell touched by two runs lies near a vertex
     their regions, the runs' depth-t cells, share, and every member
-    touching it is fewer than R = ``_SEAM_LAYERS`` cell layers from a
-    corner of its region.  Those seam members of every run are scattered
-    in member order: each adds its mass to the cells it touches, so a
+    touching it is fewer than R = 2 cell layers from a corner of its
+    region.  Those seam members of every run are scattered in member
+    order: each adds its mass to the cells it touches, so a
     cell touched by two runs ends up with the total of the members
     touching it.  C is exact: it is the largest window or seam total, each
     of which is part of one cell's mass, and every cell's mass is a seam
@@ -527,22 +512,32 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
     maximising cell in scatter order (the ``nodes_at`` order of the
     level's members, then the neighbour offset order) at the first depth
     that reaches the maximum.  It is located only at a depth that raises
-    C, and costs a pruned descent of one run: the seam scatter is redone
-    with, in place of the seam of the first run whose window reaches the
-    mass, if one does, that run's members that can touch a cell of the
-    mass (``_heavy_members``), and its first cell of that mass is the
-    worst cell.  Those are the members within two line positions of a
-    heavy one, whose mu times the largest growth M_k / M_j below it is
-    at least a third of the mass, and the run's seam members.  That cell
-    W is touched by two runs, so that every member touching it is a seam
-    member, or by one run, whose window then reaches the mass; no earlier
-    run's window does, since it would lie on a maximising cell touched
-    earlier.  In the second case W's mass is the sum of at most three
-    consecutive positions, one of them heavy, so every member touching W
-    is kept.  Every cell's value in this scatter is at most its mass, W
-    has its mass, and a cell is touched no earlier than in the full
-    scatter, so no cell of that mass comes before W.  A ``tree`` must be
-    one built for ``fn``, ``r`` and ``params.l``.
+    C: the seam scatter is redone with, in place of the seam of the first
+    run whose window reaches the mass, if one does, that seam merged with
+    the run's members at line positions 0, 1, 2 and 2**l - 2 to 2**l + 1
+    (``_window_members``), and its first cell of that mass is the worst
+    cell.  That cell W is touched by two runs, so that every member
+    touching it is a seam member, or by one run, whose window then
+    reaches the mass; no earlier run's window does, since it would lie on
+    a maximising cell touched earlier.  In the second case the seven
+    positions hold every member touching W.  Within a run word order is
+    line order, as each block lists its children by increasing line
+    position e, and position 0, e = 0 in every block, is a peak at every
+    depth, as e = 0 carries each block's largest weight.  By
+    ``_run_windows``' proof the window is the heaviest parent's best
+    triple or the straddle of two siblings below the heaviest
+    grandparent, and the first of each lies below position 0.  The
+    triple is the one at positions 0 to 2, as e = 0 and the two positions
+    after it hold a largest triple of every block.  A straddle heavier
+    than every triple lies below a zero or ones block k - 1, since a
+    mixed block's pairs are (1, 0), (0, 1) or (1, 1), each weighing at
+    most T_k there; the first pair (u(0), u(1)) of those two blocks is
+    their best, so the siblings are positions 0 and 1 and their straddle
+    touches positions 2**l - 2 to 2**l + 1.  Cousins and later siblings
+    straddle later in line order.  Every cell's value in this scatter is
+    at most its mass, W has its mass, and a cell is touched no earlier
+    than in the full scatter, so no cell of that mass comes before W.  A
+    ``tree`` must be one built for ``fn``, ``r`` and ``params.l``.
     """
     _check_depth("n_prime_max", n_prime_max)
     if n_prime_max < 1:
@@ -578,7 +573,7 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
             if quot > c_emp:
                 first = next((i for i, w in enumerate(windows) if w == mass), None)
                 if first is not None:
-                    seams[first] = _heavy_members(runs[first], l, lcms, k, mass)
+                    seams[first] = _window_members(runs[first], l, lcms, k, seams[first])
                     cell_mass = _scatter(seams, s)
                 key = next(cell for cell, v in cell_mass.items() if v == mass)
                 c_emp = quot

@@ -746,7 +746,7 @@ def census_constant(alpha: float, d1, l: int) -> float:
     With 2**l in place of 2**l - 1, c < 1 is exactly the feasibility
     inequality ``lcondition_lhs(alpha, d1) < l``.
     """
-    d1 = float(d1)
+    d1 = float(_rational("d1", d1))
     alpha = float(alpha)
     if not d1 > 0:
         raise ValueError(f"d1 must be positive, got {d1}")

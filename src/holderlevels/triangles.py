@@ -204,16 +204,21 @@ def locate(point, level: int) -> str:
 # boundary families
 # ---------------------------------------------------------------------------
 
-@functools.cache
 def boundary_family(l: int) -> tuple[str, ...]:
     """The sorted level-l addresses whose triangle has an edge on the boundary.
 
     A level-l triangle keeps an edge on the outer edge between root
     vertices i and j exactly when its word uses only the symbols {i, j},
     so the family is enumerated combinatorially; cardinality is
-    3*(2**l - 1).  Built once per l.
+    3*(2**l - 1).  Built once per l; l is checked before the cache, so
+    an unhashable l is refused like any other.
     """
     _check_l(l)
+    return _boundary_family(l)
+
+
+@functools.cache
+def _boundary_family(l: int) -> tuple[str, ...]:
     words: set[str] = set()
     for pair in ((0, 1), (0, 2), (1, 2)):
         syms = tuple(str(s) for s in pair)

@@ -360,10 +360,10 @@ def test_every_tree_reader_walks_the_chains():
 
 def test_the_mass_check_reads_each_run_from_block_summaries():
     # a run's window and seam come from summaries cached per digit, so only
-    # they and the worst cell's pruned descent read a block's cells, and
+    # they and the worst cell's seven line positions read a block's cells, and
     # _members yields each run's K rather than its blocks
     reads = _where("bounds", lambda n: _called_name(n) in ("_blocks", "_block_cell"))
-    assert reads == {"_block_summary", "_corner_cells", "_heavy_members"}
+    assert reads == {"_block_summary", "_corner_cells", "_window_members"}
     members = _functions("levelset")["_members"]
     assert not {"_blocks", "_block_cell", "_block_children"} & {
         _called_name(n) for n in _own_nodes(members)}

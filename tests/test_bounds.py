@@ -8,7 +8,9 @@ summaries: every depth-n member, in ``nodes_at(n)`` order, adds its
 mass to the cells it touches, and the first cell of the largest mass in
 that order is the worst cell.  The third is the block walk the program
 ran before it read each run's windows and seams in closed form from its
-K (``_run_walks``, ``walk_report``).
+K (``_run_walks``, ``walk_report``).  The worst cell has one more: the
+pruned descent of one run that the program ran before it read the
+seven line positions of ``_window_members`` (``_heavy_members``).
 """
 
 import functools
@@ -26,7 +28,6 @@ import pytest
 
 from holderlevels import bounds, levelset
 from holderlevels.bounds import (
-    _SEAM_LAYERS,
     BoundSearchParams,
     MassDistributionReport,
     _digit_counts,
@@ -51,6 +52,10 @@ from test_kernel import corpus_fn
 from test_structure_oracle import generic_fn
 
 F = Fraction
+# R: a run's members fewer than R cell layers from a corner of its region
+# are the ones a cell touched by another run can touch, the members
+# bounds._corner_cells reads (mass_distribution_lower)
+_SEAM_LAYERS = 2
 
 
 def test_lower_bound_values():
@@ -599,6 +604,55 @@ def walk_report(fn, r, params, n_prime_max, tree=None) -> MassDistributionReport
                                   worst_level=worst_level, levels_checked=levels)
 
 
+def _heavy_members(run, l: int, lcms, k: int, mass: int) -> list:
+    """The members at chain length k of ``run`` that can touch a cell of ``mass``, with its seam.
+
+    The oracle of ``bounds._window_members``: (row, col, mu numerator) in
+    the run's order, from a descent of the run's first k blocks; ``run``
+    and ``lcms`` are as ``_run_windows`` reads them.  A member at depth t
+    + j is heavy when three times its mu, times the largest growth M_k /
+    M_j its descendants can have, reaches ``mass``; a member is kept when
+    it is within two line positions of a heavy one or fewer than
+    ``_SEAM_LAYERS`` layers from a corner.  A heavy member's parent is
+    heavy, and two positions at most two apart have parents at most one
+    apart, so the kept members' children hold every member kept a depth
+    down.  A mixed block keeps both of its children at its peak, so at l
+    >= 2 the kept members can double at each one.
+    """
+    row, col, mu, o, digits = run
+    size, mask = len(lcms), (1 << l) - 1
+    blocks = []
+    for j in range(1, k + 1):
+        digit, total, spans = levelset._blocks(l)[digits >> l * (size - j) & mask]
+        blocks.append([(*levelset._block_cell(l, o, digit, e), lcms[j - 1] // total * w)
+                       for _, w, lines in spans for e in lines])
+    growth = [1]                        # M_k / M_j, from j = k up
+    for cells in reversed(blocks):
+        growth.append(growth[-1] * max(f for *_, f in cells))
+    line = int(o == 2)
+    members, top = [(0, 0, mu)], 0
+    for cells, g in zip(blocks, reversed(growth[:-1])):
+        top = top << l | mask
+        members = [(pi << l | bi, pj << l | bj, pm * f)
+                   for pi, pj, pm in members for bi, bj, f in cells]
+        near = {m[line] + e for m in members if 3 * m[2] * g >= mass for e in range(-2, 3)}
+        members = [(i, j, m) for i, j, m in members
+                   if (i, j)[line] in near or min(i + j, top - i, top - j) < _SEAM_LAYERS]
+    d = k * l
+    return [(row << d | i, col << d | j, m) for i, j, m in members]
+
+
+def heavy_reader(run, l: int, lcms, k: int, seam: list) -> list:
+    """``_heavy_members`` behind ``_window_members``' signature, at the run's own window.
+
+    ``mass_distribution_lower`` reads the worst cell's members only from
+    the first run whose window reaches the mass, so that window is the
+    mass the descent keeps members for.
+    """
+    [([window], _)] = _run_windows([run], l, lcms, [k])
+    return _heavy_members(run, l, lcms, k, window)
+
+
 @pytest.mark.parametrize("seed, level, l", [(s, level, l) for s in range(4)
                                             for level in (2, 3) for l in (1, 2)])
 def test_run_windows_match_the_listed_members(seed, level, l):
@@ -764,9 +818,8 @@ def mass_cases(draw):
 
     Corpus functions at l = 1 to 4, the feasible alpha = 1 and 0.8
     triples (l = 6), deep's (1.0, 1/4, 1), and generic functions, whose
-    crossing members mostly have three distinct corners.  A level just
-    off a vertex value puts members of two runs beside the corner their
-    regions share.
+    crossing members mostly have three distinct corners, at levels from
+    ``drawn_level``.
     """
     kind = draw(st.sampled_from(["corpus", "feasible", "deep", "generic"]))
     seed, level = draw(st.integers(min_value=0, max_value=3)), draw(st.integers(2, 4))
@@ -780,18 +833,26 @@ def mass_cases(draw):
         l, q = draw(st.integers(1, 4)), draw(st.sampled_from([2, 3, 4]))
         params = BoundSearchParams(1.0, F(1, q), l)
         n_prime = draw(st.integers(1, max(1, 16 // (q * l))))
+    return fn, drawn_level(draw, fn), params, n_prime, draw(st.booleans())
+
+
+def drawn_level(draw, fn):
+    """A level inside the root's range: drawn on a grid, or just off a vertex value.
+
+    A level just off a vertex value puts members of two runs beside the
+    corner their regions share.
+    """
     root = fn.corner_values("")
     lo, hi = min(root), max(root)
     if draw(st.booleans()):
-        word = draw(st.text(alphabet="012", max_size=level + 2))
+        word = draw(st.text(alphabet="012", max_size=fn.level + 2))
         sign = draw(st.sampled_from([-1, 1]))
         r = (fn.corner_values(word)[draw(st.integers(min_value=0, max_value=2))]
              + (hi - lo) * F(sign, 3 << draw(st.integers(min_value=4, max_value=30))))
         assume(lo < r < hi)
-    else:
-        r = lo + (hi - lo) * F(draw(st.integers(min_value=1, max_value=3 * 2**24 - 1)),
-                               3 * 2**24)
-    return fn, r, params, n_prime, draw(st.booleans())
+        return r
+    return lo + (hi - lo) * F(draw(st.integers(min_value=1, max_value=3 * 2**24 - 1)),
+                              3 * 2**24)
 
 
 def drawn_tree(fn, r, params, n_prime, read_past_c):
@@ -849,9 +910,69 @@ def test_heavy_members_keep_every_maximising_window(l, length):
                     if sum(at[q][2] for q in range(start, start + 3) if q in at) == window
                     for q in range(start, start + 3) if q in at}
             d = k * l
-            kept = set(bounds._heavy_members(run, l, lcms, k, window))
+            kept = set(_heavy_members(run, l, lcms, k, window))
             assert {(row << d | i, col << d | j, m) for i, j, m in need} <= kept, (l, run, k)
             assert set(seams[k]) <= kept, (l, run, k)
+
+
+@pytest.mark.parametrize("l, length", [(1, 8), (2, 4), (3, 3), (4, 2)])
+def test_window_members_hold_the_first_maximising_cell(l, length):
+    # at every chain length of every chain, the run's listed members are
+    # scattered in word order; the reader's members are some of them, in
+    # the same order, every member touching the first cell of the largest
+    # mass is among them, and that cell is the first of the largest mass
+    # in their own scatter
+    for run, lcms in chain_runs(l, length):
+        row, col, mu, o, k = run
+        blocks = run_blocks(l, o, k, lcms)
+        seams = [seams for _, [seams] in _run_windows([run], l, lcms, range(length + 1))]
+        members = [(0, 0, mu)]
+        for k, cells in enumerate(blocks, 1):
+            members = [(pi << l | bi, pj << l | bj, pm * f)
+                       for pi, pj, pm in members for bi, bj, f in cells]
+            d = k * l
+            s = d + 5                   # the run's rows and cols lie below 2**(d + 3)
+            listed = [(row << d | i, col << d | j, m) for i, j, m in members]
+            cell_mass = _scatter([listed], s)
+            mass = max(cell_mass.values())
+            first = next(cell for cell, v in cell_mass.items() if v == mass)
+            kept = bounds._window_members(run, l, lcms, k, seams[k])
+            assert kept == [m for m in listed if m in kept], (l, run, k)
+            offsets = {(dr << s) + dc + (1 << s) + 1 for dr, dc in bounds._CELL_NEIGHBOR_OFFSETS}
+            touching = {m for m in listed if first - (m[0] << s) - m[1] in offsets}
+            assert touching <= set(kept), (l, run, k)
+            assert next(cell for cell, v in _scatter([kept], s).items() if v == mass) == first
+
+
+@st.composite
+def reader_cases(draw):
+    """(fn, r, params, n') at l = 1 to 6 and q up to 20, where the descent oracle finishes.
+
+    Corpus functions of levels 2 to 4, at levels from ``drawn_level``.
+    The oracle's kept members can double at each mixed block past the
+    crossing, so q is at most 14 at l = 3 and 10 at l >= 4, where the
+    slowest corpus case took about 0.05 s; at l = 1, which has no mixed
+    block, n' reaches 40 levels.
+    """
+    fn = corpus_fn(draw(st.integers(min_value=0, max_value=3)), draw(st.integers(2, 4)))
+    l = draw(st.integers(1, 6))
+    q = draw(st.integers(2, {1: 20, 2: 20, 3: 14}.get(l, 10)))
+    n_prime = draw(st.integers(1, max(1, 40 // q))) if l == 1 else 1
+    return fn, drawn_level(draw, fn), BoundSearchParams(1.0, F(1, q), l), n_prime
+
+
+@given(reader_cases())
+@settings(max_examples=300, deadline=None)
+def test_window_members_give_the_descents_report(case):
+    # the report with the pruned descent patched in for the seven positions
+    fn, r, params, n_prime = case
+    try:
+        rep = mass_distribution_lower(fn, r, params, n_prime)
+    except LevelCollisionError:
+        assume(False)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds, "_window_members", heavy_reader)
+        assert mass_distribution_lower(fn, r, params, n_prime) == rep
 
 
 def found_case():
@@ -863,7 +984,7 @@ def found_case():
 
 def test_worst_cell_is_found_without_listing_the_run():
     # the first run whose window reaches the mass has 2**zeros members at the
-    # worst depth; the descent keeps only those near a heavy one or a corner.
+    # worst depth; the worst cell reads seven of them and the run's seam.
     # The block walk, which listed the run, took 25 s at n' = 24
     fn, r, params = found_case()
     assert mass_distribution_lower(fn, r, params, 8) == walk_report(fn, r, params, 8)
@@ -897,6 +1018,46 @@ def test_mass_check_reads_a_constant_number_of_summaries_per_run_and_depth(monke
     rep = mass_distribution_lower(fn, r, params, n_prime, tree=tree)
     runs = len(tree.nodes_at(tree._crossing))
     assert len(calls) <= 3 * runs * len(rep.levels_checked) + 2 * 4 ** params.l
+
+
+def scratch_case(alpha: float):
+    """The scratch function at r a third up the root's range, with ``for_alpha``'s triple."""
+    fn = random_standard_paf(7, 3, 1.0, 0.9, check=False)
+    root = fn.corner_values("")
+    return fn, min(root) + (max(root) - min(root)) / 3, BoundSearchParams.for_alpha(alpha)
+
+
+@pytest.mark.parametrize("case, n_prime, pinned", [
+    ("found", 24, (747.4651382547372, 46, (10988213177132, 35184372088833))),
+    # q = 20, l = 6: the pruned descent kept 262,144 members and took about 3 s
+    (0.9, 1, (0.0003255208333333333, 20, (269999436643811036683585809119444992,
+                                          1053386612978967459784515007196104055))),
+    # q = 40, l = 6: the pruned descent could keep up to 2**39 members
+    (0.95, 2, (6.357828776041666e-07, 40, (
+        135800066088744497307136236105239546961595924975380193195124288057685137, 0))),
+])
+def test_each_c_raising_depth_scatters_the_seam_and_seven_members(monkeypatch, case, n_prime,
+                                                                  pinned):
+    # the worst cell's second scatter gets the run's seam and at most seven
+    # more members, once per checked depth at most, so a q = 20 or q = 40
+    # triple's worst cell takes milliseconds
+    fn, r, params = found_case() if case == "found" else scratch_case(case)
+    handed = []
+    real = bounds._window_members
+
+    def counted(run, l, lcms, k, seam):
+        members = real(run, l, lcms, k, seam)
+        handed.append((len(seam), len(members)))
+        return members
+
+    monkeypatch.setattr(bounds, "_window_members", counted)
+    start = time.perf_counter()
+    rep = mass_distribution_lower(fn, r, params, n_prime)
+    elapsed = time.perf_counter() - start
+    assert (rep.c_empirical, rep.worst_level, rep.worst_cell) == pinned
+    assert 1 <= len(handed) <= len(rep.levels_checked)
+    assert all(seam <= members <= seam + 7 for seam, members in handed), handed
+    assert elapsed < 0.5, elapsed
 
 
 def test_past_the_crossing_no_reader_lists_a_block(monkeypatch):

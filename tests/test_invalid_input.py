@@ -93,13 +93,15 @@ CASES = {
         lambda v: hl.graft_certificate_constant(1.0, v, 3), [nan, 0, -1, 2], "alpha"),
     "graft_certificate_constant n_prime": (
         lambda v: hl.graft_certificate_constant(1.0, 0.5, v), [-1], "n_prime"),
-    "census_constant d1": (lambda v: hl.census_constant(1.0, v, 2), [nan, 0, -1], "d1"),
+    "census_constant d1": (lambda v: hl.census_constant(1.0, v, 2),
+                           [nan, 0, -1, None, "abc", inf, "1/0"], "d1"),
     "census_constant alpha": (lambda v: hl.census_constant(v, F(1, 2), 2), [nan, 0, -1, 2],
                               "alpha"),
     "census_constant l": (lambda v: hl.census_constant(1.0, F(1, 2), v), [0, -1, 1.5],
                           "l >= 1"),
     "feasible_l alpha": (lambda v: hl.feasible_l(v, F(1, 4)), [nan, 0, -1, 2], "alpha"),
-    "feasible_l d1": (lambda v: hl.feasible_l(0.6, v), [nan, 0, -1, 2], "d1"),
+    "feasible_l d1": (lambda v: hl.feasible_l(0.6, v), [nan, 0, -1, 2, None, "abc", inf, "1/0"],
+                      "d1"),
     "lower_bound alpha": (hl.lower_bound, [nan, 0, -1, 2], "alpha"),
     "upper_bound alpha": (hl.upper_bound, [nan, 0, -1, 2], "alpha"),
     "lower_bound precision": (lambda v: hl.lower_bound(0.5, v), ["quad", "", "Big"],
@@ -113,7 +115,7 @@ CASES = {
     "capacity_gap alpha": (lambda v: hl.capacity_gap(3, v), [nan, 0, -1, 2], "alpha"),
     "cantor_level n": (hl.cantor_level, [-1], "n must"),
     "FatCantorSet n": (hl.FatCantorSet, [-1], "n must"),
-    "boundary_family l": (hl.boundary_family, [0, -1, 1.5, 2.0, "2", None], "l >= 1"),
+    "boundary_family l": (hl.boundary_family, [0, -1, 1.5, 2.0, "2", None, [1]], "l >= 1"),
     "random_standard_paf level": (lambda v: hl.random_standard_paf(1, v, 0.5, 0.9, check=False),
                                   [-1, 0], "level"),
     "random_standard_paf alpha": (lambda v: hl.random_standard_paf(1, 2, v, 0.9, check=False),
