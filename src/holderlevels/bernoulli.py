@@ -16,6 +16,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .triangles import _check_alpha, _check_depth
+
 
 def _unit_ratio(x) -> tuple[int, int]:
     """(numerator, denominator) of a height x in [0, 1], in lowest terms.
@@ -50,8 +52,7 @@ def cdf_from_digits(digits, p):
 
 
 def p_for_holder_exponent(alpha: float) -> float:
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
+    _check_alpha(alpha, below_one=True)
     return 2.0 ** (-alpha)
 
 
@@ -75,12 +76,12 @@ class BernoulliWitnessFn:
         pf = float(self.p)
         if not 0.5 < pf < 1:
             raise ValueError("p must lie in (1/2, 1)")
-        if self.max_depth < 0:
-            raise ValueError(f"max_depth must be non-negative, got {self.max_depth}")
+        _check_depth("max_depth", self.max_depth)
         if self.alpha is None:
             object.__setattr__(self, "alpha", -math.log2(pf))
-        elif not (0 < self.alpha < 1
-                  and math.isclose(2.0 ** -self.alpha, pf, rel_tol=1e-12)):
+            return
+        _check_alpha(self.alpha, below_one=True)
+        if not math.isclose(2.0 ** -self.alpha, pf, rel_tol=1e-12):
             raise ValueError(f"alpha = {self.alpha} contradicts p = {self.p}: "
                              "p must be 2**-alpha")
 

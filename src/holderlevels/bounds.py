@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .levelset import (LevelSetTree, _block_cell, _blocks, _check_depth, _check_l,
-                       _level_fraction, _rational, census_constant)
+from .levelset import (LevelSetTree, _block_cell, _blocks, _check_alpha, _check_depth,
+                       _check_l, _level_fraction, _rational, census_constant)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -59,8 +59,7 @@ def lower_bound(alpha: float, precision: str = "double"):
     does; logs are natural.  ``precision='big'`` evaluates with 50
     significant digits via mpmath.
     """
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
+    _check_alpha(alpha)
     with _arithmetic(precision) as (num, log):
         a = num(alpha)
         return (a / 2) / (1 + (1 + log(3 / a)) / log(2) + 2 / a)
@@ -68,8 +67,7 @@ def lower_bound(alpha: float, precision: str = "double"):
 
 def upper_bound(alpha: float, precision: str = "double"):
     """1 - 2**(-alpha), increasing, with limit 1/2 at alpha -> 1."""
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
+    _check_alpha(alpha)
     with _arithmetic(precision) as (num, _):
         return 1 - num(2) ** -num(alpha)
 
@@ -82,6 +80,7 @@ def trivial_upper_bound_sierpinski(precision: str = "double"):
 
 def lcondition_lhs(alpha: float, d1) -> float:
     """(d1 (1 + log(3/(2 d1))) + log 2) / ((alpha - d1) log 2)."""
+    _check_alpha(alpha)
     d1 = float(_rational("d1", d1))
     alpha = float(alpha)
     if not 0 < d1 < alpha:
@@ -127,8 +126,7 @@ class BoundSearchParams:
     l: int
 
     def __post_init__(self):
-        if not 0 < self.alpha <= 1:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        _check_alpha(self.alpha)
         if not isinstance(self.d1, (int, Fraction)) or not 0 < self.d1 < self.alpha:
             raise ValueError(f"d1 must be an int or a Fraction in (0, alpha), got {self.d1!r}")
         _check_l(self.l)
@@ -385,10 +383,10 @@ def _run_windows(runs, l: int, lcms, ks) -> list[tuple[list, list]]:
 
 
 def _window_members(run, l: int, lcms, k: int, seam: list) -> list:
-    """``seam`` merged with the members at chain length k of ``run`` at seven line positions.
+    """``seam`` merged with the members at chain length k of ``run`` at six line positions.
 
     (row, col, mu numerator) in line order, which is the run's order; the
-    positions are 0, 1, 2 and 2**l - 2 to 2**l + 1 of depth t + k, those
+    positions are 0, 1, 2 and 2**l - 2 to 2**l of depth t + k, those
     that are members.  ``run`` and ``lcms`` are as ``_run_windows`` reads
     them and ``seam`` is the run's seam at k.  A line position spells
     its block positions e, one base-2**l digit per block of K's first k,
@@ -396,12 +394,20 @@ def _window_members(run, l: int, lcms, k: int, seam: list) -> list:
     position past the run's last spells one of the others.  These hold
     every member touching the first cell of the run's window in scatter
     order (``mass_distribution_lower`` has the argument).
+
+    Position 2**l + 1 serves only the start (u(top), u(0) + u(1)) of the
+    straddle of positions 0 and 1, below a zero or ones block k - 1 of
+    first pair (x, y) = (2, 1) or (1, 0).  That start weighs u(1) y -
+    u(top - 1) x more than (u(top - 1) + u(top), u(0)), and 2**l + 1 is a
+    member only if y = u(1) = 1: then block k is the zero block, where
+    u(top - 1) >= 1, or the mixed block 2**l - 2, whose straddle, 2, is
+    below its triple, 2 T_k = 4, both times M_(k-2) and the units.
     """
     row, col, mu, o, digits = run
     size, mask, d = len(lcms), (1 << l) - 1, k * l
     blocks = [_blocks(l)[digits >> l * (size - j) & mask] for j in range(1, k + 1)]
     members = set(seam)
-    for p in {0, 1, 2, *range(mask - 1, mask + 3)}:
+    for p in {0, 1, 2, *range(mask - 1, mask + 2)}:
         i, j, m = 0, 0, mu
         for depth, (digit, total, spans) in enumerate(blocks):
             e = p >> l * (k - 1 - depth) & mask
@@ -511,15 +517,16 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
     is one integer added to the key.  ``worst_cell`` is the first
     maximising cell in scatter order (the ``nodes_at`` order of the
     level's members, then the neighbour offset order) at the first depth
-    that reaches the maximum.  It is located only at a depth that raises
-    C: the seam scatter is redone with, in place of the seam of the first
-    run whose window reaches the mass, if one does, that seam merged with
-    the run's members at line positions 0, 1, 2 and 2**l - 2 to 2**l + 1
-    (``_window_members``), and its first cell of that mass is the worst
-    cell.  That cell W is touched by two runs, so that every member
-    touching it is a seam member, or by one run, whose window then
-    reaches the mass; no earlier run's window does, since it would lie on
-    a maximising cell touched earlier.  In the second case the seven
+    that reaches the maximum.  Each checked depth scatters its seams
+    once: when the largest window alone raises C, the seam of the first
+    run whose window reaches it first takes in the run's members at line
+    positions 0, 1, 2 and 2**l - 2 to 2**l (``_window_members``), the
+    mass is the larger of the largest window and cell, and the worst cell
+    is the scatter's first cell of that mass.  The full scatter's first
+    such cell W is touched by two runs, so that every member touching it
+    is a seam member, or by one run, whose window then is the mass; no
+    earlier run's window is, since it would lie on a maximising cell
+    touched earlier.  In the second case the six
     positions hold every member touching W.  Within a run word order is
     line order, as each block lists its children by increasing line
     position e, and position 0, e = 0 in every block, is a peak at every
@@ -533,10 +540,12 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
     mixed block's pairs are (1, 0), (0, 1) or (1, 1), each weighing at
     most T_k there; the first pair (u(0), u(1)) of those two blocks is
     their best, so the siblings are positions 0 and 1 and their straddle
-    touches positions 2**l - 2 to 2**l + 1.  Cousins and later siblings
-    straddle later in line order.  Every cell's value in this scatter is
-    at most its mass, W has its mass, and a cell is touched no earlier
-    than in the full scatter, so no cell of that mass comes before W.  A
+    touches positions 2**l - 2 to 2**l (not 2**l + 1, see
+    ``_window_members``).  Cousins and later siblings straddle later in
+    line order.  Merged members never lift a cell above its mass, W keeps
+    its mass, and the scatter lists some of the full listing's members in
+    its order, so a cell is touched no earlier than there: no cell of that
+    mass comes before W, merged or not.  A
     ``tree`` must be one built for ``fn``, ``r`` and ``params.l``.
     """
     _check_depth("n_prime_max", n_prime_max)
@@ -565,16 +574,16 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
     for runs, depth, lcms, ks in groups:
         for k, (windows, seams) in zip(ks, _run_windows(runs, l, lcms, ks)):
             n = depth + k
-            s = n * l + 2
-            cell_mass = _scatter(seams, s)
-            mass = max(max(windows), max(cell_mass.values(), default=0))
+            s, shift = n * l + 2, n * d1.numerator // q
+            top = max(windows)
             # int / int is correctly rounded, so this is float(mu(U) 2**(n d1))
-            quot = (mass << n * d1.numerator // q) / dens[n]
+            if (top << shift) / dens[n] > c_emp:
+                first = windows.index(top)
+                seams[first] = _window_members(runs[first], l, lcms, k, seams[first])
+            cell_mass = _scatter(seams, s)
+            mass = max(top, max(cell_mass.values(), default=0))
+            quot = (mass << shift) / dens[n]
             if quot > c_emp:
-                first = next((i for i, w in enumerate(windows) if w == mass), None)
-                if first is not None:
-                    seams[first] = _window_members(runs[first], l, lcms, k, seams[first])
-                    cell_mass = _scatter(seams, s)
                 key = next(cell for cell, v in cell_mass.items() if v == mass)
                 c_emp = quot
                 worst_cell = ((key >> s) - 1, (key & ((1 << s) - 1)) - 1)

@@ -19,6 +19,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .paf import max_holder_ratio
+from .triangles import _check_alpha, _check_depth, _check_positive
 
 _MATERIALIZATION_LIMIT = 1 << 22    # most intervals FatCantorSet.intervals builds
 _TERM_TOL = 1e-18                   # capacity_gap stops below this term size
@@ -28,8 +29,7 @@ _BRUTE_LEVELS = 3                   # product levels checked pair by pair
 
 def interval_length(n: int) -> Fraction:
     """Length 1/(2**(n+1)-1) of a level-n interval."""
-    if n < 0:
-        raise ValueError("level must be >= 0")
+    _check_depth("n", n)
     return Fraction(1, (1 << (n + 1)) - 1)
 
 
@@ -72,8 +72,7 @@ class FatCantorSet:
     n: int
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"level n must be non-negative, got {self.n}")
+        _check_depth("n", self.n)
 
     @property
     def length(self) -> Fraction:
@@ -192,8 +191,7 @@ def capacity_gap(k: int, alpha: float) -> CapacityGap:
     """
     if k < 1:
         raise ValueError("need k >= 1 (generation-1 gaps break the closed form)")
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
+    _check_alpha(alpha)
     if (k + 1 >= sys.float_info.max_exp
             or -alpha * _removal_log2(k + 1) < sys.float_info.min_exp - 1):
         raise ValueError(f"k = {k} is too deep for alpha = {alpha}: the first term or "
@@ -343,14 +341,12 @@ def piecewise_constant_feasibility(alpha: float, c: float, M: float,
     which is inf only where the quotient itself overflows.  M = 0 is
     feasible at every level, with ratio 0.0.
     """
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    _check_alpha(alpha)
     if not 0 < c < 1:
         raise ValueError("need 0 < c < 1")
     if not M >= 0:
         raise ValueError(f"need M >= 0, got {M}")
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
+    _check_depth("k", k)
     K = float(structure.K)
     nu = float(structure.nu)
     rho = float(structure.rho)
@@ -391,8 +387,7 @@ def feasibility_search(alpha: float, c: float, M: float,
     grows, which the scan certifies up to ``k_cap``.  ``ratios`` holds
     each level's ``piecewise_constant_feasibility`` ratio.
     """
-    if k_cap < 0:
-        raise ValueError(f"k_cap must be non-negative, got {k_cap}")
+    _check_depth("k_cap", k_cap)
     ratios = []
     first = None
     boundary = False
@@ -434,8 +429,7 @@ class PhaseTransitionConfig:
     y1: Fraction = field(init=False)
 
     def __post_init__(self):
-        if not 0 < self.alpha <= 1:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        _check_alpha(self.alpha)
         if not 0 < self.c < 1:
             raise ValueError("need 0 < c < 1")
         if self.k < 1:
@@ -443,8 +437,7 @@ class PhaseTransitionConfig:
         for name, index in (("ix", self.ix), ("iy", self.iy)):
             if not 0 <= index < 1 << self.k:
                 raise ValueError(f"{name} must lie in 0..2**k - 1, got {index}")
-        if not 0 < self.delta < math.inf:
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        _check_positive("delta", self.delta)
         (x1, x2), (_, y1) = (FatCantorSet(self.k).interval(i) for i in (self.ix, self.iy))
         for name, value in (("c", Fraction(self.c)), ("x1", x1), ("x2", x2), ("y1", y1)):
             object.__setattr__(self, name, value)

@@ -23,7 +23,8 @@ from fractions import Fraction
 from .bernoulli import BernoulliWitnessFn
 from .levelset import odd_corner
 from .paf import PiecewiseAffineFn
-from .triangles import delta_lattice_index, lattice_weights, locate
+from .triangles import (_check_alpha, _check_depth, _check_positive, delta_lattice_index,
+                        lattice_weights, locate)
 
 HOLDER_STEP_THRESHOLD = Fraction(1, 100)
 GRAFT_BUDGET = Fraction(1, 8)
@@ -35,10 +36,8 @@ class NotStandardError(ValueError):
 
 def min_graft_level(lipschitz: float, alpha: float) -> int:
     """Smallest n' with M * 2**(-n'(1-alpha)) < HOLDER_STEP_THRESHOLD."""
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    if not 0 < lipschitz < math.inf:
-        raise ValueError(f"lipschitz must be positive and finite, got {lipschitz}")
+    _check_alpha(alpha, below_one=True)
+    _check_positive("lipschitz", lipschitz)
     t = float(HOLDER_STEP_THRESHOLD)
     n = max(0, math.floor(math.log2(lipschitz / t) / (1 - alpha)) + 1)
     while lipschitz * 2.0 ** (-n * (1 - alpha)) >= t:
@@ -50,12 +49,10 @@ def min_graft_level(lipschitz: float, alpha: float) -> int:
 
 def graft_certificate_constant(lipschitz: float, alpha: float, n_prime: int) -> float:
     """Closed-form per-triangle Holder constant of the graft."""
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
+    _check_alpha(alpha, below_one=True)
     if not 0 <= lipschitz < math.inf:
         raise ValueError(f"lipschitz must be non-negative and finite, got {lipschitz}")
-    if n_prime < 0:
-        raise ValueError(f"n_prime must be non-negative, got {n_prime}")
+    _check_depth("n_prime", n_prime)
     return (lipschitz * 2.0 ** (-n_prime * (1 - alpha))
             * 3.0 * (2.0 / math.sqrt(3.0)) ** alpha)
 

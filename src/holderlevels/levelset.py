@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .paf import PiecewiseAffineFn
-from .triangles import (_check_l, boundary_family, check_address, lattice_index_unchecked,
-                        lattice_point)
+from .triangles import (_check_alpha, _check_depth, _check_l, boundary_family, check_address,
+                        lattice_index_unchecked, lattice_point)
 
 
 def _split(incs) -> tuple[tuple[int, ...], int]:
@@ -48,14 +48,6 @@ def _kappa_sum(counts: dict[int, int]) -> Fraction:
     weights, _ = _split(counts)
     return Fraction(sum(map(operator.mul, counts.values(), weights)),
                     1 << max(counts, default=0))
-
-
-def _check_depth(name: str, value) -> None:
-    """Refuse a depth, level or count of depths that is not a non-negative int, naming it."""
-    if not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {name}={value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
 
 
 class _Blocks(dict):
@@ -163,7 +155,7 @@ class LevelValue:
     @classmethod
     def checked(cls, r, fn: PiecewiseAffineFn) -> "LevelValue":
         r = _level_fraction(r)
-        q, rem = divmod(r.numerator * fn._denominator(), r.denominator)
+        q, rem = divmod(r.numerator * fn._den, r.denominator)
         if rem:
             return cls(r)
         for (row, col), v in fn._numerators.items():
@@ -746,12 +738,11 @@ def census_constant(alpha: float, d1, l: int) -> float:
     With 2**l in place of 2**l - 1, c < 1 is exactly the feasibility
     inequality ``lcondition_lhs(alpha, d1) < l``.
     """
+    _check_alpha(alpha)
     d1 = float(_rational("d1", d1))
     alpha = float(alpha)
     if not d1 > 0:
         raise ValueError(f"d1 must be positive, got {d1}")
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     _check_l(l)
     return (math.e / d1) ** d1 * (3 * (2**l - 1)) ** d1 * 2.0 ** (1 - d1 - l * alpha)
 

@@ -21,15 +21,8 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from .exact import _SQRT3_FLOAT, PointQ3
-from .triangles import (
-    cell_corners,
-    check_address,
-    delta_lattice_index,
-    lattice_point,
-    lattice_weights,
-    level_index,
-    locate,
-)
+from .triangles import (_check_alpha, _check_positive, cell_corners, check_address,
+                        delta_lattice_index, lattice_point, lattice_weights, level_index, locate)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,10 +36,8 @@ class HolderParams:
     c: float
 
     def __post_init__(self):
-        if not 0 < self.alpha <= 1:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not 0 < self.c < math.inf:
-            raise ValueError(f"c must be positive and finite, got {self.c}")
+        _check_alpha(self.alpha)
+        _check_positive("c", self.c)
 
 
 def _vertex_count(level: int) -> int | str:
@@ -144,8 +135,8 @@ def _midpoint_copy(leaves) -> dict:
 class PiecewiseAffineFn:
     """Exact rational vertex table plus affine extension per triangle.
 
-    The one vertex table is integer: D, the lcm of the reduced values'
-    denominators, and the numerators ``{(row, col): value times D}``
+    The one vertex table is integer: D (``_den``), the lcm of the reduced
+    values' denominators, and the numerators ``{(row, col): value times D}``
     keyed by the lattice index (row, col) at scale 2**-level of each
     vertex of V_level, the point (2 col + row, row sqrt(3)) / 2**(level+1).
     It is read-only after construction, because the tables derived from
@@ -202,10 +193,6 @@ class PiecewiseAffineFn:
         return self._grid
 
     # -- the corner-value kernel -----------------------------------------
-
-    def _denominator(self) -> int:
-        """D, the lcm of the reduced denominators of the vertex values."""
-        return self._den
 
     def int_word_table(self) -> tuple[int, dict[str, tuple]]:
         """(D, {word: its corner values times D}), D the vertex table's scale.
@@ -326,8 +313,7 @@ class PiecewiseAffineFn:
                    for _, (q1, q2, q3) in self._int_triangles())
 
     def oscillation(self) -> Fraction:
-        return Fraction(max(max(v) - min(v) for _, v in self._int_triangles()),
-                        self._denominator())
+        return Fraction(max(max(v) - min(v) for _, v in self._int_triangles()), self._den)
 
     def lipschitz_sq(self) -> Fraction:
         """Exact square of the Lipschitz constant.
@@ -339,7 +325,7 @@ class PiecewiseAffineFn:
         """
         top = max((q2 - q1) ** 2 - (q2 - q1) * (q3 - q1) + (q3 - q1) ** 2
                   for _, (q1, q2, q3) in self._int_triangles())
-        return Fraction(4 ** (self.level + 1) * top, 3 * self._denominator() ** 2)
+        return Fraction(4 ** (self.level + 1) * top, 3 * self._den ** 2)
 
     def lipschitz(self) -> float:
         return math.sqrt(float(self.lipschitz_sq()))
@@ -553,10 +539,8 @@ def holder_certificate(fn: PiecewiseAffineFn, alpha: float, c: float,
     is the maximising pair with the smallest vertex indices, in
     ``level_index(depth)``'s vertex order.
     """
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if not 0 < c < math.inf:
-        raise ValueError(f"c must be positive and finite, got {c}")
+    _check_alpha(alpha)
+    _check_positive("c", c)
     if depth < fn.level:
         raise ValueError("certificate depth must be at least the function level")
     index, xs, ys, vs = _vertex_arrays(fn, depth)
@@ -608,10 +592,8 @@ def random_standard_paf(seed: int, level: int, alpha: float, c: float,
     """
     if level < 1:
         raise ValueError("a standard function needs level >= 1")
-    if not 0 < c < math.inf:
-        raise ValueError("c must be positive and finite")
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
+    _check_positive("c", c)
+    _check_alpha(alpha)
     disp_headroom = 0.45 * (1 - 2.0 ** (-(1 - alpha))) if alpha < 1 else 0.1
     top = level - 1
     index = level_index(top)

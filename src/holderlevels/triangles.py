@@ -42,6 +42,34 @@ def _check_l(l) -> None:
         raise ValueError(f"boundary family needs an int l >= 1, got l={l!r}")
 
 
+def _check_depth(name: str, value) -> None:
+    """Refuse a depth, level or count of depths that is not a non-negative int, naming it."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {name}={value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+
+
+def _check_alpha(alpha, below_one: bool = False) -> None:
+    """Refuse alpha outside (0, 1], or (0, 1) when ``below_one``, and NaN, None or a str."""
+    try:
+        inside = 0 < alpha < 1 if below_one else 0 < alpha <= 1
+    except TypeError:               # None, a str: anything that does not compare with numbers
+        inside = False
+    if not inside:
+        raise ValueError(f"alpha must lie in (0, 1{')' if below_one else ']'}, got {alpha!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    """Refuse a value that is not positive and finite (NaN, None, a str...), naming it."""
+    try:
+        inside = 0 < value < math.inf
+    except TypeError:
+        inside = False
+    if not inside:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def lattice_child(row: int, col: int, symbol: int) -> tuple[int, int]:
     """Cell of child ``symbol`` of (row, col): it keeps corner ``symbol``, whose indices double."""
     return (2 * row + (symbol == 2), 2 * col + (symbol == 1))
@@ -252,8 +280,7 @@ def line_crossing_count(digits) -> int:
 
 
 def _check_line_height(y: Fraction, level: int) -> Fraction:
-    if level < 0:
-        raise ValueError(f"level must be non-negative, got {level}")
+    _check_depth("level", level)
     y = Fraction(y)
     if not 0 < y < 1:
         raise ValueError("line height must be in (0, 1)")

@@ -73,6 +73,8 @@ REMOVED = {
     "affine_from_corners", "constant_fn", "chained_bound", "iter_triangles",
     "is_locally_nonconstant", "bernoulli_cdf", "dyadic_cylinder_mass",
     "truncation_error", "labels_for", "min_gap", "rectangle", "ROOT_VERTICES",
+    # paf: the wrapper that returned the vertex table's denominator _den
+    "_denominator",
 }
 
 
@@ -360,10 +362,33 @@ def test_every_tree_reader_walks_the_chains():
 
 def test_the_mass_check_reads_each_run_from_block_summaries():
     # a run's window and seam come from summaries cached per digit, so only
-    # they and the worst cell's seven line positions read a block's cells, and
+    # they and the worst cell's six line positions read a block's cells, and
     # _members yields each run's K rather than its blocks
     reads = _where("bounds", lambda n: _called_name(n) in ("_blocks", "_block_cell"))
     assert reads == {"_block_summary", "_corner_cells", "_window_members"}
     members = _functions("levelset")["_members"]
     assert not {"_blocks", "_block_cell", "_block_children"} & {
         _called_name(n) for n in _own_nodes(members)}
+
+
+def test_argument_rules_are_written_once():
+    # "alpha lies in (0, 1]" and "positive and finite" are each one reader
+    # in triangles; the CLI's own flag checks keep their pinned messages
+    def alpha_bound(node):
+        return (isinstance(node, ast.Compare) and isinstance(node.left, ast.Constant)
+                and node.left.value == 0 and isinstance(node.ops[0], ast.Lt)
+                and getattr(node.comparators[0], "id",
+                            getattr(node.comparators[0], "attr", None)) == "alpha")
+
+    def below_infinity(node):
+        return (isinstance(node, ast.Compare) and isinstance(node.left, ast.Constant)
+                and node.left.value == 0 and isinstance(node.ops[0], ast.Lt)
+                and any(ast.unparse(c) == "math.inf" for c in node.comparators))
+
+    modules = [p.stem for p in sorted((ROOT / "src" / "holderlevels").glob("*.py"))
+               if p.stem not in ("cli", "__init__")]
+    assert len(modules) >= 8
+    alpha = {(m, name) for m in modules for name in _where(m, alpha_bound)}
+    positive = {(m, name) for m in modules for name in _where(m, below_infinity)}
+    assert alpha == {("triangles", "_check_alpha")}
+    assert positive == {("triangles", "_check_positive")}

@@ -10,7 +10,7 @@ that order is the worst cell.  The third is the block walk the program
 ran before it read each run's windows and seams in closed form from its
 K (``_run_walks``, ``walk_report``).  The worst cell has one more: the
 pruned descent of one run that the program ran before it read the
-seven line positions of ``_window_members`` (``_heavy_members``).
+six line positions of ``_window_members`` (``_heavy_members``).
 """
 
 import functools
@@ -964,7 +964,7 @@ def reader_cases(draw):
 @given(reader_cases())
 @settings(max_examples=300, deadline=None)
 def test_window_members_give_the_descents_report(case):
-    # the report with the pruned descent patched in for the seven positions
+    # the report with the pruned descent patched in for the six positions
     fn, r, params, n_prime = case
     try:
         rep = mass_distribution_lower(fn, r, params, n_prime)
@@ -984,7 +984,7 @@ def found_case():
 
 def test_worst_cell_is_found_without_listing_the_run():
     # the first run whose window reaches the mass has 2**zeros members at the
-    # worst depth; the worst cell reads seven of them and the run's seam.
+    # worst depth; the worst cell reads six of them and the run's seam.
     # The block walk, which listed the run, took 25 s at n' = 24
     fn, r, params = found_case()
     assert mass_distribution_lower(fn, r, params, 8) == walk_report(fn, r, params, 8)
@@ -1036,11 +1036,11 @@ def scratch_case(alpha: float):
     (0.95, 2, (6.357828776041666e-07, 40, (
         135800066088744497307136236105239546961595924975380193195124288057685137, 0))),
 ])
-def test_each_c_raising_depth_scatters_the_seam_and_seven_members(monkeypatch, case, n_prime,
-                                                                  pinned):
-    # the worst cell's second scatter gets the run's seam and at most seven
-    # more members, once per checked depth at most, so a q = 20 or q = 40
-    # triple's worst cell takes milliseconds
+def test_each_c_raising_depth_scatters_the_seam_and_six_members(monkeypatch, case, n_prime,
+                                                                pinned):
+    # the scatter of a depth whose largest window raises C gets that run's
+    # seam and at most six more members, once per checked depth at most,
+    # so a q = 20 or q = 40 triple's worst cell takes milliseconds
     fn, r, params = found_case() if case == "found" else scratch_case(case)
     handed = []
     real = bounds._window_members
@@ -1056,7 +1056,7 @@ def test_each_c_raising_depth_scatters_the_seam_and_seven_members(monkeypatch, c
     elapsed = time.perf_counter() - start
     assert (rep.c_empirical, rep.worst_level, rep.worst_cell) == pinned
     assert 1 <= len(handed) <= len(rep.levels_checked)
-    assert all(seam <= members <= seam + 7 for seam, members in handed), handed
+    assert all(seam <= members <= seam + 6 for seam, members in handed), handed
     assert elapsed < 0.5, elapsed
 
 

@@ -1,14 +1,16 @@
 """Invalid input at the library boundary is a ValueError that names the parameter.
 
 Every exported callable is called with negative, zero, NaN and
-out-of-range values of one argument at a time, the others valid.
+out-of-range values of one argument at a time, the others valid; the
+rows read by the argument readers of ``triangles`` also get None and a
+str, and the count rows a float.
 """
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import holderlevels as hl
 from holderlevels.cantor import product_separated_structure
@@ -25,15 +27,16 @@ _WITNESS = hl.BernoulliWitnessFn.for_alpha(0.5)
 # (callable of the bad value, the bad values, a fragment the message holds)
 CASES = {
     "holder_certificate alpha": (lambda v: hl.holder_certificate(_FN, v, 0.9, 4),
-                                 [nan, 0, -1, 2], "alpha"),
+                                 [nan, 0, -1, 2, None, "abc"], "alpha"),
     "holder_certificate c": (lambda v: hl.holder_certificate(_FN, 0.5, v, 4),
-                             [nan, 0, -1, inf], "c must"),
+                             [nan, 0, -1, inf, None, "abc"], "c must"),
     "holder_certificate depth": (lambda v: hl.holder_certificate(_FN, 0.5, 0.9, v),
                                  [-1, 0], "depth"),
     "feasibility_search k_cap": (lambda v: hl.feasibility_search(0.6, 0.5, 1.0, _STRUCTURE,
-                                                                 k_cap=v), [-1, -5], "k_cap"),
+                                                                 k_cap=v),
+                                 [-1, -5, 1.5, None], "k_cap"),
     "feasibility_search alpha": (lambda v: hl.feasibility_search(v, 0.5, 1.0, _STRUCTURE, 3),
-                                 [nan, 0, -1, 2], "alpha"),
+                                 [nan, 0, -1, 2, None, "abc"], "alpha"),
     "piecewise_constant_feasibility M": (
         lambda v: hl.piecewise_constant_feasibility(0.6, 0.5, v, _STRUCTURE, 3),
         [nan, -1], "M"),
@@ -42,19 +45,22 @@ CASES = {
         [nan, 0, -1, 2], "c"),
     "piecewise_constant_feasibility k": (
         lambda v: hl.piecewise_constant_feasibility(0.6, 0.5, 1.0, _STRUCTURE, v),
-        [-1], "k must"),
+        [-1, 1.5, None], "k must"),
     "product_separated_structure k_max": (hl.product_separated_structure, [-1, 0, 1], "k_max"),
     "BoundSearchParams l": (lambda v: hl.BoundSearchParams(1.0, F(1, 2), v),
                              [0, -2, 1.5, 2.0, F(3, 2)], "int l >= 1"),
-    "BoundSearchParams alpha": (lambda v: hl.BoundSearchParams(v, F(1, 2), 1), [nan, 0, -1, 2],
-                                "alpha must"),
-    "HolderParams alpha": (lambda v: hl.HolderParams(v, 0.9), [nan, 0, -1, 2], "alpha"),
-    "HolderParams c": (lambda v: hl.HolderParams(0.5, v), [nan, 0, -1, inf], "c must"),
+    "BoundSearchParams alpha": (lambda v: hl.BoundSearchParams(v, F(1, 2), 1),
+                                [nan, 0, -1, 2, None, "abc"], "alpha must"),
+    "HolderParams alpha": (lambda v: hl.HolderParams(v, 0.9), [nan, 0, -1, 2, None, "abc"],
+                           "alpha"),
+    "HolderParams c": (lambda v: hl.HolderParams(0.5, v), [nan, 0, -1, inf, None, "abc"],
+                       "c must"),
     "LevelValue r": (lambda v: hl.LevelValue.checked(v, _FN),
                      [nan, inf, -inf, "abc", "1/0", None], "level r"),
     "LevelSetTree r": (lambda v: hl.LevelSetTree(_FN, v, 1, 2), [nan, inf], "level r"),
     "PhaseTransitionConfig alpha": (
-        lambda v: hl.PhaseTransitionConfig(v, F(1, 2), 2, 1, 1, 0.2), [nan, 0, -1, 2], "alpha"),
+        lambda v: hl.PhaseTransitionConfig(v, F(1, 2), 2, 1, 1, 0.2),
+        [nan, 0, -1, 2, None, "abc"], "alpha"),
     "PhaseTransitionConfig c": (lambda v: hl.PhaseTransitionConfig(0.6, v, 2, 1, 1, 0.2),
                                 [nan, 0, -1, 1, inf], "c < 1"),
     "PhaseTransitionConfig k": (lambda v: hl.PhaseTransitionConfig(0.6, F(1, 2), v, 0, 0, 0.2),
@@ -64,46 +70,48 @@ CASES = {
     "PhaseTransitionConfig iy": (lambda v: hl.PhaseTransitionConfig(0.6, F(1, 2), 2, 0, v, 0.2),
                                  [-1, 4, 9], "iy must"),
     "PhaseTransitionConfig delta": (
-        lambda v: hl.PhaseTransitionConfig(0.6, F(1, 2), 2, 1, 1, v), [nan, 0, -5, inf],
-        "delta must"),
+        lambda v: hl.PhaseTransitionConfig(0.6, F(1, 2), 2, 1, 1, v),
+        [nan, 0, -5, inf, None, "abc"], "delta must"),
     "BoundSearchParams d1": (lambda v: hl.BoundSearchParams(1.0, v, 1),
                              [F(0), F(-1, 2), F(2), 0.5, 0.1, "1/2"], "d1"),
     "box_count_dimension digits": (hl.box_count_dimension, [[2, 0], [0, -1], [nan], [0.5]],
                                    "digits"),
     "line_crossing_count digits": (hl.line_crossing_count, [[2, 0], [0, -1], [nan]], "digits"),
     "line_crossing_count_geometric level": (
-        lambda v: hl.line_crossing_count_geometric(F(1, 3), v), [-1, -4], "level"),
+        lambda v: hl.line_crossing_count_geometric(F(1, 3), v), [-1, -4, 1.5, None], "level"),
     "line_crossing_count_geometric y": (lambda v: hl.line_crossing_count_geometric(v, 3),
                                         [F(0), F(-1, 3), F(4, 3)], "height"),
     "BernoulliWitnessFn p": (hl.BernoulliWitnessFn, [nan, 0, -1, 2, 0.5, 1], "p must"),
     "BernoulliWitnessFn.value_at_height y": (_WITNESS.value_at_height, [nan, -1, 2],
                                              r"\[0, 1\]"),
     "BernoulliWitnessFn max_depth": (lambda v: hl.BernoulliWitnessFn(0.7, max_depth=v),
-                                     [-1], "max_depth"),
+                                     [-1, 1.5, None], "max_depth"),
     # p = 0.7 means alpha = -log2(0.7) = 0.5146
     "BernoulliWitnessFn alpha": (lambda v: hl.BernoulliWitnessFn(0.7, alpha=v),
                                  [0.1, 0.999, 0.5147, nan, 0, 1], "alpha"),
     "min_graft_level lipschitz": (lambda v: hl.min_graft_level(v, 0.5),
-                                  [nan, 0, -1, inf], "lipschitz"),
-    "min_graft_level alpha": (lambda v: hl.min_graft_level(1.0, v), [nan, 0, -1, 1, 2],
-                              "alpha"),
+                                  [nan, 0, -1, inf, None, "abc"], "lipschitz"),
+    "min_graft_level alpha": (lambda v: hl.min_graft_level(1.0, v),
+                              [nan, 0, -1, 1, 2, None, "abc"], "alpha"),
     "graft_certificate_constant lipschitz": (
         lambda v: hl.graft_certificate_constant(v, 0.5, 3), [nan, -1, inf], "lipschitz"),
     "graft_certificate_constant alpha": (
-        lambda v: hl.graft_certificate_constant(1.0, v, 3), [nan, 0, -1, 2], "alpha"),
+        lambda v: hl.graft_certificate_constant(1.0, v, 3), [nan, 0, -1, 2, None, "abc"],
+        "alpha"),
     "graft_certificate_constant n_prime": (
-        lambda v: hl.graft_certificate_constant(1.0, 0.5, v), [-1], "n_prime"),
+        lambda v: hl.graft_certificate_constant(1.0, 0.5, v), [-1, 1.5, None], "n_prime"),
     "census_constant d1": (lambda v: hl.census_constant(1.0, v, 2),
                            [nan, 0, -1, None, "abc", inf, "1/0"], "d1"),
-    "census_constant alpha": (lambda v: hl.census_constant(v, F(1, 2), 2), [nan, 0, -1, 2],
-                              "alpha"),
+    "census_constant alpha": (lambda v: hl.census_constant(v, F(1, 2), 2),
+                              [nan, 0, -1, 2, None, "abc"], "alpha"),
     "census_constant l": (lambda v: hl.census_constant(1.0, F(1, 2), v), [0, -1, 1.5],
                           "l >= 1"),
-    "feasible_l alpha": (lambda v: hl.feasible_l(v, F(1, 4)), [nan, 0, -1, 2], "alpha"),
+    "feasible_l alpha": (lambda v: hl.feasible_l(v, F(1, 4)), [nan, 0, -1, 2, None, "abc"],
+                         "alpha"),
     "feasible_l d1": (lambda v: hl.feasible_l(0.6, v), [nan, 0, -1, 2, None, "abc", inf, "1/0"],
                       "d1"),
-    "lower_bound alpha": (hl.lower_bound, [nan, 0, -1, 2], "alpha"),
-    "upper_bound alpha": (hl.upper_bound, [nan, 0, -1, 2], "alpha"),
+    "lower_bound alpha": (hl.lower_bound, [nan, 0, -1, 2, None, "abc"], "alpha"),
+    "upper_bound alpha": (hl.upper_bound, [nan, 0, -1, 2, None, "abc"], "alpha"),
     "lower_bound precision": (lambda v: hl.lower_bound(0.5, v), ["quad", "", "Big"],
                               "precision"),
     "upper_bound precision": (lambda v: hl.upper_bound(0.5, v), ["quad", "", "Big"],
@@ -112,16 +120,17 @@ CASES = {
                                                  ["quad", "", "Big"], "precision"),
     "triangle_vertices word": (hl.triangle_vertices, ["3", "01-"], "address"),
     "capacity_gap k": (lambda v: hl.capacity_gap(v, 0.75), [-1, 0], "k >= 1"),
-    "capacity_gap alpha": (lambda v: hl.capacity_gap(3, v), [nan, 0, -1, 2], "alpha"),
-    "cantor_level n": (hl.cantor_level, [-1], "n must"),
-    "FatCantorSet n": (hl.FatCantorSet, [-1], "n must"),
+    "capacity_gap alpha": (lambda v: hl.capacity_gap(3, v), [nan, 0, -1, 2, None, "abc"],
+                           "alpha"),
+    "cantor_level n": (hl.cantor_level, [-1, 1.5, None], "n must"),
+    "FatCantorSet n": (hl.FatCantorSet, [-1, 1.5, None], "n must"),
     "boundary_family l": (hl.boundary_family, [0, -1, 1.5, 2.0, "2", None, [1]], "l >= 1"),
     "random_standard_paf level": (lambda v: hl.random_standard_paf(1, v, 0.5, 0.9, check=False),
                                   [-1, 0], "level"),
     "random_standard_paf alpha": (lambda v: hl.random_standard_paf(1, 2, v, 0.9, check=False),
-                                  [nan, 0, -1, 2], "alpha"),
+                                  [nan, 0, -1, 2, None, "abc"], "alpha"),
     "random_standard_paf c": (lambda v: hl.random_standard_paf(1, 2, 0.5, v, check=False),
-                              [nan, 0, -1, inf], "c must"),
+                              [nan, 0, -1, inf, None, "abc"], "c must"),
     "PiecewiseAffineFn.refine level": (_FN.refine, [-1, 2], "level"),
     "kappa_exponent l": (lambda v: hl.kappa_exponent(_FN, "01", v), [0, -1, 1.5, 2.0],
                          "int l >= 1"),
@@ -160,7 +169,7 @@ CASES = {
         [0, F(-1, 2), nan, inf, "abc", "1/0", None], "d1"),
     "well_conducting_census alpha": (
         lambda v: hl.well_conducting_census(_FN, None, 2, 1, F(1, 2), alpha=v),
-        [nan, 0, -1, 2], "alpha"),
+        [nan, 0, -1, 2, None, "abc"], "alpha"),
     "mass_distribution_lower n_prime_max": (
         lambda v: hl.mass_distribution_lower(_FN, _R, hl.BoundSearchParams(1.0, F(1, 2), 1), v),
         [0, -1, 1.5, 2.0], "n_prime_max"),
@@ -186,12 +195,15 @@ def test_a_bad_address_is_refused_before_the_tree_grows():
 
 ALPHA_CALLS = [name for name in CASES if name.endswith(" alpha")]
 outside_unit_interval = st.one_of(
-    st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True), st.just(nan))
+    st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True), st.just(nan),
+    st.none(), st.text())
 
 
 @given(st.sampled_from(ALPHA_CALLS), outside_unit_interval)
 @settings(max_examples=200, deadline=None)
 def test_alpha_outside_the_unit_interval_is_refused(name, alpha):
+    # a witness's alpha None means "-log2(p)"
+    assume(not (alpha is None and name == "BernoulliWitnessFn alpha"))
     call, _, fragment = CASES[name]
     with pytest.raises(ValueError, match=fragment):
         call(alpha)

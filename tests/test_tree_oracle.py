@@ -379,7 +379,7 @@ def grid_denominator_levels(fn) -> list[Fraction]:
     values = sorted(set(point_values(fn).values()))
     root = fn.corner_values("")
     return [m for m in ((a + b) / 2 for a, b in zip(values, values[1:]))
-            if fn._denominator() % m.denominator == 0 and min(root) < m < max(root)]
+            if fn._den % m.denominator == 0 and min(root) < m < max(root)]
 
 
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=5),
@@ -403,7 +403,7 @@ def lattice_level(fn, word: str, corner: int, delta: int) -> Fraction:
     triangle carrying the value.
     """
     j = len(word) - fn.level
-    return fn.corner_values(word)[corner] + F(delta, fn._denominator() << j)
+    return fn.corner_values(word)[corner] + F(delta, fn._den << j)
 
 
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=4),

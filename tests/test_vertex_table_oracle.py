@@ -122,7 +122,7 @@ def functions(draw):
 def check_against_oracle(fn, grid, data):
     level = fn.level
     d, numerators = oracle_table(grid)
-    assert fn._denominator() == d
+    assert fn._den == d
     assert list(fn._numerators.items()) == numerators
     assert list(fn.grid.items()) == list(grid.items())
     assert fn.to_json() == oracle_to_json(level, grid)
@@ -162,7 +162,7 @@ def test_public_constructor_keeps_the_callers_grid(case, data):
     # built from Fractions, the function converts once and shows the caller's dict
     made, grid = case
     fn = PiecewiseAffineFn(made.level, dict(grid))
-    assert (fn._denominator(), fn._numerators) == (made._denominator(), made._numerators)
+    assert (fn._den, fn._numerators) == (made._den, made._numerators)
     check_against_oracle(fn, grid, data)
 
 
