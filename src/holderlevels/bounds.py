@@ -10,7 +10,6 @@ distribution verification.
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import math
 import operator
@@ -18,8 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .levelset import (LevelSetTree, _block_cell, _blocks, _check_alpha, _check_depth,
-                       _check_l, _level_fraction, _rational, census_constant)
+from .levelset import LevelSetTree, _level_fraction, census_constant
+from .runs import _block_summary, _blocks, _corner_cells, _heads, _line_members, _straddle
+from .triangles import _check_alpha, _check_depth, _check_l, _rational
 
 if TYPE_CHECKING:
     import numpy as np
@@ -223,79 +223,6 @@ class MassDistributionReport:
     levels_checked: list[int]
 
 
-@functools.cache
-def _block_summary(l: int, digit: int) -> tuple:
-    """The block of ``digit`` along its run's line, at unit 1.
-
-    With u(e) the weight of the child at line position e (0 where the
-    block has no child) and top = 2**l - 1, the summary is (the block sum
-    S, the largest u, the largest u(e - 1) + u(e) + u(e + 1) T, the
-    starts (u(top), u(0) + u(1)) and (u(top - 1) + u(top), u(0)), the set
-    of pairs (u(e), u(e + 1)) over e < top).  At a depth of lcm L the
-    block's factors are L / S times these weights.  Each entry reads at
-    most three consecutive positions or an end, so u is read along
-    the block's spans with each stretch of equal weights cut to three.
-    """
-    _, total, spans = _blocks(l)[digit]
-    u, end = [0], 0         # the cut line with a 0 on either side, and the next position
-    for _, w, lines in spans:
-        u += [0] * min(lines.start - end, 3) + [w] * min(len(lines), 3)
-        end = lines.stop
-    u += [0] * min((1 << l) - end, 3) + [0]
-    return (total, max(u), max(map(sum, zip(u, u[1:], u[2:]))),
-            ((u[-2], u[1] + u[2]), (u[-3] + u[-2], u[1])), frozenset(zip(u[1:-2], u[2:-1])))
-
-
-@functools.cache
-def _straddle(l: int, prev: int, digit: int) -> int:
-    """The largest a x + b y over block ``digit``'s starts (a, b) and ``prev``'s pairs (x, y)."""
-    pairs = _block_summary(l, prev)[4]
-    return max(a * x + b * y for a, b in _block_summary(l, digit)[3] for x, y in pairs)
-
-
-@functools.cache
-def _corner_cells(l: int, o: int, lead: int | None, digit: int) -> tuple:
-    """The corner chains of a run whose leading digits are all ``lead`` and its last ``digit``.
-
-    For each member within one layer of a corner V of the run's region,
-    a word V**(l - 1) s of block ``digit`` (s any symbol) below leading
-    blocks V**l of digit ``lead``: (row bits, col bits, weight, block
-    sum) of V**l and (row bits, col bits, weight) of the last word, cells
-    at unit 1, in word order and once each.  ``lead`` None stands for no
-    leading block.
-    """
-    top, big = (1 << l) - 1, 1 + (o < 2)
-    cells = {}
-    for v, s in itertools.product(range(3), repeat=2):
-        # (digit, line position) of V**l and V**(l - 1) s: the bits of their o and big steps
-        words = ((top * (v == o), top * (v == big)),
-                 ((top ^ 1) * (v == o) | (s == o), (top ^ 1) * (v == big) | (s == big)))
-        (k0, e0), (k, e) = words
-        if lead in (None, k0) and k == digit:
-            lead_cell, last_cell = [(*_block_cell(l, o, d, p), next(
-                w for _, w, span in _blocks(l)[d][2] if p in span)) for d, p in words]
-            cells[e0 * (lead is not None), e] = (*lead_cell, _blocks(l)[k0][1], *last_cell)
-    return tuple(cells[key] for key in sorted(cells))
-
-
-def _digit_counts(k: int, j: int, l: int) -> tuple[int, int]:
-    """(zero digits, mixed digits) among the j base-2**l digits of k.
-
-    A digit is mixed when it is neither 0 nor 2**l - 1.  A digit is
-    nonzero when its top bit is set or its low l - 1 bits, plus 2**(l -
-    1) - 1, carry into it; the top digits of k are the zero digits of its
-    complement.
-    """
-    if l == 1:
-        return j - k.bit_count(), 0
-    ones = ((1 << l * j) - 1) // ((1 << l) - 1)     # the lowest bit of each digit
-    high, fill = ones << (l - 1), ones * ((1 << (l - 1)) - 1)
-    nonzero = ((((k & ~high) + fill) | k) & high).bit_count()
-    flip = k ^ ((1 << l * j) - 1)
-    nontop = ((((flip & ~high) + fill) | flip) & high).bit_count()
-    return j - nonzero, nonzero + nontop - j
-
-
 def _run_windows(runs, l: int, lcms, ks) -> list[tuple[list, list]]:
     """(each run's window, each run's seam cells) at chain length k, for each k of ``ks``.
 
@@ -303,11 +230,11 @@ def _run_windows(runs, l: int, lcms, ks) -> list[tuple[list, list]]:
     whose chains are ``len(lcms)`` blocks long, ``lcms`` the lcm at each
     depth of the chain and ``ks`` chain lengths: at k a run stands for
     its members at depth t + k, whose blocks are the ones of the first k
-    digits of K.  Each (run, k) reads at most four summaries cached per
-    digit (``_block_summary``, ``_straddle``, ``_corner_cells``) and a
-    constant number of big-int operations; no block is walked and no
-    member is listed (``mass_distribution_lower`` gives the closed
-    forms).
+    digits of K (``runs._heads``).  Each (run, k) reads at most four
+    summaries cached per digit (``_block_summary``, ``_straddle``, and
+    ``_corner_cells``, per k too) and a constant number of big-int
+    operations; no block is walked and no member is listed
+    (``mass_distribution_lower`` gives the closed forms).
 
     The window is the largest mu sum over three consecutive line
     positions of the run's members.  With u(e) block j's factor at line
@@ -341,44 +268,32 @@ def _run_windows(runs, l: int, lcms, ks) -> list[tuple[list, list]]:
     than R = 2 cell layers from a corner of the run's region, in the
     run's order: the corner chains of ``mass_distribution_lower``.
     """
-    size, mask = len(lcms), (1 << l) - 1
     prods = list(itertools.accumulate(lcms, operator.mul, initial=1))    # L_1 ... L_j
-    zero_pows = [((1 << l) + 1) ** z for z in range(size + 1)]     # powers of the zero block's sum
-    # per k: the shift to its first k digits, the k - 1 digits' repunit, L_k,
-    # L_1 ... L_(k-1) and L_1 ... L_k
-    steps = [(k, l * (size - k), ((1 << l * (k - 1)) - 1) // mask, lcms[k - 1], prods[k - 1],
-              prods[k]) for k in ks if k]
+    # powers of the zero block's sum
+    zero_pows = [_blocks(l)[0][1] ** z for z in range(len(lcms) + 1)]
+    # per k: L_k, L_1 ... L_(k-1) and L_1 ... L_k
+    steps = [(k, lcms[k - 1], prods[k - 1], prods[k]) for k in ks if k]
     walks = [([], []) for _ in ks]
-    for row, col, mu, o, digits in runs:
+    heads = _heads([run[4] for run in runs], l, len(lcms), [k for k, *_ in steps])
+    for (row, col, mu, o, _), run_heads in zip(runs, heads):
         if 0 in ks[:1]:
             walks[0][0].append(mu)
             walks[0][1].append([(row, col, mu)])
-        for (k, shift, rep, lcm, before, through), (windows, seams) in zip(
-                steps, walks[len(walks) - len(steps):]):
-            head = digits >> shift          # the first k digits
-            lead, digit = head >> l, head & mask
+        for (k, lcm, before, through), (prev, digit, zeros, mixed), (windows, seams) in zip(
+                steps, run_heads, walks[len(walks) - len(steps):]):
             total, _, triple, _, _ = _block_summary(l, digit)
-            zeros, mixed = _digit_counts(lead, k - 1, l)
             peak = (mu * before << zeros) // (zero_pows[zeros] << mixed)     # M_(k-1)
             unit = lcm // total
             best = peak * triple * unit
             if k > 1:
                 # M_(k-2) times block k - 1's unit is M_(k-1) over its largest weight
-                prev = lead & mask
                 best = max(best, peak // _block_summary(l, prev)[1] * unit
                            * _straddle(l, prev, digit))
             windows.append(best)
-            if k == 1:
-                lead_digit = None
-            elif lead == 0 or lead == mask * rep:
-                lead_digit = lead & mask
-            else:                           # a leading digit is neither 0 nor top
-                seams.append([])
-                continue
-            d = k * l
-            seams.append([(row << d | (r0 * rep) << l | rb, col << d | (c0 * rep) << l | cb,
-                           mu * through * w0 ** (k - 1) * w // (s0 ** (k - 1) * total))
-                          for r0, c0, w0, s0, rb, cb, w in _corner_cells(l, o, lead_digit, digit)])
+            # the seam has members only while the leading digits are all 0 or all top
+            seams.append([] if zeros < k - 1 and zeros + mixed else [
+                (row << k * l | i, col << k * l | j, mu * through * w // s)
+                for i, j, w, s in _corner_cells(l, o, prev if k > 1 else None, digit, k)])
     return walks
 
 
@@ -387,13 +302,10 @@ def _window_members(run, l: int, lcms, k: int, seam: list) -> list:
 
     (row, col, mu numerator) in line order, which is the run's order; the
     positions are 0, 1, 2 and 2**l - 2 to 2**l of depth t + k, those
-    that are members.  ``run`` and ``lcms`` are as ``_run_windows`` reads
-    them and ``seam`` is the run's seam at k.  A line position spells
-    its block positions e, one base-2**l digit per block of K's first k,
-    and is a member's when each block has a child at its e; at k <= 1 a
-    position past the run's last spells one of the others.  These hold
-    every member touching the first cell of the run's window in scatter
-    order (``mass_distribution_lower`` has the argument).
+    that are members (``runs._line_members``).  ``run`` and ``lcms`` are
+    as ``_run_windows`` reads them and ``seam`` is the run's seam at k.
+    These hold every member touching the first cell of the run's window in
+    scatter order (``mass_distribution_lower`` has the argument).
 
     Position 2**l + 1 serves only the start (u(top), u(0) + u(1)) of the
     straddle of positions 0 and 1, below a zero or ones block k - 1 of
@@ -403,20 +315,9 @@ def _window_members(run, l: int, lcms, k: int, seam: list) -> list:
     u(top - 1) >= 1, or the mixed block 2**l - 2, whose straddle, 2, is
     below its triple, 2 T_k = 4, both times M_(k-2) and the units.
     """
-    row, col, mu, o, digits = run
-    size, mask, d = len(lcms), (1 << l) - 1, k * l
-    blocks = [_blocks(l)[digits >> l * (size - j) & mask] for j in range(1, k + 1)]
-    members = set(seam)
-    for p in {0, 1, 2, *range(mask - 1, mask + 2)}:
-        i, j, m = 0, 0, mu
-        for depth, (digit, total, spans) in enumerate(blocks):
-            e = p >> l * (k - 1 - depth) & mask
-            w = next((w for _, w, lines in spans if e in lines), 0)
-            bi, bj = _block_cell(l, o, digit, e)
-            i, j, m = i << l | bi, j << l | bj, m * (lcms[depth] // total) * w
-        if m:
-            members.add((row << d | i, col << d | j, m))
-    return sorted(members, key=operator.itemgetter(int(o == 2)))
+    top = _blocks(l).top
+    members = set(seam).union(_line_members(run, l, lcms, k, {0, 1, 2, top - 1, top, top + 1}))
+    return sorted(members, key=operator.itemgetter(int(run[3] == 2)))
 
 
 def _scatter(groups, s: int) -> dict[int, int]:
@@ -476,16 +377,17 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
     above t reads its own members.
 
     The closed forms read a run at chain length k from K's first k
-    digits.  Block j is ``_blocks(l)[k_j]``, k_j the j-th base 2**l
-    digit, and its factors are its weights times L_j / S_j, L_j the
-    lcm at its depth and S_j its sum: the zero block's largest weight is
-    2 of S = 2**l + 1, the ones block's 1 of 1 and a mixed block's 1 of
-    2.  So the largest mu at depth t + j is M_j = mu L_1 ... L_j 2**Z /
-    ((2**l + 1)**Z 2**X), Z and X the zero and mixed digits among the
-    first j, counted from K's bits with one carry per digit (at l = 1, Z
-    = j - popcount).  The window is M_(k-1) T_k against M_(k-2) times the
-    straddle of blocks k - 1 and k (``_run_windows`` has the proof), read
-    from the two blocks' summaries at unit 1.  A member fewer than R
+    digits (``runs`` holds K's layout, the blocks and their summaries).
+    Block j is the block of K's j-th digit k_j, and its factors are its
+    weights times L_j / S_j, L_j the lcm at its depth and S_j its sum:
+    the zero block's largest weight is 2 of S = 2**l + 1, the ones
+    block's 1 of 1 and a mixed block's 1 of 2.  So the largest mu at
+    depth t + j is M_j = mu L_1 ... L_j 2**Z / ((2**l + 1)**Z 2**X), Z
+    and X the zero and mixed digits among the first j, counted from K's
+    bits with one carry per digit (at l = 1, Z = j - popcount).  The
+    window is M_(k-1) T_k against M_(k-2) times the straddle of blocks k -
+    1 and k (``_run_windows`` has the proof), read from the two blocks'
+    summaries at unit 1.  A member fewer than R
     layers from corner V lies in V's corner triangle of side 2 cells, the
     word V**(l k - 1); its three upward cells, V**(l k) and V**(l k - 1)
     s for the two other symbols s, are the cells within one layer of V

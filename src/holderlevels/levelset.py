@@ -25,19 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .paf import PiecewiseAffineFn
-from .triangles import (_check_alpha, _check_depth, _check_l, boundary_family, check_address,
-                        lattice_index_unchecked, lattice_point)
-
-
-def _split(incs) -> tuple[tuple[int, ...], int]:
-    """Child weights 2**(top - e) and their sum, from the children's kappa increments.
-
-    A node's measure goes to its children in proportion to their
-    conductivities 2**-e; top is the largest exponent among them.
-    """
-    top = max(incs, default=0)
-    weights = tuple(1 << (top - inc) for inc in incs)
-    return weights, sum(weights)
+from .runs import _block_children, _block_sums, _block_word, _chain, _cut, _run_ks, _split
+from .triangles import (_check_alpha, _check_depth, _check_l, _rational, boundary_family,
+                        check_address, lattice_index_unchecked, lattice_point)
 
 
 def _kappa_sum(counts: dict[int, int]) -> Fraction:
@@ -48,57 +38,6 @@ def _kappa_sum(counts: dict[int, int]) -> Fraction:
     weights, _ = _split(counts)
     return Fraction(sum(map(operator.mul, counts.values(), weights)),
                     1 << max(counts, default=0))
-
-
-class _Blocks(dict):
-    """``_blocks(l)[k]``: (k, S, spans) of the run block of digit k, built on its first read.
-
-    The block's children are the boundary words whose steps into the odd
-    corner o spell k's l bits: the child at line position e puts o at k's
-    1 bits, M at e's and m elsewhere, m < M the other symbols.  With top =
-    2**l - 1 the positions are 0..top for k = 0, 0 for k = top and 0 and
-    top ^ k otherwise.  Each span is (kappa increment, weight, a range of
-    e), in word order: only o**l and m**l, at e = 0, keep kappa, only m**l
-    weighs 2 (``_split``), and S is 2**l + 1, 1 or 2.  A block read again
-    is one dict lookup, as cheap as an index into a table of every digit.
-    """
-
-    def __init__(self, l: int):
-        super().__init__()
-        self.l = l
-
-    def __missing__(self, k: int) -> tuple:
-        top = (1 << self.l) - 1
-        spans = (((0, 2, range(1)), (1, 1, range(1, top + 1))) if k == 0 else
-                 ((0, 1, range(1)),) if k == top else
-                 ((1, 1, range(1)), (1, 1, range(top ^ k, (top ^ k) + 1))))
-        self[k] = block = (k, sum(w * len(lines) for _, w, lines in spans), spans)
-        return block
-
-
-_blocks = functools.cache(_Blocks)
-
-
-def _block_word(l: int, o: int, k: int, e: int = 0) -> str:
-    """The l-symbol word with o at k's 1 bits, M at e's and m elsewhere, m < M the others.
-
-    At e = 0 it is the first in word order whose steps into o spell k.
-    """
-    symbols = [str(s) for s in range(3) if s != o] + [str(o)]     # m, M, o: 2 k_i + e_i
-    return "".join(symbols[(k >> i & 1) << 1 | e >> i & 1] for i in range(l - 1, -1, -1))
-
-
-@functools.cache
-def _block_children(l: int, o: int, k: int) -> tuple:
-    """((word, kappa increment) of each child, split) of ``_blocks(l)[k]`` below corner o."""
-    children = tuple((_block_word(l, o, k, e), inc)
-                     for inc, _, lines in _blocks(l)[k][2] for e in lines)
-    return children, _split([inc for _, inc in children])
-
-
-def _block_cell(l: int, o: int, k: int, e: int) -> tuple[int, int]:
-    """``delta_lattice_index`` of the word at line position e of block k below o."""
-    return ((e, ((1 << l) - 1) ^ k ^ e), (e, k), (k, e))[o]
 
 
 @functools.cache
@@ -168,14 +107,6 @@ class LevelValue:
 def _level_fraction(r) -> Fraction:
     """The exact level of a LevelValue or of anything finite that Fraction accepts."""
     return r.r if isinstance(r, LevelValue) else _rational("the level r", r)
-
-
-def _rational(name: str, value) -> Fraction:
-    """``value`` as a Fraction, or a ValueError naming it if Fraction cannot read it."""
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, ArithmeticError):    # None; NaN or a bad string; inf or x/0
-        raise ValueError(f"{name} must be a finite rational, got {value!r}") from None
 
 
 def extreme_pair(values) -> tuple:
@@ -273,18 +204,18 @@ class LevelSetTree:
     and o stays the odd corner, so a boundary word is a member exactly
     when its steps into o spell the next l binary digits k = floor(2**l h)
     of h.  Every member of the run at one depth therefore has the children
-    of the block of digit k (``_blocks``), all with the corners b' = b
-    2**l + k(a - b) and a' = b' + (a - b), and the block's split.  A run
-    is its crossing member and one integer K whose base-2**l digits are
-    its k past c (``_step_runs``).  When a crossing member has three
-    distinct corners (possible only in functions that are not standard)
-    the word loop goes on below c too.
+    of the block of digit k, all with the corners b' = b 2**l + k(a - b)
+    and a' = b' + (a - b), and the block's split.  A run is its crossing
+    member, its (o, b, a) and one integer K whose digits are its k past c;
+    ``runs`` holds the blocks and K's layout.  When a crossing member
+    has three distinct corners (possible only in functions that are not
+    standard) the word loop goes on below c too.
 
-    Every reader past c reads K: the kappa sums, histograms and nodes walk
-    its digits' blocks (``_chains``), and the mass check takes K
-    (``_members``).  The nodes are a view built on demand, by ``nodes_at``
-    and ``find`` down to the level read and by a ``children`` read one
-    level down; ``extend`` builds none.
+    Every reader past c reads K through ``_chains``: the fill, the kappa
+    sums, histograms and nodes walk its digits' blocks, and the mass check
+    takes K itself (``_members``).  The nodes are a view built on demand,
+    by ``nodes_at`` and ``find`` down to the level read and by a
+    ``children`` read one level down; ``extend`` builds none.
     """
 
     def __init__(self, fn: PiecewiseAffineFn, r, l: int = 1, depth: int = 0):
@@ -307,8 +238,9 @@ class LevelSetTree:
             self.root = None
         # node levels: every level down to c, and past it those a node read built
         self._levels: list[list[LevelSetNode]] = [[self.root] if self.root else []]
-        # each run's K once the tree is past c; None only for a three-valued
-        # crossing member, whose tree is nodes throughout
+        # each run's (o, b, a) and K once the tree is past c; _ks is None only
+        # for a three-valued crossing member, whose tree is nodes throughout
+        self._runs: list[tuple[int, int, int] | None] = []
         self._ks: list[int] | None = []
         self.mu_denominators: list[int] = []
         self.extend(depth)
@@ -330,9 +262,10 @@ class LevelSetTree:
     def _extend(self, depth: int) -> "LevelSetTree":
         c = self._crossing
         while self.depth < depth:
-            if self.depth == c and self._ks == [] and not all(
-                    odd_corner(x.corners) for x in self._levels[c]):
-                self._ks = None
+            if self.depth == c and self._ks == []:
+                self._runs = [odd_corner(x.corners) for x in self._levels[c]]
+                if not all(self._runs):
+                    self._ks = None
             if self.depth < c or self._ks is None:
                 length = (self.depth + 1) * self.l     # word length of the children
                 parents = self._levels[self.depth]
@@ -407,81 +340,56 @@ class LevelSetTree:
         return tuple(kids)
 
     def _step_runs(self, m: int) -> None:
-        """Take every run m depths down: its K gains m digits from one division.
+        """Take every run m depths down: its K gains m digits from one division (``_run_ks``).
 
-        A run's crossing member has the corners b, except a at its odd
-        corner o.  With N the level times r.den at its scale, K, rem =
-        divmod((N - b r.den) 2**(l n), (a - b) r.den) is K = floor(2**(l n)
-        h), the run's n digits past c.  A remainder of 0 makes h = K /
-        2**(l n), so the level first meets a vertex of the run j = n -
-        floor(v / l) depths past c, v the 2-adic valuation of K.  The tree
-        takes the depths above the least such j and names the first run
-        colliding there: the children meeting the level are those whose
-        steps into o spell k' - 1 or k', k' its digit at j, so the word is
-        the smaller of the two spelled over o and m (``_block_word``) below
-        the run's first member, itself spelled over o and m.
+        The tree takes the depths above the first j past c at which the
+        level meets a vertex of a run, and names the first run colliding
+        there: the children meeting the level are those whose steps into o
+        spell k' - 1 or k', k' its digit at j, so the word is the smaller of
+        the two spelled over o and m (``_block_word``) below the run's first
+        member, itself spelled over o and m.
         """
-        c, l, rden = self._crossing, self.l, self.r.denominator
-        crossing = self._levels[c]
+        c, l = self._crossing, self.l
         n = self.depth - c + m
-        level = self.r.numerator * self.scale(c * l)      # N
-        ks, first, hit = [], n + 1, None        # the first colliding j and its first run
-        for i, x in enumerate(crossing):
-            _, b, a = odd_corner(x.corners)
-            k, rem = divmod((level - b * rden) << l * n, (a - b) * rden)
-            if not rem:
-                j = n - ((k & -k).bit_length() - 1) // l
-                if j < first:
-                    first, hit = j, i
-            ks.append(k)
-        word = None
+        ks, first, hit = _run_ks(self._runs, self.r.numerator * self.scale(c * l),
+                                 self.r.denominator, l, n)
         if hit is not None:
-            x, k = crossing[hit], ks[hit] >> l * (n - first)       # K down to j
-            o = odd_corner(x.corners)[0]
-            word = x.word + min(_block_word(l * first, o, k - 1), _block_word(l * first, o, k))
-            ks = [v >> l * (n + 1 - first) for v in ks]
-            n = first - 1
+            o, k = self._runs[hit][0], _cut(ks, l, n - first)[hit]      # K down to j
+            word = self._levels[c][hit].word + min(_block_word(l * first, o, k - 1),
+                                                   _block_word(l * first, o, k))
+            ks, n = _cut(ks, l, n + 1 - first), first - 1
         if c + n > self.depth:
             deepest = len(self._levels) - 1 == self.depth     # built, and not yet armed
             self._ks, self.depth = ks, c + n
             if deepest:
                 self._arm()
-        if word is not None:
+        if hit is not None:
             raise LevelCollisionError(self.r, word)
 
     def _chains(self, n: int):
-        """(member, its run's blocks at depths t + 1 to n) of each depth-t member.
+        """(t, (member, its run's (o, b, a), K) of each depth-t member): the runs down to n.
 
-        t is c while the tree keeps runs and n > c, and t = n otherwise,
-        which gives every member an empty chain.  The members come in
-        ``nodes_at(t)`` order, and n is at most the tree's depth.
+        t is c while the tree keeps runs and n > c, and K is the member's
+        run's n - t digits past c, the blocks of its depth-t + 1 to n
+        members.  Otherwise t = n, which gives every member an empty chain,
+        no run and K = 0.  The members come in ``nodes_at(t)`` order, and n
+        is at most the tree's depth.
         """
-        c, l = self._crossing, self.l
+        c = self._crossing
         if n > c and self._ks is not None:
-            blocks, mask = _blocks(l), (1 << l) - 1
-            shifts = range(l * (self.depth - c - 1), l * (self.depth - n) - 1, -l)
-            return zip(self._levels[c], ([blocks[k >> s & mask] for s in shifts]
-                                         for k in self._ks))
-        return ((v, ()) for v in self._levels[n])
+            return c, zip(self._levels[c], self._runs, _cut(self._ks, self.l, self.depth - n))
+        return n, ((v, None, 0) for v in self._levels[n])
 
     def _members(self, n: int):
         """(row, col, mu numerator, odd corner o, K) of each member of ``_chains(n)``.
 
         The measure is filled to n first.  (row, col) is the member's cell
-        (``delta_lattice_index``), and K its run's digits down to n, whose
-        members lie on the line o fixes (``_block_cell``); an empty chain
-        has o = None and K = 0.  No node is built and no address parsed.
+        (``delta_lattice_index``); K's members lie on the line o fixes.  No
+        node is built and no address past the member's parsed.
         """
         self.fill_measure(n)
-        c = self._crossing
-        if n > c and self._ks is not None:
-            shift = self.l * (self.depth - n)
-            runs = ((x, odd_corner(x.corners)[0], k >> shift)
-                    for x, k in zip(self._levels[c], self._ks))
-        else:
-            runs = ((v, None, 0) for v in self._levels[n])
-        for x, o, k in runs:
-            yield (*lattice_index_unchecked(x.word), x.mu_num, o, k)
+        for x, run, k in self._chains(n)[1]:
+            yield (*lattice_index_unchecked(x.word), x.mu_num, None if run is None else run[0], k)
 
     def _run_nodes(self, level: int):
         """Each run's nodes at ``level``, c or past it, in run order: those below its member."""
@@ -498,8 +406,8 @@ class LevelSetTree:
         """
         t = len(self._levels) - 1
         if t < self.depth:
-            for (x, chain), nodes in zip(self._chains(t + 1), self._run_nodes(t)):
-                split = _block_children(self.l, odd_corner(x.corners)[0], chain[-1][0])[1]
+            for (_, (o, _, _), k), nodes in zip(self._chains(t + 1)[1], self._run_nodes(t)):
+                split = _block_children(self.l, o, _chain(k, self.l, 1)[0][0])[1]
                 for v in nodes:
                     v._children, v.split = self._expand_runs, split
 
@@ -507,18 +415,19 @@ class LevelSetTree:
         """Build the node levels below the deepest one built, down to ``level`` or one level.
 
         A run's nodes at one depth share the corners b, except b + d at the
-        odd corner, and their children in the block of its chain's digit k
+        odd corner o, and their children in the block of its chain's digit k
         share b' = b 2**l + k d, except b' + d.  Each node takes the block's
         words and split, and the measure where it is filled.  The runs stay.
         """
-        c, l = self._crossing, self.l
+        l = self.l
         top = len(self._levels) - 1
         bottom = max(level, top + 1)
         levels: list[list[LevelSetNode]] = [[] for _ in range(top, bottom)]
-        for (_, chain), parents in zip(self._chains(bottom), self._run_nodes(top)):
-            o, b, a = odd_corner(parents[0].corners)
-            d = a - b
-            for nodes, (k, _, _) in zip(levels, chain[top - c:]):
+        for (_, (o, _, _), digits), parents in zip(self._chains(bottom)[1],
+                                                   self._run_nodes(top)):
+            b = parents[0].corners[o - 1]       # every corner but the odd one
+            d = parents[0].corners[o] - b
+            for nodes, (k, _, _) in zip(levels, _chain(digits, l, bottom - top)):
                 b = (b << l) + k * d
                 corners = ((b + d, b, b), (b, b + d, b), (b, b, b + d))[o]
                 children, split = _block_children(l, o, k)
@@ -575,11 +484,13 @@ class LevelSetTree:
         if not self.mu_denominators:
             self.root.mu_num, self.root.mu_den = 1, 1
             self.mu_denominators = [1]
-        c, l = self._crossing, self.l
-        for level in range(len(self.mu_denominators) - 1, depth):
-            if level >= c and self._ks is not None:
-                blocks, shift, mask = _blocks(l), l * (self.depth - level - 1), (1 << l) - 1
-                totals = {blocks[k >> shift & mask][1] for k in self._ks}
+        start = len(self.mu_denominators) - 1
+        t, chains = self._chains(depth)
+        past = depth - max(start, t)        # the levels to fill from the runs' digits
+        sums = iter(_block_sums([k for _, _, k in chains], self.l, past) if past > 0 else ())
+        for level in range(start, depth):
+            if level >= t:
+                totals = next(sums)
             else:
                 nodes = self._levels[level]
                 totals = {node.split[1] for node in nodes}
@@ -613,8 +524,8 @@ class LevelSetTree:
     def histograms(self, n: int, first: int = 0) -> list[dict[int, tuple[int, int]]]:
         """``histogram(m)`` of each depth m from ``first`` to n, from one walk of ``_chains(n)``.
 
-        Each chain of ``_chains(n)`` is built into a histogram one block
-        at a time: each exponent's members and mu pass to every child of
+        Each run of ``_chains(n)`` is built into a histogram one block of
+        its K's digits at a time: each exponent's members and mu pass to every child of
         the block, at the exponent plus the child's increment and with mu
         times lcm / S times the child's weight, and the run's histogram
         after each block adds to that depth's.  The chains start at their
@@ -639,12 +550,11 @@ class LevelSetTree:
 
         self.fill_measure(n)
         dens = self.mu_denominators
-        t = n
-        for x, chain in self._chains(n):
-            t = n - len(chain)
+        t, chains = self._chains(n)
+        for x, _, k in chains:
             run = {x.kappa_exp: (1, x.mu_num)}
             add(t, run)
-            for j, (_, total, spans) in enumerate(chain, t + 1):
+            for j, (_, total, spans) in enumerate(_chain(k, self.l, n - t) if n > t else (), t + 1):
                 unit = dens[j] // dens[j - 1] // total
                 steps = [(inc, len(lines), unit * w * len(lines)) for inc, w, lines in spans]
                 nxt: dict[int, tuple[int, int]] = {}
@@ -655,7 +565,7 @@ class LevelSetTree:
                 run = nxt
                 add(j, run)
         for m in range(first, t):
-            for x, _ in self._chains(m):
+            for x, _, _ in self._chains(m)[1]:
                 add(m, {x.kappa_exp: (1, x.mu_num)})
         return [dict(sorted(hist.items())) for hist in hists]
 
@@ -678,13 +588,15 @@ class LevelSetTree:
         level = len(word) // self.l
         self.extend(level + k)
         counts: dict[int, int] = {}
-        for x, chain in self._chains(level + k):
+        t, chains = self._chains(level + k)
+        for x, _, digits in chains:
+            size = level + k - t
             if not x.word.startswith(word):
                 if not word.startswith(x.word):
                     continue
-                x, chain = node, chain[len(chain) - k:]     # the word's run, below the word
+                x, size = node, k       # the word's run, below the word: K's last k digits
             exp, count = x.kappa_exp, 1
-            for _, total, spans in chain:
+            for _, total, spans in _chain(digits, self.l, size) if size else ():
                 # a child's weight is 2**(top - inc), so top is its inc plus log2 of it
                 exp += spans[0][0] + spans[0][1].bit_length() - 1
                 count *= total
@@ -779,6 +691,7 @@ def well_conducting_census(fn: PiecewiseAffineFn, r, n: int, l: int, d1, *,
     scaling by D keeps every extreme pair.
     """
     _check_depth("n", n)
+    _check_alpha(alpha)
     d1 = _rational("d1", d1)
     if d1 <= 0:
         raise ValueError(f"d1 must be positive, got {d1}")

@@ -70,6 +70,14 @@ def _check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _rational(name: str, value) -> Fraction:
+    """``value`` as a Fraction, or a ValueError naming it if Fraction cannot read it."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):    # None; NaN or a bad string; inf or x/0
+        raise ValueError(f"{name} must be a finite rational, got {value!r}") from None
+
+
 def lattice_child(row: int, col: int, symbol: int) -> tuple[int, int]:
     """Cell of child ``symbol`` of (row, col): it keeps corner ``symbol``, whose indices double."""
     return (2 * row + (symbol == 2), 2 * col + (symbol == 1))

@@ -14,8 +14,9 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from holderlevels.cantor import FatCantorSet, ProductPiece, SeparatedStructure
-from holderlevels.levelset import LevelCollisionError, _level_fraction, _split, kappa_exponent
+from holderlevels.levelset import LevelCollisionError, _level_fraction, kappa_exponent
 from holderlevels.paf import PiecewiseAffineFn, _midpoint_copy
+from holderlevels.runs import _split
 from holderlevels.triangles import (boundary_family, cell_corners, lattice_index_unchecked,
                                     lattice_point, level_index)
 
@@ -38,7 +39,7 @@ def oracle_digit_blocks(l: int) -> tuple:
     joined one symbol at a time, spell the l binary digits of k, in
     ``boundary_family(l)`` order.  The extreme words o**l and m**l, m the
     smallest other symbol, keep kappa, and the split is ``_split`` of the
-    increments.  The library reads every block from ``levelset._blocks``.
+    increments.  The library reads every block from ``runs._blocks``.
     """
     blocks = [[[] for _ in range(1 << l)] for _ in range(3)]
     for w in boundary_family(l):

@@ -279,10 +279,14 @@ def test_levelset_sums_kappa_exponents_in_one_function():
         return _called_name(node) == "sum" and any(
             _called_name(n) == "Fraction" for arg in node.args for n in ast.walk(arg))
 
-    assert _where("levelset", weighs_exponents) == {"_split"}
+    # _split, the one weigher, lives with the run blocks, whose children it
+    # splits; _digit_counts' 1 << (l - 1) is a digit's top bit, no weight
+    assert _where("runs", weighs_exponents) == {"_split", "_digit_counts"}
+    assert _where("levelset", weighs_exponents) == set()
     assert _where("levelset", sums_fractions) == set()
     assert _where("levelset", lambda n: _called_name(n) == "_split") == {
-        "_kappa_sum", "_block_children", "_word_loop"}
+        "_kappa_sum", "_word_loop"}
+    assert _where("runs", lambda n: _called_name(n) == "_split") == {"_block_children"}
     # no hand-written extreme words: a symbol repeated l times is spelled
     # only in _extreme_words, which the word loop and the kappa readers
     # call; a run block's children are read from _blocks' closed form
@@ -291,34 +295,36 @@ def test_levelset_sums_kappa_exponents_in_one_function():
                 and _called_name(node.left) == "str")
 
     assert _where("levelset", repeats_a_symbol) == {"_extreme_words"}
+    assert _where("runs", repeats_a_symbol) == set()
     assert _where("levelset", lambda n: _called_name(n) == "_extreme_words") == {
         "_boundary_children", "kappa_exponent", "well_conducting_census"}
 
 
 def test_nodes_below_the_crossing_come_from_the_runs_alone():
     # the word loop and the node view of the runs make the nodes below the
-    # root, and only _extend runs the word loop; past c a digit block is
-    # looked up from K by the chains and the fill, and a block's words are
-    # spelled only by the node view (whose split _arm hands the deepest
-    # level).  The run step names a collision from K's digit alone: no word
-    # loop, no boundary child, no block child and no node.  _extend has no
-    # per-node digit step and builds no node from the runs
+    # root, and only _extend runs the word loop; past c the readers of the
+    # chains and the fill take a digit's block from runs, and a block's
+    # words are spelled only by the node view (whose split _arm hands the
+    # deepest level).  The run step names a collision from K's digit alone:
+    # no word loop, no boundary child, no block child and no node.  _extend
+    # has no per-node digit step and builds no node from the runs
     assert _where("levelset", lambda n: _called_name(n) == "LevelSetNode") == {
         "__init__", "_word_loop", "_expand_runs"}
     init = _functions("levelset")["__init__"]
     assert sum(_called_name(n) == "LevelSetNode" for n in _own_nodes(init)) == 1    # the root
     assert _where("levelset", lambda n: _called_name(n) == "_word_loop") == {"_extend"}
-    assert _where("levelset", lambda n: _called_name(n) == "_blocks") == {
-        "_chains", "fill_measure", "_block_children"}
+    assert _where("levelset", lambda n: _called_name(n) == "_blocks") == set()
+    assert _where("levelset", lambda n: _called_name(n) in ("_chain", "_block_sums")) == {
+        "histograms", "conservation", "_arm", "_expand_runs", "fill_measure"}
     assert _where("levelset", lambda n: _called_name(n) == "_block_children") == {
         "_arm", "_expand_runs"}
-    assert _where("levelset", lambda n: _called_name(n) == "_block_word") == {
-        "_block_children", "_step_runs"}
+    assert _where("levelset", lambda n: _called_name(n) == "_block_word") == {"_step_runs"}
+    assert _where("runs", lambda n: _called_name(n) == "_block_word") == {"_block_children"}
     step = {_called_name(n) for n in _own_nodes(_functions("levelset")["_step_runs"])}
     assert not step & {"_word_loop", "_boundary_children", "_block_children", "LevelSetNode"}
     extend = _functions("levelset")["_extend"]
     assert not any(getattr(n, "id", getattr(n, "attr", None))
-                   in ("_blocks", "_block_children", "blocks")
+                   in ("_blocks", "_block_children", "_chain", "blocks")
                    for n in _own_nodes(extend))
     called = {_called_name(n) for n in _own_nodes(extend)}
     assert {"_word_loop", "_step_runs"} <= called and "_expand_runs" not in called
@@ -326,7 +332,9 @@ def test_nodes_below_the_crossing_come_from_the_runs_alone():
 
 def test_the_tree_keeps_its_runs():
     # only _extend gives up the runs, at c, for a three-valued crossing
-    # member; the node view of the runs never assigns the runs' K
+    # member; the node view of the runs never assigns the runs' K.  Each
+    # run's (o, b, a) is read from its crossing member's corners once,
+    # by _extend at c: no run reader past it calls odd_corner
     def names(node, attrs):
         return any(isinstance(n, ast.Attribute) and n.attr in attrs
                    and getattr(n.value, "id", None) == "self" for n in ast.walk(node))
@@ -340,34 +348,62 @@ def test_the_tree_keeps_its_runs():
             n.targets if isinstance(n, ast.Assign) else
             [n.target] if isinstance(n, (ast.AugAssign, ast.AnnAssign)) else [])]
         assert targets and not any(names(t, {"_ks"}) for t in targets), view
+    keeps = {name for name, fn in _functions("levelset").items() for n in _own_nodes(fn)
+             if isinstance(n, (ast.Assign, ast.AnnAssign))
+             and any(names(t, {"_runs"})
+                     for t in (n.targets if isinstance(n, ast.Assign) else [n.target]))}
+    assert keeps == {"__init__", "_extend"}
+    assert _where("levelset", lambda n: _called_name(n) == "odd_corner") == {"_extend"}
+
+
+def _imports(module: str) -> set[tuple[str, str]]:
+    """(module, name) of every name a library module imports, the module's last part."""
+    path = ROOT / "src" / "holderlevels" / f"{module}.py"
+    nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+    return {((n.module or "").split(".")[-1], a.name)
+            for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names} | {
+        (a.name.split(".")[-1], a.name) for n in nodes if isinstance(n, ast.Import)
+        for a in n.names}
 
 
 def test_every_tree_reader_walks_the_chains():
-    # one (member, run blocks) iterator feeds every reader of a depth's
-    # blocks: no reader forks on the runs, and the mass check parses no
-    # address.  Past the run step, only _members, which reads no block, and
-    # fill_measure, which reads one digit per level, take a run's K itself
-    readers = {"histograms", "conservation", "_expand_runs", "_arm"}
+    # one (member, run, K) iterator feeds every reader of a depth's runs,
+    # and it alone asks whether the tree keeps runs at a depth: no reader
+    # forks on the runs, and the mass check parses no address.  Past the
+    # run step, only _chains takes the runs' K from the tree
+    readers = {"histograms", "conservation", "_expand_runs", "_arm", "fill_measure",
+               "_members"}
     assert readers <= _where("levelset", lambda n: _called_name(n) == "_chains")
     names_runs = _where("levelset", lambda n: isinstance(n, ast.Attribute)
                         and n.attr == "_ks" and getattr(n.value, "id", None) == "self")
-    assert names_runs == {"__init__", "_extend", "_step_runs", "_chains", "_members",
-                          "fill_measure"}
+    assert names_runs == {"__init__", "_extend", "_step_runs", "_chains"}
+    keeps_runs = _where("levelset", lambda n: isinstance(n, ast.Compare)
+                        and isinstance(n.ops[0], ast.IsNot) and ast.unparse(n.left) == "self._ks")
+    assert keeps_runs == {"_chains"}
     assert "_run_chains" not in _functions("levelset")
-    bounds = ast.parse((ROOT / "src" / "holderlevels" / "bounds.py").read_text())
-    imported = {getattr(n, "module", None) or a.name for n in ast.walk(bounds)
-                if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
-    assert not any(m.split(".")[-1] == "triangles" for m in imported)
+    # the mass check reads the argument readers from triangles, and no
+    # lattice or address function
+    from_triangles = {name for module, name in _imports("bounds") if module == "triangles"}
+    assert from_triangles and all(name.startswith("_check_") or name == "_rational"
+                                  for name in from_triangles), from_triangles
 
 
 def test_the_mass_check_reads_each_run_from_block_summaries():
     # a run's window and seam come from summaries cached per digit, so only
-    # they and the worst cell's six line positions read a block's cells, and
-    # _members yields each run's K rather than its blocks
-    reads = _where("bounds", lambda n: _called_name(n) in ("_blocks", "_block_cell"))
-    assert reads == {"_block_summary", "_corner_cells", "_window_members"}
+    # they and the worst cell's six line positions read a block's cells, in
+    # runs, and _members yields each run's K rather than its blocks.  The
+    # mass check reads two constants of _blocks itself: the zero block's
+    # sum and the last line position
+    def reads_cells(node):
+        return _called_name(node) in ("_block_cell", "_weight", "_chain", "_digits")
+
+    assert _where("runs", reads_cells) == {"_corner_cells", "_line_members"}
+    assert _where("bounds", reads_cells) == set()
+    assert _where("bounds", lambda n: _called_name(n) == "_line_members") == {"_window_members"}
+    assert _where("bounds", lambda n: _called_name(n) == "_blocks") == {
+        "_run_windows", "_window_members"}
     members = _functions("levelset")["_members"]
-    assert not {"_blocks", "_block_cell", "_block_children"} & {
+    assert not {"_blocks", "_block_cell", "_block_children", "_chain", "_block_sums"} & {
         _called_name(n) for n in _own_nodes(members)}
 
 
@@ -392,3 +428,59 @@ def test_argument_rules_are_written_once():
     positive = {(m, name) for m in modules for name in _where(m, below_infinity)}
     assert alpha == {("triangles", "_check_alpha")}
     assert positive == {("triangles", "_check_positive")}
+
+
+def test_runs_alone_take_a_runs_digits_apart():
+    # a run's K and a line position are laid out in base 2**l, most
+    # significant digit first, and only runs.py reads that layout: outside
+    # it no shift is by l or a multiple of it, which also rules out a
+    # (1 << l) - 1 digit mask.  A name assigned l times something counts as
+    # a multiple.  The shifts by l that read no digit are listed with what
+    # they do; scale()'s shift is by the word length minus L, not by l
+    not_digit_reads = {
+        ("levelset", "_expand_runs", "b << l"):
+            "b' = b 2**l + k d, the corner a block's children share",
+        ("levelset", "well_conducting_census", "1 << l"):
+            "B = 3 (2**l - 1), the number of boundary words",
+        ("bounds", "_run_windows", "row << k * l"):
+            "a seam member's row: its run's, then the k l bits runs._corner_cells gives",
+        ("bounds", "_run_windows", "col << k * l"):
+            "a seam member's col: its run's, then the k l bits runs._corner_cells gives",
+    }
+
+    def by_l(node, derived) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id == "l" or node.id in derived
+        if isinstance(node, ast.Attribute):
+            return node.attr == "l"
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and (by_l(node.left, derived) or by_l(node.right, derived)))
+
+    def digit_shifts(fn):
+        pairs = []
+        for n in _own_nodes(fn):
+            if isinstance(n, ast.Assign):
+                for target in n.targets:
+                    if isinstance(target, ast.Tuple) and isinstance(n.value, ast.Tuple):
+                        pairs += zip(target.elts, n.value.elts)
+                    else:
+                        pairs.append((target, n.value))
+        derived: set[str] = set()
+        while True:
+            more = {t.id for t, v in pairs if isinstance(t, ast.Name) and by_l(v, derived)}
+            if more <= derived:
+                break
+            derived |= more
+        return {ast.unparse(n) for n in _own_nodes(fn) if isinstance(n, ast.BinOp)
+                and isinstance(n.op, (ast.LShift, ast.RShift)) and by_l(n.right, derived)}
+
+    modules = [p.stem for p in sorted((ROOT / "src" / "holderlevels").glob("*.py"))]
+    assert {"runs", "levelset", "bounds"} <= set(modules)
+    found = {(m, name, shift) for m in modules if m != "runs"
+             for name, fn in _functions(m).items() for shift in digit_shifts(fn)}
+    assert found == set(not_digit_reads)
+    # the layout sits in runs: K is built, cut and listed there
+    assert _where("runs", lambda n: isinstance(n, ast.BinOp) and isinstance(n.op, ast.LShift)
+                  and by_l(n.right, set())) >= {"_run_ks"}
+    # and runs reads no other module of the library
+    assert {m for m, _ in _imports("runs")} <= {"__future__", "functools", "itertools"}

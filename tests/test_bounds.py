@@ -30,7 +30,6 @@ from holderlevels import bounds, levelset
 from holderlevels.bounds import (
     BoundSearchParams,
     MassDistributionReport,
-    _digit_counts,
     _run_windows,
     _scatter,
     box_count_dimension,
@@ -45,6 +44,7 @@ from holderlevels.bounds import (
 )
 from holderlevels.levelset import LevelCollisionError, LevelSetTree
 from holderlevels.paf import random_standard_paf
+from holderlevels.runs import _block_cell, _block_summary, _blocks, _digit_counts
 from holderlevels.triangles import delta_lattice_index
 from helpers import (affine_from_corners, chain_lcms, lchoice_window, member_blocks,
                      oracle_block_cells, oracle_digit_blocks, run_blocks, touching_up_cells)
@@ -54,7 +54,7 @@ from test_structure_oracle import generic_fn
 F = Fraction
 # R: a run's members fewer than R cell layers from a corner of its region
 # are the ones a cell touched by another run can touch, the members
-# bounds._corner_cells reads (mass_distribution_lower)
+# runs._corner_cells reads (mass_distribution_lower)
 _SEAM_LAYERS = 2
 
 
@@ -623,8 +623,8 @@ def _heavy_members(run, l: int, lcms, k: int, mass: int) -> list:
     size, mask = len(lcms), (1 << l) - 1
     blocks = []
     for j in range(1, k + 1):
-        digit, total, spans = levelset._blocks(l)[digits >> l * (size - j) & mask]
-        blocks.append([(*levelset._block_cell(l, o, digit, e), lcms[j - 1] // total * w)
+        digit, total, spans = _blocks(l)[digits >> l * (size - j) & mask]
+        blocks.append([(*_block_cell(l, o, digit, e), lcms[j - 1] // total * w)
                        for _, w, lines in spans for e in lines])
     growth = [1]                        # M_k / M_j, from j = k up
     for cells in reversed(blocks):
@@ -750,7 +750,7 @@ def test_block_summaries_match_the_whole_line(l):
             u = [0] * (top + 3)         # u(e) at e + 1
             for cell in oracle_block_cells(block, 1):
                 u[cell[int(o == 2)] + 1] = cell[2]
-            assert bounds._block_summary(l, k) == (
+            assert _block_summary(l, k) == (
                 block[1][1], max(u), max(map(sum, zip(u, u[1:], u[2:]))),
                 ((u[top + 1], u[1] + u[2]), (u[top] + u[top + 1], u[1])),
                 frozenset(zip(u[1:top + 1], u[2:top + 2]))), (l, o, k)
@@ -1020,11 +1020,16 @@ def test_mass_check_reads_a_constant_number_of_summaries_per_run_and_depth(monke
     assert len(calls) <= 3 * runs * len(rep.levels_checked) + 2 * 4 ** params.l
 
 
-def scratch_case(alpha: float):
-    """The scratch function at r a third up the root's range, with ``for_alpha``'s triple."""
+def scratch_case(alpha):
+    """The scratch function at r a third up the root's range, with ``for_alpha``'s triple.
+
+    ``alpha`` may also be a triple (alpha, d1, l) itself.
+    """
     fn = random_standard_paf(7, 3, 1.0, 0.9, check=False)
     root = fn.corner_values("")
-    return fn, min(root) + (max(root) - min(root)) / 3, BoundSearchParams.for_alpha(alpha)
+    params = (BoundSearchParams(*alpha) if isinstance(alpha, tuple)
+              else BoundSearchParams.for_alpha(alpha))
+    return fn, min(root) + (max(root) - min(root)) / 3, params
 
 
 @pytest.mark.parametrize("case, n_prime, pinned", [
@@ -1035,6 +1040,10 @@ def scratch_case(alpha: float):
     # q = 40, l = 6: the pruned descent could keep up to 2**39 members
     (0.95, 2, (6.357828776041666e-07, 40, (
         135800066088744497307136236105239546961595924975380193195124288057685137, 0))),
+    # the alpha = 1 checks to 12 and 96 levels, and deep's l = 1 triple to 100
+    (1.0, 6, (1 / 6, 2, (314, 0))),
+    (1.0, 48, (1 / 6, 2, (314, 0))),
+    ((1.0, F(1, 4), 1), 25, (0.9364426154549611, 16, (5037, 1))),
 ])
 def test_each_c_raising_depth_scatters_the_seam_and_six_members(monkeypatch, case, n_prime,
                                                                 pinned):

@@ -293,6 +293,19 @@ def test_census_of_a_standard_function_builds_no_boundary_words(monkeypatch):
     assert 16 not in built
 
 
+@pytest.mark.parametrize("alpha", [None, "abc", 0.0, 1.5, math.nan])
+def test_census_refuses_a_bad_alpha_before_enumerating(monkeypatch, alpha):
+    # the flat function has a constant triangle, so its census enumerates
+    # the boundary words down to the function level; alpha is read with
+    # the other arguments, before any of that work
+    def unreachable(l):
+        raise AssertionError("the census enumerated before it read alpha")
+
+    monkeypatch.setattr(levelset, "boundary_family", unreachable)
+    with pytest.raises(ValueError, match="alpha"):
+        well_conducting_census(census_fn("flat", 1), None, 2, 1, Fraction(1, 2), alpha=alpha)
+
+
 def full_scan(fn, r: Fraction):
     """The first grid vertex whose value is r, as triples; None if there is none."""
     for (row, col), v in fn.grid.items():

@@ -33,16 +33,13 @@ from holderlevels.bounds import BoundSearchParams, mass_distribution_lower
 from holderlevels.levelset import (
     LevelCollisionError,
     LevelSetTree,
-    _block_cell,
-    _block_children,
-    _blocks,
     _extreme_words,
-    _split,
     _word_steps,
     extreme_pair,
     odd_corner,
 )
 from holderlevels.paf import PiecewiseAffineFn, random_standard_paf
+from holderlevels.runs import _block_cell, _block_children, _blocks, _split
 from holderlevels.triangles import boundary_family, lattice_index_unchecked
 from helpers import affine_from_corners, member_blocks, oracle_digit_blocks, point_values
 from test_bounds import scatter_oracle
