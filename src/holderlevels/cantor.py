@@ -19,7 +19,8 @@ from functools import lru_cache
 from typing import Callable
 
 from .paf import max_holder_ratio
-from .triangles import _check_alpha, _check_depth, _check_positive
+from .triangles import (_check_alpha, _check_depth, _check_nonnegative, _check_open_unit,
+                        _check_positive)
 
 _MATERIALIZATION_LIMIT = 1 << 22    # most intervals FatCantorSet.intervals builds
 _TERM_TOL = 1e-18                   # capacity_gap stops below this term size
@@ -342,10 +343,8 @@ def piecewise_constant_feasibility(alpha: float, c: float, M: float,
     feasible at every level, with ratio 0.0.
     """
     _check_alpha(alpha)
-    if not 0 < c < 1:
-        raise ValueError("need 0 < c < 1")
-    if not M >= 0:
-        raise ValueError(f"need M >= 0, got {M}")
+    _check_open_unit("c", c)
+    _check_nonnegative("M", M)
     _check_depth("k", k)
     K = float(structure.K)
     nu = float(structure.nu)
@@ -430,8 +429,7 @@ class PhaseTransitionConfig:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if not 0 < self.c < 1:
-            raise ValueError("need 0 < c < 1")
+        _check_open_unit("c", self.c)
         if self.k < 1:
             raise ValueError(f"need k >= 1 (capacity_gap's closed form), got k={self.k}")
         for name, index in (("ix", self.ix), ("iy", self.iy)):

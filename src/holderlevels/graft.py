@@ -23,8 +23,8 @@ from fractions import Fraction
 from .bernoulli import BernoulliWitnessFn
 from .levelset import odd_corner
 from .paf import PiecewiseAffineFn
-from .triangles import (_check_alpha, _check_depth, _check_positive, delta_lattice_index,
-                        lattice_weights, locate)
+from .triangles import (_check_alpha, _check_depth, _check_nonnegative, _check_positive,
+                        delta_lattice_index, lattice_weights, locate)
 
 HOLDER_STEP_THRESHOLD = Fraction(1, 100)
 GRAFT_BUDGET = Fraction(1, 8)
@@ -50,8 +50,7 @@ def min_graft_level(lipschitz: float, alpha: float) -> int:
 def graft_certificate_constant(lipschitz: float, alpha: float, n_prime: int) -> float:
     """Closed-form per-triangle Holder constant of the graft."""
     _check_alpha(alpha, below_one=True)
-    if not 0 <= lipschitz < math.inf:
-        raise ValueError(f"lipschitz must be non-negative and finite, got {lipschitz}")
+    _check_nonnegative("lipschitz", lipschitz, finite=True)
     _check_depth("n_prime", n_prime)
     return (lipschitz * 2.0 ** (-n_prime * (1 - alpha))
             * 3.0 * (2.0 / math.sqrt(3.0)) ** alpha)

@@ -16,6 +16,7 @@ therefore never exceeds it.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .paf import PiecewiseAffineFn
-from .runs import _block_children, _block_sums, _block_word, _chain, _cut, _run_ks, _split
+from .runs import (_block_children, _block_sums, _block_word, _chain, _cut, _last_digits, _run_ks,
+                   _run_weights, _split)
 from .triangles import (_check_alpha, _check_depth, _check_l, _rational, boundary_family,
                         check_address, lattice_index_unchecked, lattice_point)
 
@@ -195,7 +197,8 @@ class LevelSetTree:
     names the first colliding one, and builds the member nodes.  Above L
     a member is a table word, and the children it tests are the
     function's: they are computed once per function and l and read by
-    every tree on it, whatever its level.
+    every tree on it, whatever its level.  So is the split of each tuple
+    of member increments the word loop finds, at any depth.
 
     Below c the tree keeps runs, not nodes.  A crossing member whose
     corners are (b, b, a) in some order, with the odd corner o carrying
@@ -211,9 +214,11 @@ class LevelSetTree:
     has three distinct corners (possible only in functions that are not
     standard) the word loop goes on below c too.
 
-    Every reader past c reads K through ``_chains``: the fill, the kappa
-    sums, histograms and nodes walk its digits' blocks, and the mass check
-    takes K itself (``_members``).  The nodes are a view built on demand,
+    Every reader past c reads K through ``_chains``: the fill, histograms
+    and nodes walk its digits' blocks, the kappa sums read its zero and
+    mixed digit counts (``runs._run_weights``), the node view arms a
+    level from its last digits, and the mass check takes K itself
+    (``_members``).  The nodes are a view built on demand,
     by ``nodes_at`` and ``find`` down to the level read and by a
     ``children`` read one level down; ``extend`` builds none.
     """
@@ -290,13 +295,14 @@ class LevelSetTree:
         children's scale.  A parent above the function level is a table
         word, so its ``_boundary_children`` depend on the function and l
         alone: they are computed once and kept in the function's memo for
-        every later tree.  A child colliding with the level raises
-        ``LevelCollisionError`` before any result is returned.
+        every later tree.  The split of each tuple of member increments is
+        kept with the function too, per l.  A child colliding with the
+        level raises ``LevelCollisionError`` before any result is returned.
         """
         q, rem = divmod(level, self.r.denominator)
         memo = self._memo if length - self.l < self.fn.level else None
+        splits = self.fn._word_splits.setdefault(self.l, {})
         expanded = []
-        splits = {}
         for prefix, corners, exp in parents:
             kids = None if memo is None else memo.get(prefix)
             if kids is None:
@@ -402,14 +408,18 @@ class LevelSetTree:
     def _arm(self) -> None:
         """Give the deepest node level, if above the tree's depth, its runs' next split.
 
-        Its nodes take ``_expand_runs`` as the builder of their children.
+        Its nodes take ``_expand_runs`` as the builder of their children,
+        and each run's next digit is the last of its K one level down.
         """
         t = len(self._levels) - 1
         if t < self.depth:
-            for (_, (o, _, _), k), nodes in zip(self._chains(t + 1)[1], self._run_nodes(t)):
-                split = _block_children(self.l, o, _chain(k, self.l, 1)[0][0])[1]
+            chains = list(self._chains(t + 1)[1])
+            l, build = self.l, self._expand_runs
+            digits = _last_digits([k for _, _, k in chains], l)
+            for (_, (o, _, _), _), digit, nodes in zip(chains, digits, self._run_nodes(t)):
+                split = _block_children(l, o, digit)[1]
                 for v in nodes:
-                    v._children, v.split = self._expand_runs, split
+                    v._children, v.split = build, split
 
     def _expand_runs(self, level: int = 0) -> None:
         """Build the node levels below the deepest one built, down to ``level`` or one level.
@@ -476,7 +486,7 @@ class LevelSetTree:
         levels whose children have nodes; ``_expand_runs`` fills the
         levels it builds.  A level's measure depends only on the levels
         above it, so a fill continues from the deepest level already
-        filled and never redoes one.
+        filled, never redoes one, and reads no run when ``depth`` is filled.
         """
         self.extend(depth)
         if self.root is None:
@@ -485,6 +495,8 @@ class LevelSetTree:
             self.root.mu_num, self.root.mu_den = 1, 1
             self.mu_denominators = [1]
         start = len(self.mu_denominators) - 1
+        if start >= depth:
+            return self
         t, chains = self._chains(depth)
         past = depth - max(start, t)        # the levels to fill from the runs' digits
         sums = iter(_block_sums([k for _, _, k in chains], self.l, past) if past > 0 else ())
@@ -575,32 +587,33 @@ class LevelSetTree:
         """Sum of kappa over the depth-k descendants of ``word`` against its own kappa.
 
         The descendants are the members of ``_chains`` whose words extend
-        ``word``: a member with an empty chain adds its own kappa, and a
-        crossing member adds its kappa times the product over its run's
-        blocks of the sum of 2**-inc, S / 2**top with S the block's split
-        sum and top its largest increment.  A word past c adds its own
-        kappa times that product over its run's blocks below it.
+        ``word``.  Members with an empty chain are counted by their kappa
+        exponent.  A run adds its crossing member's kappa times its
+        chain's kappa sum (``runs._run_weights``, from the counts of its
+        zero and mixed digits), or, for a word past c, the word's kappa
+        times that sum over the run's last k digits, those below the word.
         """
         _check_depth("k", k)
         node = self.find(word)
         if node is None:
             raise ValueError(f"{word!r} is not a member descendant of the root")
         level = len(word) // self.l
-        self.extend(level + k)
-        counts: dict[int, int] = {}
-        t, chains = self._chains(level + k)
-        for x, _, digits in chains:
-            size = level + k - t
-            if not x.word.startswith(word):
-                if not word.startswith(x.word):
-                    continue
-                x, size = node, k       # the word's run, below the word: K's last k digits
-            exp, count = x.kappa_exp, 1
-            for _, total, spans in _chain(digits, self.l, size) if size else ():
-                # a child's weight is 2**(top - inc), so top is its inc plus log2 of it
-                exp += spans[0][0] + spans[0][1].bit_length() - 1
-                count *= total
-            counts[exp] = counts.get(exp, 0) + count
+        n = level + k
+        self.extend(n)
+        t, chains = self._chains(n)
+        if t == n:
+            members = self._levels[n]
+            if word:
+                members = [x for x in members if x.word.startswith(word)]
+            counts = collections.Counter(map(operator.attrgetter("kappa_exp"), members))
+        else:
+            below = level > t       # the word lies past c, in one run
+            runs = [(node if below else x, digits) for x, _, digits in chains
+                    if (word.startswith(x.word) if below else x.word.startswith(word))]
+            weights = _run_weights([digits for _, digits in runs], self.l, n - max(level, t))
+            counts = collections.Counter()
+            for (x, _), (exp, count) in zip(runs, weights):
+                counts[x.kappa_exp + exp] += count
         lhs = _kappa_sum(counts)
         return ConservationResult(lhs=lhs, rhs=node.kappa, passed=lhs >= node.kappa)
 

@@ -164,6 +164,7 @@ class PiecewiseAffineFn:
         self._int_words: tuple[int, dict[str, tuple]] | None = None
         self._constant: bool | None = None
         self._word_children: dict[int, dict[str, tuple]] = {}
+        self._word_splits: dict[int, dict[tuple, tuple]] = {}
 
     @classmethod
     def _from_ints(cls, level: int, scale: int, values: dict[tuple[int, int], int],

@@ -165,9 +165,15 @@ def _run_ks(runs, level: int, rden: int, l: int, n: int) -> tuple[list[int], int
     = n - (K's trailing zero digits).  j is n + 1 and the run None when no
     run meets a vertex by n.
     """
-    divs = [divmod((level - b * rden) << l * n, (a - b) * rden) for _, b, a in runs]
-    hits = [(n - ((k & -k).bit_length() - 1) // l, i) for i, (k, rem) in enumerate(divs) if not rem]
-    return [k for k, _ in divs], *min(hits, default=(n + 1, None))
+    ks, first, hit = [], n + 1, None
+    for i, (_, b, a) in enumerate(runs):
+        k, rem = divmod((level - b * rden) << l * n, (a - b) * rden)
+        ks.append(k)
+        if not rem:
+            j = n - ((k & -k).bit_length() - 1) // l
+            if hit is None or j < first:
+                first, hit = j, i
+    return ks, first, hit
 
 
 def _cut(ks, l: int, drop: int) -> list[int]:
@@ -193,6 +199,12 @@ def _block_sums(ks, l: int, size: int) -> list[set[int]]:
     return [{blocks[k >> s & mask][1] for k in ks} for s in range(l * (size - 1), -1, -l)]
 
 
+def _last_digits(ks, l: int) -> list[int]:
+    """The last base-2**l digit of each K of ``ks``."""
+    mask = (1 << l) - 1
+    return [k & mask for k in ks]
+
+
 def _digit_counts(k: int, j: int, l: int) -> tuple[int, int]:
     """(zero digits, mixed digits) among the j base-2**l digits of k.
 
@@ -209,6 +221,21 @@ def _digit_counts(k: int, j: int, l: int) -> tuple[int, int]:
     flip = k ^ ((1 << l * j) - 1)
     nontop = ((((flip & ~high) + fill) | flip) & high).bit_count()
     return j - nonzero, nonzero + nontop - j
+
+
+def _run_weights(ks, l: int, size: int) -> list[tuple[int, int]]:
+    """(exponent, count) of the chain of each K's last ``size`` digits.
+
+    Its kappa sum, over its members, is count 2**-exponent.  A block's
+    children weigh 2**-inc, in sum S 2**-top (``_blocks``): a zero digit
+    adds 1 to the exponent and multiplies the count by 2**l + 1, a mixed
+    digit adds 1 and doubles it, and the ones digit adds nothing.  With Z
+    zero and X mixed digits (``_digit_counts``) the exponent is Z + X and
+    the count (2**l + 1)**Z 2**X.
+    """
+    mask, zero_sum = (1 << l * size) - 1, (1 << l) + 1
+    return [(z + x, zero_sum ** z << x)
+            for z, x in (_digit_counts(k & mask, size, l) for k in ks)]
 
 
 def _heads(ks, l: int, size: int, js) -> list[list[tuple[int, int, int, int]]]:

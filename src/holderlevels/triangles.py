@@ -70,6 +70,27 @@ def _check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _check_open_unit(name: str, value) -> None:
+    """Refuse a value outside (0, 1) (NaN, None, a str...), naming it."""
+    try:
+        inside = 0 < value < 1
+    except TypeError:
+        inside = False
+    if not inside:
+        raise ValueError(f"{name} must lie in (0, 1): need 0 < {name} < 1, got {value!r}")
+
+
+def _check_nonnegative(name: str, value, finite: bool = False) -> None:
+    """Refuse a negative value, or an infinite one when ``finite``, and NaN, None or a str."""
+    try:
+        inside = 0 <= value < math.inf if finite else value >= 0
+    except TypeError:
+        inside = False
+    if not inside:
+        raise ValueError(f"{name} must be non-negative{' and finite' if finite else ''}: "
+                         f"need {name} >= 0, got {value!r}")
+
+
 def _rational(name: str, value) -> Fraction:
     """``value`` as a Fraction, or a ValueError naming it if Fraction cannot read it."""
     try:

@@ -16,7 +16,7 @@ from types import MappingProxyType
 from holderlevels.cantor import FatCantorSet, ProductPiece, SeparatedStructure
 from holderlevels.levelset import LevelCollisionError, _level_fraction, kappa_exponent
 from holderlevels.paf import PiecewiseAffineFn, _midpoint_copy
-from holderlevels.runs import _split
+from holderlevels.runs import _chain, _split
 from holderlevels.triangles import (boundary_family, cell_corners, lattice_index_unchecked,
                                     lattice_point, level_index)
 
@@ -50,6 +50,22 @@ def oracle_digit_blocks(l: int) -> tuple:
     return tuple(
         tuple((tuple(block), _split([inc for _, inc in block])) for block in by_k)
         for by_k in blocks)
+
+
+def oracle_run_weights(k: int, l: int, size: int) -> tuple[int, int]:
+    """(exponent, count) of the chain of k's last ``size`` digits, one block at a time.
+
+    Each block of ``runs._chain`` adds its largest kappa increment top to
+    the exponent (its first span's increment plus log2 of that span's
+    weight 2**(top - inc)) and multiplies the count by its sum S, so the
+    chain's kappa sum is count 2**-exponent.  ``runs._run_weights`` reads
+    the same pair from the chain's zero and mixed digit counts.
+    """
+    exp, count = 0, 1
+    for _, total, spans in _chain(k, l, size) if size else ():
+        exp += spans[0][0] + spans[0][1].bit_length() - 1
+        count *= total
+    return exp, count
 
 
 @functools.cache

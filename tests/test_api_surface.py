@@ -287,6 +287,12 @@ def test_levelset_sums_kappa_exponents_in_one_function():
     assert _where("levelset", lambda n: _called_name(n) == "_split") == {
         "_kappa_sum", "_word_loop"}
     assert _where("runs", lambda n: _called_name(n) == "_split") == {"_block_children"}
+    # conservation sums its members' exponents once (_kappa_sum): a run's
+    # chain adds the exponent and count runs reads from its digit counts
+    assert _where("levelset", lambda n: _called_name(n) == "_kappa_sum") == {"conservation"}
+    assert _where("levelset", lambda n: _called_name(n) == "_run_weights") == {"conservation"}
+    assert _where("runs", lambda n: _called_name(n) == "_digit_counts") == {
+        "_heads", "_run_weights"}
     # no hand-written extreme words: a symbol repeated l times is spelled
     # only in _extreme_words, which the word loop and the kappa readers
     # call; a run block's children are read from _blocks' closed form
@@ -305,7 +311,7 @@ def test_nodes_below_the_crossing_come_from_the_runs_alone():
     # root, and only _extend runs the word loop; past c the readers of the
     # chains and the fill take a digit's block from runs, and a block's
     # words are spelled only by the node view (whose split _arm hands the
-    # deepest level).  The run step names a collision from K's digit alone:
+    # deepest level, from each run's last digit).  The run step names a collision from K's digit alone:
     # no word loop, no boundary child, no block child and no node.  _extend
     # has no per-node digit step and builds no node from the runs
     assert _where("levelset", lambda n: _called_name(n) == "LevelSetNode") == {
@@ -315,7 +321,8 @@ def test_nodes_below_the_crossing_come_from_the_runs_alone():
     assert _where("levelset", lambda n: _called_name(n) == "_word_loop") == {"_extend"}
     assert _where("levelset", lambda n: _called_name(n) == "_blocks") == set()
     assert _where("levelset", lambda n: _called_name(n) in ("_chain", "_block_sums")) == {
-        "histograms", "conservation", "_arm", "_expand_runs", "fill_measure"}
+        "histograms", "_expand_runs", "fill_measure"}
+    assert _where("levelset", lambda n: _called_name(n) == "_last_digits") == {"_arm"}
     assert _where("levelset", lambda n: _called_name(n) == "_block_children") == {
         "_arm", "_expand_runs"}
     assert _where("levelset", lambda n: _called_name(n) == "_block_word") == {"_step_runs"}
@@ -428,6 +435,26 @@ def test_argument_rules_are_written_once():
     positive = {(m, name) for m in modules for name in _where(m, below_infinity)}
     assert alpha == {("triangles", "_check_alpha")}
     assert positive == {("triangles", "_check_positive")}
+
+    # c in (0, 1), M >= 0 and lipschitz >= 0 are read by _check_open_unit
+    # and _check_nonnegative in triangles: no module bounds those names itself
+    def bounds_a_rule_name(node):
+        if not isinstance(node, ast.Compare):
+            return False
+        sides = [node.left, *node.comparators]
+        return (all(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)
+                and any(isinstance(v, ast.Constant) and v.value == 0 for v in sides)
+                and any(getattr(v, "id", getattr(v, "attr", None)) in ("c", "M", "lipschitz")
+                        for v in sides))
+
+    assert {(m, name) for m in modules for name in _where(m, bounds_a_rule_name)} == set()
+    readers = {(m, name, _called_name(n)) for m in modules for name, fn in _functions(m).items()
+               for n in _own_nodes(fn)
+               if _called_name(n) in ("_check_open_unit", "_check_nonnegative")}
+    assert readers == {("cantor", "piecewise_constant_feasibility", "_check_open_unit"),
+                       ("cantor", "piecewise_constant_feasibility", "_check_nonnegative"),
+                       ("cantor", "__post_init__", "_check_open_unit"),
+                       ("graft", "graft_certificate_constant", "_check_nonnegative")}
 
 
 def test_runs_alone_take_a_runs_digits_apart():

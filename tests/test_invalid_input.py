@@ -39,10 +39,10 @@ CASES = {
                                  [nan, 0, -1, 2, None, "abc"], "alpha"),
     "piecewise_constant_feasibility M": (
         lambda v: hl.piecewise_constant_feasibility(0.6, 0.5, v, _STRUCTURE, 3),
-        [nan, -1], "M"),
+        [nan, -1, None, "abc"], "M"),
     "piecewise_constant_feasibility c": (
         lambda v: hl.piecewise_constant_feasibility(0.6, v, 1.0, _STRUCTURE, 3),
-        [nan, 0, -1, 2], "c"),
+        [nan, 0, -1, 2, None, "abc"], "c"),
     "piecewise_constant_feasibility k": (
         lambda v: hl.piecewise_constant_feasibility(0.6, 0.5, 1.0, _STRUCTURE, v),
         [-1, 1.5, None], "k must"),
@@ -62,7 +62,7 @@ CASES = {
         lambda v: hl.PhaseTransitionConfig(v, F(1, 2), 2, 1, 1, 0.2),
         [nan, 0, -1, 2, None, "abc"], "alpha"),
     "PhaseTransitionConfig c": (lambda v: hl.PhaseTransitionConfig(0.6, v, 2, 1, 1, 0.2),
-                                [nan, 0, -1, 1, inf], "c < 1"),
+                                [nan, 0, -1, 1, inf, None, "abc"], "c < 1"),
     "PhaseTransitionConfig k": (lambda v: hl.PhaseTransitionConfig(0.6, F(1, 2), v, 0, 0, 0.2),
                                 [0, -1], "k >= 1"),
     "PhaseTransitionConfig ix": (lambda v: hl.PhaseTransitionConfig(0.6, F(1, 2), 2, v, 0, 0.2),
@@ -94,7 +94,8 @@ CASES = {
     "min_graft_level alpha": (lambda v: hl.min_graft_level(1.0, v),
                               [nan, 0, -1, 1, 2, None, "abc"], "alpha"),
     "graft_certificate_constant lipschitz": (
-        lambda v: hl.graft_certificate_constant(v, 0.5, 3), [nan, -1, inf], "lipschitz"),
+        lambda v: hl.graft_certificate_constant(v, 0.5, 3), [nan, -1, inf, None, "abc"],
+        "lipschitz"),
     "graft_certificate_constant alpha": (
         lambda v: hl.graft_certificate_constant(1.0, v, 3), [nan, 0, -1, 2, None, "abc"],
         "alpha"),

@@ -10,7 +10,8 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from holderlevels.runs import (_block_sums, _blocks, _chain, _cut, _digit_counts, _digits,
-                               _heads, _run_ks, _weight)
+                               _heads, _last_digits, _run_ks, _run_weights, _weight)
+from helpers import oracle_run_weights
 
 
 def listed(k: int, l: int, size: int) -> list[int]:
@@ -105,3 +106,21 @@ def test_weights_are_the_blocks_spans():
             spans = _blocks(l)[k][2]
             for e in range(top + 1):
                 assert _weight(l, k, e) == next((w for _, w, lines in spans if e in lines), 0)
+
+
+@given(run_digits(max_l=8), st.integers(min_value=0, max_value=40), st.data())
+@settings(max_examples=400, deadline=None)
+def test_run_weights_and_last_digits_match_the_block_loop(case, size, data):
+    # a chain may read fewer digits than K holds, or more (leading zeros)
+    l, digits = case
+    top = (1 << l) - 1
+    ks = [spelled(digits, l)] + [data.draw(st.integers(min_value=0, max_value=(1 << l * 40) - 1))
+                                 for _ in range(data.draw(st.integers(min_value=0, max_value=3)))]
+    assert _run_weights(ks, l, size) == [oracle_run_weights(k, l, size) for k in ks]
+    assert _last_digits(ks, l) == [_digits(k, l, 1)[0] for k in ks]
+    assert _run_weights([], l, size) == [] == _last_digits([], l)
+    # the closed form itself: each zero digit adds 1 and a factor 2**l + 1,
+    # each mixed digit 1 and a factor 2, the ones digit nothing
+    chain = _digits(ks[0], l, size)
+    zeros, mixed = chain.count(0), sum(0 < d < top for d in chain)
+    assert _run_weights(ks[:1], l, size) == [(zeros + mixed, (top + 2) ** zeros * 2 ** mixed)]

@@ -28,9 +28,10 @@ from pathlib import Path
 from hypothesis import assume, given, settings, strategies as st
 import pytest
 
-from holderlevels import levelset
+from holderlevels import levelset, runs
 from holderlevels.bounds import BoundSearchParams, mass_distribution_lower
 from holderlevels.levelset import (
+    ConservationResult,
     LevelCollisionError,
     LevelSetTree,
     _extreme_words,
@@ -773,6 +774,53 @@ def test_a_three_valued_crossing_member_keeps_the_word_loop():
     assert_readers_match(tree, levels, 6)
 
 
+def oracle_conservation(levels, word: str, kappa_exp: int, n: int) -> ConservationResult:
+    """The kappa sum over the oracle's depth-n members below ``word``, against its kappa."""
+    lhs = sum((F(1, 1 << v.kappa_exp) for v in levels[n] if v.word.startswith(word)), F(0))
+    rhs = F(1, 1 << kappa_exp)
+    return ConservationResult(lhs=lhs, rhs=rhs, passed=lhs >= rhs)
+
+
+@given(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=3 * 2**24 - 1),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_conservation_is_the_node_oracles_kappa_sum(seed, level, l, k, data):
+    # the word is drawn at the crossing depth c or past it half the time,
+    # at any depth otherwise, on a tree grown to a drawn depth first; seed 4
+    # may have a three-valued crossing member, whose tree is nodes throughout
+    fn, r, _, levels = oracle_case(data, seed, level, l, k)
+    assume(not isinstance(levels, LevelCollisionError) and levels[0])
+    depth = len(levels) - 1
+    c = -(-level // l)
+    n = data.draw(st.one_of(st.integers(min_value=min(c, depth), max_value=depth),
+                            st.integers(min_value=0, max_value=depth)))
+    assume(levels[n])
+    v = data.draw(st.sampled_from(levels[n]))
+    m = data.draw(st.integers(min_value=0, max_value=depth - n))
+    tree = LevelSetTree(fn, r, l, depth=data.draw(st.integers(min_value=0, max_value=depth)))
+    assert tree.conservation(v.word, m) == oracle_conservation(levels, v.word, v.kappa_exp, n + m)
+
+
+@pytest.mark.parametrize("seed, l", [(0, 1), (0, 2), (2, 1), (1, 3)])
+def test_conservation_at_and_past_the_crossing_is_the_oracles(seed, l):
+    # every member at every depth of a standard tree with runs below c = 2
+    # or 1, and of a tree whose crossing member has three distinct corners
+    for fn in (corpus_fn(seed, 2), nonstandard_fn(seed, 2, -1)):
+        root = fn.corner_values("")
+        r = min(root) + (max(root) - min(root)) * F(1, 3)
+        levels = oracle_node_levels(fn, r, l, 6 if l == 1 else 4)
+        depth = len(levels) - 1
+        tree = LevelSetTree(fn, r, l, depth=depth)
+        assert (tree._ks is None) == any(odd_corner(x.corners) is None
+                                         for x in tree.nodes_at(-(-2 // l)))
+        for n, nodes in enumerate(levels):
+            for v in nodes:
+                for m in range(depth - n + 1):
+                    assert tree.conservation(v.word, m) == oracle_conservation(
+                        levels, v.word, v.kappa_exp, n + m), (n, v.word, m)
+
+
 @pytest.mark.parametrize("corners", [(0, 0, 1), (0, 1, 3)])
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_a_level_zero_root_is_the_crossing_member(corners, l):
@@ -1125,6 +1173,58 @@ def test_the_memo_belongs_to_one_function_and_one_l():
             assert_nodes_match(tree, levels, False)
         assert set(other._word_children) == {1}
     assert {l: set(memo) for l, memo in fn._word_children.items()} == expanded
+
+
+def test_the_split_memo_belongs_to_one_function_and_one_l():
+    # a member's split is read from its function's memo under the tuple of
+    # its member children's increments, and is _split's value for it
+    base = corpus_fn(2, 3)
+    fn = fresh(base)
+    assert fn._word_splits == {}
+    root = fn.corner_values("")
+    trees = [LevelSetTree(fn, min(root) + (max(root) - min(root)) * F(k, 7), l, depth=4)
+             for l in (1, 2, 1) for k in (1, 3, 5)]
+    assert set(fn._word_splits) == {1, 2}
+    for l, memo in fn._word_splits.items():
+        assert memo and all(split == _split(key) for key, split in memo.items())
+    for tree in trees:
+        for n in range(min(tree.depth, tree._crossing)):
+            for v in tree.nodes_at(n):
+                key = tuple(u.kappa_exp - v.kappa_exp for u in v.children)
+                assert v.split is fn._word_splits[tree.l][key]
+    # refine, standardize and a fresh copy make functions with their own memo
+    for other in (fn.refine(fn.level + 1), fn.standardize(), fresh(base)):
+        assert other._word_splits == {}
+        LevelSetTree(other, trees[0].r, 1, depth=2)
+        assert set(other._word_splits) == {1}
+    assert set(fn._word_splits) == {1, 2}
+
+
+def test_a_filled_tree_cuts_each_k_once_per_member_read(monkeypatch):
+    # fill_measure returns at once on a tree filled to the depth asked, so
+    # the mass check's _members(n) cuts the runs' K once, in _chains, and a
+    # refill cuts none
+    fn = random_standard_paf(7, 3, 1.0, 0.9, check=False)
+    root = fn.corner_values("")
+    r = min(root) + (max(root) - min(root)) / 3
+    tree = LevelSetTree(fn, r, 1, 12).fill_measure(12)
+    dens = list(tree.mu_denominators)
+    want = [list(tree._members(n)) for n in range(13)]
+    cuts = []
+
+    def counting(ks, l, drop):
+        cuts.append(drop)
+        return runs._cut(ks, l, drop)
+
+    monkeypatch.setattr(levelset, "_cut", counting)
+    c = tree._crossing
+    for n in range(13):
+        before = len(cuts)
+        assert list(tree._members(n)) == want[n]
+        assert len(cuts) - before == (n > c), n
+        tree.fill_measure(n)
+        assert len(cuts) - before == (n > c), n
+    assert tree.mu_denominators == dens
 
 
 class CountingNode(levelset.LevelSetNode):
