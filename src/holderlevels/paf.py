@@ -5,7 +5,7 @@ set V_n and extended affinely on every level-n construction triangle.
 The "standard" variant has two equal vertex values on every triangle,
 obtained by the midpoint-copy subdivision.  Certificates give the
 maximum Holder ratio over all vertex pairs at a chosen depth; a
-branch and bound over grid cells evaluates only the pairs whose cell
+branch and bound over a quadtree evaluates only the pairs whose node
 pair could still hold the maximum.
 """
 
@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from .exact import _SQRT3_FLOAT, PointQ3
-from .triangles import (_check_alpha, _check_positive, cell_corners, check_address,
+from .triangles import (_check_alpha, _check_depth, _check_positive, cell_corners, check_address,
                         delta_lattice_index, lattice_point, lattice_weights, level_index, locate)
 
 if TYPE_CHECKING:
@@ -419,9 +419,17 @@ def _vertex_arrays(fn: PiecewiseAffineFn, depth: int):
     return index, xs, ys, vs
 
 
-_MARGIN = 1 + 1e-9          # relative safety margin on a cell-pair bound
-_CELL_POINTS = 8            # points per grid cell the cell count aims at
-_BATCH_PAIRS = 1 << 14      # index pairs generated per evaluation batch
+_MARGIN = 1 + 1e-9          # relative safety margin on a node-pair bound
+# the quadtree's leaves are the cells of a grid of at least n cells, the scan
+# starts from the node pairs of its level _TOP (the 8-by-8 grid), and a node
+# pair of at most _DIRECT_PAIRS index pairs is evaluated, not split.  On the
+# scans of one certify benchmark pass (10 calls, 123 to 3282 points; min of
+# 25, 2-CPU Xeon, Python 3.11), starts at levels 1-3 and thresholds 4-64 were
+# within noise of each other; a start at level 4 took 2.8x as long, and
+# leaves of n/4 cells 1.15x
+_TOP = 3
+_DIRECT_PAIRS = 16
+_CHUNK = 1 << 12            # node pairs split per step: bounds memory when ties keep most
 
 
 def _pair_ratios(xs, ys, vs, i, j, alpha: float) -> np.ndarray:
@@ -451,55 +459,85 @@ def _fold(ratio, i, j, n: int, best: float, key: int | None):
     return best, min(key, first)
 
 
-def _pruned_scan(xs, ys, vs, alpha: float, k: int):
-    """(best, key) as ``_fold`` leaves it, over cell pairs of a k-by-k grid."""
+def _quadtree_scan(xs, ys, vs, alpha: float):
+    """(best, key) as ``_fold`` leaves it, over node pairs of a quadtree on the points."""
     import numpy as np
     n = len(xs)
+    depth = min(16, (n - 1).bit_length() + 1 >> 1)     # 4**depth >= n leaf cells
+    side = 1 << depth
     x0, y0 = xs.min(), ys.min()
-    width = max(xs.max() - x0, ys.max() - y0) or 1.0
-    cx = np.minimum((xs - x0) * (k / width), k - 1).astype(np.int64)
-    cy = np.minimum((ys - y0) * (k / width), k - 1).astype(np.int64)
-    cell = cy * k + cx
-    order = np.argsort(cell, kind="stable")
-    cell = cell[order]
-    starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
-    ends = np.r_[starts[1:], n]
+    scale = side / (max(xs.max() - x0, ys.max() - y0) or 1.0)
+    code = 0
+    for shift, coords, low in ((0, xs, x0), (1, ys, y0)):
+        cell = np.minimum((coords - low) * scale, side - 1).astype(np.int64)
+        for step, mask in ((8, 0x00FF00FF), (4, 0x0F0F0F0F), (2, 0x33333333), (1, 0x55555555)):
+            cell = (cell | cell << step) & mask
+        code = code | cell << shift                     # the Morton code of the leaf cell
+    order = np.argsort(code, kind="stable")
 
-    def extent(arr):
-        arr = arr[order]
-        return np.minimum.reduceat(arr, starts), np.maximum.reduceat(arr, starts)
+    # per level, leaves first: each node's first child (a point at the leaves)
+    # and child count, first point in Morton order and point count,
+    # coordinate and value extents, and the points of least and largest value
+    levels = []
+    ids, starts, size = code[order], np.arange(n), np.ones(n, np.int64)
+    ext = [arr[order] for arr in (xs, xs, ys, ys, vs, vs)]
+    extreme = [order, order]
+    top = min(depth, _TOP)
+    for shift in (0,) + (2,) * (depth - top):
+        ids = ids >> shift
+        edges = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1], [True])))
+        first, children = edges[:-1], np.diff(edges)
+        ids, starts, size = ids[first], starts[first], np.add.reduceat(size, first)
+        up = [f.reduceat(e, first) for f, e in zip((np.minimum, np.maximum) * 3, ext)]
+        for k in (0, 1):            # the first child holding the least, the largest value
+            hit = np.flatnonzero(ext[4 + k] == up[4 + k].repeat(children))
+            extreme[k] = extreme[k][hit[np.searchsorted(hit, first)]]
+        ext = up
+        levels.append((first, children, starts, size, ext, *extreme))
+    levels.reverse()
 
-    (lo_x, hi_x), (lo_y, hi_y), (lo_v, hi_v) = extent(xs), extent(ys), extent(vs)
-    a, b = np.triu_indices(len(starts))
-    gap = np.hypot(np.maximum(0.0, np.maximum(lo_x[b] - hi_x[a], lo_x[a] - hi_x[b])),
-                   np.maximum(0.0, np.maximum(lo_y[b] - hi_y[a], lo_y[a] - hi_y[b])))
-    spread = np.maximum(hi_v[a], hi_v[b]) - np.minimum(lo_v[a], lo_v[b])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = spread / gap**alpha * _MARGIN
-    bound[spread == 0] = 0.0
-    visit = np.argsort(-bound, kind="stable")
-    a, b, bound = a[visit], b[visit], bound[visit]
-    size = ends - starts
-    count = size[a] * size[b]               # index pairs generated per cell pair
-    done = np.cumsum(count)
-    live = np.count_nonzero(bound > 0)      # a zero bound means equal values only
+    def grid_pairs(na, nb):
+        """(row, p, q) over p < na[row], q < nb[row] for every row."""
+        count = na * nb
+        row = np.arange(len(count)).repeat(count)
+        p, q = np.divmod(np.arange(count.sum()) - (np.cumsum(count) - count).repeat(count),
+                         nb[row])
+        return row, p, q
+
     best, key = 0.0, None
-    pos = 0
-    while pos < live and bound[pos] >= best:
-        budget = done[pos] - count[pos] + _BATCH_PAIRS
-        stop = min(live, np.count_nonzero(bound >= best),
-                   max(pos + 1, np.searchsorted(done, budget)))
-        ca, cb, cc = a[pos:stop], b[pos:stop], count[pos:stop]
-        owner = np.repeat(np.arange(stop - pos), cc)
-        t = np.arange(cc.sum()) - np.repeat(np.cumsum(cc) - cc, cc)
-        p, q = np.divmod(t, size[cb][owner])
-        i = order[starts[ca][owner] + p]
-        j = order[starts[cb][owner] + q]
-        keep = (ca != cb)[owner] | (p < q)
-        i, j = i[keep], j[keep]
+    todo = [(0, *np.triu_indices(len(levels[0][0])))]   # (level - top, node pairs a <= b)
+    while todo:
+        level, a, b = todo.pop()
+        first, children, starts, size, (lo_x, hi_x, lo_y, hi_y, lo_v, hi_v), low, high = \
+            levels[level]
+        gap = np.hypot(np.maximum(0.0, np.maximum(lo_x[b] - hi_x[a], lo_x[a] - hi_x[b])),
+                       np.maximum(0.0, np.maximum(lo_y[b] - hi_y[a], lo_y[a] - hi_y[b])))
+        spread = np.maximum(hi_v[a], hi_v[b]) - np.minimum(lo_v[a], lo_v[b])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = spread / gap**alpha * _MARGIN
+        live = (bound > 0) & (bound >= best)            # a zero bound means equal values only
+        direct = (size[a] * size[b] <= _DIRECT_PAIRS) | (level == len(levels) - 1)
+        da, db = a[live & direct], b[live & direct]
+        live &= ~direct
+        a, b, bound = a[live], b[live], bound[live]
+        # every index pair of a direct node pair; of the others, the pairs of
+        # extreme values, whose ratios raise the best before the split
+        row, p, q = grid_pairs(size[da], size[db])
+        i, j = starts[da][row] + p, starts[db][row] + q
+        keep = i < j
+        i = np.concatenate((order[i[keep]], low[a], high[a]))
+        j = np.concatenate((order[j[keep]], high[b], low[b]))
         i, j = np.minimum(i, j), np.maximum(i, j)
         best, key = _fold(_pair_ratios(xs, ys, vs, i, j, alpha), i, j, n, best, key)
-        pos = stop
+        split = bound >= best
+        if split.any():
+            a, b = a[split], b[split]
+            row, p, q = grid_pairs(children[a], children[b])
+            a, b = first[a][row] + p, first[b][row] + q
+            keep = a <= b
+            a, b = a[keep], b[keep]
+            todo.extend((level + 1, a[k:k + _CHUNK], b[k:k + _CHUNK])
+                        for k in reversed(range(0, len(a), _CHUNK)))
     return best, key
 
 
@@ -510,20 +548,31 @@ def max_holder_ratio(xs: np.ndarray, ys: np.ndarray, vs: np.ndarray, alpha: floa
     or (0.0, None) when no ratio is positive; 0/0 counts as 0 and a
     positive difference at zero distance as inf.  The ratio is exactly
     symmetric, so the pair is also the first maximum in row-major order.
+    Raises ValueError unless the three arrays have one length and finite
+    entries.
 
-    Exact branch and bound: points fall into a square grid of about
-    n / ``_CELL_POINTS`` cells.  No pair across two cells has a ratio
-    above (value range of the union) / (gap of the bounding boxes)**alpha,
-    taken times 1 + 1e-9 against rounding in the pair's own float ops; a
-    zero gap bounds by inf.  Cell pairs are evaluated in decreasing bound
-    order, ``_BATCH_PAIRS`` index pairs at a time, until the next bound is
-    below the best ratio found.  With one cell this is the plain scan of
-    the upper triangle.
+    Exact branch and bound over a quadtree: the points are sorted by the
+    Morton code of their cell in a grid of at least n cells, and each
+    node holds the bounding box and value range of its points.  No pair
+    across two nodes has a ratio above (value range of the union) / (gap
+    of the bounding boxes)**alpha, taken times 1 + 1e-9 against rounding
+    in the pair's own float ops; a zero gap bounds by inf.  From the node
+    pairs of the 8-by-8 grid on, a node pair whose bound is below the
+    best ratio found is dropped, one of at most ``_DIRECT_PAIRS`` index
+    pairs (or of two leaves) is evaluated pair by pair, and any other
+    first evaluates its two pairs of extreme values (least in one node,
+    largest in the other), then splits into its child pairs.
     """
     n = len(xs)
+    if not len(ys) == len(vs) == n:
+        raise ValueError(f"xs, ys and vs must have one length, got {n}, {len(ys)} and {len(vs)}")
+    for name, arr in (("xs", xs), ("ys", ys), ("vs", vs)):
+        if n and not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
+            k, bad = next((k, v) for k, v in enumerate(arr) if not math.isfinite(v))
+            raise ValueError(f"{name} must be finite, got {name}[{k}] = {float(bad)}")
     if n < 2:
         return 0.0, None
-    best, key = _pruned_scan(xs, ys, vs, alpha, max(1, math.isqrt(n // _CELL_POINTS)))
+    best, key = _quadtree_scan(xs, ys, vs, alpha)
     return (0.0, None) if key is None else (best, divmod(key, n))
 
 
@@ -535,13 +584,17 @@ def holder_certificate(fn: PiecewiseAffineFn, alpha: float, c: float,
     evaluated in floating point; exact values enter as floats, so the
     result carries the usual 1e-15 relative noise, negligible against
     the chained safety factor.  The maximum is exact over all pairs:
-    ``max_holder_ratio`` skips only cell pairs whose bound, with its
-    1e-9 relative margin, is below a ratio already found.  The witness
+    ``max_holder_ratio``'s quadtree skips only node pairs whose bound,
+    with its 1e-9 relative margin, is below a ratio already found, and
+    evaluates 2 to 3 pairs per vertex at depth level + 3.  The witness
     is the maximising pair with the smallest vertex indices, in
-    ``level_index(depth)``'s vertex order.
+    ``level_index(depth)``'s vertex order.  Raises ValueError unless
+    alpha lies in (0, 1], c is positive and finite and depth is an int
+    no smaller than the function level.
     """
     _check_alpha(alpha)
     _check_positive("c", c)
+    _check_depth("depth", depth)
     if depth < fn.level:
         raise ValueError("certificate depth must be at least the function level")
     index, xs, ys, vs = _vertex_arrays(fn, depth)

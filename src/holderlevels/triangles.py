@@ -310,9 +310,9 @@ def line_crossing_count(digits) -> int:
 
 def _check_line_height(y: Fraction, level: int) -> Fraction:
     _check_depth("level", level)
-    y = Fraction(y)
+    y = _rational("line height y", y)
     if not 0 < y < 1:
-        raise ValueError("line height must be in (0, 1)")
+        raise ValueError(f"line height y must be in (0, 1), got {y}")
     if (y * (1 << level)).denominator == 1:
         raise ValueError(
             f"height {y} is dyadic at depth {level}: the line hits lattice vertices"

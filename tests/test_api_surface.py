@@ -254,7 +254,7 @@ def test_numpy_is_imported_by_the_float_kernels_alone():
                 and (node.module or "").split(".")[0] == "numpy")
 
     kernels = {
-        "paf": {"_vertex_points", "_vertex_arrays", "_pair_ratios", "_pruned_scan"},
+        "paf": {"_vertex_points", "_vertex_arrays", "_pair_ratios", "_quadtree_scan"},
         "bounds": {"box_count_dimension"},
         "cantor": {"phase_perturbation"},
     }

@@ -30,6 +30,21 @@ def test_summary_takes_inclusive_quartiles_and_counts_pairs_by_direction():
     assert not higher["within_bound"]       # 1/6 worse where higher is better
 
 
+def test_a_gain_needs_nine_pairs_in_ten_and_a_median_gap_beyond_the_parent_iqr():
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]   # IQR 4.5
+
+    def shown(change, better="lower"):
+        return bench_pairs.summary(parent, change, better, 0.15)["gain_shown"]
+
+    assert shown([p - 6 for p in parent])
+    assert not shown([p - 6 for p in parent], "higher")
+    assert shown([p + 6 for p in parent], "higher")
+    assert not shown([p - 3 for p in parent])                  # 10/10 won, gap 3 <= 4.5
+    # ties win for neither side: one tie leaves 9/10, two leave 8/10
+    assert shown(parent[:1] + [p - 6 for p in parent[1:]])
+    assert not shown(parent[:2] + [p - 6 for p in parent[2:]])
+
+
 def test_both_sides_run_from_their_own_fresh_bytecode_cache(monkeypatch, tmp_path):
     # the parent is a fresh export with no __pycache__, so neither side may
     # read one left by earlier runs: each gets its own empty cache, written

@@ -523,6 +523,17 @@ def test_phase_perturbation_constant_base():
     assert rep.perturbed[v2] - rep.perturbed[v1] == (1 - c) * (cfg.x2 - cfg.x1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_phase_perturbation_refuses_a_non_finite_value(bad):
+    # a NaN value once dropped out of the grid's maximum ratio, and the
+    # report read holder_ok
+    cfg = cylinder_config(0.6, F(1, 2), k=20, ix=0, iy=0, delta=0.3)
+    grid = {p: F(0) for p in _corner_grid(F(0), 3, 20, 0, 0)}
+    grid[(F(1), F(1))] = bad
+    with pytest.raises(ValueError, match=r"vs must be finite, got vs\[\d+\] = (nan|inf)"):
+        phase_perturbation(grid, cfg)
+
+
 def test_phase_perturbation_mirrored():
     c = F(1, 2)
     cfg = cylinder_config(0.6, c, k=25, ix=2, iy=1, delta=0.25)

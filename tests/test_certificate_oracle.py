@@ -4,13 +4,18 @@ The references are the certificate path as it was written before the
 pruning: the vertex arrays from the ``PointQ3``/``Fraction`` walk
 (``walk_oracle``), and
 a scan of the full ratio matrix in row chunks that keeps the first
-maximum in row-major order.  The pruned kernel must return the same
-(maximum, pair) and the integer walk the same arrays, bit for bit.
+maximum in row-major order.  A second reference is the branch and bound
+the library used before its quadtree: cell pairs of one square grid,
+all bounded up front and evaluated in decreasing bound order.  The
+pruned kernel must return the same (maximum, pair) and the integer walk
+the same arrays, bit for bit.
 """
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
+import math
+
 import numpy as np
 import pytest
 
@@ -67,6 +72,60 @@ def oracle_max_holder_ratio(xs, ys, vs, alpha: float):
     return best, pair
 
 
+def grid_max_holder_ratio(xs, ys, vs, alpha: float):
+    """The branch and bound over cell pairs of a grid of about n / 8 cells."""
+    n = len(xs)
+    if n < 2:
+        return 0.0, None
+    k = max(1, math.isqrt(n // 8))
+    x0, y0 = xs.min(), ys.min()
+    width = max(xs.max() - x0, ys.max() - y0) or 1.0
+    cx = np.minimum((xs - x0) * (k / width), k - 1).astype(np.int64)
+    cy = np.minimum((ys - y0) * (k / width), k - 1).astype(np.int64)
+    cell = cy * k + cx
+    order = np.argsort(cell, kind="stable")
+    cell = cell[order]
+    starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+    ends = np.r_[starts[1:], n]
+
+    def extent(arr):
+        arr = arr[order]
+        return np.minimum.reduceat(arr, starts), np.maximum.reduceat(arr, starts)
+
+    (lo_x, hi_x), (lo_y, hi_y), (lo_v, hi_v) = extent(xs), extent(ys), extent(vs)
+    a, b = np.triu_indices(len(starts))
+    gap = np.hypot(np.maximum(0.0, np.maximum(lo_x[b] - hi_x[a], lo_x[a] - hi_x[b])),
+                   np.maximum(0.0, np.maximum(lo_y[b] - hi_y[a], lo_y[a] - hi_y[b])))
+    spread = np.maximum(hi_v[a], hi_v[b]) - np.minimum(lo_v[a], lo_v[b])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = spread / gap**alpha * paf._MARGIN
+    bound[spread == 0] = 0.0
+    visit = np.argsort(-bound, kind="stable")
+    a, b, bound = a[visit], b[visit], bound[visit]
+    size = ends - starts
+    count = size[a] * size[b]               # index pairs generated per cell pair
+    done = np.cumsum(count)
+    live = np.count_nonzero(bound > 0)      # a zero bound means equal values only
+    best, key = 0.0, None
+    pos = 0
+    while pos < live and bound[pos] >= best:
+        budget = done[pos] - count[pos] + (1 << 14)
+        stop = min(live, np.count_nonzero(bound >= best),
+                   max(pos + 1, np.searchsorted(done, budget)))
+        ca, cb, cc = a[pos:stop], b[pos:stop], count[pos:stop]
+        owner = np.repeat(np.arange(stop - pos), cc)
+        t = np.arange(cc.sum()) - np.repeat(np.cumsum(cc) - cc, cc)
+        p, q = np.divmod(t, size[cb][owner])
+        i = order[starts[ca][owner] + p]
+        j = order[starts[cb][owner] + q]
+        keep = (ca != cb)[owner] | (p < q)
+        i, j = i[keep], j[keep]
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        best, key = paf._fold(paf._pair_ratios(xs, ys, vs, i, j, alpha), i, j, n, best, key)
+        pos = stop
+    return (0.0, None) if key is None else (best, divmod(key, n))
+
+
 def oracle_certificate(fn, alpha: float, depth: int):
     points, xs, ys, vs = oracle_vertex_arrays(fn, depth)
     best, idx = oracle_max_holder_ratio(xs, ys, vs, alpha)
@@ -92,6 +151,26 @@ def point_clouds(draw):
     return xy[0], xy[1], vs.astype(float)
 
 
+@st.composite
+def cantor_clouds(draw):
+    """The endpoint grid of a level-2..5 fat-Cantor stage (64 to 4096 points,
+    in clusters), some points repeated (leaves that hold duplicates), with
+    values tied along the grid's columns, from a few levels, or free."""
+    level = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xy = np.array([(float(x), float(y)) for x, y in cantor_grid(lambda x, y: 0, level)])
+    xy = np.concatenate([xy, xy[rng.integers(0, len(xy), draw(st.sampled_from([0, 5, 200])))]])
+    xy = xy[rng.permutation(len(xy))]
+    values = draw(st.sampled_from(["column", 1, 3, None]))
+    if values == "column":
+        vs = xy[:, 0] / 2
+    elif values is None:
+        vs = rng.normal(size=len(xy))
+    else:
+        vs = rng.integers(0, values + 1, len(xy)) / 4
+    return xy[:, 0].copy(), xy[:, 1].copy(), vs
+
+
 alphas = st.one_of(st.sampled_from([0.5, 1.0]),
                    st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False))
 
@@ -100,7 +179,32 @@ alphas = st.one_of(st.sampled_from([0.5, 1.0]),
 @given(cloud=point_clouds(), alpha=alphas)
 def test_max_holder_ratio_matches_full_scan(cloud, alpha):
     xs, ys, vs = cloud
-    assert max_holder_ratio(xs, ys, vs, alpha) == oracle_max_holder_ratio(xs, ys, vs, alpha)
+    want = oracle_max_holder_ratio(xs, ys, vs, alpha)
+    assert max_holder_ratio(xs, ys, vs, alpha) == want == grid_max_holder_ratio(xs, ys, vs,
+                                                                                 alpha)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cloud=cantor_clouds(), alpha=alphas)
+def test_max_holder_ratio_matches_full_scan_on_clustered_grids(cloud, alpha):
+    xs, ys, vs = cloud
+    want = oracle_max_holder_ratio(xs, ys, vs, alpha)
+    assert max_holder_ratio(xs, ys, vs, alpha) == want == grid_max_holder_ratio(xs, ys, vs,
+                                                                                 alpha)
+
+
+@pytest.mark.parametrize("name", ["xs", "ys", "vs"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_max_holder_ratio_refuses_non_finite_entries(name, bad):
+    arrays = {k: np.linspace(0.0, 1.0, 50) for k in ("xs", "ys", "vs")}
+    arrays[name][17] = bad
+    with pytest.raises(ValueError, match=rf"{name} must be finite, got {name}\[17\]"):
+        max_holder_ratio(arrays["xs"], arrays["ys"], arrays["vs"], 0.5)
+
+
+def test_max_holder_ratio_refuses_unequal_lengths():
+    with pytest.raises(ValueError, match="xs, ys and vs must have one length, got 3, 3 and 2"):
+        max_holder_ratio(np.zeros(3), np.zeros(3), np.zeros(2), 0.5)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
@@ -162,4 +266,5 @@ def test_certificate_prunes_most_pairs(monkeypatch, seed, level):
     monkeypatch.setattr(paf, "_pair_ratios", counted)
     holder_certificate(fn, 0.5, 0.9, depth=level + 3)
     n = (3 ** (level + 4) + 3) // 2
-    assert 0 < sum(seen) < n * (n - 1) // 2 / 4
+    # the quadtree evaluates 2.4n-3.2n pairs here; cell pairs of one grid took about 30n
+    assert 0 < sum(seen) < 8 * n

@@ -31,7 +31,7 @@ CASES = {
     "holder_certificate c": (lambda v: hl.holder_certificate(_FN, 0.5, v, 4),
                              [nan, 0, -1, inf, None, "abc"], "c must"),
     "holder_certificate depth": (lambda v: hl.holder_certificate(_FN, 0.5, 0.9, v),
-                                 [-1, 0], "depth"),
+                                 [-1, 0, nan, None, "abc", 1.5], "depth"),
     "feasibility_search k_cap": (lambda v: hl.feasibility_search(0.6, 0.5, 1.0, _STRUCTURE,
                                                                  k_cap=v),
                                  [-1, -5, 1.5, None], "k_cap"),
@@ -80,7 +80,8 @@ CASES = {
     "line_crossing_count_geometric level": (
         lambda v: hl.line_crossing_count_geometric(F(1, 3), v), [-1, -4, 1.5, None], "level"),
     "line_crossing_count_geometric y": (lambda v: hl.line_crossing_count_geometric(v, 3),
-                                        [F(0), F(-1, 3), F(4, 3)], "height"),
+                                        [F(0), F(-1, 3), F(4, 3), None, "abc", nan],
+                                        "height"),
     "BernoulliWitnessFn p": (hl.BernoulliWitnessFn, [nan, 0, -1, 2, 0.5, 1], "p must"),
     "BernoulliWitnessFn.value_at_height y": (_WITNESS.value_at_height, [nan, -1, 2],
                                              r"\[0, 1\]"),

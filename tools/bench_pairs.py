@@ -15,8 +15,11 @@ on each side, one process at a time: the parent first in odd pairs, the
 change first in even ones.  OUT gets, per workload and end-to-end metric,
 each side's runs, median and inclusive quartiles, the parent's IQR, the
 change's relative difference, the pairs the change read better in, the
-metric's bound and whether the change is within it; and per workload
-whether every run was correct and each run's failed-check count.
+metric's bound, whether the change is within it and whether it shows a
+gain (at least 9 pairs in 10 won, a tie won by neither side, and the
+medians apart in the better direction by more than the parent's IQR);
+and per workload whether every run was correct and each run's
+failed-check count.
 """
 
 from __future__ import annotations
@@ -63,7 +66,8 @@ def summary(parent: list[float], change: list[float], better: str, bound: float)
             "parent_median": pm, "parent_quartiles": [p1, p3], "parent_iqr": p3 - p1,
             "change_median": cm, "change_quartiles": [c1, c3],
             "rel": round(rel, 4), "change_better": f"{won}/{len(parent)}",
-            "bound": bound, "within_bound": direction * rel <= bound}
+            "bound": bound, "within_bound": direction * rel <= bound,
+            "gain_shown": 10 * won >= 9 * len(parent) and direction * (pm - cm) > p3 - p1}
 
 
 def main(argv=None) -> int:
