@@ -173,6 +173,10 @@ def box_count_dimension(digits) -> DimensionEstimate:
     squares fit over the trailing half of the levels.  A digit other
     than 0 or 1 is a ValueError, as in ``line_crossing_count``.
     """
+    try:
+        digits = iter(digits)
+    except TypeError:
+        raise ValueError(f"digits must be iterable, got digits={digits!r}") from None
     import numpy as np
     digits = list(digits)
     n = len(digits)

@@ -190,6 +190,7 @@ def capacity_gap(k: int, alpha: float) -> CapacityGap:
     raised instead.  ValueError once the first term 2**0 r_(k+1)**alpha
     or the factor 2**(k+1) - 1 of the ratio leaves the normal float range.
     """
+    _check_depth("k", k)
     if k < 1:
         raise ValueError("need k >= 1 (generation-1 gaps break the closed form)")
     _check_alpha(alpha)

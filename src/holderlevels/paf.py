@@ -273,6 +273,7 @@ class PiecewiseAffineFn:
 
     def refine(self, level: int) -> "PiecewiseAffineFn":
         """Same function represented on the finer vertex set."""
+        _check_depth("level", level)
         if level < self.level:
             raise ValueError(f"cannot refine to a coarser level: level {level} < {self.level}")
         if level == self.level:
@@ -644,6 +645,7 @@ def random_standard_paf(seed: int, level: int, alpha: float, c: float,
     ``holder`` is (alpha, c) once the certificate passed; with
     ``check=False`` nothing is certified and ``holder`` is None.
     """
+    _check_depth("level", level)
     if level < 1:
         raise ValueError("a standard function needs level >= 1")
     _check_positive("c", c)

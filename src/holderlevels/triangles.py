@@ -299,6 +299,10 @@ def line_crossing_count(digits) -> int:
     digit 0 the lower half holding two children.  The count after n
     digits is exactly 2**(number of zero digits).
     """
+    try:
+        digits = iter(digits)
+    except TypeError:
+        raise ValueError(f"digits must be iterable, got digits={digits!r}") from None
     count = 1
     for e in digits:
         if e == 0:

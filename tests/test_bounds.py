@@ -26,7 +26,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 import pytest
 
-from holderlevels import bounds, levelset
+from holderlevels import bounds
 from holderlevels.bounds import (
     BoundSearchParams,
     MassDistributionReport,
@@ -48,6 +48,7 @@ from holderlevels.runs import _block_cell, _block_summary, _blocks, _digit_count
 from holderlevels.triangles import delta_lattice_index
 from helpers import (affine_from_corners, chain_lcms, lchoice_window, member_blocks,
                      oracle_block_cells, oracle_digit_blocks, run_blocks, touching_up_cells)
+from test_floor import DEEP, FEASIBLE, FOUND, Q20, Q40, third_up
 from test_kernel import corpus_fn
 from test_structure_oracle import generic_fn
 
@@ -977,9 +978,7 @@ def test_window_members_give_the_descents_report(case):
 
 def found_case():
     """A level-2 function at deep's l = 1, q = 2 whose worst run doubles at every zero block."""
-    fn = random_standard_paf(2, 2, 1.0, 0.9, check=False)
-    root = fn.corner_values("")
-    return fn, min(root) + (max(root) - min(root)) / 3, BoundSearchParams(1.0, F(1, 2), 1)
+    return (*third_up(2, 2), BoundSearchParams(1.0, F(1, 2), 1))
 
 
 def test_worst_cell_is_found_without_listing_the_run():
@@ -991,8 +990,7 @@ def test_worst_cell_is_found_without_listing_the_run():
     start = time.perf_counter()
     rep = mass_distribution_lower(fn, r, params, 24)
     elapsed = time.perf_counter() - start
-    assert (rep.c_empirical, rep.worst_level, rep.worst_cell) == (
-        747.4651382547372, 46, (10988213177132, 35184372088833))
+    assert (rep.c_empirical, rep.worst_level, rep.worst_cell) == FOUND
     assert elapsed < 0.5, elapsed
     rep = mass_distribution_lower(fn, r, params, 20)
     assert (rep.c_empirical, rep.worst_level, rep.worst_cell) == (
@@ -1025,25 +1023,21 @@ def scratch_case(alpha):
 
     ``alpha`` may also be a triple (alpha, d1, l) itself.
     """
-    fn = random_standard_paf(7, 3, 1.0, 0.9, check=False)
-    root = fn.corner_values("")
     params = (BoundSearchParams(*alpha) if isinstance(alpha, tuple)
               else BoundSearchParams.for_alpha(alpha))
-    return fn, min(root) + (max(root) - min(root)) / 3, params
+    return (*third_up(7, 3), params)
 
 
 @pytest.mark.parametrize("case, n_prime, pinned", [
-    ("found", 24, (747.4651382547372, 46, (10988213177132, 35184372088833))),
+    ("found", 24, FOUND),
     # q = 20, l = 6: the pruned descent kept 262,144 members and took about 3 s
-    (0.9, 1, (0.0003255208333333333, 20, (269999436643811036683585809119444992,
-                                          1053386612978967459784515007196104055))),
+    (0.9, 1, Q20),
     # q = 40, l = 6: the pruned descent could keep up to 2**39 members
-    (0.95, 2, (6.357828776041666e-07, 40, (
-        135800066088744497307136236105239546961595924975380193195124288057685137, 0))),
-    # the alpha = 1 checks to 12 and 96 levels, and deep's l = 1 triple to 100
-    (1.0, 6, (1 / 6, 2, (314, 0))),
-    (1.0, 48, (1 / 6, 2, (314, 0))),
-    ((1.0, F(1, 4), 1), 25, (0.9364426154549611, 16, (5037, 1))),
+    (0.95, 2, Q40),
+    # the alpha = 1 checks to 6 and 48 depths, and deep's l = 1 triple to 100 levels
+    (1.0, 6, FEASIBLE),
+    (1.0, 48, FEASIBLE),
+    ((1.0, F(1, 4), 1), 25, DEEP),
 ])
 def test_each_c_raising_depth_scatters_the_seam_and_six_members(monkeypatch, case, n_prime,
                                                                 pinned):
@@ -1067,40 +1061,6 @@ def test_each_c_raising_depth_scatters_the_seam_and_six_members(monkeypatch, cas
     assert 1 <= len(handed) <= len(rep.levels_checked)
     assert all(seam <= members <= seam + 6 for seam, members in handed), handed
     assert elapsed < 0.5, elapsed
-
-
-def test_past_the_crossing_no_reader_lists_a_block(monkeypatch):
-    # at l = 16 a zero block has 65,536 children and the boundary words
-    # number 196,605: past the crossing the runs, the histograms, the kappa
-    # sums and the mass check read each block from (l, o, digit) and list
-    # no word.  Sorting every word into blocks cost about a second and 94
-    # MB of process peak on this function (2 CPUs, Python 3.11); the
-    # closed form takes milliseconds
-    fn = random_standard_paf(7, 3, 1.0, 0.9, check=False)
-    root = fn.corner_values("")
-    r = min(root) + (max(root) - min(root)) / 3
-    tree = LevelSetTree(fn, r, 16, 1)
-    assert tree._crossing == 1
-
-    def unreachable(*args):
-        raise AssertionError(f"boundary words listed past the crossing: {args}")
-
-    monkeypatch.setattr(levelset, "boundary_family", unreachable)
-    monkeypatch.setattr(levelset, "_word_steps", unreachable)
-    tracemalloc.start()
-    start = time.perf_counter()
-    tree.extend(10)
-    hists = tree.histograms(10, 0)
-    assert tree.conservation("", 10).passed
-    rep = mass_distribution_lower(fn, r, BoundSearchParams(1.0, F(1, 4), 16), 2, tree=tree)
-    elapsed = time.perf_counter() - start
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert sum(count for count, _ in hists[10].values()) == 3072
-    assert (rep.c_empirical, rep.worst_level, rep.worst_cell) == (
-        0.041666666666666664, 4, (1417818844805407013, 0))
-    assert elapsed < 0.5, elapsed
-    assert peak < 10 << 20, peak
 
 
 def test_mass_distribution_tie_goes_to_first_scatter_cell():

@@ -74,9 +74,10 @@ CASES = {
         [nan, 0, -5, inf, None, "abc"], "delta must"),
     "BoundSearchParams d1": (lambda v: hl.BoundSearchParams(1.0, v, 1),
                              [F(0), F(-1, 2), F(2), 0.5, 0.1, "1/2"], "d1"),
-    "box_count_dimension digits": (hl.box_count_dimension, [[2, 0], [0, -1], [nan], [0.5]],
+    "box_count_dimension digits": (hl.box_count_dimension,
+                                   [[2, 0], [0, -1], [nan], [0.5], 0, None], "digits"),
+    "line_crossing_count digits": (hl.line_crossing_count, [[2, 0], [0, -1], [nan], 0, None],
                                    "digits"),
-    "line_crossing_count digits": (hl.line_crossing_count, [[2, 0], [0, -1], [nan]], "digits"),
     "line_crossing_count_geometric level": (
         lambda v: hl.line_crossing_count_geometric(F(1, 3), v), [-1, -4, 1.5, None], "level"),
     "line_crossing_count_geometric y": (lambda v: hl.line_crossing_count_geometric(v, 3),
@@ -121,19 +122,20 @@ CASES = {
     "trivial_upper_bound_sierpinski precision": (hl.trivial_upper_bound_sierpinski,
                                                  ["quad", "", "Big"], "precision"),
     "triangle_vertices word": (hl.triangle_vertices, ["3", "01-"], "address"),
-    "capacity_gap k": (lambda v: hl.capacity_gap(v, 0.75), [-1, 0], "k >= 1"),
+    "capacity_gap k": (lambda v: hl.capacity_gap(v, 0.75), [-1, 0, 1.5, nan, None, "abc"],
+                       "k must|k >= 1"),
     "capacity_gap alpha": (lambda v: hl.capacity_gap(3, v), [nan, 0, -1, 2, None, "abc"],
                            "alpha"),
     "cantor_level n": (hl.cantor_level, [-1, 1.5, None], "n must"),
     "FatCantorSet n": (hl.FatCantorSet, [-1, 1.5, None], "n must"),
     "boundary_family l": (hl.boundary_family, [0, -1, 1.5, 2.0, "2", None, [1]], "l >= 1"),
     "random_standard_paf level": (lambda v: hl.random_standard_paf(1, v, 0.5, 0.9, check=False),
-                                  [-1, 0], "level"),
+                                  [-1, 0, 1.5, nan, None, "abc"], "level"),
     "random_standard_paf alpha": (lambda v: hl.random_standard_paf(1, 2, v, 0.9, check=False),
                                   [nan, 0, -1, 2, None, "abc"], "alpha"),
     "random_standard_paf c": (lambda v: hl.random_standard_paf(1, 2, 0.5, v, check=False),
                               [nan, 0, -1, inf, None, "abc"], "c must"),
-    "PiecewiseAffineFn.refine level": (_FN.refine, [-1, 2], "level"),
+    "PiecewiseAffineFn.refine level": (_FN.refine, [-1, 2, 1.5, 4.5, nan, None, "abc"], "level"),
     "kappa_exponent l": (lambda v: hl.kappa_exponent(_FN, "01", v), [0, -1, 1.5, 2.0],
                          "int l >= 1"),
     "kappa_exponent word": (lambda v: hl.kappa_exponent(_FN, v, 1), [12, None, "0a"],

@@ -19,8 +19,6 @@ import json
 import math
 import subprocess
 import sys
-import time
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -292,38 +290,6 @@ def test_a_collision_on_digit_one_or_the_top_digit_names_the_oracles_word(l, o, 
             tree.extend(5)
         assert (err.value.r, err.value.word) == (want.value.r, want.value.word)
         assert tree_state(tree) == tree_state(LevelSetTree(fn, r, l, depth=2))
-
-
-def test_a_collision_past_the_crossing_is_named_without_the_word_loop(monkeypatch):
-    # at l = 16 there are 196,605 boundary words: running the word loop on
-    # one member to name this collision took 1.2-1.6 s and 124 MB of process
-    # peak (2 CPUs, Python 3.11); the word comes from the run's digit there
-    fn = random_standard_paf(7, 3, 1.0, 0.9, check=False)
-    root = fn.corner_values("")
-    first = LevelSetTree(fn, min(root) + (max(root) - min(root)) / 3, 16, 1)._levels[1][0]
-    _, b, a = odd_corner(fn.corner_values(first.word))
-    r = b + (a - b) * F(12345678901, 2**32)
-    tree = LevelSetTree(fn, r, 16, 1)
-    assert tree._crossing == 1
-
-    def unreachable(*args):
-        raise AssertionError(f"boundary words listed past the crossing: {args}")
-
-    monkeypatch.setattr(levelset, "boundary_family", unreachable)
-    monkeypatch.setattr(levelset, "_word_steps", unreachable)
-    tracemalloc.start()
-    start = time.perf_counter()
-    try:
-        with pytest.raises(LevelCollisionError) as err:
-            tree.extend(4)
-        elapsed = time.perf_counter() - start
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert err.value.word == "000200222020222222022222220222000002220000220200"
-    assert tree.depth == 2
-    assert elapsed < 0.5, elapsed
-    assert peak < 10 << 20, peak
 
 
 @given(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=4),
