@@ -10,6 +10,7 @@ input or an output that cannot be written, reported in one line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -493,7 +494,9 @@ def cmd_selftest(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="holderlevels",
         description="Level sets of 1-Holder-alpha functions on fractals: "

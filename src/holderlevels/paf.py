@@ -22,7 +22,8 @@ from typing import TYPE_CHECKING
 
 from .exact import _SQRT3_FLOAT, PointQ3
 from .triangles import (_check_alpha, _check_depth, _check_positive, cell_corners, check_address,
-                        delta_lattice_index, lattice_point, lattice_weights, level_index, locate)
+                        delta_lattice_index, lattice_point, lattice_weights, level_index, locate,
+                        midpoint_plan)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -219,20 +220,21 @@ class PiecewiseAffineFn:
     def _int_values(self, depth: int) -> tuple[int, list[int]]:
         """(S, the values at V_depth times S) in ``level_index(depth)``'s vertex order.
 
-        For depth >= L; S = D 2**(depth - L).  Below L each cell's corners
-        are the midpoints of its parent's corners with the corner it keeps.
+        For depth >= L; S = D 2**(depth - L).  V_L is seeded from the vertex
+        table; below L each new vertex is the integer average of the ends
+        of the parent edge it halves, one per vertex in the layer order of
+        ``midpoint_plan(depth)``.  At depth L no plan is built or read.
         """
         top = depth - self.level
         index = level_index(depth)
         values = [0] * len(index.vertices)
         for (row, col), v in self._numerators.items():
             values[index.vertices[row << top, col << top]] = v << top
-        for layer in index.layers[self.level + 1:]:
-            for i in layer:
-                up = index.corners[index.parents[i]]
-                a = values[up[int(index.words[i][-1])]]
-                for k, j in zip(index.corners[i], up):
-                    values[k] = (values[j] + a) >> 1
+        if top:
+            starts, new, ends_a, ends_b = midpoint_plan(depth)
+            first = starts[self.level + 1]
+            for k, a, b in zip(new[first:], ends_a[first:], ends_b[first:]):
+                values[k] = (values[a] + values[b]) >> 1
         return self._den << top, values
 
     def corner_values(self, word: str) -> tuple[Fraction, Fraction, Fraction]:
@@ -272,7 +274,14 @@ class PiecewiseAffineFn:
     # -- refinement ----------------------------------------------------
 
     def refine(self, level: int) -> "PiecewiseAffineFn":
-        """Same function represented on the finer vertex set."""
+        """Same function represented on the finer vertex set.
+
+        At the function's level it is a copy of the vertex table.  Below
+        it the values come from ``_int_values``, one integer average per
+        new vertex in ``midpoint_plan(level)``'s order, and are keyed in
+        the order the level's cells first reach them.  The certificate's
+        ``holder`` carries over, since the function is the same.
+        """
         _check_depth("level", level)
         if level < self.level:
             raise ValueError(f"cannot refine to a coarser level: level {level} < {self.level}")

@@ -43,8 +43,11 @@ def _check_l(l) -> None:
 
 
 def _check_depth(name: str, value) -> None:
-    """Refuse a depth, level or count of depths that is not a non-negative int, naming it."""
-    if not isinstance(value, int):
+    """Refuse a depth, level or count of depths that is not a non-negative int, naming it.
+
+    A bool is an int to Python but no depth, so it is refused too.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an int, got {name}={value!r}")
     if value < 0:
         raise ValueError(f"{name} must be non-negative, got {value}")
@@ -156,6 +159,34 @@ def level_index(level: int) -> LevelIndex:
                              for p in cell_corners(row, col, s)))
     return LevelIndex(tuple(words), tuple(cells), tuple(parents), tuple(corners),
                       MappingProxyType(vertices), tuple(map(tuple, layers)))
+
+
+@functools.cache
+def midpoint_plan(depth: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...],
+                                       tuple[int, ...]]:
+    """(starts, new, ends_a, ends_b): how each vertex of V_``depth`` past V_0 is made.
+
+    Entry j says that vertex new[j] is the midpoint of the parent edge
+    from ends_a[j] to ends_b[j], all positions in ``level_index(depth)``'s
+    vertex order.  The vertices first met at layer m >= 1 are the entries
+    from starts[m] up to starts[m + 1]; their ends are met at earlier
+    layers.  Sierpinski cells of one layer share no edge, so each new
+    vertex halves exactly one edge: child s of a cell keeps its corner
+    s, and for t > s its corner t is the midpoint of the parent's corners
+    s and t.  Built once per depth and shared by every function.
+    """
+    index = level_index(depth)
+    new, ends_a, ends_b, starts = [], [], [], [0, 0]
+    for layer in index.layers[1:]:
+        for i in layer:
+            s, corners = int(index.words[i][-1]), index.corners[i]
+            up = index.corners[index.parents[i]]
+            for t in range(s + 1, 3):
+                new.append(corners[t])
+                ends_a.append(up[s])
+                ends_b.append(up[t])
+        starts.append(len(new))
+    return tuple(starts), tuple(new), tuple(ends_a), tuple(ends_b)
 
 
 def lattice_point(row: int, col: int, n: int) -> PointQ3:

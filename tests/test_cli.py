@@ -1,12 +1,16 @@
 """CLI: determinism, artifact formats, exit codes."""
 
+import hashlib
+import importlib.util
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,13 @@ from holderlevels.levelset import LevelSetTree
 from holderlevels.paf import random_standard_paf
 from helpers import full_level_set
 from test_cantor import relative_stop_ratio
+
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("readme_artifacts",
+                                               ROOT / "tools" / "readme_artifacts.py")
+readme_artifacts = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(readme_artifacts)
 
 
 def run_cli(args, tmp_path=None):
@@ -45,6 +56,29 @@ def test_bounds_empty_grid(tmp_path):
     assert main(["bounds", "--grid", "", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 2  # config + header only
+
+
+def test_the_parser_built_once_still_writes_the_readme_bytes(tmp_path, monkeypatch, capsys):
+    # main reuses one parser per process; a parse error (exit 2) between
+    # two calls leaves the later README commands writing their recorded bytes
+    expected = dict(reversed(line.split(maxsplit=1)) for line in
+                    (ROOT / "tests" / "readme_artifacts.sha256").read_text().splitlines())
+    commands = [shlex.split(line)[1:] for line in readme_artifacts.readme_commands()]
+    monkeypatch.chdir(tmp_path)
+    assert main(commands[0]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["levelset", "--depth", "five"])
+    assert exc.value.code == 2 and cli.make_parser() is cli.make_parser()
+    assert "invalid int value" in capsys.readouterr().err
+    for number, args in enumerate(commands, start=1):
+        assert main(args) == 0, args
+        stdout = capsys.readouterr().out.encode()
+        name = f"{number:02d}-{args[0]}.stdout"
+        assert hashlib.sha256(stdout).hexdigest() == expected[name], name
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert written == {name: digest for name, digest in expected.items()
+                       if not name[:2].isdigit()}
 
 
 def test_reruns_byte_identical(tmp_path):

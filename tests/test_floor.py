@@ -1,7 +1,8 @@
 """Pinned checks that need nothing but the standard library and holderlevels.
 
 The mass-check constants and collision words the Sierpinski estimates
-rest on are pinned here once; ``test_bounds`` reads its rows' triples
+rest on are pinned here once, with the digest of one vertex table read
+below its function's level; ``test_bounds`` reads its rows' triples
 from this module.  Every test is a plain function that imports neither
 pytest, hypothesis nor ``helpers``, so the same module runs under Tier-1
 and under ``python tools/floor.py``, which runs it on the declared
@@ -10,6 +11,7 @@ and mpmath stayed unloaded.
 """
 
 import functools
+import hashlib
 import time
 import tracemalloc
 from fractions import Fraction
@@ -38,6 +40,10 @@ L16 = (0.041666666666666664, 4, (1417818844805407013, 0))
 # vertex hit two depths past the crossing names
 L16_FIRST = "0002002220202202"
 L16_COLLISION = "000200222020222222022222220222000002220000220200"
+# SHA-256 of repr((D, numerators in key order)) of third_up(7, 3)'s function
+# refined four levels down (3,282 vertices), recorded from the per-cell loop
+# that wrote every cell's three corners before the midpoint plan
+REFINED_7 = "7bbf1f78f8d9a439ebbb2022b5f3960116979c40d1d5fb218fb893282c435c1e"
 
 
 @functools.cache
@@ -216,6 +222,17 @@ def test_a_vertex_met_inside_a_multi_depth_step_names_the_one_shot_word():
                 words.append(err.word)
         assert len(words) == 2 and words[0] == words[1], (l, words)
         assert len(words[0]) == len(word), (l, words)
+
+
+def test_the_vertex_table_four_levels_down_is_pinned():
+    # below the function level each new vertex is one integer average of
+    # the ends of the edge it halves, read from the depth's midpoint plan
+    fn, _ = third_up(7, 3)
+    refined = fn.refine(fn.level + 4)
+    assert len(refined._numerators) == 3282, len(refined._numerators)
+    table = repr((refined._den, list(refined._numerators.items())))
+    digest = hashlib.sha256(table.encode()).hexdigest()
+    assert digest == REFINED_7, digest
 
 
 def test_the_witness_bit_loop_matches_cdf_from_digits():

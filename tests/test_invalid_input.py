@@ -3,7 +3,9 @@
 Every exported callable is called with negative, zero, NaN and
 out-of-range values of one argument at a time, the others valid; the
 rows read by the argument readers of ``triangles`` also get None and a
-str, and the count rows a float.
+str, and the count rows a float.  A bool is an int to Python but no
+depth, so the function levels, the certificate and tree depths and the
+capacity gap's k are also called with True.
 """
 
 import math
@@ -31,7 +33,7 @@ CASES = {
     "holder_certificate c": (lambda v: hl.holder_certificate(_FN, 0.5, v, 4),
                              [nan, 0, -1, inf, None, "abc"], "c must"),
     "holder_certificate depth": (lambda v: hl.holder_certificate(_FN, 0.5, 0.9, v),
-                                 [-1, 0, nan, None, "abc", 1.5], "depth"),
+                                 [-1, 0, nan, None, "abc", 1.5, True], "depth"),
     "feasibility_search k_cap": (lambda v: hl.feasibility_search(0.6, 0.5, 1.0, _STRUCTURE,
                                                                  k_cap=v),
                                  [-1, -5, 1.5, None], "k_cap"),
@@ -122,7 +124,7 @@ CASES = {
     "trivial_upper_bound_sierpinski precision": (hl.trivial_upper_bound_sierpinski,
                                                  ["quad", "", "Big"], "precision"),
     "triangle_vertices word": (hl.triangle_vertices, ["3", "01-"], "address"),
-    "capacity_gap k": (lambda v: hl.capacity_gap(v, 0.75), [-1, 0, 1.5, nan, None, "abc"],
+    "capacity_gap k": (lambda v: hl.capacity_gap(v, 0.75), [-1, 0, 1.5, nan, None, "abc", True],
                        "k must|k >= 1"),
     "capacity_gap alpha": (lambda v: hl.capacity_gap(3, v), [nan, 0, -1, 2, None, "abc"],
                            "alpha"),
@@ -130,20 +132,21 @@ CASES = {
     "FatCantorSet n": (hl.FatCantorSet, [-1, 1.5, None], "n must"),
     "boundary_family l": (hl.boundary_family, [0, -1, 1.5, 2.0, "2", None, [1]], "l >= 1"),
     "random_standard_paf level": (lambda v: hl.random_standard_paf(1, v, 0.5, 0.9, check=False),
-                                  [-1, 0, 1.5, nan, None, "abc"], "level"),
+                                  [-1, 0, 1.5, nan, None, "abc", True], "level"),
     "random_standard_paf alpha": (lambda v: hl.random_standard_paf(1, 2, v, 0.9, check=False),
                                   [nan, 0, -1, 2, None, "abc"], "alpha"),
     "random_standard_paf c": (lambda v: hl.random_standard_paf(1, 2, 0.5, v, check=False),
                               [nan, 0, -1, inf, None, "abc"], "c must"),
-    "PiecewiseAffineFn.refine level": (_FN.refine, [-1, 2, 1.5, 4.5, nan, None, "abc"], "level"),
+    "PiecewiseAffineFn.refine level": (_FN.refine, [-1, 2, 1.5, 4.5, nan, None, "abc", True],
+                                       "level"),
     "kappa_exponent l": (lambda v: hl.kappa_exponent(_FN, "01", v), [0, -1, 1.5, 2.0],
                          "int l >= 1"),
     "kappa_exponent word": (lambda v: hl.kappa_exponent(_FN, v, 1), [12, None, "0a"],
                             "address"),
     "LevelSetTree l": (lambda v: hl.LevelSetTree(_FN, _R, v, 2), [0, -1, 1.5, 2.0],
                        "int l >= 1"),
-    "LevelSetTree depth": (lambda v: hl.LevelSetTree(_FN, _R, 1, v), [-1, -3, 2.5, 5.5, 2.0],
-                           "depth"),
+    "LevelSetTree depth": (lambda v: hl.LevelSetTree(_FN, _R, 1, v),
+                           [-1, -3, 2.5, 5.5, 2.0, True], "depth"),
     "LevelSetTree.extend depth": (lambda v: hl.LevelSetTree(_FN, _R, 1).extend(v),
                                   [-1, 1.5, 2.0, F(2)], "depth"),
     "LevelSetTree.nodes_at level": (lambda v: hl.LevelSetTree(_FN, _R, 1).nodes_at(v),

@@ -10,21 +10,28 @@ from the reduced values, and the level check as a scan of the values in
 key order.  The grids come from the ``Fraction`` generator of
 ``test_generator_oracle``, refined by the pre-order walk and standardized
 by the midpoint copy on ``Fraction``s.
+
+Below the function level, ``_int_values`` reads each depth's midpoint
+plan; its oracle is the per-cell loop it replaced, which writes all three
+corners of every cell of every layer below L.
 """
 
 import ast
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
+from holderlevels import paf
 from holderlevels.exact import midpoint
-from holderlevels.levelset import LevelCollisionError, LevelValue
-from holderlevels.paf import PiecewiseAffineFn, random_standard_paf
-from holderlevels.triangles import lattice_point, lattice_vertices
+from holderlevels.levelset import LevelCollisionError, LevelSetTree, LevelValue
+from holderlevels.paf import PiecewiseAffineFn, holder_certificate, random_standard_paf
+from holderlevels.triangles import lattice_point, lattice_vertices, level_index, midpoint_plan
 
 import geometry_oracle
 from test_generator_oracle import oracle_paf
@@ -197,3 +204,103 @@ def test_no_library_code_reads_the_fraction_grid():
                     and not (isinstance(node.value, ast.Name) and node.value.id == "args")):
                 hits.append(f"{path.name}:{node.lineno}")
     assert hits == []
+
+
+# -- vertex values below the function level ----------------------------------
+
+def oracle_int_values(fn, depth: int) -> tuple[int, list[int]]:
+    """(S, values at V_depth times S) by the per-cell loop the midpoint plan replaced.
+
+    Every cell of every layer below L writes its three corners: the one it
+    keeps and its midpoints with the other two, which a sibling may have
+    written already.
+    """
+    top = depth - fn.level
+    index = level_index(depth)
+    values = [0] * len(index.vertices)
+    for (row, col), v in fn._numerators.items():
+        values[index.vertices[row << top, col << top]] = v << top
+    for layer in index.layers[fn.level + 1:]:
+        for i in layer:
+            up = index.corners[index.parents[i]]
+            a = values[up[int(index.words[i][-1])]]
+            for k, j in zip(index.corners[i], up):
+                values[k] = (values[j] + a) >> 1
+    return fn._den << top, values
+
+
+# pairwise coprime: two Mersenne primes and a power of 3, so D passes 64 bits
+_DENOMINATORS = (2**61 - 1, 2**89 - 1, 3**41)
+
+
+@st.composite
+def leveled_functions(draw):
+    """A function of level 0 to 5, generated or built from large-denominator Fractions,
+    refined to a drawn level of at most 5."""
+    level = draw(st.integers(min_value=0, max_value=5))
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    if level and draw(st.booleans()):
+        fn = random_standard_paf(seed, level, draw(st.sampled_from([0.3, 0.5, 1.0])), 0.9,
+                                 check=False)
+    else:
+        rng = random.Random(seed)
+        grid = {}
+        for j, p in enumerate(level_index(level).vertices):
+            d = _DENOMINATORS[(j + seed) % len(_DENOMINATORS)]
+            grid[p] = Fraction(rng.randrange(-d, d), d)
+        fn = PiecewiseAffineFn(level, grid)
+        assert fn._den.bit_length() > 64, fn._den
+    return fn.refine(draw(st.integers(min_value=fn.level, max_value=5)))
+
+
+@given(leveled_functions(), st.integers(min_value=0, max_value=4))
+@settings(max_examples=40, deadline=None)
+def test_the_midpoint_plan_matches_the_per_cell_loop(fn, below):
+    depth = fn.level + below
+    scale, values = oracle_int_values(fn, depth)
+    assert fn._int_values(depth) == (scale, values)
+    # below the level, refine keeps the values in the order the depth's
+    # cells first reach them; at the level it copies the function's table
+    index = level_index(depth)
+    keys = list(index.vertices)
+    grid = {keys[k]: Fraction(values[k], scale)
+            for i in index.layers[depth] for k in index.corners[i]}
+    refined = fn.refine(depth).grid
+    if below:
+        assert list(refined.items()) == list(grid.items())
+    else:
+        assert dict(refined) == grid
+
+
+def test_each_vertex_below_the_root_halves_one_edge_of_earlier_vertices():
+    for depth in range(6):
+        keys = list(level_index(depth).vertices)
+        starts, new, ends_a, ends_b = midpoint_plan(depth)
+        assert len(starts) == depth + 2 and starts[:2] == (0, 0)
+        assert sorted(new) == list(range(3, len(keys)))
+        layer_of = dict.fromkeys(range(3), 0)
+        for m in range(1, depth + 1):
+            for k, a, b in zip(*(t[starts[m]:starts[m + 1]] for t in (new, ends_a, ends_b))):
+                assert layer_of[a] < m and layer_of[b] < m
+                (ra, ca), (rb, cb) = keys[a], keys[b]
+                assert keys[k] == ((ra + rb) // 2, (ca + cb) // 2)
+                layer_of[k] = m
+
+
+def test_trees_and_the_word_table_build_no_plan():
+    # corpus and deep trees read nothing below the function level
+    with mock.patch.object(paf, "midpoint_plan", wraps=midpoint_plan) as spy:
+        fn = random_standard_paf(11, 4, 0.5, 0.9, check=False)
+        fn.int_word_table()
+        root = fn.corner_values("")
+        r = min(root) + (max(root) - min(root)) / 3
+        for l in (1, 2):
+            tree = LevelSetTree(fn, r, l, 8)
+            tree.histograms(8)
+            tree.fill_measure(8)
+            assert tree.conservation("", 4).passed
+        assert fn.refine(fn.level)._numerators == fn._numerators
+        assert spy.call_count == 0
+        # the spy sees the plan that a certificate below the level reads
+        holder_certificate(fn, 0.5, 0.9, fn.level + 1)
+        assert spy.call_count == 1
