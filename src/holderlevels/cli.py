@@ -32,9 +32,11 @@ class UsageError(Exception):
 
 
 # the phase grid has (2**(g+1))**2 exact points, whose Fraction values and
-# hashes take most of the time: phase --alpha 0.6 at g = 7 takes 0.9-1.1 s
+# hashes take most of the time: phase --alpha 0.6 at g = 7 takes 0.8-1.1 s
 # and 66 MB, and at g = 8 (cap lifted) 4.0 s and 167 MB (2-CPU Xeon,
-# Python 3.11); each further level costs about four times the last
+# Python 3.11); each further level costs about four times the last.  At
+# alpha = 1 the affine base's tied pairs make its Holder scan the cost:
+# phase --alpha 1.0 at g = 7 takes 6.6-6.9 s and 67 MB on the same host
 _MAX_GRID_LEVEL = 7
 
 # the trees still build and test the 3(2**l - 1) boundary words as strings

@@ -635,22 +635,25 @@ def random_standard_paf(seed: int, level: int, alpha: float, c: float,
     """Seeded random standard function passing its Holder certificate.
 
     Midpoint displacement with amplitude shrinking like c * 2**(-k*alpha)
-    per level k, followed by the midpoint-copy subdivision; deterministic
-    in the seed.  Guarantees a repeated value and a non-constant triple
-    on every level-``level`` triangle (a stand-in for generic inputs).
+    per level k, followed by the midpoint-copy subdivision of
+    ``standardize()``; deterministic in the seed.  Guarantees a repeated
+    value and a non-constant triple on every level-``level`` triangle (a
+    stand-in for generic inputs).
 
     Displacements at scale 2**-k add about amp * 2**(k alpha) to the
     Holder ratio and their slopes stack geometrically with factor
     2**(1-alpha) per level, so the headroom carries the normalizer
     1 - 2**(alpha-1) to keep the certificate margin uniform in alpha.
 
-    The displacement is integer: vertices are lattice indices at scale
-    2**-(level-1), and values are numerators over 2**(40 + level - 1)
+    The displacement is integer: values are numerators over
+    2**(40 + level - 1) in ``level_index(level - 1)``'s vertex order
     (root values and displacements are multiples of 2**-40, and each
-    level's midpoint averages halve once).  The cells of each level are
-    displaced in the decreasing word order of ``level_index(level - 1)``,
-    edges (0,1), (1,2), (0,2), one draw each.  The standardized integers
-    become the function's vertex table as they are, with no ``Fraction``.
+    level's midpoint averages halve once).  Each new vertex is the
+    average of the ends of the edge it halves plus its displacement,
+    layer by layer along ``midpoint_plan(level - 1)``.  The cells of each
+    level draw in the decreasing word order of ``level_index(level - 1)``,
+    edges (0,1), (1,2), (0,2), one draw each.  ``standardize()`` then
+    subdivides the integers as they are, with no ``Fraction``.
     ``holder`` is (alpha, c) once the certificate passed; with
     ``check=False`` nothing is certified and ``holder`` is None.
     """
@@ -666,6 +669,7 @@ def random_standard_paf(seed: int, level: int, alpha: float, c: float,
     base_span = max(1, int(0.25 * c * _DISP_DENOM))
     amps = [max(1, int(disp_headroom * c * 2.0 ** (-(k + 1) * alpha) * _DISP_DENOM))
             for k in range(top)]
+    starts, new, ends_a, ends_b = midpoint_plan(top)
     failing = None
     for attempt in range(_MAX_ATTEMPTS):
         rng = random.Random(seed * 1_000_003 + attempt)
@@ -673,27 +677,22 @@ def random_standard_paf(seed: int, level: int, alpha: float, c: float,
             triple = [rng.randrange(_DISP_DENOM + 1) for _ in range(3)]
             if len(set(triple)) == 3:
                 break
-        grid = {p: (base_span * u) << top for p, u in zip(cell_corners(0, 0, top), triple)}
+        values = [0] * len(index.vertices)
+        values[:3] = [(base_span * u) << top for u in triple]
         for k, amp in enumerate(amps):
-            s = top - k - 1             # from scale 2**-(k+1) to 2**-top
-            for i in index.layers[k]:   # level-k cells in decreasing word order
-                row, col = index.cells[i]
-                q1, q2, q3 = (grid[p] for p in cell_corners(row, col, s + 1))
-                r, cc = 2 * row, 2 * col
-                for (mr, mc), a, b in (((r, cc + 1), q1, q2), ((r + 1, cc + 1), q2, q3),
-                                       ((r + 1, cc), q1, q3)):
-                    u = rng.randrange(_DISP_DENOM + 1)
-                    grid[mr << s, mc << s] = ((a + b) >> 1) + (
-                        (amp * (2 * u - _DISP_DENOM)) << top)
-        leaves = [(index.cells[i], tuple(grid[p] for p in cell_corners(*index.cells[i])))
-                  for i in index.layers[top]]
+            first, last = starts[k + 1], starts[k + 2]
+            us = [rng.randrange(_DISP_DENOM + 1) for _ in range(first, last)]
+            # each cell's triple halves (1,2), (0,1), (0,2); its draws come (0,1), (1,2), (0,2)
+            us[0::3], us[1::3] = us[1::3], us[0::3]
+            for m, a, b, u in zip(new[first:last], ends_a[first:last], ends_b[first:last], us):
+                values[m] = ((values[a] + values[b]) >> 1) + ((amp * (2 * u - _DISP_DENOM)) << top)
+        base = PiecewiseAffineFn._from_ints(top, denom, dict(zip(index.vertices, values)))
         # every pre-standardize triangle must have three distinct values,
         # otherwise the subdivision cannot be locally non-constant
-        bad = [i for i, (_, q) in zip(index.layers[top], leaves) if len(set(q)) != 3]
-        if bad:
-            failing = index.words[bad[0]]
+        failing = next((w for w, q in base._int_triangles() if len(set(q)) != 3), None)
+        if failing is not None:
             continue
-        out = PiecewiseAffineFn._from_ints(level, denom, _midpoint_copy(leaves))
+        out = base.standardize()
         if check:
             cert = holder_certificate(out, alpha, c, depth=out.level + 1)
             if not cert.passed:

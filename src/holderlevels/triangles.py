@@ -37,8 +37,8 @@ def check_address(word: str) -> str:
 
 
 def _check_l(l) -> None:
-    """Refuse a boundary parameter l that is not an int of at least 1, naming it."""
-    if not isinstance(l, int) or l < 1:
+    """Refuse a boundary parameter l that is not an int of at least 1 (a bool too), naming it."""
+    if not isinstance(l, int) or isinstance(l, bool) or l < 1:
         raise ValueError(f"boundary family needs an int l >= 1, got l={l!r}")
 
 
@@ -173,7 +173,9 @@ def midpoint_plan(depth: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[i
     layers.  Sierpinski cells of one layer share no edge, so each new
     vertex halves exactly one edge: child s of a cell keeps its corner
     s, and for t > s its corner t is the midpoint of the parent's corners
-    s and t.  Built once per depth and shared by every function.
+    s and t.  So layer m holds one consecutive triple per level-(m - 1)
+    cell, in ``layers[m - 1]`` order, halving its edges (1,2), (0,1),
+    (0,2).  Built once per depth and shared by every function.
     """
     index = level_index(depth)
     new, ends_a, ends_b, starts = [], [], [], [0, 0]

@@ -419,9 +419,7 @@ def test_mass_distribution_matches_scatter_oracle(seed, level, l, q, n_prime_max
 def test_mass_distribution_reaches_72_levels_at_alpha_1():
     # the feasible alpha = 1 triple (d1, l, q) = (1/2, 6, 2) to n' = 6,
     # 201,728 members at depth 12, from the runs alone
-    fn = random_standard_paf(7, 3, 1.0, 0.9)
-    root = fn.corner_values("")
-    r = min(root) + (max(root) - min(root)) / 3
+    fn, r = third_up(7, 3)
     params = BoundSearchParams.for_alpha(1.0)
     shallow = mass_distribution_lower(fn, r, params, 4)
     tree = LevelSetTree(fn, r, params.l)
@@ -455,9 +453,7 @@ def count_member_reads(monkeypatch) -> list[int]:
 def test_mass_distribution_reads_the_runs_once(monkeypatch):
     # every checked depth 2..12 lies past the crossing depth c = 1, so one
     # read of the runs at the deepest depth serves all six
-    fn = random_standard_paf(7, 3, 1.0, 0.9)
-    root = fn.corner_values("")
-    r = min(root) + (max(root) - min(root)) / 3
+    fn, r = third_up(7, 3)
     params = BoundSearchParams.for_alpha(1.0)
     tree = LevelSetTree(fn, r, params.l)
     depths = count_member_reads(monkeypatch)
@@ -1004,9 +1000,7 @@ def test_mass_check_reads_a_constant_number_of_summaries_per_run_and_depth(monke
     if case == "found":
         (fn, r, params), n_prime = found_case(), 24
     else:
-        fn = random_standard_paf(7, 3, 1.0, 0.9)
-        root = fn.corner_values("")
-        r = min(root) + (max(root) - min(root)) / 3
+        fn, r = third_up(7, 3)
         params, n_prime = BoundSearchParams.for_alpha(1.0), 6
     tree = LevelSetTree(fn, r, params.l)
     calls = []

@@ -1,13 +1,14 @@
 """Pinned checks that need nothing but the standard library and holderlevels.
 
 The mass-check constants and collision words the Sierpinski estimates
-rest on are pinned here once, with the digest of one vertex table read
-below its function's level; ``test_bounds`` reads its rows' triples
-from this module.  Every test is a plain function that imports neither
-pytest, hypothesis nor ``helpers``, so the same module runs under Tier-1
-and under ``python tools/floor.py``, which runs it on the declared
-Python floor with no dependency installed and then checks that numpy
-and mpmath stayed unloaded.
+rest on are pinned here once, with the digests of one vertex table read
+below its function's level and of three generated level-7 functions;
+``test_bounds`` reads its rows' triples from this module.  Every test is
+a plain function that imports neither pytest, hypothesis nor
+``helpers``, so the same module runs under Tier-1 and under ``python
+tools/floor.py``, which runs it on the declared Python floor with no
+dependency installed and then checks that numpy and mpmath stayed
+unloaded.
 """
 
 import functools
@@ -44,6 +45,12 @@ L16_COLLISION = "000200222020222222022222220222000002220000220200"
 # refined four levels down (3,282 vertices), recorded from the per-cell loop
 # that wrote every cell's three corners before the midpoint plan
 REFINED_7 = "7bbf1f78f8d9a439ebbb2022b5f3960116979c40d1d5fb218fb893282c435c1e"
+# the same digest of the unchecked random_standard_paf(seed, 7, 0.5, 0.9)
+# (six displacement layers, 3,282 vertices) at seeds 0 to 2, recorded from
+# the generator's own lattice walk before it displaced along the midpoint plan
+GENERATED_7 = ("8c4b56f67f0b623f2a406b0380e3dfc0ff6b031a19a3ee77853b0c830ad0b8fa",
+               "b22314f352167ce935ac32c355a5f39010a517eea31660176bbfb834352843c6",
+               "863269950f28b8e6f4313caba067a1bdec8d06959edca9462cd9d38790cf954f")
 
 
 @functools.cache
@@ -233,6 +240,16 @@ def test_the_vertex_table_four_levels_down_is_pinned():
     table = repr((refined._den, list(refined._numerators.items())))
     digest = hashlib.sha256(table.encode()).hexdigest()
     assert digest == REFINED_7, digest
+
+
+def test_the_generated_vertex_tables_at_level_7_are_pinned():
+    # every draw of six displacement layers, and the subdivision after them
+    for seed, pinned in enumerate(GENERATED_7):
+        fn = random_standard_paf(seed, 7, 0.5, 0.9, check=False)
+        assert len(fn._numerators) == 3282, (seed, len(fn._numerators))
+        table = repr((fn._den, list(fn._numerators.items())))
+        digest = hashlib.sha256(table.encode()).hexdigest()
+        assert digest == pinned, (seed, digest)
 
 
 def test_the_witness_bit_loop_matches_cdf_from_digits():

@@ -4,8 +4,9 @@ Every exported callable is called with negative, zero, NaN and
 out-of-range values of one argument at a time, the others valid; the
 rows read by the argument readers of ``triangles`` also get None and a
 str, and the count rows a float.  A bool is an int to Python but no
-depth, so the function levels, the certificate and tree depths and the
-capacity gap's k are also called with True.
+depth and no boundary parameter, so the function levels, the
+certificate and tree depths, the capacity gap's k and every l are also
+called with True.
 """
 
 import math
@@ -16,13 +17,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 import holderlevels as hl
 from holderlevels.cantor import product_separated_structure
+from test_floor import third_up
 
 F = Fraction
 nan, inf = math.nan, math.inf
 
-_FN = hl.random_standard_paf(7, 3, 1.0, 0.9, check=False)
-_HULL = _FN.corner_values("")
-_R = min(_HULL) + (max(_HULL) - min(_HULL)) / 3
+_FN, _R = third_up(7, 3)
 _STRUCTURE = product_separated_structure(3)
 _WITNESS = hl.BernoulliWitnessFn.for_alpha(0.5)
 
@@ -50,7 +50,7 @@ CASES = {
         [-1, 1.5, None], "k must"),
     "product_separated_structure k_max": (hl.product_separated_structure, [-1, 0, 1], "k_max"),
     "BoundSearchParams l": (lambda v: hl.BoundSearchParams(1.0, F(1, 2), v),
-                             [0, -2, 1.5, 2.0, F(3, 2)], "int l >= 1"),
+                             [0, -2, 1.5, 2.0, F(3, 2), True], "int l >= 1"),
     "BoundSearchParams alpha": (lambda v: hl.BoundSearchParams(v, F(1, 2), 1),
                                 [nan, 0, -1, 2, None, "abc"], "alpha must"),
     "HolderParams alpha": (lambda v: hl.HolderParams(v, 0.9), [nan, 0, -1, 2, None, "abc"],
@@ -109,7 +109,7 @@ CASES = {
                            [nan, 0, -1, None, "abc", inf, "1/0"], "d1"),
     "census_constant alpha": (lambda v: hl.census_constant(v, F(1, 2), 2),
                               [nan, 0, -1, 2, None, "abc"], "alpha"),
-    "census_constant l": (lambda v: hl.census_constant(1.0, F(1, 2), v), [0, -1, 1.5],
+    "census_constant l": (lambda v: hl.census_constant(1.0, F(1, 2), v), [0, -1, 1.5, True],
                           "l >= 1"),
     "feasible_l alpha": (lambda v: hl.feasible_l(v, F(1, 4)), [nan, 0, -1, 2, None, "abc"],
                          "alpha"),
@@ -130,7 +130,7 @@ CASES = {
                            "alpha"),
     "cantor_level n": (hl.cantor_level, [-1, 1.5, None], "n must"),
     "FatCantorSet n": (hl.FatCantorSet, [-1, 1.5, None], "n must"),
-    "boundary_family l": (hl.boundary_family, [0, -1, 1.5, 2.0, "2", None, [1]], "l >= 1"),
+    "boundary_family l": (hl.boundary_family, [0, -1, 1.5, 2.0, "2", None, [1], True], "l >= 1"),
     "random_standard_paf level": (lambda v: hl.random_standard_paf(1, v, 0.5, 0.9, check=False),
                                   [-1, 0, 1.5, nan, None, "abc", True], "level"),
     "random_standard_paf alpha": (lambda v: hl.random_standard_paf(1, 2, v, 0.9, check=False),
@@ -139,11 +139,11 @@ CASES = {
                               [nan, 0, -1, inf, None, "abc"], "c must"),
     "PiecewiseAffineFn.refine level": (_FN.refine, [-1, 2, 1.5, 4.5, nan, None, "abc", True],
                                        "level"),
-    "kappa_exponent l": (lambda v: hl.kappa_exponent(_FN, "01", v), [0, -1, 1.5, 2.0],
+    "kappa_exponent l": (lambda v: hl.kappa_exponent(_FN, "01", v), [0, -1, 1.5, 2.0, True],
                          "int l >= 1"),
     "kappa_exponent word": (lambda v: hl.kappa_exponent(_FN, v, 1), [12, None, "0a"],
                             "address"),
-    "LevelSetTree l": (lambda v: hl.LevelSetTree(_FN, _R, v, 2), [0, -1, 1.5, 2.0],
+    "LevelSetTree l": (lambda v: hl.LevelSetTree(_FN, _R, v, 2), [0, -1, 1.5, 2.0, True],
                        "int l >= 1"),
     "LevelSetTree depth": (lambda v: hl.LevelSetTree(_FN, _R, 1, v),
                            [-1, -3, 2.5, 5.5, 2.0, True], "depth"),
@@ -170,7 +170,7 @@ CASES = {
         [-2, 4.0, F(4), 2.5], "n must"),
     "well_conducting_census l": (
         lambda v: hl.well_conducting_census(_FN, None, 2, v, F(1, 2), alpha=0.5),
-        [0, -1, 1.5, 2.0], "int l >= 1"),
+        [0, -1, 1.5, 2.0, True], "int l >= 1"),
     "well_conducting_census d1": (
         lambda v: hl.well_conducting_census(_FN, None, 2, 1, v, alpha=0.5),
         [0, F(-1, 2), nan, inf, "abc", "1/0", None], "d1"),

@@ -42,6 +42,7 @@ from holderlevels.runs import _block_cell, _block_children, _blocks, _split
 from holderlevels.triangles import boundary_family, lattice_index_unchecked
 from helpers import affine_from_corners, member_blocks, oracle_digit_blocks, point_values
 from test_bounds import scatter_oracle
+from test_floor import third_up
 from test_kernel import corpus_fn, descend
 
 F = Fraction
@@ -862,9 +863,8 @@ def test_the_tree_holds_runs_or_nodes_below_the_crossing(order):
 def test_a_node_read_builds_no_level_below_the_one_read():
     # 12 nodes at depth 2 of a tree to depth 12 at l = 6: building every
     # level down to the tree's depth made 320,125 nodes (0.5 s, 112 MB)
-    fn = random_standard_paf(7, 3, 1.0, 0.9, check=False)
-    root = fn.corner_values("")
-    tree = LevelSetTree(fn, min(root) + (max(root) - min(root)) / 3, 6, 12)
+    fn, r = third_up(7, 3)
+    tree = LevelSetTree(fn, r, 6, 12)
     assert len(tree.nodes_at(2)) == 12
     assert len(tree._levels) == 3 and sum(map(len, tree._levels)) == 19
     assert_run_heights(tree)
@@ -886,9 +886,7 @@ def test_a_level_takes_its_runs_next_split_once():
     # the deepest level built is armed when the tree first grows past it
     # or a node read builds it; an extend below it leaves its nodes alone,
     # which once cost a walk of every node there per extend
-    fn = random_standard_paf(7, 3, 1.0, 0.9, check=False)
-    root = fn.corner_values("")
-    r = min(root) + (max(root) - min(root)) / 3
+    fn, r = third_up(7, 3)
     tree = ArmCountingTree(fn, r, 6, 12)
     assert tree.armed == [1]
     tree.nodes_at(7)
@@ -1170,9 +1168,7 @@ def test_a_filled_tree_cuts_each_k_once_per_member_read(monkeypatch):
     # fill_measure returns at once on a tree filled to the depth asked, so
     # the mass check's _members(n) cuts the runs' K once, in _chains, and a
     # refill cuts none
-    fn = random_standard_paf(7, 3, 1.0, 0.9, check=False)
-    root = fn.corner_values("")
-    r = min(root) + (max(root) - min(root)) / 3
+    fn, r = third_up(7, 3)
     tree = LevelSetTree(fn, r, 1, 12).fill_measure(12)
     dens = list(tree.mu_denominators)
     want = [list(tree._members(n)) for n in range(13)]
@@ -1260,9 +1256,7 @@ def test_alpha_one_at_depth_16_fits_in_one_gib():
     assert F(out["lhs"]) == sum((F(count, 1 << e) for e, (count, _) in hists[16].items()), F(0))
     for h, den in zip(hists, out["dens"]):
         assert sum(mu for _, mu in h.values()) == den       # the measure has mass one
-    fn = random_standard_paf(7, 3, 1.0, 0.9, check=False)
-    root = fn.corner_values("")
-    r = min(root) + (max(root) - min(root)) * F(1, 3)
+    fn, r = third_up(7, 3)
     levels = oracle_node_levels(fn, r, 6, 9, cap=10**5)
     assert len(levels) == 10
     assert [len(nodes) for nodes in levels] == counts[:10]

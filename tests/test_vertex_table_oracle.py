@@ -273,13 +273,20 @@ def test_the_midpoint_plan_matches_the_per_cell_loop(fn, below):
 
 
 def test_each_vertex_below_the_root_halves_one_edge_of_earlier_vertices():
+    # layer m holds one triple per level-(m - 1) cell, in that layer's
+    # order, halving the cell's edges (1,2), (0,1), (0,2): the order the
+    # generator's draws are matched to
     for depth in range(6):
-        keys = list(level_index(depth).vertices)
+        index = level_index(depth)
+        keys = list(index.vertices)
         starts, new, ends_a, ends_b = midpoint_plan(depth)
         assert len(starts) == depth + 2 and starts[:2] == (0, 0)
         assert sorted(new) == list(range(3, len(keys)))
         layer_of = dict.fromkeys(range(3), 0)
         for m in range(1, depth + 1):
+            cells = (index.corners[i] for i in index.layers[m - 1])
+            assert list(zip(ends_a, ends_b))[starts[m]:starts[m + 1]] == [
+                edge for c0, c1, c2 in cells for edge in ((c1, c2), (c0, c1), (c0, c2))]
             for k, a, b in zip(*(t[starts[m]:starts[m + 1]] for t in (new, ends_a, ends_b))):
                 assert layer_of[a] < m and layer_of[b] < m
                 (ra, ca), (rb, cb) = keys[a], keys[b]
@@ -288,9 +295,12 @@ def test_each_vertex_below_the_root_halves_one_edge_of_earlier_vertices():
 
 
 def test_trees_and_the_word_table_build_no_plan():
-    # corpus and deep trees read nothing below the function level
+    # corpus and deep trees read nothing below the function level; the
+    # generator displaces along the plan one level above it, once per call
     with mock.patch.object(paf, "midpoint_plan", wraps=midpoint_plan) as spy:
         fn = random_standard_paf(11, 4, 0.5, 0.9, check=False)
+    spy.assert_called_once_with(3)
+    with mock.patch.object(paf, "midpoint_plan", wraps=midpoint_plan) as spy:
         fn.int_word_table()
         root = fn.corner_values("")
         r = min(root) + (max(root) - min(root)) / 3
