@@ -12,6 +12,7 @@ apex.  With p = 2**(-alpha) it satisfies |f(x)-f(y)| <= 3 |x-y|**alpha.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,16 +24,15 @@ def _unit_ratio(x) -> tuple[int, int]:
     """(numerator, denominator) of a height x in [0, 1], in lowest terms.
 
     An int or Fraction is taken as it is; anything else is read as a
-    float, which is an exact dyadic rational.  NaN fails the range check
-    like any other value outside [0, 1].
+    float, which is an exact dyadic rational.  NaN, infinities and what
+    ``float`` cannot read fail the range check like any value outside [0, 1].
     """
-    if not isinstance(x, (Fraction, int)):
-        x = float(x)
-        if not 0 <= x <= 1:
-            raise ValueError(f"expected a value in [0, 1], got {x}")
-    num, den = x.as_integer_ratio()
+    try:
+        num, den = (x if isinstance(x, (Fraction, int)) else float(x)).as_integer_ratio()
+    except (TypeError, ValueError, OverflowError):  # None, 1j, a str that is no number; NaN, inf
+        num, den = -1, 1
     if not 0 <= num <= den:
-        raise ValueError(f"expected a value in [0, 1], got {x}")
+        raise ValueError(f"expected a value in [0, 1], got {x!r}")
     return num, den
 
 
@@ -73,9 +73,9 @@ class BernoulliWitnessFn:
     alpha: float | None = None
 
     def __post_init__(self):
-        pf = float(self.p)
+        pf = float(self.p) if isinstance(self.p, numbers.Real) else math.nan
         if not 0.5 < pf < 1:
-            raise ValueError("p must lie in (1/2, 1)")
+            raise ValueError(f"p must lie in (1/2, 1), got p={self.p!r}")
         _check_depth("max_depth", self.max_depth)
         if self.alpha is None:
             object.__setattr__(self, "alpha", -math.log2(pf))

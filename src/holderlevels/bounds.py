@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from .levelset import LevelSetTree, _level_fraction, census_constant
 from .runs import _block_summary, _blocks, _corner_cells, _heads, _line_members, _straddle
-from .triangles import _check_alpha, _check_depth, _check_l, _rational
+from .triangles import _check_alpha, _check_depth, _rational
 
 if TYPE_CHECKING:
     import numpy as np
@@ -129,7 +129,7 @@ class BoundSearchParams:
         _check_alpha(self.alpha)
         if not isinstance(self.d1, (int, Fraction)) or not 0 < self.d1 < self.alpha:
             raise ValueError(f"d1 must be an int or a Fraction in (0, alpha), got {self.d1!r}")
-        _check_l(self.l)
+        _check_depth("l", self.l, 1)
 
     @property
     def q(self) -> int:
@@ -182,7 +182,11 @@ def box_count_dimension(digits) -> DimensionEstimate:
     n = len(digits)
     if n == 0:
         return DimensionEstimate(np.array([]), np.array([]), 0.0, 0.0, empty=True)
-    flips = np.array([1 - e for e in digits])
+    try:
+        flips = np.array([1 - e for e in digits])
+    except TypeError:                   # a digit with no arithmetic, such as a str's
+        digit = next(e for e in digits if e not in (0, 1))
+        raise ValueError(f"binary digits expected, got {digit!r}") from None
     bad = (flips != 0) & (flips != 1)
     if bad.any():
         raise ValueError(f"binary digits expected, got {digits[int(bad.argmax())]!r}")
@@ -454,9 +458,7 @@ def mass_distribution_lower(fn, r, params: BoundSearchParams, n_prime_max: int,
     mass comes before W, merged or not.  A
     ``tree`` must be one built for ``fn``, ``r`` and ``params.l``.
     """
-    _check_depth("n_prime_max", n_prime_max)
-    if n_prime_max < 1:
-        raise ValueError(f"n_prime_max must be at least 1, got {n_prime_max}")
+    _check_depth("n_prime_max", n_prime_max, 1)
     q, l, d1 = params.q, params.l, params.d1
     if tree is None:
         tree = LevelSetTree(fn, r, l)

@@ -39,8 +39,7 @@ def removal_length(m: int) -> Fraction:
 
     Equals 1/((2**m - 1)(2**(m+1) - 1)), below 2**(-2m) once m > 2.
     """
-    if m < 1:
-        raise ValueError("removals start at generation 1")
+    _check_depth("m", m, 1)             # removals start at generation 1
     return Fraction(1, ((1 << m) - 1) * ((1 << (m + 1)) - 1))
 
 
@@ -190,9 +189,7 @@ def capacity_gap(k: int, alpha: float) -> CapacityGap:
     raised instead.  ValueError once the first term 2**0 r_(k+1)**alpha
     or the factor 2**(k+1) - 1 of the ratio leaves the normal float range.
     """
-    _check_depth("k", k)
-    if k < 1:
-        raise ValueError("need k >= 1 (generation-1 gaps break the closed form)")
+    _check_depth("k", k, 1)             # generation-1 gaps break the closed form
     _check_alpha(alpha)
     if (k + 1 >= sys.float_info.max_exp
             or -alpha * _removal_log2(k + 1) < sys.float_info.min_exp - 1):
@@ -272,9 +269,7 @@ def product_separated_structure(k_max: int) -> SeparatedStructure:
     K = 2 makes both inequalities hold for every level, not just the
     materialized ones.
     """
-    if k_max < 2:
-        raise ValueError(f"k_max must be at least 2, got {k_max}: "
-                         "the distance bound needs level >= 2")
+    _check_depth("k_max", k_max, 2)     # the distance bound needs level >= 2
     nu, rho, K = Fraction(1, 2), Fraction(1, 4), Fraction(2)
     certificates: dict = {"k_max": k_max, "levels": {}}
     for k in range(2, k_max + 1):
@@ -309,8 +304,7 @@ def product_separated_structure(k_max: int) -> SeparatedStructure:
             certificates["levels"][k]["brute_min_distance_sq"] = Fraction(best, den * den)
 
     def family(k: int) -> list[ProductPiece]:
-        if k < 2:
-            raise ValueError("families materialize from level 2 on")
+        _check_depth("k", k, 2)         # families materialize from level 2 on
         return [ProductPiece(k, i, j) for i in range(1 << k) for j in range(1 << k)]
 
     return SeparatedStructure(nu=nu, rho=rho, K=K, family=family,
@@ -431,19 +425,18 @@ class PhaseTransitionConfig:
     def __post_init__(self):
         _check_alpha(self.alpha)
         _check_open_unit("c", self.c)
-        if self.k < 1:
-            raise ValueError(f"need k >= 1 (capacity_gap's closed form), got k={self.k}")
+        _check_depth("k", self.k, 1)    # capacity_gap's closed form
         for name, index in (("ix", self.ix), ("iy", self.iy)):
-            if not 0 <= index < 1 << self.k:
+            _check_depth(name, index)
+            if index >= 1 << self.k:
                 raise ValueError(f"{name} must lie in 0..2**k - 1, got {index}")
         _check_positive("delta", self.delta)
         (x1, x2), (_, y1) = (FatCantorSet(self.k).interval(i) for i in (self.ix, self.iy))
         for name, value in (("c", Fraction(self.c)), ("x1", x1), ("x2", x2), ("y1", y1)):
             object.__setattr__(self, name, value)
         if self.guaranteed_interval_length() <= 0:
-            raise ValueError(
-                "delta and delta_prime leave no guaranteed image interval"
-            )
+            raise ValueError("delta and delta_prime leave no guaranteed image interval: "
+                             f"delta must be below 0.94 - c, got delta={self.delta!r}")
 
     @property
     def delta_prime(self) -> float:

@@ -121,8 +121,7 @@ def graft(base: PiecewiseAffineFn, n_prime: int, witness: BernoulliWitnessFn) ->
     smallest admissible level.  The closed-form certificate constant
     must stay below GRAFT_BUDGET = 1/8.
     """
-    if n_prime < base.level:
-        raise ValueError("graft level must be at least the base level")
+    _check_depth("graft level n_prime", n_prime, base.level)
     if not base.is_standard():
         raise NotStandardError("graft requires a standard base")
     alpha = witness.alpha

@@ -28,7 +28,7 @@ from fractions import Fraction
 from .paf import PiecewiseAffineFn
 from .runs import (_block_children, _block_sums, _block_word, _chain, _cut, _last_digits, _run_ks,
                    _run_weights, _split)
-from .triangles import (_check_alpha, _check_depth, _check_l, _rational, boundary_family,
+from .triangles import (_check_alpha, _check_depth, _rational, boundary_family,
                         check_address, lattice_index_unchecked, lattice_point)
 
 
@@ -224,7 +224,7 @@ class LevelSetTree:
     """
 
     def __init__(self, fn: PiecewiseAffineFn, r, l: int = 1, depth: int = 0):
-        _check_l(l)
+        _check_depth("l", l, 1)
         self.fn = fn
         self.r = _level_fraction(r)
         self.l = l
@@ -490,7 +490,7 @@ class LevelSetTree:
         """
         self.extend(depth)
         if self.root is None:
-            raise ValueError("the root is not a member; no measure to build")
+            raise ValueError(f"the root is not a member at level r = {self.r}: no measure to build")
         if not self.mu_denominators:
             self.root.mu_num, self.root.mu_den = 1, 1
             self.mu_denominators = [1]
@@ -640,7 +640,7 @@ def kappa_exponent(fn: PiecewiseAffineFn, word: str, l: int = 1) -> int:
     # symbols 0, 1 and 2 (``boundary_family``); scaling the table by D
     # keeps the extreme pairs.
     check_address(word)
-    _check_l(l)
+    _check_depth("l", l, 1)
     if len(word) % l:
         raise ValueError(f"address length must be a multiple of l={l}")
     table = fn.int_word_table()[1]
@@ -668,7 +668,7 @@ def census_constant(alpha: float, d1, l: int) -> float:
     alpha = float(alpha)
     if not d1 > 0:
         raise ValueError(f"d1 must be positive, got {d1}")
-    _check_l(l)
+    _check_depth("l", l, 1)
     return (math.e / d1) ** d1 * (3 * (2**l - 1)) ** d1 * 2.0 ** (1 - d1 - l * alpha)
 
 
@@ -715,7 +715,7 @@ def well_conducting_census(fn: PiecewiseAffineFn, r, n: int, l: int, d1, *,
     t = int(t)
     if r is not None:
         LevelValue.checked(r, fn)
-    _check_l(l)
+    _check_depth("l", l, 1)
     table = fn.int_word_table()[1]
     b = 3 * ((1 << l) - 1)              # B = len(boundary_family(l))
     frontier = [("", 0)]                # (word, kappa exponent) within t

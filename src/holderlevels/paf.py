@@ -15,6 +15,7 @@ import functools
 import heapq
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -101,6 +102,10 @@ def _check_grid(level: int, grid) -> None:
     any grid is found by lattice arithmetic, without building anything of
     V_level's size.
     """
+    _check_depth("level", level, -math.inf)    # a negative level is _vertex_count's to refuse
+    if not isinstance(grid, Mapping):
+        raise ValueError(f"grid must be a mapping keyed by lattice index, got a "
+                         f"{type(grid).__name__}")
     count = _vertex_count(level)
     if len(grid) == count and grid.keys() == level_index(level).vertices.keys():
         return
@@ -282,9 +287,7 @@ class PiecewiseAffineFn:
         the order the level's cells first reach them.  The certificate's
         ``holder`` carries over, since the function is the same.
         """
-        _check_depth("level", level)
-        if level < self.level:
-            raise ValueError(f"cannot refine to a coarser level: level {level} < {self.level}")
+        _check_depth("level", level, self.level)     # no coarser level
         if level == self.level:
             return PiecewiseAffineFn._from_ints(level, self._den, self._numerators,
                                                 self.holder)
@@ -604,9 +607,7 @@ def holder_certificate(fn: PiecewiseAffineFn, alpha: float, c: float,
     """
     _check_alpha(alpha)
     _check_positive("c", c)
-    _check_depth("depth", depth)
-    if depth < fn.level:
-        raise ValueError("certificate depth must be at least the function level")
+    _check_depth("depth", depth, fn.level)
     index, xs, ys, vs = _vertex_arrays(fn, depth)
     best, idx = max_holder_ratio(xs, ys, vs, alpha)
     pair = None if idx is None else tuple(
@@ -657,9 +658,8 @@ def random_standard_paf(seed: int, level: int, alpha: float, c: float,
     ``holder`` is (alpha, c) once the certificate passed; with
     ``check=False`` nothing is certified and ``holder`` is None.
     """
-    _check_depth("level", level)
-    if level < 1:
-        raise ValueError("a standard function needs level >= 1")
+    _check_depth("seed", seed, -math.inf)
+    _check_depth("level", level, 1)
     _check_positive("c", c)
     _check_alpha(alpha)
     disp_headroom = 0.45 * (1 - 2.0 ** (-(1 - alpha))) if alpha < 1 else 0.1

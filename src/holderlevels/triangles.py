@@ -36,70 +36,70 @@ def check_address(word: str) -> str:
     return word
 
 
-def _check_l(l) -> None:
-    """Refuse a boundary parameter l that is not an int of at least 1 (a bool too), naming it."""
-    if not isinstance(l, int) or isinstance(l, bool) or l < 1:
-        raise ValueError(f"boundary family needs an int l >= 1, got l={l!r}")
+def _check_depth(name: str, value, low=0) -> None:
+    """Refuse a count (a depth, level, l, k...) that is not an int of at least ``low``, naming it.
 
-
-def _check_depth(name: str, value) -> None:
-    """Refuse a depth, level or count of depths that is not a non-negative int, naming it.
-
-    A bool is an int to Python but no depth, so it is refused too.
+    A bool is an int to Python but no count, so it is refused too.  At
+    ``low`` -inf any int passes, as a seed does.
     """
+    if isinstance(value, int) and not isinstance(value, bool) and value >= low:
+        return
+    if low > 0:
+        raise ValueError(f"need an int {name} >= {low}, got {name}={value!r}")
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an int, got {name}={value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
+    raise ValueError(f"{name} must be non-negative, got {value}")
 
 
 def _check_alpha(alpha, below_one: bool = False) -> None:
-    """Refuse alpha outside (0, 1], or (0, 1) when ``below_one``, and NaN, None or a str."""
+    """Refuse alpha outside (0, 1], or (0, 1) when ``below_one``, and NaN, None, a str, a bool."""
     try:
         inside = 0 < alpha < 1 if below_one else 0 < alpha <= 1
     except TypeError:               # None, a str: anything that does not compare with numbers
         inside = False
-    if not inside:
+    if not inside or isinstance(alpha, bool):
         raise ValueError(f"alpha must lie in (0, 1{')' if below_one else ']'}, got {alpha!r}")
 
 
 def _check_positive(name: str, value) -> None:
-    """Refuse a value that is not positive and finite (NaN, None, a str...), naming it."""
+    """Refuse a value that is not positive and finite (NaN, None, a str, a bool...), naming it."""
     try:
         inside = 0 < value < math.inf
     except TypeError:
         inside = False
-    if not inside:
+    if not inside or isinstance(value, bool):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _check_open_unit(name: str, value) -> None:
-    """Refuse a value outside (0, 1) (NaN, None, a str...), naming it."""
+    """Refuse a value outside (0, 1) (NaN, None, a str, a bool...), naming it."""
     try:
         inside = 0 < value < 1
     except TypeError:
         inside = False
-    if not inside:
+    if not inside or isinstance(value, bool):
         raise ValueError(f"{name} must lie in (0, 1): need 0 < {name} < 1, got {value!r}")
 
 
 def _check_nonnegative(name: str, value, finite: bool = False) -> None:
-    """Refuse a negative value, or an infinite one when ``finite``, and NaN, None or a str."""
+    """Refuse a negative value, or an infinite one when ``finite``, and NaN, None, a str, a bool."""
     try:
         inside = 0 <= value < math.inf if finite else value >= 0
     except TypeError:
         inside = False
-    if not inside:
+    if not inside or isinstance(value, bool):
         raise ValueError(f"{name} must be non-negative{' and finite' if finite else ''}: "
                          f"need {name} >= 0, got {value!r}")
 
 
 def _rational(name: str, value) -> Fraction:
-    """``value`` as a Fraction, or a ValueError naming it if Fraction cannot read it."""
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, ArithmeticError):    # None; NaN or a bad string; inf or x/0
-        raise ValueError(f"{name} must be a finite rational, got {value!r}") from None
+    """``value`` as a Fraction, or a ValueError naming it: a bool, or what Fraction cannot read."""
+    if not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, ArithmeticError):    # None; NaN or a bad string; inf or x/0
+            pass
+    raise ValueError(f"{name} must be a finite rational, got {value!r}")
 
 
 def lattice_child(row: int, col: int, symbol: int) -> tuple[int, int]:
@@ -303,7 +303,7 @@ def boundary_family(l: int) -> tuple[str, ...]:
     3*(2**l - 1).  Built once per l; l is checked before the cache, so
     an unhashable l is refused like any other.
     """
-    _check_l(l)
+    _check_depth("l", l, 1)
     return _boundary_family(l)
 
 

@@ -75,6 +75,8 @@ REMOVED = {
     "truncation_error", "labels_for", "min_gap", "rectangle", "ROOT_VERTICES",
     # paf: the wrapper that returned the vertex table's denominator _den
     "_denominator",
+    # triangles: the reader of l, which _check_depth("l", l, 1) replaced
+    "_check_l",
 }
 
 
@@ -455,6 +457,28 @@ def test_argument_rules_are_written_once():
                        ("cantor", "piecewise_constant_feasibility", "_check_nonnegative"),
                        ("cantor", "__post_init__", "_check_open_unit"),
                        ("graft", "graft_certificate_constant", "_check_nonnegative")}
+
+    # a count's lower bound is _check_depth's third argument: no function
+    # compares a name it passed to _check_depth and then raises, but for
+    # the upper bounds listed with what they bound
+    upper_bounds = {
+        ("cantor", "__post_init__", "index >= 1 << self.k"): "ix, iy index 2**k intervals",
+        ("levelset", "histograms", "first > n"): "the histograms run from first to n",
+    }
+    bounded = set()
+    for m in modules:
+        path = ROOT / "src" / "holderlevels" / f"{m}.py"
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            counts = {ast.unparse(n.args[1]) for n in _own_nodes(fn)
+                      if _called_name(n) == "_check_depth"}
+            bounded |= {(m, fn.name, ast.unparse(c)) for n in _own_nodes(fn)
+                        if isinstance(n, ast.If)
+                        and any(isinstance(r, ast.Raise) for stmt in n.body for r in ast.walk(stmt))
+                        for c in ast.walk(n.test) if isinstance(c, ast.Compare)
+                        and counts & {ast.unparse(v) for v in (c.left, *c.comparators)}}
+    assert bounded == set(upper_bounds)
 
 
 def test_runs_alone_take_a_runs_digits_apart():

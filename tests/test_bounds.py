@@ -288,7 +288,7 @@ def test_mass_distribution_unique_chain():
 def test_mass_distribution_needs_a_checked_level():
     ramp = affine_from_corners(F(0), F(0), F(1), level=1)
     params = BoundSearchParams(alpha=1.0, d1=F(1, 2), l=1)
-    with pytest.raises(ValueError, match="n_prime_max must be at least 1, got 0"):
+    with pytest.raises(ValueError, match="int n_prime_max >= 1, got n_prime_max=0"):
         mass_distribution_lower(ramp, F(9, 10), params, n_prime_max=0)
 
 

@@ -7,8 +7,15 @@ str, and the count rows a float.  A bool is an int to Python but no
 depth and no boundary parameter, so the function levels, the
 certificate and tree depths, the capacity gap's k and every l are also
 called with True.
+
+Every row also gets the value zoo ``ZOO``: each of its values is refused
+with the row's fragment unless ``ACCEPTED`` lists it for the row, with
+the reason.  The zoo holds no huge int such as 10**400: on one, some
+calls run for minutes and others overflow a float, and no reader refuses
+it yet.
 """
 
+import inspect
 import math
 from fractions import Fraction
 
@@ -25,6 +32,8 @@ nan, inf = math.nan, math.inf
 _FN, _R = third_up(7, 3)
 _STRUCTURE = product_separated_structure(3)
 _WITNESS = hl.BernoulliWitnessFn.for_alpha(0.5)
+_GRID = dict(_FN.grid)
+_PARAMS = hl.BoundSearchParams(1.0, F(1, 2), 1)
 
 # (callable of the bad value, the bad values, a fragment the message holds)
 CASES = {
@@ -39,6 +48,13 @@ CASES = {
                                  [-1, -5, 1.5, None], "k_cap"),
     "feasibility_search alpha": (lambda v: hl.feasibility_search(v, 0.5, 1.0, _STRUCTURE, 3),
                                  [nan, 0, -1, 2, None, "abc"], "alpha"),
+    "feasibility_search c": (lambda v: hl.feasibility_search(0.6, v, 1.0, _STRUCTURE, 3),
+                             [nan, 0, -1, 1, 2], "c must"),
+    "feasibility_search M": (lambda v: hl.feasibility_search(0.6, 0.5, v, _STRUCTURE, 3),
+                             [nan, -1], "M"),
+    "piecewise_constant_feasibility alpha": (
+        lambda v: hl.piecewise_constant_feasibility(v, 0.5, 1.0, _STRUCTURE, 3),
+        [nan, 0, -1, 2], "alpha"),
     "piecewise_constant_feasibility M": (
         lambda v: hl.piecewise_constant_feasibility(0.6, 0.5, v, _STRUCTURE, 3),
         [nan, -1, None, "abc"], "M"),
@@ -60,6 +76,10 @@ CASES = {
     "LevelValue r": (lambda v: hl.LevelValue.checked(v, _FN),
                      [nan, inf, -inf, "abc", "1/0", None], "level r"),
     "LevelSetTree r": (lambda v: hl.LevelSetTree(_FN, v, 1, 2), [nan, inf], "level r"),
+    "PiecewiseAffineFn level": (lambda v: hl.PiecewiseAffineFn(v, _GRID), [-1, 2, 4, 2.0],
+                                "level"),
+    "PiecewiseAffineFn grid": (lambda v: hl.PiecewiseAffineFn(3, v), [list(_GRID), "abc"],
+                               "grid must"),
     "PhaseTransitionConfig alpha": (
         lambda v: hl.PhaseTransitionConfig(v, F(1, 2), 2, 1, 1, 0.2),
         [nan, 0, -1, 2, None, "abc"], "alpha"),
@@ -137,6 +157,8 @@ CASES = {
                                   [nan, 0, -1, 2, None, "abc"], "alpha"),
     "random_standard_paf c": (lambda v: hl.random_standard_paf(1, 2, 0.5, v, check=False),
                               [nan, 0, -1, inf, None, "abc"], "c must"),
+    "random_standard_paf seed": (lambda v: hl.random_standard_paf(v, 2, 0.5, 0.9, check=False),
+                                 [1.0, F(1), "1", True], "seed must"),
     "PiecewiseAffineFn.refine level": (_FN.refine, [-1, 2, 1.5, 4.5, nan, None, "abc", True],
                                        "level"),
     "kappa_exponent l": (lambda v: hl.kappa_exponent(_FN, "01", v), [0, -1, 1.5, 2.0, True],
@@ -177,9 +199,14 @@ CASES = {
     "well_conducting_census alpha": (
         lambda v: hl.well_conducting_census(_FN, None, 2, 1, F(1, 2), alpha=v),
         [nan, 0, -1, 2, None, "abc"], "alpha"),
+    "well_conducting_census r": (
+        lambda v: hl.well_conducting_census(_FN, v, 2, 1, F(1, 2), alpha=0.5),
+        [nan, inf, "abc", "1/0"], "level r"),
     "mass_distribution_lower n_prime_max": (
         lambda v: hl.mass_distribution_lower(_FN, _R, hl.BoundSearchParams(1.0, F(1, 2), 1), v),
         [0, -1, 1.5, 2.0], "n_prime_max"),
+    "mass_distribution_lower r": (lambda v: hl.mass_distribution_lower(_FN, v, _PARAMS, 1),
+                                  [nan, inf, "abc", -1, 100], "level r"),
     "graft n_prime": (lambda v: hl.graft(_FN, v, _WITNESS), [-1, 0], "level"),
 }
 
@@ -190,6 +217,64 @@ def test_bad_arguments_raise_a_named_value_error(name):
     for value in values:
         with pytest.raises(ValueError, match=fragment):
             call(value)
+
+
+ZOO = (None, "abc", nan, inf, -inf, -1, 0, 1.5, True, [], object(), 1j)
+
+# the zoo values a row accepts, by the reason; each other one is refused
+ACCEPTED_BY_REASON = {
+    "a count of 0: the root, the unit interval, level 0 or no digit read": [
+        ("BernoulliWitnessFn max_depth", 0), ("FatCantorSet n", 0), ("cantor_level n", 0),
+        ("LevelSetTree depth", 0), ("LevelSetTree.extend depth", 0),
+        ("LevelSetTree.fill_measure depth", 0), ("LevelSetTree.nodes_at level", 0),
+        ("LevelSetTree.conservation k", 0), ("LevelSetTree.histogram n", 0),
+        ("LevelSetTree.histograms n", 0), ("LevelSetTree.histograms first", 0),
+        ("PhaseTransitionConfig ix", 0), ("PhaseTransitionConfig iy", 0),
+        ("feasibility_search k_cap", 0), ("graft_certificate_constant n_prime", 0),
+        ("line_crossing_count_geometric level", 0), ("piecewise_constant_feasibility k", 0),
+        ("well_conducting_census n", 0)],
+    "an empty digit stream: one root triangle, an empty estimate": [
+        ("box_count_dimension digits", []), ("line_crossing_count digits", [])],
+    "the base height 0, and True, the int 1: the apex height": [
+        ("BernoulliWitnessFn.value_at_height y", 0),
+        ("BernoulliWitnessFn.value_at_height y", True)],
+    "None: alpha is -log2(p)": [("BernoulliWitnessFn alpha", None)],
+    "c is any positive constant": [
+        ("HolderParams c", 1.5), ("holder_certificate c", 1.5), ("random_standard_paf c", 1.5)],
+    "a Lipschitz constant: 0 for a constant function, or any finite positive one": [
+        ("graft_certificate_constant lipschitz", 0), ("graft_certificate_constant lipschitz", 1.5),
+        ("min_graft_level lipschitz", 1.5)],
+    "M = 0 is feasible at every level, M = inf at none, and 1.5 is any M": [
+        (row, m) for row in ("piecewise_constant_feasibility M", "feasibility_search M")
+        for m in (0, 1.5, inf)],
+    "d1 is any positive rational; here n d1 = 3 is an integer": [
+        ("census_constant d1", 1.5), ("well_conducting_census d1", 1.5)],
+    "a rational level that no vertex value equals; off the root's range a tree is empty": [
+        (row, r) for row in ("LevelSetTree r", "LevelValue r", "well_conducting_census r")
+        for r in (-1, 0, 1.5)],
+    "None: the census checks no level value, as its count does not depend on r": [
+        ("well_conducting_census r", None)],
+    "any int seeds the generator, a negative one too": [
+        ("random_standard_paf seed", -1), ("random_standard_paf seed", 0)],
+}
+ACCEPTED = {(row, repr(value)): reason for reason, pairs in ACCEPTED_BY_REASON.items()
+            for row, value in pairs}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_the_value_zoo_is_refused_or_accepted_for_a_reason(name):
+    call, _, fragment = CASES[name]
+    for value in ZOO:
+        if (name, repr(value)) in ACCEPTED:
+            call(value)
+        else:
+            with pytest.raises(ValueError, match=fragment):
+                call(value)
+
+
+def test_accepted_values_are_zoo_values_of_a_row():
+    assert {row for row, _ in ACCEPTED} <= set(CASES)
+    assert {value for _, value in ACCEPTED} <= {repr(v) for v in ZOO}
 
 
 def test_a_bad_address_is_refused_before_the_tree_grows():
@@ -203,7 +288,7 @@ def test_a_bad_address_is_refused_before_the_tree_grows():
 ALPHA_CALLS = [name for name in CASES if name.endswith(" alpha")]
 outside_unit_interval = st.one_of(
     st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True), st.just(nan),
-    st.none(), st.text())
+    st.none(), st.text(), st.booleans())
 
 
 @given(st.sampled_from(ALPHA_CALLS), outside_unit_interval)
@@ -216,13 +301,33 @@ def test_alpha_outside_the_unit_interval_is_refused(name, alpha):
         call(alpha)
 
 
+# the value types, the result types and the perturbation, whose config
+# validates itself at construction
+SKIPPED = {"CoordQ3", "DimensionEstimate", "GraftedFn", "HolderCertificate",
+           "PointQ3", "QSqrt3", "SeparatedStructure", "phase_perturbation"}
+
+# the parameters of the swept callables that no row sweeps, by the reason
+NOT_SWEPT_BY_REASON = {
+    "a value of a library type, read by its attributes like any Python object": [
+        "LevelSetTree fn", "holder_certificate fn", "kappa_exponent fn",
+        "mass_distribution_lower fn", "well_conducting_census fn", "graft base",
+        "graft witness", "mass_distribution_lower params", "mass_distribution_lower tree",
+        "feasibility_search structure", "piecewise_constant_feasibility structure"],
+    "a flag, read for its truth like any Python condition": ["random_standard_paf check"],
+}
+NOT_SWEPT = {row for rows in NOT_SWEPT_BY_REASON.values() for row in rows}
+
+
 def test_every_exported_callable_is_swept():
-    # the value types, the result types and the perturbation (whose
-    # config validates itself at construction) aside, every exported
-    # function or class is called with bad input above, itself or
-    # through a method ("Class.method parameter")
+    # every exported function or class but SKIPPED is called with bad
+    # input above, itself or through a method ("Class.method parameter")
     swept = {name.split()[0].split(".")[0] for name in CASES}
-    skipped = {"CoordQ3", "DimensionEstimate", "GraftedFn", "HolderCertificate",
-               "PointQ3", "QSqrt3", "SeparatedStructure", "phase_perturbation"}
-    assert swept | skipped == set(hl.__all__)
-    assert swept & skipped == set()
+    assert swept | SKIPPED == set(hl.__all__)
+    assert swept & SKIPPED == set()
+
+
+def test_every_exported_parameter_has_a_row():
+    params = {f"{name} {p}" for name in sorted(set(hl.__all__) - SKIPPED)
+              for p in inspect.signature(getattr(hl, name)).parameters}
+    assert params - set(CASES) == NOT_SWEPT
+    assert NOT_SWEPT <= params
