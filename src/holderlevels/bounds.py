@@ -182,11 +182,19 @@ def box_count_dimension(digits) -> DimensionEstimate:
     n = len(digits)
     if n == 0:
         return DimensionEstimate(np.array([]), np.array([]), 0.0, 0.0, empty=True)
-    try:
-        flips = np.array([1 - e for e in digits])
-    except TypeError:                   # a digit with no arithmetic, such as a str's
-        digit = next(e for e in digits if e not in (0, 1))
-        raise ValueError(f"binary digits expected, got {digit!r}") from None
+    flips = None
+    if set(map(type, digits)) <= {int, bool}:
+        # one buffer for the list numpy would make of 1 - e: int64 either way
+        try:
+            flips = 1 - np.frombuffer(bytes(digits), np.uint8).astype(np.int64)
+        except ValueError:              # an int outside 0..255, no digit either way
+            pass
+    if flips is None:
+        try:
+            flips = np.array([1 - e for e in digits])
+        except TypeError:               # a digit with no arithmetic, such as a str's
+            digit = next(e for e in digits if e not in (0, 1))
+            raise ValueError(f"binary digits expected, got {digit!r}") from None
     bad = (flips != 0) & (flips != 1)
     if bad.any():
         raise ValueError(f"binary digits expected, got {digits[int(bad.argmax())]!r}")

@@ -108,9 +108,12 @@ def _fmt(x) -> str:
     if isinstance(x, Fraction):
         return f"{_fmt(x.numerator)}/{_fmt(x.denominator)}"
     if isinstance(x, int) and not isinstance(x, bool):
-        # str() refuses ints past sys.get_int_max_str_digits() digits (witness
-        # counts 2**zeros, deep cantor interval ends); Decimal prints any size
-        return str(Decimal(x))
+        try:
+            return str(x)
+        except ValueError:
+            # str() refuses ints past sys.get_int_max_str_digits() digits (witness
+            # counts 2**zeros, deep cantor interval ends); Decimal prints any size
+            return str(Decimal(x))
     return str(x)
 
 

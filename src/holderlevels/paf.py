@@ -22,9 +22,9 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from .exact import _SQRT3_FLOAT, PointQ3
-from .triangles import (_check_alpha, _check_depth, _check_positive, cell_corners, check_address,
-                        delta_lattice_index, lattice_point, lattice_weights, level_index, locate,
-                        midpoint_plan)
+from .triangles import (_check_alpha, _check_depth, _check_positive, _rational, cell_corners,
+                        check_address, delta_lattice_index, lattice_point, lattice_weights,
+                        level_index, locate, midpoint_plan)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -153,12 +153,14 @@ class PiecewiseAffineFn:
     word of length < level (``LevelSetTree._word_loop``), which no level
     value enters.  ``grid`` is a read-only ``Fraction``
     view of the same table in the same key order.  Construction raises
-    ValueError unless ``grid``'s keys are exactly the indices of V_level.
+    ValueError unless ``grid``'s keys are exactly the indices of V_level
+    and each value is a finite rational (a float reads as its exact value).
     ``holder`` starts as None: only a passed certificate sets it.
     """
 
     def __init__(self, level: int, grid: dict[tuple[int, int], Fraction]):
         _check_grid(level, grid)
+        grid = {p: _rational(f"grid[{p!r}]", v) for p, v in grid.items()}
         den = math.lcm(*(v.denominator for v in grid.values()))
         self._init(level, den, {p: v.numerator * (den // v.denominator) for p, v in grid.items()})
 
@@ -657,6 +659,11 @@ def random_standard_paf(seed: int, level: int, alpha: float, c: float,
     subdivides the integers as they are, with no ``Fraction``.
     ``holder`` is (alpha, c) once the certificate passed; with
     ``check=False`` nothing is certified and ``holder`` is None.
+
+    Attempt a of seed s >= 0 draws from ``random.Random(s * 1_000_003 +
+    a)``.  ``random`` reads an int seed by its absolute value, so a
+    negative seed -s draws attempt a from ``s * 1_000_003 + _MAX_ATTEMPTS
+    + a``, past the attempts of seed s: no two seeds share a stream.
     """
     _check_depth("seed", seed, -math.inf)
     _check_depth("level", level, 1)
@@ -670,9 +677,10 @@ def random_standard_paf(seed: int, level: int, alpha: float, c: float,
     amps = [max(1, int(disp_headroom * c * 2.0 ** (-(k + 1) * alpha) * _DISP_DENOM))
             for k in range(top)]
     starts, new, ends_a, ends_b = midpoint_plan(top)
+    stream = abs(seed) * 1_000_003 + (_MAX_ATTEMPTS if seed < 0 else 0)
     failing = None
     for attempt in range(_MAX_ATTEMPTS):
-        rng = random.Random(seed * 1_000_003 + attempt)
+        rng = random.Random(stream + attempt)
         while True:
             triple = [rng.randrange(_DISP_DENOM + 1) for _ in range(3)]
             if len(set(triple)) == 3:

@@ -169,17 +169,37 @@ def test_level_sets_are_read_from_the_tree_alone():
     assert (alpha.kind, alpha.default) == (alpha.KEYWORD_ONLY, alpha.empty)
     reads_holder = _where("levelset", lambda n: getattr(n, "attr", None) == "holder")
     assert reads_holder == set()
-    assert "_extend" in _where("levelset", lambda n: _called_name(n) == "scale")
+    assert "LevelSetTree._extend" in _where("levelset", lambda n: _called_name(n) == "scale")
 
 
 # -- each rule written once: AST guards ---------------------------------
 
 def _functions(module: str) -> dict[str, ast.FunctionDef]:
-    """Every function and method of a library module, by name."""
+    """Every function and method of a library module, by qualified name.
+
+    A method is keyed ``Class.method`` and a nested function
+    ``outer.<locals>.inner``, as ``__qualname__`` has them, and a property's
+    setter ``Class.name.setter``, so no function hides another of its name.
+    """
     path = ROOT / "src" / "holderlevels" / f"{module}.py"
-    tree = ast.parse(path.read_text(), str(path))
-    return {node.name: node for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    found = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name + "".join(
+                    f".{d.attr}" for d in child.decorator_list
+                    if isinstance(d, ast.Attribute) and d.attr in ("setter", "deleter"))
+                assert name not in found, (module, name)
+                found[name] = child
+                visit(child, f"{name}.<locals>.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text(), str(path)), "")
+    return found
 
 
 def _own_nodes(fn: ast.FunctionDef):
@@ -287,12 +307,14 @@ def test_levelset_sums_kappa_exponents_in_one_function():
     assert _where("levelset", weighs_exponents) == set()
     assert _where("levelset", sums_fractions) == set()
     assert _where("levelset", lambda n: _called_name(n) == "_split") == {
-        "_kappa_sum", "_word_loop"}
+        "_kappa_sum", "LevelSetTree._word_loop"}
     assert _where("runs", lambda n: _called_name(n) == "_split") == {"_block_children"}
     # conservation sums its members' exponents once (_kappa_sum): a run's
     # chain adds the exponent and count runs reads from its digit counts
-    assert _where("levelset", lambda n: _called_name(n) == "_kappa_sum") == {"conservation"}
-    assert _where("levelset", lambda n: _called_name(n) == "_run_weights") == {"conservation"}
+    assert _where("levelset", lambda n: _called_name(n) == "_kappa_sum") == {
+        "LevelSetTree.conservation"}
+    assert _where("levelset", lambda n: _called_name(n) == "_run_weights") == {
+        "LevelSetTree.conservation"}
     assert _where("runs", lambda n: _called_name(n) == "_digit_counts") == {
         "_heads", "_run_weights"}
     # no hand-written extreme words: a symbol repeated l times is spelled
@@ -305,7 +327,7 @@ def test_levelset_sums_kappa_exponents_in_one_function():
     assert _where("levelset", repeats_a_symbol) == {"_extreme_words"}
     assert _where("runs", repeats_a_symbol) == set()
     assert _where("levelset", lambda n: _called_name(n) == "_extreme_words") == {
-        "_boundary_children", "kappa_exponent", "well_conducting_census"}
+        "LevelSetTree._boundary_children", "kappa_exponent", "well_conducting_census"}
 
 
 def test_nodes_below_the_crossing_come_from_the_runs_alone():
@@ -317,21 +339,25 @@ def test_nodes_below_the_crossing_come_from_the_runs_alone():
     # no word loop, no boundary child, no block child and no node.  _extend
     # has no per-node digit step and builds no node from the runs
     assert _where("levelset", lambda n: _called_name(n) == "LevelSetNode") == {
-        "__init__", "_word_loop", "_expand_runs"}
-    init = _functions("levelset")["__init__"]
+        "LevelSetTree.__init__", "LevelSetTree._word_loop", "LevelSetTree._expand_runs"}
+    init = _functions("levelset")["LevelSetTree.__init__"]
     assert sum(_called_name(n) == "LevelSetNode" for n in _own_nodes(init)) == 1    # the root
-    assert _where("levelset", lambda n: _called_name(n) == "_word_loop") == {"_extend"}
+    assert _where("levelset", lambda n: _called_name(n) == "_word_loop") == {
+        "LevelSetTree._extend"}
     assert _where("levelset", lambda n: _called_name(n) == "_blocks") == set()
     assert _where("levelset", lambda n: _called_name(n) in ("_chain", "_block_sums")) == {
-        "histograms", "_expand_runs", "fill_measure"}
-    assert _where("levelset", lambda n: _called_name(n) == "_last_digits") == {"_arm"}
+        "LevelSetTree.histograms", "LevelSetTree._expand_runs", "LevelSetTree.fill_measure"}
+    assert _where("levelset", lambda n: _called_name(n) == "_last_digits") == {
+        "LevelSetTree._arm"}
     assert _where("levelset", lambda n: _called_name(n) == "_block_children") == {
-        "_arm", "_expand_runs"}
-    assert _where("levelset", lambda n: _called_name(n) == "_block_word") == {"_step_runs"}
+        "LevelSetTree._arm", "LevelSetTree._expand_runs"}
+    assert _where("levelset", lambda n: _called_name(n) == "_block_word") == {
+        "LevelSetTree._step_runs"}
     assert _where("runs", lambda n: _called_name(n) == "_block_word") == {"_block_children"}
-    step = {_called_name(n) for n in _own_nodes(_functions("levelset")["_step_runs"])}
+    step_runs = _functions("levelset")["LevelSetTree._step_runs"]
+    step = {_called_name(n) for n in _own_nodes(step_runs)}
     assert not step & {"_word_loop", "_boundary_children", "_block_children", "LevelSetNode"}
-    extend = _functions("levelset")["_extend"]
+    extend = _functions("levelset")["LevelSetTree._extend"]
     assert not any(getattr(n, "id", getattr(n, "attr", None))
                    in ("_blocks", "_block_children", "_chain", "blocks")
                    for n in _own_nodes(extend))
@@ -351,8 +377,8 @@ def test_the_tree_keeps_its_runs():
     drops = [name for name, fn in _functions("levelset").items() for n in _own_nodes(fn)
              if isinstance(n, ast.Assign) and isinstance(n.value, ast.Constant)
              and n.value.value is None and any(names(t, {"_ks"}) for t in n.targets)]
-    assert drops == ["_extend"]
-    for view in ("_expand_runs", "_arm"):
+    assert drops == ["LevelSetTree._extend"]
+    for view in ("LevelSetTree._expand_runs", "LevelSetTree._arm"):
         targets = [t for n in _own_nodes(_functions("levelset")[view]) for t in (
             n.targets if isinstance(n, ast.Assign) else
             [n.target] if isinstance(n, (ast.AugAssign, ast.AnnAssign)) else [])]
@@ -361,8 +387,9 @@ def test_the_tree_keeps_its_runs():
              if isinstance(n, (ast.Assign, ast.AnnAssign))
              and any(names(t, {"_runs"})
                      for t in (n.targets if isinstance(n, ast.Assign) else [n.target]))}
-    assert keeps == {"__init__", "_extend"}
-    assert _where("levelset", lambda n: _called_name(n) == "odd_corner") == {"_extend"}
+    assert keeps == {"LevelSetTree.__init__", "LevelSetTree._extend"}
+    assert _where("levelset", lambda n: _called_name(n) == "odd_corner") == {
+        "LevelSetTree._extend"}
 
 
 def _imports(module: str) -> set[tuple[str, str]]:
@@ -380,16 +407,17 @@ def test_every_tree_reader_walks_the_chains():
     # and it alone asks whether the tree keeps runs at a depth: no reader
     # forks on the runs, and the mass check parses no address.  Past the
     # run step, only _chains takes the runs' K from the tree
-    readers = {"histograms", "conservation", "_expand_runs", "_arm", "fill_measure",
-               "_members"}
+    readers = {f"LevelSetTree.{name}" for name in (
+        "histograms", "conservation", "_expand_runs", "_arm", "fill_measure", "_members")}
     assert readers <= _where("levelset", lambda n: _called_name(n) == "_chains")
     names_runs = _where("levelset", lambda n: isinstance(n, ast.Attribute)
                         and n.attr == "_ks" and getattr(n.value, "id", None) == "self")
-    assert names_runs == {"__init__", "_extend", "_step_runs", "_chains"}
+    assert names_runs == {f"LevelSetTree.{name}"
+                          for name in ("__init__", "_extend", "_step_runs", "_chains")}
     keeps_runs = _where("levelset", lambda n: isinstance(n, ast.Compare)
                         and isinstance(n.ops[0], ast.IsNot) and ast.unparse(n.left) == "self._ks")
-    assert keeps_runs == {"_chains"}
-    assert "_run_chains" not in _functions("levelset")
+    assert keeps_runs == {"LevelSetTree._chains"}
+    assert not any(name.endswith("_run_chains") for name in _functions("levelset"))
     # the mass check reads the argument readers from triangles, and no
     # lattice or address function
     from_triangles = {name for module, name in _imports("bounds") if module == "triangles"}
@@ -411,7 +439,7 @@ def test_the_mass_check_reads_each_run_from_block_summaries():
     assert _where("bounds", lambda n: _called_name(n) == "_line_members") == {"_window_members"}
     assert _where("bounds", lambda n: _called_name(n) == "_blocks") == {
         "_run_windows", "_window_members"}
-    members = _functions("levelset")["_members"]
+    members = _functions("levelset")["LevelSetTree._members"]
     assert not {"_blocks", "_block_cell", "_block_children", "_chain", "_block_sums"} & {
         _called_name(n) for n in _own_nodes(members)}
 
@@ -455,25 +483,23 @@ def test_argument_rules_are_written_once():
                if _called_name(n) in ("_check_open_unit", "_check_nonnegative")}
     assert readers == {("cantor", "piecewise_constant_feasibility", "_check_open_unit"),
                        ("cantor", "piecewise_constant_feasibility", "_check_nonnegative"),
-                       ("cantor", "__post_init__", "_check_open_unit"),
+                       ("cantor", "PhaseTransitionConfig.__post_init__", "_check_open_unit"),
                        ("graft", "graft_certificate_constant", "_check_nonnegative")}
 
     # a count's lower bound is _check_depth's third argument: no function
     # compares a name it passed to _check_depth and then raises, but for
     # the upper bounds listed with what they bound
     upper_bounds = {
-        ("cantor", "__post_init__", "index >= 1 << self.k"): "ix, iy index 2**k intervals",
-        ("levelset", "histograms", "first > n"): "the histograms run from first to n",
+        ("cantor", "PhaseTransitionConfig.__post_init__", "index >= 1 << self.k"):
+            "ix, iy index 2**k intervals",
+        ("levelset", "LevelSetTree.histograms", "first > n"): "the histograms run from first to n",
     }
     bounded = set()
     for m in modules:
-        path = ROOT / "src" / "holderlevels" / f"{m}.py"
-        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
+        for name, fn in _functions(m).items():
             counts = {ast.unparse(n.args[1]) for n in _own_nodes(fn)
                       if _called_name(n) == "_check_depth"}
-            bounded |= {(m, fn.name, ast.unparse(c)) for n in _own_nodes(fn)
+            bounded |= {(m, name, ast.unparse(c)) for n in _own_nodes(fn)
                         if isinstance(n, ast.If)
                         and any(isinstance(r, ast.Raise) for stmt in n.body for r in ast.walk(stmt))
                         for c in ast.walk(n.test) if isinstance(c, ast.Compare)
@@ -489,7 +515,7 @@ def test_runs_alone_take_a_runs_digits_apart():
     # a multiple.  The shifts by l that read no digit are listed with what
     # they do; scale()'s shift is by the word length minus L, not by l
     not_digit_reads = {
-        ("levelset", "_expand_runs", "b << l"):
+        ("levelset", "LevelSetTree._expand_runs", "b << l"):
             "b' = b 2**l + k d, the corner a block's children share",
         ("levelset", "well_conducting_census", "1 << l"):
             "B = 3 (2**l - 1), the number of boundary words",

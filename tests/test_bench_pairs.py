@@ -84,4 +84,7 @@ def test_both_sides_run_from_their_own_fresh_bytecode_cache(monkeypatch, tmp_pat
         mine = [(seconds, empty) for cwd, _, seconds, empty, _ in runs if (cwd == ROOT) == change]
         assert mine[0] == ("0", True) and not any(empty for _, empty in mine[1:])
         assert [s for s, _ in mine].count("0") == 2         # one warm-up per workload
-    assert json.loads(out.read_text())["workloads"]["deep"]["wall_s"]["change_better"] == "0/3"
+    written = json.loads(out.read_text())
+    assert written["workloads"]["deep"]["wall_s"]["change_better"] == "0/3"
+    # OUT says how the runs it times got their bytecode
+    assert written["env"]["bytecode"].startswith("cached: each side its own fresh")

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holderlevels.bernoulli import (
+    _HEAD_DIGITS,
     BernoulliWitnessFn,
+    _head_table,
     _unit_ratio,
     cdf_from_digits,
     p_for_holder_exponent,
@@ -226,7 +228,8 @@ def same(a, b) -> bool:
     return a == b
 
 
-depths = st.sampled_from([0, 1, 5, 48, 64, 200])
+# 11, 12 and 13 sit around the head table's 12 digits
+depths = st.sampled_from([0, 1, 5, 11, 12, 13, 48, 64, 200])
 float_p = st.floats(min_value=0.01, max_value=0.99).map(lambda a: 2.0 ** -a)
 any_p = st.one_of(float_p, rational_p)
 dyadic_heights = st.integers(min_value=1, max_value=70).flatmap(
@@ -283,3 +286,48 @@ def test_witness_fields_are_frozen():
 @settings(max_examples=200)
 def test_float_heights_match_the_float_digit_loop(x, p, depth):
     assert same(bernoulli_cdf(x, p, depth), cdf_from_digits(float_digits(x, depth), p))
+
+
+def loop_state(digits, p):
+    """(total, mass) of the digit loop of ``cdf_from_digits`` after ``digits``."""
+    total, mass = p - p, 1 - p + p
+    for e in digits:
+        if e:
+            total += mass * (1 - p)
+            mass *= p
+        else:
+            mass *= 1 - p
+    return total, mass
+
+
+def test_witnesses_of_one_float_p_share_one_head_table():
+    # the table is built on the first value read, once per (p, H)
+    p = 2.0 ** -0.37
+    _head_table.cache_clear()
+    a, b = BernoulliWitnessFn(p, max_depth=48), BernoulliWitnessFn.for_alpha(0.37)
+    assert _head_table.cache_info().currsize == 0
+    for w in (a, b):
+        digits = itertools.islice(_binary_digits(Fraction(1, 3)), w.max_depth)
+        assert same(w.value_at_height(Fraction(1, 3)), cdf_from_digits(digits, p))
+    totals, masses, h = a._head
+    assert h == _HEAD_DIGITS == 12 and len(totals) == len(masses) == 1 << h
+    assert b._head[0] is totals and b._head[1] is masses
+    assert _head_table.cache_info().currsize == 1
+    # a shallower witness reads a table of its own depth
+    assert BernoulliWitnessFn(p, max_depth=5)._head[2] == 5
+    # each entry is the loop's state after its digits, bit for bit
+    for i in (0, 1, 2, 1234, 2048, (1 << h) - 1):
+        total, mass = loop_state([i >> (h - 1 - j) & 1 for j in range(h)], p)
+        assert (totals[i].hex(), masses[i].hex()) == (total.hex(), mass.hex()), i
+
+
+def test_a_non_float_p_builds_no_head_table():
+    # a Fraction p stays exact, and a float subclass keeps its own type:
+    # both run the loop from its first digit
+    _head_table.cache_clear()
+    for p in (Fraction(3, 4), np.float64(0.75)):
+        w = BernoulliWitnessFn(p, max_depth=48)
+        assert same(w.value_at_height(Fraction(5, 8)), cdf_from_digits([1, 0, 1], p))
+        assert type(w.value_at_height(Fraction(5, 8))) is type(p)
+        assert w._head == ((p - p,), (1 - p + p,), 0)
+    assert _head_table.cache_info().currsize == 0

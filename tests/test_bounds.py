@@ -24,6 +24,7 @@ import tracemalloc
 from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
+import numpy as np
 import pytest
 
 from holderlevels import bounds
@@ -92,6 +93,38 @@ def test_box_count_rejects_non_binary_digits():
             box_count_dimension(digits)
     # booleans are binary digits, as in line_crossing_count
     assert box_count_dimension([True, False]).log2_counts.tolist() == [0, 1]
+
+
+class Bit(int):
+    """An int subclass: its digits take the list path, 1 - e for each."""
+
+
+def _estimate(digits):
+    est = box_count_dimension(digits)
+    return (est.slope.hex(), est.residual.hex(), est.empty, est.levels.dtype,
+            est.levels.tolist(), est.log2_counts.dtype, est.log2_counts.tolist())
+
+
+def test_box_count_reads_int_digits_from_one_buffer_as_from_the_list():
+    rng = random.Random(5)
+    streams = [[rng.randrange(2) for _ in range(n)] for n in (1, 2, 3, 7, 1000)]
+    streams += [[0] * n for n in (1, 2, 300)] + [[1] * n for n in (1, 2, 300)]
+    for digits in streams:
+        listed = _estimate([Bit(e) for e in digits])
+        assert listed[5] == np.int64
+        assert _estimate(digits) == listed
+        assert _estimate([bool(e) for e in digits]) == listed
+        assert _estimate([np.int64(e) for e in digits]) == listed
+        assert _estimate([e if i % 2 else bool(e) for i, e in enumerate(digits)]) == listed
+        # unsigned numpy digits keep the unsigned counts numpy sums them to
+        unsigned = box_count_dimension([np.uint8(e) for e in digits]).log2_counts
+        assert unsigned.dtype == np.uint64 and unsigned.tolist() == listed[6]
+    # float digits count in floats; the rest are refused by name
+    assert box_count_dimension([0.0, 1.0]).log2_counts.dtype == np.float64
+    assert box_count_dimension([0.0, 1.0]).log2_counts.tolist() == [1.0, 1.0]
+    for bad, name in ((2, "2"), (256, "256"), (-1, "-1"), ("a", "'a'"), (None, "None")):
+        with pytest.raises(ValueError, match=f"binary digits expected, got {name}$"):
+            box_count_dimension([0, 1, bad, 1])
 
 
 def test_lower_bound_vanishes_at_zero():

@@ -195,6 +195,17 @@ def test_fractions_past_int_str_limit_print(tmp_path):
     assert num == "1" and len(text) > 4300 and int(Decimal(text)) == den
 
 
+def test_ints_print_as_decimal_does_on_both_sides_of_the_str_limit():
+    # str() prints an int up to sys.get_int_max_str_digits() digits and
+    # refuses longer ones, which Decimal prints; the bytes are the same
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300   # 0: no limit
+    for digits in (1, 2, 19, 20, limit - 1, limit, limit + 1, 3 * limit):
+        for x in (10 ** (digits - 1), 10 ** digits - 1, 7 ** int(digits / 0.845)):
+            for signed in (x, -x):
+                assert cli._fmt(signed) == str(Decimal(signed)), (digits, signed < 0)
+    assert [cli._fmt(x) for x in (0, -0, True, False)] == ["0", "0", "True", "False"]
+
+
 def test_cantor_command(tmp_path):
     out = tmp_path / "cantor.csv"
     cap = tmp_path / "capacity.csv"

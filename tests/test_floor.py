@@ -254,12 +254,15 @@ def test_the_generated_vertex_tables_at_level_7_are_pinned():
 
 def test_the_witness_bit_loop_matches_cdf_from_digits():
     # the first max_depth binary digits of each height, dyadic or not, into
-    # the digit oracle; float results compared by float.hex
-    heights = [F(k, 2**j) for j in (1, 7, 40, 48, 60) for k in (1, 3, 2**j - 1) if k < 2**j]
+    # the digit oracle; float results compared by float.hex.  A float p
+    # reads its first 12 digits from a table: 11, 12 and 13 digits sit
+    # around it, as does the depth 12
+    heights = [F(k, 2**j) for j in (1, 7, 11, 12, 13, 40, 48, 60)
+               for k in (1, 3, 2**j - 1) if k < 2**j]
     heights += [F(1, 3), F(2, 7), F(999, 1000), F(1, 10**30)]
     checked = 0
     for p in (2 ** -0.5, F(3, 4)):
-        for depth in (48, 64):
+        for depth in (12, 48, 64):
             w = BernoulliWitnessFn(p, max_depth=depth)
             for y in heights:
                 digits = [(y.numerator << i) // y.denominator & 1 for i in range(1, depth + 1)]
@@ -269,4 +272,4 @@ def test_the_witness_bit_loop_matches_cdf_from_digits():
                 assert same, (p, depth, y, got, expected)
                 checked += 1
             assert [w.value_at_height(y) for y in (F(0), F(1))] == [0, 1]
-    assert checked == 72, checked
+    assert checked == 162, checked

@@ -80,6 +80,10 @@ CASES = {
                                 "level"),
     "PiecewiseAffineFn grid": (lambda v: hl.PiecewiseAffineFn(3, v), [list(_GRID), "abc"],
                                "grid must"),
+    "PiecewiseAffineFn grid value": (
+        lambda v: hl.PiecewiseAffineFn(3, {**_GRID, next(iter(_GRID)): v}),
+        [None, "abc", "1/0", nan, inf, -inf, True, False],
+        r"grid\[\(\d+, \d+\)\] must be a finite rational"),
     "PhaseTransitionConfig alpha": (
         lambda v: hl.PhaseTransitionConfig(v, F(1, 2), 2, 1, 1, 0.2),
         [nan, 0, -1, 2, None, "abc"], "alpha"),
@@ -254,6 +258,8 @@ ACCEPTED_BY_REASON = {
         for r in (-1, 0, 1.5)],
     "None: the census checks no level value, as its count does not depend on r": [
         ("well_conducting_census r", None)],
+    "a vertex value is any finite rational": [
+        ("PiecewiseAffineFn grid value", v) for v in (-1, 0, 1.5)],
     "any int seeds the generator, a negative one too": [
         ("random_standard_paf seed", -1), ("random_standard_paf seed", 0)],
 }

@@ -181,6 +181,19 @@ def test_generator_determinism_and_contract():
         assert len({q1, q2, q3}) == 2
 
 
+def test_a_negative_seed_draws_its_own_function():
+    # random reads an int seed by its absolute value; -s draws past the
+    # attempts of s, so no two of these seeds give one function
+    def table(seed, level, check):
+        fn = random_standard_paf(seed, level, 0.5, 0.9, check=check)
+        return fn._den, tuple(fn._numerators.items())
+
+    for level, check in ((3, False), (4, True)):
+        tables = [table(seed, level, check) for seed in (-5, -2, -1, 0, 1, 2, 5)]
+        assert len(set(tables)) == len(tables), (level, check)
+    assert table(-1, 3, False) == table(-1, 3, False)
+
+
 def test_holder_is_set_only_by_a_passed_certificate():
     # neither function meets (alpha, c) = (1, 0.9): the certificates read
     # 0.9071 and 1.559, so neither may claim those constants

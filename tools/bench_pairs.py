@@ -92,7 +92,12 @@ def main(argv=None) -> int:
                        "one process at a time",
            "command": f"python3 perfbench/run.py --workload <w> --seed <s> "
                       f"--seconds {args.seconds:g} --trace 0",
-           "env": {"python": platform.python_version(), "machine": platform.machine()},
+           "env": {"python": platform.python_version(), "machine": platform.machine(),
+                   # a run with PYTHONDONTWRITEBYTECODE=1 and no cache compiles every
+                   # module it imports inside its setup_s
+                   "bytecode": "cached: each side its own fresh PYTHONPYCACHEPREFIX, "
+                               "written (PYTHONDONTWRITEBYTECODE unset) and filled by an "
+                               "untimed run per workload"},
            "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         checkouts = {"parent": Path(tmp) / "parent", "change": ROOT}
