@@ -13,27 +13,27 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import random
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .triangles import _check_alpha, _check_depth
+from .triangles import _check_depth, _check_interval
 
 
 def _unit_ratio(x) -> tuple[int, int]:
     """(numerator, denominator) of a height x in [0, 1], in lowest terms.
 
     An int or Fraction is taken as it is; anything else is read as a
-    float, which is an exact dyadic rational.  NaN, infinities and what
-    ``float`` cannot read fail the range check like any value outside [0, 1].
+    float, which is an exact dyadic rational.  NaN, infinities, a bool
+    and what ``float`` cannot read fail the range check like any value
+    outside [0, 1].
     """
     try:
         num, den = (x if isinstance(x, (Fraction, int)) else float(x)).as_integer_ratio()
     except (TypeError, ValueError, OverflowError):  # None, 1j, a str that is no number; NaN, inf
         num, den = -1, 1
-    if not 0 <= num <= den:
+    if isinstance(x, bool) or not 0 <= num <= den:
         raise ValueError(f"expected a value in [0, 1], got {x!r}")
     return num, den
 
@@ -83,7 +83,7 @@ def _head_table(p: float, h: int) -> tuple[array, array]:
 
 
 def p_for_holder_exponent(alpha: float) -> float:
-    _check_alpha(alpha, below_one=True)
+    _check_interval("alpha", alpha, 0, 1)
     return 2.0 ** (-alpha)
 
 
@@ -104,14 +104,13 @@ class BernoulliWitnessFn:
     alpha: float | None = None
 
     def __post_init__(self):
-        pf = float(self.p) if isinstance(self.p, numbers.Real) else math.nan
-        if not 0.5 < pf < 1:
-            raise ValueError(f"p must lie in (1/2, 1), got p={self.p!r}")
+        _check_interval("p", self.p, 0.5, 1)
         _check_depth("max_depth", self.max_depth)
+        pf = float(self.p)
         if self.alpha is None:
             object.__setattr__(self, "alpha", -math.log2(pf))
             return
-        _check_alpha(self.alpha, below_one=True)
+        _check_interval("alpha", self.alpha, 0, 1)
         if not math.isclose(2.0 ** -self.alpha, pf, rel_tol=1e-12):
             raise ValueError(f"alpha = {self.alpha} contradicts p = {self.p}: "
                              "p must be 2**-alpha")

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from .levelset import LevelSetTree, _level_fraction, census_constant
 from .runs import _block_summary, _blocks, _corner_cells, _heads, _line_members, _straddle
-from .triangles import _check_alpha, _check_depth, _rational
+from .triangles import _check_depth, _check_interval, _rational
 
 if TYPE_CHECKING:
     import numpy as np
@@ -59,7 +59,7 @@ def lower_bound(alpha: float, precision: str = "double"):
     does; logs are natural.  ``precision='big'`` evaluates with 50
     significant digits via mpmath.
     """
-    _check_alpha(alpha)
+    _check_interval("alpha", alpha, 0, 1, high_in=True)
     with _arithmetic(precision) as (num, log):
         a = num(alpha)
         return (a / 2) / (1 + (1 + log(3 / a)) / log(2) + 2 / a)
@@ -67,7 +67,7 @@ def lower_bound(alpha: float, precision: str = "double"):
 
 def upper_bound(alpha: float, precision: str = "double"):
     """1 - 2**(-alpha), increasing, with limit 1/2 at alpha -> 1."""
-    _check_alpha(alpha)
+    _check_interval("alpha", alpha, 0, 1, high_in=True)
     with _arithmetic(precision) as (num, _):
         return 1 - num(2) ** -num(alpha)
 
@@ -80,11 +80,10 @@ def trivial_upper_bound_sierpinski(precision: str = "double"):
 
 def lcondition_lhs(alpha: float, d1) -> float:
     """(d1 (1 + log(3/(2 d1))) + log 2) / ((alpha - d1) log 2)."""
-    _check_alpha(alpha)
+    _check_interval("alpha", alpha, 0, 1, high_in=True)
     d1 = float(_rational("d1", d1))
     alpha = float(alpha)
-    if not 0 < d1 < alpha:
-        raise ValueError("need 0 < d1 < alpha")
+    _check_interval("d1", d1, 0, alpha)
     with _arithmetic("double") as (_, log):
         return (d1 * (1 + log(3 / (2 * d1))) + log(2)) / ((alpha - d1) * log(2))
 
@@ -106,6 +105,7 @@ _MAX_DENOMINATOR = 64
 
 def default_d1(alpha: float) -> Fraction:
     """Best rational approximation of alpha/2 with denominator <= 64."""
+    _check_interval("alpha", alpha, 0, 1, high_in=True)
     d1 = Fraction(alpha / 2).limit_denominator(_MAX_DENOMINATOR)
     if d1 <= 0:
         raise ValueError(f"alpha = {alpha} too small for denominator cap "
@@ -126,9 +126,10 @@ class BoundSearchParams:
     l: int
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
-        if not isinstance(self.d1, (int, Fraction)) or not 0 < self.d1 < self.alpha:
-            raise ValueError(f"d1 must be an int or a Fraction in (0, alpha), got {self.d1!r}")
+        _check_interval("alpha", self.alpha, 0, 1, high_in=True)
+        if not isinstance(self.d1, (int, Fraction)):
+            raise ValueError(f"d1 must be an int or a Fraction, got {self.d1!r}")
+        _check_interval("d1", self.d1, 0, self.alpha)
         _check_depth("l", self.l, 1)
 
     @property

@@ -19,8 +19,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .paf import max_holder_ratio
-from .triangles import (_check_alpha, _check_depth, _check_nonnegative, _check_open_unit,
-                        _check_positive)
+from .triangles import _check_depth, _check_interval, _rational
 
 _MATERIALIZATION_LIMIT = 1 << 22    # most intervals FatCantorSet.intervals builds
 _TERM_TOL = 1e-18                   # capacity_gap stops below this term size
@@ -87,6 +86,7 @@ class FatCantorSet:
         return self.count * self.length
 
     def interval(self, index: int) -> tuple[Fraction, Fraction]:
+        _check_depth("index", index, -math.inf)
         if not 0 <= index < self.count:
             raise IndexError(f"interval index {index} out of range")
         den, length, shifts = _lattice(self.n)
@@ -107,7 +107,7 @@ class FatCantorSet:
         return [(Fraction(a, den), Fraction(a + length, den)) for a in self._lefts()]
 
     def contains(self, x: Fraction) -> bool:
-        x = Fraction(x)
+        x = _rational("x", x)
         if not 0 <= x <= 1:
             return False
         den, _, shifts = _lattice(self.n)
@@ -190,7 +190,7 @@ def capacity_gap(k: int, alpha: float) -> CapacityGap:
     or the factor 2**(k+1) - 1 of the ratio leaves the normal float range.
     """
     _check_depth("k", k, 1)             # generation-1 gaps break the closed form
-    _check_alpha(alpha)
+    _check_interval("alpha", alpha, 0, 1, high_in=True)
     if (k + 1 >= sys.float_info.max_exp
             or -alpha * _removal_log2(k + 1) < sys.float_info.min_exp - 1):
         raise ValueError(f"k = {k} is too deep for alpha = {alpha}: the first term or "
@@ -337,9 +337,9 @@ def piecewise_constant_feasibility(alpha: float, c: float, M: float,
     which is inf only where the quotient itself overflows.  M = 0 is
     feasible at every level, with ratio 0.0.
     """
-    _check_alpha(alpha)
-    _check_open_unit("c", c)
-    _check_nonnegative("M", M)
+    _check_interval("alpha", alpha, 0, 1, high_in=True)
+    _check_interval("c", c, 0, 1)
+    _check_interval("M", M, 0, math.inf, low_in=True, high_in=True)
     _check_depth("k", k)
     K = float(structure.K)
     nu = float(structure.nu)
@@ -423,14 +423,14 @@ class PhaseTransitionConfig:
     y1: Fraction = field(init=False)
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
-        _check_open_unit("c", self.c)
+        _check_interval("alpha", self.alpha, 0, 1, high_in=True)
+        _check_interval("c", self.c, 0, 1)
         _check_depth("k", self.k, 1)    # capacity_gap's closed form
         for name, index in (("ix", self.ix), ("iy", self.iy)):
             _check_depth(name, index)
             if index >= 1 << self.k:
                 raise ValueError(f"{name} must lie in 0..2**k - 1, got {index}")
-        _check_positive("delta", self.delta)
+        _check_interval("delta", self.delta, 0, math.inf)
         (x1, x2), (_, y1) = (FatCantorSet(self.k).interval(i) for i in (self.ix, self.iy))
         for name, value in (("c", Fraction(self.c)), ("x1", x1), ("x2", x2), ("y1", y1)):
             object.__setattr__(self, name, value)

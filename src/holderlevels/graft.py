@@ -23,8 +23,7 @@ from fractions import Fraction
 from .bernoulli import BernoulliWitnessFn
 from .levelset import odd_corner
 from .paf import PiecewiseAffineFn
-from .triangles import (_check_alpha, _check_depth, _check_nonnegative, _check_positive,
-                        delta_lattice_index, lattice_weights, locate)
+from .triangles import _check_depth, _check_interval, delta_lattice_index, lattice_weights, locate
 
 HOLDER_STEP_THRESHOLD = Fraction(1, 100)
 GRAFT_BUDGET = Fraction(1, 8)
@@ -36,10 +35,11 @@ class NotStandardError(ValueError):
 
 def min_graft_level(lipschitz: float, alpha: float) -> int:
     """Smallest n' with M * 2**(-n'(1-alpha)) < HOLDER_STEP_THRESHOLD."""
-    _check_alpha(alpha, below_one=True)
-    _check_positive("lipschitz", lipschitz)
+    _check_interval("alpha", alpha, 0, 1)
+    _check_interval("lipschitz", lipschitz, 0, math.inf)
     t = float(HOLDER_STEP_THRESHOLD)
-    n = max(0, math.floor(math.log2(lipschitz / t) / (1 - alpha)) + 1)
+    # a difference of logs: lipschitz / t overflows from about 1.8e306 on
+    n = max(0, math.floor((math.log2(lipschitz) - math.log2(t)) / (1 - alpha)) + 1)
     while lipschitz * 2.0 ** (-n * (1 - alpha)) >= t:
         n += 1
     while n > 0 and lipschitz * 2.0 ** (-(n - 1) * (1 - alpha)) < t:
@@ -49,8 +49,8 @@ def min_graft_level(lipschitz: float, alpha: float) -> int:
 
 def graft_certificate_constant(lipschitz: float, alpha: float, n_prime: int) -> float:
     """Closed-form per-triangle Holder constant of the graft."""
-    _check_alpha(alpha, below_one=True)
-    _check_nonnegative("lipschitz", lipschitz, finite=True)
+    _check_interval("alpha", alpha, 0, 1)
+    _check_interval("lipschitz", lipschitz, 0, math.inf, low_in=True)
     _check_depth("n_prime", n_prime)
     return (lipschitz * 2.0 ** (-n_prime * (1 - alpha))
             * 3.0 * (2.0 / math.sqrt(3.0)) ** alpha)

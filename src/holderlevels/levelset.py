@@ -28,7 +28,7 @@ from fractions import Fraction
 from .paf import PiecewiseAffineFn
 from .runs import (_block_children, _block_sums, _block_word, _chain, _cut, _last_digits, _run_ks,
                    _run_weights, _split)
-from .triangles import (_check_alpha, _check_depth, _rational, boundary_family,
+from .triangles import (_check_depth, _check_interval, _rational, boundary_family,
                         check_address, lattice_index_unchecked, lattice_point)
 
 
@@ -663,11 +663,10 @@ def census_constant(alpha: float, d1, l: int) -> float:
     With 2**l in place of 2**l - 1, c < 1 is exactly the feasibility
     inequality ``lcondition_lhs(alpha, d1) < l``.
     """
-    _check_alpha(alpha)
+    _check_interval("alpha", alpha, 0, 1, high_in=True)
     d1 = float(_rational("d1", d1))
     alpha = float(alpha)
-    if not d1 > 0:
-        raise ValueError(f"d1 must be positive, got {d1}")
+    _check_interval("d1", d1, 0, math.inf)
     _check_depth("l", l, 1)
     return (math.e / d1) ** d1 * (3 * (2**l - 1)) ** d1 * 2.0 ** (1 - d1 - l * alpha)
 
@@ -704,10 +703,9 @@ def well_conducting_census(fn: PiecewiseAffineFn, r, n: int, l: int, d1, *,
     scaling by D keeps every extreme pair.
     """
     _check_depth("n", n)
-    _check_alpha(alpha)
+    _check_interval("alpha", alpha, 0, 1, high_in=True)
     d1 = _rational("d1", d1)
-    if d1 <= 0:
-        raise ValueError(f"d1 must be positive, got {d1}")
+    _check_interval("d1", d1, 0, math.inf)
     t = n * d1
     if t.denominator != 1:
         raise ValueError(f"n*d1 = {t} is not an integer; n must be a multiple "

@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from .exact import _SQRT3_FLOAT, PointQ3
-from .triangles import (_check_alpha, _check_depth, _check_positive, _rational, cell_corners,
+from .triangles import (_check_depth, _check_interval, _rational, cell_corners,
                         check_address, delta_lattice_index, lattice_point, lattice_weights,
                         level_index, locate, midpoint_plan)
 
@@ -38,14 +38,12 @@ class HolderParams:
     c: float
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
-        _check_positive("c", self.c)
+        _check_interval("alpha", self.alpha, 0, 1, high_in=True)
+        _check_interval("c", self.c, 0, math.inf)
 
 
 def _vertex_count(level: int) -> int | str:
     """|V_level| = (3**(level+1) + 3)/2; from level 64 on, where no table holds it, the formula."""
-    if level < 0:
-        raise ValueError(f"level {level} is negative")
     return (3 ** (level + 1) + 3) // 2 if level < 64 else f"(3**{level + 1} + 3)/2"
 
 
@@ -102,7 +100,7 @@ def _check_grid(level: int, grid) -> None:
     any grid is found by lattice arithmetic, without building anything of
     V_level's size.
     """
-    _check_depth("level", level, -math.inf)    # a negative level is _vertex_count's to refuse
+    _check_depth("level", level)
     if not isinstance(grid, Mapping):
         raise ValueError(f"grid must be a mapping keyed by lattice index, got a "
                          f"{type(grid).__name__}")
@@ -362,24 +360,40 @@ class PiecewiseAffineFn:
 
     @classmethod
     def from_json(cls, data: dict) -> "PiecewiseAffineFn":
-        """Inverse of ``to_json``, whose "standard" is read from the table, not the key;
-        ValueError unless the entries give V_level exactly once."""
-        level = int(data["level"])
-        entries = data["entries"]
+        """Inverse of ``to_json``, whose "standard" is read from the table, not the key.
+
+        ValueError unless ``data`` maps "level" to an int and "entries" to a
+        list of ("word:corner", value) pairs, each value a finite rational,
+        that give V_level exactly once.
+        """
+        try:
+            level, entries = data["level"], data["entries"]
+        except (TypeError, KeyError, IndexError):
+            raise ValueError("data must be a mapping with the keys 'level' and 'entries', "
+                             f"got {data!r:.80}") from None
+        _check_depth("data['level']", level)
+        if not isinstance(entries, (list, tuple)):
+            raise ValueError("data['entries'] must be a list of (id, value) pairs, "
+                             f"got {entries!r:.80}")
         # fail before building anything of V_level's size; no list holds 3**64 entries
         count = _vertex_count(level)
         if level >= 64 or len(entries) < count:
             raise ValueError(f"at most {len(entries)} of the {count} vertices of level "
                              f"{level} have values")
         grid: dict[tuple[int, int], Fraction] = {}
-        for key, frac in entries:
-            word, corner = key.split(":")
+        for entry in entries:
+            try:
+                key, frac = entry
+                word, corner = key.split(":")
+            except (TypeError, ValueError, AttributeError):
+                raise ValueError(f"data['entries'] holds {entry!r}, not a pair "
+                                 "('word:corner', value)") from None
             if len(word) != level:
                 raise ValueError(f"vertex id {key!r} does not match level {level}")
             if corner not in ("0", "1", "2"):
                 raise ValueError(f"vertex id {key!r}: the corner must be 0, 1 or 2")
             p = cell_corners(*delta_lattice_index(word))[int(corner)]
-            v = Fraction(frac)
+            v = _rational(f"the value of vertex id {key!r}", frac)
             if grid.setdefault(p, v) != v:
                 raise ValueError(f"vertex id {key!r} gives its vertex a second value")
         return cls(level, grid)
@@ -607,8 +621,8 @@ def holder_certificate(fn: PiecewiseAffineFn, alpha: float, c: float,
     alpha lies in (0, 1], c is positive and finite and depth is an int
     no smaller than the function level.
     """
-    _check_alpha(alpha)
-    _check_positive("c", c)
+    _check_interval("alpha", alpha, 0, 1, high_in=True)
+    _check_interval("c", c, 0, math.inf)
     _check_depth("depth", depth, fn.level)
     index, xs, ys, vs = _vertex_arrays(fn, depth)
     best, idx = max_holder_ratio(xs, ys, vs, alpha)
@@ -667,8 +681,8 @@ def random_standard_paf(seed: int, level: int, alpha: float, c: float,
     """
     _check_depth("seed", seed, -math.inf)
     _check_depth("level", level, 1)
-    _check_positive("c", c)
-    _check_alpha(alpha)
+    _check_interval("c", c, 0, math.inf)
+    _check_interval("alpha", alpha, 0, 1, high_in=True)
     disp_headroom = 0.45 * (1 - 2.0 ** (-(1 - alpha))) if alpha < 1 else 0.1
     top = level - 1
     index = level_index(top)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
@@ -51,45 +52,22 @@ def _check_depth(name: str, value, low=0) -> None:
     raise ValueError(f"{name} must be non-negative, got {value}")
 
 
-def _check_alpha(alpha, below_one: bool = False) -> None:
-    """Refuse alpha outside (0, 1], or (0, 1) when ``below_one``, and NaN, None, a str, a bool."""
-    try:
-        inside = 0 < alpha < 1 if below_one else 0 < alpha <= 1
-    except TypeError:               # None, a str: anything that does not compare with numbers
-        inside = False
-    if not inside or isinstance(alpha, bool):
-        raise ValueError(f"alpha must lie in (0, 1{')' if below_one else ']'}, got {alpha!r}")
+def _check_interval(name: str, value, low, high, *, low_in: bool = False,
+                    high_in: bool = False) -> None:
+    """Refuse a value that is no real in the interval from ``low`` to ``high``, naming it.
 
-
-def _check_positive(name: str, value) -> None:
-    """Refuse a value that is not positive and finite (NaN, None, a str, a bool...), naming it."""
-    try:
-        inside = 0 < value < math.inf
-    except TypeError:
-        inside = False
-    if not inside or isinstance(value, bool):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
-def _check_open_unit(name: str, value) -> None:
-    """Refuse a value outside (0, 1) (NaN, None, a str, a bool...), naming it."""
-    try:
-        inside = 0 < value < 1
-    except TypeError:
-        inside = False
-    if not inside or isinstance(value, bool):
-        raise ValueError(f"{name} must lie in (0, 1): need 0 < {name} < 1, got {value!r}")
-
-
-def _check_nonnegative(name: str, value, finite: bool = False) -> None:
-    """Refuse a negative value, or an infinite one when ``finite``, and NaN, None, a str, a bool."""
-    try:
-        inside = 0 <= value < math.inf if finite else value >= 0
-    except TypeError:
-        inside = False
-    if not inside or isinstance(value, bool):
-        raise ValueError(f"{name} must be non-negative{' and finite' if finite else ''}: "
-                         f"need {name} >= 0, got {value!r}")
+    Each end is open unless ``low_in`` or ``high_in`` closes it.  A real is
+    a ``numbers.Real`` that is not a bool: NaN, None, a str, a Decimal and
+    a bool (numpy's too) are refused.  An exact float or int skips the
+    slower ``numbers.Real`` check.
+    """
+    if type(value) in (float, int) or (isinstance(value, numbers.Real)
+                                       and not isinstance(value, bool)):
+        if ((low <= value if low_in else low < value)
+                and (value <= high if high_in else value < high)):
+            return
+    raise ValueError(f"{name} must lie in {'[' if low_in else '('}{low}, {high}"
+                     f"{']' if high_in else ')'}, got {value!r}")
 
 
 def _rational(name: str, value) -> Fraction:
@@ -139,8 +117,7 @@ class LevelIndex(NamedTuple):
 @functools.cache
 def level_index(level: int) -> LevelIndex:
     """The one walk over the lattice of V_``level``, built once per level."""
-    if level < 0:
-        raise ValueError(f"level {level} is negative")
+    _check_depth("level", level)
     words, cells, parents, corners = [], [], [], []
     vertices: dict[tuple[int, int], int] = {}
     layers: list[list[int]] = [[] for _ in range(level + 1)]
@@ -225,8 +202,9 @@ def lattice_coordinates(point) -> tuple[int, int, int]:
     The point is C (1, 0) + R (1/2, sqrt(3)/2): R = 2y/sqrt(3) counts
     rows and C = x - R/2 columns at unit scale.  Accepts a PointQ3, whose
     D is a power of two and costs shifts only, or a pair of QSqrt3 /
-    Fraction values.  ValueError when x has a sqrt(3) part or y a
-    rational part, that is when R or C is irrational.
+    Fraction values; anything else is a ValueError naming the point, and
+    so is a point whose x has a sqrt(3) part or y a rational part, that
+    is whose R or C is irrational.
     """
     if isinstance(point, PointQ3):
         x, y = point.x, point.y
@@ -235,7 +213,11 @@ def lattice_coordinates(point) -> tuple[int, int, int]:
         k = max(x.k, y.k)
         a = y.b << (k - y.k + 1)
         return (a, (x.a << (k - x.k)) - (a >> 1), 1 << k)
-    (xp, xq), (yp, yq) = map(_field_parts, point)
+    try:
+        (xp, xq), (yp, yq) = map(_field_parts, point)
+    except (TypeError, ValueError, ArithmeticError):    # no pair; None, NaN or inf in it
+        raise ValueError(f"point {point!r} must be a PointQ3 or a pair of QSqrt3 or "
+                         "rational coordinates") from None
     if xq or yp:
         raise ValueError(f"point {point} has an irrational lattice coordinate")
     r, c = 2 * yq, xp - yq
@@ -348,8 +330,7 @@ def line_crossing_count(digits) -> int:
 def _check_line_height(y: Fraction, level: int) -> Fraction:
     _check_depth("level", level)
     y = _rational("line height y", y)
-    if not 0 < y < 1:
-        raise ValueError(f"line height y must be in (0, 1), got {y}")
+    _check_interval("line height y", y, 0, 1)
     if (y * (1 << level)).denominator == 1:
         raise ValueError(
             f"height {y} is dyadic at depth {level}: the line hits lattice vertices"

@@ -77,6 +77,10 @@ REMOVED = {
     "_denominator",
     # triangles: the reader of l, which _check_depth("l", l, 1) replaced
     "_check_l",
+    # triangles: the readers of alpha, of a positive, an open-unit and a
+    # non-negative value and their two flags, which _check_interval replaced
+    "_check_alpha", "_check_positive", "_check_open_unit", "_check_nonnegative",
+    "below_one", "finite",
 }
 
 
@@ -445,66 +449,72 @@ def test_the_mass_check_reads_each_run_from_block_summaries():
 
 
 def test_argument_rules_are_written_once():
-    # "alpha lies in (0, 1]" and "positive and finite" are each one reader
-    # in triangles; the CLI's own flag checks keep their pinned messages
-    def alpha_bound(node):
-        return (isinstance(node, ast.Compare) and isinstance(node.left, ast.Constant)
-                and node.left.value == 0 and isinstance(node.ops[0], ast.Lt)
-                and getattr(node.comparators[0], "id",
-                            getattr(node.comparators[0], "attr", None)) == "alpha")
+    # "a real lies in an interval" is _check_interval's rule and "a count is
+    # an int of at least low" _check_depth's, both in triangles: no other
+    # library function compares a parameter with a bound in an `if` whose
+    # body raises, but for the bounds listed with their reasons.  A parameter
+    # is an argument, a field that __post_init__ reads from self, a name
+    # passed to a reader, or a name bound to a conversion of one: float(p),
+    # a reader's result, p.as_integer_ratio(), either branch of a conditional.
+    # The CLI's own flag checks keep their pinned messages.
+    exempt = {
+        ("bernoulli", "BernoulliWitnessFn.value_at_height", "0 <= num <= den"):
+            "the height's [0, 1] check, inline: the law items read about 24,000 heights a pass",
+        ("bernoulli", "_unit_ratio", "0 <= num <= den"):
+            "the same [0, 1] check on the numerator and denominator of a height of another type",
+        ("bounds", "default_d1", "0 < d1 < alpha"):
+            "alpha bounds the rate default_d1 derives, whose message names alpha and the cap",
+        ("cantor", "FatCantorSet.interval", "0 <= index < self.count"):
+            "an int index out of range is an IndexError, as for a sequence",
+        ("cantor", "PhaseTransitionConfig.__post_init__", "index >= 1 << self.k"):
+            "ix, iy index 2**k intervals",
+        ("levelset", "LevelSetTree.histograms", "first > n"): "the histograms run from first to n",
+        ("paf", "PiecewiseAffineFn.from_json", "level >= 64"):
+            "from level 64 on the vertex count is a formula, and no list holds that many entries",
+    }
+    readers = ("_check_depth", "_check_interval", "_rational")
+    order = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 
-    def below_infinity(node):
-        return (isinstance(node, ast.Compare) and isinstance(node.left, ast.Constant)
-                and node.left.value == 0 and isinstance(node.ops[0], ast.Lt)
-                and any(ast.unparse(c) == "math.inf" for c in node.comparators))
+    def converts(node, params):
+        """Whether ``node`` is a parameter or a conversion of one."""
+        if isinstance(node, ast.IfExp):
+            return converts(node.body, params) or converts(node.orelse, params)
+        if _called_name(node) in ("float", "int", "Fraction", *readers) and node.args:
+            return converts(node.args[-1], params)
+        if _called_name(node) == "as_integer_ratio":
+            return converts(node.func.value, params)
+        return ast.unparse(node) in params
 
     modules = [p.stem for p in sorted((ROOT / "src" / "holderlevels").glob("*.py"))
                if p.stem not in ("cli", "__init__")]
     assert len(modules) >= 8
-    alpha = {(m, name) for m in modules for name in _where(m, alpha_bound)}
-    positive = {(m, name) for m in modules for name in _where(m, below_infinity)}
-    assert alpha == {("triangles", "_check_alpha")}
-    assert positive == {("triangles", "_check_positive")}
-
-    # c in (0, 1), M >= 0 and lipschitz >= 0 are read by _check_open_unit
-    # and _check_nonnegative in triangles: no module bounds those names itself
-    def bounds_a_rule_name(node):
-        if not isinstance(node, ast.Compare):
-            return False
-        sides = [node.left, *node.comparators]
-        return (all(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)
-                and any(isinstance(v, ast.Constant) and v.value == 0 for v in sides)
-                and any(getattr(v, "id", getattr(v, "attr", None)) in ("c", "M", "lipschitz")
-                        for v in sides))
-
-    assert {(m, name) for m in modules for name in _where(m, bounds_a_rule_name)} == set()
-    readers = {(m, name, _called_name(n)) for m in modules for name, fn in _functions(m).items()
-               for n in _own_nodes(fn)
-               if _called_name(n) in ("_check_open_unit", "_check_nonnegative")}
-    assert readers == {("cantor", "piecewise_constant_feasibility", "_check_open_unit"),
-                       ("cantor", "piecewise_constant_feasibility", "_check_nonnegative"),
-                       ("cantor", "PhaseTransitionConfig.__post_init__", "_check_open_unit"),
-                       ("graft", "graft_certificate_constant", "_check_nonnegative")}
-
-    # a count's lower bound is _check_depth's third argument: no function
-    # compares a name it passed to _check_depth and then raises, but for
-    # the upper bounds listed with what they bound
-    upper_bounds = {
-        ("cantor", "PhaseTransitionConfig.__post_init__", "index >= 1 << self.k"):
-            "ix, iy index 2**k intervals",
-        ("levelset", "LevelSetTree.histograms", "first > n"): "the histograms run from first to n",
-    }
     bounded = set()
     for m in modules:
         for name, fn in _functions(m).items():
-            counts = {ast.unparse(n.args[1]) for n in _own_nodes(fn)
-                      if _called_name(n) == "_check_depth"}
+            if name in ("_check_depth", "_check_interval"):
+                continue
+            args = fn.args
+            params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+            params -= {"self", "cls"}
+            if name.endswith(".__post_init__"):
+                params |= {ast.unparse(n) for n in _own_nodes(fn)
+                           if isinstance(n, ast.Attribute) and ast.unparse(n.value) == "self"}
+            params |= {ast.unparse(n.args[1]) for n in _own_nodes(fn)
+                       if _called_name(n) in readers and len(n.args) > 1}
+            while True:
+                bound = {ast.unparse(t) for n in _own_nodes(fn)
+                         if isinstance(n, ast.Assign) and converts(n.value, params)
+                         for target in n.targets
+                         for t in (target.elts if isinstance(target, ast.Tuple) else [target])}
+                if bound <= params:
+                    break
+                params |= bound
             bounded |= {(m, name, ast.unparse(c)) for n in _own_nodes(fn)
-                        if isinstance(n, ast.If)
-                        and any(isinstance(r, ast.Raise) for stmt in n.body for r in ast.walk(stmt))
+                        if isinstance(n, ast.If) and any(isinstance(s, ast.Raise) for s in n.body)
                         for c in ast.walk(n.test) if isinstance(c, ast.Compare)
-                        and counts & {ast.unparse(v) for v in (c.left, *c.comparators)}}
-    assert bounded == set(upper_bounds)
+                        and any(isinstance(op, order) for op in c.ops)
+                        and params & {ast.unparse(v) for v in (c.left, *c.comparators)}}
+    assert bounded == set(exempt)
 
 
 def test_runs_alone_take_a_runs_digits_apart():

@@ -116,14 +116,14 @@ def test_cdf_from_digits_matches_cdf():
 
 def test_witness_boundary_values():
     w = BernoulliWitnessFn.for_alpha(0.5)
-    # the ints 0 and 1, whatever the height's type
-    for end in (Fraction(0), Fraction(1), Height(1), 0, 1, False, True, 0.0, 1.0):
+    # the ints 0 and 1, whatever the height's type; a bool is no height
+    for end in (Fraction(0), Fraction(1), Height(1), 0, 1, 0.0, 1.0):
         value = w.value_at_height(end)
         assert type(value) is int and value == end
     assert w.alpha == 0.5
     with pytest.raises(ValueError):
         BernoulliWitnessFn(Fraction(1, 3))
-    for bad in (Fraction(3, 2), Height(3, 2), 2, -1):
+    for bad in (Fraction(3, 2), Height(3, 2), 2, -1, False, True):
         with pytest.raises(ValueError, match=r"expected a value in \[0, 1\]"):
             w.value_at_height(bad)
 

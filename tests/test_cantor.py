@@ -443,7 +443,7 @@ def test_feasibility_with_zero_M_is_feasible_at_every_level():
         res = piecewise_constant_feasibility(0.6, 0.5, 0.0, ps, k)
         assert (res.lhs, res.ratio, res.feasible) == (0.0, 0.0, True), k
     assert feasibility_search(0.6, 0.5, 0.0, ps).first_feasible_k == 0
-    with pytest.raises(ValueError, match="need M >= 0"):
+    with pytest.raises(ValueError, match=r"M must lie in \[0, inf\]"):
         piecewise_constant_feasibility(0.6, 0.5, -1.0, ps, 3)
 
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,16 @@ def test_min_graft_level_example():
     n = min_graft_level(M, 0.5)
     assert n == 14
     assert M * 2 ** (-n / 2) < 0.01 <= M * 2 ** (-(n - 1) / 2)
+
+
+def test_min_graft_level_reads_the_largest_lipschitz_constants():
+    # from the difference log2(M) - log2(1/100): log2(100 M) overflows from
+    # about M = 1.8e306 on
+    for M, alpha in ((1.8e306, 0.9), (1e307, 0.5), (sys.float_info.max, 0.5),
+                     (2 / math.sqrt(3), 0.5), (0.004, 0.5), (5e-324, 0.3)):
+        n = min_graft_level(M, alpha)
+        assert M * 2.0 ** (-n * (1 - alpha)) < 0.01, (M, alpha)
+        assert n == 0 or M * 2.0 ** (-(n - 1) * (1 - alpha)) >= 0.01, (M, alpha)
 
 
 def test_certificate_constant_below_budget():

@@ -10,20 +10,26 @@ called with True.
 
 Every row also gets the value zoo ``ZOO``: each of its values is refused
 with the row's fragment unless ``ACCEPTED`` lists it for the row, with
-the reason.  The zoo holds no huge int such as 10**400: on one, some
-calls run for minutes and others overflow a float, and no reader refuses
-it yet.
+the reason (or ``OTHER_ERROR`` names the error that refuses it).  A
+``Decimal`` is no real to ``triangles._check_interval`` and numpy's bool
+no number, so the zoo holds both.  It holds no huge int such as 10**400:
+on one, some calls run for minutes and others overflow a float, and no
+reader refuses it yet.  The public methods of the exported classes have
+rows too, ``Class.method parameter``, or a listed reason to have none.
 """
 
 import inspect
 import math
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import holderlevels as hl
 from holderlevels.cantor import product_separated_structure
+from holderlevels.triangles import locate
 from test_floor import third_up
 
 F = Fraction
@@ -34,6 +40,10 @@ _STRUCTURE = product_separated_structure(3)
 _WITNESS = hl.BernoulliWitnessFn.for_alpha(0.5)
 _GRID = dict(_FN.grid)
 _PARAMS = hl.BoundSearchParams(1.0, F(1, 2), 1)
+_JSON = hl.random_standard_paf(1, 1, 0.5, 0.9, check=False).to_json()
+_POINT = (F(1, 4), 0)
+_GRAFT = hl.graft(_FN, hl.min_graft_level(_FN.lipschitz(), 0.5), _WITNESS)
+_WORD = locate(_POINT, _GRAFT.n_prime)
 
 # (callable of the bad value, the bad values, a fragment the message holds)
 CASES = {
@@ -88,7 +98,7 @@ CASES = {
         lambda v: hl.PhaseTransitionConfig(v, F(1, 2), 2, 1, 1, 0.2),
         [nan, 0, -1, 2, None, "abc"], "alpha"),
     "PhaseTransitionConfig c": (lambda v: hl.PhaseTransitionConfig(0.6, v, 2, 1, 1, 0.2),
-                                [nan, 0, -1, 1, inf, None, "abc"], "c < 1"),
+                                [nan, 0, -1, 1, inf, None, "abc"], r"c must lie in \(0, 1\)"),
     "PhaseTransitionConfig k": (lambda v: hl.PhaseTransitionConfig(0.6, F(1, 2), v, 0, 0, 0.2),
                                 [0, -1], "k >= 1"),
     "PhaseTransitionConfig ix": (lambda v: hl.PhaseTransitionConfig(0.6, F(1, 2), 2, v, 0, 0.2),
@@ -212,6 +222,31 @@ CASES = {
     "mass_distribution_lower r": (lambda v: hl.mass_distribution_lower(_FN, v, _PARAMS, 1),
                                   [nan, inf, "abc", -1, 100], "level r"),
     "graft n_prime": (lambda v: hl.graft(_FN, v, _WITNESS), [-1, 0], "level"),
+    "BernoulliWitnessFn.for_alpha alpha": (hl.BernoulliWitnessFn.for_alpha,
+                                           [nan, 0, -1, 1, 2, None, "abc"], "alpha"),
+    "BernoulliWitnessFn.for_alpha max_depth": (
+        lambda v: hl.BernoulliWitnessFn.for_alpha(0.5, v), [-1, 1.5, None], "max_depth"),
+    "BoundSearchParams.for_alpha alpha": (hl.BoundSearchParams.for_alpha,
+                                          [nan, 0, -1, 2, None, "abc"], "alpha"),
+    "FatCantorSet.contains x": (hl.FatCantorSet(3).contains,
+                                [nan, inf, -inf, None, "abc", [], 1j, True], "x must"),
+    "FatCantorSet.interval index": (hl.FatCantorSet(3).interval,
+                                    [1.0, F(1), "abc", None, True], "index"),
+    "PiecewiseAffineFn.corner_values word": (_FN.corner_values, ["3", "01-", None, 12],
+                                             "address"),
+    "PiecewiseAffineFn.eval point": (_FN.eval, [None, 1.5, (F(1, 4), None), (F(1, 4),), "ab",
+                                                (F(1, 4), nan)], "point"),
+    "PiecewiseAffineFn.from_json data": (
+        hl.PiecewiseAffineFn.from_json,
+        [None, {}, {"level": 1}, {**_JSON, "level": 1.9}, {**_JSON, "level": True},
+         {**_JSON, "entries": None}, {**_JSON, "entries": [("x", "1")] * 6},
+         {**_JSON, "entries": [5] * 6}, {**_JSON, "entries": [(k, "x") for k, _ in _JSON["entries"]]}],
+        r"data\[|data must|vertex id"),
+    "GraftedFn.eval point": (_GRAFT.eval, [None, 1.5, (F(1, 4), None), "ab"], "point"),
+    "GraftedFn.value_in_triangle word": (lambda v: _GRAFT.value_in_triangle(v, _POINT),
+                                         ["3", "01-", None, 12], "address"),
+    "GraftedFn.value_in_triangle point": (lambda v: _GRAFT.value_in_triangle(_WORD, v),
+                                          [None, 1.5, (F(1, 4), None), "ab"], "point"),
 }
 
 
@@ -223,7 +258,7 @@ def test_bad_arguments_raise_a_named_value_error(name):
             call(value)
 
 
-ZOO = (None, "abc", nan, inf, -inf, -1, 0, 1.5, True, [], object(), 1j)
+ZOO = (None, "abc", nan, inf, -inf, -1, 0, 1.5, True, [], object(), 1j, Decimal("0.5"), np.True_)
 
 # the zoo values a row accepts, by the reason; each other one is refused
 ACCEPTED_BY_REASON = {
@@ -236,12 +271,22 @@ ACCEPTED_BY_REASON = {
         ("PhaseTransitionConfig ix", 0), ("PhaseTransitionConfig iy", 0),
         ("feasibility_search k_cap", 0), ("graft_certificate_constant n_prime", 0),
         ("line_crossing_count_geometric level", 0), ("piecewise_constant_feasibility k", 0),
-        ("well_conducting_census n", 0)],
+        ("well_conducting_census n", 0), ("BernoulliWitnessFn.for_alpha max_depth", 0)],
+    "index 0: the first interval": [("FatCantorSet.interval index", 0)],
     "an empty digit stream: one root triangle, an empty estimate": [
         ("box_count_dimension digits", []), ("line_crossing_count digits", [])],
-    "the base height 0, and True, the int 1: the apex height": [
-        ("BernoulliWitnessFn.value_at_height y", 0),
-        ("BernoulliWitnessFn.value_at_height y", True)],
+    "the base height 0": [("BernoulliWitnessFn.value_at_height y", 0)],
+    "float() reads a height that is no int or Fraction, as it reads a str: the Decimal 1/2, "
+    "and numpy's True as 1.0, the apex": [
+        ("BernoulliWitnessFn.value_at_height y", Decimal("0.5")),
+        ("BernoulliWitnessFn.value_at_height y", np.True_)],
+    "a Decimal is read exactly, as any finite rational: 1/2 here": [
+        (row, Decimal("0.5")) for row in (
+            "LevelSetTree r", "LevelValue r", "well_conducting_census r",
+            "PiecewiseAffineFn grid value", "census_constant d1", "feasible_l d1",
+            "well_conducting_census d1", "FatCantorSet.contains x")],
+    "any finite rational x: contains answers whether the set holds it": [
+        ("FatCantorSet.contains x", x) for x in (-1, 0, 1.5)],
     "None: alpha is -log2(p)": [("BernoulliWitnessFn alpha", None)],
     "c is any positive constant": [
         ("HolderParams c", 1.5), ("holder_certificate c", 1.5), ("random_standard_paf c", 1.5)],
@@ -266,6 +311,14 @@ ACCEPTED_BY_REASON = {
 ACCEPTED = {(row, repr(value)): reason for reason, pairs in ACCEPTED_BY_REASON.items()
             for row, value in pairs}
 
+# the zoo values a row refuses with another error than ValueError, by the reason
+OTHER_ERROR_BY_REASON = {
+    "an int index out of range is an IndexError, as for a sequence": [
+        ("FatCantorSet.interval index", -1, IndexError)],
+}
+OTHER_ERROR = {(row, repr(value)): error for pairs in OTHER_ERROR_BY_REASON.values()
+               for row, value, error in pairs}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_the_value_zoo_is_refused_or_accepted_for_a_reason(name):
@@ -274,13 +327,15 @@ def test_the_value_zoo_is_refused_or_accepted_for_a_reason(name):
         if (name, repr(value)) in ACCEPTED:
             call(value)
         else:
-            with pytest.raises(ValueError, match=fragment):
+            with pytest.raises(OTHER_ERROR.get((name, repr(value)), ValueError), match=fragment):
                 call(value)
 
 
 def test_accepted_values_are_zoo_values_of_a_row():
-    assert {row for row, _ in ACCEPTED} <= set(CASES)
-    assert {value for _, value in ACCEPTED} <= {repr(v) for v in ZOO}
+    for listed in (ACCEPTED, OTHER_ERROR):
+        assert {row for row, _ in listed} <= set(CASES)
+        assert {value for _, value in listed} <= {repr(v) for v in ZOO}
+    assert not ACCEPTED.keys() & OTHER_ERROR.keys()
 
 
 def test_a_bad_address_is_refused_before_the_tree_grows():
@@ -326,10 +381,11 @@ NOT_SWEPT = {row for rows in NOT_SWEPT_BY_REASON.values() for row in rows}
 
 def test_every_exported_callable_is_swept():
     # every exported function or class but SKIPPED is called with bad
-    # input above, itself or through a method ("Class.method parameter")
+    # input above, itself or through a method ("Class.method parameter");
+    # a SKIPPED class is swept through its methods alone
     swept = {name.split()[0].split(".")[0] for name in CASES}
     assert swept | SKIPPED == set(hl.__all__)
-    assert swept & SKIPPED == set()
+    assert {name.split()[0] for name in CASES} & SKIPPED == set()
 
 
 def test_every_exported_parameter_has_a_row():
@@ -337,3 +393,31 @@ def test_every_exported_parameter_has_a_row():
               for p in inspect.signature(getattr(hl, name)).parameters}
     assert params - set(CASES) == NOT_SWEPT
     assert NOT_SWEPT <= params
+
+
+# the parameters of public methods of exported classes that no row sweeps, by the reason
+METHODS_NOT_SWEPT_BY_REASON = {
+    "the law items call it about 12,000 times a certify pass; it reads what float() reads": [
+        "BernoulliWitnessFn.holder_bound x", "BernoulliWitnessFn.holder_bound y"],
+    "swept by the row LevelValue r, which calls LevelValue.checked": ["LevelValue.checked r"],
+    "a value of a library type, read by its attributes like any Python object": [
+        "LevelValue.checked fn"],
+    "the tree's scale at a word length it computed; any int length has one": [
+        "LevelSetTree.scale length"],
+}
+METHODS_NOT_SWEPT = {row for rows in METHODS_NOT_SWEPT_BY_REASON.values() for row in rows}
+
+
+def test_every_public_method_parameter_has_a_row():
+    # "Class.method parameter" for each public method of an exported class,
+    # a classmethod or staticmethod too; properties take no argument
+    params = set()
+    for name in hl.__all__:
+        if inspect.isclass(cls := getattr(hl, name)):
+            for method, fn in vars(cls).items():
+                fn = getattr(fn, "__func__", fn)
+                if not method.startswith("_") and inspect.isfunction(fn):
+                    params |= {f"{name}.{method} {p}" for p in inspect.signature(fn).parameters
+                               if p not in ("self", "cls")}
+    assert params - set(CASES) == METHODS_NOT_SWEPT
+    assert METHODS_NOT_SWEPT <= params

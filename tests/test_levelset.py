@@ -290,7 +290,7 @@ def test_census_and_kappa_reject_invalid_parameters():
     with pytest.raises(ValueError, match="n must be non-negative"):
         well_conducting_census(fn, None, -2, 1, 1 / 2, alpha=0.5)
     for d1 in (0, F(-1, 2)):
-        with pytest.raises(ValueError, match="d1 must be positive"):
+        with pytest.raises(ValueError, match=r"d1 must lie in \(0, inf\)"):
             well_conducting_census(fn, None, 2, 1, d1, alpha=0.5)
     with pytest.raises(ValueError, match="l >= 1"):
         kappa_exponent(fn, "01", 0)
